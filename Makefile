@@ -49,12 +49,14 @@ supervisor-chaos:
 		-run 'Crash|StepFault|CheckpointSilent|StepShard|RestartShard|Fence|DeliverMail|SentinelErrors' \
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/
 
-# Short fuzzing sessions over the HTML pipeline (seeds alone run as part
-# of `make test`).
+# Short fuzzing sessions over the HTML pipeline and the language filter
+# (seeds alone run as part of `make test`). FuzzIdentify is differential:
+# langid.Identify against its map-and-sort predecessor kept in the test.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeRepairExtract -fuzztime=30s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEntities -fuzztime=15s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/boiler/
+	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/
 
 bench:
 	$(GO) test -bench . -benchmem

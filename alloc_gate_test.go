@@ -20,6 +20,7 @@ import (
 	"webtextie/internal/dedup"
 	"webtextie/internal/htmlkit"
 	"webtextie/internal/ie/dict"
+	"webtextie/internal/langid"
 	"webtextie/internal/ling"
 	"webtextie/internal/nlp"
 )
@@ -85,12 +86,17 @@ var allocWorkloads = []struct {
 	// Probing a warm index against a known duplicate touches only the
 	// epoch-marked scratch: zero allocations.
 	{"dedup_probe_dup", 0, func() { _, _ = gateIndex.AddOrFind("probe", probeSig) }},
+	// The crawl's language filter on a page-sized text: counting, selection
+	// and scoring all run in pooled scratch.
+	{"langid_identify", 0, func() { _, _ = gateLangID.Identify(gatePage) }},
 }
 
 var (
 	dictBuf          = make([]dict.Match, 0, 16)
 	boilerClassifier = boiler.Default()
 	probeSig         dedup.Signature
+	gateLangID       = langid.New()
+	gatePage         = strings.Repeat(hotDoc+" ", 20) // ~4 KB of English net text
 )
 
 // BenchmarkHotPath measures every gated workload; `make bench-pr7`

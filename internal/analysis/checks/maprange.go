@@ -2,6 +2,7 @@ package checks
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"webtextie/internal/analysis"
@@ -14,14 +15,22 @@ import (
 // nondeterminism enters otherwise bit-reproducible outputs (snapshot
 // diffs, fetch lists, report tables).
 //
+// It also flags an argmin/argmax over a map: `if v < best { best, arg =
+// v, k }` keeps the first key to reach the winning value, so equal values
+// resolve by iteration order (langid.Identify chose between equidistant
+// languages this way). A comparison of the keys themselves has no ties,
+// and a condition that breaks ties on the key (`v < best || v == best &&
+// k < arg`) is not a bare strict comparison; neither is flagged.
+//
 // Loops that only aggregate (sums, counts, set inserts) are order-
 // independent and are not flagged. The accepted fix is the idiom used
 // throughout the repo: collect keys, sort them, then iterate the sorted
 // slice — or sort the collected output before it escapes.
 var MapRange = &analysis.Analyzer{
 	Name: "maprange",
-	Doc: "map iteration emitting to a slice or channel without a subsequent sort; " +
-		"map order is randomized per run — sort keys (or the output) before emitting",
+	Doc: "map iteration emitting to a slice or channel without a subsequent sort, " +
+		"or picking a winning key by a strict comparison; map order is randomized " +
+		"per run — sort keys (or the output) before emitting, break ties on the key",
 	Run: runMapRange,
 }
 
@@ -65,6 +74,8 @@ func checkMapRange(pass *analysis.Pass, info *types.Info, rng *ast.RangeStmt, fo
 	targets := map[types.Object]string{}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			checkStrictArgBest(pass, info, rng, n)
 		case *ast.SendStmt:
 			sent = true
 		case *ast.AssignStmt:
@@ -96,6 +107,43 @@ func checkMapRange(pass *analysis.Pass, info *types.Info, rng *ast.RangeStmt, fo
 		if !sortedAfter(info, following, obj) {
 			pass.Reportf(rng.For,
 				"range over map appends to %q without a subsequent sort: map iteration order is randomized per run", name)
+		}
+	}
+}
+
+// checkStrictArgBest reports an if statement in the body of a map range
+// whose condition is one strict comparison not involving the key itself
+// and whose body stores the key in a variable that outlives the loop.
+func checkStrictArgBest(pass *analysis.Pass, info *types.Info, rng *ast.RangeStmt, ifs *ast.IfStmt) {
+	keyID, ok := rng.Key.(*ast.Ident)
+	if !ok || keyID.Name == "_" {
+		return
+	}
+	key := info.ObjectOf(keyID)
+	isKey := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && key != nil && info.ObjectOf(id) == key
+	}
+	cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+	if !ok || (cond.Op != token.LSS && cond.Op != token.GTR) || isKey(cond.X) || isKey(cond.Y) {
+		return
+	}
+	for _, stmt := range ifs.Body.List {
+		as, ok := stmt.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+			continue
+		}
+		for i, rhs := range as.Rhs {
+			if !isKey(rhs) {
+				continue
+			}
+			obj, name := emitTarget(info, as.Lhs[i])
+			if obj == nil || (obj.Pos() >= rng.Pos() && obj.Pos() <= rng.End()) {
+				continue
+			}
+			pass.Reportf(ifs.If,
+				"range over map keeps key %q in %q on a strict %q: equal values resolve by map iteration order, which is randomized per run",
+				keyID.Name, name, cond.Op.String())
 		}
 	}
 }

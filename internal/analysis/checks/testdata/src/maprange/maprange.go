@@ -1,6 +1,8 @@
 // Package maprange exercises the maprange analyzer: map iteration feeding
 // an ordered sink without a sort is flagged; the collect-then-sort idiom
-// and suppressed loops are not.
+// and suppressed loops are not. Likewise an argmin whose winning key is
+// kept on a strict comparison, against its sorted-keys, key-tie-break and
+// suppressed variants.
 package maprange
 
 import "sort"
@@ -39,4 +41,66 @@ func Batch(m map[string]int) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// Nearest keeps the first key to reach the smallest distance: two keys at
+// equal distance resolve by iteration order — flagged, on both branches.
+func Nearest(dist map[string]int) (best, second string) {
+	bestD, secondD := 1<<30, 1<<30
+	for k, d := range dist {
+		if d < bestD {
+			second, secondD = best, bestD
+			best, bestD = k, d
+		} else if d < secondD {
+			second, secondD = k, d
+		}
+	}
+	return best, second
+}
+
+// NearestSorted walks the keys in sorted order, so the strict comparison
+// gives ties to the first name — not flagged.
+func NearestSorted(dist map[string]int) string {
+	best, bestD := "", 1<<30
+	for _, k := range SortedKeys(dist) {
+		if d := dist[k]; d < bestD {
+			best, bestD = k, d
+		}
+	}
+	return best
+}
+
+// NearestTieBreak breaks ties on the key, which makes the winner the same
+// in every iteration order — not flagged.
+func NearestTieBreak(dist map[string]int) string {
+	best, bestD := "", 1<<30
+	for k, d := range dist {
+		if d <= bestD && (d < bestD || k < best) {
+			best, bestD = k, d
+		}
+	}
+	return best
+}
+
+// First compares the keys themselves: distinct keys never tie — not flagged.
+func First(dist map[string]int) string {
+	first := "\xff"
+	for k := range dist {
+		if k < first {
+			first = k
+		}
+	}
+	return first
+}
+
+// AnyNearest is suppressed: its caller only tests the winner's distance.
+func AnyNearest(dist map[string]int) string {
+	best, bestD := "", 1<<30
+	for k, d := range dist {
+		//lintx:ignore maprange callers use only dist[best], equal for tied keys
+		if d < bestD {
+			best, bestD = k, d
+		}
+	}
+	return best
 }

@@ -7,7 +7,7 @@ GO ?= go
 # Packages with real concurrency (worth the ~100x race-detector slowdown).
 RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/...
 
-.PHONY: build test vet lint race chaos supervisor-chaos fuzz bench bench-baseline bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-all alloc-gate trace-golden log-golden doctor-golden series-golden prof-golden shard-determinism verify
+.PHONY: build test vet lint race chaos supervisor-chaos fuzz bench bench-baseline bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-all alloc-gate verify
 
 build:
 	$(GO) build ./...
@@ -140,57 +140,7 @@ bench-all: bench-baseline bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 benc
 alloc-gate:
 	$(GO) test -run 'TestAllocGate' .
 
-# Golden-test the deterministic trace exports (text/JSON/Chrome byte
-# identity per seed) plus the lintx tracename fixture.
-trace-golden:
-	$(GO) test -run 'Golden|Deterministic|Identical|ByteIdentical' \
-		./internal/obs/trace/ ./internal/crawler/ ./internal/dataflow/ ./internal/analysis/checks/
-
-# Golden-test the deterministic event-log exports: cross-DoP and
-# checkpoint/resume byte identity, concurrent-emission determinism, and
-# the lintx logcall fixture.
-log-golden:
-	$(GO) test -run 'Golden/logcall|Deterministic|Identical|ByteIdentical|SnapshotLoadResume' \
-		./internal/obs/evlog/ ./internal/crawler/ ./internal/dataflow/ ./internal/analysis/checks/
-
-# Golden-test the crawl doctor: rule firing/ranking/filtering plus the
-# /logs and /doctor endpoints.
-doctor-golden:
-	$(GO) test ./internal/obs/doctor/ ./internal/obs/debugserv/ ./internal/obs/cliobs/
-
-# Golden-test the virtual-time series pillar: rollup-cascade purity and
-# export byte identity in the package, per-cycle sampling + resume
-# identity in the crawler, fleet sampling DoP 1 vs N identity in the
-# shard runner and supervisor, the time-aware doctor rules with the
-# depth-decay acceptance fixture, the /timeseries endpoint, and the
-# lintx seriesname fixture.
-series-golden:
-	$(GO) test ./internal/obs/series/
-	$(GO) test -run 'Series' \
-		./internal/crawler/ ./internal/crawler/shard/ ./internal/crawler/shard/supervisor/
-	$(GO) test -run 'TimeRules|HarvestDecay|Timeseries|DepthDecay|Golden/seriesname' \
-		./internal/obs/doctor/ ./internal/obs/debugserv/ ./internal/synthweb/ ./internal/analysis/checks/
-
-# Golden-test the cost-profile pillar: two-lane recording, export byte
-# stability, and merge/snapshot algebra in the package; stage accounting,
-# the profiling-off twin, and checkpoint/resume identity in the crawler;
-# fleet merge DoP 1 vs N identity in the shard runner; crash-recovery
-# identity under the supervisor; the profile-aware doctor rules; the
-# /profile endpoint; profdiff and the -max-regress compare gate; and the
-# lintx profname fixture.
-prof-golden:
-	$(GO) test ./internal/obs/prof/ ./cmd/benchjson/
-	$(GO) test -run 'Prof|Profile' \
-		./internal/crawler/ ./internal/crawler/shard/ ./internal/crawler/shard/supervisor/ \
-		./internal/dataflow/ ./internal/obs/doctor/ ./internal/obs/debugserv/
-	$(GO) test -run 'Golden/profname|ProfName' ./internal/analysis/checks/
-
-# The sharded-crawl determinism harness: byte identity of the merged
-# corpus/metrics/trace/log exports across DoP 1 vs N, across reruns,
-# against the plain (unsharded) crawler, under chaos, and across a
-# checkpoint/resume cut (see internal/crawler/shard).
-shard-determinism:
-	$(GO) test -run 'Deterministic|Matches|Identical|Partition|Reshard' \
-		./internal/crawler/shard/
-
-verify: build test vet lint race chaos supervisor-chaos trace-golden log-golden doctor-golden series-golden prof-golden shard-determinism alloc-gate
+# Every golden, determinism and identity test (trace/log/series/profile
+# exports, the doctor, the sharded-crawl DoP and resume identities) is a
+# plain package test, so `test` already runs each of them exactly once.
+verify: build test vet lint race chaos supervisor-chaos alloc-gate

@@ -69,9 +69,7 @@ func main() {
 	cfg.ExecOpRetries = *opRetries
 
 	obsSetup := obsFlags.Setup(cfg.Corpora.Seed)
-	cfg.ExecTrace = obsSetup.Traces
-	cfg.ExecLog = obsSetup.Logs
-	cfg.ExecProf = obsSetup.Prof
+	cfg.Exec = obsSetup.Set
 	var phase atomic.Value
 	phase.Store("building system")
 	addr, err := obsSetup.Serve(func() any {
@@ -120,7 +118,7 @@ func main() {
 		a.TLARemoved, len(a.RawMLGeneNames))
 	phase.Store("done")
 
-	summary, err := obsSetup.Finish()
+	summary, err := obsSetup.Finish(obsSetup.Snapshot(), nil)
 	if summary != "" {
 		fmt.Println()
 		fmt.Print(summary)

@@ -13,6 +13,7 @@
 //	      [-trace] [-trace-out FILE] [-trace-chrome FILE]
 //	      [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
 //	      [-series] [-series-out FILE] [-series-json FILE]
+//	      [-prof] [-prof-out FILE] [-prof-folded FILE] [-prof-topk N]
 //
 // -shards N partitions the frontier by host hash into N shards, each with
 // its own crawldb, metric registry, trace recorder, and log sink, crawling
@@ -39,8 +40,13 @@
 // diagnosis at exit. -series samples the metric registry on the virtual
 // clock — per cycle unsharded, per BSP round fleet-wide — and prints
 // end-of-run sparklines (-series-out / -series-json write the CSV and
-// JSON exports). -debug-addr serves /metrics, /traces, /logs, /doctor,
-// /timeseries, /progress and /debug/pprof live while the crawl runs.
+// JSON exports). -prof attaches the deterministic cost profiler — virtual
+// ms and calls per frontier/fetch/filter/classify stage, per shard and
+// merged fleet-wide — and prints the top -prof-topk scopes at exit
+// (-prof-out / -prof-folded write the JSON and folded flame-stack
+// exports). -debug-addr serves /metrics, /traces, /logs, /doctor,
+// /timeseries, /profile, /progress and /debug/pprof live while the crawl
+// runs.
 //
 // Fault injection is deterministic in the seed: the same flags reproduce
 // the same failures, retries, and breaker trips. A crawl interrupted with
@@ -65,7 +71,7 @@ import (
 	"webtextie/internal/obs/cliobs"
 	"webtextie/internal/obs/doctor"
 	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/prof"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/series"
 	"webtextie/internal/obs/trace"
 	"webtextie/internal/rng"
@@ -162,7 +168,7 @@ func main() {
 		if *shards > 1 {
 			run = seeds.Generate(seeds.DefaultEngines(*seed+4, web), catalog)
 		} else {
-			run = seeds.GenerateLogged(seeds.DefaultEngines(*seed+4, web), catalog, obsSetup.Logs)
+			run = seeds.GenerateLogged(seeds.DefaultEngines(*seed+4, web), catalog, obsSetup.Log)
 		}
 		fmt.Printf("seed generation: %d terms -> %d queries -> %d seed URLs\n",
 			catalog.Total(), run.QueriesIssued, len(run.SeedURLs))
@@ -205,19 +211,8 @@ func main() {
 	// wire attaches every flagged observability surface to a constructed
 	// crawler and starts the live debug server around it.
 	wire := func(c *crawler.Crawler) {
-		c.WithMetrics(obs.Default())
-		if obsSetup.Traces != nil {
-			c.WithTrace(obsSetup.Traces)
-		}
-		if obsSetup.Logs != nil {
-			c.WithLog(obsSetup.Logs)
-		}
-		if obsSetup.Series != nil {
-			c.WithSeries(obsSetup.Series)
-		}
-		if obsSetup.Prof != nil {
-			c.WithProf(obsSetup.Prof)
-		}
+		c.WithMetrics(obsSetup.Metrics).WithTrace(obsSetup.Trace).WithLog(obsSetup.Log).
+			WithSeries(obsSetup.Series).WithProf(obsSetup.Prof)
 		addr, err := obsSetup.Serve(func() any { return c.LiveStats() })
 		if err != nil {
 			log.Fatal(err)
@@ -227,8 +222,8 @@ func main() {
 		}
 	}
 	// finish prints the observability end-of-run summary and exports.
-	finish := func() {
-		summary, err := obsSetup.Finish()
+	finish := func(snap pillars.Snapshot) {
+		summary, err := obsSetup.Finish(snap, nil)
 		if summary != "" {
 			fmt.Println()
 			fmt.Print(summary)
@@ -276,7 +271,7 @@ func main() {
 		fmt.Printf("checkpoint after %d cycles (%d pages) written to %s (%d bytes)\n",
 			cp.Stats.Cycles, cp.Stats.Fetched, *ckptFile, len(data))
 		fmt.Printf("continue with: crawl -resume %s (plus the same seed/fault/resilience flags)\n", *ckptFile)
-		finish()
+		finish(obsSetup.Snapshot())
 		return
 	default:
 		c := crawler.New(cfg, web, clf)
@@ -285,7 +280,7 @@ func main() {
 	}
 	printReport(res.Stats, res.LinkDB)
 
-	finish()
+	finish(res.Snapshot)
 
 	if *metrics {
 		fmt.Println("\nmetric registry (obs)")
@@ -303,9 +298,7 @@ func printReport(st crawler.Stats, ldb *crawldb.LinkDB) {
 	fmt.Printf("  relevant corpus:    %d docs, %d bytes\n", st.Relevant, st.RelevantBytes)
 	fmt.Printf("  irrelevant corpus:  %d docs, %d bytes\n", st.Irrelevant, st.IrrelevantBytes)
 	fmt.Printf("  filters:            MIME %.1f%%, language %.1f%%, length %.1f%% (paper: 9.5/14/17)\n",
-		100*float64(st.FilteredMIME)/float64(st.Fetched),
-		100*float64(st.FilteredLang)/float64(st.Fetched),
-		100*float64(st.FilteredLength)/float64(st.Fetched))
+		pct(st.FilteredMIME, st.Fetched), pct(st.FilteredLang, st.Fetched), pct(st.FilteredLength, st.Fetched))
 	fmt.Printf("  download rate:      %.2f docs/s simulated (paper: 3-4)\n", st.DocsPerSecond())
 	fmt.Printf("  frontier emptied:   %v\n", st.FrontierEmptied)
 	fmt.Printf("  robots blocks:      %d\n", st.RobotsBlocked)
@@ -325,13 +318,13 @@ func printReport(st crawler.Stats, ldb *crawldb.LinkDB) {
 	}
 }
 
-// mergeSnap folds an optional crawl-pillar snapshot with the always-on
-// supervision snapshot for doctor input.
-func mergeSnap[T any](crawl, sup *T, merge func(...*T) *T) *T {
-	if crawl == nil {
-		return sup
+// pct returns n as a percentage of total — 0 when total is 0, as for a
+// crawl that fetched nothing.
+func pct(n, total int) float64 {
+	if total == 0 {
+		return 0
 	}
-	return merge(crawl, sup)
+	return 100 * float64(n) / float64(total)
 }
 
 // shardedOpts carries the flag state into the -shards > 1 path.
@@ -389,17 +382,17 @@ func runSharded(o shardedOpts) {
 			log.Fatal(err)
 		}
 	}
-	if o.obsSetup.Traces != nil {
+	if o.obsSetup.Trace != nil {
 		runner.WithTrace(trace.DefaultConfig(o.seed))
 	}
-	if o.obsSetup.Logs != nil {
+	if o.obsSetup.Log != nil {
 		runner.WithLog(evlog.DefaultConfig(o.seed))
 	}
 	if o.obsSetup.Series != nil {
 		runner.WithSeries(series.DefaultConfig())
 	}
-	if profCfg, on := o.obsSetup.ProfConfig(); on {
-		runner.WithProf(profCfg)
+	if o.obsSetup.Prof != nil {
+		runner.WithProf(o.obsSetup.Prof.Config())
 	}
 	if o.resumeFile == "" {
 		runner.Seed(o.seedURLs)
@@ -475,34 +468,16 @@ func runSharded(o shardedOpts) {
 	// pillars together. Fleet runs also hand the doctor the unmerged
 	// per-shard profiles so cross-shard rules (stage-cost-skew) can see
 	// the partition balance the merged profile averages away.
-	var shardProfs []*prof.Snapshot
-	if res.Profile != nil {
-		shardProfs = make([]*prof.Snapshot, len(res.PerShard))
-		for i, pr := range res.PerShard {
-			shardProfs[i] = pr.Profile
-		}
-	}
-	var diag *doctor.Input
+	diag := &doctor.Input{Snapshot: res.Snapshot}
 	if rep != nil {
-		diag = &doctor.Input{
-			Metrics:       res.Metrics.Merge(rep.Metrics),
-			Traces:        mergeSnap(res.Traces, rep.Traces, trace.Merge),
-			Logs:          mergeSnap(res.Logs, rep.Logs, evlog.Merge),
-			Series:        res.Series,
-			Profile:       res.Profile,
-			ShardProfiles: shardProfs,
-		}
-	} else if shardProfs != nil {
-		diag = &doctor.Input{
-			Metrics:       res.Metrics,
-			Traces:        res.Traces,
-			Logs:          res.Logs,
-			Series:        res.Series,
-			Profile:       res.Profile,
-			ShardProfiles: shardProfs,
+		diag.Snapshot = pillars.Merge(res.Snapshot, rep.Snapshot)
+	}
+	if res.Profile != nil {
+		for _, pr := range res.PerShard {
+			diag.ShardProfiles = append(diag.ShardProfiles, pr.Profile)
 		}
 	}
-	summary, err := o.obsSetup.FinishWithDoctor(res.Traces, res.Logs, res.Series, res.Profile, res.Metrics, diag)
+	summary, err := o.obsSetup.Finish(res.Snapshot, diag)
 	if summary != "" {
 		fmt.Println()
 		fmt.Print(summary)

@@ -77,3 +77,20 @@ func TestCheckpointResumeWithLogCLI(t *testing.T) {
 			full, resumed)
 	}
 }
+
+// TestReportWithNothingFetched: every host is dead, so the crawl fetches
+// no page and the report's filter shares have a zero denominator — they
+// must print as 0.0%, not NaN.
+func TestReportWithNothingFetched(t *testing.T) {
+	bin := buildCrawl(t)
+	out := runCrawl(t, bin, "-hosts", "20", "-pages", "50", "-terms", "40", "-dead-hosts", "1")
+	if !strings.Contains(out, "fetched:            0 pages") {
+		t.Fatalf("expected a crawl that fetches nothing:\n%s", out)
+	}
+	if strings.Contains(out, "NaN") {
+		t.Errorf("report prints NaN:\n%s", out)
+	}
+	if !strings.Contains(out, "MIME 0.0%, language 0.0%, length 0.0%") {
+		t.Errorf("filter shares of an empty crawl should read 0.0%%:\n%s", out)
+	}
+}

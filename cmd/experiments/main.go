@@ -48,9 +48,7 @@ func main() {
 	}
 
 	obsSetup := obsFlags.Setup(cfg.Corpora.Seed)
-	cfg.ExecTrace = obsSetup.Traces
-	cfg.ExecLog = obsSetup.Logs
-	cfg.ExecProf = obsSetup.Prof
+	cfg.Exec = obsSetup.Set
 	var current atomic.Value
 	current.Store("starting")
 	addr, err := obsSetup.Serve(func() any {
@@ -115,7 +113,7 @@ func main() {
 	}
 	current.Store("done")
 
-	summary, err := obsSetup.Finish()
+	summary, err := obsSetup.Finish(obsSetup.Snapshot(), nil)
 	if summary != "" {
 		fmt.Print(summary)
 	}

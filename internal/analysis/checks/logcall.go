@@ -2,7 +2,6 @@ package checks
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 
 	"webtextie/internal/analysis"
@@ -29,9 +28,6 @@ var LogCall = &analysis.Analyzer{
 		"lower-case identifiers",
 	Run: runLogCall,
 }
-
-// logLevelMethods take a log message as their first argument.
-var logLevelMethods = map[string]bool{"Debug": true, "Info": true, "Warn": true, "Error": true}
 
 // printFuncs are the fmt functions that write to stdout directly;
 // fprintFuncs write to an explicit writer (flagged only for os.Stdout /
@@ -65,49 +61,22 @@ func runLogCall(pass *analysis.Pass) {
 						"fmt.%s outside package main bypasses the event log: "+
 							"emit through evlog (or return the string for the cmd to print)",
 						fn.Name())
-					return true
-				}
-				if fprintFuncs[fn.Name()] && len(call.Args) > 0 && isStdStream(info, call.Args[0]) {
+				} else if fprintFuncs[fn.Name()] && len(call.Args) > 0 && isStdStream(info, call.Args[0]) {
 					pass.Reportf(call.Pos(),
 						"fmt.%s to os.%s outside package main bypasses the event log: "+
 							"emit through evlog (or return the string for the cmd to print)",
 						fn.Name(), stdStreamName(info, call.Args[0]))
-					return true
 				}
 			case "log":
 				pass.Reportf(call.Pos(),
 					"log.%s outside package main bypasses the event log: "+
 						"emit through evlog (or return an error for the cmd to handle)",
 					fn.Name())
-				return true
 			}
-			if !pkgPathMatches(fn.Pkg().Path(), "internal/obs/evlog") || len(call.Args) == 0 {
-				return true
-			}
-			var what string
-			switch {
-			case logLevelMethods[fn.Name()]:
-				what = "log message"
-			case fn.Name() == "Logger":
-				what = "log component"
-			default:
-				return true
-			}
-			arg := call.Args[0]
-			if tv, ok := info.Types[arg]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-				if name := constant.StringVal(tv.Value); !traceNameRE.MatchString(name) {
-					pass.Reportf(arg.Pos(),
-						"%s %q violates the lower-case dotted grammar", what, name)
-				}
-				return true
-			}
-			pass.Reportf(arg.Pos(),
-				"%s passed to %s must be a compile-time constant: the doctor and "+
-					"/logs filters key on it, and log exports are byte-compared across runs",
-				what, fn.Name())
 			return true
 		})
 	}
+	runNames(pass, &logNames)
 }
 
 // isStdStream reports whether an expression is os.Stdout or os.Stderr.

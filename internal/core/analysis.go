@@ -133,11 +133,10 @@ func (s *System) AnalyzeCorpusFunc(reg *Registry, c *corpora.Corpus, dop int,
 	// Per-operator counters/latency go to the process registry (dumped by
 	// the cmds' -metrics flag); AnalyzeAll runs corpora sequentially, so
 	// the shared registry keeps ExecStats exact.
-	results, execStats, err := dataflow.Execute(plan, records,
-		dataflow.ExecConfig{DoP: dop, Metrics: obs.Default(),
-			Policy: s.Cfg.ExecPolicy, OpRetries: s.Cfg.ExecOpRetries,
-			Trace: s.Cfg.ExecTrace, TraceKey: "id", Log: s.Cfg.ExecLog,
-			Prof: s.Cfg.ExecProf})
+	exec := dataflow.ExecConfig{DoP: dop, Set: s.Cfg.Exec, TraceKey: "id",
+		Policy: s.Cfg.ExecPolicy, OpRetries: s.Cfg.ExecOpRetries}
+	exec.Metrics = obs.Default()
+	results, execStats, err := dataflow.Execute(plan, records, exec)
 	if err != nil {
 		return nil, fmt.Errorf("core: analyzing %v: %w", c.Kind, err)
 	}

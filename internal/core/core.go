@@ -18,9 +18,7 @@ import (
 	"webtextie/internal/ie/crf"
 	"webtextie/internal/ie/dict"
 	"webtextie/internal/nlp/postag"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/prof"
-	"webtextie/internal/obs/trace"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/rng"
 	"webtextie/internal/textgen"
 )
@@ -75,16 +73,13 @@ type Config struct {
 	ExecPolicy dataflow.ErrorPolicy
 	// ExecOpRetries is the executor's per-record operator retry budget.
 	ExecOpRetries int
-	// ExecTrace, when set, records per-record lineage traces for every
-	// dataflow execution the system runs (keyed by the record's "id").
-	ExecTrace *trace.Recorder
-	// ExecLog, when set, receives the event log of every dataflow
-	// execution the system runs, and (unless Corpora.Log is already set)
-	// of corpus construction too — the third observability pillar.
-	ExecLog *evlog.Sink
-	// ExecProf, when set, attributes per-operator cost for every dataflow
-	// execution the system runs — the fifth observability pillar.
-	ExecProf *prof.Profiler
+	// Exec holds the observability pillars handed to every dataflow
+	// execution the system runs: Trace records per-record lineage (keyed
+	// by the record's "id"), Log receives the executions' event log —
+	// and, unless Corpora.Log is already set, corpus construction's too —
+	// and Prof attributes per-operator cost. Metrics always go to the
+	// process registry.
+	Exec pillars.Set
 }
 
 // DefaultConfig returns the standard full-scale (1:10,000) setup.
@@ -128,7 +123,7 @@ type System struct {
 // deterministic in the config seed.
 func NewSystem(cfg Config) *System {
 	if cfg.Corpora.Log == nil {
-		cfg.Corpora.Log = cfg.ExecLog
+		cfg.Corpora.Log = cfg.Exec.Log
 	}
 	set := corpora.Build(cfg.Corpora)
 	s := &System{

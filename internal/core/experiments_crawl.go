@@ -66,19 +66,15 @@ func (e *Experiments) SeedsExperiment() string {
 	// Both runs report into the system's event-log sink (no-op when -log
 	// is off): the first crawl's frontier.exhausted records are the §2.2
 	// story told by the third pillar.
-	runSmall := seeds.GenerateLogged(seeds.DefaultEngines(cfg.Seed+4, s.Set.Web), small, s.Cfg.ExecLog)
-	runLarge := seeds.GenerateLogged(seeds.DefaultEngines(cfg.Seed+4, s.Set.Web), large, s.Cfg.ExecLog)
+	runSmall := seeds.GenerateLogged(seeds.DefaultEngines(cfg.Seed+4, s.Set.Web), small, s.Cfg.Exec.Log)
+	runLarge := seeds.GenerateLogged(seeds.DefaultEngines(cfg.Seed+4, s.Set.Web), large, s.Cfg.Exec.Log)
 
 	crawlCfg := cfg.Crawl
 	crawlCfg.MaxPages = 0 // run to exhaustion
 	crawlCfg.MaxPagesPerHost = 60
 	clf := s.Set.Classifier
 	crawlWith := func(seedURLs []string) *crawler.Result {
-		c := crawler.New(crawlCfg, s.Set.Web, clf)
-		if s.Cfg.ExecLog != nil {
-			c.WithLog(s.Cfg.ExecLog)
-		}
-		return c.Run(seedURLs)
+		return crawler.New(crawlCfg, s.Set.Web, clf).WithLog(s.Cfg.Exec.Log).Run(seedURLs)
 	}
 	resSmall := crawlWith(runSmall.SeedURLs)
 	resLarge := crawlWith(runLarge.SeedURLs)

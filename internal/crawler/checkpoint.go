@@ -14,10 +14,7 @@ import (
 
 	"webtextie/internal/classify"
 	"webtextie/internal/crawldb"
-	"webtextie/internal/obs"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/prof"
-	"webtextie/internal/obs/series"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/trace"
 	"webtextie/internal/synthweb"
 )
@@ -37,28 +34,16 @@ type Checkpoint struct {
 	// crawl order; Resume re-reads their contents from the web.
 	RelevantURLs   []string `json:"relevant_urls"`
 	IrrelevantURLs []string `json:"irrelevant_urls"`
-	// Metrics continues the obs streams across the restart.
-	Metrics obs.Snapshot `json:"metrics"`
-	// Traces continues the trace recorder across the restart (nil when the
-	// crawl ran without tracing). Marks are stripped: they are live-debug
-	// annotations, and keeping them would make a resumed run's trace export
-	// differ from an uninterrupted run's.
-	Traces *trace.Snapshot `json:"traces,omitempty"`
-	// Logs continues the event-log sink across the restart (nil when the
-	// crawl ran without logging). Snapshotted before the checkpoint.saved
-	// record is emitted, so a resumed run's log export matches an
-	// uninterrupted run's byte for byte.
-	Logs *evlog.Snapshot `json:"logs,omitempty"`
-	// Series continues the time-series recorder across the restart (nil
-	// when the crawl ran without sampling). Checkpoints land between Step
-	// calls — after the cycle's sample — so a resumed run's series export
-	// matches an uninterrupted run's byte for byte.
-	Series *series.Snapshot `json:"series,omitempty"`
-	// Profile continues the cost profiler across the restart (nil when
-	// the crawl ran without profiling). The virtual lane replays exactly,
-	// so a resumed run's profile exports match an uninterrupted run's
-	// byte for byte; the wall lane carries over as a running total.
-	Profile *prof.Snapshot `json:"profile,omitempty"`
+	// Snapshot continues every attached pillar across the restart — its
+	// fields are the checkpoint's last five keys (metrics, traces, logs,
+	// series, profile), so a resumed run's exports match an uninterrupted
+	// run's byte for byte. Trace marks are stripped: they are live-debug
+	// annotations an uninterrupted run would not carry. The log is frozen
+	// before the checkpoint.saved record for the same reason. Checkpoints
+	// land between Step calls — after the cycle's series sample. The
+	// profile's virtual lane replays exactly; its wall lane carries over
+	// as a running total.
+	pillars.Snapshot
 }
 
 // Checkpoint freezes the crawler's state. Call it between Step calls
@@ -84,7 +69,6 @@ func (c *Crawler) checkpoint(announce bool) *Checkpoint {
 		HostFree:    make(map[string]int64, len(c.hostFree)),
 		WorkerFree:  append([]int64(nil), c.workerFree...),
 		Breakers:    make(map[string]BreakerState, len(c.breakers)),
-		Metrics:     c.m.reg.Snapshot(),
 	}
 	for u, d := range c.tunnelDepth {
 		cp.TunnelDepth[u] = d
@@ -104,31 +88,20 @@ func (c *Crawler) checkpoint(announce bool) *Checkpoint {
 	for _, p := range c.irrelevant {
 		cp.IrrelevantURLs = append(cp.IrrelevantURLs, p.URL)
 	}
-	if c.rec != nil {
-		// Record the boundary in the live recorder (visible on /traces and
-		// in end-of-run exports), then freeze without marks for the replay
-		// state. Silent checkpoints skip the live mark entirely.
-		if announce {
-			c.rec.Mark("checkpoint", c.nowMs(), trace.Int("cycle", int64(c.stats.Cycles)))
-		}
-		snap := c.rec.Snapshot()
-		snap.Marks = nil
-		cp.Traces = snap
+	// An announced checkpoint marks the boundary in the live recorder and
+	// sink only (visible on /traces, /logs and in end-of-run exports): the
+	// mark is stripped from the frozen trace state and the record is
+	// emitted after the freeze.
+	if announce {
+		c.p.Trace.Mark("checkpoint", c.nowMs(), trace.Int("cycle", int64(c.stats.Cycles)))
 	}
-	if c.logs != nil {
-		// Freeze the log stream first, then announce the boundary only to
-		// the live sink — the mirror of the Mark-stripping above.
-		cp.Logs = c.logs.Snapshot()
-		if announce {
-			c.lg.checkpoint.Info("checkpoint.saved", c.nowMs(),
-				trace.Int("cycle", int64(c.stats.Cycles)))
-		}
+	cp.Snapshot = c.p.Snapshot()
+	if cp.Traces != nil {
+		cp.Traces.Marks = nil
 	}
-	if c.series != nil {
-		cp.Series = c.series.Snapshot()
-	}
-	if c.prof != nil {
-		cp.Profile = c.prof.Snapshot()
+	if announce {
+		c.lg.checkpoint.Info("checkpoint.saved", c.nowMs(),
+			trace.Int("cycle", int64(c.stats.Cycles)))
 	}
 	return cp
 }
@@ -209,18 +182,9 @@ func Resume(cfg Config, web *synthweb.Web, clf *classify.NaiveBayes, cp *Checkpo
 	if c.irrelevant, err = c.rebuildCorpus(cp.IrrelevantURLs); err != nil {
 		return nil, err
 	}
-	snap := cp.Metrics
-	c.resumeMetrics = &snap
-	c.m.reg.Load(snap)
-	// Tracing resumes lazily: WithTrace loads this into the new recorder.
-	c.resumeTraces = cp.Traces
-	// Logging resumes lazily too: WithLog loads this into the new sink.
-	c.resumeLogs = cp.Logs
-	// Sampling resumes lazily too: WithSeries loads this into the new
-	// recorder.
-	c.resumeSeries = cp.Series
-	// Profiling resumes lazily too: WithProf loads this into the new
-	// profiler.
-	c.resumeProf = cp.Profile
+	// The private registry continues the metric streams now; any pillar
+	// attached later loads its part of the snapshot in its With* setter.
+	c.resume = cp.Snapshot
+	c.p.Load(c.resume)
 	return c, nil
 }

@@ -2,10 +2,13 @@ package crawler
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/prof"
+	"webtextie/internal/obs/series"
 	"webtextie/internal/obs/trace"
 )
 
@@ -278,5 +281,49 @@ func TestCheckpointAfterExhaustionLogExportIdentical(t *testing.T) {
 	if refOut != gotOut {
 		t.Fatalf("logfmt exports diverge after post-exhaustion resume:\n--- uninterrupted\n%s\n--- resumed\n%s",
 			refOut, gotOut)
+	}
+}
+
+// TestCheckpointFormatPinned pins the on-disk checkpoint format: the
+// ordered top-level JSON keys of a checkpoint taken from an
+// all-pillars-on chaos crawl. The five pillar keys come from an embedded
+// struct, so this is what stops a change to that struct from silently
+// renaming or reordering what existing checkpoint files hold.
+func TestCheckpointFormatPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxPages = 250
+	p := chaosPipeline(t, 50, chaosWeb)
+	c := New(cfg, p.web, p.clf).
+		WithTrace(trace.NewRecorder(trace.DefaultConfig(9))).
+		WithLog(evlog.NewSink(evlog.DefaultConfig(9))).
+		WithSeries(series.New(series.DefaultConfig())).
+		WithProf(prof.New(prof.Config{}))
+	c.Seed(defaultSeeds(t, p))
+	for i := 0; i < 3 && c.Step(); i++ {
+	}
+	raw, err := c.Checkpoint().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "stats crawldb linkdb tunnel_depth per_host host_free worker_free breakers " +
+		"relevant_urls irrelevant_urls metrics traces logs series profile"
+	if got := strings.Join(keys, " "); got != want {
+		t.Fatalf("checkpoint keys:\n got %s\nwant %s", got, want)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"webtextie/internal/mimetype"
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/prof"
 	"webtextie/internal/obs/series"
 	"webtextie/internal/obs/trace"
@@ -199,22 +200,14 @@ type Result struct {
 	IrrelevantPages []CrawledPage
 	LinkDB          *crawldb.LinkDB
 	CrawlDB         *crawldb.CrawlDB
-	// Metrics is the crawl's obs registry frozen at the end of Run —
-	// per-cycle fetch counts, filter/classify counters, frontier gauges,
-	// politeness-stall and per-page cost histograms.
-	Metrics obs.Snapshot
-	// Logs is the crawl's event log frozen at the end of Run (nil when the
-	// crawl ran without a log sink).
-	Logs *evlog.Snapshot
-	// Series is the crawl's time-series pillar frozen at the end of Run —
-	// one per-cycle sample stream per counter/gauge, on the virtual clock
-	// (nil when the crawl ran without a series recorder).
-	Series *series.Snapshot
-	// Profile is the crawl's cost profile frozen at the end of Run —
-	// virtual milliseconds and call counts attributed to the
-	// frontier/fetch/filter/classify stage tree, plus the wall lane
-	// (nil when the crawl ran without a profiler).
-	Profile *prof.Snapshot
+	// Snapshot is the crawl's pillars frozen at the end of Run. Metrics
+	// holds the per-cycle fetch counts, filter/classify counters, frontier
+	// gauges, politeness-stall and per-page cost histograms; Traces, Logs,
+	// Series (one per-cycle sample stream per counter/gauge on the virtual
+	// clock) and Profile (virtual ms and calls per
+	// frontier/fetch/filter/classify stage, plus the wall lane) are nil
+	// when the crawl ran without that pillar.
+	pillars.Snapshot
 }
 
 // metrics bundles the crawler's obs instruments. Counters mirror the
@@ -222,8 +215,6 @@ type Result struct {
 // distributions Stats cannot: fetches per cycle, politeness stalls, and
 // per-page cost on the virtual clock.
 type metrics struct {
-	reg *obs.Registry
-
 	cycles, fetchOK, fetchErr, fetchBytes *obs.Counter
 	robotsBlocked, stalls, links          *obs.Counter
 	filterMIME, filterLang, filterLength  *obs.Counter
@@ -246,7 +237,6 @@ var cycleBuckets = []float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		reg:                reg,
 		cycles:             reg.Counter("crawler.cycles"),
 		fetchOK:            reg.Counter("crawler.fetch.ok"),
 		fetchErr:           reg.Counter("crawler.fetch.errors"),
@@ -321,33 +311,18 @@ type Crawler struct {
 	stepFault func()
 
 	stats Stats
-	m     *metrics
-	// resumeMetrics remembers the checkpoint's metric snapshot so that
-	// WithMetrics on a resumed crawler re-seeds the new registry too.
-	resumeMetrics *obs.Snapshot
-
-	// rec is the optional per-URL trace recorder (nil = tracing off).
-	rec *trace.Recorder
-	// resumeTraces remembers the checkpoint's trace snapshot for WithTrace.
-	resumeTraces *trace.Snapshot
-	// logs is the optional event-log sink (nil = logging off); lg holds the
-	// component loggers built from it (zero Loggers when logging is off).
-	logs *evlog.Sink
-	lg   crawlLogs
-	// resumeLogs remembers the checkpoint's log snapshot for WithLog.
-	resumeLogs *evlog.Snapshot
-	// series is the optional time-series recorder (nil = sampling off):
-	// every cycle ends with one registry sample on the virtual clock.
-	series *series.Recorder
-	// resumeSeries remembers the checkpoint's series snapshot for WithSeries.
-	resumeSeries *series.Snapshot
-	// prof is the optional cost profiler (nil = profiling off); pf holds
-	// the pre-resolved stage scopes (zero Scopes when profiling is off,
-	// so hot-path attribution costs one nil comparison).
-	prof *prof.Profiler
-	pf   crawlScopes
-	// resumeProf remembers the checkpoint's profile snapshot for WithProf.
-	resumeProf *prof.Snapshot
+	// p holds the attached pillars (nil handle = that pillar is off);
+	// Metrics is never nil — New installs a private registry. m, lg and pf
+	// are the instruments, component loggers and stage scopes resolved from
+	// it (zero Loggers/Scopes when off, so a hot-path site costs one nil
+	// comparison).
+	p  pillars.Set
+	m  *metrics
+	lg crawlLogs
+	pf crawlScopes
+	// resume is the checkpoint's pillar state on a resumed crawler: each
+	// With* setter loads its pillar's part into the handle it attaches.
+	resume pillars.Snapshot
 	// live publishes a Stats copy after every cycle so debug-server
 	// goroutines can read crawl progress without racing the crawl loop.
 	live atomic.Pointer[Stats]
@@ -358,7 +333,7 @@ func New(cfg Config, web *synthweb.Web, clf *classify.NaiveBayes) *Crawler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	return &Crawler{
+	c := &Crawler{
 		cfg:         cfg,
 		web:         web,
 		clf:         clf,
@@ -371,19 +346,24 @@ func New(cfg Config, web *synthweb.Web, clf *classify.NaiveBayes) *Crawler {
 		hostFree:    map[string]int64{},
 		workerFree:  make([]int64, cfg.Workers),
 		breakers:    map[string]*breaker{},
-		m:           newMetrics(obs.New()),
 	}
+	return c.WithMetrics(obs.New())
 }
 
 // WithMetrics points the crawler's instruments at the given registry
-// (e.g. obs.Default() for a process-wide `--metrics` dump). By default
-// each crawler writes into a fresh private registry, snapshotted into
-// Result.Metrics. Returns the crawler for chaining.
+// (e.g. obs.Default() for a process-wide `--metrics` dump; nil selects
+// it too). By default each crawler writes into a fresh private registry,
+// snapshotted into Result.Metrics. Returns the crawler for chaining.
+//
+// WithMetrics, WithTrace, WithLog, WithSeries and WithProf are the
+// crawler's whole pillar attach surface, one setter per pillar: a nil
+// handle leaves that pillar off, and on a resumed crawler each setter
+// first loads its pillar's part of the checkpoint into the handle it
+// attaches.
 func (c *Crawler) WithMetrics(reg *obs.Registry) *Crawler {
-	c.m = newMetrics(obs.Or(reg))
-	if c.resumeMetrics != nil {
-		c.m.reg.Load(*c.resumeMetrics)
-	}
+	c.p.Metrics = obs.Or(reg)
+	c.m = newMetrics(c.p.Metrics)
+	c.p.Metrics.Load(c.resume.Metrics)
 	return c
 }
 
@@ -394,10 +374,8 @@ func (c *Crawler) WithMetrics(reg *obs.Registry) *Crawler {
 // is loaded first, so the recorder continues the original ID stream.
 // Returns the crawler for chaining.
 func (c *Crawler) WithTrace(rec *trace.Recorder) *Crawler {
-	c.rec = rec
-	if c.resumeTraces != nil {
-		rec.Load(c.resumeTraces)
-	}
+	c.p.Trace = rec
+	rec.Load(c.resume.Traces)
 	return c
 }
 
@@ -421,10 +399,8 @@ type Logger = evlog.Logger
 // the checkpoint's log snapshot is loaded first, so the sink continues
 // the original stream and budgets. Returns the crawler for chaining.
 func (c *Crawler) WithLog(sink *evlog.Sink) *Crawler {
-	c.logs = sink
-	if c.resumeLogs != nil {
-		sink.Load(c.resumeLogs)
-	}
+	c.p.Log = sink
+	sink.Load(c.resume.Logs)
 	c.lg = crawlLogs{
 		frontier:   sink.Logger("crawler.frontier"),
 		fetch:      sink.Logger("crawler.fetch"),
@@ -438,9 +414,6 @@ func (c *Crawler) WithLog(sink *evlog.Sink) *Crawler {
 	return c
 }
 
-// LogSink returns the attached event-log sink (nil when logging is off).
-func (c *Crawler) LogSink() *evlog.Sink { return c.logs }
-
 // WithSeries points the crawler at a time-series recorder: every cycle
 // ends with one sample of the full metric registry (counters and gauges)
 // plus the derived harvest-rate series, stamped with the cycle's virtual
@@ -448,15 +421,10 @@ func (c *Crawler) LogSink() *evlog.Sink { return c.logs }
 // is loaded first, so the streams continue exactly where they stopped.
 // Returns the crawler for chaining.
 func (c *Crawler) WithSeries(rec *series.Recorder) *Crawler {
-	c.series = rec
-	if c.resumeSeries != nil {
-		rec.Load(c.resumeSeries)
-	}
+	c.p.Series = rec
+	rec.Load(c.resume.Series)
 	return c
 }
-
-// SeriesRecorder returns the attached recorder (nil when sampling is off).
-func (c *Crawler) SeriesRecorder() *series.Recorder { return c.series }
 
 // crawlScopes bundles the crawler's pre-resolved profiler scopes. The
 // zero value is all disabled Scopes — profiling-off call sites cost one
@@ -476,10 +444,8 @@ type crawlScopes struct {
 // loaded first, so the accumulators continue exactly where they
 // stopped. Returns the crawler for chaining.
 func (c *Crawler) WithProf(p *prof.Profiler) *Crawler {
-	c.prof = p
-	if c.resumeProf != nil {
-		p.Load(c.resumeProf)
-	}
+	c.p.Prof = p
+	p.Load(c.resume.Profile)
 	c.pf = crawlScopes{
 		cycle:      p.Scope("crawl.cycle"),
 		frontier:   p.Scope("crawl.cycle.frontier"),
@@ -491,13 +457,10 @@ func (c *Crawler) WithProf(p *prof.Profiler) *Crawler {
 	return c
 }
 
-// Profiler returns the attached profiler (nil when profiling is off).
-func (c *Crawler) Profiler() *prof.Profiler { return c.prof }
-
 // MetricsSnapshot freezes the crawler's metric registry. Call it only
 // between Step calls — the shard runner merges per-shard snapshots at
 // round barriers into the fleet-level series sample.
-func (c *Crawler) MetricsSnapshot() obs.Snapshot { return c.m.reg.Snapshot() }
+func (c *Crawler) MetricsSnapshot() obs.Snapshot { return c.p.Metrics.Snapshot() }
 
 // sampleSeries records one end-of-cycle sample of every counter and
 // gauge, stamped with the crawl's virtual duration so far. The gauges
@@ -509,17 +472,14 @@ func (c *Crawler) sampleSeries() {
 	c.m.frontierKnown.Set(int64(c.db.Known()))
 	c.m.virtualMs.Set(c.stats.VirtualMs)
 	at := c.stats.VirtualMs
-	c.series.Sample(at, c.m.reg.Snapshot())
-	c.series.Observe("crawler.harvest.rate.docs", at, c.stats.HarvestRateDocs())
+	c.p.Series.Sample(at, c.p.Metrics.Snapshot())
+	c.p.Series.Observe("crawler.harvest.rate.docs", at, c.stats.HarvestRateDocs())
 }
 
 // LiveStats returns the most recent published Stats copy (nil before the
 // first cycle). Safe to call concurrently with a running crawl — this is
 // the debug server's /progress source.
 func (c *Crawler) LiveStats() *Stats { return c.live.Load() }
-
-// TraceRecorder returns the attached recorder (nil when tracing is off).
-func (c *Crawler) TraceRecorder() *trace.Recorder { return c.rec }
 
 // CurrentStats returns a copy of the crawl statistics so far. Unlike
 // LiveStats it reads the crawl loop's own state, so call it only between
@@ -618,7 +578,7 @@ func (c *Crawler) inject(url string, depth int) {
 	if c.db.Inject(url, host) {
 		c.tunnelDepth[url] = depth
 		// Stamp the URL with its lineage trace at frontier insertion.
-		tc := c.rec.Start("crawler.url", url, c.nowMs(), trace.String("host", host))
+		tc := c.p.Trace.Start("crawler.url", url, c.nowMs(), trace.String("host", host))
 		if tc.Active() {
 			tc.Event("frontier.inject", c.nowMs(), trace.Int("depth", int64(depth)))
 			c.db.SetTrace(url, uint64(tc.Trace))
@@ -706,7 +666,7 @@ func (c *Crawler) Step() bool {
 		trace.Int("cycle", int64(c.stats.Cycles)),
 		trace.Int("fetched", int64(c.stats.Fetched-before)),
 		trace.Int("pending", int64(c.db.Pending())))
-	if c.series != nil {
+	if c.p.Series != nil {
 		c.sampleSeries()
 	}
 	ch.Exit()
@@ -737,22 +697,16 @@ func (c *Crawler) Finish() *Result {
 		trace.Int("fetched", int64(c.stats.Fetched)),
 		trace.Int("relevant", int64(c.stats.Relevant)),
 		trace.Int("cycles", int64(c.stats.Cycles)))
-	res := &Result{Stats: c.stats, LinkDB: c.ldb, CrawlDB: c.db}
-	res.Relevant = c.relevant
-	res.IrrelevantPages = c.irrelevant
-	res.Metrics = c.m.reg.Snapshot()
-	if c.logs != nil {
-		res.Logs = c.logs.Snapshot()
-	}
-	if c.series != nil {
-		res.Series = c.series.Snapshot()
-	}
-	if c.prof != nil {
-		res.Profile = c.prof.Snapshot()
-	}
 	s := c.stats
 	c.live.Store(&s)
-	return res
+	return &Result{
+		Stats:           c.stats,
+		Relevant:        c.relevant,
+		IrrelevantPages: c.irrelevant,
+		LinkDB:          c.ldb,
+		CrawlDB:         c.db,
+		Snapshot:        c.p.Snapshot(),
+	}
 }
 
 func (c *Crawler) fetchCycle(list []crawldb.FetchItem) {
@@ -807,14 +761,14 @@ func (c *Crawler) advanceClock(host string, delayMs, latencyMs int) (fetchMs, pr
 // traceOf re-enters a URL's lineage trace from the ID stamped in the
 // CrawlDB. Returns a no-op context when tracing is off or the URL has none.
 func (c *Crawler) traceOf(url string) trace.Context {
-	if c.rec == nil {
+	if c.p.Trace == nil {
 		return trace.Context{}
 	}
 	id, ok := c.db.TraceOf(url)
 	if !ok {
 		return trace.Context{}
 	}
-	return c.rec.Context(trace.TraceID(id))
+	return c.p.Trace.Context(trace.TraceID(id))
 }
 
 // finishTrace closes a URL's trace with its terminal status.
@@ -824,6 +778,109 @@ func (c *Crawler) finishTrace(tc trace.Context, status string, atMs int64) {
 	}
 	tc.Event("crawl.done", atMs, trace.String("status", status))
 	tc.Finish(atMs)
+}
+
+// pageOutcome is one way a fetched page leaves fetchOne: rejected by a
+// pre-filter of Fig 2, or classified. A row names everything that exit
+// writes — to the crawl state and to every pillar — so the writing itself
+// happens once, in outcome.
+type pageOutcome struct {
+	// event is the trace event and log message announcing the exit;
+	// verdict is its verdict attr on classified pages ("" on rejections).
+	event, verdict string
+	// classified charges the page's processing budget to the classify
+	// stage's profiler scope and logs under the classify component; false
+	// means the filter stage's.
+	classified bool
+	stat       func(*Stats) *int
+	counter    func(*metrics) *obs.Counter
+	// dbStatus is the URL's terminal CrawlDB status; traceStatus is the
+	// status its lineage trace closes with.
+	dbStatus    crawldb.Status
+	traceStatus string
+}
+
+// The six exits: both length checks (too long before language
+// identification, too short after it) leave through outLength.
+var (
+	outMIME = pageOutcome{event: "filter.mime", dbStatus: crawldb.Filtered, traceStatus: "filtered",
+		stat:    func(s *Stats) *int { return &s.FilteredMIME },
+		counter: func(m *metrics) *obs.Counter { return m.filterMIME }}
+	outLength = pageOutcome{event: "filter.length", dbStatus: crawldb.Filtered, traceStatus: "filtered",
+		stat:    func(s *Stats) *int { return &s.FilteredLength },
+		counter: func(m *metrics) *obs.Counter { return m.filterLength }}
+	outLang = pageOutcome{event: "filter.lang", dbStatus: crawldb.Filtered, traceStatus: "filtered",
+		stat:    func(s *Stats) *int { return &s.FilteredLang },
+		counter: func(m *metrics) *obs.Counter { return m.filterLang }}
+	outRelevant = pageOutcome{event: "classify.verdict", verdict: "relevant", classified: true,
+		dbStatus: crawldb.Fetched, traceStatus: "relevant",
+		stat:    func(s *Stats) *int { return &s.Relevant },
+		counter: func(m *metrics) *obs.Counter { return m.classifyRelevant }}
+	outIrrelevant = pageOutcome{event: "classify.verdict", verdict: "irrelevant", classified: true,
+		dbStatus: crawldb.Fetched, traceStatus: "irrelevant",
+		stat:    func(s *Stats) *int { return &s.Irrelevant },
+		counter: func(m *metrics) *obs.Counter { return m.classifyIrrelevant }}
+)
+
+// outcome is fetchOne's single exit: it fans one pageOutcome out to the
+// profiler, the stats, the metrics, the CrawlDB, the URL's trace and the
+// event log. With tracing and logging both off it builds no attrs and
+// allocates nothing.
+func (c *Crawler) outcome(o *pageOutcome, url string, tc trace.Context, processMs int64, netTextLen int, prob float64) {
+	scope, lg := c.pf.filter, c.lg.filter
+	if o.classified {
+		scope, lg = c.pf.classify, c.lg.classify
+	}
+	scope.Add(1, processMs)
+	*o.stat(&c.stats)++
+	o.counter(c.m).Inc()
+	c.db.SetStatus(url, o.dbStatus)
+	now := c.nowMs()
+	if tc.Active() || lg.Enabled() {
+		// One attr list serves both pillars. The log record leads with the
+		// URL, which a trace is keyed by already; only the trace carries
+		// the classifier's probability. The names are the table's
+		// constants; TraceName is how the name lints admit a non-literal.
+		attrs := make([]trace.Attr, 1, 3)
+		attrs[0] = trace.String("url", url)
+		switch {
+		case o.classified:
+			attrs = append(attrs, trace.String("verdict", o.verdict))
+		case o == &outLength:
+			attrs = append(attrs, trace.Int("net_text_len", int64(netTextLen)))
+		}
+		if lg.Enabled() {
+			lg.For(tc.Trace).Sample(url, 4).Debug(trace.TraceName(o.event), now, attrs...)
+		}
+		attrs = attrs[1:]
+		if o.classified {
+			attrs = append(attrs, trace.Float("prob", prob))
+		}
+		tc.Event(trace.TraceName(o.event), now, attrs...)
+	}
+	c.finishTrace(tc, o.traceStatus, now)
+}
+
+// filterPage runs the pre-filters of Fig 2 and returns the outcome of the
+// first one the page fails, or nil when the page goes on to the
+// classifier. netText is empty only when the MIME filter stopped the page
+// before extraction.
+func (c *Crawler) filterPage(url string, body []byte) (netText string, rejected *pageOutcome) {
+	// MIME filter (content-based detection, the Tika lesson of §5).
+	if !mimetype.Detect(url, body).IsTextual() {
+		return "", &outMIME
+	}
+	// Net-text extraction (Boilerpipe).
+	netText = c.boiler.Extract(string(body)).NetText
+	switch {
+	case len(netText) > c.cfg.MaxNetTextLen:
+		return netText, &outLength
+	case !c.lang.IsEnglish(netText):
+		return netText, &outLang
+	case len(netText) < c.cfg.MinNetTextLen:
+		return netText, &outLength
+	}
+	return netText, nil
 }
 
 func (c *Crawler) fetchOne(item crawldb.FetchItem) {
@@ -857,109 +914,24 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 	c.m.fetchBytes.Add(int64(len(page.Body)))
 	c.perHost[item.Host]++
 
-	// MIME filter (content-based detection, the Tika lesson of §5).
-	if !mimetype.Detect(item.URL, page.Body).IsTextual() {
-		c.pf.filter.Add(1, processMs)
-		c.stats.FilteredMIME++
-		c.m.filterMIME.Inc()
-		c.db.SetStatus(item.URL, crawldb.Filtered)
-		tc.Event("filter.mime", c.nowMs())
-		if c.lg.filter.Enabled() {
-			c.lg.filter.For(tc.Trace).Sample(item.URL, 4).Debug("filter.mime", c.nowMs(),
-				trace.String("url", item.URL))
+	netText, o := c.filterPage(item.URL, page.Body)
+	var prob float64
+	if o == nil {
+		// Record the link structure of every parsed page.
+		c.ldb.AddLinks(page.URL, page.Links)
+		c.m.links.Add(int64(len(page.Links)))
+		// Relevance classification on the extracted net text.
+		prob = c.clf.ProbRelevant(netText)
+		o = &outIrrelevant
+		if prob >= c.clf.Threshold || c.entityBoosts(item.URL, netText, tc) {
+			o = &outRelevant
 		}
-		c.finishTrace(tc, "filtered", c.nowMs())
+		c.selfTrain(netText, prob)
+	}
+	c.outcome(o, item.URL, tc, processMs, len(netText), prob)
+	if !o.classified {
 		return
 	}
-
-	// Net-text extraction (Boilerpipe).
-	ext := c.boiler.Extract(string(page.Body))
-	netText := ext.NetText
-
-	// Length filters.
-	if len(netText) > c.cfg.MaxNetTextLen {
-		c.pf.filter.Add(1, processMs)
-		c.stats.FilteredLength++
-		c.m.filterLength.Inc()
-		c.db.SetStatus(item.URL, crawldb.Filtered)
-		tc.Event("filter.length", c.nowMs(), trace.Int("net_text_len", int64(len(netText))))
-		if c.lg.filter.Enabled() {
-			c.lg.filter.For(tc.Trace).Sample(item.URL, 4).Debug("filter.length", c.nowMs(),
-				trace.String("url", item.URL), trace.Int("net_text_len", int64(len(netText))))
-		}
-		c.finishTrace(tc, "filtered", c.nowMs())
-		return
-	}
-
-	// Language filter.
-	if !c.lang.IsEnglish(netText) {
-		c.pf.filter.Add(1, processMs)
-		c.stats.FilteredLang++
-		c.m.filterLang.Inc()
-		c.db.SetStatus(item.URL, crawldb.Filtered)
-		tc.Event("filter.lang", c.nowMs())
-		if c.lg.filter.Enabled() {
-			c.lg.filter.For(tc.Trace).Sample(item.URL, 4).Debug("filter.lang", c.nowMs(),
-				trace.String("url", item.URL))
-		}
-		c.finishTrace(tc, "filtered", c.nowMs())
-		return
-	}
-
-	if len(netText) < c.cfg.MinNetTextLen {
-		c.pf.filter.Add(1, processMs)
-		c.stats.FilteredLength++
-		c.m.filterLength.Inc()
-		c.db.SetStatus(item.URL, crawldb.Filtered)
-		tc.Event("filter.length", c.nowMs(), trace.Int("net_text_len", int64(len(netText))))
-		if c.lg.filter.Enabled() {
-			c.lg.filter.For(tc.Trace).Sample(item.URL, 4).Debug("filter.length", c.nowMs(),
-				trace.String("url", item.URL), trace.Int("net_text_len", int64(len(netText))))
-		}
-		c.finishTrace(tc, "filtered", c.nowMs())
-		return
-	}
-
-	// Pages past the filters spend their processing budget classifying.
-	c.pf.classify.Add(1, processMs)
-
-	// Record the link structure of every parsed page.
-	c.ldb.AddLinks(page.URL, page.Links)
-	c.m.links.Add(int64(len(page.Links)))
-
-	// Relevance classification on the extracted net text.
-	prob := c.clf.ProbRelevant(netText)
-	relevant := prob >= c.clf.Threshold
-
-	// §5 consolidated-process extension: the IE pipeline's dictionaries
-	// rescue pages the bag-of-words classifier rejects.
-	if !relevant && c.cfg.EntityBoost && c.matchers != nil {
-		if c.entityDensity(netText) >= c.cfg.EntityBoostDensity {
-			relevant = true
-			c.stats.EntityBoosted++
-			c.m.entityBoosted.Inc()
-			tc.Event("classify.entity.boost", c.nowMs())
-			if c.lg.classify.Enabled() {
-				c.lg.classify.For(tc.Trace).Sample(item.URL, 4).Debug("classify.entity.boost",
-					c.nowMs(), trace.String("url", item.URL))
-			}
-		}
-	}
-
-	// §2.1 incremental-update extension: self-train on confident decisions.
-	if c.cfg.SelfTraining {
-		margin := c.cfg.SelfTrainingMargin
-		if prob >= 0.5+margin {
-			c.clf.Learn(netText, classify.Relevant)
-			c.stats.SelfTrainUpdates++
-			c.m.selfTrain.Inc()
-		} else if prob <= 0.5-margin {
-			c.clf.Learn(netText, classify.Irrelevant)
-			c.stats.SelfTrainUpdates++
-			c.m.selfTrain.Inc()
-		}
-	}
-	c.db.SetStatus(item.URL, crawldb.Fetched)
 
 	stored := CrawledPage{
 		URL:          page.URL,
@@ -968,39 +940,58 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 		GoldRelevant: page.Relevant,
 		Bytes:        len(page.Body),
 	}
-	depth := c.tunnelDepth[item.URL]
-	if relevant {
-		c.stats.Relevant++
-		c.m.classifyRelevant.Inc()
+	// Links are followed from relevant pages at depth 0; tunnelling
+	// follows them from irrelevant pages up to depth n-1.
+	depth := 0
+	if o == &outRelevant {
 		c.stats.RelevantBytes += len(page.Body)
 		c.relevant = append(c.relevant, stored)
-		tc.Event("classify.verdict", c.nowMs(),
-			trace.String("verdict", "relevant"), trace.Float("prob", prob))
-		if c.lg.classify.Enabled() {
-			c.lg.classify.For(tc.Trace).Sample(item.URL, 4).Debug("classify.verdict", c.nowMs(),
-				trace.String("url", item.URL), trace.String("verdict", "relevant"))
+	} else {
+		c.stats.IrrelevantBytes += len(page.Body)
+		c.irrelevant = append(c.irrelevant, stored)
+		if depth = c.tunnelDepth[item.URL] + 1; depth >= c.cfg.Tunnelling {
+			return
 		}
-		c.finishTrace(tc, "relevant", c.nowMs())
-		for _, l := range page.Links {
-			c.inject(l, 0)
-		}
+	}
+	for _, l := range page.Links {
+		c.inject(l, depth)
+	}
+}
+
+// entityBoosts is the §5 consolidated-process extension: the IE
+// pipeline's dictionaries rescue a page the bag-of-words classifier
+// rejected when its entity density is high enough.
+func (c *Crawler) entityBoosts(url, netText string, tc trace.Context) bool {
+	if !c.cfg.EntityBoost || c.matchers == nil || c.entityDensity(netText) < c.cfg.EntityBoostDensity {
+		return false
+	}
+	c.stats.EntityBoosted++
+	c.m.entityBoosted.Inc()
+	tc.Event("classify.entity.boost", c.nowMs())
+	if c.lg.classify.Enabled() {
+		c.lg.classify.For(tc.Trace).Sample(url, 4).Debug("classify.entity.boost",
+			c.nowMs(), trace.String("url", url))
+	}
+	return true
+}
+
+// selfTrain is the §2.1 incremental-update extension: confident
+// decisions (beyond SelfTrainingMargin either way) are fed back into the
+// model.
+func (c *Crawler) selfTrain(netText string, prob float64) {
+	if !c.cfg.SelfTraining {
 		return
 	}
-	c.stats.Irrelevant++
-	c.m.classifyIrrelevant.Inc()
-	c.stats.IrrelevantBytes += len(page.Body)
-	c.irrelevant = append(c.irrelevant, stored)
-	tc.Event("classify.verdict", c.nowMs(),
-		trace.String("verdict", "irrelevant"), trace.Float("prob", prob))
-	if c.lg.classify.Enabled() {
-		c.lg.classify.For(tc.Trace).Sample(item.URL, 4).Debug("classify.verdict", c.nowMs(),
-			trace.String("url", item.URL), trace.String("verdict", "irrelevant"))
+	var label classify.Class
+	switch margin := c.cfg.SelfTrainingMargin; {
+	case prob >= 0.5+margin:
+		label = classify.Relevant
+	case prob <= 0.5-margin:
+		label = classify.Irrelevant
+	default:
+		return
 	}
-	c.finishTrace(tc, "irrelevant", c.nowMs())
-	// Tunnelling: follow links from irrelevant pages up to depth n-1.
-	if depth+1 < c.cfg.Tunnelling {
-		for _, l := range page.Links {
-			c.inject(l, depth+1)
-		}
-	}
+	c.clf.Learn(netText, label)
+	c.stats.SelfTrainUpdates++
+	c.m.selfTrain.Inc()
 }

@@ -64,6 +64,7 @@ func (r *Runner) Checkpoint() (*Checkpoint, error) {
 		Stopped:  r.stopped,
 		Degraded: append([]DegradedPartition(nil), r.degraded...),
 		Crawlers: make([]json.RawMessage, len(r.shards)),
+		Series:   r.series.Snapshot(),
 	}
 	for i, f := range r.fenced {
 		if f {
@@ -76,9 +77,6 @@ func (r *Runner) Checkpoint() (*Checkpoint, error) {
 			return nil, fmt.Errorf("shard: checkpointing shard %d: %w", i, err)
 		}
 		cp.Crawlers[i] = data
-	}
-	if r.series != nil {
-		cp.Series = r.series.Snapshot()
 	}
 	return cp, nil
 }

@@ -15,11 +15,7 @@ import (
 
 	"webtextie/internal/crawldb"
 	"webtextie/internal/crawler"
-	"webtextie/internal/obs"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/prof"
-	"webtextie/internal/obs/series"
-	"webtextie/internal/obs/trace"
+	"webtextie/internal/obs/pillars"
 )
 
 // Result is the merged output of a sharded crawl.
@@ -38,24 +34,15 @@ type Result struct {
 	// LinkDB is the union link graph (source pages are fetched on exactly
 	// one shard, so sources never conflict).
 	LinkDB *crawldb.LinkDB
-	// Metrics folds the per-shard registries with obs.Snapshot.Merge:
-	// counters and histograms sum; gauges sum too, so e.g. the merged
-	// crawler.virtual.ms gauge is the total shard-clock time (cost),
-	// while Stats.VirtualMs is the parallel makespan.
-	Metrics obs.Snapshot
-	// Traces is the merged trace export (nil when tracing was off).
-	Traces *trace.Snapshot
-	// Logs is the merged event-log export (nil when logging was off).
-	Logs *evlog.Snapshot
-	// Series is the fleet time-series export (nil when sampling was off):
-	// one per-round sample stream per metric, already merged across shards
-	// on the makespan clock.
-	Series *series.Snapshot
-	// Profile is the fleet cost profile (nil when profiling was off):
-	// per-shard snapshots folded with prof.Merge in shard order, so
-	// virtual-lane stage costs sum across the fleet (worker time, like
-	// the merged crawler.virtual.ms gauge — not makespan).
-	Profile *prof.Snapshot
+	// Snapshot is the fleet's pillars: the per-shard snapshots folded with
+	// pillars.Merge in shard order, each pillar nil when it was off.
+	// Metrics sums counters, histograms and gauges, so e.g. the merged
+	// crawler.virtual.ms gauge is the total shard-clock time (cost) while
+	// Stats.VirtualMs is the parallel makespan; Profile's virtual-lane
+	// stage costs sum the same way (worker time, not makespan). Series is
+	// not a merge: it is the runner's own recorder, one per-round sample
+	// stream per metric on the makespan clock.
+	pillars.Snapshot
 	// PerShard holds each shard's own result, indexed by shard.
 	PerShard []*crawler.Result
 	// Rounds is the number of fleet supersteps executed.
@@ -111,45 +98,20 @@ func (r *Runner) Finish() *Result {
 		Stopped:  r.stopped,
 		Degraded: append([]DegradedPartition(nil), r.degraded...),
 	}
+	snaps := make([]pillars.Snapshot, len(perShard))
 	for i, res := range perShard {
+		snaps[i] = res.Snapshot
 		out.Stats = mergeStats(out.Stats, res.Stats, i == 0)
 		out.Relevant = append(out.Relevant, res.Relevant...)
 		out.IrrelevantPages = append(out.IrrelevantPages, res.IrrelevantPages...)
 		res.LinkDB.ForEach(func(src string, targets []string) {
 			out.LinkDB.AddLinks(src, targets)
 		})
-		if i == 0 {
-			out.Metrics = res.Metrics
-		} else {
-			out.Metrics = out.Metrics.Merge(res.Metrics)
-		}
 	}
 	sortCorpus(out.Relevant)
 	sortCorpus(out.IrrelevantPages)
-	if r.shards[0].rec != nil {
-		snaps := make([]*trace.Snapshot, len(r.shards))
-		for i, s := range r.shards {
-			snaps[i] = s.rec.Snapshot()
-		}
-		out.Traces = trace.Merge(snaps...)
-	}
-	if perShard[0].Logs != nil {
-		snaps := make([]*evlog.Snapshot, len(perShard))
-		for i, res := range perShard {
-			snaps[i] = res.Logs
-		}
-		out.Logs = evlog.Merge(snaps...)
-	}
-	if r.series != nil {
-		out.Series = r.series.Snapshot()
-	}
-	if perShard[0].Profile != nil {
-		snaps := make([]*prof.Snapshot, len(perShard))
-		for i, res := range perShard {
-			snaps[i] = res.Profile
-		}
-		out.Profile = prof.Merge(snaps...)
-	}
+	out.Snapshot = pillars.Merge(snaps...)
+	out.Series = r.series.Snapshot()
 	return out
 }
 

@@ -80,7 +80,6 @@ type shardState struct {
 	idx int
 	c   *crawler.Crawler
 	web *synthweb.Web
-	rec *trace.Recorder
 	// outbox[d] holds this round's mail for shard d in discovery order.
 	outbox [][]mail
 }
@@ -101,12 +100,10 @@ type Runner struct {
 	fenced   []bool
 	degraded []DegradedPartition
 
-	// traceCfg/logCfg/profCfg/matchers remember the observability and
-	// extension wiring so RestartShard can re-attach it to a rebuilt shard.
-	traceCfg *trace.Config
-	logCfg   *evlog.Config
-	profCfg  *prof.Config
-	matchers map[textgen.EntityType]*dict.Matcher
+	// wiring remembers every per-shard pillar and extension attachment, in
+	// the order the With* calls made them, so RestartShard can wire a
+	// rebuilt shard the same way.
+	wiring []func(*crawler.Crawler)
 
 	// series is the fleet-level time-series recorder (nil = sampling
 	// off): one sample per BSP round of the merged shard registries,
@@ -179,18 +176,23 @@ func (r *Runner) installRouter(s *shardState) {
 	})
 }
 
+// attach applies one piece of per-shard wiring to every shard and
+// remembers it for RestartShard.
+func (r *Runner) attach(wire func(*crawler.Crawler)) *Runner {
+	r.wiring = append(r.wiring, wire)
+	for _, s := range r.shards {
+		wire(s.c)
+	}
+	return r
+}
+
 // WithTrace attaches one trace recorder per shard, all bounded by cfg.
 // Shards trace disjoint URL populations, so per-shard recorders with the
 // same seed mint non-colliding IDs; Finish merges the snapshots in shard
 // order. On a resumed runner each recorder loads its shard's checkpoint
 // snapshot. Returns the runner for chaining.
 func (r *Runner) WithTrace(cfg trace.Config) *Runner {
-	r.traceCfg = &cfg
-	for _, s := range r.shards {
-		s.rec = trace.NewRecorder(cfg)
-		s.c.WithTrace(s.rec)
-	}
-	return r
+	return r.attach(func(c *crawler.Crawler) { c.WithTrace(trace.NewRecorder(cfg)) })
 }
 
 // WithLog attaches one event-log sink per shard, all bounded by cfg.
@@ -198,11 +200,7 @@ func (r *Runner) WithTrace(cfg trace.Config) *Runner {
 // runner each sink loads its shard's checkpoint snapshot. Returns the
 // runner for chaining.
 func (r *Runner) WithLog(cfg evlog.Config) *Runner {
-	r.logCfg = &cfg
-	for _, s := range r.shards {
-		s.c.WithLog(evlog.NewSink(cfg))
-	}
-	return r
+	return r.attach(func(c *crawler.Crawler) { c.WithLog(evlog.NewSink(cfg)) })
 }
 
 // WithSeries attaches a fleet-level time-series recorder: every round
@@ -215,14 +213,9 @@ func (r *Runner) WithLog(cfg evlog.Config) *Runner {
 // Returns the runner for chaining.
 func (r *Runner) WithSeries(cfg series.Config) *Runner {
 	r.series = series.New(cfg)
-	if r.resumeSeries != nil {
-		r.series.Load(r.resumeSeries)
-	}
+	r.series.Load(r.resumeSeries)
 	return r
 }
-
-// SeriesRecorder returns the fleet recorder (nil when sampling is off).
-func (r *Runner) SeriesRecorder() *series.Recorder { return r.series }
 
 // WithProf attaches one cost profiler per shard, all with cfg. Each
 // shard attributes its own virtual-clock stage costs — virtual time is
@@ -232,11 +225,7 @@ func (r *Runner) SeriesRecorder() *series.Recorder { return r.series }
 // count. On a resumed runner each profiler loads its shard's checkpoint
 // snapshot. Returns the runner for chaining.
 func (r *Runner) WithProf(cfg prof.Config) *Runner {
-	r.profCfg = &cfg
-	for _, s := range r.shards {
-		s.c.WithProf(prof.New(cfg))
-	}
-	return r
+	return r.attach(func(c *crawler.Crawler) { c.WithProf(prof.New(cfg)) })
 }
 
 // sampleSeries records one fleet sample at the current round barrier.
@@ -271,11 +260,7 @@ func (r *Runner) sampleSeries() {
 // WithEntityMatchers shares the read-only entity dictionaries with every
 // shard (the EntityBoost extension). Returns the runner for chaining.
 func (r *Runner) WithEntityMatchers(m map[textgen.EntityType]*dict.Matcher) *Runner {
-	r.matchers = m
-	for _, s := range r.shards {
-		s.c.WithEntityMatchers(m)
-	}
-	return r
+	return r.attach(func(c *crawler.Crawler) { c.WithEntityMatchers(m) })
 }
 
 // Shard returns shard i's crawler (tests inspect per-shard state).
@@ -440,18 +425,8 @@ func (r *Runner) RestartShard(i int, ckpt []byte) error {
 		s.outbox[d] = s.outbox[d][:0]
 	}
 	r.installRouter(s)
-	if r.traceCfg != nil {
-		s.rec = trace.NewRecorder(*r.traceCfg)
-		c.WithTrace(s.rec)
-	}
-	if r.logCfg != nil {
-		c.WithLog(evlog.NewSink(*r.logCfg))
-	}
-	if r.profCfg != nil {
-		c.WithProf(prof.New(*r.profCfg))
-	}
-	if r.matchers != nil {
-		c.WithEntityMatchers(r.matchers)
+	for _, wire := range r.wiring {
+		wire(c)
 	}
 	return nil
 }

@@ -9,9 +9,7 @@ import (
 	"strings"
 
 	"webtextie/internal/crawler/shard"
-	"webtextie/internal/obs"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/trace"
+	"webtextie/internal/obs/pillars"
 )
 
 // Report summarizes a supervised run.
@@ -29,14 +27,11 @@ type Report struct {
 	// because their destination partition was fenced.
 	MailDropped int
 
-	// Metrics/Traces/Logs are the supervision pillars' exports — the
-	// fleet.* counters, the shard.restart/stall/fenced marks, and the
-	// fleet.supervisor log records. Separate from the crawl exports by
-	// design; merge them (obs.Snapshot.Merge, trace.Merge, evlog.Merge)
-	// only when diagnosing.
-	Metrics obs.Snapshot
-	Traces  *trace.Snapshot
-	Logs    *evlog.Snapshot
+	// Snapshot is the supervision pillars' export — the fleet.* counters
+	// in Metrics, the shard.restart/stall/fenced marks in Traces, and the
+	// fleet.supervisor records in Logs. Separate from the crawl exports by
+	// design; pillars.Merge the two only when diagnosing.
+	pillars.Snapshot
 }
 
 // Report snapshots the supervisor's state. Call it after the run; the
@@ -47,9 +42,7 @@ func (s *Supervisor) Report() *Report {
 		Stalls:      append([]int(nil), s.stalls...),
 		Crashes:     s.crashes,
 		MailDropped: s.dropped,
-		Metrics:     s.reg.Snapshot(),
-		Traces:      s.rec.Snapshot(),
-		Logs:        s.sink.Snapshot(),
+		Snapshot:    s.p.Snapshot(),
 	}
 	for i := 0; i < s.r.Shards(); i++ {
 		if s.r.Fenced(i) {

@@ -48,6 +48,7 @@ import (
 	"webtextie/internal/crawler/shard"
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/trace"
 	"webtextie/internal/synthweb"
 )
@@ -79,13 +80,11 @@ type Supervisor struct {
 	r   *shard.Runner
 	cfg Config
 
-	// Supervision pillars — separate from the crawl pillars so crash
-	// recovery leaves the crawl exports byte-identical to a fault-free
-	// run while still recording every fault.
-	reg  *obs.Registry
-	rec  *trace.Recorder
-	sink *evlog.Sink
-	lg   evlog.Logger
+	// Supervision pillars (metrics, trace, log) — separate from the crawl
+	// pillars so crash recovery leaves the crawl exports byte-identical to
+	// a fault-free run while still recording every fault.
+	p  pillars.Set
+	lg evlog.Logger
 
 	crashesC  *obs.Counter
 	restartsC *obs.Counter
@@ -117,23 +116,25 @@ type stepOutcome struct {
 func New(r *shard.Runner, cfg Config) *Supervisor {
 	n := r.Shards()
 	s := &Supervisor{
-		r:        r,
-		cfg:      cfg,
-		reg:      obs.New(),
-		rec:      trace.NewRecorder(trace.DefaultConfig(cfg.Seed)),
-		sink:     evlog.NewSink(evlog.DefaultConfig(cfg.Seed)),
+		r:   r,
+		cfg: cfg,
+		p: pillars.Set{
+			Metrics: obs.New(),
+			Trace:   trace.NewRecorder(trace.DefaultConfig(cfg.Seed)),
+			Log:     evlog.NewSink(evlog.DefaultConfig(cfg.Seed)),
+		},
 		restarts: make([]int, n),
 		stalls:   make([]int, n),
 		ckpts:    make([][]byte, n),
 		outcomes: make([]stepOutcome, n),
 	}
-	s.lg = s.sink.Logger("fleet.supervisor")
-	s.crashesC = s.reg.Counter("fleet.shard.crashes")
-	s.restartsC = s.reg.Counter("fleet.shard.restarts")
-	s.stallsC = s.reg.Counter("fleet.shard.stalls")
-	s.fencedC = s.reg.Counter("fleet.shard.fenced")
-	s.droppedC = s.reg.Counter("fleet.mail.dropped")
-	s.roundsC = s.reg.Counter("fleet.rounds")
+	s.lg = s.p.Log.Logger("fleet.supervisor")
+	s.crashesC = s.p.Metrics.Counter("fleet.shard.crashes")
+	s.restartsC = s.p.Metrics.Counter("fleet.shard.restarts")
+	s.stallsC = s.p.Metrics.Counter("fleet.shard.stalls")
+	s.fencedC = s.p.Metrics.Counter("fleet.shard.fenced")
+	s.droppedC = s.p.Metrics.Counter("fleet.mail.dropped")
+	s.roundsC = s.p.Metrics.Counter("fleet.rounds")
 	return s
 }
 
@@ -184,7 +185,7 @@ func (s *Supervisor) Round() (bool, error) {
 		if o.restarts > 0 {
 			s.restarts[i] += o.restarts
 			s.restartsC.Add(int64(o.restarts))
-			s.rec.Mark("shard.restart", now,
+			s.p.Trace.Mark("shard.restart", now,
 				trace.Int("shard", int64(i)),
 				trace.Int("round", int64(round)),
 				trace.Int("restarts", int64(o.restarts)))
@@ -197,7 +198,7 @@ func (s *Supervisor) Round() (bool, error) {
 		if o.fence != nil {
 			s.r.Fence(i)
 			s.fencedC.Inc()
-			s.rec.Mark("shard.fenced", now,
+			s.p.Trace.Mark("shard.fenced", now,
 				trace.Int("shard", int64(i)),
 				trace.Int("round", int64(round)))
 			s.lg.Error("shard.fenced", now,
@@ -305,7 +306,7 @@ func (s *Supervisor) detectStalls(active []int, before []int64, round int, now i
 		if d := after[i] - before[i]; d > deadline {
 			s.stalls[i]++
 			s.stallsC.Inc()
-			s.rec.Mark("shard.stall", now,
+			s.p.Trace.Mark("shard.stall", now,
 				trace.Int("shard", int64(i)),
 				trace.Int("round", int64(round)),
 				trace.Int("advance_ms", d),

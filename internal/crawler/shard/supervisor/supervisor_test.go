@@ -10,6 +10,7 @@ import (
 	"webtextie/internal/crawler/shard"
 	"webtextie/internal/obs/doctor"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/trace"
 	"webtextie/internal/rng"
 	"webtextie/internal/seeds"
@@ -310,11 +311,11 @@ func TestSupervisionPillarsAndDoctor(t *testing.T) {
 		t.Errorf("supervision trace marks %v lack shard.restart/shard.fenced", found)
 	}
 
-	diag := doctor.Diagnose(doctor.Input{
+	diag := doctor.Diagnose(doctor.Input{Snapshot: pillars.Snapshot{
 		Metrics: res.Metrics.Merge(rep.Metrics),
 		Traces:  trace.Merge(res.Traces, rep.Traces),
 		Logs:    evlog.Merge(res.Logs, rep.Logs),
-	})
+	}})
 	rules := map[string]bool{}
 	for _, f := range diag.Findings {
 		rules[f.Rule] = true

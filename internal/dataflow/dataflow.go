@@ -16,7 +16,6 @@ package dataflow
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -262,11 +261,4 @@ func Commute(a, b *Op) bool {
 		return false
 	}
 	return true
-}
-
-// SortedFields returns a copy of fields, sorted (for stable reports).
-func SortedFields(fs []string) []string {
-	out := append([]string(nil), fs...)
-	sort.Strings(out)
-	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/prof"
 	"webtextie/internal/obs/trace"
 )
@@ -38,13 +39,37 @@ type ExecConfig struct {
 	DoP int
 	// ChannelBuffer sizes the inter-operator queues.
 	ChannelBuffer int
-	// Metrics receives the execution's per-operator counters, latency
-	// histograms, and queue gauges. Nil uses a fresh private registry so
-	// ExecStats stays exact; pass obs.Default() (or any shared registry)
-	// to accumulate across executions. Sharing one registry between
-	// *concurrent* executions keeps the metric totals exact but makes the
+	// Set attaches the observability pillars; a nil handle leaves that
+	// pillar off (Series is not used: an execution has no sample clock).
+	//
+	// Metrics receives the per-operator counters, latency histograms, and
+	// queue gauges. Nil uses a fresh private registry so ExecStats stays
+	// exact; pass obs.Default() (or any shared registry) to accumulate
+	// across executions. Sharing one registry between *concurrent*
+	// executions keeps the metric totals exact but makes the
 	// per-execution ExecStats deltas approximate.
-	Metrics *obs.Registry
+	//
+	// Trace records every record's lineage: one trace per input record,
+	// one span per operator the record (or a record derived from it)
+	// passes through, with retry/panic/quarantine events. Timestamps are
+	// the plan-position logical clock (node id), so exports are
+	// deterministic per seed even under DoP > 1. Under FailFast the drain
+	// after an abort leaves unprocessed spans open — trace determinism is
+	// only guaranteed under the Quarantine policy.
+	//
+	// Log receives the execution's event log: exec lifecycle, per-record
+	// retry/panic/quarantine decisions, and one summary record per
+	// operator. Timestamps are the same logical clock the tracer uses,
+	// and evlog retention is order-independent, so the exported log is
+	// byte-identical across DoP settings per seed.
+	//
+	// Prof attributes execution cost per operator under
+	// dataflow.op.<name> scopes: every processed record charges one
+	// deterministic virtual-lane call plus a wall-lane bracket (real
+	// nanoseconds and, with prof.Config.Alloc, allocation deltas) around
+	// the operator invocation. Virtual-lane counts are DoP-independent
+	// under the Quarantine policy — the same caveat as Trace.
+	pillars.Set
 	// Policy selects the response to UDF errors (Quarantine by default).
 	Policy ErrorPolicy
 	// OpRetries is the per-record retry budget for a failing operator:
@@ -58,31 +83,10 @@ type ExecConfig struct {
 	// ExecStats.Quarantined (0 means 1024; negative retains none).
 	// Overflowing records are still counted in stats and metrics.
 	QuarantineLimit int
-	// Trace, when set, records every record's lineage: one trace per input
-	// record, one span per operator the record (or a record derived from
-	// it) passes through, with retry/panic/quarantine events. Timestamps
-	// are the plan-position logical clock (node id), so exports are
-	// deterministic per seed even under DoP > 1. Under FailFast the drain
-	// after an abort leaves unprocessed spans open — trace determinism is
-	// only guaranteed under the Quarantine policy.
-	Trace *trace.Recorder
 	// TraceKey names the record field holding the document identity used
 	// as the trace key (e.g. "id"). Records without the field fall back to
 	// an input-index key.
 	TraceKey string
-	// Log, when set, receives the execution's event log: exec lifecycle,
-	// per-record retry/panic/quarantine decisions, and one summary record
-	// per operator. Timestamps are the same plan-position logical clock
-	// the tracer uses, and evlog retention is order-independent, so the
-	// exported log is byte-identical across DoP settings per seed.
-	Log *evlog.Sink
-	// Prof, when set, attributes execution cost per operator under
-	// dataflow.op.<name> scopes: every processed record charges one
-	// deterministic virtual-lane call plus a wall-lane bracket (real
-	// nanoseconds and, with prof.Config.Alloc, allocation deltas) around
-	// the operator invocation. Virtual-lane counts are DoP-independent
-	// under the Quarantine policy — the same caveat as Trace.
-	Prof *prof.Profiler
 }
 
 // DefaultExecConfig uses DoP 4.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 )
 
 // logPlan is a small flow with deterministic per-record failures: panics
@@ -36,7 +37,7 @@ func logPlan(t *testing.T) *Plan {
 func runLogged(t *testing.T, dop int) *evlog.Snapshot {
 	t.Helper()
 	sink := evlog.NewSink(evlog.DefaultConfig(7))
-	cfg := ExecConfig{DoP: dop, OpRetries: 2, Log: sink}
+	cfg := ExecConfig{DoP: dop, OpRetries: 2, Set: pillars.Set{Log: sink}}
 	if _, _, err := Execute(logPlan(t), input(120), cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"webtextie/internal/obs"
+	"webtextie/internal/obs/pillars"
 )
 
 // errOp fails on records whose x is divisible by mod (deterministic UDF
@@ -98,7 +99,7 @@ func TestDoPEquivalence(t *testing.T) {
 func TestExecMetricsMatchStats(t *testing.T) {
 	reg := obs.New()
 	p := testPlan()
-	_, st := runSingleSink(t, p, input(200), ExecConfig{DoP: 4, Metrics: reg})
+	_, st := runSingleSink(t, p, input(200), ExecConfig{DoP: 4, Set: pillars.Set{Metrics: reg}})
 	snap := reg.Snapshot()
 
 	if got := snap.Counter("dataflow.executions"); got != 1 {
@@ -139,7 +140,7 @@ func TestSharedRegistrySequentialExactness(t *testing.T) {
 	reg := obs.New()
 	for i := 0; i < 2; i++ {
 		p := testPlan()
-		_, st := runSingleSink(t, p, input(100), ExecConfig{DoP: 4, Metrics: reg})
+		_, st := runSingleSink(t, p, input(100), ExecConfig{DoP: 4, Set: pillars.Set{Metrics: reg}})
 		if st.PerNode[0].In != 100 {
 			t.Fatalf("run %d: source In = %d, want 100 (stats leaked across runs)", i, st.PerNode[0].In)
 		}

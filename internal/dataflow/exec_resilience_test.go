@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"webtextie/internal/obs"
+	"webtextie/internal/obs/pillars"
 )
 
 // attemptTracker counts per-record attempts so a test UDF can fail a
@@ -192,7 +193,7 @@ func TestErrorsLandInStatsAndObs(t *testing.T) {
 			return nil
 		}}, src)
 	reg := obs.New()
-	cfg := ExecConfig{DoP: 8, Metrics: reg}
+	cfg := ExecConfig{DoP: 8, Set: pillars.Set{Metrics: reg}}
 	_, st := runSingleSink(t, p, input(200), cfg)
 
 	const want = 50 // 200/4

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/trace"
 )
 
@@ -41,7 +42,7 @@ func faultyPlan(div int) *Plan {
 func TestQuarantinedRecordPinnedLineage(t *testing.T) {
 	rec := trace.NewRecorder(trace.DefaultConfig(5))
 	_, stats, err := Execute(faultyPlan(10), tracedInput(60),
-		ExecConfig{DoP: 4, Policy: Quarantine, Trace: rec, TraceKey: "id"})
+		ExecConfig{DoP: 4, Policy: Quarantine, TraceKey: "id", Set: pillars.Set{Trace: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestExecuteTraceDeterministicUnderDoP(t *testing.T) {
 	run := func(dop int) string {
 		rec := trace.NewRecorder(trace.DefaultConfig(11))
 		_, _, err := Execute(faultyPlan(7), tracedInput(120),
-			ExecConfig{DoP: dop, Policy: Quarantine, OpRetries: 1, Trace: rec, TraceKey: "id"})
+			ExecConfig{DoP: dop, Policy: Quarantine, OpRetries: 1, TraceKey: "id", Set: pillars.Set{Trace: rec}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestPanicPinsTrace(t *testing.T) {
 		}}, src)
 	rec := trace.NewRecorder(trace.DefaultConfig(2))
 	_, stats, err := Execute(p, tracedInput(10),
-		ExecConfig{DoP: 2, Policy: Quarantine, Trace: rec, TraceKey: "id"})
+		ExecConfig{DoP: 2, Policy: Quarantine, TraceKey: "id", Set: pillars.Set{Trace: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRetrySucceedsTraceShowsAttempts(t *testing.T) {
 		}}, src)
 	rec := trace.NewRecorder(trace.DefaultConfig(3))
 	_, stats, err := Execute(p, tracedInput(8),
-		ExecConfig{DoP: 1, OpRetries: 2, Trace: rec, TraceKey: "id"})
+		ExecConfig{DoP: 1, OpRetries: 2, TraceKey: "id", Set: pillars.Set{Trace: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRetrySucceedsTraceShowsAttempts(t *testing.T) {
 func TestTraceOffExecuteIdentical(t *testing.T) {
 	run := func(rec *trace.Recorder) (map[int][]Record, *ExecStats) {
 		out, stats, err := Execute(faultyPlan(10), tracedInput(60),
-			ExecConfig{DoP: 4, Policy: Quarantine, Trace: rec, TraceKey: "id"})
+			ExecConfig{DoP: 4, Policy: Quarantine, TraceKey: "id", Set: pillars.Set{Trace: rec}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +225,7 @@ func TestFanOutLineage(t *testing.T) {
 	p.Add(setOp("left", "l", 1), src)
 	p.Add(setOp("right", "r", 1), src)
 	rec := trace.NewRecorder(trace.DefaultConfig(4))
-	_, _, err := Execute(p, tracedInput(5), ExecConfig{DoP: 2, Trace: rec, TraceKey: "id"})
+	_, _, err := Execute(p, tracedInput(5), ExecConfig{DoP: 2, TraceKey: "id", Set: pillars.Set{Trace: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"webtextie/internal/obs/debugserv"
 	"webtextie/internal/obs/doctor"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/prof"
 	"webtextie/internal/obs/series"
 	"webtextie/internal/obs/trace"
@@ -70,26 +71,25 @@ func Register(fs *flag.FlagSet) *Flags {
 	}
 }
 
-// Setup holds the observability surfaces a command built from its flags.
-// Either pillar pointer is nil when its flags were off.
+// Setup holds the live pillars a command built from its flags: Metrics is
+// always the process registry, and each of the other four handles is nil
+// when its flags were off.
 type Setup struct {
-	Traces *trace.Recorder
-	Logs   *evlog.Sink
-	Series *series.Recorder
-	Prof   *prof.Profiler
-	f      *Flags
+	pillars.Set
+	f *Flags
 }
 
-// Setup builds the trace recorder, event-log sink, and series recorder
-// the flags ask for, all seeded/configured for determinism. The sink's
-// derived evlog.records counters land in the process metric registry.
+// Setup builds the trace recorder, event-log sink, series recorder, and
+// profiler the flags ask for, all seeded/configured for determinism. The
+// sink's derived evlog.records counters land in the process metric
+// registry.
 func (f *Flags) Setup(seed uint64) *Setup {
-	s := &Setup{f: f}
+	s := &Setup{Set: pillars.Set{Metrics: obs.Default()}, f: f}
 	if *f.TraceOn || *f.TraceOut != "" || *f.TraceChrome != "" || *f.DebugAddr != "" {
-		s.Traces = trace.NewRecorder(trace.DefaultConfig(seed))
+		s.Trace = trace.NewRecorder(trace.DefaultConfig(seed))
 	}
 	if *f.LogOn || *f.LogOut != "" || *f.DoctorOn || *f.DebugAddr != "" {
-		s.Logs = evlog.NewSink(evlog.DefaultConfig(seed)).WithMetrics(obs.Default())
+		s.Log = evlog.NewSink(evlog.DefaultConfig(seed)).WithMetrics(obs.Default())
 	}
 	if *f.SeriesOn || *f.SeriesOut != "" || *f.SeriesJSON != "" || *f.DebugAddr != "" {
 		s.Series = series.New(series.DefaultConfig())
@@ -100,31 +100,14 @@ func (f *Flags) Setup(seed uint64) *Setup {
 	return s
 }
 
-// ProfConfig returns the profiler configuration and whether profiling
-// is on at all — the form fleet commands need (each shard owns a
-// private profiler built from the config; see shard.Runner.WithProf).
-func (s *Setup) ProfConfig() (prof.Config, bool) {
-	if s.Prof == nil {
-		return prof.Config{}, false
-	}
-	return s.Prof.Config(), true
-}
-
 // Serve starts the live debug server when -debug-addr is set, wired to
-// the process metric registry and this setup's pillars. Returns the
-// bound address ("" when the flag is off) for the command to print.
+// this setup's pillars. Returns the bound address ("" when the flag is
+// off) for the command to print.
 func (s *Setup) Serve(progress func() any) (string, error) {
 	if *s.f.DebugAddr == "" {
 		return "", nil
 	}
-	srv, err := debugserv.Start(*s.f.DebugAddr, debugserv.Options{
-		Registry: obs.Default(),
-		Traces:   s.Traces,
-		Logs:     s.Logs,
-		Series:   s.Series,
-		Prof:     s.Prof,
-		Progress: progress,
-	})
+	srv, err := debugserv.Start(*s.f.DebugAddr, debugserv.Options{Set: s.Set, Progress: progress})
 	if err != nil {
 		return "", err
 	}
@@ -132,49 +115,21 @@ func (s *Setup) Serve(progress func() any) (string, error) {
 }
 
 // Finish writes the -trace-out / -trace-chrome / -log-out / -series-out
-// / -series-json export files and returns the end-of-run summary (trace
-// tallies, event-log tallies, series sparklines, and the -doctor
-// report), ready for the command to print. Empty when
-// every observability flag was off. It snapshots this setup's live
-// pillars and the process metric registry; a command whose pillar state
-// lives elsewhere (the sharded crawl merges per-shard snapshots) calls
-// FinishWith directly.
-func (s *Setup) Finish() (string, error) {
-	var traceSnap *trace.Snapshot
-	if s.Traces != nil {
-		traceSnap = s.Traces.Snapshot()
-	}
-	var logSnap *evlog.Snapshot
-	if s.Logs != nil {
-		logSnap = s.Logs.Snapshot()
-	}
-	var seriesSnap *series.Snapshot
-	if s.Series != nil {
-		seriesSnap = s.Series.Snapshot()
-	}
-	var profSnap *prof.Snapshot
-	if s.Prof != nil {
-		profSnap = s.Prof.Snapshot()
-	}
-	return s.FinishWith(traceSnap, logSnap, seriesSnap, profSnap, obs.Default().Snapshot())
-}
-
-// FinishWith is Finish over caller-supplied snapshots: the same export
-// files, tallies, and -doctor report, but rendered from the given trace,
-// log, and series snapshots and diagnosing the given metric snapshot.
-// Nil pillar snapshots are treated as "flag off".
-func (s *Setup) FinishWith(traceSnap *trace.Snapshot, logSnap *evlog.Snapshot, seriesSnap *series.Snapshot, profSnap *prof.Snapshot, metrics obs.Snapshot) (string, error) {
-	return s.FinishWithDoctor(traceSnap, logSnap, seriesSnap, profSnap, metrics, nil)
-}
-
-// FinishWithDoctor is FinishWith with a separate doctor input: the
-// export files and tallies render from the pillar snapshots, while the
-// -doctor diagnosis reads diag. A supervised sharded crawl uses this to
-// diagnose the crawl and supervision pillars together without letting
-// supervision events into the crawl export files (which must stay
-// byte-identical to an unsupervised run's). A nil diag diagnoses the
-// export snapshots themselves.
-func (s *Setup) FinishWithDoctor(traceSnap *trace.Snapshot, logSnap *evlog.Snapshot, seriesSnap *series.Snapshot, profSnap *prof.Snapshot, metrics obs.Snapshot, diag *doctor.Input) (string, error) {
+// / -series-json / -prof-out / -prof-folded export files from snap and
+// returns the end-of-run summary (trace tallies, event-log tallies,
+// series sparklines, the profile top-k, and the -doctor report), ready
+// for the command to print. Empty when every observability flag was off;
+// a nil pillar in snap reads as "flag off". A command whose pillars are
+// this setup's own passes s.Snapshot(); the sharded crawl passes its
+// merged per-shard snapshot.
+//
+// The -doctor diagnosis reads diag, or snap itself when diag is nil. A
+// supervised sharded crawl uses diag to diagnose the crawl and
+// supervision pillars together without letting supervision events into
+// the crawl export files (which must stay byte-identical to an
+// unsupervised run's).
+func (s *Setup) Finish(snap pillars.Snapshot, diag *doctor.Input) (string, error) {
+	traceSnap, logSnap, seriesSnap, profSnap := snap.Traces, snap.Logs, snap.Series, snap.Profile
 	var b strings.Builder
 	if traceSnap != nil {
 		counts := traceSnap.ErrClassCounts()
@@ -272,13 +227,7 @@ func (s *Setup) FinishWithDoctor(traceSnap *trace.Snapshot, logSnap *evlog.Snaps
 	}
 	if *s.f.DoctorOn {
 		if diag == nil {
-			diag = &doctor.Input{
-				Metrics: metrics,
-				Traces:  traceSnap,
-				Logs:    logSnap,
-				Series:  seriesSnap,
-				Profile: profSnap,
-			}
+			diag = &doctor.Input{Snapshot: snap}
 		}
 		rep := doctor.Diagnose(*diag)
 		b.WriteByte('\n')

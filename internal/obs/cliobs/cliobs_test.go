@@ -126,10 +126,10 @@ func TestSetupGating(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := f.Setup(7)
-			if got := s.Traces != nil; got != tc.wantTraces {
+			if got := s.Trace != nil; got != tc.wantTraces {
 				t.Errorf("Traces attached = %v, want %v", got, tc.wantTraces)
 			}
-			if got := s.Logs != nil; got != tc.wantLogs {
+			if got := s.Log != nil; got != tc.wantLogs {
 				t.Errorf("Logs attached = %v, want %v", got, tc.wantLogs)
 			}
 			if got := s.Series != nil; got != tc.wantSeries {
@@ -150,11 +150,11 @@ func TestFinishExportsAndDoctor(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := f.Setup(7)
-	lg := s.Logs.Logger("cliobs.test")
+	lg := s.Log.Logger("cliobs.test")
 	lg.Info("test.event", 1)
 	lg.Warn("test.warn", 2)
 
-	summary, err := s.Finish()
+	summary, err := s.Finish(s.Snapshot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFinishSeriesExports(t *testing.T) {
 		s.Series.Observe("crawler.fetch.ok", int64(i)*1000, float64(i*10))
 	}
 
-	summary, err := s.Finish()
+	summary, err := s.Finish(s.Snapshot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

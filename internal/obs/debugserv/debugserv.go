@@ -16,27 +16,20 @@ import (
 	"strconv"
 	"strings"
 
-	"webtextie/internal/obs"
 	"webtextie/internal/obs/doctor"
 	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/prof"
-	"webtextie/internal/obs/series"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/trace"
 )
 
 // Options wires the server to the process's observability surfaces. Any
 // field may be nil; the corresponding endpoint reports that it is off.
 type Options struct {
-	// Registry backs /metrics (text and JSON) and feeds /doctor.
-	Registry *obs.Registry
-	// Traces backs /traces and /trace and feeds /doctor.
-	Traces *trace.Recorder
-	// Logs backs /logs and feeds /doctor.
-	Logs *evlog.Sink
-	// Series backs /timeseries and feeds /doctor's time-aware rules.
-	Series *series.Recorder
-	// Prof backs /profile and feeds /doctor's cost rules.
-	Prof *prof.Profiler
+	// Set holds the live pillars: Metrics backs /metrics (text and JSON),
+	// Trace backs /traces and /trace, Log backs /logs, Series backs
+	// /timeseries, Prof backs /profile — and /doctor diagnoses a snapshot
+	// of all that are attached.
+	pillars.Set
 	// Progress backs /progress: called per request, must be safe to call
 	// concurrently with the workload, and its result must JSON-marshal.
 	Progress func() any
@@ -109,8 +102,8 @@ func (o Options) index(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("/doctor             ranked crawl diagnosis (?severity= &rule= &format=json)\n")
 	b.WriteString("/progress           live workload progress (JSON)\n")
 	b.WriteString("/debug/pprof/       runtime profiles\n")
-	if o.Traces != nil {
-		counts := o.Traces.Snapshot().ErrClassCounts()
+	if o.Trace != nil {
+		counts := o.Trace.Snapshot().ErrClassCounts()
 		if len(counts) > 0 {
 			b.WriteString("\nerror classes:\n")
 			for _, c := range trace.SortedErrClasses(counts) {
@@ -150,7 +143,7 @@ func parseLimit(r *http.Request) (int, error) {
 }
 
 func (o Options) metrics(w http.ResponseWriter, r *http.Request) {
-	if o.Registry == nil {
+	if o.Metrics == nil {
 		http.Error(w, "metrics off: no registry attached", http.StatusNotFound)
 		return
 	}
@@ -159,7 +152,7 @@ func (o Options) metrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	snap := o.Registry.Snapshot()
+	snap := o.Metrics.Snapshot()
 	if format == "json" {
 		writeJSONBlob(w, func() ([]byte, error) { return snap.JSON() })
 		return
@@ -196,7 +189,7 @@ func parseFilter(r *http.Request) (trace.Filter, error) {
 }
 
 func (o Options) traces(w http.ResponseWriter, r *http.Request) {
-	if o.Traces == nil {
+	if o.Trace == nil {
 		http.Error(w, "tracing off: no recorder attached", http.StatusNotFound)
 		return
 	}
@@ -210,7 +203,7 @@ func (o Options) traces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s := o.Traces.Snapshot().Filter(f)
+	s := o.Trace.Snapshot().Filter(f)
 	switch format {
 	case "json":
 		writeJSONBlob(w, s.JSON)
@@ -227,7 +220,7 @@ func (o Options) traces(w http.ResponseWriter, r *http.Request) {
 }
 
 func (o Options) traceByID(w http.ResponseWriter, r *http.Request) {
-	if o.Traces == nil {
+	if o.Trace == nil {
 		http.Error(w, "tracing off: no recorder attached", http.StatusNotFound)
 		return
 	}
@@ -241,7 +234,7 @@ func (o Options) traceByID(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s := o.Traces.Snapshot()
+	s := o.Trace.Snapshot()
 	t := s.Find(id)
 	if t == nil {
 		http.Error(w, "trace not retained", http.StatusNotFound)
@@ -288,7 +281,7 @@ func parseLogFilter(r *http.Request) (evlog.Filter, error) {
 }
 
 func (o Options) logs(w http.ResponseWriter, r *http.Request) {
-	if o.Logs == nil {
+	if o.Log == nil {
 		http.Error(w, "logging off: no sink attached", http.StatusNotFound)
 		return
 	}
@@ -302,7 +295,7 @@ func (o Options) logs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s := o.Logs.Snapshot().Filter(f)
+	s := o.Log.Snapshot().Filter(f)
 	switch format {
 	case "json":
 		writeJSONBlob(w, s.JSON)
@@ -316,7 +309,7 @@ func (o Options) logs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (o Options) doctor(w http.ResponseWriter, r *http.Request) {
-	if o.Registry == nil && o.Traces == nil && o.Logs == nil && o.Series == nil {
+	if o.Set == (pillars.Set{}) {
 		http.Error(w, "doctor off: no observability surfaces attached", http.StatusNotFound)
 		return
 	}
@@ -335,20 +328,7 @@ func (o Options) doctor(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	in := doctor.Input{}
-	if o.Registry != nil {
-		in.Metrics = o.Registry.Snapshot()
-	}
-	if o.Traces != nil {
-		in.Traces = o.Traces.Snapshot()
-	}
-	if o.Logs != nil {
-		in.Logs = o.Logs.Snapshot()
-	}
-	if o.Series != nil {
-		in.Series = o.Series.Snapshot()
-	}
-	rep := doctor.Diagnose(in)
+	rep := doctor.Diagnose(doctor.Input{Snapshot: o.Set.Snapshot()})
 	if minSev != doctor.Note || rule != "" {
 		rep = rep.Filter(minSev, rule)
 	}

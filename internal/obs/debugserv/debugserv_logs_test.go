@@ -8,6 +8,7 @@ import (
 
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/trace"
 )
 
@@ -26,9 +27,9 @@ func sampleSink(tid trace.TraceID) *evlog.Sink {
 
 func logOptions() (Options, trace.TraceID) {
 	o := sampleOptions()
-	pinned := o.Traces.Snapshot().Pinned()
+	pinned := o.Trace.Snapshot().Pinned()
 	tid := pinned[0].ID
-	o.Logs = sampleSink(tid)
+	o.Log = sampleSink(tid)
 	return o, tid
 }
 
@@ -80,7 +81,7 @@ func TestLogsFilters(t *testing.T) {
 func TestDoctorEndpoint(t *testing.T) {
 	o, _ := logOptions()
 	// Trip the breaker-storm rule through the metrics pillar.
-	o.Registry.Counter("crawler.breaker.opened").Add(5)
+	o.Metrics.Counter("crawler.breaker.opened").Add(5)
 	h := Handler(o)
 
 	code, body := get(t, h, "/doctor")
@@ -122,7 +123,7 @@ func TestLogsAndDoctorOff(t *testing.T) {
 		}
 	}
 	// Any one pillar brings /doctor up.
-	h = Handler(Options{Registry: obs.New()})
+	h = Handler(Options{Set: pillars.Set{Metrics: obs.New()}})
 	if code, _ := get(t, h, "/doctor"); code != 200 {
 		t.Fatalf("/doctor with metrics only: not 200")
 	}
@@ -132,7 +133,7 @@ func TestLogsAndDoctorOff(t *testing.T) {
 func TestContentTypes(t *testing.T) {
 	o, _ := logOptions()
 	o.Prof = sampleProf() // from debugserv_prof_test.go
-	pinned := o.Traces.Snapshot().Pinned()
+	pinned := o.Trace.Snapshot().Pinned()
 	id := pinned[0].ID.String()
 	h := Handler(o)
 

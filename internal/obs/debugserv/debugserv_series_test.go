@@ -89,8 +89,8 @@ func TestTimeseriesEndpoint(t *testing.T) {
 // unfiltered or misformatted response.
 func TestBadQueryParamsAreRejected(t *testing.T) {
 	o := seriesOptions()
-	o.Logs = sampleSink(0) // from debugserv_logs_test.go
-	o.Prof = sampleProf()  // from debugserv_prof_test.go
+	o.Log = sampleSink(0) // from debugserv_logs_test.go
+	o.Prof = sampleProf() // from debugserv_prof_test.go
 	h := Handler(o)
 	bad := []string{
 		"/metrics?format=yaml",

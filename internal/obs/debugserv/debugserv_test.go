@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"webtextie/internal/obs"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/trace"
 )
 
@@ -32,8 +33,7 @@ func sampleOptions() Options {
 	reg := obs.New()
 	reg.Counter("pages.fetched.total").Add(42)
 	return Options{
-		Registry: reg,
-		Traces:   sampleRecorder(),
+		Set:      pillars.Set{Metrics: reg, Trace: sampleRecorder()},
 		Progress: func() any { return map[string]int{"cycles": 7} },
 	}
 }
@@ -110,7 +110,7 @@ func TestTracesFilters(t *testing.T) {
 func TestTraceByID(t *testing.T) {
 	o := sampleOptions()
 	h := Handler(o)
-	pinned := o.Traces.Snapshot().Pinned()
+	pinned := o.Trace.Snapshot().Pinned()
 	if len(pinned) != 1 {
 		t.Fatalf("want 1 pinned sample trace, got %d", len(pinned))
 	}
@@ -161,7 +161,7 @@ func TestLiveServerServesPinnedTrace(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			tc := o.Traces.Start("crawler.url", "http://live/concurrent", int64(i))
+			tc := o.Trace.Start("crawler.url", "http://live/concurrent", int64(i))
 			tc.Finish(int64(i) + 1)
 		}
 	}()

@@ -22,11 +22,10 @@ import (
 	"strconv"
 	"strings"
 
-	"webtextie/internal/obs"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/prof"
 	"webtextie/internal/obs/series"
-	"webtextie/internal/obs/trace"
 )
 
 // Severity grades a finding. The zero value is Note.
@@ -80,13 +79,8 @@ func (s *Severity) UnmarshalJSON(data []byte) error {
 // Input is everything a rule may consult. Any pillar may be absent
 // (zero-value metrics, nil traces/logs); rules consume what is there.
 type Input struct {
-	Metrics obs.Snapshot
-	Traces  *trace.Snapshot
-	Logs    *evlog.Snapshot
-	Series  *series.Snapshot
-	// Profile is the (possibly fleet-merged) cost profile — the fifth
-	// pillar (internal/obs/prof).
-	Profile *prof.Snapshot
+	// Snapshot is the (possibly fleet-merged) state of the five pillars.
+	pillars.Snapshot
 	// ShardProfiles holds the per-shard cost profiles of a fleet run, in
 	// shard order; nil for single-crawler runs. Cross-shard rules (stage
 	// cost skew) need the unmerged view.

@@ -7,6 +7,7 @@ import (
 
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/pillars"
 )
 
 // metricsWith builds a metric snapshot from literal counter/gauge maps.
@@ -21,7 +22,7 @@ func metricsWith(counters map[string]int64, gauges map[string]int64) obs.Snapsho
 }
 
 func TestHealthyReport(t *testing.T) {
-	rep := Diagnose(Input{Metrics: metricsWith(nil, nil)})
+	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}})
 	if !rep.Healthy {
 		t.Fatalf("empty input should be healthy, got %d findings", len(rep.Findings))
 	}
@@ -117,7 +118,7 @@ func TestRulesFire(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Metrics: metricsWith(tc.counters, tc.gauges)})
+			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(tc.counters, tc.gauges)}})
 			if rep.Healthy {
 				t.Fatalf("expected %s finding, report healthy", tc.wantRule)
 			}
@@ -190,7 +191,7 @@ func TestRulesStayQuiet(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Metrics: metricsWith(tc.counters, nil)})
+			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(tc.counters, nil)}})
 			for _, f := range rep.Findings {
 				if f.Rule == tc.rule {
 					t.Errorf("rule %s fired on near-miss input: %+v", tc.rule, f)
@@ -210,7 +211,7 @@ func TestLogPillarRules(t *testing.T) {
 	boiler.Error("fetch.corrupt", 11)
 	logs := sink.Snapshot()
 
-	rep := Diagnose(Input{Metrics: metricsWith(nil, nil), Logs: logs})
+	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Logs: logs}})
 	var rules []string
 	for _, f := range rep.Findings {
 		rules = append(rules, f.Rule)
@@ -223,7 +224,7 @@ func TestLogPillarRules(t *testing.T) {
 	}
 
 	// Without the log pillar the same metrics input is healthy.
-	rep = Diagnose(Input{Metrics: metricsWith(nil, nil)})
+	rep = Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}})
 	if !rep.Healthy {
 		t.Errorf("nil-logs input should degrade to healthy, got %+v", rep.Findings)
 	}
@@ -243,7 +244,7 @@ func TestRankingAndFilter(t *testing.T) {
 		"crawler.fetch.ratelimited": 50,
 		"crawler.fetch.ok":          50,
 	}
-	rep := Diagnose(Input{Metrics: metricsWith(counters, nil)})
+	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(counters, nil)}})
 	if len(rep.Findings) != 3 {
 		t.Fatalf("want 3 findings, got %+v", rep.Findings)
 	}
@@ -282,8 +283,8 @@ func TestDeterministicRenderings(t *testing.T) {
 		"crawler.retry.scheduled": 60,
 		"crawler.fetch.ok":        100,
 	}
-	a := Diagnose(Input{Metrics: metricsWith(counters, nil)})
-	b := Diagnose(Input{Metrics: metricsWith(counters, nil)})
+	a := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(counters, nil)}})
+	b := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(counters, nil)}})
 	if a.Text() != b.Text() {
 		t.Errorf("Text() not deterministic:\n%s\nvs\n%s", a.Text(), b.Text())
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/prof"
 )
 
@@ -49,7 +50,7 @@ func TestStageCostSkewFires(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := Diagnose(Input{
-				Metrics:       metricsWith(nil, nil),
+				Snapshot:      pillars.Snapshot{Metrics: metricsWith(nil, nil)},
 				ShardProfiles: shardProfiles("crawl.cycle.fetch", tc.ms),
 			})
 			var found *Finding
@@ -89,7 +90,7 @@ func TestStageCostSkewStaysQuiet(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Metrics: metricsWith(nil, nil), ShardProfiles: tc.shards})
+			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}, ShardProfiles: tc.shards})
 			for _, f := range rep.Findings {
 				if f.Rule == "stage-cost-skew" {
 					t.Errorf("stage-cost-skew fired: %+v", f)
@@ -125,7 +126,7 @@ func TestCheckpointOverheadDominance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Metrics: metricsWith(nil, nil), Profile: tc.prof})
+			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Profile: tc.prof}})
 			var found *Finding
 			for i := range rep.Findings {
 				if rep.Findings[i].Rule == "checkpoint-overhead-dominance" {
@@ -148,7 +149,7 @@ func TestCheckpointOverheadDominance(t *testing.T) {
 		})
 	}
 	// Without the pillar, neither profile rule can fire.
-	rep := Diagnose(Input{Metrics: metricsWith(nil, nil)})
+	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}})
 	for _, f := range rep.Findings {
 		switch f.Rule {
 		case "stage-cost-skew", "checkpoint-overhead-dominance":
@@ -161,11 +162,13 @@ func TestCheckpointOverheadDominance(t *testing.T) {
 // and demands identical bytes.
 func TestProfRulesDeterministic(t *testing.T) {
 	in := Input{
-		Metrics: metricsWith(nil, nil),
-		Profile: profWith(map[string]prof.ScopeData{
-			"crawl.checkpoint": {Brackets: 8, WallNs: 400e6},
-			"crawl.cycle":      {Brackets: 64, WallNs: 700e6},
-		}),
+		Snapshot: pillars.Snapshot{
+			Metrics: metricsWith(nil, nil),
+			Profile: profWith(map[string]prof.ScopeData{
+				"crawl.checkpoint": {Brackets: 8, WallNs: 400e6},
+				"crawl.cycle":      {Brackets: 64, WallNs: 700e6},
+			}),
+		},
 		ShardProfiles: shardProfiles("crawl.cycle.classify", []int64{33_000, 5_000, 5_000, 5_000}),
 	}
 	a, b := Diagnose(in), Diagnose(in)

@@ -6,6 +6,7 @@ import (
 
 	"webtextie/internal/classify"
 	"webtextie/internal/crawler"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/series"
 	"webtextie/internal/rng"
 	"webtextie/internal/synthweb"
@@ -82,7 +83,7 @@ func TestTimeRulesFire(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Metrics: metricsWith(nil, nil), Series: seriesWith(t, tc.streams)})
+			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Series: seriesWith(t, tc.streams)}})
 			var found *Finding
 			for i := range rep.Findings {
 				if rep.Findings[i].Rule == tc.wantRule {
@@ -167,7 +168,7 @@ func TestTimeRulesStayQuiet(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Metrics: metricsWith(nil, nil), Series: seriesWith(t, tc.streams)})
+			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Series: seriesWith(t, tc.streams)}})
 			for _, f := range rep.Findings {
 				if f.Rule == tc.rule {
 					t.Errorf("rule %s fired on near-miss stream: %+v", tc.rule, f)
@@ -176,11 +177,11 @@ func TestTimeRulesStayQuiet(t *testing.T) {
 		})
 	}
 	// Without the pillar, no time rule can fire at all.
-	rep := Diagnose(Input{Metrics: metricsWith(map[string]int64{
+	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(map[string]int64{
 		"crawler.classify.relevant":   5,
 		"crawler.classify.irrelevant": 95,
 		"crawler.breaker.opened":      9,
-	}, nil)})
+	}, nil)}})
 	for _, f := range rep.Findings {
 		switch f.Rule {
 		case "harvest-decay", "breaker-oscillation", "frontier-starvation-trend", "throughput-cliff":
@@ -229,7 +230,7 @@ func timeFixtureCrawl(t *testing.T, depthDecay float64) *Report {
 	if res.Series == nil {
 		t.Fatal("fixture crawl produced no series")
 	}
-	return Diagnose(Input{Metrics: res.Metrics, Series: res.Series})
+	return Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: res.Metrics, Series: res.Series}})
 }
 
 // TestHarvestDecayGolden is the ISSUE's acceptance fixture: the

@@ -15,6 +15,7 @@ import (
 	"webtextie/internal/crawler"
 	"webtextie/internal/dataflow"
 	"webtextie/internal/obs"
+	"webtextie/internal/obs/pillars"
 	"webtextie/internal/rng"
 	"webtextie/internal/seeds"
 	"webtextie/internal/synthweb"
@@ -97,7 +98,7 @@ func runInstrumented(t *testing.T) integrationRun {
 	if len(recs) == 0 {
 		t.Fatal("crawl produced no relevant pages")
 	}
-	_, exec, err := dataflow.Execute(plan, recs, dataflow.ExecConfig{DoP: 4, Metrics: reg})
+	_, exec, err := dataflow.Execute(plan, recs, dataflow.ExecConfig{DoP: 4, Set: pillars.Set{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

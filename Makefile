@@ -4,8 +4,9 @@
 
 GO ?= go
 
-# Packages with real concurrency (worth the ~100x race-detector slowdown).
-RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/...
+# Packages with real concurrency (worth the ~100x race-detector slowdown),
+# and the POS tagger, which the executor calls from DoP goroutines at once.
+RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/nlp/postag/
 
 .PHONY: build test vet lint race chaos supervisor-chaos fuzz bench bench-baseline bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-all alloc-gate verify
 
@@ -49,14 +50,17 @@ supervisor-chaos:
 		-run 'Crash|StepFault|CheckpointSilent|StepShard|RestartShard|Fence|DeliverMail|SentinelErrors' \
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/
 
-# Short fuzzing sessions over the HTML pipeline and the language filter
-# (seeds alone run as part of `make test`). FuzzIdentify is differential:
-# langid.Identify against its map-and-sort predecessor kept in the test.
+# Short fuzzing sessions over the HTML pipeline, the language filter and the
+# analysis flow's two hot kernels (seeds alone run as part of `make test`).
+# FuzzIdentify, FuzzTag and FuzzAnalyze are differential: langid.Identify,
+# postag.Tag and ling.Analyze against the predecessors kept in their tests.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeRepairExtract -fuzztime=30s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEntities -fuzztime=15s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/boiler/
 	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/
+	$(GO) test -run=NONE -fuzz=FuzzTag -fuzztime=60s ./internal/nlp/postag/
+	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=30s ./internal/ling/
 
 bench:
 	$(GO) test -bench . -benchmem

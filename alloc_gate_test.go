@@ -23,6 +23,7 @@ import (
 	"webtextie/internal/langid"
 	"webtextie/internal/ling"
 	"webtextie/internal/nlp"
+	"webtextie/internal/nlp/postag"
 )
 
 // hotDoc is the fixed document every workload chews on: multi-sentence
@@ -39,6 +40,8 @@ var (
 	gateBlocks  []htmlkit.Block
 	gateIndex   *dedup.Index
 	gateSents   []nlp.Span
+	gateTagger  *postag.Tagger
+	gateWords   []string
 )
 
 func gateSetup() {
@@ -53,6 +56,15 @@ func gateSetup() {
 		probeSig = dedup.Sketch(hotDoc, 3)
 		gateIndex.AddOrFind("seed", probeSig)
 		gateSents = nlp.SplitSentences(hotDoc)
+		// A tagger that knows half of hotDoc's first sentence and has to
+		// guess the rest from suffix and shape.
+		gateTagger = postag.Train([][]postag.TaggedToken{
+			{{Word: "Alpha", Tag: "NNP"}, {Word: "binds", Tag: "VBZ"}, {Word: "the", Tag: "DT"}, {Word: "receptor", Tag: "NN"}, {Word: ".", Tag: "."}},
+			{{Word: "It", Tag: "PRP"}, {Word: "rose", Tag: "VBD"}, {Word: "in", Tag: "IN"}, {Word: "hours", Tag: "NNS"}, {Word: ".", Tag: "."}},
+		}, postag.DefaultConfig())
+		for _, tok := range nlp.Tokenize(hotDoc[gateSents[0].Start:gateSents[0].End], 0) {
+			gateWords = append(gateWords, tok.Text)
+		}
 	})
 }
 
@@ -76,9 +88,10 @@ var allocWorkloads = []struct {
 	{"nlp_tokenize", 1, func() { _ = nlp.Tokenize(hotDoc, 0) }},
 	// Sentence spans + per-sentence token slices for the 4-sentence doc.
 	{"nlp_sentence_tokens", 8, func() { _, _ = nlp.SentenceTokens(hotDoc) }},
-	// The regexp Find APIs still allocate their result slices (reasoned
-	// //lintx:ignore sites; the PR8 prefilter arc removes them).
-	{"ling_analyze", 16, func() { _ = ling.Analyze("d1", hotDoc, gateSents) }},
+	// The annotation slice, sized by a counting pass.
+	{"ling_analyze", 1, func() { _ = ling.Analyze("d1", hotDoc, gateSents) }},
+	// The tag slice; the lattice is pooled scratch.
+	{"postag_tag", 1, func() { _, _ = gateTagger.Tag(gateWords) }},
 	// One label slice per page.
 	{"boiler_classify", 1, func() { _ = boilerClassifier.Classify(gateBlocks) }},
 	// Span scratch + shingle slice; no fold or join copies on ASCII text.

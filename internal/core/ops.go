@@ -747,11 +747,7 @@ func (r *Registry) registerIE() {
 				pos := make([][]string, len(toks))
 				failed := 0
 				for i, sent := range toks {
-					words := make([]string, len(sent))
-					for j, t := range sent {
-						words[j] = t.Text
-					}
-					tags, err := r.sys.POS.Tag(words)
+					tags, err := r.sys.POS.Tag(tokenTexts(sent))
 					if err != nil {
 						// MedPost-style crash on a degenerate sentence: skip
 						// the sentence, keep the document (§4.2/§5).
@@ -775,11 +771,7 @@ func (r *Registry) registerIE() {
 				toks, _ := rec["tokens"].([][]nlp.TokenSpan)
 				pos := make([][]string, len(toks))
 				for i, sent := range toks {
-					words := make([]string, len(sent))
-					for j, t := range sent {
-						words[j] = t.Text
-					}
-					tags, err := r.sys.POS.Tag(words)
+					tags, err := r.sys.POS.Tag(tokenTexts(sent))
 					if err != nil {
 						return err // drops the whole document — the unpatched tool
 					}
@@ -1115,6 +1107,16 @@ func (r *Registry) registerIE() {
 				return nil
 			}}, nil
 	})
+}
+
+// tokenTexts is the surface forms of one sentence's tokens, the POS
+// tagger's input.
+func tokenTexts(sent []nlp.TokenSpan) []string {
+	words := make([]string, len(sent))
+	for j, t := range sent {
+		words[j] = t.Text
+	}
+	return words
 }
 
 func filterKind(anns []annot.Annotation, kind annot.Kind) []annot.Annotation {

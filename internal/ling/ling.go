@@ -7,29 +7,19 @@
 // Negation detection follows the paper exactly: "a rather simple method ...
 // using a set of regular expressions to find mentions of the words not,
 // nor, and neither" (§4.3.1). Pronouns are counted in six classes.
+//
+// The paper's expressions are word-bounded alternations over closed word
+// lists and one pair of brackets, so no regular-expression engine runs
+// here: one scan over the text's ASCII word runs looks each run up in the
+// 28-word list and pairs parentheses as it goes. ling_test.go holds the
+// expressions themselves and checks the scan against them.
 package ling
 
 import (
-	"regexp"
 	"strconv"
 
 	"webtextie/internal/annot"
 	"webtextie/internal/nlp"
-)
-
-// The regex sets. All are word-bounded and case-insensitive, compiled once.
-var (
-	negationRe = regexp.MustCompile(`(?i)\b(not|nor|neither)\b`)
-	parenRe    = regexp.MustCompile(`\(([^()]*)\)`)
-
-	pronounRes = []*regexp.Regexp{
-		regexp.MustCompile(`(?i)\b(he|she|it|they|we)\b`),
-		regexp.MustCompile(`(?i)\b(him|her|them|us)\b`),
-		regexp.MustCompile(`(?i)\b(his|its|their|our)\b`),
-		regexp.MustCompile(`(?i)\b(this|that|these|those)\b`),
-		regexp.MustCompile(`(?i)\b(which|who|whom|whose)\b`),
-		regexp.MustCompile(`(?i)\b(itself|themselves|himself|herself)\b`),
-	}
 )
 
 // PronounClassNames names the six classes in annotation values.
@@ -37,71 +27,189 @@ var PronounClassNames = []string{
 	"subject", "object", "possessive", "demonstrative", "relative", "reflexive",
 }
 
-// pronounOrder scans classes from most specific to least (reflexive
-// first, subject last) so reflexives win over shorter overlapping
-// matches ("her" inside "herself"). A package-level array: a per-call
-// slice literal would allocate in the hot path.
-var pronounOrder = [6]int{5, 4, 3, 2, 1, 0}
+// group is a mention's place in Analyze's output: negations, then the
+// pronoun classes from reflexive down to subject, then parentheses.
+type group uint8
 
-// claim is one claimed pronoun span, used for overlap suppression.
-type claim struct{ start, end int }
+const (
+	groupNegation group = iota
+	groupReflexive
+	groupRelative
+	groupDemonstrative
+	groupPossessive
+	groupObject
+	groupSubject
+	groupParen
+	numGroups
+)
 
-// sentenceAt returns the index of the sentence containing pos, -1 when
-// pos falls between sentences.
-func sentenceAt(sentences []nlp.Span, pos int) int {
-	for i, s := range sentences {
-		if pos >= s.Start && pos < s.End {
-			return i
+// pronounClass is the PronounClassNames index of a pronoun group.
+func (g group) pronounClass() int { return int(groupSubject - g) }
+
+// closedWord is one entry of the word lists, in lower case.
+type closedWord struct {
+	word  string
+	group group
+}
+
+// closedWords is the negation cues and the six pronoun classes, indexed by
+// word length. A mention is a whole word — a maximal run of [0-9A-Za-z_],
+// what \b delimits — equal to an entry up to ASCII case; no word is in two
+// lists, so no two mentions overlap.
+var closedWords = [...][]closedWord{
+	2: {{"he", groupSubject}, {"it", groupSubject}, {"we", groupSubject}, {"us", groupObject}},
+	3: {
+		{"not", groupNegation}, {"nor", groupNegation},
+		{"she", groupSubject},
+		{"him", groupObject}, {"her", groupObject},
+		{"his", groupPossessive}, {"its", groupPossessive}, {"our", groupPossessive},
+		{"who", groupRelative},
+	},
+	4: {
+		{"they", groupSubject}, {"them", groupObject},
+		{"this", groupDemonstrative}, {"that", groupDemonstrative},
+		{"whom", groupRelative},
+	},
+	5: {
+		{"their", groupPossessive},
+		{"these", groupDemonstrative}, {"those", groupDemonstrative},
+		{"which", groupRelative}, {"whose", groupRelative},
+	},
+	6:  {{"itself", groupReflexive}},
+	7:  {{"neither", groupNegation}, {"himself", groupReflexive}, {"herself", groupReflexive}},
+	10: {{"themselves", groupReflexive}},
+}
+
+// wordByte marks the bytes of a word run: [0-9A-Za-z_].
+var wordByte = func() (t [256]bool) {
+	for c := 0; c < 256; c++ {
+		t[c] = c >= '0' && c <= '9' || c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' || c == '_'
+	}
+	return t
+}()
+
+// closedLengths[c] has bit n set when a closed word of n bytes starts with
+// the byte c, in either case: most runs of a text are turned away on it.
+var closedLengths = func() (t [256]uint16) {
+	for n, words := range closedWords {
+		for _, cw := range words {
+			t[cw.word[0]] |= 1 << n
+			t[cw.word[0]-'a'+'A'] |= 1 << n
 		}
+	}
+	return t
+}()
+
+// closedGroup looks a word run up in closedWords.
+func closedGroup(run string) (group, bool) {
+	if len(run) >= len(closedWords) || closedLengths[run[0]]&(1<<len(run)) == 0 {
+		return 0, false
+	}
+next:
+	for _, cw := range closedWords[len(run)] {
+		for i := 0; i < len(run); i++ {
+			// Setting bit 5 lower-cases a letter and maps no digit or
+			// underscore onto one.
+			if run[i]|0x20 != cw.word[i] {
+				continue next
+			}
+		}
+		return cw.group, true
+	}
+	return 0, false
+}
+
+// mention is one hit of the scan.
+type mention struct {
+	group      group
+	start, end int
+	sentence   int // of start; -1 between sentences
+}
+
+// sentenceCursor answers "which sentence holds this offset" for offsets
+// asked in ascending order, over ascending, disjoint spans.
+type sentenceCursor struct {
+	spans []nlp.Span
+	next  int // first span not wholly before the last offset asked about
+}
+
+// at returns the index of the sentence containing pos, -1 when pos falls
+// between sentences.
+func (c *sentenceCursor) at(pos int) int {
+	for c.next < len(c.spans) && c.spans[c.next].End <= pos {
+		c.next++
+	}
+	if c.next < len(c.spans) && pos >= c.spans[c.next].Start {
+		return c.next
 	}
 	return -1
 }
 
-// overlapsClaims reports whether [s, e) intersects any claimed span.
-func overlapsClaims(claimed []claim, s, e int) bool {
-	for _, c := range claimed {
-		if s < c.end && c.start < e {
-			return true
+// scan appends the mentions of text to dst in the order they end. A ")"
+// closes the nearest "(" before it unless another bracket lies between:
+// the leftmost non-overlapping matches of \(([^()]*)\).
+func scan(dst []mention, text string, sentences []nlp.Span) []mention {
+	cur := sentenceCursor{spans: sentences}
+	open, openSent := -1, -1 // the last "(" no ")" has closed yet
+	for i := 0; i < len(text); {
+		switch c := text[i]; {
+		case wordByte[c]:
+			start := i
+			for i++; i < len(text) && wordByte[text[i]]; i++ {
+			}
+			if g, ok := closedGroup(text[start:i]); ok {
+				dst = append(dst, mention{g, start, i, cur.at(start)})
+			}
+		case c == '(':
+			open, openSent = i, cur.at(i)
+			i++
+		case c == ')' && open >= 0:
+			dst = append(dst, mention{groupParen, open, i + 1, openSent})
+			open = -1
+			i++
+		default:
+			i++
 		}
 	}
-	return false
+	return dst
 }
 
 // Analyze scans a document's text and returns stand-off annotations for
-// negation particles, pronouns (per class), and parenthesized text.
-// Sentence indexes are assigned from the provided spans.
+// negation particles, pronouns (per class), and parenthesized text:
+// negations first, then pronouns from the reflexive class down to the
+// subject class, then parentheses, each in text order. Words match up to
+// ASCII case. Sentence indexes are assigned from the provided spans, which
+// must be ascending and disjoint, as nlp.SplitSentences returns them.
 //
 //lintx:hotpath linguistic scan, run once per extracted document (§4.3.1 pipeline; ROADMAP item 2).
 func Analyze(docID, text string, sentences []nlp.Span) []annot.Annotation {
-	out := make([]annot.Annotation, 0, 16)
-	claimed := make([]claim, 0, 8)
-	//lintx:ignore allocfree regexp Find APIs allocate their result slices; the PR8 arc replaces these with prefiltered scans
-	for _, m := range negationRe.FindAllStringIndex(text, -1) {
-		out = append(out, annot.Annotation{
-			DocID: docID, Sentence: sentenceAt(sentences, m[0]), Start: m[0], End: m[1],
-			Kind: annot.KindNegation, Value: text[m[0]:m[1]], Source: "ling",
-		})
+	// An abstract's mentions fit the stack; a full text's spill to the heap.
+	mentions := scan(make([]mention, 0, 64), text, sentences)
+
+	// Counting sort by group, stable, so each group stays in text order.
+	var at [numGroups + 1]int
+	for _, m := range mentions {
+		at[m.group+1]++
 	}
-	for _, class := range pronounOrder {
-		//lintx:ignore allocfree regexp Find APIs allocate their result slices; the PR8 arc replaces these with prefiltered scans
-		for _, m := range pronounRes[class].FindAllStringIndex(text, -1) {
-			if overlapsClaims(claimed, m[0], m[1]) {
-				continue
-			}
-			claimed = append(claimed, claim{m[0], m[1]})
-			out = append(out, annot.Annotation{
-				DocID: docID, Sentence: sentenceAt(sentences, m[0]), Start: m[0], End: m[1],
-				Kind: annot.KindPronoun, Value: PronounClassNames[class],
-				Source: "ling",
-			})
+	for g := 1; g < len(at); g++ {
+		at[g] += at[g-1]
+	}
+	out := make([]annot.Annotation, len(mentions))
+	for _, m := range mentions {
+		a := annot.Annotation{
+			DocID: docID, Sentence: m.sentence, Start: m.start, End: m.end,
+			Source: "ling",
 		}
-	}
-	//lintx:ignore allocfree regexp Find APIs allocate their result slices; the PR8 arc replaces these with prefiltered scans
-	for _, m := range parenRe.FindAllStringIndex(text, -1) {
-		out = append(out, annot.Annotation{
-			DocID: docID, Sentence: sentenceAt(sentences, m[0]), Start: m[0], End: m[1],
-			Kind: annot.KindParen, Value: text[m[0]:m[1]], Source: "ling",
-		})
+		switch m.group {
+		case groupNegation:
+			a.Kind, a.Value = annot.KindNegation, text[m.start:m.end]
+		case groupParen:
+			a.Kind, a.Value = annot.KindParen, text[m.start:m.end]
+		default:
+			a.Kind, a.Value = annot.KindPronoun, PronounClassNames[m.group.pronounClass()]
+		}
+		out[at[m.group]] = a
+		at[m.group]++
 	}
 	return out
 }

@@ -6,7 +6,13 @@
 // "sentences" from web text (Fig 3a discussion).
 //
 // Both order 2 (bigram transitions) and order 3 (trigram transitions) are
-// supported; the ablation bench compares them.
+// supported; the ablation bench compares them. Order 3 decodes exactly but
+// not densely: an admissible bound on every completion prunes the tag-pair
+// lattice to the states that can still lie on a best path — one or two per
+// token on a sentence of clean text, hundreds on junk, and hundreds again
+// on anything much past a hundred tokens, because the bound's slack grows
+// with the tokens still to come. That is where §4.2's "large runtime
+// fluctuations" come from here; the dense sweep's cost is the ceiling.
 package postag
 
 import (
@@ -14,6 +20,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // TaggedToken is one training token.
@@ -58,6 +67,18 @@ type Tagger struct {
 
 	// shape priors: log P(tag | shape-class) for unknown words.
 	logShape map[string][]float64
+
+	// Tag's lookup tables, derived from the model above once, at the end of
+	// Train, and read-only afterwards. wordRow holds the full emission row of
+	// every known word, suffixRow the per-tag suffix score of every known
+	// suffix with logUnknown where a tag never saw it.
+	wordRow   map[string][]float64
+	suffixRow map[string][]float64
+	// transBound[j*T+b] = max over a of logTrans3[a*S+b][j]: no trigram
+	// transition out of tag b into tag j scores higher (order 3 only).
+	// transBoundMax[j] = max over b of transBound[j*T+b].
+	transBound    []float64
+	transBoundMax []float64
 }
 
 // Train estimates the model from gold-tagged sentences.
@@ -179,7 +200,65 @@ func Train(sentences [][]TaggedToken, cfg Config) *Tagger {
 		}
 		t.logShape[sh] = l
 	}
+	t.densify()
 	return t
+}
+
+// densify derives Tag's lookup tables from the trained model. Every table
+// entry is a function of its key alone, so the maps' iteration order leaves
+// no trace.
+func (t *Tagger) densify() {
+	T := len(t.tags)
+	t.suffixRow = map[string][]float64{}
+	for _, known := range t.logSuffix {
+		for suf := range known {
+			if t.suffixRow[suf] != nil {
+				continue
+			}
+			row := make([]float64, T)
+			for ti := range row {
+				if lp, ok := t.logSuffix[ti][suf]; ok {
+					row[ti] = lp
+				} else {
+					row[ti] = t.logUnknown[ti]
+				}
+			}
+			t.suffixRow[suf] = row
+		}
+	}
+	t.wordRow = map[string][]float64{}
+	for _, known := range t.logEmit {
+		for w := range known {
+			if t.wordRow[w] != nil {
+				continue
+			}
+			row := make([]float64, T)
+			t.unknownRow(w, row)
+			for ti := range row {
+				if lp, ok := t.logEmit[ti][w]; ok {
+					row[ti] = lp
+				}
+			}
+			t.wordRow[w] = row
+		}
+	}
+	if t.cfg.Order != 3 {
+		return
+	}
+	S := T + 1
+	t.transBound = make([]float64, T*T)
+	t.transBoundMax = make([]float64, T)
+	for j := 0; j < T; j++ {
+		t.transBoundMax[j] = math.Inf(-1)
+		for b := 0; b < T; b++ {
+			bound := math.Inf(-1)
+			for a := 0; a < S; a++ {
+				bound = max(bound, t.logTrans3[a*S+b][j])
+			}
+			t.transBound[j*T+b] = bound
+			t.transBoundMax[j] = max(t.transBoundMax[j], bound)
+		}
+	}
 }
 
 // Tags returns the tag inventory in training order.
@@ -230,37 +309,35 @@ func shape(w string) string {
 	}
 }
 
-// emitLog returns log P(word | tag) using the known-word table with
-// suffix/shape fallback for unknown words.
-func (t *Tagger) emitLog(ti int, w string) float64 {
-	if lp, ok := t.logEmit[ti][w]; ok {
-		return lp
+// foldedSuffixMax bounds the stack buffer foldedSuffixRow lower-cases into:
+// one input byte folds to at most three (an invalid byte becomes U+FFFD).
+const foldedSuffixMax = 48
+
+// foldedSuffixRow returns suffixRow[suffix(w, SuffixLen)] without building
+// the key: strings.ToLower is unicode.ToLower rune by rune, an invalid byte
+// read as U+FFFD.
+func (t *Tagger) foldedSuffixRow(w string) []float64 {
+	if len(w) > t.cfg.SuffixLen {
+		w = w[len(w)-t.cfg.SuffixLen:]
 	}
-	lp := t.logUnknown[ti]
-	if slp, ok := t.logSuffix[ti][suffix(w, t.cfg.SuffixLen)]; ok {
-		lp = slp
+	var buf [foldedSuffixMax]byte
+	key := buf[:0]
+	for _, r := range w {
+		key = utf8.AppendRune(key, unicode.ToLower(r))
 	}
-	if shp, ok := t.logShape[shape(w)]; ok {
-		lp += 0.5 * shp[ti]
-	}
-	return lp
+	return t.suffixRow[string(key)]
 }
 
-// emitRow fills dst with log P(word | tag) for every tag, hoisting the
-// suffix/shape computations out of the per-tag loop. This is the hot path
-// of Viterbi decoding.
-func (t *Tagger) emitRow(w string, dst []float64) {
-	suf := suffix(w, t.cfg.SuffixLen)
+// unknownRow fills dst with log P(word | tag) for a word no tag has seen:
+// its suffix's score, or the per-tag floor, plus half its shape's prior.
+func (t *Tagger) unknownRow(w string, dst []float64) {
+	base := t.foldedSuffixRow(w)
+	if base == nil {
+		base = t.logUnknown
+	}
 	shp := t.logShape[shape(w)]
 	for ti := range dst {
-		if lp, ok := t.logEmit[ti][w]; ok {
-			dst[ti] = lp
-			continue
-		}
-		lp := t.logUnknown[ti]
-		if slp, ok := t.logSuffix[ti][suf]; ok {
-			lp = slp
-		}
+		lp := base[ti]
 		if shp != nil {
 			lp += 0.5 * shp[ti]
 		}
@@ -268,17 +345,35 @@ func (t *Tagger) emitRow(w string, dst []float64) {
 	}
 }
 
+// emitRow fills dst with log P(word | tag) for every tag: the known-word
+// table with suffix/shape fallback for the tags that never saw the word.
+func (t *Tagger) emitRow(w string, dst []float64) {
+	if row, ok := t.wordRow[w]; ok {
+		copy(dst, row)
+		return
+	}
+	t.unknownRow(w, dst)
+}
+
 // Tag decodes the most likely tag sequence for words via Viterbi. It
-// returns ErrTooLong for sentences over the configured limit.
+// returns ErrTooLong for sentences over the configured limit. A Tagger is
+// safe for concurrent Tag calls: decoding reads the trained tables and
+// writes only per-call or pooled scratch.
+//
+//lintx:hotpath the analysis flow's dominant kernel: runs once per sentence of every document (§4.2, Fig 3a; ROADMAP item 2).
 func (t *Tagger) Tag(words []string) ([]string, error) {
 	if t.cfg.MaxTokens > 0 && len(words) > t.cfg.MaxTokens {
+		//lintx:ignore allocfree,boxing the refusal of a degenerate sentence, before any decoding; what it allocates is the error it returns
 		return nil, fmt.Errorf("%w: %d tokens (limit %d)", ErrTooLong, len(words), t.cfg.MaxTokens)
 	}
 	if len(words) == 0 {
 		return nil, nil
 	}
 	if t.cfg.Order == 3 {
-		return t.viterbi3(words)
+		lat := latticePool.Get().(*lattice)
+		tags, err := t.viterbi3(lat, words)
+		latticePool.Put(lat)
+		return tags, err
 	}
 	return t.viterbi2(words)
 }
@@ -328,75 +423,197 @@ func (t *Tagger) viterbi2(words []string) ([]string, error) {
 	return out, nil
 }
 
-// viterbi3 decodes with trigram transitions over tag-pair states, using
-// dense score arrays over the (prev, cur) state space — state (a, b) with
-// a ∈ [0..T] (T = start symbol) and b ∈ [0..T-1] is encoded as a*T + b.
-func (t *Tagger) viterbi3(words []string) ([]string, error) {
+// lattice is viterbi3's scratch, reused across calls through latticePool.
+// A tag-pair state (a, b) — a ∈ [0..T] with T the start symbol, b ∈ [0..T-1]
+// — is encoded as a*T + b.
+type lattice struct {
+	emit  []float64 // n×T: emit[i*T+j] = log P(words[i] | tag j)
+	ahead []float64 // n×T: ahead[i*T+b] bounds any completion after tag b at i
+	gain  []float64 // T: the backward pass's emit + ahead of the position to the right
+
+	// The position being filled, over the T×T states a token other than the
+	// first can be in: best score so far (-Inf where unreached) and the
+	// index, among the previous position's survivors, of the state it came
+	// from. reached marks the rows that hold anything.
+	next    []float64
+	from    []int32
+	reached []bool
+
+	// Survivors of every position, concatenated in ascending state order;
+	// position i owns [start[i], start[i+1]). back indexes the previous
+	// position's survivors. cur and grown hold the scores of the last
+	// complete position and of the one being collected.
+	start      []int32
+	state      []int32
+	back       []int32
+	cur, grown []float64
+}
+
+var latticePool = sync.Pool{New: func() any { return new(lattice) }}
+
+// reset sizes the scratch for n tokens over T tags. next is all -Inf
+// between calls: viterbi3 clears every row it reaches.
+func (l *lattice) reset(n, T int) {
+	if cap(l.emit) < n*T {
+		l.emit = make([]float64, n*T)
+		l.ahead = make([]float64, n*T)
+	}
+	l.emit, l.ahead = l.emit[:n*T], l.ahead[:n*T]
+	if len(l.next) != T*T {
+		l.next = make([]float64, T*T)
+		for i := range l.next {
+			l.next[i] = math.Inf(-1)
+		}
+		l.from = make([]int32, T*T)
+		l.reached = make([]bool, T)
+		l.gain = make([]float64, T)
+	}
+	l.start = append(l.start[:0], 0)
+	l.state, l.back = l.state[:0], l.back[:0]
+	l.cur, l.grown = l.cur[:0], l.grown[:0]
+}
+
+// viterbi3 decodes with trigram transitions over tag-pair states and
+// returns exactly the path a dense sweep of all (T+1)·T states would: the
+// same scores from the same additions in the same order, the same strict
+// comparisons over states in ascending index, so the same winner of every
+// tie. It only declines to extend states that cannot lie on a best path.
+//
+// ahead[i][b] is an upper bound on what any path can still add after tag b
+// at position i, from the bigram relaxation transBound of the trigram
+// table. floor is the score of one real path, so the best path scores at
+// least that. A state whose score plus bound falls short of floor is on no
+// best path; every state of a best path clears it, with slack far above
+// the rounding difference between the bound's summation order and the
+// lattice's. Survivors' scores can only be lower than in the dense sweep,
+// never higher, and those on the best path are equal — so dropping the rest
+// changes no comparison the best path wins.
+func (t *Tagger) viterbi3(lat *lattice, words []string) ([]string, error) {
 	T := len(t.tags)
+	if T == 0 {
+		return nil, errNoPath // trained on nothing
+	}
 	n := len(words)
 	S := T + 1 // tag alphabet incl. start
-	nStates := S * T
-
 	neg := math.Inf(-1)
-	cur := make([]float64, nStates)
-	next := make([]float64, nStates)
-	for i := range cur {
-		cur[i] = neg
+	lat.reset(n, T)
+	em, ahead := lat.emit, lat.ahead
+	for i, w := range words {
+		t.emitRow(w, em[i*T:(i+1)*T])
 	}
-	em := make([]float64, T)
-	t.emitRow(words[0], em)
-	for j := 0; j < T; j++ {
-		cur[T*T+j] = t.logTrans3[T*S+T][j] + em[j] // (start, j)
-	}
-	backptr := make([][]int32, n)
-	for i := 1; i < n; i++ {
-		bp := make([]int32, nStates)
-		for k := range next {
-			next[k] = neg
-			bp[k] = -1
+
+	// Backward pass: ahead[n-1] = 0, ahead[i][b] = max over j of
+	// transBound[b→j] + gain[j] with gain[j] = em[i+1][j] + ahead[i+1][j].
+	// The tag with the best gain sets every b first; a tag that cannot beat
+	// the least of those even through its best transition raises no b and
+	// is skipped whole — on clean text, all but the first.
+	clear(ahead[(n-1)*T:])
+	gain := lat.gain
+	for i := n - 2; i >= 0; i-- {
+		first := 0
+		for j := range gain {
+			gain[j] = em[(i+1)*T+j] + ahead[(i+1)*T+j]
+			if gain[j] > gain[first] {
+				first = j
+			}
 		}
-		t.emitRow(words[i], em)
-		for st, score := range cur {
-			if score == neg {
+		into := ahead[i*T : (i+1)*T]
+		least := math.Inf(1)
+		for b, lp := range t.transBound[first*T : (first+1)*T] {
+			into[b] = lp + gain[first]
+			least = min(least, into[b])
+		}
+		for j, g := range gain {
+			if j == first || g+t.transBoundMax[j] <= least {
 				continue
 			}
-			a := st / T // previous-previous tag (or start)
-			b := st % T // previous tag
-			row := t.logTrans3[a*S+b]
-			base := b * T
-			for j := 0; j < T; j++ {
-				v := score + row[j] + em[j]
-				if v > next[base+j] {
-					next[base+j] = v
-					bp[base+j] = int32(st)
+			for b, lp := range t.transBound[j*T : (j+1)*T] {
+				if v := lp + g; v > into[b] {
+					into[b] = v
 				}
 			}
 		}
-		backptr[i] = bp
-		cur, next = next, cur
 	}
-	// Best final state.
-	bestScore := neg
-	bestSt := -1
-	for st, score := range cur {
-		if score > bestScore {
-			bestScore = score
-			bestSt = st
+
+	// One real path, each step the tag with the best score-plus-bound,
+	// summed the way the lattice sums.
+	floor := 0.0
+	for i, a, b := 0, T, T; i < n; i++ {
+		row := t.logTrans3[a*S+b]
+		best, arg := neg, 0
+		for j, lp := range row {
+			if v := lp + em[i*T+j] + ahead[i*T+j]; v > best {
+				best, arg = v, j
+			}
+		}
+		floor = floor + row[arg] + em[i*T+arg]
+		a, b = b, arg
+	}
+	floor -= 1e-6 + 1e-9*math.Abs(floor)
+
+	// First token: states (start, j).
+	for j, lp := range t.logTrans3[T*S+T] {
+		if v := lp + em[j]; v+ahead[j] >= floor {
+			lat.state = append(lat.state, int32(T*T+j))
+			lat.back = append(lat.back, -1)
+			lat.cur = append(lat.cur, v)
 		}
 	}
-	if bestSt < 0 {
-		return nil, errors.New("postag: no path")
+	lat.start = append(lat.start, int32(len(lat.state)))
+
+	for i := 1; i < n; i++ {
+		e := em[i*T : (i+1)*T]
+		for k, st := range lat.state[lat.start[i-1]:lat.start[i]] {
+			a := int(st) / T // previous-previous tag (or start)
+			b := int(st) % T // previous tag
+			row := t.logTrans3[a*S+b]
+			score := lat.cur[k]
+			next, from := lat.next[b*T:(b+1)*T], lat.from[b*T:(b+1)*T]
+			lat.reached[b] = true
+			for j := range next {
+				v := score + row[j] + e[j]
+				if v > next[j] {
+					next[j] = v
+					from[j] = int32(k)
+				}
+			}
+		}
+		lat.grown = lat.grown[:0]
+		for b, hit := range lat.reached {
+			if !hit {
+				continue
+			}
+			lat.reached[b] = false
+			for j, v := range lat.next[b*T : (b+1)*T] {
+				lat.next[b*T+j] = neg
+				if v+ahead[i*T+j] >= floor {
+					lat.state = append(lat.state, int32(b*T+j))
+					lat.back = append(lat.back, lat.from[b*T+j])
+					lat.grown = append(lat.grown, v)
+				}
+			}
+		}
+		lat.start = append(lat.start, int32(len(lat.state)))
+		lat.cur, lat.grown = lat.grown, lat.cur
+	}
+
+	// Best final state: the best path's own always survives.
+	bestK := 0
+	for k, score := range lat.cur {
+		if score > lat.cur[bestK] {
+			bestK = k
+		}
 	}
 	out := make([]string, n)
-	st := int32(bestSt)
-	for i := n - 1; i >= 0; i-- {
-		out[i] = t.tags[int(st)%T]
-		if i > 0 {
-			st = backptr[i][st]
-		}
+	for i, k := n-1, int32(bestK); i >= 0; i-- {
+		at := lat.start[i] + k
+		out[i] = t.tags[int(lat.state[at])%T]
+		k = lat.back[at]
 	}
 	return out, nil
 }
+
+var errNoPath = errors.New("postag: no path")
 
 // Accuracy scores predicted against gold tags, ignoring length mismatches.
 func Accuracy(gold, pred [][]string) float64 {

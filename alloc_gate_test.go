@@ -3,15 +3,10 @@ package webtextie
 // Zero-alloc gates for the IE hot path (ROADMAP item 2), the dynamic
 // counterpart of the static allocfree/boxing/hotpathpurity checks: each
 // //lintx:hotpath root runs as a fixed deterministic workload under
-// testing.AllocsPerRun and must stay within the allocs/op budget
-// committed in BENCH_PR7.json (regenerated with `make bench-pr7`).
-// Budgets can only be re-baselined by regenerating the JSON, and hard
-// per-workload ceilings below prevent a regenerated baseline from
-// silently absorbing a regression — the scan cores must stay at zero.
+// testing.AllocsPerRun and must stay within the allocs/op ceiling set
+// beside it below — the scan cores must stay at zero.
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -70,14 +65,14 @@ func gateSetup() {
 
 // allocWorkloads are the gated hot-path workloads. Each must be
 // deterministic: same work, same allocations, every run. ceiling is the
-// hard bound a regenerated BENCH_PR7.json may never raise a budget past.
+// workload's allocs/op budget.
 var allocWorkloads = []struct {
 	name    string
 	ceiling float64
 	fn      func()
 }{
-	// Find's single allocation is the fresh result buffer.
-	{"dict_find", 1, func() { _ = gateMatcher.Find(hotDoc) }},
+	// The discarded result buffer stays on the stack.
+	{"dict_find", 0, func() { _ = gateMatcher.Find(hotDoc) }},
 	// The caller-owned-buffer entry is allocation-free.
 	{"dict_find_append", 0, func() {
 		dictBuf = gateMatcher.FindAppend(dictBuf[:0], hotDoc)
@@ -87,7 +82,7 @@ var allocWorkloads = []struct {
 	// One token slice per call.
 	{"nlp_tokenize", 1, func() { _ = nlp.Tokenize(hotDoc, 0) }},
 	// Sentence spans + per-sentence token slices for the 4-sentence doc.
-	{"nlp_sentence_tokens", 8, func() { _, _ = nlp.SentenceTokens(hotDoc) }},
+	{"nlp_sentence_tokens", 6, func() { _, _ = nlp.SentenceTokens(hotDoc) }},
 	// The annotation slice, sized by a counting pass.
 	{"ling_analyze", 1, func() { _ = ling.Analyze("d1", hotDoc, gateSents) }},
 	// The tag slice; the lattice is pooled scratch.
@@ -112,8 +107,8 @@ var (
 	gatePage         = strings.Repeat(hotDoc+" ", 20) // ~4 KB of English net text
 )
 
-// BenchmarkHotPath measures every gated workload; `make bench-pr7`
-// freezes the results into BENCH_PR7.json as the committed budgets.
+// BenchmarkHotPath measures every gated workload (ns/op beside the
+// allocs/op TestAllocGate enforces).
 func BenchmarkHotPath(b *testing.B) {
 	gateSetup()
 	for _, w := range allocWorkloads {
@@ -128,56 +123,15 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 }
 
-// loadAllocBudgets maps workload name -> committed allocs/op from
-// BENCH_PR7.json.
-func loadAllocBudgets(t *testing.T) map[string]float64 {
-	t.Helper()
-	data, err := os.ReadFile("BENCH_PR7.json")
-	if err != nil {
-		t.Fatalf("reading BENCH_PR7.json (regenerate with `make bench-pr7`): %v", err)
-	}
-	var b benchBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatalf("parsing BENCH_PR7.json: %v", err)
-	}
-	out := map[string]float64{}
-	for _, e := range b.Benchmarks {
-		name, ok := strings.CutPrefix(e.Name, "BenchmarkHotPath/")
-		if !ok {
-			continue
-		}
-		allocs, ok := e.Metrics["allocs/op"]
-		if !ok {
-			t.Fatalf("BENCH_PR7.json entry %s has no allocs/op; regenerate with `make bench-pr7`", e.Name)
-		}
-		out[name] = allocs
-	}
-	return out
-}
-
 // TestAllocGate is the regression gate: every workload must stay within
-// its committed allocs/op budget (with +0.5 slack for AllocsPerRun
-// rounding) and within the hard ceiling.
+// its ceiling (with +0.5 slack for AllocsPerRun rounding).
 func TestAllocGate(t *testing.T) {
 	gateSetup()
-	budgets := loadAllocBudgets(t)
 	for _, w := range allocWorkloads {
 		t.Run(w.name, func(t *testing.T) {
-			budget, ok := budgets[w.name]
-			if !ok {
-				t.Fatalf("no committed budget for %s; regenerate BENCH_PR7.json with `make bench-pr7`", w.name)
-			}
-			if budget > w.ceiling {
-				t.Fatalf("committed budget %.1f allocs/op exceeds the hard ceiling %.0f: "+
-					"a regenerated baseline may not absorb a regression", budget, w.ceiling)
-			}
 			w.fn() // warm buffers: the gate measures steady state
-			got := testing.AllocsPerRun(100, w.fn)
-			if got > budget+0.5 {
-				t.Errorf("%s: %.1f allocs/op, committed budget %.1f", w.name, got, budget)
-			}
-			if got > w.ceiling+0.5 {
-				t.Errorf("%s: %.1f allocs/op breaks the hard ceiling %.0f", w.name, got, w.ceiling)
+			if got := testing.AllocsPerRun(100, w.fn); got > w.ceiling+0.5 {
+				t.Errorf("%s: %.1f allocs/op breaks the ceiling %.0f", w.name, got, w.ceiling)
 			}
 		})
 	}

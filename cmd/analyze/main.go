@@ -7,12 +7,19 @@
 //	        [-error-policy quarantine|failfast] [-op-retries N]
 //	        [-trace] [-trace-out FILE] [-trace-chrome FILE]
 //	        [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
+//	        [-series] [-series-out FILE] [-series-json FILE]
+//	        [-prof] [-prof-out FILE] [-prof-topk N]
 //
 // -trace attaches the per-record lineage recorder to the executor (every
 // quarantined record pins its full operator lineage); -log attaches the
 // deterministic structured event log and -doctor prints the cross-pillar
-// diagnosis at exit. -debug-addr serves /metrics, /traces, /logs,
-// /doctor, /progress and /debug/pprof live while the analysis runs.
+// diagnosis at exit. -prof attaches the wall-clock stage profiler — calls
+// and wall ms per operator — and prints the -prof-topk most expensive
+// operators at exit (-prof-out writes the profile as JSON). The -series
+// flags are accepted for parity with crawl; an execution has no sample
+// clock, so their exports stay empty. -debug-addr serves /metrics,
+// /traces, /logs, /doctor, /timeseries, /profile, /progress and
+// /debug/pprof live while the analysis runs.
 package main
 
 import (

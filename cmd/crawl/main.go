@@ -13,7 +13,7 @@
 //	      [-trace] [-trace-out FILE] [-trace-chrome FILE]
 //	      [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
 //	      [-series] [-series-out FILE] [-series-json FILE]
-//	      [-prof] [-prof-out FILE] [-prof-folded FILE] [-prof-topk N]
+//	      [-prof] [-prof-out FILE] [-prof-topk N]
 //
 // -shards N partitions the frontier by host hash into N shards, each with
 // its own crawldb, metric registry, trace recorder, and log sink, crawling
@@ -40,13 +40,12 @@
 // diagnosis at exit. -series samples the metric registry on the virtual
 // clock — per cycle unsharded, per BSP round fleet-wide — and prints
 // end-of-run sparklines (-series-out / -series-json write the CSV and
-// JSON exports). -prof attaches the deterministic cost profiler — virtual
-// ms and calls per frontier/fetch/filter/classify stage, per shard and
-// merged fleet-wide — and prints the top -prof-topk scopes at exit
-// (-prof-out / -prof-folded write the JSON and folded flame-stack
-// exports). -debug-addr serves /metrics, /traces, /logs, /doctor,
-// /timeseries, /profile, /progress and /debug/pprof live while the crawl
-// runs.
+// JSON exports). -prof attaches the wall-clock stage profiler — calls and
+// wall ms per frontier/fetch/filter/classify stage, per shard and summed
+// fleet-wide — and prints the -prof-topk most expensive scopes at exit
+// (-prof-out writes the profile as JSON). -debug-addr serves /metrics,
+// /traces, /logs, /doctor, /timeseries, /profile, /progress and
+// /debug/pprof live while the crawl runs.
 //
 // Fault injection is deterministic in the seed: the same flags reproduce
 // the same failures, retries, and breaker trips. A crawl interrupted with
@@ -72,6 +71,7 @@ import (
 	"webtextie/internal/obs/doctor"
 	"webtextie/internal/obs/evlog"
 	"webtextie/internal/obs/pillars"
+	"webtextie/internal/obs/prof"
 	"webtextie/internal/obs/series"
 	"webtextie/internal/obs/trace"
 	"webtextie/internal/rng"
@@ -392,7 +392,7 @@ func runSharded(o shardedOpts) {
 		runner.WithSeries(series.DefaultConfig())
 	}
 	if o.obsSetup.Prof != nil {
-		runner.WithProf(o.obsSetup.Prof.Config())
+		runner.WithProf(prof.Config{})
 	}
 	if o.resumeFile == "" {
 		runner.Seed(o.seedURLs)
@@ -465,17 +465,15 @@ func runSharded(o shardedOpts) {
 
 	// Export files carry the crawl pillars only (byte-identical to an
 	// unsupervised run); the doctor diagnoses crawl and supervision
-	// pillars together. Fleet runs also hand the doctor the unmerged
-	// per-shard profiles so cross-shard rules (stage-cost-skew) can see
-	// the partition balance the merged profile averages away.
+	// pillars together. Fleet runs also hand the doctor the per-shard
+	// virtual clocks so shard-cost-skew can see the partition balance the
+	// merged stats reduce to a makespan.
 	diag := &doctor.Input{Snapshot: res.Snapshot}
 	if rep != nil {
 		diag.Snapshot = pillars.Merge(res.Snapshot, rep.Snapshot)
 	}
-	if res.Profile != nil {
-		for _, pr := range res.PerShard {
-			diag.ShardProfiles = append(diag.ShardProfiles, pr.Profile)
-		}
+	for _, pr := range res.PerShard {
+		diag.ShardVirtualMs = append(diag.ShardVirtualMs, pr.Stats.VirtualMs)
 	}
 	summary, err := o.obsSetup.Finish(res.Snapshot, diag)
 	if summary != "" {

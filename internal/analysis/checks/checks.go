@@ -14,8 +14,8 @@
 //	seriesname   series recorder keys are constants in the dotted-name
 //	             grammar (the join key of sampling, /timeseries, doctor)
 //	profname     profiler scope names are constants in the dotted-name
-//	             grammar (the dots define the self/cum tree and the
-//	             flame-stack frames)
+//	             grammar (the dots say which stage is bracketed
+//	             inside which)
 //	sleepcall    no blocking time primitives in crawler/dataflow paths
 //	             (backoff runs on the virtual clock, not time.Sleep)
 //	logcall      no fmt/log printing outside package main (library code

@@ -31,8 +31,8 @@ var Determinism = &analysis.Analyzer{
 
 // determinismAllowed are the packages permitted to read real time/entropy.
 // internal/obs/prof is its own entry (pkgPathMatches is boundary-exact):
-// the profiler's wall lane reads time.Now by design, and its exports keep
-// that lane out of the deterministic surface.
+// the profiler brackets stages on the wall clock by design, and its
+// exports are outside every byte-identity contract.
 var determinismAllowed = []string{"internal/obs", "internal/obs/prof", "internal/rng"}
 
 // wallClockFuncs are the time package functions that read or depend on

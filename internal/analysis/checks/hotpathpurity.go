@@ -31,8 +31,8 @@ var HotPathPurity = &analysis.Analyzer{
 // purityAllowed are the obs-plane operations cheap enough for hot code:
 // guard probes, pre-resolved metric handle updates, and the by-value
 // trace attr constructors.
-// Enter/Exit are the profiler's wall-lane bracket pair: two atomic adds
-// and a clock read on pre-resolved scope handles, alloc-free by the prof
+// Enter/Exit are the profiler's bracket pair: two clock reads and two
+// atomic adds on pre-resolved scope handles, alloc-free by the prof
 // package's own AllocsPerRun test.
 var purityAllowed = map[string]bool{
 	"Enabled": true, "Inc": true, "Add": true, "Set": true, "Observe": true,

@@ -90,14 +90,14 @@ var (
 		dynamic: "%s passed to %s must be a compile-time constant (or a SeriesName builder call): " +
 			"dynamic names fracture the sampling/doctor join and unbound recorder growth",
 	}
-	// profNames: prof.Profiler.Scope names — the dots define the
-	// self/cumulative tree and the flame-stack frames.
+	// profNames: prof.Profiler.Scope names — the dots say which scope
+	// is bracketed inside which in the stage table.
 	profNames = nameSpec{
 		pkg: "internal/obs/prof", builder: "ScopeName",
 		args:    []nameArg{{[]string{"Scope"}, "scope name", dottedNameRE}},
 		grammar: "profiler " + dottedGrammar,
 		dynamic: "%s passed to %s must be a compile-time constant (or a ScopeName builder call): " +
-			"dynamic names corrupt the self/cum tree and unbound profiler growth",
+			"dynamic names break the stage table's nesting and unbound profiler growth",
 	}
 	// logNames: evlog message names (Logger.Debug/Info/Warn/Error) and
 	// component names (Sink.Logger). A message that doubles as a trace

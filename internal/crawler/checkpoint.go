@@ -41,7 +41,7 @@ type Checkpoint struct {
 	// annotations an uninterrupted run would not carry. The log is frozen
 	// before the checkpoint.saved record for the same reason. Checkpoints
 	// land between Step calls — after the cycle's series sample. The
-	// profile's virtual lane replays exactly; its wall lane carries over
+	// profile's call counts continue exactly; its wall time carries over
 	// as a running total.
 	pillars.Snapshot
 }

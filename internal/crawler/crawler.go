@@ -204,9 +204,9 @@ type Result struct {
 	// holds the per-cycle fetch counts, filter/classify counters, frontier
 	// gauges, politeness-stall and per-page cost histograms; Traces, Logs,
 	// Series (one per-cycle sample stream per counter/gauge on the virtual
-	// clock) and Profile (virtual ms and calls per
-	// frontier/fetch/filter/classify stage, plus the wall lane) are nil
-	// when the crawl ran without that pillar.
+	// clock) and Profile (calls and wall time per
+	// frontier/fetch/filter/classify stage) are nil when the crawl ran
+	// without that pillar.
 	pillars.Snapshot
 }
 
@@ -433,16 +433,15 @@ type crawlScopes struct {
 	cycle, frontier, fetch, filter, classify, checkpoint prof.Scope
 }
 
-// WithProf points the crawler at a cost profiler: each cycle's
-// generate/fetch work is bracketed on the wall lane (crawl.cycle,
-// crawl.cycle.frontier, crawl.checkpoint), and every fetched page's
-// deterministic virtual-clock cost is attributed to the stage that
-// consumed it — stall+fetch time to crawl.cycle.fetch, processing time
-// to crawl.cycle.filter or crawl.cycle.classify by where the page left
-// the pipeline (fetch-error pages charge processing to the fetch
-// stage). On a resumed crawler the checkpoint's profile snapshot is
-// loaded first, so the accumulators continue exactly where they
-// stopped. Returns the crawler for chaining.
+// WithProf points the crawler at a wall-clock stage profiler: each
+// cycle's frontier generation and fetch loop are bracketed
+// (crawl.cycle.frontier, crawl.cycle), inside the loop every fetch
+// attempt (crawl.cycle.fetch), every fetched page's pre-filters
+// (crawl.cycle.filter) and every classification (crawl.cycle.classify),
+// and beside it every checkpoint (crawl.checkpoint). On a resumed
+// crawler the checkpoint's profile snapshot is loaded first, so the
+// accumulators continue where they stopped. Returns the crawler for
+// chaining.
 func (c *Crawler) WithProf(p *prof.Profiler) *Crawler {
 	c.p.Prof = p
 	p.Load(c.resume.Profile)
@@ -631,6 +630,9 @@ func (c *Crawler) Step() bool {
 	}
 	c.m.frontierPending.Set(int64(c.db.Pending()))
 	c.m.frontierKnown.Set(int64(c.db.Known()))
+	// A cycle that finds nothing to fetch returns without closing ch, so
+	// crawl.cycle counts exactly the cycles stats.Cycles does.
+	ch := c.pf.cycle.Enter()
 	fh := c.pf.frontier.Enter()
 	list := c.db.GenerateAt(c.cfg.FetchListSize, c.cfg.MaxPerHostPerCycle, c.nowMs())
 	if len(list) == 0 {
@@ -656,7 +658,6 @@ func (c *Crawler) Step() bool {
 		}
 	}
 	fh.Exit()
-	ch := c.pf.cycle.Enter()
 	c.stats.Cycles++
 	c.m.cycles.Inc()
 	before := c.stats.Fetched
@@ -727,10 +728,8 @@ func (c *Crawler) fetchCycle(list []crawldb.FetchItem) {
 // delay to elapse — and the resulting per-page cost are observed on the
 // virtual clock, so the histograms are deterministic for a given seed.
 // latencyMs is extra server-side latency (slow hosts) on top of the base
-// fetch cost. The return values break the page's worker-time cost down
-// for the profiler's virtual lane: fetchMs is stall + fetch + latency,
-// processMs the downstream filter+classify budget.
-func (c *Crawler) advanceClock(host string, delayMs, latencyMs int) (fetchMs, processMs int64) {
+// fetch cost.
+func (c *Crawler) advanceClock(host string, delayMs, latencyMs int) {
 	// Earliest available worker.
 	w := 0
 	for i := 1; i < len(c.workerFree); i++ {
@@ -748,14 +747,11 @@ func (c *Crawler) advanceClock(host string, delayMs, latencyMs int) (fetchMs, pr
 	// Per-page processing cost: worker-available to page done, stalls
 	// included (the §4.1 "3-4 documents per second" accounting).
 	c.m.pageCost.Observe(float64(end - c.workerFree[w]))
-	fetchMs = start + int64(c.cfg.FetchCostMs) + int64(latencyMs) - c.workerFree[w]
-	processMs = int64(c.cfg.ProcessCostMs)
 	c.workerFree[w] = end
 	c.hostFree[host] = start + int64(delayMs)
 	if end > c.stats.VirtualMs {
 		c.stats.VirtualMs = end
 	}
-	return fetchMs, processMs
 }
 
 // traceOf re-enters a URL's lineage trace from the ID stamped in the
@@ -788,9 +784,8 @@ type pageOutcome struct {
 	// event is the trace event and log message announcing the exit;
 	// verdict is its verdict attr on classified pages ("" on rejections).
 	event, verdict string
-	// classified charges the page's processing budget to the classify
-	// stage's profiler scope and logs under the classify component; false
-	// means the filter stage's.
+	// classified logs the exit under the classify component; false means
+	// the filter component.
 	classified bool
 	stat       func(*Stats) *int
 	counter    func(*metrics) *obs.Counter
@@ -823,15 +818,14 @@ var (
 )
 
 // outcome is fetchOne's single exit: it fans one pageOutcome out to the
-// profiler, the stats, the metrics, the CrawlDB, the URL's trace and the
-// event log. With tracing and logging both off it builds no attrs and
-// allocates nothing.
-func (c *Crawler) outcome(o *pageOutcome, url string, tc trace.Context, processMs int64, netTextLen int, prob float64) {
-	scope, lg := c.pf.filter, c.lg.filter
+// stats, the metrics, the CrawlDB, the URL's trace and the event log.
+// With tracing and logging both off it builds no attrs and allocates
+// nothing.
+func (c *Crawler) outcome(o *pageOutcome, url string, tc trace.Context, netTextLen int, prob float64) {
+	lg := c.lg.filter
 	if o.classified {
-		scope, lg = c.pf.classify, c.lg.classify
+		lg = c.lg.classify
 	}
-	scope.Add(1, processMs)
 	*o.stat(&c.stats)++
 	o.counter(c.m).Inc()
 	c.db.SetStatus(url, o.dbStatus)
@@ -891,13 +885,11 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 	}
 	attempt := c.db.Attempts(item.URL)
 	at := tc.StartSpan("crawler.fetch.attempt", c.nowMs(), trace.Int("attempt", int64(attempt)))
+	ph := c.pf.fetch.Enter()
 	page, info, err := c.web.FetchAttempt(item.URL, attempt)
-	fetchMs, processMs := c.advanceClock(item.Host, rb.CrawlDelayMs, info.LatencyMs)
-	c.pf.fetch.Add(1, fetchMs)
+	ph.Exit()
+	c.advanceClock(item.Host, rb.CrawlDelayMs, info.LatencyMs)
 	if err != nil {
-		// A failed fetch still consumes the page's processing budget on
-		// the clock; no filter/classify stage ran, so it stays on fetch.
-		c.pf.fetch.Add(0, processMs)
 		at.End(c.nowMs())
 		c.onFetchError(item, attempt, info, err, tc)
 		return
@@ -914,21 +906,25 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 	c.m.fetchBytes.Add(int64(len(page.Body)))
 	c.perHost[item.Host]++
 
+	ph = c.pf.filter.Enter()
 	netText, o := c.filterPage(item.URL, page.Body)
+	ph.Exit()
 	var prob float64
 	if o == nil {
 		// Record the link structure of every parsed page.
 		c.ldb.AddLinks(page.URL, page.Links)
 		c.m.links.Add(int64(len(page.Links)))
 		// Relevance classification on the extracted net text.
+		ph = c.pf.classify.Enter()
 		prob = c.clf.ProbRelevant(netText)
 		o = &outIrrelevant
 		if prob >= c.clf.Threshold || c.entityBoosts(item.URL, netText, tc) {
 			o = &outRelevant
 		}
 		c.selfTrain(netText, prob)
+		ph.Exit()
 	}
-	c.outcome(o, item.URL, tc, processMs, len(netText), prob)
+	c.outcome(o, item.URL, tc, len(netText), prob)
 	if !o.classified {
 		return
 	}

@@ -97,7 +97,12 @@ func diffExports(t *testing.T, label string, want, got exports) {
 
 // The tentpole property: for a fixed shard count, the degree of
 // parallelism is invisible. DoP 1 and DoP N produce byte-identical merged
-// corpus, metrics, trace, and log exports.
+// corpus, metrics, trace, and log exports — and the same stats, virtual
+// makespan included. What sharding itself buys is stated on that clock
+// too: on the same page budget, four shards reach at least twice the
+// single shard's virtual throughput (vdocs/s, Fetched per VirtualMs —
+// the budget is enforced at round barriers, so the two fleets overshoot
+// it by different amounts and the bare clocks do not compare).
 func TestShardedCrawlDeterministicAcrossDoP(t *testing.T) {
 	e := newEnv(t, 120, nil)
 	const shards = 4
@@ -111,6 +116,14 @@ func TestShardedCrawlDeterministicAcrossDoP(t *testing.T) {
 	for _, dop := range []int{2, shards} {
 		got := runSharded(t, e, shards, dop, 800)
 		diffExports(t, "DoP "+string(rune('0'+dop)), base, got)
+	}
+	single := runSharded(t, e, 1, 1, 800)
+	if single.stats.Fetched < 800 {
+		t.Fatalf("1-shard run fetched %d pages, want the full 800 budget", single.stats.Fetched)
+	}
+	if int64(base.stats.Fetched)*single.stats.VirtualMs < 2*int64(single.stats.Fetched)*base.stats.VirtualMs {
+		t.Errorf("%d shards fetched %d pages in %d virtual ms, 1 shard %d in %d: want at least twice the vdocs/s",
+			shards, base.stats.Fetched, base.stats.VirtualMs, single.stats.Fetched, single.stats.VirtualMs)
 	}
 }
 

@@ -38,8 +38,8 @@ type Result struct {
 	// pillars.Merge in shard order, each pillar nil when it was off.
 	// Metrics sums counters, histograms and gauges, so e.g. the merged
 	// crawler.virtual.ms gauge is the total shard-clock time (cost) while
-	// Stats.VirtualMs is the parallel makespan; Profile's virtual-lane
-	// stage costs sum the same way (worker time, not makespan). Series is
+	// Stats.VirtualMs is the parallel makespan; Profile's calls and wall
+	// time sum the same way (busy time, not elapsed time). Series is
 	// not a merge: it is the runner's own recorder, one per-round sample
 	// stream per metric on the makespan clock.
 	pillars.Snapshot

@@ -217,13 +217,12 @@ func (r *Runner) WithSeries(cfg series.Config) *Runner {
 	return r
 }
 
-// WithProf attaches one cost profiler per shard, all with cfg. Each
-// shard attributes its own virtual-clock stage costs — virtual time is
-// shard-scoped, so a fleet-level profiler would race and double-count —
-// and Finish folds the snapshots with prof.Merge in shard order, making
-// the merged profile byte-identical across DoP 1 vs N for a fixed shard
-// count. On a resumed runner each profiler loads its shard's checkpoint
-// snapshot. Returns the runner for chaining.
+// WithProf attaches one wall-clock stage profiler per shard, all with
+// cfg. Each shard brackets its own stages and Finish folds the snapshots
+// with prof.Merge, so the merged call counts are identical across DoP 1
+// vs N for a fixed shard count and the merged wall time is busy time
+// summed over shards. On a resumed runner each profiler loads its
+// shard's checkpoint snapshot. Returns the runner for chaining.
 func (r *Runner) WithProf(cfg prof.Config) *Runner {
 	return r.attach(func(c *crawler.Crawler) { c.WithProf(prof.New(cfg)) })
 }

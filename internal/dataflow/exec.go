@@ -64,11 +64,10 @@ type ExecConfig struct {
 	// byte-identical across DoP settings per seed.
 	//
 	// Prof attributes execution cost per operator under
-	// dataflow.op.<name> scopes: every processed record charges one
-	// deterministic virtual-lane call plus a wall-lane bracket (real
-	// nanoseconds and, with prof.Config.Alloc, allocation deltas) around
-	// the operator invocation. Virtual-lane counts are DoP-independent
-	// under the Quarantine policy — the same caveat as Trace.
+	// dataflow.op.<name> scopes: every processed record is one bracket
+	// (a call and its real nanoseconds) around the operator invocation,
+	// retries included. Call counts are DoP-independent under the
+	// Quarantine policy — the same caveat as Trace.
 	pillars.Set
 	// Policy selects the response to UDF errors (Quarantine by default).
 	Policy ErrorPolicy
@@ -494,7 +493,6 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 						}
 						err := process(n, nm, cfg, item, emit, quar, lgOp)
 						ph.Exit()
-						psc.Add(1, 0)
 						sp.End()
 						item.tc.End(int64(n.id) + 1)
 						inflight.Add(-1)

@@ -9,6 +9,7 @@
 package cliobs
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +38,6 @@ type Flags struct {
 	SeriesJSON  *string
 	ProfOn      *bool
 	ProfOut     *string
-	ProfFolded  *string
 	ProfTopK    *int
 	DebugAddr   *string
 }
@@ -48,7 +48,7 @@ type Flags struct {
 func Names() []string {
 	return []string{"trace", "trace-out", "trace-chrome", "log", "log-out", "doctor",
 		"series", "series-out", "series-json",
-		"prof", "prof-out", "prof-folded", "prof-topk", "debug-addr"}
+		"prof", "prof-out", "prof-topk", "debug-addr"}
 }
 
 // Register installs the shared observability flags on a FlagSet.
@@ -63,10 +63,9 @@ func Register(fs *flag.FlagSet) *Flags {
 		SeriesOn:    fs.Bool("series", false, "attach the virtual-time metric series recorder"),
 		SeriesOut:   fs.String("series-out", "", "write the end-of-run series export (CSV) to FILE (implies -series)"),
 		SeriesJSON:  fs.String("series-json", "", "write the end-of-run series export (JSON) to FILE (implies -series)"),
-		ProfOn:      fs.Bool("prof", false, "attach the deterministic cost-attribution profiler"),
-		ProfOut:     fs.String("prof-out", "", "write the end-of-run cost profile (JSON) to FILE (implies -prof)"),
-		ProfFolded:  fs.String("prof-folded", "", "write the end-of-run cost profile (folded flame stacks) to FILE (implies -prof)"),
-		ProfTopK:    fs.Int("prof-topk", 10, "rows in the end-of-run profile top-k table (0 = all scopes)"),
+		ProfOn:      fs.Bool("prof", false, "attach the wall-clock stage profiler"),
+		ProfOut:     fs.String("prof-out", "", "write the end-of-run stage profile (JSON) to FILE (implies -prof)"),
+		ProfTopK:    fs.Int("prof-topk", 10, "rows in the end-of-run profile table, most expensive first (0 = all scopes)"),
 		DebugAddr:   fs.String("debug-addr", "", "serve the live debug endpoints (/metrics /traces /logs /doctor /timeseries /profile /progress /debug/pprof) on HOST:PORT (implies -trace, -log, -series, and -prof)"),
 	}
 }
@@ -94,7 +93,7 @@ func (f *Flags) Setup(seed uint64) *Setup {
 	if *f.SeriesOn || *f.SeriesOut != "" || *f.SeriesJSON != "" || *f.DebugAddr != "" {
 		s.Series = series.New(series.DefaultConfig())
 	}
-	if *f.ProfOn || *f.ProfOut != "" || *f.ProfFolded != "" || *f.DebugAddr != "" {
+	if *f.ProfOn || *f.ProfOut != "" || *f.DebugAddr != "" {
 		s.Prof = prof.New(prof.Config{})
 	}
 	return s
@@ -115,9 +114,9 @@ func (s *Setup) Serve(progress func() any) (string, error) {
 }
 
 // Finish writes the -trace-out / -trace-chrome / -log-out / -series-out
-// / -series-json / -prof-out / -prof-folded export files from snap and
-// returns the end-of-run summary (trace tallies, event-log tallies,
-// series sparklines, the profile top-k, and the -doctor report), ready
+// / -series-json / -prof-out export files from snap and returns the
+// end-of-run summary (trace tallies, event-log tallies, series
+// sparklines, the profile table, and the -doctor report), ready
 // for the command to print. Empty when every observability flag was off;
 // a nil pillar in snap reads as "flag off". A command whose pillars are
 // this setup's own passes s.Snapshot(); the sharded crawl passes its
@@ -200,16 +199,14 @@ func (s *Setup) Finish(snap pillars.Snapshot, diag *doctor.Input) (string, error
 		}
 	}
 	if profSnap != nil {
-		exp := profSnap.Export()
-		fmt.Fprintf(&b, "profile: %d scopes, %d virtual ms attributed\n",
-			len(exp.Scopes), exp.TotalVirtualMs)
-		for _, line := range strings.Split(strings.TrimSuffix(profSnap.TopK(*s.f.ProfTopK), "\n"), "\n") {
+		b.WriteString("profile: stages by wall-clock cost\n")
+		for _, line := range strings.Split(strings.TrimSuffix(profSnap.Text(*s.f.ProfTopK), "\n"), "\n") {
 			if line != "" {
 				fmt.Fprintf(&b, "  %s\n", line)
 			}
 		}
 		if *s.f.ProfOut != "" {
-			blob, err := profSnap.JSON()
+			blob, err := json.MarshalIndent(profSnap, "", "  ")
 			if err != nil {
 				return b.String(), err
 			}
@@ -217,12 +214,6 @@ func (s *Setup) Finish(snap pillars.Snapshot, diag *doctor.Input) (string, error
 				return b.String(), err
 			}
 			fmt.Fprintf(&b, "profile export (JSON) written to %s\n", *s.f.ProfOut)
-		}
-		if *s.f.ProfFolded != "" {
-			if err := os.WriteFile(*s.f.ProfFolded, []byte(profSnap.Folded()), 0o644); err != nil {
-				return b.String(), err
-			}
-			fmt.Fprintf(&b, "profile export (folded) written to %s\n", *s.f.ProfFolded)
 		}
 	}
 	if *s.f.DoctorOn {

@@ -98,7 +98,7 @@ func (o Options) index(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("/trace?id=<hex>     one trace by ID\n")
 	b.WriteString("/logs               event log (?component= &level= &msg= &trace= &limit= &format=text|json|logfmt)\n")
 	b.WriteString("/timeseries         virtual-time metric series (?name= &width= &format=text|csv|json)\n")
-	b.WriteString("/profile            cost profile (?scope= &topk= &format=text|folded|json|wall)\n")
+	b.WriteString("/profile            wall-clock stage profile (?scope= &topk= &format=text|json)\n")
 	b.WriteString("/doctor             ranked crawl diagnosis (?severity= &rule= &format=json)\n")
 	b.WriteString("/progress           live workload progress (JSON)\n")
 	b.WriteString("/debug/pprof/       runtime profiles\n")
@@ -375,15 +375,14 @@ func (o Options) timeseries(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// profile serves the cost-profiler pillar: the virtual-lane top-k
-// table, folded flame-graph stacks, and JSON export, plus the wall
-// lane's bracket totals.
+// profile serves the stage-profiler pillar: the cost-sorted wall-time
+// table, or the snapshot as JSON.
 func (o Options) profile(w http.ResponseWriter, r *http.Request) {
 	if o.Prof == nil {
 		http.Error(w, "profiling off: no profiler attached", http.StatusNotFound)
 		return
 	}
-	format, err := checkFormat(r, "", "text", "folded", "json", "wall")
+	format, err := checkFormat(r, "", "text", "json")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -399,19 +398,12 @@ func (o Options) profile(w http.ResponseWriter, r *http.Request) {
 		topk = n
 	}
 	s := o.Prof.Snapshot().Narrow(q.Get("scope"))
-	switch format {
-	case "json":
-		writeJSONBlob(w, s.JSON)
-	case "folded":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(s.Folded()))
-	case "wall":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(s.WallText()))
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(s.TopK(topk)))
+	if format == "json" {
+		writeJSONBlob(w, func() ([]byte, error) { return json.MarshalIndent(s, "", "  ") })
+		return
 	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = w.Write([]byte(s.Text(topk)))
 }
 
 func (o Options) progress(w http.ResponseWriter, r *http.Request) {

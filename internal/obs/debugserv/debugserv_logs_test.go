@@ -158,8 +158,6 @@ func TestContentTypes(t *testing.T) {
 		{"/doctor", text},
 		{"/doctor?format=json", jsonCT},
 		{"/profile", text},
-		{"/profile?format=folded", text},
-		{"/profile?format=wall", text},
 		{"/profile?format=json", jsonCT},
 		{"/progress", jsonCT},
 	}

@@ -8,15 +8,16 @@ import (
 	"webtextie/internal/obs/prof"
 )
 
-// sampleProf builds a profiler with a small crawl-stage tree: three
-// virtually-costed stages under a wall-bracketed cycle scope.
+// sampleProf builds a profiler with a small crawl-stage tree of fixed
+// costs: three stages under a cycle scope.
 func sampleProf() *prof.Profiler {
 	p := prof.New(prof.Config{})
-	h := p.Scope("crawl.cycle").Enter()
-	p.Scope("crawl.cycle.fetch").Add(10, 900)
-	p.Scope("crawl.cycle.filter").Add(8, 80)
-	p.Scope("crawl.cycle.classify").Add(6, 60)
-	h.Exit()
+	p.Load(&prof.Snapshot{Scopes: []*prof.ScopeData{
+		{Name: "crawl.cycle", Calls: 1, WallNs: 1_040_000_000},
+		{Name: "crawl.cycle.classify", Calls: 6, WallNs: 60_000_000},
+		{Name: "crawl.cycle.fetch", Calls: 10, WallNs: 900_000_000},
+		{Name: "crawl.cycle.filter", Calls: 8, WallNs: 80_000_000},
+	}})
 	return p
 }
 
@@ -30,7 +31,7 @@ func profOptions() Options {
 func TestProfileEndpoint(t *testing.T) {
 	h := Handler(profOptions())
 
-	// Text default: the top-k table, self-descending.
+	// Text default: the table, most expensive scope first.
 	code, body := get(t, h, "/profile")
 	if code != 200 {
 		t.Fatalf("text status %d:\n%s", code, body)
@@ -41,13 +42,13 @@ func TestProfileEndpoint(t *testing.T) {
 		}
 	}
 	if strings.Index(body, "crawl.cycle.fetch") > strings.Index(body, "crawl.cycle.filter") {
-		t.Fatalf("top-k not self-descending:\n%s", body)
+		t.Fatalf("table not cost-sorted:\n%s", body)
 	}
 
 	// topk limits the table rows (header + k rows + total).
-	code, body = get(t, h, "/profile?topk=1")
+	code, body = get(t, h, "/profile?topk=2")
 	if code != 200 || strings.Contains(body, "crawl.cycle.filter") || !strings.Contains(body, "crawl.cycle.fetch") {
-		t.Fatalf("topk=1: %d\n%s", code, body)
+		t.Fatalf("topk=2: %d\n%s", code, body)
 	}
 
 	// Scope narrowing.
@@ -56,41 +57,17 @@ func TestProfileEndpoint(t *testing.T) {
 		t.Fatalf("scope filter: %d\n%s", code, body)
 	}
 
-	// Folded flame stacks: dots become semicolons, weights are self ms.
-	code, body = get(t, h, "/profile?format=folded")
-	if code != 200 || !strings.Contains(body, "crawl;cycle;fetch 900") {
-		t.Fatalf("folded: %d\n%s", code, body)
-	}
-
-	// JSON is the Export shape with self/cum derivation.
+	// JSON is the snapshot itself.
 	code, body = get(t, h, "/profile?format=json")
 	if code != 200 {
 		t.Fatalf("json status %d", code)
 	}
-	var exp struct {
-		TotalVirtualMs int64 `json:"total_virtual_ms"`
-		Scopes         []struct {
-			Name   string `json:"name"`
-			SelfMs int64  `json:"self_ms"`
-			CumMs  int64  `json:"cum_ms"`
-		} `json:"scopes"`
-	}
-	if err := json.Unmarshal([]byte(body), &exp); err != nil {
+	var snap prof.Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if exp.TotalVirtualMs != 1040 {
-		t.Fatalf("total_virtual_ms = %d, want 1040", exp.TotalVirtualMs)
-	}
-	for _, s := range exp.Scopes {
-		if s.Name == "crawl.cycle" && (s.SelfMs != 0 || s.CumMs != 1040) {
-			t.Fatalf("crawl.cycle self/cum = %d/%d, want 0/1040", s.SelfMs, s.CumMs)
-		}
-	}
-
-	// Wall lane: brackets and wall ms, no virtual numbers.
-	code, body = get(t, h, "/profile?format=wall")
-	if code != 200 || !strings.Contains(body, "crawl.cycle brackets=1") {
-		t.Fatalf("wall: %d\n%s", code, body)
+	if fetch := snap.Get("crawl.cycle.fetch"); len(snap.Scopes) != 4 || fetch == nil || fetch.Calls != 10 || fetch.WallNs != 900_000_000 {
+		t.Fatalf("json snapshot = %s", body)
 	}
 
 	// Off when no profiler is attached.

@@ -111,6 +111,8 @@ func TestBadQueryParamsAreRejected(t *testing.T) {
 		"/timeseries?width=0",
 		"/timeseries?width=-2",
 		"/profile?format=yaml",
+		"/profile?format=folded",
+		"/profile?format=wall",
 		"/profile?topk=ten",
 		"/profile?topk=-1",
 	}
@@ -127,7 +129,7 @@ func TestBadQueryParamsAreRejected(t *testing.T) {
 		"/doctor?severity=warning&format=json",
 		"/timeseries?width=8&format=csv",
 		"/profile?topk=0&format=text",
-		"/profile?scope=crawl&format=folded",
+		"/profile?scope=crawl&format=json",
 	}
 	for _, path := range good {
 		if code, _ := get(t, h, path); code != 200 {

@@ -81,10 +81,11 @@ func (s *Severity) UnmarshalJSON(data []byte) error {
 type Input struct {
 	// Snapshot is the (possibly fleet-merged) state of the five pillars.
 	pillars.Snapshot
-	// ShardProfiles holds the per-shard cost profiles of a fleet run, in
-	// shard order; nil for single-crawler runs. Cross-shard rules (stage
-	// cost skew) need the unmerged view.
-	ShardProfiles []*prof.Snapshot
+	// ShardVirtualMs holds the per-shard virtual clocks of a fleet run
+	// (PerShard[i].Stats.VirtualMs), in shard order; nil for
+	// single-crawler runs. The cross-shard skew rule needs the unmerged
+	// view.
+	ShardVirtualMs []int64
 }
 
 // seriesPoints returns one series' raw sample stream, or nil when the

@@ -5,31 +5,22 @@ import (
 	"strconv"
 )
 
-// Profile-aware rules: the fifth pillar (internal/obs/prof) tells the
-// doctor *where the budget went*, not just what happened. The two rules
-// here diagnose cost pathologies the counter pillars cannot see — a
-// fleet whose stage costs are lopsided across shards, and a crawl whose
-// real time is eaten by checkpointing rather than crawling. Both degrade
-// to silence without the profile pillar.
+// Cost rules: where the budget went, not just what happened. The two
+// rules here diagnose pathologies the counter pillars cannot see — a
+// fleet whose shard clocks are lopsided, and a crawl whose real time is
+// eaten by checkpointing rather than crawling. The first reads the
+// per-shard virtual clocks; the second degrades to silence without the
+// profile pillar.
 
-// profMinStageMs is the fewest fleet-wide virtual milliseconds a stage
-// must have accumulated before the skew rule judges it; below that,
-// skew is noise from a handful of fetches.
-const profMinStageMs = 10_000
+// skewMinFleetMs is the fewest virtual milliseconds the shard clocks
+// must add up to before the skew rule judges them; below that, skew is
+// noise from a handful of fetches.
+const skewMinFleetMs = 10_000
 
-// profMinCheckpointBrackets is the fewest checkpoint brackets the
-// overhead rule needs; one or two checkpoints say nothing about a
-// steady-state overhead.
-const profMinCheckpointBrackets = 3
-
-// profStages are the crawl-cycle stages the skew rule compares across
-// shards. Frontier generation and checkpointing are wall-lane-only
-// scopes, so only the virtually-costed stages appear here.
-var profStages = [...]string{
-	"crawl.cycle.fetch",
-	"crawl.cycle.filter",
-	"crawl.cycle.classify",
-}
+// profMinCheckpointCalls is the fewest checkpoint brackets the overhead
+// rule needs; one or two checkpoints say nothing about a steady-state
+// overhead.
+const profMinCheckpointCalls = 3
 
 // fmtX renders a skew multiplier with one decimal so summaries stay
 // byte-stable.
@@ -37,89 +28,61 @@ func fmtX(v float64) string {
 	return strconv.FormatFloat(v, 'f', 1, 64) + "x"
 }
 
-// stageCostSkew fires when one shard spends far more virtual time in a
-// crawl stage than the fleet average — the host-hash partition is
-// unbalanced (one shard owns the slow or link-dense hosts), so the
-// fleet's makespan is pinned to its most loaded member. Stats.VirtualMs
-// already reports the makespan; this rule names the stage and shard
-// responsible for it.
-func stageCostSkew(in Input) []Finding {
-	shards := in.ShardProfiles
-	if len(shards) < 2 {
+// shardCostSkew fires when one shard's virtual clock runs far ahead of
+// the fleet average — the host-hash partition is unbalanced (one shard
+// owns the slow or link-dense hosts), so the fleet's makespan is pinned
+// to its most loaded member. Stats.VirtualMs already reports the
+// makespan; this rule names the shard responsible for it.
+func shardCostSkew(in Input) []Finding {
+	clocks := in.ShardVirtualMs
+	if len(clocks) < 2 {
 		return nil
 	}
-	var out []Finding
-	for _, stage := range profStages {
-		var total int64
-		var max int64
-		maxShard := -1
-		for i, s := range shards {
-			var ms int64
-			if s != nil {
-				if sd := s.Get(stage); sd != nil {
-					ms = sd.VirtualMs
-				}
-			}
-			total += ms
-			if ms > max {
-				max, maxShard = ms, i
-			}
+	var total, max int64
+	maxShard := 0
+	perShard := make([]string, len(clocks))
+	for i, ms := range clocks {
+		total += ms
+		if ms > max {
+			max, maxShard = ms, i
 		}
-		if total < profMinStageMs || maxShard < 0 {
-			continue
-		}
-		mean := float64(total) / float64(len(shards))
-		skew := float64(max) / mean
-		if skew < 1.5 {
-			continue
-		}
-		sev := Warning
-		if skew >= 2.5 {
-			sev = Critical
-		}
-		// Score: how much of a perfectly balanced fleet's headroom the
-		// hot shard consumed, clamped into [0,1] by construction
-		// (skew ranges over [1, S]).
-		score := (skew - 1) / float64(len(shards)-1)
-		if score > 1 {
-			score = 1
-		}
-		perShard := make([]string, len(shards))
-		for i, s := range shards {
-			var ms int64
-			if s != nil {
-				if sd := s.Get(stage); sd != nil {
-					ms = sd.VirtualMs
-				}
-			}
-			perShard[i] = fmt.Sprintf("shard %d: %dms", i, ms)
-		}
-		out = append(out, Finding{
-			Rule:     "stage-cost-skew",
-			Severity: sev,
-			Score:    score,
-			Summary: fmt.Sprintf("shard %d spends %s the fleet-average virtual time in %s",
-				maxShard, fmtX(skew), stage),
-			Evidence: []string{
-				fmt.Sprintf("%s self virtual ms per shard: %v (fleet total %dms)",
-					stage, perShard, total),
-				"an unbalanced host-hash partition pins the fleet makespan to its hottest shard (see /profile?format=folded)",
-			},
-		})
+		perShard[i] = fmt.Sprintf("shard %d: %dms", i, ms)
 	}
-	return out
+	if total < skewMinFleetMs {
+		return nil
+	}
+	skew := float64(max) / (float64(total) / float64(len(clocks)))
+	if skew < 1.5 {
+		return nil
+	}
+	sev := Warning
+	if skew >= 2.5 {
+		sev = Critical
+	}
+	return []Finding{{
+		Rule:     "shard-cost-skew",
+		Severity: sev,
+		// How much of a perfectly balanced fleet's headroom the hot shard
+		// consumed, in [0,1] by construction (skew ranges over [1, S]).
+		Score:   (skew - 1) / float64(len(clocks)-1),
+		Summary: fmt.Sprintf("shard %d's virtual clock is %s the fleet average", maxShard, fmtX(skew)),
+		Evidence: []string{
+			fmt.Sprintf("virtual ms per shard: %v (fleet total %dms)", perShard, total),
+			"an unbalanced host-hash partition pins the fleet makespan to its hottest shard",
+		},
+	}}
 }
 
 // checkpointOverheadDominance fires when the wall-clock time spent
 // writing checkpoints rivals the wall-clock time spent crawling — the
 // durability knob (CheckpointEvery) is set so aggressively that the
 // crawl does more saving than fetching. Virtual time cannot see this:
-// checkpointing is free on the simulated clock, so only the profiler's
-// wall lane exposes it.
+// checkpointing is free on the simulated clock, so only the wall-clock
+// profiler exposes it.
 func checkpointOverheadDominance(in Input) []Finding {
 	cp := in.profScope("crawl.checkpoint")
 	cyc := in.profScope("crawl.cycle")
-	if cp == nil || cyc == nil || cp.Brackets < profMinCheckpointBrackets ||
+	if cp == nil || cyc == nil || cp.Calls < profMinCheckpointCalls ||
 		cyc.WallNs <= 0 || cp.WallNs <= 0 {
 		return nil
 	}
@@ -136,11 +99,11 @@ func checkpointOverheadDominance(in Input) []Finding {
 		Severity: sev,
 		Score:    frac,
 		Summary: fmt.Sprintf("checkpointing consumed %s of crawl wall-clock time over %d snapshots",
-			pct(cp.WallNs, cp.WallNs+cyc.WallNs), cp.Brackets),
+			pct(cp.WallNs, cp.WallNs+cyc.WallNs), cp.Calls),
 		Evidence: []string{
-			fmt.Sprintf("wall lane: crawl.checkpoint=%dms over %d brackets vs crawl.cycle=%dms over %d brackets",
-				cp.WallNs/1e6, cp.Brackets, cyc.WallNs/1e6, cyc.Brackets),
-			"raise CheckpointEvery (or checkpoint on a coarser trigger) to reclaim the lost wall time (see /profile?format=wall)",
+			fmt.Sprintf("profile: crawl.checkpoint=%dms over %d calls vs crawl.cycle=%dms over %d calls",
+				cp.WallNs/1e6, cp.Calls, cyc.WallNs/1e6, cyc.Calls),
+			"raise CheckpointEvery (or checkpoint on a coarser trigger) to reclaim the lost wall time (see /profile)",
 		},
 	}}
 }

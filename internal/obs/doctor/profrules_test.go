@@ -22,20 +22,8 @@ func profWith(scopes map[string]prof.ScopeData) *prof.Snapshot {
 	return s
 }
 
-// shardProfiles builds one snapshot per shard holding a single stage
-// scope with the given self virtual milliseconds.
-func shardProfiles(stage string, ms []int64) []*prof.Snapshot {
-	out := make([]*prof.Snapshot, len(ms))
-	for i, v := range ms {
-		out[i] = profWith(map[string]prof.ScopeData{
-			stage: {Calls: v / 10, VirtualMs: v},
-		})
-	}
-	return out
-}
-
-// TestStageCostSkewFires checks both severity bands over synthetic
-// per-shard fetch costs.
+// TestStageCostSkewFires checks both severity bands of shard-cost-skew
+// over synthetic per-shard virtual clocks.
 func TestStageCostSkewFires(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -50,18 +38,18 @@ func TestStageCostSkewFires(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := Diagnose(Input{
-				Snapshot:      pillars.Snapshot{Metrics: metricsWith(nil, nil)},
-				ShardProfiles: shardProfiles("crawl.cycle.fetch", tc.ms),
+				Snapshot:       pillars.Snapshot{Metrics: metricsWith(nil, nil)},
+				ShardVirtualMs: tc.ms,
 			})
 			var found *Finding
 			for i := range rep.Findings {
-				if rep.Findings[i].Rule == "stage-cost-skew" {
+				if rep.Findings[i].Rule == "shard-cost-skew" {
 					found = &rep.Findings[i]
 					break
 				}
 			}
 			if found == nil {
-				t.Fatalf("stage-cost-skew did not fire; findings: %+v", rep.Findings)
+				t.Fatalf("shard-cost-skew did not fire; findings: %+v", rep.Findings)
 			}
 			if found.Severity != tc.wantSev {
 				t.Errorf("severity = %v, want %v", found.Severity, tc.wantSev)
@@ -76,37 +64,38 @@ func TestStageCostSkewFires(t *testing.T) {
 	}
 }
 
-// TestStageCostSkewStaysQuiet tables the non-firing shapes: balance,
-// too little cost to judge, and a single shard (nothing to skew).
+// TestStageCostSkewStaysQuiet tables shard-cost-skew's non-firing
+// shapes: balance, too little cost to judge, and a single shard (nothing
+// to skew).
 func TestStageCostSkewStaysQuiet(t *testing.T) {
 	cases := []struct {
-		name   string
-		shards []*prof.Snapshot
+		name string
+		ms   []int64
 	}{
-		{"balanced", shardProfiles("crawl.cycle.fetch", []int64{12_000, 11_000, 13_000, 12_000})},
-		{"below-min-ms", shardProfiles("crawl.cycle.fetch", []int64{2_000, 100, 100, 100})},
-		{"single-shard", shardProfiles("crawl.cycle.fetch", []int64{50_000})},
-		{"no-profiles", nil},
+		{"balanced", []int64{12_000, 11_000, 13_000, 12_000}},
+		{"below-min-ms", []int64{2_000, 100, 100, 100}},
+		{"single-shard", []int64{50_000}},
+		{"unsharded", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}, ShardProfiles: tc.shards})
+			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}, ShardVirtualMs: tc.ms})
 			for _, f := range rep.Findings {
-				if f.Rule == "stage-cost-skew" {
-					t.Errorf("stage-cost-skew fired: %+v", f)
+				if f.Rule == "shard-cost-skew" {
+					t.Errorf("shard-cost-skew fired: %+v", f)
 				}
 			}
 		})
 	}
 }
 
-// TestCheckpointOverheadDominance exercises the wall-lane rule across
-// its bands: quiet, warning, critical, and the minimum-bracket floor.
+// TestCheckpointOverheadDominance exercises the profile rule across its
+// bands: quiet, warning, critical, and the minimum-calls floor.
 func TestCheckpointOverheadDominance(t *testing.T) {
-	mk := func(cpMs, cycMs, brackets int64) *prof.Snapshot {
+	mk := func(cpMs, cycMs, calls int64) *prof.Snapshot {
 		return profWith(map[string]prof.ScopeData{
-			"crawl.checkpoint": {Brackets: brackets, WallNs: cpMs * 1e6},
-			"crawl.cycle":      {Brackets: 100, WallNs: cycMs * 1e6},
+			"crawl.checkpoint": {Calls: calls, WallNs: cpMs * 1e6},
+			"crawl.cycle":      {Calls: 100, WallNs: cycMs * 1e6},
 		})
 	}
 	cases := []struct {
@@ -148,12 +137,11 @@ func TestCheckpointOverheadDominance(t *testing.T) {
 			}
 		})
 	}
-	// Without the pillar, neither profile rule can fire.
+	// Without the pillar the rule cannot fire.
 	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}})
 	for _, f := range rep.Findings {
-		switch f.Rule {
-		case "stage-cost-skew", "checkpoint-overhead-dominance":
-			t.Errorf("profile rule %s fired without the profile pillar", f.Rule)
+		if f.Rule == "checkpoint-overhead-dominance" {
+			t.Errorf("checkpoint-overhead-dominance fired without the profile pillar")
 		}
 	}
 }
@@ -165,11 +153,11 @@ func TestProfRulesDeterministic(t *testing.T) {
 		Snapshot: pillars.Snapshot{
 			Metrics: metricsWith(nil, nil),
 			Profile: profWith(map[string]prof.ScopeData{
-				"crawl.checkpoint": {Brackets: 8, WallNs: 400e6},
-				"crawl.cycle":      {Brackets: 64, WallNs: 700e6},
+				"crawl.checkpoint": {Calls: 8, WallNs: 400e6},
+				"crawl.cycle":      {Calls: 64, WallNs: 700e6},
 			}),
 		},
-		ShardProfiles: shardProfiles("crawl.cycle.classify", []int64{33_000, 5_000, 5_000, 5_000}),
+		ShardVirtualMs: []int64{33_000, 5_000, 5_000, 5_000},
 	}
 	a, b := Diagnose(in), Diagnose(in)
 	if a.Text() != b.Text() {

@@ -37,8 +37,9 @@ var rules = []func(Input) []Finding{
 	breakerOscillation,
 	frontierStarvationTrend,
 	throughputCliff,
-	// Profile-aware rules (profrules.go) — need the cost-profile pillar.
-	stageCostSkew,
+	// Cost rules (profrules.go) — the per-shard virtual clocks, and the
+	// profile pillar.
+	shardCostSkew,
 	checkpointOverheadDominance,
 }
 

@@ -1,97 +1,56 @@
-// Package prof is the fifth observability pillar: a deterministic
-// hierarchical cost profiler. It attributes virtual milliseconds, call
-// counts, and (optionally) allocation deltas to a stable dotted scope
-// tree — crawl cycle → frontier/fetch/filter/classify/checkpoint,
-// dataflow execution → operator, IE → stage — so "where did the time
-// go" becomes a byte-identical export instead of a flamegraph that
-// changes with the hardware.
+// Package prof is the fifth observability pillar: a wall-clock stage
+// profiler. Callers bracket a stage with Scope.Enter / Handle.Exit and
+// the profiler accumulates, per stable dotted scope name — crawl cycle →
+// frontier/fetch/filter/classify, checkpoint, dataflow operator — how
+// often the stage ran and how many real nanoseconds it took, so "where
+// did the wall time go" is one table at the end of a run.
 //
-// Two lanes, never mixed on one scope:
-//
-//   - The virtual lane (Scope.Add) charges deterministic virtual-clock
-//     milliseconds and call counts. It is the lane the byte-stable
-//     exports (TopK, Folded, JSON) render, the lane prof.Merge folds
-//     shard-by-shard (DoP 1 vs N identical for a fixed shard count),
-//     and the lane Snapshot/Load replays across checkpoint/resume.
-//   - The wall lane (Scope.Enter/Handle.Exit) brackets real wall-clock
-//     nanoseconds and allocation deltas for real-hardware tuning. It is
-//     intentionally nondeterministic, rides snapshots for convenience,
-//     and renders only through WallText — never through the
-//     identity-gated exports.
+// Call counts are deterministic wherever the bracketed code is; wall
+// nanoseconds never are, so the profile stays outside every
+// byte-identity contract. Flame stacks come from /debug/pprof.
 //
 // Scope resolution (Profiler.Scope) locks and may allocate; callers
 // resolve scopes once at setup and keep the value-type Scope on the hot
-// path, where Add/Enter/Exit are atomic and allocation-free. Scope
-// names follow the constant lower-dotted grammar metric names use; the
-// lintx profname check enforces this at call sites outside this
-// package, with ScopeName as the sanctioned builder for computed names.
+// path, where Enter/Exit are atomic and allocation-free. Scope names
+// follow the constant lower-dotted grammar metric names use; the lintx
+// profname check enforces this at call sites outside this package, with
+// ScopeName as the sanctioned builder for computed names.
 package prof
 
 import (
-	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Config shapes a Profiler. The zero value is the CLI default.
-type Config struct {
-	// Alloc turns on allocation-delta measurement in the wall lane:
-	// each Enter/Exit bracket also charges the goroutine-global heap
-	// alloc deltas (bytes and objects) observed across the bracket.
-	// Off by default — reading runtime metrics costs more than the
-	// two clock reads the wall lane otherwise needs.
-	Alloc bool `json:"alloc,omitempty"`
-}
+// Config shapes a Profiler. It has no knobs; the type is what the
+// per-shard attach surfaces (shard.Runner.WithProf) pass along.
+type Config struct{}
 
-// node is one scope's accumulators. All fields are atomics so the
-// value-type Scope/Handle hot-path operations need no lock. calls and
-// virtualMs are the virtual lane; brackets, wallNs, and the alloc
-// counters are the wall lane — kept strictly apart so wall brackets
-// (checkpoints included) contribute nothing to the deterministic
-// exports and checkpoint/resume identity survives bracketing the
-// checkpoint itself.
+// node is one scope's accumulators, atomics so the value-type
+// Scope/Handle hot-path operations need no lock.
 type node struct {
-	calls      atomic.Int64
-	virtualMs  atomic.Int64
-	brackets   atomic.Int64
-	wallNs     atomic.Int64
-	allocBytes atomic.Int64
-	allocObjs  atomic.Int64
+	calls  atomic.Int64
+	wallNs atomic.Int64
 }
 
-// Profiler owns the scope tree. All methods are safe on a nil receiver
+// Profiler owns the scopes. All methods are safe on a nil receiver
 // (Scope returns a disabled Scope, Snapshot returns nil), so callers
 // gate profiling with a single nil check, and safe for concurrent use.
 type Profiler struct {
 	mu    sync.Mutex
-	cfg   Config
 	nodes map[string]*node
 }
 
-// New returns an empty Profiler with cfg.
-func New(cfg Config) *Profiler {
-	return &Profiler{cfg: cfg, nodes: map[string]*node{}}
-}
-
-// Enabled reports whether the profiler is live. A nil Profiler is the
-// "profiling off" state.
-func (p *Profiler) Enabled() bool { return p != nil }
-
-// Config returns the profiler's config.
-func (p *Profiler) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg
+// New returns an empty Profiler.
+func New(Config) *Profiler {
+	return &Profiler{nodes: map[string]*node{}}
 }
 
 // Scope resolves (creating if absent) the named scope. Names are
-// constant lower-dotted paths ("crawl.cycle.fetch"); dots define the
-// tree the exports derive self-vs-cumulative accounting from. Resolve
+// constant lower-dotted paths ("crawl.cycle.fetch"); a scope whose name
+// extends another's by a dotted suffix is bracketed inside it. Resolve
 // once at setup — Scope locks; the returned value does not.
 func (p *Profiler) Scope(name string) Scope {
 	if p == nil {
@@ -104,7 +63,7 @@ func (p *Profiler) Scope(name string) Scope {
 		n = &node{}
 		p.nodes[name] = n
 	}
-	return Scope{p: p, n: n}
+	return Scope{n: n}
 }
 
 // ScopeName joins parts into a dotted scope path — the sanctioned
@@ -115,80 +74,33 @@ func ScopeName(parts ...string) string {
 }
 
 // Scope is a resolved handle on one scope. The zero value (and any
-// Scope from a nil Profiler) is disabled: every method is a cheap
-// no-op, so hot paths need no branch beyond the one inside.
+// Scope from a nil Profiler) is disabled: Enter is a cheap no-op, so hot
+// paths need no branch beyond the one inside.
 type Scope struct {
-	p *Profiler
 	n *node
 }
 
-// Enabled reports whether attribution on this scope goes anywhere.
-func (s Scope) Enabled() bool { return s.n != nil }
-
-// Add charges the virtual lane: calls call-counts and virtualMs
-// deterministic virtual-clock milliseconds. This is the lane the
-// byte-identical exports render. Allocation-free.
-func (s Scope) Add(calls, virtualMs int64) {
-	if s.n == nil {
-		return
-	}
-	s.n.calls.Add(calls)
-	s.n.virtualMs.Add(virtualMs)
-}
-
-// Handle is an open wall-lane bracket. The zero value is disabled.
+// Handle is an open bracket. The zero value is disabled.
 type Handle struct {
-	s       Scope
+	n       *node
 	startNs int64
-	allocB  uint64
-	allocO  uint64
-	alloc   bool
 }
 
-// Enter opens a wall-lane bracket on the scope: Exit charges one
-// bracket, the elapsed wall nanoseconds, and (when Config.Alloc is set)
-// the heap allocation deltas across the bracket. Allocation-free; the
-// wall lane is the one place this package reads the real clock, and it
-// never feeds the deterministic exports.
+// Enter opens a bracket on the scope; Exit charges one call and the
+// elapsed wall nanoseconds. Allocation-free. This is the one place the
+// package reads the real clock.
 func (s Scope) Enter() Handle {
 	if s.n == nil {
 		return Handle{}
 	}
-	h := Handle{s: s, startNs: time.Now().UnixNano()}
-	if s.p != nil && s.p.cfg.Alloc {
-		h.alloc = true
-		h.allocB, h.allocO = readAlloc()
-	}
-	return h
+	return Handle{n: s.n, startNs: time.Now().UnixNano()}
 }
 
 // Exit closes the bracket opened by Enter. No-op on a zero Handle.
 func (h Handle) Exit() {
-	if h.s.n == nil {
+	if h.n == nil {
 		return
 	}
-	n := h.s.n
-	n.brackets.Add(1)
-	n.wallNs.Add(time.Now().UnixNano() - h.startNs)
-	if h.alloc {
-		b, o := readAlloc()
-		n.allocBytes.Add(int64(b - h.allocB))
-		n.allocObjs.Add(int64(o - h.allocO))
-	}
-}
-
-// allocMetrics are the runtime/metrics samples the alloc lane reads.
-// Cumulative heap allocation counters: cheap to read, no stop-the-world.
-const (
-	allocBytesMetric = "/gc/heap/allocs:bytes"
-	allocObjsMetric  = "/gc/heap/allocs:objects"
-)
-
-// readAlloc returns the process-cumulative heap allocation counters.
-func readAlloc() (bytes, objs uint64) {
-	var s [2]metrics.Sample
-	s[0].Name = allocBytesMetric
-	s[1].Name = allocObjsMetric
-	metrics.Read(s[:])
-	return s[0].Value.Uint64(), s[1].Value.Uint64()
+	h.n.calls.Add(1)
+	h.n.wallNs.Add(time.Now().UnixNano() - h.startNs)
 }

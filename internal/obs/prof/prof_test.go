@@ -1,228 +1,158 @@
 package prof
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// sampleProfiler builds a small two-level scope tree on the virtual
-// lane: a parent that only brackets the wall lane and three children
-// carrying the virtual cost.
-func sampleProfiler() *Profiler {
+// sampleSnapshot is a small two-level scope tree with fixed costs: a
+// cycle scope bracketing three stages, and a checkpoint scope beside it.
+func sampleSnapshot() *Snapshot {
 	p := New(Config{})
-	cycle := p.Scope("crawl.cycle")
-	fetch := p.Scope("crawl.cycle.fetch")
-	filter := p.Scope("crawl.cycle.filter")
-	classify := p.Scope("crawl.cycle.classify")
-	ckpt := p.Scope("crawl.checkpoint")
-	h := cycle.Enter()
-	fetch.Add(10, 2000)
-	filter.Add(3, 300)
-	classify.Add(7, 1750)
-	h.Exit()
-	ckpt.Add(1, 0)
-	return p
-}
-
-func TestExportSelfCumDerivation(t *testing.T) {
-	e := sampleProfiler().Snapshot().Export()
-	if e.TotalVirtualMs != 4050 {
-		t.Fatalf("total = %d, want 4050", e.TotalVirtualMs)
-	}
-	byName := map[string]ExportScope{}
-	for _, sc := range e.Scopes {
-		byName[sc.Name] = sc
-	}
-	cycle := byName["crawl.cycle"]
-	if cycle.SelfMs != 0 || cycle.CumMs != 4050 {
-		t.Errorf("crawl.cycle self=%d cum=%d, want self=0 cum=4050", cycle.SelfMs, cycle.CumMs)
-	}
-	if cycle.Calls != 0 {
-		t.Errorf("crawl.cycle calls=%d, want 0 (wall brackets stay out of the virtual lane)", cycle.Calls)
-	}
-	fetch := byName["crawl.cycle.fetch"]
-	if fetch.SelfMs != 2000 || fetch.CumMs != 2000 || fetch.Calls != 10 {
-		t.Errorf("crawl.cycle.fetch = %+v, want self=cum=2000 calls=10", fetch)
-	}
-	if ckpt := byName["crawl.checkpoint"]; ckpt.CumMs != 0 || ckpt.Calls != 1 {
-		t.Errorf("crawl.checkpoint = %+v, want cum=0 calls=1", ckpt)
-	}
-}
-
-func TestExportsByteIdenticalAcrossRuns(t *testing.T) {
-	a, b := sampleProfiler().Snapshot(), sampleProfiler().Snapshot()
-	if got, want := a.TopK(0), b.TopK(0); got != want {
-		t.Errorf("TopK diverged:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := a.Folded(), b.Folded(); got != want {
-		t.Errorf("Folded diverged:\n%s\nvs\n%s", got, want)
-	}
-	aj, err := a.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := b.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(aj) != string(bj) {
-		t.Errorf("JSON diverged:\n%s\nvs\n%s", aj, bj)
-	}
-}
-
-func TestTopKOrderAndLimit(t *testing.T) {
-	s := sampleProfiler().Snapshot()
-	top := s.TopK(2)
-	lines := strings.Split(strings.TrimRight(top, "\n"), "\n")
-	// Header + 2 rows + TOTAL.
-	if len(lines) != 4 {
-		t.Fatalf("TopK(2) rendered %d lines, want 4:\n%s", len(lines), top)
-	}
-	if !strings.HasPrefix(lines[1], "crawl.cycle.fetch") {
-		t.Errorf("top row = %q, want crawl.cycle.fetch (largest self)", lines[1])
-	}
-	if !strings.HasPrefix(lines[2], "crawl.cycle.classify") {
-		t.Errorf("second row = %q, want crawl.cycle.classify", lines[2])
-	}
-	if !strings.HasPrefix(lines[3], "TOTAL") {
-		t.Errorf("last row = %q, want TOTAL", lines[3])
-	}
-}
-
-func TestFoldedStacks(t *testing.T) {
-	s := sampleProfiler().Snapshot()
-	folded := s.Folded()
-	if !strings.Contains(folded, "crawl;cycle;fetch 2000\n") {
-		t.Errorf("Folded missing fetch stack:\n%s", folded)
-	}
-	lines := strings.Split(strings.TrimRight(folded, "\n"), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] >= lines[i] {
-			t.Errorf("Folded lines not sorted: %q before %q", lines[i-1], lines[i])
-		}
-	}
-}
-
-func TestSnapshotLoadRoundTrip(t *testing.T) {
-	orig := sampleProfiler()
-	snap := orig.Snapshot()
-	resumed := New(Config{})
-	resumed.Load(snap)
-	// Continue attribution on both and compare the virtual exports.
-	for _, p := range []*Profiler{orig, resumed} {
-		p.Scope("crawl.cycle.fetch").Add(5, 1000)
-	}
-	a, err := orig.Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := resumed.Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Errorf("resumed profile diverged from uninterrupted:\n%s\nvs\n%s", a, b)
-	}
-}
-
-func TestMergeSumsAcrossShards(t *testing.T) {
-	shard := func(fetchMs int64) *Snapshot {
-		p := New(Config{})
-		p.Scope("crawl.cycle.fetch").Add(1, fetchMs)
-		p.Scope("crawl.cycle.filter").Add(1, 10)
-		return p.Snapshot()
-	}
-	merged := Merge(shard(100), nil, shard(250))
-	if got := merged.Get("crawl.cycle.fetch"); got == nil || got.VirtualMs != 350 || got.Calls != 2 {
-		t.Errorf("merged fetch = %+v, want 350 ms over 2 calls", got)
-	}
-	if got := merged.Get("crawl.cycle.filter"); got == nil || got.VirtualMs != 20 {
-		t.Errorf("merged filter = %+v, want 20 ms", got)
-	}
-	// Merge of a split stream equals the unsplit stream.
-	whole := New(Config{})
-	whole.Scope("crawl.cycle.fetch").Add(2, 350)
-	whole.Scope("crawl.cycle.filter").Add(2, 20)
-	a, _ := merged.JSON()
-	b, _ := whole.Snapshot().JSON()
-	if string(a) != string(b) {
-		t.Errorf("merged-shards export != unsplit export:\n%s\nvs\n%s", a, b)
-	}
-}
-
-func TestNilSafety(t *testing.T) {
-	var p *Profiler
-	if p.Enabled() {
-		t.Error("nil profiler reports Enabled")
-	}
-	sc := p.Scope("anything.goes")
-	if sc.Enabled() {
-		t.Error("scope from nil profiler reports Enabled")
-	}
-	sc.Add(1, 100)
-	h := sc.Enter()
-	h.Exit()
-	if snap := p.Snapshot(); snap != nil {
-		t.Errorf("nil profiler snapshot = %+v, want nil", snap)
-	}
-	p.Load(&Snapshot{})
-	var zero Scope
-	zero.Add(1, 1)
-	zero.Enter().Exit()
-	if got := (*Snapshot)(nil).TopK(5); !strings.Contains(got, "TOTAL") {
-		t.Errorf("nil snapshot TopK = %q, want header+TOTAL", got)
-	}
-	if got := (*Snapshot)(nil).WallText(); got != "" {
-		t.Errorf("nil snapshot WallText = %q, want empty", got)
-	}
+	p.Load(&Snapshot{Scopes: []*ScopeData{
+		{Name: "crawl.checkpoint", Calls: 1, WallNs: 1_000_000},
+		{Name: "crawl.cycle", Calls: 2, WallNs: 9_000_000},
+		{Name: "crawl.cycle.classify", Calls: 7, WallNs: 1_750_000},
+		{Name: "crawl.cycle.fetch", Calls: 10, WallNs: 5_000_000},
+		{Name: "crawl.cycle.filter", Calls: 3, WallNs: 1_750_000},
+		{Name: "crawl.cycle.frontier"},
+	}})
+	return p.Snapshot()
 }
 
 func TestWallLane(t *testing.T) {
 	p := New(Config{})
 	sc := p.Scope("io.read")
-	h := sc.Enter()
-	h.Exit()
-	sd := p.Snapshot().Get("io.read")
-	if sd == nil || sd.Brackets != 1 {
-		t.Fatalf("wall bracket scope = %+v, want brackets=1", sd)
+	for i := 0; i < 3; i++ {
+		sc.Enter().Exit()
 	}
-	if sd.Calls != 0 || sd.VirtualMs != 0 {
-		t.Errorf("wall bracket leaked into the virtual lane: %+v (lanes must not mix)", sd)
+	sd := p.Snapshot().Get("io.read")
+	if sd == nil || sd.Calls != 3 {
+		t.Fatalf("bracketed scope = %+v, want calls=3", sd)
 	}
 	if sd.WallNs < 0 {
-		t.Errorf("wall bracket charged negative wall time: %d ns", sd.WallNs)
+		t.Errorf("brackets charged negative wall time: %d ns", sd.WallNs)
 	}
-	if txt := p.Snapshot().WallText(); !strings.Contains(txt, "io.read brackets=1") {
-		t.Errorf("WallText missing the bracketed scope:\n%s", txt)
+	if again := p.Scope("io.read"); again != sc {
+		t.Error("resolving a scope twice returned two handles")
 	}
 }
 
-func TestAllocLane(t *testing.T) {
-	p := New(Config{Alloc: true})
-	sc := p.Scope("alloc.heavy")
-	var sink []byte
-	h := sc.Enter()
-	sink = make([]byte, 1<<20)
-	h.Exit()
-	_ = sink
-	sd := p.Snapshot().Get("alloc.heavy")
-	if sd == nil || sd.AllocBytes < 1<<20 {
-		t.Errorf("alloc lane recorded %+v, want >= 1 MiB across the bracket", sd)
+func TestConcurrentBrackets(t *testing.T) {
+	p := New(Config{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := p.Scope("hot.loop")
+			for i := 0; i < 100; i++ {
+				sc.Enter().Exit()
+			}
+			p.Snapshot()
+		}()
+	}
+	wg.Wait()
+	if sd := p.Snapshot().Get("hot.loop"); sd == nil || sd.Calls != 800 {
+		t.Errorf("hot.loop = %+v, want 800 calls", sd)
+	}
+}
+
+func TestTopKOrderAndLimit(t *testing.T) {
+	s := sampleSnapshot()
+	if got := s.totalNs(); got != 10_000_000 {
+		t.Fatalf("totalNs = %d, want 10ms (cycle + checkpoint; the stages are inside cycle)", got)
+	}
+	lines := strings.Split(strings.TrimRight(s.Text(0), "\n"), "\n")
+	var names []string
+	for _, l := range lines {
+		names = append(names, strings.Fields(l)[0])
+	}
+	// Ties (classify, filter) break by name; frontier never ran.
+	want := []string{"SCOPE", "crawl.cycle", "crawl.cycle.fetch", "crawl.cycle.classify", "crawl.cycle.filter", "crawl.checkpoint", "TOTAL"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("row order = %v, want %v", names, want)
+	}
+	if f := strings.Fields(lines[2]); !reflect.DeepEqual(f, []string{"crawl.cycle.fetch", "10", "5.000", "50.0%"}) {
+		t.Errorf("fetch row = %v", f)
+	}
+	if f := strings.Fields(lines[6]); !reflect.DeepEqual(f, []string{"TOTAL", "10.000"}) {
+		t.Errorf("total row = %v", f)
+	}
+	if top := strings.Split(strings.TrimRight(s.Text(2), "\n"), "\n"); len(top) != 4 {
+		t.Errorf("Text(2) rendered %d lines, want header + 2 rows + TOTAL:\n%s", len(top), s.Text(2))
+	}
+}
+
+func TestSnapshotLoadRoundTrip(t *testing.T) {
+	snap := sampleSnapshot()
+	blob, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	resumed := New(Config{})
+	resumed.Load(&back)
+	if got := resumed.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Errorf("snapshot changed across JSON + Load:\n%s\nvs\n%s", got.Text(0), snap.Text(0))
+	}
+	// Brackets continue the loaded accumulators.
+	resumed.Scope("crawl.cycle.fetch").Enter().Exit()
+	if got := resumed.Snapshot().Get("crawl.cycle.fetch"); got.Calls != 11 || got.WallNs < 5_000_000 {
+		t.Errorf("fetch after one more bracket = %+v, want 11 calls on top of 5ms", got)
+	}
+}
+
+func TestMergeSumsAcrossShards(t *testing.T) {
+	shard := func(fetchNs int64) *Snapshot {
+		return &Snapshot{Scopes: []*ScopeData{
+			{Name: "crawl.cycle.fetch", Calls: 1, WallNs: fetchNs},
+			{Name: "crawl.cycle.filter", Calls: 1, WallNs: 10},
+		}}
+	}
+	merged := Merge(shard(100), nil, shard(250), &Snapshot{Scopes: []*ScopeData{{Name: "crawl.checkpoint", Calls: 4}}})
+	want := &Snapshot{Scopes: []*ScopeData{
+		{Name: "crawl.checkpoint", Calls: 4},
+		{Name: "crawl.cycle.fetch", Calls: 2, WallNs: 350},
+		{Name: "crawl.cycle.filter", Calls: 2, WallNs: 20},
+	}}
+	if !reflect.DeepEqual(merged, want) {
+		t.Errorf("merged = %s\nwant %s", merged.Text(0), want.Text(0))
+	}
+}
+
+func TestNilSafety(t *testing.T) {
+	var p *Profiler
+	sc := p.Scope("anything.goes")
+	sc.Enter().Exit()
+	if snap := p.Snapshot(); snap != nil {
+		t.Errorf("nil profiler snapshot = %+v, want nil", snap)
+	}
+	p.Load(&Snapshot{})
+	New(Config{}).Load(nil)
+	var none *Snapshot
+	if got := none.Text(5); !strings.Contains(got, "TOTAL") {
+		t.Errorf("nil snapshot Text = %q, want header+TOTAL", got)
+	}
+	if none.Get("x") != nil || none.Narrow("x") != nil || none.totalNs() != 0 {
+		t.Error("nil snapshot accessors are not empty")
 	}
 }
 
 func TestHotPathAllocationFree(t *testing.T) {
-	p := New(Config{})
-	sc := p.Scope("hot.loop")
-	if n := testing.AllocsPerRun(100, func() { sc.Add(1, 5) }); n != 0 {
-		t.Errorf("Scope.Add allocates %.1f per call, want 0", n)
-	}
+	sc := New(Config{}).Scope("hot.loop")
 	if n := testing.AllocsPerRun(100, func() { sc.Enter().Exit() }); n != 0 {
 		t.Errorf("Enter/Exit allocates %.1f per bracket, want 0", n)
 	}
 	var off Scope
-	if n := testing.AllocsPerRun(100, func() { off.Add(1, 5); off.Enter().Exit() }); n != 0 {
-		t.Errorf("disabled scope allocates %.1f per call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { off.Enter().Exit() }); n != 0 {
+		t.Errorf("disabled scope allocates %.1f per bracket, want 0", n)
 	}
 }
 
@@ -233,15 +163,19 @@ func TestScopeName(t *testing.T) {
 }
 
 func TestNarrow(t *testing.T) {
-	s := sampleProfiler().Snapshot()
+	s := sampleSnapshot()
 	n := s.Narrow("cycle")
-	if len(n.Scopes) != 4 {
-		t.Errorf("Narrow(cycle) kept %d scopes, want 4", len(n.Scopes))
+	if len(n.Scopes) != 5 {
+		t.Errorf("Narrow(cycle) kept %d scopes, want 5", len(n.Scopes))
 	}
 	if s.Narrow("") != s {
 		t.Error("Narrow(\"\") should return the receiver")
 	}
 	if got := n.Get("crawl.checkpoint"); got != nil {
 		t.Errorf("narrowed snapshot still has crawl.checkpoint: %+v", got)
+	}
+	// Shares follow the view: with only the stages left, each is outermost.
+	if got := s.Narrow("cycle.f").totalNs(); got != 6_750_000 {
+		t.Errorf("totalNs over fetch+filter = %d, want 6.75ms", got)
 	}
 }

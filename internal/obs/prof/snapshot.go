@@ -1,33 +1,24 @@
 package prof
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 )
 
-// Snapshot is a frozen Profiler: config plus every scope sorted by
-// name, all lanes included. It is the unit that rides checkpoints,
-// merges into fleet results, and renders the exports. Only the virtual
-// lane (Calls, VirtualMs) feeds the byte-identity-gated exports; the
-// wall lane rides along for WallText.
+// Snapshot is a frozen Profiler: every scope sorted by name. It is the
+// unit that rides checkpoints, merges into fleet results, renders the
+// end-of-run table, and — marshalled as is — the JSON export.
 type Snapshot struct {
-	Config Config       `json:"config"`
 	Scopes []*ScopeData `json:"scopes,omitempty"`
 }
 
-// ScopeData is one scope's frozen accumulators. Calls and VirtualMs are
-// the virtual lane; Brackets, WallNs, and the alloc deltas are the wall
-// lane.
+// ScopeData is one scope's frozen accumulators: completed brackets and
+// the wall nanoseconds they spanned.
 type ScopeData struct {
-	Name       string `json:"name"`
-	Calls      int64  `json:"calls"`
-	VirtualMs  int64  `json:"virtual_ms"`
-	Brackets   int64  `json:"brackets,omitempty"`
-	WallNs     int64  `json:"wall_ns,omitempty"`
-	AllocBytes int64  `json:"alloc_bytes,omitempty"`
-	AllocObjs  int64  `json:"alloc_objs,omitempty"`
+	Name   string `json:"name"`
+	Calls  int64  `json:"calls"`
+	WallNs int64  `json:"wall_ns"`
 }
 
 // Snapshot freezes the profiler: every scope sorted by name, a deep
@@ -38,39 +29,24 @@ func (p *Profiler) Snapshot() *Snapshot {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := &Snapshot{Config: p.cfg, Scopes: make([]*ScopeData, 0, len(p.nodes))}
-	names := make([]string, 0, len(p.nodes))
-	for n := range p.nodes {
-		names = append(names, n)
+	out := &Snapshot{Scopes: make([]*ScopeData, 0, len(p.nodes))}
+	for name, n := range p.nodes {
+		out.Scopes = append(out.Scopes, &ScopeData{Name: name, Calls: n.calls.Load(), WallNs: n.wallNs.Load()})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		n := p.nodes[name]
-		out.Scopes = append(out.Scopes, &ScopeData{
-			Name:       name,
-			Calls:      n.calls.Load(),
-			VirtualMs:  n.virtualMs.Load(),
-			Brackets:   n.brackets.Load(),
-			WallNs:     n.wallNs.Load(),
-			AllocBytes: n.allocBytes.Load(),
-			AllocObjs:  n.allocObjs.Load(),
-		})
-	}
+	sort.Slice(out.Scopes, func(i, j int) bool { return out.Scopes[i].Name < out.Scopes[j].Name })
 	return out
 }
 
 // Load replaces the profiler's state with the snapshot's — the restore
-// half of checkpoint/resume. The snapshot's config is adopted, and
-// subsequent attribution continues the accumulators exactly where they
-// stopped, so a resumed run's virtual exports are byte-identical to an
-// uninterrupted one's.
+// half of checkpoint/resume: subsequent brackets continue the
+// accumulators where they stopped, so a resumed run's call counts equal
+// an uninterrupted one's.
 func (p *Profiler) Load(s *Snapshot) {
 	if p == nil || s == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cfg = s.Config
 	p.nodes = make(map[string]*node, len(s.Scopes))
 	for _, sd := range s.Scopes {
 		if sd == nil {
@@ -78,31 +54,20 @@ func (p *Profiler) Load(s *Snapshot) {
 		}
 		n := &node{}
 		n.calls.Store(sd.Calls)
-		n.virtualMs.Store(sd.VirtualMs)
-		n.brackets.Store(sd.Brackets)
 		n.wallNs.Store(sd.WallNs)
-		n.allocBytes.Store(sd.AllocBytes)
-		n.allocObjs.Store(sd.AllocObjs)
 		p.nodes[sd.Name] = n
 	}
 }
 
 // Merge folds shard snapshots into one fleet snapshot: per-scope sums
-// keyed by name, scopes sorted by name, config from the first non-nil
-// snapshot. Callers pass snapshots in shard order (the same discipline
-// as registry/trace/evlog merges); summation makes the result
-// independent of DoP for a fixed shard count.
+// keyed by name, scopes sorted by name, nil snapshots skipped. Summation
+// makes the call counts independent of DoP for a fixed shard count.
 func Merge(snaps ...*Snapshot) *Snapshot {
-	out := &Snapshot{}
 	byName := map[string]*ScopeData{}
-	var gotCfg bool
+	out := &Snapshot{Scopes: []*ScopeData{}}
 	for _, s := range snaps {
 		if s == nil {
 			continue
-		}
-		if !gotCfg {
-			out.Config = s.Config
-			gotCfg = true
 		}
 		for _, sd := range s.Scopes {
 			if sd == nil {
@@ -112,24 +77,13 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 			if acc == nil {
 				acc = &ScopeData{Name: sd.Name}
 				byName[sd.Name] = acc
+				out.Scopes = append(out.Scopes, acc)
 			}
 			acc.Calls += sd.Calls
-			acc.VirtualMs += sd.VirtualMs
-			acc.Brackets += sd.Brackets
 			acc.WallNs += sd.WallNs
-			acc.AllocBytes += sd.AllocBytes
-			acc.AllocObjs += sd.AllocObjs
 		}
 	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out.Scopes = make([]*ScopeData, 0, len(names))
-	for _, n := range names {
-		out.Scopes = append(out.Scopes, byName[n])
-	}
+	sort.Slice(out.Scopes, func(i, j int) bool { return out.Scopes[i].Name < out.Scopes[j].Name })
 	return out
 }
 
@@ -152,7 +106,7 @@ func (s *Snapshot) Narrow(substr string) *Snapshot {
 	if s == nil || substr == "" {
 		return s
 	}
-	out := &Snapshot{Config: s.Config}
+	out := &Snapshot{}
 	for _, sd := range s.Scopes {
 		if strings.Contains(sd.Name, substr) {
 			out.Scopes = append(out.Scopes, sd)
@@ -161,121 +115,55 @@ func (s *Snapshot) Narrow(substr string) *Snapshot {
 	return out
 }
 
-// Export is the deterministic virtual-lane view: per-scope calls plus
-// self and cumulative virtual milliseconds. Self is the time charged to
-// the scope itself; cumulative adds every descendant's self (dots
-// define descent), so interior tree nodes that only bracket the wall
-// lane still roll their children up. This is the shape JSON renders and
-// `benchjson profdiff` consumes.
-type Export struct {
-	TotalVirtualMs int64         `json:"total_virtual_ms"`
-	Scopes         []ExportScope `json:"scopes"`
-}
-
-// ExportScope is one scope row of an Export.
-type ExportScope struct {
-	Name   string `json:"name"`
-	Calls  int64  `json:"calls"`
-	SelfMs int64  `json:"self_ms"`
-	CumMs  int64  `json:"cum_ms"`
-}
-
-// Export derives the virtual-lane view: scopes sorted by name, self =
-// recorded virtual ms, cum = self plus all descendants' self, total =
-// sum of every self.
-func (s *Snapshot) Export() Export {
-	out := Export{Scopes: []ExportScope{}}
+// totalNs is the wall time the snapshot attributes: the sum over
+// outermost scopes, those not bracketed inside another scope of the
+// snapshot (crawl.cycle counts, crawl.cycle.fetch is already in it).
+// Scopes bracketed concurrently — dataflow operators, shards — all
+// count, so the total is busy time and may exceed elapsed time.
+func (s *Snapshot) totalNs() int64 {
 	if s == nil {
-		return out
+		return 0
 	}
-	out.Scopes = make([]ExportScope, len(s.Scopes))
-	for i, sd := range s.Scopes {
-		out.Scopes[i] = ExportScope{Name: sd.Name, Calls: sd.Calls, SelfMs: sd.VirtualMs, CumMs: sd.VirtualMs}
-		out.TotalVirtualMs += sd.VirtualMs
-	}
-	// Snapshots are name-sorted, so a scope's descendants are the
-	// contiguous run of names right after it prefixed name+".".
-	for i := range out.Scopes {
-		prefix := out.Scopes[i].Name + "."
-		for j := i + 1; j < len(out.Scopes) && strings.HasPrefix(out.Scopes[j].Name, prefix); j++ {
-			out.Scopes[i].CumMs += out.Scopes[j].SelfMs
+	var total int64
+	// Name order puts a scope's descendants right after it.
+	outer := ""
+	for _, sd := range s.Scopes {
+		if outer == "" || !strings.HasPrefix(sd.Name, outer+".") {
+			outer = sd.Name
+			total += sd.WallNs
 		}
 	}
-	return out
+	return total
 }
 
-// JSON renders the virtual-lane export as deterministic indented JSON.
-func (s *Snapshot) JSON() ([]byte, error) {
-	e := s.Export()
-	return json.MarshalIndent(e, "", "  ")
-}
-
-// TopK renders the k most expensive scopes by self virtual time (ties
-// by name; k <= 0 means all) as a fixed-width table with self-percent
-// of total — byte-identical for identical virtual lanes.
-func (s *Snapshot) TopK(k int) string {
-	e := s.Export()
-	rows := make([]ExportScope, len(e.Scopes))
-	copy(rows, e.Scopes)
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].SelfMs != rows[j].SelfMs {
-			return rows[i].SelfMs > rows[j].SelfMs
+// Text renders the k most expensive scopes by wall time (ties by name;
+// k <= 0 means all) as a fixed-width table: calls, wall milliseconds and
+// the scope's share of the attributed total. Nested scopes overlap their
+// parent, so shares add up to 100% only across outermost scopes. Scopes
+// that never ran are left out.
+func (s *Snapshot) Text(k int) string {
+	var rows []*ScopeData
+	if s != nil {
+		for _, sd := range s.Scopes {
+			if sd.Calls > 0 {
+				rows = append(rows, sd)
+			}
 		}
-		return rows[i].Name < rows[j].Name
-	})
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].WallNs > rows[j].WallNs })
 	if k > 0 && k < len(rows) {
 		rows = rows[:k]
 	}
+	total := s.totalNs()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-40s %12s %12s %12s %7s\n", "SCOPE", "CALLS", "SELF_MS", "CUM_MS", "SELF%")
+	fmt.Fprintf(&b, "%-40s %12s %12s %7s\n", "SCOPE", "CALLS", "WALL_MS", "SHARE")
 	for _, r := range rows {
-		pct := 0.0
-		if e.TotalVirtualMs > 0 {
-			pct = 100 * float64(r.SelfMs) / float64(e.TotalVirtualMs)
+		share := 0.0
+		if total > 0 {
+			share = 100 * float64(r.WallNs) / float64(total)
 		}
-		fmt.Fprintf(&b, "%-40s %12d %12d %12d %6.1f%%\n", r.Name, r.Calls, r.SelfMs, r.CumMs, pct)
+		fmt.Fprintf(&b, "%-40s %12d %12.3f %6.1f%%\n", r.Name, r.Calls, float64(r.WallNs)/1e6, share)
 	}
-	fmt.Fprintf(&b, "%-40s %12s %12d\n", "TOTAL", "", e.TotalVirtualMs)
-	return b.String()
-}
-
-// Folded renders the virtual lane as folded flame-graph stacks — one
-// line per scope, dots become semicolon frame separators, weight is the
-// scope's self virtual milliseconds:
-//
-//	crawl;cycle;fetch 246800
-//
-// Lines sort by scope name. Feed straight into flamegraph.pl or any
-// folded-stack viewer; byte-identical across DoP for a fixed shard set.
-func (s *Snapshot) Folded() string {
-	e := s.Export()
-	var b strings.Builder
-	for _, r := range e.Scopes {
-		b.WriteString(strings.ReplaceAll(r.Name, ".", ";"))
-		fmt.Fprintf(&b, " %d\n", r.SelfMs)
-	}
-	return b.String()
-}
-
-// WallText renders the wall lane — one line per scope that recorded any
-// wall time, with bracketed wall milliseconds and (when measured)
-// allocation deltas. Nested brackets overlap, so rows are bracket
-// totals, not additive. This export is for real-hardware tuning and is
-// deliberately outside every byte-identity contract.
-func (s *Snapshot) WallText() string {
-	if s == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, sd := range s.Scopes {
-		if sd.Brackets == 0 && sd.WallNs == 0 && sd.AllocBytes == 0 && sd.AllocObjs == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%s brackets=%d wall_ms=%.3f", sd.Name, sd.Brackets, float64(sd.WallNs)/1e6)
-		if sd.AllocBytes != 0 || sd.AllocObjs != 0 {
-			fmt.Fprintf(&b, " alloc_bytes=%d alloc_objs=%d", sd.AllocBytes, sd.AllocObjs)
-		}
-		b.WriteByte('\n')
-	}
+	fmt.Fprintf(&b, "%-40s %12s %12.3f\n", "TOTAL", "", float64(total)/1e6)
 	return b.String()
 }

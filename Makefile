@@ -6,10 +6,15 @@
 GO ?= go
 
 # Packages with real concurrency (worth the ~100x race-detector slowdown),
-# and the POS tagger, which the executor calls from DoP goroutines at once.
-RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/nlp/postag/
+# and what the executor calls from DoP goroutines at once: the operators
+# (internal/core) and the POS tagger.
+RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/
 
-.PHONY: build test vet lint race chaos supervisor-chaos fuzz bench alloc-gate verify
+# `make loc`: non-test Go code outside bench/, less blank and comment-only
+# lines — the one size every simplicity PR quotes.
+LOC_FILES = git ls-files | grep '\.go$$' | grep -v _test.go | grep -v /testdata/ | grep -v '^bench/'
+
+.PHONY: build test vet lint race chaos supervisor-chaos fuzz bench alloc-gate loc verify
 
 build:
 	$(GO) build ./...
@@ -74,6 +79,15 @@ bench:
 # allocfree/boxing/hotpathpurity checks in `make lint`.
 alloc-gate:
 	$(GO) test -run 'TestAllocGate' .
+
+# Code lines, total and per top-level package (cmd/x, internal/x, examples,
+# and "." for the root package).
+loc:
+	@$(LOC_FILES) | xargs grep -cvE '^\s*(//.*)?$$' | awk -F'[/:]' ' \
+		{ pkg = NF == 2 ? "." : (($$1 == "cmd" || $$1 == "internal") ? $$1 "/" $$2 : $$1); \
+		  lines[pkg] += $$NF; total += $$NF } \
+		END { printf "%-20s %6d\n", "total", total; \
+		      for (p in lines) printf "%-20s %6d\n", p, lines[p] | "sort" }'
 
 # Every golden, determinism and identity test (trace/log/series/profile
 # exports, the doctor, the sharded-crawl DoP and resume identities) is a

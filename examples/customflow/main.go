@@ -36,14 +36,11 @@ func main() {
 			return &dataflow.Op{
 				Name: "shout_title", Pkg: dataflow.BASE,
 				Reads: []string{"title"}, Writes: []string{"title"}, Selectivity: 1,
-				Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-					out := rec.Clone()
+				Fn: dataflow.Edit(func(rec dataflow.Record) {
 					if t, ok := rec["title"].(string); ok {
-						out["title"] = strings.ToUpper(t)
+						rec["title"] = strings.ToUpper(t)
 					}
-					emit(out)
-					return nil
-				},
+				}),
 			}, nil
 		}
 		return base.Resolve(name, p)

@@ -157,9 +157,9 @@ func (s *System) AnalyzeCorpusFunc(reg *Registry, c *corpora.Corpus, dop int,
 			continue
 		}
 		if ents, ok := rec["entities"].([]EntityAnn); ok {
-			a.PosFailed += intField(rec, "pos_failed")
+			a.PosFailed += get[int](rec, "pos_failed")
 			if onEntities != nil {
-				onEntities(strField(rec, "id"), ents)
+				onEntities(get[string](rec, "id"), ents)
 			}
 			perDoc := map[Method]map[textgen.EntityType]int{
 				Dict: {}, ML: {},

@@ -52,8 +52,8 @@ func TestRegistryShipsOver60Operators(t *testing.T) {
 	// in four packages".
 	s, _ := testSystem(t)
 	names := s.Registry().Names()
-	if len(names) < 40 {
-		t.Fatalf("registry has %d operators", len(names))
+	if len(names) <= 60 {
+		t.Fatalf("registry has %d operators, want more than 60", len(names))
 	}
 	t.Logf("registry: %d operators", len(names))
 	// All four packages must be populated.

@@ -104,11 +104,7 @@ func (e *Experiments) ResilienceReport() string {
 	r.section("4. data-flow error policy: quarantine vs fail-fast")
 	mkPlan := func() *dataflow.Plan {
 		p := &dataflow.Plan{}
-		src := p.Add(&dataflow.Op{Name: "ingest", Pkg: dataflow.BASE, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(rec)
-				return nil
-			}})
+		src := p.Add(&dataflow.Op{Name: "ingest", Pkg: dataflow.BASE, Selectivity: 1, Fn: pass})
 		p.Add(&dataflow.Op{Name: "fragile-tagger", Pkg: dataflow.IE, Selectivity: 1,
 			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
 				i := rec["i"].(int)

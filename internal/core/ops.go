@@ -11,7 +11,6 @@ import (
 
 	"webtextie/internal/annot"
 	"webtextie/internal/boiler"
-	"webtextie/internal/classify"
 	"webtextie/internal/dataflow"
 	"webtextie/internal/dedup"
 	"webtextie/internal/htmlkit"
@@ -42,6 +41,37 @@ import (
 //	relevant  bool                classifier decision
 //	prob      float64             classifier posterior
 
+// opRow declares one operator: its registry name and package, the
+// annotations the optimizer reorders on (§3.1), and the function that does
+// the work, written against one of three UDF shapes — dataflow.Keep for
+// filters, dataflow.Edit for operators that fill fields, a raw dataflow.UDF
+// for the few that emit 1:N or build a new record.
+type opRow struct {
+	name          string
+	pkg           dataflow.Pkg
+	filter        bool
+	reads, writes []string
+	sel           float64
+	cost          dataflow.Cost
+	// fn is the work; operators that take parameters or keep per-instance
+	// state set with instead, which builds the work for one statement.
+	fn   dataflow.UDF
+	with func(meteor.Params) (dataflow.UDF, error)
+}
+
+// build resolves the row into the operator of one script statement.
+func (row opRow) build(p meteor.Params) (*dataflow.Op, error) {
+	fn := row.fn
+	if row.with != nil {
+		var err error
+		if fn, err = row.with(p); err != nil {
+			return nil, err
+		}
+	}
+	return &dataflow.Op{Name: row.name, Pkg: row.pkg, Fn: fn, Filter: row.filter,
+		Reads: row.reads, Writes: row.writes, Selectivity: row.sel, Cost: row.cost}, nil
+}
+
 // opBuilder constructs an operator from parameters.
 type opBuilder func(p meteor.Params) (*dataflow.Op, error)
 
@@ -53,13 +83,14 @@ type Registry struct {
 	langID   *langid.Identifier
 }
 
-// Registry returns the system's operator registry.
+// Registry returns the system's operator registry: every row of the
+// operator table, plus the operators whose metadata depends on parameters.
 func (s *System) Registry() *Registry {
 	r := &Registry{sys: s, builders: map[string]opBuilder{}, langID: langid.New()}
-	r.registerBase()
-	r.registerWA()
-	r.registerDC()
-	r.registerIE()
+	for _, row := range r.table() {
+		r.register(row.name, row.build)
+	}
+	r.registerParametric()
 	return r
 }
 
@@ -102,15 +133,17 @@ func (r *Registry) register(name string, b opBuilder) {
 	r.builders[name] = b
 }
 
-// --- field access helpers ---
+// --- field and parameter access ---
 
-func strField(rec dataflow.Record, field string) string {
-	if v, ok := rec[field].(string); ok {
-		return v
-	}
-	return ""
+// get is the typed field accessor: the field's value, or T's zero value
+// when the field is absent or holds another type.
+func get[T any](rec dataflow.Record, field string) T {
+	v, _ := rec[field].(T)
+	return v
 }
 
+// intField reads a numeric field of any width (script-set values arrive as
+// float64).
 func intField(rec dataflow.Record, field string) int {
 	switch v := rec[field].(type) {
 	case int:
@@ -121,12 +154,6 @@ func intField(rec dataflow.Record, field string) int {
 		return int(v)
 	}
 	return 0
-}
-
-func withField(rec dataflow.Record, field string, v any) dataflow.Record {
-	out := rec.Clone()
-	out[field] = v
-	return out
 }
 
 func paramStr(p meteor.Params, key, def string) string {
@@ -145,482 +172,236 @@ func paramNum(p meteor.Params, key string, def float64) float64 {
 
 var errNoParam = errors.New("core: missing required parameter")
 
-// --- BASE package: general-purpose relational operators ---
+// pass forwards every record unchanged.
+var pass = dataflow.Keep(func(dataflow.Record) bool { return true })
 
-func (r *Registry) registerBase() {
-	simpleFilter := func(name string, sel float64, reads []string, keep func(dataflow.Record, meteor.Params) bool) {
-		r.register(name, func(p meteor.Params) (*dataflow.Op, error) {
-			return &dataflow.Op{Name: name, Pkg: dataflow.BASE, Filter: true,
-				Reads: reads, Selectivity: sel, Cost: dataflow.Cost{PerKBms: 0.001},
-				Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-					if keep(rec, p) {
-						emit(rec)
-					}
-					return nil
-				}}, nil
-		})
-	}
-
-	simpleFilter("filter_length", 0.85, []string{"text"}, func(rec dataflow.Record, p meteor.Params) bool {
-		n := len(strField(rec, "text"))
-		min := int(paramNum(p, "min", 0))
-		max := int(paramNum(p, "max", 1<<30))
-		return n >= min && n <= max
-	})
-	simpleFilter("filter_html_length", 0.95, []string{"html"}, func(rec dataflow.Record, p meteor.Params) bool {
-		n := len(strField(rec, "html"))
-		return n <= int(paramNum(p, "max", 1<<30))
-	})
-	simpleFilter("filter_empty_text", 0.95, []string{"text"}, func(rec dataflow.Record, p meteor.Params) bool {
-		return strings.TrimSpace(strField(rec, "text")) != ""
-	})
-	simpleFilter("filter_min_sentences", 0.9, []string{"sentences"}, func(rec dataflow.Record, p meteor.Params) bool {
-		spans, _ := rec["sentences"].([]nlp.Span)
-		return len(spans) >= int(paramNum(p, "min", 1))
-	})
-	simpleFilter("filter_field_exists", 0.9, []string{"*"}, func(rec dataflow.Record, p meteor.Params) bool {
-		_, ok := rec[paramStr(p, "field", "")]
-		return ok
-	})
-	simpleFilter("filter_num_range", 0.7, []string{"*"}, func(rec dataflow.Record, p meteor.Params) bool {
-		v := intField(rec, paramStr(p, "field", ""))
-		return v >= int(paramNum(p, "min", -1<<30)) && v <= int(paramNum(p, "max", 1<<30))
-	})
-
-	r.register("sample", func(p meteor.Params) (*dataflow.Op, error) {
-		rate := paramNum(p, "rate", 0.1)
-		return &dataflow.Op{Name: "sample", Pkg: dataflow.BASE, Filter: true,
-			Reads: []string{"id"}, Selectivity: rate,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				h := fnv.New64a()
-				h.Write([]byte(strField(rec, "id")))
-				if float64(h.Sum64()%10000)/10000 < rate {
-					emit(rec)
-				}
-				return nil
-			}}, nil
-	})
-
-	r.register("limit", func(p meteor.Params) (*dataflow.Op, error) {
-		max := int64(paramNum(p, "n", 1000))
-		var seen atomic.Int64
-		return &dataflow.Op{Name: "limit", Pkg: dataflow.BASE, Filter: true,
-			Reads: []string{}, Selectivity: 0.5,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				if seen.Add(1) <= max {
-					emit(rec)
-				}
-				return nil
-			}}, nil
-	})
-
-	r.register("project", func(p meteor.Params) (*dataflow.Op, error) {
-		keepList := paramStr(p, "keep", "")
-		if keepList == "" {
-			return nil, fmt.Errorf("project: %w: keep", errNoParam)
-		}
-		keep := map[string]bool{}
-		for _, f := range strings.Split(keepList, " ") {
-			keep[f] = true
-		}
-		return &dataflow.Op{Name: "project", Pkg: dataflow.BASE,
-			Reads: []string{"*"}, Writes: []string{"*"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				out := dataflow.Record{}
-				for k, v := range rec {
-					if keep[k] || k == meteor.SourceField {
-						out[k] = v
-					}
-				}
-				emit(out)
-				return nil
-			}}, nil
-	})
-
-	r.register("drop_field", func(p meteor.Params) (*dataflow.Op, error) {
-		field := paramStr(p, "field", "")
-		return &dataflow.Op{Name: "drop_field", Pkg: dataflow.BASE,
-			Reads: []string{}, Writes: []string{field}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				out := rec.Clone()
-				delete(out, field)
-				emit(out)
-				return nil
-			}}, nil
-	})
-
-	r.register("rename_field", func(p meteor.Params) (*dataflow.Op, error) {
-		from, to := paramStr(p, "from", ""), paramStr(p, "to", "")
-		if from == "" || to == "" {
-			return nil, fmt.Errorf("rename_field: %w: from/to", errNoParam)
-		}
-		return &dataflow.Op{Name: "rename_field", Pkg: dataflow.BASE,
-			Reads: []string{from}, Writes: []string{from, to}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				out := rec.Clone()
-				if v, ok := out[from]; ok {
-					out[to] = v
-					delete(out, from)
-				}
-				emit(out)
-				return nil
-			}}, nil
-	})
-
-	r.register("set_field", func(p meteor.Params) (*dataflow.Op, error) {
-		field := paramStr(p, "field", "tag")
-		var val any
-		if v, ok := p["value"]; ok {
-			if v.IsNum {
-				val = v.Num
-			} else {
-				val = v.Str
-			}
-		}
-		return &dataflow.Op{Name: "set_field", Pkg: dataflow.BASE,
-			Reads: []string{}, Writes: []string{field}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, field, val))
-				return nil
-			}}, nil
-	})
-
-	countOp := func(name, reads, writes string, count func(dataflow.Record) int) {
-		r.register(name, func(p meteor.Params) (*dataflow.Op, error) {
-			return &dataflow.Op{Name: name, Pkg: dataflow.BASE,
-				Reads: []string{reads}, Writes: []string{writes}, Selectivity: 1,
-				Cost: dataflow.Cost{PerKBms: 0.005},
-				Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-					emit(withField(rec, writes, count(rec)))
-					return nil
-				}}, nil
-		})
-	}
-	countOp("count_chars", "text", "chars", func(rec dataflow.Record) int {
-		return len(strField(rec, "text"))
-	})
-	countOp("count_words", "text", "words", func(rec dataflow.Record) int {
-		return len(strings.Fields(strField(rec, "text")))
-	})
-	countOp("count_sentences", "sentences", "n_sentences", func(rec dataflow.Record) int {
-		spans, _ := rec["sentences"].([]nlp.Span)
-		return len(spans)
-	})
-	countOp("count_entities", "entities", "n_entities", func(rec dataflow.Record) int {
-		ents, _ := rec["entities"].([]EntityAnn)
-		return len(ents)
-	})
-	countOp("count_links", "links", "n_links", func(rec dataflow.Record) int {
-		links, _ := rec["links"].([]htmlkit.Link)
-		return len(links)
-	})
-
-	r.register("identity", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "identity", Pkg: dataflow.BASE,
-			Reads: []string{}, Writes: []string{}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(rec)
-				return nil
-			}}, nil
-	})
-	r.register("union", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "union", Pkg: dataflow.BASE,
-			Reads: []string{}, Writes: []string{}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(rec)
-				return nil
-			}}, nil
-	})
-	r.register("tag_source", func(p meteor.Params) (*dataflow.Op, error) {
-		v := paramStr(p, "value", "unknown")
-		return &dataflow.Op{Name: "tag_source", Pkg: dataflow.BASE,
-			Reads: []string{}, Writes: []string{"source"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "source", v))
-				return nil
-			}}, nil
-	})
-	r.register("hash_id", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "hash_id", Pkg: dataflow.BASE,
-			Reads: []string{"id"}, Writes: []string{"hash"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				h := fnv.New64a()
-				h.Write([]byte(strField(rec, "id")))
-				emit(withField(rec, "hash", int(h.Sum64()&0x7fffffff)))
-				return nil
-			}}, nil
-	})
-	r.register("lowercase_text", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "lowercase_text", Pkg: dataflow.BASE,
-			Reads: []string{"text"}, Writes: []string{"text"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.01},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "text", strings.ToLower(strField(rec, "text"))))
-				return nil
-			}}, nil
-	})
-	r.register("truncate_text", func(p meteor.Params) (*dataflow.Op, error) {
-		max := int(paramNum(p, "max", 100000))
-		return &dataflow.Op{Name: "truncate_text", Pkg: dataflow.BASE,
-			Reads: []string{"text"}, Writes: []string{"text"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				t := strField(rec, "text")
-				if len(t) > max {
-					emit(withField(rec, "text", t[:max]))
-				} else {
-					emit(rec)
-				}
-				return nil
-			}}, nil
-	})
+// hashField is the FNV-1a hash of a string field.
+func hashField(rec dataflow.Record, field string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(get[string](rec, field)))
+	return h.Sum64()
 }
 
-// --- WA package: web analytics operators ---
+// table is the operator inventory: one row per operator, in the four
+// packages of §3.1.
+func (r *Registry) table() []opRow {
+	return []opRow{
+		// --- BASE: general-purpose relational operators ---
+		{name: "filter_length", pkg: dataflow.BASE, filter: true, reads: []string{"text"}, sel: 0.85, cost: dataflow.Cost{PerKBms: 0.001},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				min, max := int(paramNum(p, "min", 0)), int(paramNum(p, "max", 1<<30))
+				return dataflow.Keep(func(rec dataflow.Record) bool {
+					n := len(get[string](rec, "text"))
+					return n >= min && n <= max
+				}), nil
+			}},
+		{name: "filter_html_length", pkg: dataflow.BASE, filter: true, reads: []string{"html"}, sel: 0.95, cost: dataflow.Cost{PerKBms: 0.001},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				max := int(paramNum(p, "max", 1<<30))
+				return dataflow.Keep(func(rec dataflow.Record) bool { return len(get[string](rec, "html")) <= max }), nil
+			}},
+		{name: "filter_empty_text", pkg: dataflow.BASE, filter: true, reads: []string{"text"}, sel: 0.95, cost: dataflow.Cost{PerKBms: 0.001},
+			fn: dataflow.Keep(func(rec dataflow.Record) bool { return strings.TrimSpace(get[string](rec, "text")) != "" })},
+		{name: "filter_min_sentences", pkg: dataflow.BASE, filter: true, reads: []string{"sentences"}, sel: 0.9, cost: dataflow.Cost{PerKBms: 0.001},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				min := int(paramNum(p, "min", 1))
+				return dataflow.Keep(func(rec dataflow.Record) bool { return len(get[[]nlp.Span](rec, "sentences")) >= min }), nil
+			}},
+		{name: "filter_field_exists", pkg: dataflow.BASE, filter: true, reads: []string{"*"}, sel: 0.9, cost: dataflow.Cost{PerKBms: 0.001},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				field := paramStr(p, "field", "")
+				return dataflow.Keep(func(rec dataflow.Record) bool {
+					_, ok := rec[field]
+					return ok
+				}), nil
+			}},
+		{name: "filter_num_range", pkg: dataflow.BASE, filter: true, reads: []string{"*"}, sel: 0.7, cost: dataflow.Cost{PerKBms: 0.001},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				field := paramStr(p, "field", "")
+				min, max := int(paramNum(p, "min", -1<<30)), int(paramNum(p, "max", 1<<30))
+				return dataflow.Keep(func(rec dataflow.Record) bool {
+					v := intField(rec, field)
+					return v >= min && v <= max
+				}), nil
+			}},
+		{name: "limit", pkg: dataflow.BASE, filter: true, reads: []string{}, sel: 0.5,
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				max := int64(paramNum(p, "n", 1000))
+				var seen atomic.Int64
+				return dataflow.Keep(func(dataflow.Record) bool { return seen.Add(1) <= max }), nil
+			}},
+		{name: "project", pkg: dataflow.BASE, reads: []string{"*"}, writes: []string{"*"}, sel: 1,
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				keepList := paramStr(p, "keep", "")
+				if keepList == "" {
+					return nil, fmt.Errorf("project: %w: keep", errNoParam)
+				}
+				keep := map[string]bool{meteor.SourceField: true}
+				for _, f := range strings.Split(keepList, " ") {
+					keep[f] = true
+				}
+				return func(rec dataflow.Record, emit dataflow.Emit) error {
+					out := dataflow.Record{}
+					for k, v := range rec {
+						if keep[k] {
+							out[k] = v
+						}
+					}
+					emit(out)
+					return nil
+				}, nil
+			}},
+		{name: "count_chars", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"chars"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["chars"] = len(get[string](rec, "text")) })},
+		{name: "count_words", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"words"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["words"] = len(strings.Fields(get[string](rec, "text"))) })},
+		{name: "count_sentences", pkg: dataflow.BASE, reads: []string{"sentences"}, writes: []string{"n_sentences"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_sentences"] = len(get[[]nlp.Span](rec, "sentences")) })},
+		{name: "count_entities", pkg: dataflow.BASE, reads: []string{"entities"}, writes: []string{"n_entities"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_entities"] = len(get[[]EntityAnn](rec, "entities")) })},
+		{name: "count_links", pkg: dataflow.BASE, reads: []string{"links"}, writes: []string{"n_links"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_links"] = len(get[[]htmlkit.Link](rec, "links")) })},
+		{name: "identity", pkg: dataflow.BASE, reads: []string{}, writes: []string{}, sel: 1, fn: pass},
+		{name: "union", pkg: dataflow.BASE, reads: []string{}, writes: []string{}, sel: 1, fn: pass},
+		{name: "tag_source", pkg: dataflow.BASE, reads: []string{}, writes: []string{"source"}, sel: 1,
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				v := paramStr(p, "value", "unknown")
+				return dataflow.Edit(func(rec dataflow.Record) { rec["source"] = v }), nil
+			}},
+		{name: "hash_id", pkg: dataflow.BASE, reads: []string{"id"}, writes: []string{"hash"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["hash"] = int(hashField(rec, "id") & 0x7fffffff) })},
+		{name: "lowercase_text", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"text"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.01},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = strings.ToLower(get[string](rec, "text")) })},
+		{name: "truncate_text", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"text"}, sel: 1,
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				max := int(paramNum(p, "max", 100000))
+				return dataflow.Edit(func(rec dataflow.Record) {
+					if t := get[string](rec, "text"); len(t) > max {
+						rec["text"] = t[:max]
+					}
+				}), nil
+			}},
 
-func (r *Registry) registerWA() {
-	r.register("mime_detect", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "mime_detect", Pkg: dataflow.WA,
-			Reads: []string{"id", "html"}, Writes: []string{"mime"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.005},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				mt := mimetype.Detect(strField(rec, "id"), []byte(strField(rec, "html")))
-				emit(withField(rec, "mime", string(mt)))
-				return nil
-			}}, nil
-	})
-	r.register("mime_filter", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "mime_filter", Pkg: dataflow.WA, Filter: true,
-			Reads: []string{"id", "html"}, Selectivity: 0.9,
-			Cost: dataflow.Cost{PerKBms: 0.005},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				if mimetype.Detect(strField(rec, "id"), []byte(strField(rec, "html"))).IsTextual() {
-					emit(rec)
+		// --- WA: web analytics operators ---
+		{name: "mime_detect", pkg: dataflow.WA, reads: []string{"id", "html"}, writes: []string{"mime"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["mime"] = string(detectMIME(rec)) })},
+		{name: "mime_filter", pkg: dataflow.WA, filter: true, reads: []string{"id", "html"}, sel: 0.9, cost: dataflow.Cost{PerKBms: 0.005},
+			fn: dataflow.Keep(func(rec dataflow.Record) bool { return detectMIME(rec).IsTextual() })},
+		{name: "parse_html", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"html_tokens"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["html_tokens"] = htmlTokens(rec) })},
+		{name: "repair_markup", pkg: dataflow.WA, reads: []string{"html_tokens"}, writes: []string{"html_tokens", "repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.03},
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				repaired, stats := htmlkit.Repair(get[[]htmlkit.Token](rec, "html_tokens"))
+				rec["html_tokens"] = repaired
+				rec["repairs"] = stats.Total()
+			})},
+		{name: "remove_markup", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"text"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.08},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = htmlkit.StripMarkup(get[string](rec, "html")) })},
+		{name: "boilerplate_detect", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"text", "blocks_total", "blocks_content", "repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				c := boiler.Default()
+				if paramNum(p, "keep_tables", 0) > 0 {
+					c.KeepTables = true
 				}
-				return nil
-			}}, nil
-	})
-	r.register("parse_html", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "parse_html", Pkg: dataflow.WA,
-			Reads: []string{"html"}, Writes: []string{"html_tokens"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.05},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "html_tokens", htmlkit.Tokenize(strField(rec, "html"))))
-				return nil
-			}}, nil
-	})
-	r.register("repair_markup", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "repair_markup", Pkg: dataflow.WA,
-			Reads: []string{"html_tokens"}, Writes: []string{"html_tokens", "repairs"},
-			Selectivity: 1, Cost: dataflow.Cost{PerKBms: 0.03},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				toks, _ := rec["html_tokens"].([]htmlkit.Token)
-				repaired, stats := htmlkit.Repair(toks)
-				out := rec.Clone()
-				out["html_tokens"] = repaired
-				out["repairs"] = stats.Total()
-				emit(out)
-				return nil
-			}}, nil
-	})
-	r.register("remove_markup", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "remove_markup", Pkg: dataflow.WA,
-			Reads: []string{"html"}, Writes: []string{"text"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.08},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "text", htmlkit.StripMarkup(strField(rec, "html"))))
-				return nil
-			}}, nil
-	})
-	r.register("boilerplate_detect", func(p meteor.Params) (*dataflow.Op, error) {
-		c := boiler.Default()
-		if paramNum(p, "keep_tables", 0) > 0 {
-			c.KeepTables = true
-		}
-		return &dataflow.Op{Name: "boilerplate_detect", Pkg: dataflow.WA,
-			Reads:       []string{"html"},
-			Writes:      []string{"text", "blocks_total", "blocks_content", "repairs"},
-			Selectivity: 1, Cost: dataflow.Cost{PerKBms: 0.1},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				res := c.Extract(strField(rec, "html"))
-				out := rec.Clone()
-				out["text"] = res.NetText
-				out["blocks_total"] = res.TotalBlocks
-				out["blocks_content"] = res.ContentBlocks
-				out["repairs"] = res.RepairStats.Total()
-				emit(out)
-				return nil
-			}}, nil
-	})
-	r.register("extract_links", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "extract_links", Pkg: dataflow.WA,
-			Reads: []string{"html"}, Writes: []string{"links"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.05},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "links", htmlkit.ExtractLinks(htmlkit.Tokenize(strField(rec, "html")))))
-				return nil
-			}}, nil
-	})
-	r.register("extract_title", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "extract_title", Pkg: dataflow.WA,
-			Reads: []string{"html"}, Writes: []string{"title"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "title", htmlkit.Title(htmlkit.Tokenize(strField(rec, "html")))))
-				return nil
-			}}, nil
-	})
-	r.register("language_detect", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "language_detect", Pkg: dataflow.WA,
-			Reads: []string{"text"}, Writes: []string{"lang", "lang_conf"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.05},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				lang, conf := r.langID.Identify(strField(rec, "text"))
-				out := rec.Clone()
-				out["lang"] = lang
-				out["lang_conf"] = conf
-				emit(out)
-				return nil
-			}}, nil
-	})
-	r.register("language_filter", func(p meteor.Params) (*dataflow.Op, error) {
-		want := paramStr(p, "lang", "en")
-		return &dataflow.Op{Name: "language_filter", Pkg: dataflow.WA, Filter: true,
-			Reads: []string{"text"}, Selectivity: 0.85,
-			Cost: dataflow.Cost{PerKBms: 0.05},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				lang, conf := r.langID.Identify(strField(rec, "text"))
-				if lang == want && conf > 0.5 {
-					emit(rec)
-				}
-				return nil
-			}}, nil
-	})
-	r.register("url_host", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "url_host", Pkg: dataflow.WA,
-			Reads: []string{"id"}, Writes: []string{"host"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				host, _, err := synthweb.SplitURL(strField(rec, "id"))
-				if err != nil {
-					host = ""
-				}
-				emit(withField(rec, "host", host))
-				return nil
-			}}, nil
-	})
-	r.register("strip_scripts", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "strip_scripts", Pkg: dataflow.WA,
-			Reads: []string{"html"}, Writes: []string{"html"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				toks := htmlkit.Tokenize(strField(rec, "html"))
+				return dataflow.Edit(func(rec dataflow.Record) {
+					res := c.Extract(get[string](rec, "html"))
+					rec["text"] = res.NetText
+					rec["blocks_total"] = res.TotalBlocks
+					rec["blocks_content"] = res.ContentBlocks
+					rec["repairs"] = res.RepairStats.Total()
+				}), nil
+			}},
+		{name: "extract_links", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"links"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["links"] = htmlkit.ExtractLinks(htmlTokens(rec)) })},
+		{name: "extract_title", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"title"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["title"] = htmlkit.Title(htmlTokens(rec)) })},
+		{name: "language_detect", pkg: dataflow.WA, reads: []string{"text"}, writes: []string{"lang", "lang_conf"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				rec["lang"], rec["lang_conf"] = r.langID.Identify(get[string](rec, "text"))
+			})},
+		{name: "language_filter", pkg: dataflow.WA, filter: true, reads: []string{"text"}, sel: 0.85, cost: dataflow.Cost{PerKBms: 0.05},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				want := paramStr(p, "lang", "en")
+				return dataflow.Keep(func(rec dataflow.Record) bool {
+					lang, conf := r.langID.Identify(get[string](rec, "text"))
+					return lang == want && conf > 0.5
+				}), nil
+			}},
+		{name: "url_host", pkg: dataflow.WA, reads: []string{"id"}, writes: []string{"host"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				// An id that is not a URL has the empty host.
+				rec["host"], _, _ = synthweb.SplitURL(get[string](rec, "id"))
+			})},
+		{name: "strip_scripts", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"html"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
 				// Re-rendering without script bodies: the tokenizer already
 				// drops raw-text content, so a simple strip suffices.
 				var b strings.Builder
-				for _, t := range toks {
+				for _, t := range htmlTokens(rec) {
 					if t.Type == htmlkit.Text {
 						b.WriteString(t.Data)
 						b.WriteByte(' ')
 					}
 				}
-				emit(withField(rec, "html", b.String()))
-				return nil
-			}}, nil
-	})
-}
+				rec["html"] = b.String()
+			})},
 
-// --- DC package: data cleansing operators ---
-
-func (r *Registry) registerDC() {
-	r.register("dedupe_exact", func(p meteor.Params) (*dataflow.Op, error) {
-		var mu sync.Mutex
-		seen := map[uint64]bool{}
-		return &dataflow.Op{Name: "dedupe_exact", Pkg: dataflow.DC, Filter: true,
-			Reads: []string{"text"}, Selectivity: 0.95,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				h := fnv.New64a()
-				h.Write([]byte(strField(rec, "text")))
-				k := h.Sum64()
-				mu.Lock()
-				dup := seen[k]
-				seen[k] = true
-				mu.Unlock()
-				if !dup {
-					emit(rec)
-				}
-				return nil
-			}}, nil
-	})
-	r.register("dedupe_near", func(p meteor.Params) (*dataflow.Op, error) {
-		threshold := paramNum(p, "threshold", 0.8)
-		idx := dedup.NewIndex(threshold)
-		return &dataflow.Op{Name: "dedupe_near", Pkg: dataflow.DC, Filter: true,
-			Reads: []string{"text", "id"}, Selectivity: 0.95,
-			Cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 256 << 20},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				sig := dedup.Sketch(strField(rec, "text"), 3)
-				if _, dup := idx.AddOrFind(strField(rec, "id"), sig); !dup {
-					emit(rec)
-				}
-				return nil
-			}}, nil
-	})
-	r.register("normalize_whitespace", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "normalize_whitespace", Pkg: dataflow.DC,
-			Reads: []string{"text"}, Writes: []string{"text"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.01},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "text", strings.Join(strings.Fields(strField(rec, "text")), " ")))
-				return nil
-			}}, nil
-	})
-	r.register("remove_control_chars", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "remove_control_chars", Pkg: dataflow.DC,
-			Reads: []string{"text"}, Writes: []string{"text"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				cleaned := strings.Map(func(c rune) rune {
+		// --- DC: data cleansing operators ---
+		{name: "dedupe_exact", pkg: dataflow.DC, filter: true, reads: []string{"text"}, sel: 0.95,
+			with: func(meteor.Params) (dataflow.UDF, error) {
+				var mu sync.Mutex
+				seen := map[uint64]bool{}
+				return dataflow.Keep(func(rec dataflow.Record) bool {
+					k := hashField(rec, "text")
+					mu.Lock()
+					defer mu.Unlock()
+					dup := seen[k]
+					seen[k] = true
+					return !dup
+				}), nil
+			}},
+		{name: "dedupe_near", pkg: dataflow.DC, filter: true, reads: []string{"text", "id"}, sel: 0.95, cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 256 << 20},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				idx := dedup.NewIndex(paramNum(p, "threshold", 0.8))
+				return dataflow.Keep(func(rec dataflow.Record) bool {
+					_, dup := idx.AddOrFind(get[string](rec, "id"), dedup.Sketch(get[string](rec, "text"), 3))
+					return !dup
+				}), nil
+			}},
+		{name: "normalize_whitespace", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"text"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.01},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = strings.Join(strings.Fields(get[string](rec, "text")), " ") })},
+		{name: "remove_control_chars", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"text"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				rec["text"] = strings.Map(func(c rune) rune {
 					if c < 32 && c != '\n' && c != '\t' {
 						return -1
 					}
 					return c
-				}, strField(rec, "text"))
-				emit(withField(rec, "text", cleaned))
-				return nil
-			}}, nil
-	})
-	r.register("classify_relevance", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "classify_relevance", Pkg: dataflow.DC,
-			Reads: []string{"text"}, Writes: []string{"relevant", "prob"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 64 << 20},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				prob := r.sys.Set.Classifier.ProbRelevant(strField(rec, "text"))
-				out := rec.Clone()
-				out["prob"] = prob
-				out["relevant"] = r.sys.Set.Classifier.Classify(strField(rec, "text")) == classify.Relevant
-				emit(out)
-				return nil
-			}}, nil
-	})
-	r.register("relevance_filter", func(p meteor.Params) (*dataflow.Op, error) {
-		thresh := paramNum(p, "threshold", 0.5)
-		return &dataflow.Op{Name: "relevance_filter", Pkg: dataflow.DC, Filter: true,
-			Reads: []string{"text"}, Selectivity: 0.4,
-			Cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 64 << 20},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				if r.sys.Set.Classifier.ProbRelevant(strField(rec, "text")) >= thresh {
-					emit(rec)
-				}
-				return nil
-			}}, nil
-	})
-	r.register("merge_entities", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "merge_entities", Pkg: dataflow.DC,
-			Reads: []string{"entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				ents, _ := rec["entities"].([]EntityAnn)
+				}, get[string](rec, "text"))
+			})},
+		{name: "classify_relevance", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"relevant", "prob"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 64 << 20},
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				clf := r.sys.Set.Classifier
+				prob := clf.ProbRelevant(get[string](rec, "text"))
+				rec["prob"] = prob
+				rec["relevant"] = prob >= clf.Threshold
+			})},
+		{name: "relevance_filter", pkg: dataflow.DC, filter: true, reads: []string{"text"}, sel: 0.4, cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 64 << 20},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				thresh := paramNum(p, "threshold", 0.5)
+				return dataflow.Keep(func(rec dataflow.Record) bool {
+					return r.sys.Set.Classifier.ProbRelevant(get[string](rec, "text")) >= thresh
+				}), nil
+			}},
+		{name: "merge_entities", pkg: dataflow.DC, reads: []string{"entities"}, writes: []string{"entities"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
 				type key struct {
 					t          textgen.EntityType
 					m          Method
 					start, end int
 				}
 				seen := map[key]bool{}
+				ents := get[[]EntityAnn](rec, "entities")
 				out := make([]EntityAnn, 0, len(ents))
 				for _, e := range ents {
 					k := key{e.Type, e.Method, e.Start, e.End}
@@ -635,16 +416,11 @@ func (r *Registry) registerDC() {
 					}
 					return out[i].End < out[j].End
 				})
-				emit(withField(rec, "entities", out))
-				return nil
-			}}, nil
-	})
-	r.register("filter_tla_entities", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "filter_tla_entities", Pkg: dataflow.DC,
-			Reads: []string{"entities"}, Writes: []string{"entities", "tla_removed"},
-			Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				ents, _ := rec["entities"].([]EntityAnn)
+				rec["entities"] = out
+			})},
+		{name: "filter_tla_entities", pkg: dataflow.DC, reads: []string{"entities"}, writes: []string{"entities", "tla_removed"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				ents := get[[]EntityAnn](rec, "entities")
 				out := make([]EntityAnn, 0, len(ents))
 				var removed []EntityAnn
 				for _, e := range ents {
@@ -657,18 +433,14 @@ func (r *Registry) registerDC() {
 					}
 					out = append(out, e)
 				}
-				o := rec.Clone()
-				o["entities"] = out
-				o["tla_removed"] = removed
-				emit(o)
-				return nil
-			}}, nil
-	})
-	r.register("resolve_entity_overlaps", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "resolve_entity_overlaps", Pkg: dataflow.DC,
-			Reads: []string{"entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				ents, _ := rec["entities"].([]EntityAnn)
+				rec["entities"] = out
+				rec["tla_removed"] = removed
+			})},
+		{name: "resolve_entity_overlaps", pkg: dataflow.DC, reads: []string{"entities"}, writes: []string{"entities"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				// Sort a copy: the input slice is shared with every clone
+				// of the record (fan-out, retries, the dead-letter queue).
+				ents := append([]EntityAnn(nil), get[[]EntityAnn](rec, "entities")...)
 				sort.Slice(ents, func(i, j int) bool {
 					if ents[i].Start != ents[j].Start {
 						return ents[i].Start < ents[j].Start
@@ -684,18 +456,292 @@ func (r *Registry) registerDC() {
 					out = append(out, e)
 					lastEnd[e.Method] = e.End
 				}
-				emit(withField(rec, "entities", out))
+				rec["entities"] = out
+			})},
+		{name: "trim_text", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"text"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = strings.TrimSpace(get[string](rec, "text")) })},
+
+		// --- IE: information extraction operators ---
+		{name: "annotate_sentences", pkg: dataflow.IE, reads: []string{"text"}, writes: []string{"sentences"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.02},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["sentences"] = nlp.SplitSentences(get[string](rec, "text")) })},
+		{name: "annotate_tokens", pkg: dataflow.IE, reads: []string{"text", "sentences"}, writes: []string{"tokens"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				text, spans := get[string](rec, "text"), get[[]nlp.Span](rec, "sentences")
+				toks := make([][]nlp.TokenSpan, len(spans))
+				for i, s := range spans {
+					toks[i] = nlp.Tokenize(text[s.Start:s.End], s.Start)
+				}
+				rec["tokens"] = toks
+			})},
+		{name: "pos_tag", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos", "pos_failed"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				// MedPost-style crash on a degenerate sentence: skip the
+				// sentence, keep the document (§4.2/§5).
+				rec["pos"], rec["pos_failed"], _ = r.tagSentences(rec)
+			})},
+		{name: "pos_tag_strict", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
+			fn: func(rec dataflow.Record, emit dataflow.Emit) error {
+				pos, _, err := r.tagSentences(rec)
+				if err != nil {
+					return err // drops the whole document — the unpatched tool
+				}
+				return dataflow.Edit(func(out dataflow.Record) { out["pos"] = pos })(rec, emit)
+			}},
+		{name: "annotate_negation", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: annotateKind(annot.KindNegation)},
+		{name: "annotate_pronouns", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: annotateKind(annot.KindPronoun)},
+		{name: "annotate_parens", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: annotateKind(annot.KindParen)},
+		{name: "ling_stats", pkg: dataflow.IE, reads: []string{"text", "id"}, writes: []string{"ling"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.15},
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				rec["ling"] = ling.Measure(get[string](rec, "id"), get[string](rec, "text"))
+			})},
+		{name: "abbreviations", pkg: dataflow.IE, reads: []string{"text"}, writes: []string{"abbrevs"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				text := get[string](rec, "text")
+				var abbrevs []string
+				for i := 0; i+4 < len(text); i++ {
+					if text[i] == '(' && text[i+4] == ')' && isTLA(text[i+1:i+4]) {
+						abbrevs = append(abbrevs, text[i+1:i+4])
+					}
+				}
+				rec["abbrevs"] = abbrevs
+			})},
+		{name: "sentence_lengths", pkg: dataflow.IE, reads: []string{"sentences"}, writes: []string{"sent_lengths"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				spans := get[[]nlp.Span](rec, "sentences")
+				ls := make([]int, len(spans))
+				for i, s := range spans {
+					ls[i] = s.Len()
+				}
+				rec["sent_lengths"] = ls
+			})},
+		{name: "filter_degenerate_sentences", pkg: dataflow.IE, reads: []string{"text", "sentences"}, writes: []string{"text", "sentences"}, sel: 1,
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				max := int(paramNum(p, "max_chars", 600))
+				return dataflow.Edit(func(rec dataflow.Record) {
+					// The §5 workaround: "we eventually had to define a hard
+					// upper limit on the texts to be analyzed". Over-long
+					// "sentences" (navigation residue, keyword soup) are cut
+					// out of the analysis text entirely, so no downstream tool
+					// — POS tagging or NER — ever sees them.
+					text, spans := get[string](rec, "text"), get[[]nlp.Span](rec, "sentences")
+					var parts []string
+					for _, s := range spans {
+						if s.Len() <= max {
+							parts = append(parts, text[s.Start:s.End])
+						}
+					}
+					if len(parts) == len(spans) {
+						return
+					}
+					newText := strings.Join(parts, " ")
+					rec["text"] = newText
+					rec["sentences"] = nlp.SplitSentences(newText)
+				}), nil
+			}},
+		{name: "token_count", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"n_tokens"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				n := 0
+				for _, s := range get[[][]nlp.TokenSpan](rec, "tokens") {
+					n += len(s)
+				}
+				rec["n_tokens"] = n
+			})},
+		{name: "split_sentence_records", pkg: dataflow.IE, reads: []string{"text", "sentences", "id"}, writes: []string{"*"},
+			sel: 8, // 1:N — one output record per sentence
+			fn: func(rec dataflow.Record, emit dataflow.Emit) error {
+				text, id := get[string](rec, "text"), get[string](rec, "id")
+				for i, s := range get[[]nlp.Span](rec, "sentences") {
+					emit(dataflow.Record{
+						"id":       fmt.Sprintf("%s#s%d", id, i),
+						"doc_id":   id,
+						"sentence": i,
+						"text":     text[s.Start:s.End],
+					})
+				}
 				return nil
-			}}, nil
+			}},
+		{name: "keep_entities_by_method", pkg: dataflow.IE, reads: []string{"entities"}, writes: []string{"entities"}, sel: 1,
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				m, ok := map[string]Method{"dict": Dict, "ml": ML}[paramStr(p, "method", "dict")]
+				if !ok {
+					return nil, fmt.Errorf("keep_entities_by_method: unknown method %q", paramStr(p, "method", ""))
+				}
+				return keepEntities(func(e EntityAnn) bool { return e.Method == m }), nil
+			}},
+		{name: "count_negations", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_negations"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				rec["n_negations"] = len(filterKind(get[[]annot.Annotation](rec, "anns"), annot.KindNegation))
+			})},
+		{name: "count_pronouns", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_pronouns"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				rec["n_pronouns"] = len(filterKind(get[[]annot.Annotation](rec, "anns"), annot.KindPronoun))
+			})},
+		{name: "entity_density", pkg: dataflow.IE, reads: []string{"entities", "sentences"}, writes: []string{"entities_per_ksent"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				d := 0.0
+				if spans := get[[]nlp.Span](rec, "sentences"); len(spans) > 0 {
+					d = 1000 * float64(len(get[[]EntityAnn](rec, "entities"))) / float64(len(spans))
+				}
+				rec["entities_per_ksent"] = d
+			})},
+		{name: "annotate_relations", pkg: dataflow.IE, reads: []string{"text", "sentences", "entities"}, writes: []string{"relations"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1},
+			with: func(p meteor.Params) (dataflow.UDF, error) {
+				cfg := relex.DefaultConfig()
+				if paramNum(p, "cooccurrence", 0) > 0 {
+					cfg.RequireTrigger = false
+				}
+				if paramStr(p, "cross_type_only", "") == "true" {
+					cfg.AllowSameType = false
+				}
+				if d := paramNum(p, "max_distance", 0); d > 0 {
+					cfg.MaxPairDistance = int(d)
+				}
+				return dataflow.Edit(func(rec dataflow.Record) {
+					var ms []relex.Mention
+					seen := map[[2]int]bool{}
+					for _, e := range get[[]EntityAnn](rec, "entities") {
+						k := [2]int{e.Start, e.End}
+						if seen[k] {
+							continue // dictionary and ML agreeing on a span
+						}
+						seen[k] = true
+						ms = append(ms, relex.Mention{
+							Type: e.Type.String(), Start: e.Start, End: e.End,
+							Surface: e.Surface,
+						})
+					}
+					rec["relations"] = relex.Extract(get[string](rec, "text"), get[[]nlp.Span](rec, "sentences"), ms, cfg)
+				}), nil
+			}},
+		{name: "count_relations", pkg: dataflow.IE, reads: []string{"relations"}, writes: []string{"n_relations"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_relations"] = len(get[[]relex.Relation](rec, "relations")) })},
+		{name: "entity_names", pkg: dataflow.IE, reads: []string{"entities"}, writes: []string{"names"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) {
+				seen := map[string]bool{}
+				var names []string
+				for _, e := range get[[]EntityAnn](rec, "entities") {
+					if !seen[e.Surface] {
+						seen[e.Surface] = true
+						names = append(names, e.Surface)
+					}
+				}
+				sort.Strings(names)
+				rec["names"] = names
+			})},
+	}
+}
+
+// registerParametric registers the operators whose metadata — name suffix,
+// read/write sets, selectivity or cost — depends on the statement's
+// parameters, so that no fixed row can declare them.
+func (r *Registry) registerParametric() {
+	r.register("sample", func(p meteor.Params) (*dataflow.Op, error) {
+		rate := paramNum(p, "rate", 0.1)
+		return &dataflow.Op{Name: "sample", Pkg: dataflow.BASE, Filter: true,
+			Reads: []string{"id"}, Selectivity: rate,
+			Fn: dataflow.Keep(func(rec dataflow.Record) bool {
+				return float64(hashField(rec, "id")%10000)/10000 < rate
+			})}, nil
 	})
-	r.register("trim_text", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "trim_text", Pkg: dataflow.DC,
-			Reads: []string{"text"}, Writes: []string{"text"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "text", strings.TrimSpace(strField(rec, "text"))))
-				return nil
-			}}, nil
+	r.register("drop_field", func(p meteor.Params) (*dataflow.Op, error) {
+		field := paramStr(p, "field", "")
+		return &dataflow.Op{Name: "drop_field", Pkg: dataflow.BASE,
+			Reads: []string{}, Writes: []string{field}, Selectivity: 1,
+			Fn: dataflow.Edit(func(rec dataflow.Record) { delete(rec, field) })}, nil
 	})
+	r.register("rename_field", func(p meteor.Params) (*dataflow.Op, error) {
+		from, to := paramStr(p, "from", ""), paramStr(p, "to", "")
+		if from == "" || to == "" {
+			return nil, fmt.Errorf("rename_field: %w: from/to", errNoParam)
+		}
+		return &dataflow.Op{Name: "rename_field", Pkg: dataflow.BASE,
+			Reads: []string{from}, Writes: []string{from, to}, Selectivity: 1,
+			Fn: dataflow.Edit(func(rec dataflow.Record) {
+				if v, ok := rec[from]; ok {
+					rec[to] = v
+					delete(rec, from)
+				}
+			})}, nil
+	})
+	r.register("set_field", func(p meteor.Params) (*dataflow.Op, error) {
+		field := paramStr(p, "field", "tag")
+		var val any
+		if v, ok := p["value"]; ok {
+			if v.IsNum {
+				val = v.Num
+			} else {
+				val = v.Str
+			}
+		}
+		return &dataflow.Op{Name: "set_field", Pkg: dataflow.BASE,
+			Reads: []string{}, Writes: []string{field}, Selectivity: 1,
+			Fn: dataflow.Edit(func(rec dataflow.Record) { rec[field] = val })}, nil
+	})
+
+	r.register("annotate_entities_dict", func(p meteor.Params) (*dataflow.Op, error) {
+		t, err := entityType(p)
+		if err != nil {
+			return nil, err
+		}
+		return &dataflow.Op{Name: "annotate_entities_dict:" + t.String(), Pkg: dataflow.IE,
+			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
+			Cost: paperScaledDictCost(t),
+			Fn:   appendEntities(func(text string) []EntityAnn { return r.sys.ExtractDict(t, text) })}, nil
+	})
+	r.register("annotate_entities_ml", func(p meteor.Params) (*dataflow.Op, error) {
+		t, err := entityType(p)
+		if err != nil {
+			return nil, err
+		}
+		return &dataflow.Op{Name: "annotate_entities_ml:" + t.String(), Pkg: dataflow.IE,
+			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
+			Cost: dataflow.Cost{PerKBms: 30, StartupMs: 10000, MemoryBytes: 2 << 30},
+			Fn:   appendEntities(func(text string) []EntityAnn { return r.sys.ExtractML(t, text) })}, nil
+	})
+	r.register("keep_entities_of_type", func(p meteor.Params) (*dataflow.Op, error) {
+		t, err := entityType(p)
+		if err != nil {
+			return nil, err
+		}
+		return &dataflow.Op{Name: "keep_entities_of_type:" + t.String(), Pkg: dataflow.IE,
+			Reads: []string{"entities"}, Writes: []string{"entities"}, Selectivity: 1,
+			Fn: keepEntities(func(e EntityAnn) bool { return e.Type == t })}, nil
+	})
+}
+
+// entityType reads the entity class an operator is asked for.
+func entityType(p meteor.Params) (textgen.EntityType, error) {
+	switch paramStr(p, "type", "") {
+	case "gene":
+		return textgen.Gene, nil
+	case "drug":
+		return textgen.Drug, nil
+	case "disease":
+		return textgen.Disease, nil
+	}
+	return textgen.None, fmt.Errorf("annotate_entities: unknown type %q", paramStr(p, "type", ""))
+}
+
+// appendEntities is the operator that appends the mentions extract finds in
+// the text to the entity list.
+func appendEntities(extract func(text string) []EntityAnn) dataflow.UDF {
+	return dataflow.Edit(func(rec dataflow.Record) {
+		found := extract(get[string](rec, "text"))
+		rec["entities"] = append(append([]EntityAnn{}, get[[]EntityAnn](rec, "entities")...), found...)
+	})
+}
+
+// --- helpers shared by several rows ---
+
+func detectMIME(rec dataflow.Record) mimetype.Type {
+	return mimetype.Detect(get[string](rec, "id"), []byte(get[string](rec, "html")))
+}
+
+func htmlTokens(rec dataflow.Record) []htmlkit.Token {
+	return htmlkit.Tokenize(get[string](rec, "html"))
 }
 
 func isTLA(s string) bool {
@@ -710,413 +756,49 @@ func isTLA(s string) bool {
 	return true
 }
 
-// --- IE package: information extraction operators ---
-
-func (r *Registry) registerIE() {
-	r.register("annotate_sentences", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "annotate_sentences", Pkg: dataflow.IE,
-			Reads: []string{"text"}, Writes: []string{"sentences"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.02},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "sentences", nlp.SplitSentences(strField(rec, "text"))))
-				return nil
-			}}, nil
-	})
-	r.register("annotate_tokens", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "annotate_tokens", Pkg: dataflow.IE,
-			Reads: []string{"text", "sentences"}, Writes: []string{"tokens"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.05},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				text := strField(rec, "text")
-				spans, _ := rec["sentences"].([]nlp.Span)
-				toks := make([][]nlp.TokenSpan, len(spans))
-				for i, s := range spans {
-					toks[i] = nlp.Tokenize(text[s.Start:s.End], s.Start)
-				}
-				emit(withField(rec, "tokens", toks))
-				return nil
-			}}, nil
-	})
-	r.register("pos_tag", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "pos_tag", Pkg: dataflow.IE,
-			Reads: []string{"tokens"}, Writes: []string{"pos", "pos_failed"},
-			Selectivity: 1,
-			Cost:        dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				toks, _ := rec["tokens"].([][]nlp.TokenSpan)
-				pos := make([][]string, len(toks))
-				failed := 0
-				for i, sent := range toks {
-					tags, err := r.sys.POS.Tag(tokenTexts(sent))
-					if err != nil {
-						// MedPost-style crash on a degenerate sentence: skip
-						// the sentence, keep the document (§4.2/§5).
-						failed++
-						continue
-					}
-					pos[i] = tags
-				}
-				out := rec.Clone()
-				out["pos"] = pos
-				out["pos_failed"] = failed
-				emit(out)
-				return nil
-			}}, nil
-	})
-	r.register("pos_tag_strict", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "pos_tag_strict", Pkg: dataflow.IE,
-			Reads: []string{"tokens"}, Writes: []string{"pos"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				toks, _ := rec["tokens"].([][]nlp.TokenSpan)
-				pos := make([][]string, len(toks))
-				for i, sent := range toks {
-					tags, err := r.sys.POS.Tag(tokenTexts(sent))
-					if err != nil {
-						return err // drops the whole document — the unpatched tool
-					}
-					pos[i] = tags
-				}
-				emit(withField(rec, "pos", pos))
-				return nil
-			}}, nil
-	})
-
-	lingOp := func(name string, kind annot.Kind) {
-		r.register(name, func(p meteor.Params) (*dataflow.Op, error) {
-			return &dataflow.Op{Name: name, Pkg: dataflow.IE,
-				Reads: []string{"text", "sentences", "id"}, Writes: []string{"anns"},
-				Selectivity: 1, Cost: dataflow.Cost{PerKBms: 0.05},
-				Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-					text := strField(rec, "text")
-					spans, _ := rec["sentences"].([]nlp.Span)
-					all := ling.Analyze(strField(rec, "id"), text, spans)
-					prev, _ := rec["anns"].([]annot.Annotation)
-					out := append(append([]annot.Annotation{}, prev...), filterKind(all, kind)...)
-					emit(withField(rec, "anns", out))
-					return nil
-				}}, nil
-		})
-	}
-	lingOp("annotate_negation", annot.KindNegation)
-	lingOp("annotate_pronouns", annot.KindPronoun)
-	lingOp("annotate_parens", annot.KindParen)
-
-	r.register("ling_stats", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "ling_stats", Pkg: dataflow.IE,
-			Reads: []string{"text", "id"}, Writes: []string{"ling"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 0.15},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				emit(withField(rec, "ling", ling.Measure(strField(rec, "id"), strField(rec, "text"))))
-				return nil
-			}}, nil
-	})
-
-	entityType := func(p meteor.Params) (textgen.EntityType, error) {
-		switch paramStr(p, "type", "") {
-		case "gene":
-			return textgen.Gene, nil
-		case "drug":
-			return textgen.Drug, nil
-		case "disease":
-			return textgen.Disease, nil
-		default:
-			return textgen.None, fmt.Errorf("annotate_entities: unknown type %q", paramStr(p, "type", ""))
+// keepEntities is the operator that narrows the entity list to pred.
+func keepEntities(pred func(EntityAnn) bool) dataflow.UDF {
+	return dataflow.Edit(func(rec dataflow.Record) {
+		ents := get[[]EntityAnn](rec, "entities")
+		out := make([]EntityAnn, 0, len(ents))
+		for _, e := range ents {
+			if pred(e) {
+				out = append(out, e)
+			}
 		}
-	}
-	r.register("annotate_entities_dict", func(p meteor.Params) (*dataflow.Op, error) {
-		t, err := entityType(p)
-		if err != nil {
-			return nil, err
-		}
-		m := r.sys.DictMatchers[t]
-		st := m.Stats()
-		return &dataflow.Op{Name: "annotate_entities_dict:" + t.String(), Pkg: dataflow.IE,
-			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Cost: dataflow.Cost{
-				PerKBms:   0.05,
-				StartupMs: paperScaledStartupMs(t),
-				// The expanded automaton footprint, extrapolated to the
-				// paper's dictionary sizes (6-20 GB per worker, §4.2).
-				MemoryBytes: paperScaledMemory(t, st.ApproxBytes()),
-			},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				prev, _ := rec["entities"].([]EntityAnn)
-				found := r.sys.ExtractDict(t, strField(rec, "text"))
-				emit(withField(rec, "entities", append(append([]EntityAnn{}, prev...), found...)))
-				return nil
-			}}, nil
-	})
-	r.register("annotate_entities_ml", func(p meteor.Params) (*dataflow.Op, error) {
-		t, err := entityType(p)
-		if err != nil {
-			return nil, err
-		}
-		return &dataflow.Op{Name: "annotate_entities_ml:" + t.String(), Pkg: dataflow.IE,
-			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 30, StartupMs: 10000, MemoryBytes: 2 << 30},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				prev, _ := rec["entities"].([]EntityAnn)
-				found := r.sys.ExtractML(t, strField(rec, "text"))
-				emit(withField(rec, "entities", append(append([]EntityAnn{}, prev...), found...)))
-				return nil
-			}}, nil
-	})
-	r.register("abbreviations", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "abbreviations", Pkg: dataflow.IE,
-			Reads: []string{"text"}, Writes: []string{"abbrevs"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				text := strField(rec, "text")
-				var abbrevs []string
-				for i := 0; i+4 < len(text); i++ {
-					if text[i] == '(' && i+4 < len(text) && text[i+4] == ')' &&
-						isTLA(text[i+1:i+4]) {
-						abbrevs = append(abbrevs, text[i+1:i+4])
-					}
-				}
-				emit(withField(rec, "abbrevs", abbrevs))
-				return nil
-			}}, nil
-	})
-	r.register("sentence_lengths", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "sentence_lengths", Pkg: dataflow.IE,
-			Reads: []string{"sentences"}, Writes: []string{"sent_lengths"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				spans, _ := rec["sentences"].([]nlp.Span)
-				ls := make([]int, len(spans))
-				for i, s := range spans {
-					ls[i] = s.Len()
-				}
-				emit(withField(rec, "sent_lengths", ls))
-				return nil
-			}}, nil
-	})
-	r.register("filter_degenerate_sentences", func(p meteor.Params) (*dataflow.Op, error) {
-		max := int(paramNum(p, "max_chars", 600))
-		return &dataflow.Op{Name: "filter_degenerate_sentences", Pkg: dataflow.IE,
-			Reads: []string{"text", "sentences"}, Writes: []string{"text", "sentences"},
-			Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				// The §5 workaround: "we eventually had to define a hard
-				// upper limit on the texts to be analyzed". Over-long
-				// "sentences" (navigation residue, keyword soup) are cut
-				// out of the analysis text entirely, so no downstream tool
-				// — POS tagging or NER — ever sees them.
-				text := strField(rec, "text")
-				spans, _ := rec["sentences"].([]nlp.Span)
-				dropped := false
-				var parts []string
-				for _, s := range spans {
-					if s.Len() <= max {
-						parts = append(parts, text[s.Start:s.End])
-					} else {
-						dropped = true
-					}
-				}
-				if !dropped {
-					emit(rec)
-					return nil
-				}
-				newText := strings.Join(parts, " ")
-				out := rec.Clone()
-				out["text"] = newText
-				out["sentences"] = nlp.SplitSentences(newText)
-				emit(out)
-				return nil
-			}}, nil
-	})
-	r.register("token_count", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "token_count", Pkg: dataflow.IE,
-			Reads: []string{"tokens"}, Writes: []string{"n_tokens"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				toks, _ := rec["tokens"].([][]nlp.TokenSpan)
-				n := 0
-				for _, s := range toks {
-					n += len(s)
-				}
-				emit(withField(rec, "n_tokens", n))
-				return nil
-			}}, nil
-	})
-	r.register("split_sentence_records", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "split_sentence_records", Pkg: dataflow.IE,
-			Reads: []string{"text", "sentences", "id"}, Writes: []string{"*"},
-			Selectivity: 8, // 1:N — one output record per sentence
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				text := strField(rec, "text")
-				spans, _ := rec["sentences"].([]nlp.Span)
-				id := strField(rec, "id")
-				for i, s := range spans {
-					emit(dataflow.Record{
-						"id":       fmt.Sprintf("%s#s%d", id, i),
-						"doc_id":   id,
-						"sentence": i,
-						"text":     text[s.Start:s.End],
-					})
-				}
-				return nil
-			}}, nil
-	})
-	r.register("keep_entities_of_type", func(p meteor.Params) (*dataflow.Op, error) {
-		t, err := entityType(p)
-		if err != nil {
-			return nil, err
-		}
-		return &dataflow.Op{Name: "keep_entities_of_type:" + t.String(), Pkg: dataflow.IE,
-			Reads: []string{"entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				ents, _ := rec["entities"].([]EntityAnn)
-				out := make([]EntityAnn, 0, len(ents))
-				for _, e := range ents {
-					if e.Type == t {
-						out = append(out, e)
-					}
-				}
-				emit(withField(rec, "entities", out))
-				return nil
-			}}, nil
-	})
-	r.register("keep_entities_by_method", func(p meteor.Params) (*dataflow.Op, error) {
-		var m Method
-		switch paramStr(p, "method", "dict") {
-		case "dict":
-			m = Dict
-		case "ml":
-			m = ML
-		default:
-			return nil, fmt.Errorf("keep_entities_by_method: unknown method %q", paramStr(p, "method", ""))
-		}
-		return &dataflow.Op{Name: "keep_entities_by_method", Pkg: dataflow.IE,
-			Reads: []string{"entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				ents, _ := rec["entities"].([]EntityAnn)
-				out := make([]EntityAnn, 0, len(ents))
-				for _, e := range ents {
-					if e.Method == m {
-						out = append(out, e)
-					}
-				}
-				emit(withField(rec, "entities", out))
-				return nil
-			}}, nil
-	})
-	r.register("count_negations", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "count_negations", Pkg: dataflow.IE,
-			Reads: []string{"anns"}, Writes: []string{"n_negations"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				anns, _ := rec["anns"].([]annot.Annotation)
-				n := 0
-				for _, a := range anns {
-					if a.Kind == annot.KindNegation {
-						n++
-					}
-				}
-				emit(withField(rec, "n_negations", n))
-				return nil
-			}}, nil
-	})
-	r.register("count_pronouns", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "count_pronouns", Pkg: dataflow.IE,
-			Reads: []string{"anns"}, Writes: []string{"n_pronouns"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				anns, _ := rec["anns"].([]annot.Annotation)
-				n := 0
-				for _, a := range anns {
-					if a.Kind == annot.KindPronoun {
-						n++
-					}
-				}
-				emit(withField(rec, "n_pronouns", n))
-				return nil
-			}}, nil
-	})
-	r.register("entity_density", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "entity_density", Pkg: dataflow.IE,
-			Reads: []string{"entities", "sentences"}, Writes: []string{"entities_per_ksent"},
-			Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				ents, _ := rec["entities"].([]EntityAnn)
-				spans, _ := rec["sentences"].([]nlp.Span)
-				d := 0.0
-				if len(spans) > 0 {
-					d = 1000 * float64(len(ents)) / float64(len(spans))
-				}
-				emit(withField(rec, "entities_per_ksent", d))
-				return nil
-			}}, nil
-	})
-	r.register("annotate_relations", func(p meteor.Params) (*dataflow.Op, error) {
-		cfg := relex.DefaultConfig()
-		if paramNum(p, "cooccurrence", 0) > 0 {
-			cfg.RequireTrigger = false
-		}
-		if paramStr(p, "cross_type_only", "") == "true" {
-			cfg.AllowSameType = false
-		}
-		if d := paramNum(p, "max_distance", 0); d > 0 {
-			cfg.MaxPairDistance = int(d)
-		}
-		return &dataflow.Op{Name: "annotate_relations", Pkg: dataflow.IE,
-			Reads: []string{"text", "sentences", "entities"}, Writes: []string{"relations"},
-			Selectivity: 1, Cost: dataflow.Cost{PerKBms: 0.1},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				text := strField(rec, "text")
-				spans, _ := rec["sentences"].([]nlp.Span)
-				ents, _ := rec["entities"].([]EntityAnn)
-				var ms []relex.Mention
-				seen := map[[2]int]bool{}
-				for _, e := range ents {
-					k := [2]int{e.Start, e.End}
-					if seen[k] {
-						continue // dictionary and ML agreeing on a span
-					}
-					seen[k] = true
-					ms = append(ms, relex.Mention{
-						Type: e.Type.String(), Start: e.Start, End: e.End,
-						Surface: e.Surface,
-					})
-				}
-				emit(withField(rec, "relations", relex.Extract(text, spans, ms, cfg)))
-				return nil
-			}}, nil
-	})
-	r.register("count_relations", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "count_relations", Pkg: dataflow.IE,
-			Reads: []string{"relations"}, Writes: []string{"n_relations"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				rels, _ := rec["relations"].([]relex.Relation)
-				emit(withField(rec, "n_relations", len(rels)))
-				return nil
-			}}, nil
-	})
-	r.register("entity_names", func(p meteor.Params) (*dataflow.Op, error) {
-		return &dataflow.Op{Name: "entity_names", Pkg: dataflow.IE,
-			Reads: []string{"entities"}, Writes: []string{"names"}, Selectivity: 1,
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
-				ents, _ := rec["entities"].([]EntityAnn)
-				seen := map[string]bool{}
-				var names []string
-				for _, e := range ents {
-					if !seen[e.Surface] {
-						seen[e.Surface] = true
-						names = append(names, e.Surface)
-					}
-				}
-				sort.Strings(names)
-				emit(withField(rec, "names", names))
-				return nil
-			}}, nil
+		rec["entities"] = out
 	})
 }
 
-// tokenTexts is the surface forms of one sentence's tokens, the POS
-// tagger's input.
-func tokenTexts(sent []nlp.TokenSpan) []string {
-	words := make([]string, len(sent))
-	for j, t := range sent {
-		words[j] = t.Text
+// tagSentences POS-tags every sentence of the record. A sentence the tagger
+// fails on is left untagged and counted; first is the first such failure.
+func (r *Registry) tagSentences(rec dataflow.Record) (pos [][]string, failed int, first error) {
+	toks := get[[][]nlp.TokenSpan](rec, "tokens")
+	pos = make([][]string, len(toks))
+	for i, sent := range toks {
+		words := make([]string, len(sent))
+		for j, t := range sent {
+			words[j] = t.Text
+		}
+		tags, err := r.sys.POS.Tag(words)
+		if err != nil {
+			if failed++; first == nil {
+				first = err
+			}
+			continue
+		}
+		pos[i] = tags
 	}
-	return words
+	return pos, failed, first
+}
+
+// annotateKind is the operator that appends the document's linguistic
+// annotations of one kind to anns.
+func annotateKind(kind annot.Kind) dataflow.UDF {
+	return dataflow.Edit(func(rec dataflow.Record) {
+		all := ling.Analyze(get[string](rec, "id"), get[string](rec, "text"), get[[]nlp.Span](rec, "sentences"))
+		rec["anns"] = append(append([]annot.Annotation{}, get[[]annot.Annotation](rec, "anns")...), filterKind(all, kind)...)
+	})
 }
 
 func filterKind(anns []annot.Annotation, kind annot.Kind) []annot.Annotation {
@@ -1129,31 +811,19 @@ func filterKind(anns []annot.Annotation, kind annot.Kind) []annot.Annotation {
 	return out
 }
 
-// paperScaledStartupMs returns the dictionary-load startup cost
-// extrapolated to the paper's dictionary sizes: the gene dictionary
-// (700,000 entries) took ~20 minutes to load (§4.2).
-func paperScaledStartupMs(t textgen.EntityType) float64 {
+// paperScaledDictCost is a dictionary tagger's cost extrapolated to the
+// paper's dictionary sizes (§4.2): the gene dictionary (700,000 entries)
+// took ~20 minutes to load, and the expanded automatons held 6-20 GB per
+// worker.
+func paperScaledDictCost(t textgen.EntityType) dataflow.Cost {
+	c := dataflow.Cost{PerKBms: 0.05}
 	switch t {
 	case textgen.Gene:
-		return 20 * 60 * 1000
+		c.StartupMs, c.MemoryBytes = 20*60*1000, 20<<30
 	case textgen.Disease:
-		return 2 * 60 * 1000
+		c.StartupMs, c.MemoryBytes = 2*60*1000, 8<<30
 	case textgen.Drug:
-		return 90 * 1000
+		c.StartupMs, c.MemoryBytes = 90*1000, 6<<30
 	}
-	return 0
-}
-
-// paperScaledMemory extrapolates our measured automaton footprint to the
-// paper's dictionary scale (§4.2: 6-20 GB per worker).
-func paperScaledMemory(t textgen.EntityType, measured int64) int64 {
-	switch t {
-	case textgen.Gene:
-		return 20 << 30
-	case textgen.Disease:
-		return 8 << 30
-	case textgen.Drug:
-		return 6 << 30
-	}
-	return measured
+	return c
 }

@@ -6,12 +6,17 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"webtextie/internal/dataflow"
+	"webtextie/internal/htmlkit"
+	"webtextie/internal/ling"
 	"webtextie/internal/meteor"
 	"webtextie/internal/nlp"
+	"webtextie/internal/relex"
 	"webtextie/internal/textgen"
 )
 
@@ -364,5 +369,139 @@ func TestDedupeNearCatchesSynthwebMirrors(t *testing.T) {
 	if len(near) >= len(exact) {
 		t.Fatalf("near-dedup (%d kept) no better than exact (%d kept) on %d records",
 			len(near), len(exact), len(recs))
+	}
+}
+
+// richRecord builds a record carrying every field an operator reads: html,
+// 24 sentences of text with their spans, tokens and linguistic annotations,
+// links, relations, and 24 entity mentions of both methods in deliberately
+// unsorted order (same-start overlaps, duplicates, TLAs). Every call
+// returns a fresh, deep-equal record.
+func richRecord() dataflow.Record {
+	var b strings.Builder
+	for i := 0; i < 24; i++ {
+		fmt.Fprintf(&b, "The ABC%d gene (TLA) does not regulate tumor growth in group %d, but it inhibits the XYZ pathway. ", i, i)
+	}
+	text := strings.TrimSpace(b.String())
+	html := `<html><head><title>Fixture</title><script>var x = 1;</script></head><body>` +
+		`<nav><a href="/home">Home</a></nav><p>` + text + `</p><p><a href="/next">next page</a></body></html>`
+	sents := nlp.SplitSentences(text)
+	toks := make([][]nlp.TokenSpan, len(sents))
+	for i, s := range sents {
+		toks[i] = nlp.Tokenize(text[s.Start:s.End], s.Start)
+	}
+	var ents []EntityAnn
+	for i := 23; i >= 0; i-- { // descending starts; every third sentence doubly covered
+		start := sents[i].Start + 4
+		m := Method(i % 2)
+		ents = append(ents, EntityAnn{Type: textgen.Gene, Method: m, Start: start, End: start + 3, Surface: text[start : start+3]})
+		if i%3 == 0 {
+			ents = append(ents,
+				EntityAnn{Type: textgen.Gene, Method: m, Start: start, End: start + 5, Surface: text[start : start+5]},
+				EntityAnn{Type: textgen.Drug, Method: 1 - m, Start: start, End: start + 3, Surface: text[start : start+3]})
+		}
+	}
+	a, c := ents[0], ents[5]
+	return dataflow.Record{
+		"id": "http://fixture.example/p1.html", "html": html, "text": text,
+		"html_tokens": htmlkit.Tokenize(html), "links": htmlkit.ExtractLinks(htmlkit.Tokenize(html)),
+		"sentences": sents, "tokens": toks, "entities": ents,
+		"anns": ling.Analyze("fixture", text, sents),
+		"relations": []relex.Relation{{Sentence: 0, Trigger: "inhibits", Kind: "regulation",
+			A: relex.Mention{Type: "gene", Start: a.Start, End: a.End, Surface: a.Surface},
+			B: relex.Mention{Type: "gene", Start: c.Start, End: c.End, Surface: c.Surface}}},
+		"a": "renamed", "n": 7,
+	}
+}
+
+// TestOperatorContract holds every registered operator to what its row
+// declares, on one rich record: the input record is left exactly as it
+// was, a filter emits the identical record or nothing, and any other
+// operator changes only fields listed in its Writes.
+func TestOperatorContract(t *testing.T) {
+	s, _ := testSystem(t)
+	reg := s.Registry()
+	if fx := richRecord(); len(fx["entities"].([]EntityAnn)) < 20 || len(fx["sentences"].([]nlp.Span)) < 20 {
+		t.Fatal("fixture too small: want at least 20 entities and 20 sentences")
+	}
+	params := meteor.Params{"type": {Str: "gene"}, "keep": {Str: "id text"}, "from": {Str: "a"}, "to": {Str: "b"},
+		"field": {Str: "n"}, "value": {Str: "v"}, "rate": {Num: 1, IsNum: true}}
+	for _, name := range reg.Names() {
+		op, err := reg.Resolve(name, params)
+		if err != nil {
+			t.Errorf("resolve %q: %v", name, err)
+			continue
+		}
+		in, pristine := richRecord(), richRecord()
+		var outs []dataflow.Record
+		if err := op.Fn(in, func(r dataflow.Record) { outs = append(outs, r) }); err != nil {
+			t.Errorf("%s: failed on the fixture: %v", op.Name, err)
+		}
+		if !reflect.DeepEqual(in, pristine) {
+			t.Errorf("%s mutates its input record", op.Name)
+		}
+		if len(outs) == 0 {
+			t.Errorf("%s emits nothing on the fixture", op.Name)
+		}
+		writes := map[string]bool{}
+		for _, f := range op.Writes {
+			writes[f] = true
+		}
+		for _, out := range outs {
+			var changed []string
+			for f := range out {
+				if !reflect.DeepEqual(out[f], pristine[f]) {
+					changed = append(changed, f)
+				}
+			}
+			for f := range pristine {
+				if _, kept := out[f]; !kept {
+					changed = append(changed, f)
+				}
+			}
+			sort.Strings(changed)
+			if op.Filter && len(changed) > 0 {
+				t.Errorf("filter %s changed fields %v", op.Name, changed)
+			}
+			for _, f := range changed {
+				if !writes[f] && !writes["*"] {
+					t.Errorf("%s changed field %q outside its declared Writes %v", op.Name, f, op.Writes)
+				}
+			}
+		}
+	}
+}
+
+// TestFanOutAfterMergeEntities: clones made at a fan-out share their field
+// values, so both readers of merge_entities see the same entities slice —
+// under -race this catches an operator that sorts or edits it in place.
+func TestFanOutAfterMergeEntities(t *testing.T) {
+	s, _ := testSystem(t)
+	script := `
+$x = read from 'in';
+$m = merge_entities $x;
+$r = resolve_entity_overlaps $m;
+$n = entity_names $m;
+write $r to 'resolved';
+write $n to 'names';
+`
+	in := make([]dataflow.Record, 64)
+	for i := range in {
+		in[i] = richRecord()
+	}
+	run := func(dop int) map[string][]dataflow.Record {
+		out, _, err := meteor.Run(script, s.Registry(), map[string][]dataflow.Record{"in": in},
+			false, dataflow.ExecConfig{DoP: dop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := run(4), run(1)
+	if len(got["resolved"]) != len(in) || len(got["names"]) != len(in) {
+		t.Fatalf("sinks hold %d and %d records, want %d each", len(got["resolved"]), len(got["names"]), len(in))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("DoP 4 and DoP 1 disagree after the fan-out")
 	}
 }

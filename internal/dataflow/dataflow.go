@@ -53,6 +53,29 @@ type Emit func(Record)
 // malformed page must not kill an 80-day crawl analysis.
 type UDF func(Record, Emit) error
 
+// Keep is the UDF shape of a filter: the record passes unchanged when pred
+// holds and is dropped otherwise.
+func Keep(pred func(Record) bool) UDF {
+	return func(rec Record, emit Emit) error {
+		if pred(rec) {
+			emit(rec)
+		}
+		return nil
+	}
+}
+
+// Edit is the UDF shape of an annotator: f reads and fills fields on a
+// private clone of the input, which is then emitted. The clone is shallow,
+// so f must replace field values, never mutate them (see Record.Clone).
+func Edit(f func(Record)) UDF {
+	return func(rec Record, emit Emit) error {
+		out := rec.Clone()
+		f(out)
+		emit(out)
+		return nil
+	}
+}
+
 // Cost models one operator's resource behaviour for the simulated cluster.
 type Cost struct {
 	// PerKBms is virtual milliseconds of CPU per KB of input text.
@@ -61,9 +84,6 @@ type Cost struct {
 	StartupMs float64
 	// MemoryBytes is the per-worker resident footprint.
 	MemoryBytes int64
-	// OutputFactor estimates output bytes per input byte (annotations
-	// inflate data volume: the paper produced 1.6 TB from 1 TB of text).
-	OutputFactor float64
 }
 
 // Op is one logical operator.

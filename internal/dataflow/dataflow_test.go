@@ -13,29 +13,18 @@ import (
 
 func passOp(name string) *Op {
 	return &Op{Name: name, Pkg: BASE, Reads: []string{"x"}, Writes: nil,
-		Selectivity: 1, Fn: func(r Record, emit Emit) error { emit(r); return nil }}
+		Selectivity: 1, Fn: Keep(func(Record) bool { return true })}
 }
 
 func filterOp(name string, keep func(Record) bool, sel float64) *Op {
 	return &Op{Name: name, Pkg: BASE, Filter: true, Selectivity: sel,
-		Reads: []string{"x"},
-		Fn: func(r Record, emit Emit) error {
-			if keep(r) {
-				emit(r)
-			}
-			return nil
-		}}
+		Reads: []string{"x"}, Fn: Keep(keep)}
 }
 
 func setOp(name, field string, v any) *Op {
 	return &Op{Name: name, Pkg: BASE, Reads: []string{}, Writes: []string{field},
 		Selectivity: 1, Cost: Cost{PerKBms: 5},
-		Fn: func(r Record, emit Emit) error {
-			out := r.Clone()
-			out[field] = v
-			emit(out)
-			return nil
-		}}
+		Fn: Edit(func(r Record) { r[field] = v })}
 }
 
 func input(n int) []Record {
@@ -64,7 +53,7 @@ func TestLinearPipeline(t *testing.T) {
 	a := p.Add(passOp("a"))
 	b := p.Add(filterOp("even", func(r Record) bool { return r["x"].(int)%2 == 0 }, 0.5), a)
 	p.Add(setOp("mark", "y", "ok"), b)
-	out, st := runSingleSink(t, p, input(100), DefaultExecConfig())
+	out, st := runSingleSink(t, p, input(100), ExecConfig{DoP: 4})
 	if len(out) != 50 {
 		t.Fatalf("got %d records, want 50", len(out))
 	}
@@ -85,7 +74,7 @@ func TestFanOutBranches(t *testing.T) {
 	src := p.Add(passOp("src"))
 	p.Add(setOp("left", "l", 1), src)
 	p.Add(setOp("right", "r", 1), src)
-	res, _, err := Execute(p, input(20), DefaultExecConfig())
+	res, _, err := Execute(p, input(20), ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +115,7 @@ func TestFanIn(t *testing.T) {
 	b := p.Add(passOp("b"))
 	union := p.Add(passOp("union"), a, b)
 	_ = union
-	res, _, err := Execute(p, input(10), DefaultExecConfig())
+	res, _, err := Execute(p, input(10), ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +136,7 @@ func TestUDFErrorsCountedNotFatal(t *testing.T) {
 			emit(r)
 			return nil
 		}}, src)
-	out, st := runSingleSink(t, p, input(100), DefaultExecConfig())
+	out, st := runSingleSink(t, p, input(100), ExecConfig{DoP: 4})
 	if len(out) != 90 {
 		t.Fatalf("got %d records, want 90", len(out))
 	}
@@ -161,7 +150,7 @@ func TestErrStopFlowNotAnError(t *testing.T) {
 	src := p.Add(passOp("src"))
 	p.Add(&Op{Name: "drop", Pkg: BASE, Selectivity: 0,
 		Fn: func(r Record, emit Emit) error { return ErrStopFlow }}, src)
-	out, st := runSingleSink(t, p, input(10), DefaultExecConfig())
+	out, st := runSingleSink(t, p, input(10), ExecConfig{DoP: 4})
 	if len(out) != 0 || st.TotalErrors() != 0 {
 		t.Fatalf("out=%d errors=%d", len(out), st.TotalErrors())
 	}
@@ -186,7 +175,7 @@ func TestInitErrorAborts(t *testing.T) {
 	p.Add(&Op{Name: "bad", Pkg: IE,
 		Init: func() error { return errors.New("out of memory") },
 		Fn:   func(r Record, emit Emit) error { return nil }}, src)
-	if _, _, err := Execute(p, input(1), DefaultExecConfig()); err == nil {
+	if _, _, err := Execute(p, input(1), ExecConfig{DoP: 4}); err == nil {
 		t.Fatal("init error not propagated")
 	}
 }
@@ -232,7 +221,7 @@ func TestEmptyInput(t *testing.T) {
 	p := &Plan{}
 	src := p.Add(passOp("src"))
 	p.Add(passOp("next"), src)
-	out, _ := runSingleSink(t, p, nil, DefaultExecConfig())
+	out, _ := runSingleSink(t, p, nil, ExecConfig{DoP: 4})
 	if len(out) != 0 {
 		t.Fatalf("empty input produced %d records", len(out))
 	}
@@ -324,7 +313,7 @@ func TestOptimizePreservesResults(t *testing.T) {
 		return p
 	}
 	collect := func(p *Plan) []string {
-		out, _ := runSingleSink(t, p, input(60), DefaultExecConfig())
+		out, _ := runSingleSink(t, p, input(60), ExecConfig{DoP: 4})
 		keys := make([]string, len(out))
 		for i, r := range out {
 			keys[i] = fmt.Sprintf("%v:%v", r["x"], r["e"])

@@ -29,16 +29,21 @@ const (
 	FailFast
 )
 
-// defaultQuarantineLimit caps the retained dead-letter records when
-// ExecConfig.QuarantineLimit is zero.
-const defaultQuarantineLimit = 1024
+const (
+	// queueLen is the capacity of each inter-operator queue: enough to
+	// ride out per-record cost variance between neighbours without letting
+	// a fast producer run a whole corpus ahead of a slow consumer.
+	queueLen = 64
+	// quarantineLimit caps the dead-letter records retained in
+	// ExecStats.Quarantined; overflowing records are still counted in
+	// stats and metrics.
+	quarantineLimit = 1024
+)
 
 // ExecConfig controls plan execution.
 type ExecConfig struct {
 	// DoP is the number of worker goroutines per operator node.
 	DoP int
-	// ChannelBuffer sizes the inter-operator queues.
-	ChannelBuffer int
 	// Set attaches the observability pillars; a nil handle leaves that
 	// pillar off (Series is not used: an execution has no sample clock).
 	//
@@ -66,30 +71,24 @@ type ExecConfig struct {
 	// Prof attributes execution cost per operator under
 	// dataflow.op.<name> scopes: every processed record is one bracket
 	// (a call and its real nanoseconds) around the operator invocation,
-	// retries included. Call counts are DoP-independent under the
-	// Quarantine policy — the same caveat as Trace.
+	// retries included, closed before its emissions are routed — time
+	// blocked on a full downstream queue is nobody's cost. Call counts are
+	// DoP-independent under the Quarantine policy — the same caveat as
+	// Trace.
 	pillars.Set
 	// Policy selects the response to UDF errors (Quarantine by default).
 	Policy ErrorPolicy
 	// OpRetries is the per-record retry budget for a failing operator:
 	// the record is re-presented up to OpRetries more times before it is
-	// quarantined (or, under FailFast, kills the run). Emissions of a
-	// failed attempt are discarded, so retried records produce output
-	// exactly once. 0 disables retries (and keeps the zero-overhead
-	// unbuffered emit path).
+	// quarantined (or, under FailFast, kills the run). At any budget an
+	// attempt that fails or returns ErrStopFlow emits nothing, so retried
+	// records produce output exactly once.
 	OpRetries int
-	// QuarantineLimit caps the dead-letter records retained in
-	// ExecStats.Quarantined (0 means 1024; negative retains none).
-	// Overflowing records are still counted in stats and metrics.
-	QuarantineLimit int
 	// TraceKey names the record field holding the document identity used
 	// as the trace key (e.g. "id"). Records without the field fall back to
 	// an input-index key.
 	TraceKey string
 }
-
-// DefaultExecConfig uses DoP 4.
-func DefaultExecConfig() ExecConfig { return ExecConfig{DoP: 4, ChannelBuffer: 64} }
 
 // NodeStats aggregates one node's execution counters.
 type NodeStats struct {
@@ -128,8 +127,7 @@ type ExecStats struct {
 	Wall time.Duration
 	// Quarantined is the dead-letter output, sorted by (node, error,
 	// record) so concurrent executions report deterministically. Capped
-	// at ExecConfig.QuarantineLimit; NodeStats.Quarantined holds the
-	// uncapped counts.
+	// at quarantineLimit; NodeStats.Quarantined holds the uncapped counts.
 	Quarantined []QuarantinedRecord
 }
 
@@ -219,15 +217,14 @@ type flowItem struct {
 
 // quarantineLog collects dead-letter records across worker goroutines.
 type quarantineLog struct {
-	mu    sync.Mutex
-	limit int
-	recs  []QuarantinedRecord
+	mu   sync.Mutex
+	recs []QuarantinedRecord
 }
 
 func (q *quarantineLog) add(n *Node, rec Record, err error, tc trace.Context) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.recs) >= q.limit {
+	if len(q.recs) >= quarantineLimit {
 		return
 	}
 	id := ""
@@ -258,38 +255,32 @@ func (q *quarantineLog) sorted() []QuarantinedRecord {
 }
 
 // process runs one record through one operator under the error policy:
-// panic recovery, up to cfg.OpRetries re-presentations (each attempt's
-// emissions buffered and discarded on failure), then quarantine or abort.
-// A non-nil return is a FailFast abort.
-func process(n *Node, nm *nodeMetrics, cfg ExecConfig, item flowItem, emit Emit, q *quarantineLog, lg evlog.Logger) error {
+// panic recovery, up to cfg.OpRetries re-presentations, then quarantine or
+// abort. Each attempt collects its emissions in *out, the worker's reusable
+// buffer; the caller routes them once process returns, and an attempt that
+// fails or stops the flow leaves none. A non-nil return is a FailFast abort.
+func process(n *Node, nm *nodeMetrics, cfg ExecConfig, item flowItem, out *[]Record, q *quarantineLog, lg evlog.Logger) error {
 	rec, tc := item.rec, item.tc
 	ts := int64(n.id) // plan-position logical clock
+	collect := func(r Record) { *out = append(*out, r) }
 	var lastErr error
 	for attempt := 0; attempt <= cfg.OpRetries; attempt++ {
-		in, out := rec, emit
-		var buf []Record
-		if cfg.OpRetries > 0 {
-			// Buffer emissions so a failed attempt emits nothing and a
-			// retry starts from a pristine record.
-			out = func(r Record) { buf = append(buf, r) }
-			if attempt > 0 {
-				in = rec.Clone()
-				nm.retries.Inc()
-				tc.Event("op.retry", ts, trace.Int("attempt", int64(attempt)))
-				lg.For(tc.Trace).Debug("op.retry", ts,
-					trace.String("op", n.Op.Name), trace.Int("attempt", int64(attempt)))
-			}
+		in := rec
+		if attempt > 0 {
+			in = rec.Clone() // a retry starts from a pristine record
+			nm.retries.Inc()
+			tc.Event("op.retry", ts, trace.Int("attempt", int64(attempt)))
+			lg.For(tc.Trace).Debug("op.retry", ts,
+				trace.String("op", n.Op.Name), trace.Int("attempt", int64(attempt)))
 		}
-		err := safeUDF(n.Op.Fn, in, out)
+		err := safeUDF(n.Op.Fn, in, collect)
+		if err == nil {
+			return nil
+		}
+		*out = (*out)[:0]
 		if errors.Is(err, ErrStopFlow) {
 			tc.Event("op.filtered", ts)
 			return nil // filtered, not a failure
-		}
-		if err == nil {
-			for _, r := range buf {
-				emit(r)
-			}
-			return nil
 		}
 		if errors.Is(err, errPanic) {
 			nm.panics.Inc()
@@ -332,12 +323,6 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	if cfg.DoP <= 0 {
 		cfg.DoP = 1
 	}
-	if cfg.ChannelBuffer <= 0 {
-		cfg.ChannelBuffer = 64
-	}
-	if cfg.QuarantineLimit == 0 {
-		cfg.QuarantineLimit = defaultQuarantineLimit
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.New()
@@ -379,10 +364,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		stats.PerNode[n.id].InitTime = sp.End()
 	}
 
-	quar := &quarantineLog{limit: cfg.QuarantineLimit}
-	if quar.limit < 0 {
-		quar.limit = 0
-	}
+	quar := &quarantineLog{}
 	// abortErr holds the first FailFast error; once set, workers drain
 	// their queues without processing so the topology still unwinds.
 	var abortErr atomic.Pointer[error]
@@ -397,7 +379,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	inCh := map[*Node]chan flowItem{}
 	upstreams := map[*Node]*sync.WaitGroup{}
 	for _, n := range p.nodes {
-		inCh[n] = make(chan flowItem, cfg.ChannelBuffer)
+		inCh[n] = make(chan flowItem, queueLen)
 		wg := &sync.WaitGroup{}
 		if len(n.Inputs) == 0 {
 			wg.Add(1) // the feeder
@@ -435,8 +417,9 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		}
 	}
 	// hopSlot keys a child span by (downstream node, emit index): the emit
-	// index is serial within one process() call, so span IDs are
-	// deterministic per record path regardless of worker interleaving.
+	// index is the emission's position in one process() call's output, so
+	// span IDs are deterministic per record path regardless of worker
+	// interleaving.
 	hopSlot := func(nodeID int, emitIdx int) uint64 {
 		return uint64(nodeID)<<32 | uint64(emitIdx)
 	}
@@ -475,6 +458,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 				workerWG.Add(1)
 				go func() {
 					defer workerWG.Done()
+					var out []Record // this worker's emissions for the record in hand
 					for item := range inCh[n] {
 						depth := int64(len(inCh[n]))
 						nm.queueDepth.Set(depth)
@@ -486,14 +470,13 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 						inflight.Add(1)
 						sp := nm.latency.Start()
 						ph := psc.Enter()
-						emitIdx := 0
-						emit := func(rec Record) {
-							emitFrom(rec, item.tc, emitIdx)
-							emitIdx++
-						}
-						err := process(n, nm, cfg, item, emit, quar, lgOp)
+						err := process(n, nm, cfg, item, &out, quar, lgOp)
 						ph.Exit()
 						sp.End()
+						for i, rec := range out {
+							emitFrom(rec, item.tc, i)
+						}
+						out = out[:0]
 						item.tc.End(int64(n.id) + 1)
 						inflight.Add(-1)
 						if err != nil {

@@ -6,9 +6,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/pillars"
+	"webtextie/internal/obs/prof"
+	"webtextie/internal/obs/trace"
 )
 
 // attemptTracker counts per-record attempts so a test UDF can fail a
@@ -41,7 +44,7 @@ func TestPanicRecoveredAndQuarantined(t *testing.T) {
 			emit(r)
 			return nil
 		}}, src)
-	out, st := runSingleSink(t, p, input(100), DefaultExecConfig())
+	out, st := runSingleSink(t, p, input(100), ExecConfig{DoP: 4})
 	if len(out) != 90 {
 		t.Fatalf("got %d records, want 90", len(out))
 	}
@@ -72,7 +75,7 @@ func TestFailFastAborts(t *testing.T) {
 			emit(r)
 			return nil
 		}}, src)
-	cfg := DefaultExecConfig()
+	cfg := ExecConfig{DoP: 4}
 	cfg.Policy = FailFast
 	res, _, err := Execute(p, input(100), cfg)
 	if err == nil {
@@ -98,7 +101,7 @@ func TestOpRetriesRecoverTransientFailures(t *testing.T) {
 			}
 			return nil
 		}}, src)
-	cfg := DefaultExecConfig()
+	cfg := ExecConfig{DoP: 4}
 	cfg.OpRetries = 3
 	out, st := runSingleSink(t, p, input(50), cfg)
 	if len(out) != 50 {
@@ -129,7 +132,7 @@ func TestOpRetriesExhaustedQuarantines(t *testing.T) {
 			emit(r)
 			return nil
 		}}, src)
-	cfg := DefaultExecConfig()
+	cfg := ExecConfig{DoP: 4}
 	cfg.OpRetries = 2
 	out, st := runSingleSink(t, p, input(20), cfg)
 	if len(out) != 19 {
@@ -151,17 +154,141 @@ func TestQuarantineLimitCapsRetention(t *testing.T) {
 	src := p.Add(passOp("src"))
 	p.Add(&Op{Name: "sieve", Pkg: IE, Selectivity: 1,
 		Fn: func(r Record, emit Emit) error { return errors.New("bad") }}, src)
-	cfg := DefaultExecConfig()
-	cfg.QuarantineLimit = 5
-	out, st := runSingleSink(t, p, input(40), cfg)
+	const fed = quarantineLimit + 40
+	out, st := runSingleSink(t, p, input(fed), ExecConfig{DoP: 4})
 	if len(out) != 0 {
 		t.Fatalf("got %d records", len(out))
 	}
-	if len(st.Quarantined) != 5 {
-		t.Fatalf("retained %d dead letters, want 5", len(st.Quarantined))
+	if len(st.Quarantined) != quarantineLimit {
+		t.Fatalf("retained %d dead letters, want %d", len(st.Quarantined), quarantineLimit)
 	}
-	if st.TotalQuarantined() != 40 || st.TotalErrors() != 40 {
-		t.Fatalf("quarantined/errors = %d/%d, want 40/40", st.TotalQuarantined(), st.TotalErrors())
+	if st.TotalQuarantined() != fed || st.TotalErrors() != fed {
+		t.Fatalf("quarantined/errors = %d/%d, want %d/%d", st.TotalQuarantined(), st.TotalErrors(), fed, fed)
+	}
+}
+
+// TestEmitRuleAtEveryRetryBudget: what an operator emitted reaches
+// downstream only if the attempt succeeded, whatever the retry budget — a
+// failing, panicking or flow-stopping attempt sends nothing — and a 1:N
+// operator's emissions arrive in emit order under the same span ids.
+func TestEmitRuleAtEveryRetryBudget(t *testing.T) {
+	// emitThen emits a marked copy of every record and then ends the
+	// attempt with end(x) for multiples of three.
+	emitThen := func(end func(x int) error) *Plan {
+		p := &Plan{}
+		src := p.Add(passOp("src"))
+		p.Add(&Op{Name: "late", Pkg: IE, Selectivity: 1,
+			Fn: func(r Record, emit Emit) error {
+				out := r.Clone()
+				out["emitted"] = true
+				emit(out)
+				if x := r["x"].(int); x%3 == 0 {
+					return end(x)
+				}
+				return nil
+			}}, src)
+		return p
+	}
+	for _, retries := range []int{0, 2} {
+		cfg := ExecConfig{DoP: 4, OpRetries: retries}
+		for name, end := range map[string]func(int) error{
+			"error": func(x int) error { return fmt.Errorf("bad record %d", x) },
+			"panic": func(x int) error { panic(fmt.Sprint("crash on ", x)) },
+		} {
+			t.Run(fmt.Sprintf("%s/retries=%d", name, retries), func(t *testing.T) {
+				out, st := runSingleSink(t, emitThen(end), input(30), cfg)
+				if len(out) != 20 {
+					t.Fatalf("%d records downstream, want the 20 whose attempt succeeded", len(out))
+				}
+				for _, r := range out {
+					if r["x"].(int)%3 == 0 {
+						t.Fatalf("emission of a failed attempt reached the sink: %v", r)
+					}
+				}
+				if len(st.Quarantined) != 10 || st.TotalErrors() != 10 || st.TotalRetries() != int64(10*retries) {
+					t.Fatalf("dead letters/errors/retries = %d/%d/%d, want 10/10/%d",
+						len(st.Quarantined), st.TotalErrors(), st.TotalRetries(), 10*retries)
+				}
+				for _, q := range st.Quarantined {
+					if _, marked := q.Rec["emitted"]; marked || q.Rec["x"].(int)%3 != 0 {
+						t.Fatalf("dead letter is not the pristine input: %v", q.Rec)
+					}
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("stopflow/retries=%d", retries), func(t *testing.T) {
+			stop := func(int) error { return fmt.Errorf("filtered late: %w", ErrStopFlow) }
+			out, st := runSingleSink(t, emitThen(stop), input(30), cfg)
+			if len(out) != 20 || st.TotalErrors() != 0 || st.TotalRetries() != 0 || len(st.Quarantined) != 0 {
+				t.Fatalf("out=%d errors=%d retries=%d dead letters=%d, want 20/0/0/0",
+					len(out), st.TotalErrors(), st.TotalRetries(), len(st.Quarantined))
+			}
+		})
+	}
+
+	// 1:N: three emissions per record, in order at DoP 1, and the trace
+	// export (span ids are keyed by emit index) independent of both the
+	// retry budget and the DoP.
+	fanOut := func(cfg ExecConfig) ([]Record, string) {
+		p := &Plan{}
+		src := p.Add(passOp("src"))
+		split := p.Add(&Op{Name: "split", Pkg: IE, Selectivity: 3,
+			Fn: func(r Record, emit Emit) error {
+				for part := 0; part < 3; part++ {
+					emit(Record{"id": r["id"], "x": r["x"], "part": part})
+				}
+				return nil
+			}}, src)
+		p.Add(setOp("mark", "done", true), split)
+		rec := trace.NewRecorder(trace.DefaultConfig(3))
+		cfg.TraceKey, cfg.Trace = "id", rec
+		out, _ := runSingleSink(t, p, tracedInput(40), cfg)
+		blob, err := rec.Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, string(blob)
+	}
+	out, want := fanOut(ExecConfig{DoP: 1})
+	if len(out) != 120 {
+		t.Fatalf("1:N operator delivered %d records, want 120", len(out))
+	}
+	for i, r := range out {
+		if r["x"].(int) != i/3 || r["part"].(int) != i%3 {
+			t.Fatalf("emission %d out of emit order: %v", i, r)
+		}
+	}
+	for _, cfg := range []ExecConfig{{DoP: 1, OpRetries: 2}, {DoP: 8}, {DoP: 8, OpRetries: 2}} {
+		if _, got := fanOut(cfg); got != want {
+			t.Fatalf("trace export at DoP %d, OpRetries %d differs from DoP 1, OpRetries 0", cfg.DoP, cfg.OpRetries)
+		}
+	}
+}
+
+// TestProfileExcludesBlockedSends: an operator's profiler bracket closes
+// before its emissions are routed, so a cheap operator feeding a slow one
+// through a full queue is not charged the time it spends blocked.
+func TestProfileExcludesBlockedSends(t *testing.T) {
+	p := &Plan{}
+	cheap := p.Add(passOp("cheap"))
+	p.Add(&Op{Name: "slow", Pkg: IE, Selectivity: 1,
+		Fn: func(r Record, emit Emit) error {
+			for end := time.Now().Add(200 * time.Microsecond); time.Now().Before(end); {
+			}
+			emit(r)
+			return nil
+		}}, cheap)
+	pr := prof.New(prof.Config{})
+	cfg := ExecConfig{DoP: 1}
+	cfg.Prof = pr
+	runSingleSink(t, p, input(4*queueLen), cfg)
+	snap := pr.Snapshot()
+	c, s := snap.Get("dataflow.op.cheap"), snap.Get("dataflow.op.slow")
+	if c == nil || s == nil || c.Calls != 4*queueLen || s.Calls != 4*queueLen {
+		t.Fatalf("profile rows: cheap=%+v slow=%+v", c, s)
+	}
+	if c.WallNs*4 >= s.WallNs {
+		t.Fatalf("cheap operator charged %d ns against the slow one's %d ns: blocked sends are in its bracket", c.WallNs, s.WallNs)
 	}
 }
 
@@ -172,7 +299,7 @@ func TestWrappedStopFlowIsNotAnError(t *testing.T) {
 	src := p.Add(passOp("src"))
 	p.Add(&Op{Name: "drop", Pkg: BASE, Selectivity: 0,
 		Fn: func(r Record, emit Emit) error { return fmt.Errorf("filtered out: %w", ErrStopFlow) }}, src)
-	out, st := runSingleSink(t, p, input(10), DefaultExecConfig())
+	out, st := runSingleSink(t, p, input(10), ExecConfig{DoP: 4})
 	if len(out) != 0 || st.TotalErrors() != 0 {
 		t.Fatalf("out=%d errors=%d", len(out), st.TotalErrors())
 	}

@@ -13,9 +13,7 @@ import (
 // attached and returns the profiler plus the canonical sink output.
 func runProf(t *testing.T, dop int) (*prof.Profiler, []string, *ExecStats) {
 	t.Helper()
-	cfg := DefaultExecConfig()
-	cfg.DoP = dop
-	cfg.Policy = Quarantine
+	cfg := ExecConfig{DoP: dop}
 	p := cfg.Prof
 	if p == nil {
 		p = prof.New(prof.Config{})
@@ -88,8 +86,7 @@ func TestExecProfileDeterministicAcrossDoP(t *testing.T) {
 // TestExecProfilingInvisible: attaching a profiler must not change the
 // execution results or stats.
 func TestExecProfilingInvisible(t *testing.T) {
-	cfg := DefaultExecConfig()
-	cfg.Policy = Quarantine
+	cfg := ExecConfig{DoP: 4}
 	res, st, err := Execute(testPlan(), input(100), cfg)
 	if err != nil {
 		t.Fatal(err)

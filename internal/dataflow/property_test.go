@@ -82,8 +82,8 @@ func TestRandomPlansOptimizePreservesCardinality(t *testing.T) {
 		opt := build()
 		Optimize(opt)
 		in := input(15)
-		r1, _, err1 := Execute(plain, in, DefaultExecConfig())
-		r2, _, err2 := Execute(opt, in, DefaultExecConfig())
+		r1, _, err1 := Execute(plain, in, ExecConfig{DoP: 4})
+		r2, _, err2 := Execute(opt, in, ExecConfig{DoP: 4})
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -107,7 +107,7 @@ func TestHighDoPStress(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cur = p.Add(setOp(fmt.Sprint("s", i), fmt.Sprint("f", i), i), cur)
 	}
-	out, _ := runSingleSink(t, p, input(2000), ExecConfig{DoP: 16, ChannelBuffer: 8})
+	out, _ := runSingleSink(t, p, input(2000), ExecConfig{DoP: 16})
 	if len(out) != 2000 {
 		t.Fatalf("records = %d", len(out))
 	}

@@ -367,12 +367,10 @@ func Compile(s *Script, reg Registry) (*Compiled, error) {
 			op := &dataflow.Op{
 				Name: "read:" + name, Pkg: dataflow.BASE, Filter: true,
 				Reads: []string{SourceField}, Selectivity: 1,
-				Fn: func(r dataflow.Record, emit dataflow.Emit) error {
-					if src, ok := r[SourceField]; !ok || src == name {
-						emit(r)
-					}
-					return nil
-				},
+				Fn: dataflow.Keep(func(r dataflow.Record) bool {
+					src, ok := r[SourceField]
+					return !ok || src == name
+				}),
 			}
 			vars[st.Var] = plan.Add(op)
 		case st.OpName != "":
@@ -397,10 +395,7 @@ func Compile(s *Script, reg Registry) (*Compiled, error) {
 			sink := plan.Add(&dataflow.Op{
 				Name: "write:" + st.SinkName, Pkg: dataflow.BASE,
 				Reads: []string{}, Writes: nil, Selectivity: 1,
-				Fn: func(r dataflow.Record, emit dataflow.Emit) error {
-					emit(r)
-					return nil
-				},
+				Fn: dataflow.Keep(func(dataflow.Record) bool { return true }),
 			}, n)
 			c.SinkIDs[st.SinkName] = sink.ID()
 		}

@@ -91,7 +91,7 @@ func TestParseBasic(t *testing.T) {
 
 func TestRunBasic(t *testing.T) {
 	out, stats, err := Run(basicScript, toyRegistry(),
-		map[string][]dataflow.Record{"src": records(10)}, false, dataflow.DefaultExecConfig())
+		map[string][]dataflow.Record{"src": records(10)}, false, dataflow.ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestRunBasic(t *testing.T) {
 func TestRunWithOptimizer(t *testing.T) {
 	// Results must be identical with and without optimization.
 	in := map[string][]dataflow.Record{"src": records(20)}
-	plain, _, err := Run(basicScript, toyRegistry(), in, false, dataflow.DefaultExecConfig())
+	plain, _, err := Run(basicScript, toyRegistry(), in, false, dataflow.ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := Run(basicScript, toyRegistry(), in, true, dataflow.DefaultExecConfig())
+	opt, _, err := Run(basicScript, toyRegistry(), in, true, dataflow.ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ write $la to 'onlyA';
 	out, _, err := Run(script, toyRegistry(), map[string][]dataflow.Record{
 		"alpha": records(3),
 		"beta":  records(4),
-	}, false, dataflow.DefaultExecConfig())
+	}, false, dataflow.ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ $in = read from 'src';   -- trailing comment
 write $in to 'out'; -- done
 `
 	out, _, err := Run(script, toyRegistry(),
-		map[string][]dataflow.Record{"src": records(2)}, false, dataflow.DefaultExecConfig())
+		map[string][]dataflow.Record{"src": records(2)}, false, dataflow.ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ $m   = mark $s;
 write $m to 'out';
 `, reg, map[string][]dataflow.Record{
 		"docs": {{"id": "d1", "text": "One sentence. Two sentences."}},
-	}, true, dataflow.DefaultExecConfig())
+	}, true, dataflow.ExecConfig{DoP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

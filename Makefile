@@ -59,7 +59,9 @@ supervisor-chaos:
 # Short fuzzing sessions over the HTML pipeline, the language filter and the
 # analysis flow's two hot kernels (seeds alone run as part of `make test`).
 # FuzzIdentify, FuzzTag and FuzzAnalyze are differential: langid.Identify,
-# postag.Tag and ling.Analyze against the predecessors kept in their tests.
+# postag.Tag and ling.Analyze against the predecessors kept in their tests;
+# so are the two FuzzRetention: the log sink and the trace recorder on the
+# shared obs.Keeper against the per-class retention loops they replaced.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeRepairExtract -fuzztime=30s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEntities -fuzztime=15s ./internal/htmlkit/
@@ -67,6 +69,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/
 	$(GO) test -run=NONE -fuzz=FuzzTag -fuzztime=60s ./internal/nlp/postag/
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=30s ./internal/ling/
+	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/evlog/
+	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/trace/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): wall-clock
 # crawl and analysis-flow throughput with a layer-by-layer trace. The

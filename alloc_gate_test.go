@@ -4,7 +4,9 @@ package webtextie
 // counterpart of the static allocfree/boxing/hotpathpurity checks: each
 // //lintx:hotpath root runs as a fixed deterministic workload under
 // testing.AllocsPerRun and must stay within the allocs/op ceiling set
-// beside it below — the scan cores must stay at zero.
+// beside it below — the scan cores must stay at zero. The two evlog rows
+// gate the log pillar the same way: a record's cost must not grow with
+// what the sink already retains.
 
 import (
 	"strings"
@@ -19,6 +21,8 @@ import (
 	"webtextie/internal/ling"
 	"webtextie/internal/nlp"
 	"webtextie/internal/nlp/postag"
+	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/trace"
 )
 
 // hotDoc is the fixed document every workload chews on: multi-sentence
@@ -37,6 +41,7 @@ var (
 	gateSents   []nlp.Span
 	gateTagger  *postag.Tagger
 	gateWords   []string
+	gateLog     evlog.Logger
 )
 
 func gateSetup() {
@@ -59,6 +64,14 @@ func gateSetup() {
 		}, postag.DefaultConfig())
 		for _, tok := range nlp.Tokenize(hotDoc[gateSents[0].Start:gateSents[0].End], 0) {
 			gateWords = append(gateWords, tok.Text)
+		}
+		// A sink with every retention class full: past PinKeep Warns, past
+		// TailKeep+ReservoirKeep Debugs.
+		cfg := evlog.DefaultConfig(1)
+		gateLog = evlog.NewSink(cfg).Logger("crawler.fetch")
+		for i := 0; i < cfg.PinKeep+cfg.TailKeep+cfg.ReservoirKeep+8; i++ {
+			gateLog.Warn("fetch.error", int64(i), trace.Int("attempt", int64(i)))
+			gateLog.Debug("fetch.start", int64(i), trace.Int("attempt", int64(i)))
 		}
 	})
 }
@@ -97,6 +110,15 @@ var allocWorkloads = []struct {
 	// The crawl's language filter on a page-sized text: counting, selection
 	// and scoring all run in pooled scratch.
 	{"langid_identify", 0, func() { _, _ = gateLangID.Identify(gatePage) }},
+	// One record into a full sink costs what rendering its identity once
+	// costs — the attrs, the line, the totals key — however much the sink
+	// already holds: no class re-renders what it kept to decide what goes.
+	{"evlog_warn_full_sink", 12, func() {
+		gateLog.Warn("fetch.error", 9000, trace.String("cause", "host down"), trace.Int("attempt", 3))
+	}},
+	{"evlog_debug_full_sink", 12, func() {
+		gateLog.Debug("fetch.start", 9000, trace.String("url", "http://h0/p1"), trace.Int("depth", 3))
+	}},
 }
 
 var (

@@ -239,18 +239,30 @@ func (q *quarantineLog) add(n *Node, rec Record, err error, tc trace.Context) {
 // sorted returns the dead-letter output in deterministic order: workers
 // race to append, but the *set* per seed is fixed, so sorting by (node,
 // error, record rendering) makes the report reproducible. fmt renders
-// maps with sorted keys, giving a stable record key.
+// maps with sorted keys, giving a stable record key — rendered once per
+// dead letter, not per comparison: the record can be a whole document.
 func (q *quarantineLog) sorted() []QuarantinedRecord {
-	sort.Slice(q.recs, func(i, j int) bool {
-		a, b := q.recs[i], q.recs[j]
+	type keyed struct {
+		QuarantinedRecord
+		key string
+	}
+	ks := make([]keyed, len(q.recs))
+	for i, r := range q.recs {
+		ks[i] = keyed{r, fmt.Sprintf("%v", r.Rec)}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
 		if a.NodeID != b.NodeID {
 			return a.NodeID < b.NodeID
 		}
 		if a.Err != b.Err {
 			return a.Err < b.Err
 		}
-		return fmt.Sprintf("%v", a.Rec) < fmt.Sprintf("%v", b.Rec)
+		return a.key < b.key
 	})
+	for i := range ks {
+		q.recs[i] = ks[i].QuarantinedRecord
+	}
 	return q.recs
 }
 

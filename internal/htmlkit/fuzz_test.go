@@ -75,6 +75,9 @@ func FuzzTokenizeRepairExtract(f *testing.F) {
 	for _, s := range handcraftedMalformed {
 		f.Add(s)
 	}
+	for _, c := range rawTextCloseCases {
+		f.Add(c.html)
+	}
 	f.Fuzz(func(t *testing.T, html string) {
 		tokens := Tokenize(html)
 		repaired, stats := Repair(tokens)

@@ -147,8 +147,7 @@ func Tokenize(html string) []Token {
 			i = next
 			// Raw-text elements consume to their matching end tag.
 			if tok.Type == StartTag && rawTextElements[tok.Name] && !tok.SelfClosing {
-				closeSeq := "</" + tok.Name
-				idx := strings.Index(strings.ToLower(html[i:]), closeSeq)
+				idx := indexCloseTag(html[i:], tok.Name)
 				if idx < 0 {
 					// Unclosed script/style: swallow the rest.
 					i = n
@@ -169,6 +168,27 @@ func Tokenize(html string) []Token {
 		}
 	}
 	return out
+}
+
+// indexCloseTag returns the offset of the first "</name" in s, or -1.
+// name is lower-case ASCII letters; the match folds ASCII case only and
+// scans the original bytes, so the offset is valid in s whatever else s
+// holds (strings.ToLower changes the length of invalid UTF-8 and of 'K').
+func indexCloseTag(s, name string) int {
+	for i := 0; ; i += 2 {
+		j := strings.Index(s[i:], "</")
+		if j < 0 || len(s)-(i+j+2) < len(name) {
+			return -1
+		}
+		i += j
+		k := 0
+		for k < len(name) && s[i+2+k]|0x20 == name[k] {
+			k++
+		}
+		if k == len(name) {
+			return i
+		}
+	}
 }
 
 func isNameStart(c byte) bool {

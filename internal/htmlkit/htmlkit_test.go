@@ -96,6 +96,39 @@ func TestTokenizeScriptContentSkipped(t *testing.T) {
 	}
 }
 
+// rawTextCloseCases are pages whose <script>/<style> close tag the
+// tokenizer must find in the original bytes: invalid UTF-8 inside the
+// element (lower-casing it changes its length), a mixed-case close tag
+// with junk before '>', and one close search per element on a page with
+// hundreds. Each <p>kept</p> after an element must survive.
+var rawTextCloseCases = []struct {
+	name, html string
+	kept       int
+}{
+	{"invalid utf8 in script", "<script>\xff\xfe\xfd\xfc\xfb</script><p>kept</p>", 1},
+	{"mixed-case close", `<script>var a = "<p>no</p>";</SCRIPT ><p>kept</p>`, 1},
+	{"near misses first", "<style></ </s </styl</STYLE><p>kept</p>", 1},
+	{"200 styles", strings.Repeat("<style>p{}</Style><p>kept</p>", 200), 200},
+	{"close tag cut short", "<p>kept</p><script>x</scrip", 1},
+}
+
+func TestTokenizeRawTextClose(t *testing.T) {
+	for _, c := range rawTextCloseCases {
+		starts, text := 0, ""
+		for _, tok := range Tokenize(c.html) {
+			if tok.Type == StartTag && tok.Name == "p" {
+				starts++
+			}
+			if tok.Type == Text {
+				text += tok.Data
+			}
+		}
+		if want := strings.Repeat("kept", c.kept); starts != c.kept || text != want {
+			t.Errorf("%s: %d <p> start tags and text %q, want %d and %q", c.name, starts, text, c.kept, want)
+		}
+	}
+}
+
 func TestTokenizeMalformedNeverPanics(t *testing.T) {
 	cases := []string{
 		"", "<", "<>", "</>", "<a", "<a href=", `<a href="unterminated`,

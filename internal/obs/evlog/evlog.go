@@ -34,6 +34,7 @@ package evlog
 import (
 	"fmt"
 
+	"webtextie/internal/obs"
 	"webtextie/internal/obs/trace"
 )
 
@@ -130,7 +131,7 @@ func (l Logger) Sample(key string, n int) Logger {
 	if l.s == nil || n <= 1 || l.sampledOut {
 		return l
 	}
-	if fnvMix(l.s.cfg.Seed, fnvString(l.component), fnvString(key))%uint64(n) != 0 {
+	if obs.FNVMix(l.s.cfg.Seed, obs.FNVString(l.component), obs.FNVString(key))%uint64(n) != 0 {
 		l.sampledOut = true
 	}
 	return l
@@ -192,36 +193,6 @@ func (l Logger) emit(lv Level, msg string, atMs int64, attrs []trace.Attr) {
 		Trace:     l.trace,
 		Attrs:     attrs,
 	})
-}
-
-// FNV-1a constants (the repo's standard deterministic hash; mirrored
-// from internal/obs/trace).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnvMix folds uint64 words into an FNV-1a hash, little-endian byte
-// order, so derived priorities are platform-stable.
-func fnvMix(parts ...uint64) uint64 {
-	h := uint64(fnvOffset)
-	for _, p := range parts {
-		for i := 0; i < 8; i++ {
-			h ^= (p >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
-// fnvString hashes a string with FNV-1a.
-func fnvString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
 }
 
 // MetricName joins metric name parts with dots — the sanctioned builder

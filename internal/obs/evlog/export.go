@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"webtextie/internal/obs/trace"
 )
 
 // Exporters render a Snapshot — never the live sink — so every format
@@ -22,6 +24,7 @@ import (
 // logfmt metacharacters. The trace field is omitted when zero.
 func (r Record) line() string {
 	var b strings.Builder
+	b.Grow(64 + len(r.Component) + len(r.Msg) + 32*len(r.Attrs)) // one allocation for most lines
 	b.WriteString("at_ms=")
 	b.WriteString(strconv.FormatInt(r.AtMs, 10))
 	b.WriteString(" level=")
@@ -58,16 +61,23 @@ func logfmtValue(v string) string {
 	return v
 }
 
-// sortRecords puts records into the canonical export order: virtual time
-// first, then the rendered line — both derived from record content, so
-// the order is independent of emission interleaving.
-func sortRecords(rs []Record) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].AtMs != rs[j].AtMs {
-			return rs[i].AtMs < rs[j].AtMs
+// canonical returns the entries' records in the canonical export order:
+// virtual time first, then the rendered line — both derived from record
+// content, so the order is independent of emission interleaving. Each
+// record gets its own copy of its attrs.
+func canonical(es []entry) []Record {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].rec.AtMs != es[j].rec.AtMs {
+			return es[i].rec.AtMs < es[j].rec.AtMs
 		}
-		return rs[i].line() < rs[j].line()
+		return es[i].line < es[j].line
 	})
+	out := make([]Record, len(es))
+	for i, e := range es {
+		e.rec.Attrs = append([]trace.Attr(nil), e.rec.Attrs...)
+		out[i] = e.rec
+	}
+	return out
 }
 
 // Filter selects a subset of a snapshot's records. Zero value keeps all.

@@ -1,7 +1,5 @@
 package evlog
 
-import "webtextie/internal/obs/trace"
-
 // Merge folds per-shard snapshots into one export-ready snapshot: the
 // record union re-sorted into the canonical (AtMs, line) order, totals
 // and loss counters summed. The result is deterministic in the record
@@ -14,14 +12,14 @@ import "webtextie/internal/obs/trace"
 // surface, not a resume point (resume goes through the per-shard
 // checkpoints, each carrying its own snapshot).
 func Merge(snaps ...*Snapshot) *Snapshot {
-	out := &Snapshot{Records: []Record{}}
+	out := &Snapshot{}
+	var es []entry
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
 		for _, r := range s.Records {
-			r.Attrs = append([]trace.Attr(nil), r.Attrs...)
-			out.Records = append(out.Records, r)
+			es = append(es, entry{rec: r, line: r.line()})
 		}
 		for k, v := range s.Totals {
 			if out.Totals == nil {
@@ -35,6 +33,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		out.Stats.DroppedRetention += s.Stats.DroppedRetention
 		out.Stats.PinDropped += s.Stats.PinDropped
 	}
-	sortRecords(out.Records)
+	out.Records = canonical(es)
 	return out
 }

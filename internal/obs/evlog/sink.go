@@ -1,23 +1,20 @@
 package evlog
 
 import (
-	"sort"
 	"sync"
 
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/trace"
 )
 
-// Config bounds a Sink. The retention model keeps two classes of
-// records, mirroring the trace recorder's pure-function discipline:
+// Config bounds a Sink. The retention model keeps three classes of
+// records, each an obs.Keeper like the trace recorder's:
 //
 //	pinned     Warn/Error records, bottom-PinKeep by FNV priority
 //	tail       the TailKeep most recent Debug/Info records
 //	reservoir  a bottom-k hash sample of Debug/Info tail evictees
 //
-// All three are pure functions of the emitted record multiset —
-// evict-max for the pinned class, evict-min for the tail, and
-// bottom-k-by-priority for the reservoir are order-independent — so the
+// All three are pure functions of the emitted record multiset, so the
 // retained set does not depend on emission interleaving, and two
 // same-seed runs export byte-identical logs. Exact per-(component,
 // level) totals are always kept, even for shed records.
@@ -76,9 +73,9 @@ type Sink struct {
 	cfg Config
 	reg *obs.Registry
 
-	pinned []Record // Warn/Error, bottom-PinKeep by priority
-	tail   []Record // Debug/Info, most recent TailKeep
-	resv   []Record // bottom-ReservoirKeep sample of tail evictees
+	pinned *obs.Keeper[entry] // Warn/Error, bottom-PinKeep by priority
+	tail   *obs.Keeper[entry] // Debug/Info, most recent TailKeep
+	resv   *obs.Keeper[entry] // bottom-ReservoirKeep sample of tail evictees
 
 	totals  map[string]uint64 // "<level> <component>" -> emitted count
 	buckets map[string]*bucket
@@ -113,6 +110,9 @@ func NewSink(cfg Config) *Sink {
 	}
 	return &Sink{
 		cfg:      cfg,
+		pinned:   obs.NewKeeper(cfg.PinKeep, byPriority),
+		tail:     obs.NewKeeper(cfg.TailKeep, newestFirst),
+		resv:     obs.NewKeeper(cfg.ReservoirKeep, byPriority),
 		totals:   map[string]uint64{},
 		buckets:  map[string]*bucket{},
 		counters: map[string]*obs.Counter{},
@@ -177,109 +177,64 @@ func (s *Sink) emit(rateKey string, r Record) {
 		}
 	}
 	s.stats.Emitted++
-	s.totals[totalKey(r.Level, r.Component)]++
+	key := totalKey(r.Level, r.Component)
+	s.totals[key]++
 	if s.reg != nil {
-		s.counterLocked(r.Component, r.Level).Inc()
+		c := s.counters[key] // cached: the registry lookup allocates and locks
+		if c == nil {
+			c = s.reg.Counter(MetricName("evlog", "records", r.Component, r.Level.String()))
+			s.counters[key] = c
+		}
+		c.Inc()
 	}
+	s.admitLocked(r)
+}
+
+// entry is a retained record with its identity — the canonical line and
+// the seeded priority hashed from it — computed once, at admission. Both
+// are pure functions of the record's content, so every order below is
+// independent of emission order.
+type entry struct {
+	rec  Record
+	line string
+	prio uint64
+}
+
+// byPriority is the (priority, line) order the pinned class and the
+// reservoir keep the smallest of.
+func byPriority(a, b *entry) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.line < b.line
+}
+
+// newestFirst is the tail's order, (AtMs, priority, line) descending:
+// virtual time first, so what the tail evicts is genuinely the oldest.
+func newestFirst(a, b *entry) bool {
+	if a.rec.AtMs != b.rec.AtMs {
+		return a.rec.AtMs > b.rec.AtMs
+	}
+	return byPriority(b, a)
+}
+
+// admitLocked is the one way into retention, for live emission and Load
+// alike: Warn/Error records go to the pinned class, the rest to the tail,
+// whose evictee is offered to the reservoir.
+func (s *Sink) admitLocked(r Record) {
+	e := entry{rec: r, line: r.line()}
+	e.prio = obs.FNVMix(s.cfg.Seed, obs.FNVString(e.line))
 	if r.Level >= Warn {
-		s.admitPinnedLocked(r)
-	} else {
-		s.admitTailLocked(r)
-	}
-}
-
-// counterLocked resolves the derived obs counter through a small cache
-// (the registry lookup allocates and locks; emissions are hot).
-func (s *Sink) counterLocked(component string, lv Level) *obs.Counter {
-	key := totalKey(lv, component)
-	c := s.counters[key]
-	if c == nil {
-		c = s.reg.Counter(MetricName("evlog", "records", component, lv.String()))
-		s.counters[key] = c
-	}
-	return c
-}
-
-// prio is a record's seeded retention priority — a pure function of the
-// record's canonical rendering, so it is independent of emission order.
-func (s *Sink) prio(r Record) uint64 {
-	return fnvMix(s.cfg.Seed, fnvString(r.line()))
-}
-
-// admitPinnedLocked keeps the bottom-PinKeep Warn/Error records by
-// (priority, line): append, then evict the max when over.
-func (s *Sink) admitPinnedLocked(r Record) {
-	s.pinned = append(s.pinned, r)
-	if len(s.pinned) <= s.cfg.PinKeep {
+		if _, full := s.pinned.Offer(e); full {
+			s.stats.PinDropped++
+		}
 		return
 	}
-	worst := 0
-	for i := 1; i < len(s.pinned); i++ {
-		if s.recordLess(s.pinned[worst], s.pinned[i]) {
-			worst = i
+	if old, full := s.tail.Offer(e); full {
+		if _, full := s.resv.Offer(old); full {
+			s.stats.DroppedRetention++
 		}
 	}
-	s.pinned[worst] = s.pinned[len(s.pinned)-1]
-	s.pinned = s.pinned[:len(s.pinned)-1]
-	s.stats.PinDropped++
-}
-
-// recordLess orders records by (priority, line) — the total order the
-// pinned class and the reservoir evict against.
-func (s *Sink) recordLess(a, b Record) bool {
-	pa, pb := s.prio(a), s.prio(b)
-	if pa != pb {
-		return pa < pb
-	}
-	return a.line() < b.line()
-}
-
-// admitTailLocked keeps the most recent TailKeep Debug/Info records by
-// (AtMs, priority, line): append, then evict the min (the oldest) into
-// the reservoir when over.
-func (s *Sink) admitTailLocked(r Record) {
-	s.tail = append(s.tail, r)
-	if len(s.tail) <= s.cfg.TailKeep {
-		return
-	}
-	oldest := 0
-	for i := 1; i < len(s.tail); i++ {
-		if s.tailLess(s.tail[i], s.tail[oldest]) {
-			oldest = i
-		}
-	}
-	ev := s.tail[oldest]
-	s.tail[oldest] = s.tail[len(s.tail)-1]
-	s.tail = s.tail[:len(s.tail)-1]
-	s.offerReservoirLocked(ev)
-}
-
-// tailLess orders tail records by (AtMs, priority, line) — virtual time
-// first, so the tail is genuinely the most recent window.
-func (s *Sink) tailLess(a, b Record) bool {
-	if a.AtMs != b.AtMs {
-		return a.AtMs < b.AtMs
-	}
-	return s.recordLess(a, b)
-}
-
-// offerReservoirLocked implements bottom-k sampling over tail evictees:
-// the k candidates with the smallest (priority, line) stay.
-func (s *Sink) offerReservoirLocked(r Record) {
-	if len(s.resv) < s.cfg.ReservoirKeep {
-		s.resv = append(s.resv, r)
-		return
-	}
-	worst := 0
-	for i := 1; i < len(s.resv); i++ {
-		if s.recordLess(s.resv[worst], s.resv[i]) {
-			worst = i
-		}
-	}
-	if s.recordLess(r, s.resv[worst]) {
-		s.resv[worst] = r
-	}
-	s.stats.DroppedRetention++
 }
 
 // Len returns the number of retained records.
@@ -289,7 +244,11 @@ func (s *Sink) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.pinned) + len(s.tail) + len(s.resv)
+	return s.lenLocked()
+}
+
+func (s *Sink) lenLocked() int {
+	return len(s.pinned.Items()) + len(s.tail.Items()) + len(s.resv.Items())
 }
 
 // Snapshot is a deep, consistent copy of the sink: retained records in
@@ -309,10 +268,7 @@ func (s *Sink) Snapshot() *Snapshot {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := &Snapshot{
-		Stats:   s.stats,
-		Records: make([]Record, 0, len(s.pinned)+len(s.tail)+len(s.resv)),
-	}
+	out := &Snapshot{Stats: s.stats}
 	if len(s.totals) > 0 {
 		out.Totals = make(map[string]uint64, len(s.totals))
 		for k, v := range s.totals {
@@ -325,20 +281,20 @@ func (s *Sink) Snapshot() *Snapshot {
 			out.Buckets[k] = *b
 		}
 	}
-	for _, set := range [][]Record{s.pinned, s.tail, s.resv} {
-		for _, r := range set {
-			r.Attrs = append([]trace.Attr(nil), r.Attrs...)
-			out.Records = append(out.Records, r)
-		}
+	es := make([]entry, 0, s.lenLocked())
+	for _, class := range []*obs.Keeper[entry]{s.pinned, s.tail, s.resv} {
+		es = append(es, class.Items()...)
 	}
-	sortRecords(out.Records)
+	out.Records = canonical(es)
 	return out
 }
 
 // Load restores a snapshot into a fresh sink (the resume half of
-// checkpoint/resume). Retention membership is recomputed from the
-// retained set — it is a pure function of it — so retention after the
-// resume proceeds exactly as it would have in the uninterrupted run.
+// checkpoint/resume). The records re-enter through admitLocked: retention
+// is a pure function of what was admitted and a retained set always fits
+// its bounds, so every record lands back in its class, no loss counter
+// moves, and retention after the resume proceeds exactly as it would have
+// in the uninterrupted run.
 // Load panics if the sink has already emitted: resuming into a used sink
 // would fold two runs' budgets together.
 func (s *Sink) Load(snap *Snapshot) {
@@ -347,7 +303,7 @@ func (s *Sink) Load(snap *Snapshot) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stats.Emitted > 0 || len(s.pinned)+len(s.tail)+len(s.resv) > 0 {
+	if s.stats.Emitted > 0 || s.lenLocked() > 0 {
 		panic("evlog: Load into a used sink")
 	}
 	s.stats = snap.Stats
@@ -358,23 +314,8 @@ func (s *Sink) Load(snap *Snapshot) {
 		cp := b
 		s.buckets[k] = &cp
 	}
-	var low []Record
 	for _, r := range snap.Records {
 		r.Attrs = append([]trace.Attr(nil), r.Attrs...)
-		if r.Level >= Warn {
-			s.pinned = append(s.pinned, r)
-		} else {
-			low = append(low, r)
-		}
-	}
-	// Largest (AtMs, priority) records form the tail; the rest were
-	// reservoir survivors.
-	sort.Slice(low, func(i, j int) bool { return s.tailLess(low[j], low[i]) })
-	for i, r := range low {
-		if i < s.cfg.TailKeep {
-			s.tail = append(s.tail, r)
-		} else {
-			s.resv = append(s.resv, r)
-		}
+		s.admitLocked(r)
 	}
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"sort"
 	"sync"
+
+	"webtextie/internal/obs"
 )
 
 // Config bounds the Recorder. The retention model keeps four classes of
@@ -13,10 +15,10 @@ import (
 //	tail       the TailKeep most recently started completed traces
 //	reservoir  a bottom-k hash sample of everything in between
 //
-// All four are pure functions of the trace set — evict-min for the tail
-// and bottom-k-by-FNV-priority for the reservoir are order-independent —
-// so the retained set at end of run does not depend on completion-order
-// races between worker goroutines.
+// All four are pure functions of the trace set — the tail and the
+// reservoir are two obs.Keepers, the first feeding the second — so the
+// retained set at end of run does not depend on completion-order races
+// between worker goroutines.
 type Config struct {
 	// Seed feeds the FNV ID stream and the reservoir priorities.
 	Seed uint64
@@ -68,10 +70,10 @@ type Recorder struct {
 	active   int
 	pinCount int
 
-	// tail and reservoir membership for completed, unpinned, non-head
-	// traces (head membership is implicit in StartIndex < HeadKeep).
-	tail      map[TraceID]bool
-	reservoir map[TraceID]bool
+	// tail and reservoir hold the completed, unpinned, non-head traces
+	// (head membership is implicit in StartIndex < HeadKeep).
+	tail      *obs.Keeper[kept]
+	reservoir *obs.Keeper[kept]
 
 	dropped       uint64 // completed traces evicted
 	droppedActive uint64 // Start calls refused by MaxActive
@@ -102,9 +104,27 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{
 		cfg:       cfg,
 		traces:    map[TraceID]*Trace{},
-		tail:      map[TraceID]bool{},
-		reservoir: map[TraceID]bool{},
+		tail:      obs.NewKeeper(cfg.TailKeep, newestFirst),
+		reservoir: obs.NewKeeper(cfg.ReservoirKeep, byPriority),
 	}
+}
+
+// kept is an evictable trace's retention identity, computed once when it
+// completes: the tail keeps the largest start indices, the reservoir the
+// smallest seeded priorities (a pure function of (seed, trace ID)) among
+// the traces the tail let go.
+type kept struct {
+	id        TraceID
+	idx, prio uint64
+}
+
+func newestFirst(a, b *kept) bool { return a.idx > b.idx }
+
+func byPriority(a, b *kept) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.id < b.id
 }
 
 // Context is a value handle onto one span of one trace. The zero Context
@@ -134,9 +154,9 @@ func (r *Recorder) Start(name, key string, atMs int64, attrs ...Attr) Context {
 	}
 	idx := r.startSeq
 	r.startSeq++
-	id := TraceID(nonZero(fnvMix(r.cfg.Seed, fnvString(key), idx)))
+	id := TraceID(nonZero(obs.FNVMix(r.cfg.Seed, obs.FNVString(key), idx)))
 	root := &SpanData{
-		ID:      SpanID(nonZero(fnvMix(uint64(id), 0, 0))),
+		ID:      SpanID(nonZero(obs.FNVMix(uint64(id), 0, 0))),
 		Name:    name,
 		StartMs: atMs,
 		EndMs:   atMs,
@@ -219,7 +239,7 @@ func (c Context) StartSpanKeyed(name string, slot uint64, atMs int64, attrs ...A
 
 func (c Context) startSpanLocked(t *Trace, name string, slot uint64, atMs int64, attrs []Attr) Context {
 	sp := &SpanData{
-		ID:      SpanID(nonZero(fnvMix(uint64(c.Trace), uint64(c.Span), slot, fnvString(name)))),
+		ID:      SpanID(nonZero(obs.FNVMix(uint64(c.Trace), uint64(c.Span), slot, obs.FNVString(name)))),
 		Parent:  c.Span,
 		Name:    name,
 		StartMs: atMs,
@@ -295,7 +315,9 @@ func (c Context) Error(class string, atMs int64, attrs ...Attr) {
 	c.r.pinLocked(t)
 }
 
-// pinLocked promotes a trace to the pinned retention class.
+// pinLocked promotes a trace to the pinned retention class. Only an
+// unfinished trace gets here (Error refuses a finished one), so it is in
+// neither evictable class yet.
 func (r *Recorder) pinLocked(t *Trace) {
 	if t.Pinned {
 		return
@@ -306,9 +328,6 @@ func (r *Recorder) pinLocked(t *Trace) {
 	}
 	t.Pinned = true
 	r.pinCount++
-	// Pinned traces leave the evictable sets.
-	delete(r.tail, t.ID)
-	delete(r.reservoir, t.ID)
 }
 
 // Finish completes the trace and applies retention. Finishing an already
@@ -335,53 +354,23 @@ func (c Context) Finish(atMs int64) {
 	c.r.retainLocked(t)
 }
 
-// retainLocked slots one newly completed trace into the retention classes
-// and evicts the loser, if any. Pure in the trace set: the same completed
-// traces yield the same retained set in any completion order.
+// retainLocked slots one completed trace into the retention classes — on
+// Finish and on Load alike — and drops the loser, if any: the tail's
+// evictee is offered to the reservoir, the reservoir's leaves the
+// recorder. Pure in the trace set: the same completed traces yield the
+// same retained set in any completion order.
 func (r *Recorder) retainLocked(t *Trace) {
 	if t.Pinned || t.StartIndex < uint64(r.cfg.HeadKeep) {
 		return
 	}
-	r.tail[t.ID] = true
-	if len(r.tail) <= r.cfg.TailKeep {
+	old, full := r.tail.Offer(kept{id: t.ID, idx: t.StartIndex, prio: obs.FNVMix(r.cfg.Seed, ^uint64(t.ID))})
+	if !full {
 		return
 	}
-	// Evict the oldest tail member into the reservoir.
-	oldest := TraceID(0)
-	var oldestIdx uint64
-	for id := range r.tail {
-		if idx := r.traces[id].StartIndex; oldest == 0 || idx < oldestIdx {
-			oldest, oldestIdx = id, idx
-		}
+	if lost, full := r.reservoir.Offer(old); full {
+		delete(r.traces, lost.id)
+		r.dropped++
 	}
-	delete(r.tail, oldest)
-	r.reservoirOfferLocked(oldest)
-}
-
-// reservoirOfferLocked implements bottom-k sampling: the k candidates with
-// the smallest FNV priority stay; priority is a pure function of
-// (seed, trace ID), so the sample is completion-order independent.
-func (r *Recorder) reservoirOfferLocked(id TraceID) {
-	prio := func(id TraceID) uint64 { return fnvMix(r.cfg.Seed, ^uint64(id)) }
-	if len(r.reservoir) < r.cfg.ReservoirKeep {
-		r.reservoir[id] = true
-		return
-	}
-	worst := TraceID(0)
-	var worstPrio uint64
-	for m := range r.reservoir {
-		if p := prio(m); worst == 0 || p > worstPrio {
-			worst, worstPrio = m, p
-		}
-	}
-	if prio(id) < worstPrio {
-		delete(r.reservoir, worst)
-		delete(r.traces, worst)
-		r.reservoir[id] = true
-	} else {
-		delete(r.traces, id)
-	}
-	r.dropped++
 }
 
 // SnapshotStats are the recorder's loss counters.
@@ -471,9 +460,11 @@ func copyTrace(t *Trace) *Trace {
 }
 
 // Load restores a snapshot into a fresh recorder (the resume half of
-// checkpoint/resume). Tail and reservoir membership are recomputed from
-// the retained set — both are pure functions of it — so retention after
-// the resume proceeds exactly as it would have in the uninterrupted run.
+// checkpoint/resume). Completed traces re-enter through retainLocked:
+// retention is a pure function of what completed and a retained set always
+// fits its bounds, so each lands back in its class, no loss counter moves,
+// and retention after the resume proceeds exactly as it would have in the
+// uninterrupted run.
 // Load panics if the recorder already holds traces: resuming into a used
 // recorder would interleave two ID streams.
 func (r *Recorder) Load(s *Snapshot) {
@@ -490,29 +481,16 @@ func (r *Recorder) Load(s *Snapshot) {
 	r.droppedActive = s.Stats.DroppedActive
 	r.pinDropped = s.Stats.PinDropped
 	r.marks = append([]Mark(nil), s.Marks...)
-	var completed []*Trace
 	for _, t := range s.Traces {
 		cp := copyTrace(t)
 		r.traces[cp.ID] = cp
 		if cp.Pinned {
 			r.pinCount++
 		}
-		if !cp.Done {
-			r.active++
-		} else if !cp.Pinned && cp.StartIndex >= uint64(r.cfg.HeadKeep) {
-			completed = append(completed, cp)
-		}
-	}
-	// Largest TailKeep start indices form the tail; the rest were
-	// reservoir survivors.
-	sort.Slice(completed, func(i, j int) bool {
-		return completed[i].StartIndex > completed[j].StartIndex
-	})
-	for i, t := range completed {
-		if i < r.cfg.TailKeep {
-			r.tail[t.ID] = true
+		if cp.Done {
+			r.retainLocked(cp)
 		} else {
-			r.reservoir[t.ID] = true
+			r.active++
 		}
 	}
 }

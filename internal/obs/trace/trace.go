@@ -89,12 +89,12 @@ type Event struct {
 // SpanData is one node of a trace's span tree. Spans are flat in storage
 // (Parent links encode the tree); exporters reconstruct the hierarchy.
 type SpanData struct {
-	ID      SpanID `json:"id"`
-	Parent  SpanID `json:"parent,omitempty"`
-	Name    string `json:"name"`
-	StartMs int64  `json:"start_ms"`
-	EndMs   int64  `json:"end_ms"`
-	Attrs   []Attr `json:"attrs,omitempty"`
+	ID      SpanID  `json:"id"`
+	Parent  SpanID  `json:"parent,omitempty"`
+	Name    string  `json:"name"`
+	StartMs int64   `json:"start_ms"`
+	EndMs   int64   `json:"end_ms"`
+	Attrs   []Attr  `json:"attrs,omitempty"`
 	Events  []Event `json:"events,omitempty"`
 }
 
@@ -161,36 +161,6 @@ func (t *Trace) HasErrClass(class string) bool {
 		}
 	}
 	return false
-}
-
-// FNV-1a constants (the repo's standard deterministic hash).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnvMix folds a stream of uint64 words into an FNV-1a hash — the seeded
-// ID stream of this package. Byte order is fixed (little-endian), so the
-// derived IDs are platform-stable.
-func fnvMix(parts ...uint64) uint64 {
-	h := uint64(fnvOffset)
-	for _, p := range parts {
-		for i := 0; i < 8; i++ {
-			h ^= (p >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
-// fnvString hashes a string with FNV-1a.
-func fnvString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
 }
 
 // nonZero keeps derived IDs out of the zero value (reserved for "none").

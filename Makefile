@@ -27,7 +27,9 @@ vet:
 
 # Domain static analysis (internal/analysis/checks): determinism,
 # map-iteration order, lock copies, goroutine lifecycles, write-path
-# error handling, metric-name hygiene. `lintx -list` enumerates checks.
+# error handling, metric/trace/series/profiler name grammar, blocking
+# sleeps, library printing — and //lintx:ignore directives that suppress
+# nothing. `lintx -list` enumerates checks.
 lint:
 	$(GO) run ./cmd/lintx ./...
 
@@ -56,8 +58,9 @@ supervisor-chaos:
 		-run 'Crash|StepFault|CheckpointSilent|StepShard|RestartShard|Fence|DeliverMail|SentinelErrors' \
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/
 
-# Short fuzzing sessions over the HTML pipeline, the language filter and the
-# analysis flow's two hot kernels (seeds alone run as part of `make test`).
+# Short fuzzing sessions over the HTML pipeline, the MIME detector, the
+# language filter, the classifier's tokenizer and the analysis flow's two
+# hot kernels (seeds alone run as part of `make test`).
 # FuzzIdentify, FuzzTag and FuzzAnalyze are differential: langid.Identify,
 # postag.Tag and ling.Analyze against the predecessors kept in their tests;
 # so are the two FuzzRetention: the log sink and the trace recorder on the
@@ -66,6 +69,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeRepairExtract -fuzztime=30s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEntities -fuzztime=15s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/boiler/
+	$(GO) test -run=NONE -fuzz=FuzzDetect -fuzztime=15s ./internal/mimetype/
+	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=15s ./internal/classify/
 	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/
 	$(GO) test -run=NONE -fuzz=FuzzTag -fuzztime=60s ./internal/nlp/postag/
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=30s ./internal/ling/
@@ -78,9 +83,9 @@ fuzz:
 bench:
 	bash bench/run.sh
 
-# Enforce the allocs/op ceilings in alloc_gate_test.go with
-# testing.AllocsPerRun — the dynamic counterpart of the static
-# allocfree/boxing/hotpathpurity checks in `make lint`.
+# The repo's one allocation discipline (alloc_gate_test.go): a row per
+# kernel the benchmark traces, held to its mallocs and bytes per call and
+# to linear growth when its input doubles.
 alloc-gate:
 	$(GO) test -run 'TestAllocGate' .
 

@@ -16,7 +16,8 @@
 //
 //	//lintx:ignore <check>[,<check>] <reason>
 //
-// The reason is mandatory; malformed directives are diagnostics.
+// The reason is mandatory; malformed directives are diagnostics, and so
+// are directives that suppress nothing or name no check.
 package main
 
 import (
@@ -66,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := analysis.Run(pkgs, analyzers)
+	diags := analysis.Run(pkgs, checks.All(), analyzers)
 	if cwd, err := os.Getwd(); err == nil {
 		diags = analysis.Relativize(diags, cwd)
 	}

@@ -17,7 +17,8 @@
 //   - the Analyzer interface and position-carrying Diagnostics;
 //   - `//lintx:ignore <check>[,<check>] <reason>` suppression directives
 //     (directive.go) — a reason is mandatory, and malformed directives are
-//     themselves diagnostics;
+//     themselves diagnostics, and so is a directive that suppresses
+//     nothing or names no analyzer (run.go);
 //   - deterministic text and JSON reporting (report.go).
 //
 // Analyzers receive one type-checked package at a time and report through
@@ -50,12 +51,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	// Pkg is the loaded, type-checked package under analysis.
 	Pkg *Package
-	// Session is the run-wide state shared by every pass: the full
-	// package set, //lintx:hotpath roots, and the cross-package memo
-	// space (call graph, reachability). Nil when a pass is constructed
-	// outside Run without a session; analyzers that need it must
-	// degrade to a no-op in that case.
-	Session *Session
 
 	diags []Diagnostic
 }

@@ -1,8 +1,6 @@
 package checks_test
 
-// Unit tests for the `lintx -checks` name resolution (satellite of the
-// hot-path analyzer PR: the flag predates it, the test pins it now that
-// check subsets are the documented way to run the hot-path suite alone).
+// Unit tests for the `lintx -checks` name resolution.
 
 import (
 	"testing"
@@ -12,8 +10,8 @@ import (
 
 func TestByName(t *testing.T) {
 	all := checks.All()
-	if len(all) != 14 {
-		t.Fatalf("All() returns %d analyzers, want 14 (update this test when adding a check)", len(all))
+	if len(all) != 11 {
+		t.Fatalf("All() returns %d analyzers, want 11 (update this test when adding a check)", len(all))
 	}
 	seen := map[string]bool{}
 	for _, az := range all {
@@ -24,17 +22,17 @@ func TestByName(t *testing.T) {
 	}
 
 	t.Run("single", func(t *testing.T) {
-		got, unknown := checks.ByName("allocfree")
-		if len(unknown) != 0 || len(got) != 1 || got[0].Name != "allocfree" {
+		got, unknown := checks.ByName("maprange")
+		if len(unknown) != 0 || len(got) != 1 || got[0].Name != "maprange" {
 			t.Errorf("got %v unknown=%v", got, unknown)
 		}
 	})
 	t.Run("list preserves order and trims spaces", func(t *testing.T) {
-		got, unknown := checks.ByName(" boxing , allocfree ,hotpathpurity")
+		got, unknown := checks.ByName(" sleepcall , maprange ,logcall")
 		if len(unknown) != 0 {
 			t.Fatalf("unknown = %v", unknown)
 		}
-		want := []string{"boxing", "allocfree", "hotpathpurity"}
+		want := []string{"sleepcall", "maprange", "logcall"}
 		if len(got) != len(want) {
 			t.Fatalf("got %d analyzers, want %d", len(got), len(want))
 		}
@@ -45,8 +43,8 @@ func TestByName(t *testing.T) {
 		}
 	})
 	t.Run("unknown names reported", func(t *testing.T) {
-		got, unknown := checks.ByName("allocfree,nosuchcheck,alsonot")
-		if len(got) != 1 || got[0].Name != "allocfree" {
+		got, unknown := checks.ByName("maprange,nosuchcheck,alsonot")
+		if len(got) != 1 || got[0].Name != "maprange" {
 			t.Errorf("got = %v", got)
 		}
 		if len(unknown) != 2 || unknown[0] != "nosuchcheck" || unknown[1] != "alsonot" {

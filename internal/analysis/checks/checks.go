@@ -22,21 +22,6 @@
 //	             reports via evlog); evlog msg/component names are
 //	             constants in the dotted-name grammar
 //
-// Three checks are call-graph-aware: they apply not per package but to
-// every function statically reachable from a `//lintx:hotpath <reason>`
-// root (see internal/analysis/callgraph), because the IE matching loops'
-// throughput budget extends to everything they call:
-//
-//	allocfree      no heap-allocating constructs in hot functions — map
-//	               and slice literals, make(map|chan), new, escaping
-//	               composite literals, append without capacity evidence,
-//	               string<->[]byte conversions, known-allocating stdlib
-//	               calls; diagnostics print the root-to-here call chain
-//	boxing         no implicit interface boxing and no variable-capturing
-//	               closures in hot functions (the hidden allocations)
-//	hotpathpurity  obs/evlog calls in hot functions must be free handle
-//	               operations or sit behind an Enabled() guard
-//
 // The analyzers are deliberately narrow: they encode this repo's
 // conventions, not general Go style. Suppress a finding with
 // `//lintx:ignore <check> <reason>` on or directly above the line.
@@ -64,9 +49,6 @@ func All() []*analysis.Analyzer {
 		ProfName,
 		SleepCall,
 		LogCall,
-		AllocFree,
-		Boxing,
-		HotPathPurity,
 	}
 }
 

@@ -5,12 +5,36 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"webtextie/internal/analysis"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden diagnostic files")
+
+// loadFixture loads testdata/src/<name> through the one loader every
+// fixture test in this package shares, so the standard library is
+// type-checked once per package run, not once per subtest.
+func loadFixture(t *testing.T, name string) *analysis.Package {
+	t.Helper()
+	fixtures.once.Do(func() { fixtures.loader, fixtures.err = analysis.NewLoader(".") })
+	if fixtures.err != nil {
+		t.Fatal(fixtures.err)
+	}
+	dir := filepath.Join("testdata", "src", name)
+	pkg, err := fixtures.loader.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", dir, err)
+	}
+	return pkg
+}
+
+var fixtures struct {
+	once   sync.Once
+	loader *analysis.Loader
+	err    error
+}
 
 // TestGolden runs each analyzer over its fixture package in
 // testdata/src/<check>/ and compares the rendered diagnostics against
@@ -25,19 +49,11 @@ func TestGolden(t *testing.T) {
 	}
 	for _, az := range All() {
 		t.Run(az.Name, func(t *testing.T) {
-			loader, err := analysis.NewLoader(".")
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := filepath.Join("testdata", "src", az.Name)
-			pkg, err := loader.LoadDir(dir)
-			if err != nil {
-				t.Fatalf("loading fixture %s: %v", dir, err)
-			}
-			diags := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{az})
+			pkg := loadFixture(t, az.Name)
+			diags := analysis.Run([]*analysis.Package{pkg}, All(), []*analysis.Analyzer{az})
 			diags = analysis.Relativize(diags, cwd)
 			if len(diags) == 0 {
-				t.Fatalf("fixture %s produced no diagnostics: the %s check is not firing", dir, az.Name)
+				t.Fatalf("fixture produced no diagnostics: the %s check is not firing", az.Name)
 			}
 			var b strings.Builder
 			for _, d := range diags {
@@ -67,25 +83,13 @@ func TestGolden(t *testing.T) {
 // TestGoldenSuppression proves the fixtures' ignore directives are doing
 // work: stripping them must strictly grow each analyzer's finding count.
 func TestGoldenSuppression(t *testing.T) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, az := range All() {
 		t.Run(az.Name, func(t *testing.T) {
-			loader, err := analysis.NewLoader(".")
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkg, err := loader.LoadDir(filepath.Join("testdata", "src", az.Name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess, _ := analysis.NewSession([]*analysis.Package{pkg})
-			pass := &analysis.Pass{Analyzer: az, Pkg: pkg, Session: sess}
+			pkg := loadFixture(t, az.Name)
+			pass := &analysis.Pass{Analyzer: az, Pkg: pkg}
 			az.Run(pass)
 			raw := len(pass.Diagnostics())
-			kept := len(analysis.Relativize(analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{az}), cwd))
+			kept := len(analysis.Run([]*analysis.Package{pkg}, All(), []*analysis.Analyzer{az}))
 			if kept >= raw {
 				t.Errorf("%s: %d findings survive suppression out of %d raw — fixture has no effective ignore directive", az.Name, kept, raw)
 			}

@@ -1,29 +1,20 @@
 package checks
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"webtextie/internal/analysis"
 )
 
-// TestProfNameReportDeterminism runs profname over its fixture from two
-// fresh loaders — fresh file sets, fresh type universes — and demands
-// byte-identical reports, the same bar the hot-path checks meet.
+// TestProfNameReportDeterminism runs profname over its fixture twice and
+// demands byte-identical reports: no map order leaks into the findings.
 func TestProfNameReportDeterminism(t *testing.T) {
 	render := func() string {
 		t.Helper()
-		loader, err := analysis.NewLoader(".")
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "profname"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		pkg := loadFixture(t, "profname")
 		var b strings.Builder
-		for _, d := range analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{ProfName}) {
+		for _, d := range analysis.Run([]*analysis.Package{pkg}, All(), []*analysis.Analyzer{ProfName}) {
 			b.WriteString(d.String())
 			b.WriteByte('\n')
 		}

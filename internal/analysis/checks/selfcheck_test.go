@@ -3,7 +3,7 @@ package checks_test
 // The dogfood gate: the full analyzer suite over the whole module must
 // report zero unsuppressed diagnostics. This is what keeps `make lint`
 // green in CI a property of the tree rather than a habit — any new
-// finding (or any malformed //lintx:ignore / //lintx:hotpath directive)
+// finding (or any malformed, unused or unknown-check //lintx:ignore)
 // fails `go test` too. It is also the regression test for the analyzers
 // themselves: a check that starts over-reporting breaks this test on
 // real code, not just on its fixture.
@@ -52,7 +52,7 @@ func TestModuleClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages — pattern walk is broken", len(pkgs))
 	}
-	diags := analysis.Run(pkgs, checks.All())
+	diags := analysis.Run(pkgs, checks.All(), checks.All())
 	for _, d := range diags {
 		t.Errorf("%s:%d:%d: %s: %s", d.Path, d.Line, d.Col, d.Check, d.Message)
 	}

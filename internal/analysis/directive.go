@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"sort"
 	"strings"
 )
 
@@ -17,9 +18,10 @@ const ignorePrefix = "//lintx:ignore"
 
 // ignore is one parsed suppression directive.
 type ignore struct {
-	path   string
-	line   int
-	checks map[string]bool // lower-case names; "all" matches every check
+	path      string
+	line, col int
+	checks    map[string]bool // lower-case names; "all" matches every check
+	used      bool            // set by suppressed: it covered a diagnostic
 }
 
 // collectIgnores parses every //lintx:ignore directive in the package.
@@ -52,16 +54,19 @@ func collectIgnores(pkg *Package) ([]ignore, []Diagnostic) {
 						checks[strings.ToLower(name)] = true
 					}
 				}
-				igs = append(igs, ignore{path: pos.Filename, line: pos.Line, checks: checks})
+				igs = append(igs, ignore{path: pos.Filename, line: pos.Line, col: pos.Column, checks: checks})
 			}
 		}
 	}
 	return igs, bad
 }
 
-// suppressed reports whether a diagnostic is covered by any directive.
+// suppressed reports whether a diagnostic is covered by any directive,
+// and marks every directive that covers it as used.
 func suppressed(d Diagnostic, igs []ignore) bool {
-	for _, ig := range igs {
+	covered := false
+	for i := range igs {
+		ig := &igs[i]
 		if d.Path != ig.path {
 			continue
 		}
@@ -69,8 +74,49 @@ func suppressed(d Diagnostic, igs []ignore) bool {
 			continue
 		}
 		if ig.checks["all"] || ig.checks[d.Check] {
-			return true
+			ig.used, covered = true, true
 		}
 	}
-	return false
+	return covered
+}
+
+// stale audits the directives once every analyzer in run has reported
+// on their package. A name that is neither "all" nor in known is an
+// unknown check. A directive that covered nothing is unused — reported
+// only when every check it names ran ("all": when all of known ran), so
+// a -checks subset never condemns an ignore it could not have exercised.
+// Without this a directive outlives the finding or the check it names
+// and silently swallows the next real finding on its line.
+func stale(igs []ignore, known, run map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	report := func(ig ignore, msg string) {
+		out = append(out, Diagnostic{Path: ig.path, Line: ig.line, Col: ig.col, Check: "directive", Message: msg})
+	}
+	full := true
+	for name := range known {
+		full = full && run[name]
+	}
+	for _, ig := range igs {
+		names := make([]string, 0, len(ig.checks))
+		for name := range ig.checks {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		ran := true
+		for _, name := range names {
+			switch {
+			case name == "all":
+				ran = ran && full
+			case !known[name]:
+				report(ig, "unknown check "+name)
+				ran = false
+			default:
+				ran = ran && run[name]
+			}
+		}
+		if ran && !ig.used {
+			report(ig, "unused ignore "+strings.Join(names, ","))
+		}
+	}
+	return out
 }

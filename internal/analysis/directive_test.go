@@ -1,10 +1,11 @@
 package analysis
 
-// Direct unit tests for the directive layer: //lintx:ignore parsing and
-// suppression matching (directive.go) and //lintx:hotpath root
-// collection (hotpath.go), against the testdata/directives fixture.
+// Direct unit tests for the directive layer: //lintx:ignore parsing,
+// suppression matching and the unused / unknown-check audit
+// (directive.go), against the testdata/directives fixture.
 
 import (
+	"go/ast"
 	"strings"
 	"testing"
 )
@@ -37,13 +38,15 @@ func TestCollectIgnores(t *testing.T) {
 
 	// The reason-less directive is rejected entirely: it must not appear
 	// as a live suppression.
-	if len(igs) != 3 {
-		t.Fatalf("got %d parsed ignores, want 3: %+v", len(igs), igs)
+	if len(igs) != 5 {
+		t.Fatalf("got %d parsed ignores, want 5: %+v", len(igs), igs)
 	}
 	wantChecks := []map[string]bool{
 		{"maprange": true},
 		{"lockcopy": true, "maprange": true},
 		{"all": true},
+		{"maprange": true},
+		{"nosuchcheck": true},
 	}
 	for i, want := range wantChecks {
 		got := igs[i].checks
@@ -90,63 +93,55 @@ func TestSuppressed(t *testing.T) {
 	}
 }
 
-func TestCollectHotpaths(t *testing.T) {
+// TestRunReportsStaleIgnores drives Run over the fixture with a stand-in
+// maprange that fires on every package-level var but e and f, and a
+// silent lockcopy: the ignore above e suppresses nothing, the one above f
+// names no analyzer.
+func TestRunReportsStaleIgnores(t *testing.T) {
 	pkg := loadDirectivesFixture(t)
-	roots, bad := collectHotpaths(pkg)
+	maprange := &Analyzer{Name: "maprange", Run: func(p *Pass) {
+		for _, f := range p.Files() {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && vs.Names[0].Name < "e" {
+						p.Reportf(vs.Pos(), "finding on %s", vs.Names[0].Name)
+					}
+				}
+			}
+		}
+	}}
+	lockcopy := &Analyzer{Name: "lockcopy", Run: func(*Pass) {}}
+	known := []*Analyzer{maprange, lockcopy}
 
-	if len(roots) != 1 {
-		t.Fatalf("got %d hot roots, want 1: %v", len(roots), roots)
-	}
-	for fn, reason := range roots {
-		if fn.Name() != "HotRoot" {
-			t.Errorf("root = %s, want HotRoot", fn.Name())
+	render := func(run []*Analyzer) string {
+		var b strings.Builder
+		for _, d := range Run([]*Package{pkg}, known, run) {
+			b.WriteString(d.String()[strings.LastIndex(d.Path, "/")+1:] + "\n")
 		}
-		if want := "inner loop of the fixture, exercised per document."; reason != want {
-			t.Errorf("reason = %q, want %q", reason, want)
-		}
+		return b.String()
 	}
-
-	// BadRoot's reason-less annotation and the floating annotation above
-	// a var each produce one directive diagnostic; //lintx:hotpathology
-	// produces none.
-	if len(bad) != 2 {
-		t.Fatalf("got %d hotpath diagnostics, want 2: %+v", len(bad), bad)
-	}
-	var missingReason, floating int
-	for _, d := range bad {
-		if d.Check != "directive" {
-			t.Errorf("diagnostic check = %q, want directive", d.Check)
-		}
-		switch {
-		case strings.Contains(d.Message, "want //lintx:hotpath <reason>"):
-			missingReason++
-		case strings.Contains(d.Message, "doc comment of a function"):
-			floating++
-		default:
-			t.Errorf("unexpected message %q", d.Message)
-		}
-	}
-	if missingReason != 1 || floating != 1 {
-		t.Errorf("missingReason=%d floating=%d, want 1 and 1", missingReason, floating)
-	}
-}
-
-func TestCutHotpath(t *testing.T) {
+	const malformed = "directives.go:7:1: directive: malformed directive: want //lintx:ignore <check>[,<check>] <reason>\n"
+	const unknown = "directives.go:22:1: directive: unknown check nosuchcheck\n"
 	cases := []struct {
-		in     string
-		reason string
-		ok     bool
+		name string
+		run  []*Analyzer
+		want string
 	}{
-		{"//lintx:hotpath per-page loop", "per-page loop", true},
-		{"//lintx:hotpath\ttabbed reason", "tabbed reason", true},
-		{"//lintx:hotpath", "", true}, // directive, empty reason: caller reports it
-		{"//lintx:hotpathology", "", false},
-		{"// plain comment", "", false},
+		// var a's finding survives: its ignore has no reason and is rejected.
+		{"full set", known, malformed +
+			"directives.go:8:5: maprange: finding on a\n" +
+			"directives.go:19:1: directive: unused ignore maprange\n" + unknown},
+		// A subset judges only the ignores it could have exercised: not
+		// maprange's, not the two-check one, not `all`.
+		{"subset", known[1:], malformed + unknown},
 	}
 	for _, tc := range cases {
-		reason, ok := cutHotpath(tc.in)
-		if reason != tc.reason || ok != tc.ok {
-			t.Errorf("cutHotpath(%q) = (%q, %v), want (%q, %v)", tc.in, reason, ok, tc.reason, tc.ok)
+		if got := render(tc.run); got != tc.want {
+			t.Errorf("%s:\n--- got ---\n%s--- want ---\n%s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -2,20 +2,25 @@ package analysis
 
 import "sort"
 
-// Run applies every analyzer to every package, drops diagnostics covered
-// by //lintx:ignore directives, and returns the survivors sorted by
-// position (then check name) so output is deterministic. All passes
-// share one Session, so hot-path roots annotated in any package are
-// visible to the call-graph-aware checks in every other.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	sess, bad := NewSession(pkgs)
+// Run applies every analyzer in run to every package, drops diagnostics
+// covered by //lintx:ignore directives, reports the directives that
+// covered nothing or name no analyzer in known (the full registry, of
+// which run is all or a -checks subset), and returns the result sorted
+// by position (then check name) so output is deterministic.
+func Run(pkgs []*Package, known, run []*Analyzer) []Diagnostic {
+	knownNames, runNames := map[string]bool{}, map[string]bool{}
+	for _, az := range known {
+		knownNames[az.Name] = true
+	}
+	for _, az := range run {
+		runNames[az.Name] = true
+	}
 	diags := []Diagnostic{}
-	diags = append(diags, bad...)
 	for _, pkg := range pkgs {
 		igs, bad := collectIgnores(pkg)
 		diags = append(diags, bad...)
-		for _, az := range analyzers {
-			pass := &Pass{Analyzer: az, Pkg: pkg, Session: sess}
+		for _, az := range run {
+			pass := &Pass{Analyzer: az, Pkg: pkg}
 			az.Run(pass)
 			for _, d := range pass.diags {
 				if !suppressed(d, igs) {
@@ -23,6 +28,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				}
 			}
 		}
+		diags = append(diags, stale(igs, knownNames, runNames)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

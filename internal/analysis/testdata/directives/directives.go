@@ -1,15 +1,13 @@
 // Package directives is the fixture for the directive-parsing unit
-// tests: every //lintx:ignore and //lintx:hotpath form, well-formed and
-// malformed, in one file with stable line numbers.
+// tests: every //lintx:ignore form, well-formed, malformed, unused and
+// unknown, in one file with stable line numbers.
 package directives
 
-import "strings"
-
-// malformed ignore: check list but no reason (line 9).
+// malformed ignore: check list but no reason (line 7).
 //lintx:ignore maprange
 var a = 1
 
-// well-formed preceding-line ignore (line 13) covering line 14.
+// well-formed preceding-line ignore (line 11) covering line 12.
 //lintx:ignore maprange the traversal sorts its output
 var b = 2
 
@@ -18,20 +16,10 @@ var c = 3 //lintx:ignore lockcopy,maprange same-line, two checks
 //lintx:ignore all blanket suppression with a reason
 var d = 4
 
-// HotRoot carries a well-formed hot-path annotation.
-//
-//lintx:hotpath inner loop of the fixture, exercised per document.
-func HotRoot(s string) string { return strings.ToUpper(s) }
-
-// BadRoot's annotation is missing its reason (line 27).
-//
-//lintx:hotpath
-func BadRoot() {}
-
-//lintx:hotpath floating outside any declaration's doc comment (line 31)
+//lintx:ignore maprange stale: nothing on line 20 is a finding
 var e = 5
 
-//lintx:hotpathology is not a directive: prefix followed by a non-space
+//lintx:ignore nosuchcheck names no analyzer (line 22)
 var f = 6
 
 // NotADirective exists so the file has a second clean declaration.

@@ -45,8 +45,6 @@ type Label struct {
 // Classify labels each block. The decision for block i looks at blocks
 // i-1 and i+1 (density-contextual rules), as in the original classifier.
 // The labels slice is the only allocation.
-//
-//lintx:hotpath per-block boilerplate classification loop, run once per fetched page (ROADMAP item 2).
 func (c *Classifier) Classify(blocks []htmlkit.Block) []Label {
 	labels := make([]Label, len(blocks))
 	for i, b := range blocks {

@@ -2,6 +2,8 @@ package classify
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"webtextie/internal/rng"
@@ -174,4 +176,38 @@ func BenchmarkClassify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = nb.Classify(text)
 	}
+}
+
+// FuzzTokenize: Tokenize never panics, every token is two or more bytes
+// of [a-z0-9] and not a number, and ASCII case does not matter.
+func FuzzTokenize(f *testing.F) {
+	f.Add("Alpha binds the beta receptor in approx. 1.5 hours. GAD-67 expression rose.")
+	f.Add("The BRCA1 gene, treated-with 42 mg/kg doses!")
+	f.Add("a 1 22 x9 9x \xff\xfe naïve ſtraße ΑΒΓ")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		toks := Tokenize(s)
+		for _, tok := range toks {
+			digits := 0
+			for i := 0; i < len(tok); i++ {
+				c := tok[i]
+				if c >= '0' && c <= '9' {
+					digits++
+				} else if c < 'a' || c > 'z' {
+					t.Fatalf("Tokenize(%q): token %q holds byte %q", s, tok, c)
+				}
+			}
+			if len(tok) < 2 || digits == len(tok) {
+				t.Fatalf("Tokenize(%q): token %q is too short or a number", s, tok)
+			}
+		}
+		for i := 0; i < len(s); i++ {
+			if s[i] >= 0x80 {
+				return // ToUpper maps some non-ASCII letters into ASCII
+			}
+		}
+		if up := Tokenize(strings.ToUpper(s)); !slices.Equal(up, toks) {
+			t.Fatalf("Tokenize(%q) = %q, upper-cased %q", s, toks, up)
+		}
+	})
 }

@@ -94,8 +94,6 @@ func hashWindow(text string, spans []int32, i, k int) uint64 {
 // ASCII text — the hot mass of the crawl — is hashed straight off word
 // spans without lower-casing, splitting, or joining copies; non-ASCII
 // text takes the legacy copying path with identical results.
-//
-//lintx:hotpath shingle fingerprinting, run once per fetched document (ROADMAP item 2).
 func Shingles(text string, k int) []uint64 {
 	if k <= 0 {
 		k = 3
@@ -135,20 +133,17 @@ func Shingles(text string, k int) []uint64 {
 // shinglesUnicode is the legacy whole-copy shingle path, kept for
 // non-ASCII documents where per-byte case folding is wrong.
 func shinglesUnicode(text string, k int) []uint64 {
-	//lintx:ignore allocfree non-ASCII fold and split copy once per document; the ASCII fast path covers the hot mass of the crawl
 	words := strings.Fields(strings.ToLower(text))
 	if len(words) == 0 {
 		return nil
 	}
 	if len(words) <= k {
 		out := make([]uint64, 1)
-		//lintx:ignore allocfree single Join on a sub-k-word document, not per window
 		out[0] = hashShingle(strings.Join(words, " "))
 		return out
 	}
 	out := make([]uint64, 0, len(words)-k+1)
 	for i := 0; i+k <= len(words); i++ {
-		//lintx:ignore allocfree per-window Join survives only on the non-ASCII fallback; ASCII documents hash spans in place
 		out = append(out, hashShingle(strings.Join(words[i:i+k], " ")))
 	}
 	return out
@@ -176,8 +171,6 @@ func MinHash(shingles []uint64) Signature {
 }
 
 // Sketch computes the signature of a text directly.
-//
-//lintx:hotpath per-document fingerprint entry on the crawl's dedup path (ROADMAP item 2).
 func Sketch(text string, shingleK int) Signature {
 	return MinHash(Shingles(text, shingleK))
 }
@@ -273,8 +266,6 @@ func (x *Index) bandHash(sig Signature, band int) uint64 {
 // AddOrFind checks the signature against the index; if a sufficiently
 // similar document exists, its id is returned with dup=true and nothing is
 // added. Otherwise the document is indexed.
-//
-//lintx:hotpath LSH probe+insert, run once per fetched document on the crawl's dedup path (ROADMAP item 2).
 func (x *Index) AddOrFind(id string, sig Signature) (dupOf string, dup bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()

@@ -248,8 +248,6 @@ func lowerASCII(c byte) byte {
 // the longest match winning at each position. The single allocation is the
 // result slice; callers on the per-document path should prefer FindAppend
 // with a reused buffer.
-//
-//lintx:hotpath Aho–Corasick scan, run per sentence per document per dictionary (ROADMAP item 2).
 func (m *Matcher) Find(text string) []Match {
 	return m.FindAppend(make([]Match, 0, 8), text)
 }
@@ -261,12 +259,9 @@ func (m *Matcher) Find(text string) []Match {
 // of copying the document up front. Non-ASCII documents fall back to the
 // whole-copy fold, preserving the exact offsets the original
 // implementation produced.
-//
-//lintx:hotpath zero-alloc entry of the Aho–Corasick scan; budgets pinned by alloc_gate_test.
 func (m *Matcher) FindAppend(dst []Match, text string) []Match {
 	base := len(dst)
 	if m.opts.CaseInsensitive && !asciiOnly(text) {
-		//lintx:ignore allocfree non-ASCII fold copies once per document; the ASCII fast path covers the hot mass of the crawl
 		search := strings.ToLower(text)
 		dst = m.scan(dst, text, search, false)
 	} else {

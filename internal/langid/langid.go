@@ -359,8 +359,6 @@ func selectSmallest(w []uint64, k int) {
 // Identify returns the best-matching language and a confidence in (0, 1].
 // Short or empty inputs return ("", 0): the paper's crawler separately
 // drops too-short pages, so no guess is better than a wild one.
-//
-//lintx:hotpath the crawl's language filter: runs on every page past the MIME and length checks
 func (id *Identifier) Identify(text string) (lang string, confidence float64) {
 	s := scratchPool.Get().(*scratch)
 	lang, confidence = id.identify(s, text)

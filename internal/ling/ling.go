@@ -180,8 +180,6 @@ func scan(dst []mention, text string, sentences []nlp.Span) []mention {
 // subject class, then parentheses, each in text order. Words match up to
 // ASCII case. Sentence indexes are assigned from the provided spans, which
 // must be ascending and disjoint, as nlp.SplitSentences returns them.
-//
-//lintx:hotpath linguistic scan, run once per extracted document (§4.3.1 pipeline; ROADMAP item 2).
 func Analyze(docID, text string, sentences []nlp.Span) []annot.Annotation {
 	// An abstract's mentions fit the stack; a full text's spill to the heap.
 	mentions := scan(make([]mention, 0, 64), text, sentences)

@@ -48,16 +48,17 @@ var magic = []struct {
 }
 
 // FromExtension detects by URL path alone (the cheap first-pass method).
+// The extension is what follows the last dot of the last path segment;
+// dots in the query, the fragment or a directory name are not extensions.
 func FromExtension(path string) (Type, bool) {
+	if q := strings.IndexAny(path, "?#"); q >= 0 {
+		path = path[:q]
+	}
 	dot := strings.LastIndexByte(path, '.')
-	if dot < 0 {
+	if dot <= strings.LastIndexByte(path, '/') { // equal only when both are -1
 		return Unknown, false
 	}
-	ext := strings.ToLower(path[dot:])
-	if q := strings.IndexAny(ext, "?#"); q >= 0 {
-		ext = ext[:q]
-	}
-	t, ok := byExtension[ext]
+	t, ok := byExtension[strings.ToLower(path[dot:])]
 	return t, ok
 }
 

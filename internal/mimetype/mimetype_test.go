@@ -9,6 +9,8 @@ func TestFromExtension(t *testing.T) {
 	cases := map[string]Type{
 		"/page.html": HTML, "/doc.HTM": HTML, "/a/b/readme.txt": Plain,
 		"/paper.pdf": PDF, "/x.zip": Zip, "/img.png": PNG, "/p.jpg": JPEG,
+		// A dot in the query or fragment does not hide the extension.
+		"/x/paper.pdf?rev=1.2": PDF, "/x/paper.pdf#sec.2": PDF,
 	}
 	for path, want := range cases {
 		got, ok := FromExtension(path)
@@ -16,8 +18,10 @@ func TestFromExtension(t *testing.T) {
 			t.Errorf("FromExtension(%q) = %v/%v, want %v", path, got, ok, want)
 		}
 	}
-	if _, ok := FromExtension("/noext"); ok {
-		t.Error("extension found where none exists")
+	for _, path := range []string{"/noext", "noext", "/dir.v2/page", "/dir.pdf/page?x=.pdf"} {
+		if _, ok := FromExtension(path); ok {
+			t.Errorf("FromExtension(%q): extension found where none exists", path)
+		}
 	}
 	if _, ok := FromExtension("/weird.xyz123"); ok {
 		t.Error("unknown extension mapped")
@@ -102,4 +106,26 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// FuzzDetect: Detect never panics, answers with one of the declared
+// types, and reads one sniff window — bytes past it change nothing.
+func FuzzDetect(f *testing.F) {
+	f.Add("/p1.html", []byte("<!DOCTYPE html>\n<html><head><title>Beta receptor</title></head><body><p>Alpha binds."))
+	f.Add("/x/paper.pdf?rev=1.2", []byte("%PDF-1.4 binary"))
+	f.Add("/dir.v2/page", []byte("Alpha binds the beta receptor in approx. 1.5 hours."))
+	f.Add("/img.png#a.b", []byte("\x89PNG\r\n\x1a\n\x00\x00\x00\x0dIHDR"))
+	f.Add("", []byte{})
+	f.Add("/blob.zip", []byte(strings.Repeat("\x00\x01 text", 120)))
+	declared := map[Type]bool{HTML: true, Plain: true, PDF: true, Zip: true, GIF: true,
+		PNG: true, JPEG: true, MSWord: true, Unknown: true}
+	f.Fuzz(func(t *testing.T, path string, body []byte) {
+		got := Detect(path, body)
+		if !declared[got] {
+			t.Fatalf("Detect(%q, %q) = %q: not a declared type", path, body, got)
+		}
+		if window := Detect(path, body[:min(len(body), 512)]); window != got {
+			t.Fatalf("Detect(%q, …) = %q on %d bytes, %q on the first 512", path, got, len(body), window)
+		}
+	})
 }

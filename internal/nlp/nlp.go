@@ -31,8 +31,6 @@ var knownAbbrevs = map[string]bool{
 // single-letter-initial suppression. Text without terminal punctuation
 // becomes one (possibly enormous) sentence. The returned slice is the
 // only allocation.
-//
-//lintx:hotpath sentence boundary detection, run once per extracted document (ROADMAP item 2).
 func SplitSentences(text string) []Span {
 	n := len(text)
 	// Web prose averages well over 64 bytes per sentence; the estimate
@@ -154,8 +152,6 @@ type TokenSpan struct {
 // internal hyphens kept, as biomedical names like "GAD-67" require) and
 // single punctuation characters. Whitespace separates tokens. The
 // returned slice is the only allocation.
-//
-//lintx:hotpath tokenizer, run once per sentence per document (ROADMAP item 2).
 func Tokenize(text string, base int) []TokenSpan {
 	// ~4 bytes per token on web prose; an estimate, not a bound.
 	out := make([]TokenSpan, 0, 1+len(text)/4)
@@ -194,8 +190,6 @@ func Tokenize(text string, base int) []TokenSpan {
 
 // SentenceTokens runs sentence splitting and per-sentence tokenization in
 // one pass, returning parallel slices.
-//
-//lintx:hotpath per-document preprocessing entry used by the IE strategies (ROADMAP item 2).
 func SentenceTokens(text string) ([]Span, [][]TokenSpan) {
 	sents := SplitSentences(text)
 	toks := make([][]TokenSpan, len(sents))

@@ -359,11 +359,8 @@ func (t *Tagger) emitRow(w string, dst []float64) {
 // returns ErrTooLong for sentences over the configured limit. A Tagger is
 // safe for concurrent Tag calls: decoding reads the trained tables and
 // writes only per-call or pooled scratch.
-//
-//lintx:hotpath the analysis flow's dominant kernel: runs once per sentence of every document (§4.2, Fig 3a; ROADMAP item 2).
 func (t *Tagger) Tag(words []string) ([]string, error) {
 	if t.cfg.MaxTokens > 0 && len(words) > t.cfg.MaxTokens {
-		//lintx:ignore allocfree,boxing the refusal of a degenerate sentence, before any decoding; what it allocates is the error it returns
 		return nil, fmt.Errorf("%w: %d tokens (limit %d)", ErrTooLong, len(words), t.cfg.MaxTokens)
 	}
 	if len(words) == 0 {

@@ -7,8 +7,8 @@ GO ?= go
 
 # Packages with real concurrency (worth the ~100x race-detector slowdown),
 # and what the executor calls from DoP goroutines at once: the operators
-# (internal/core) and the POS tagger.
-RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/
+# (internal/core), the POS tagger and the entity taggers.
+RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/ ./internal/ie/...
 
 # `make loc`: non-test Go code outside bench/, less blank and comment-only
 # lines — the one size every simplicity PR quotes.
@@ -59,10 +59,11 @@ supervisor-chaos:
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/
 
 # Short fuzzing sessions over the HTML pipeline, the MIME detector, the
-# language filter, the classifier's tokenizer and the analysis flow's two
+# language filter, the classifier's tokenizer and the analysis flow's three
 # hot kernels (seeds alone run as part of `make test`).
-# FuzzIdentify, FuzzTag and FuzzAnalyze are differential: langid.Identify,
-# postag.Tag and ling.Analyze against the predecessors kept in their tests;
+# FuzzIdentify, FuzzTag, FuzzAnalyze and crf's FuzzExtract are
+# differential: langid.Identify, postag.Tag, ling.Analyze and crf.Extract
+# against the predecessors kept in their tests;
 # so are the two FuzzRetention: the log sink and the trace recorder on the
 # shared obs.Keeper against the per-class retention loops they replaced.
 fuzz:
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/
 	$(GO) test -run=NONE -fuzz=FuzzTag -fuzztime=60s ./internal/nlp/postag/
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=30s ./internal/ling/
+	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/ie/crf/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/evlog/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/trace/
 

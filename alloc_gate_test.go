@@ -225,9 +225,10 @@ var layerRows = []gateRow{
 	{"dict.find", 0, 0, hotDoc, func(in string) func() {
 		return func() { _ = gateMatcher.Find(in) }
 	}},
-	// Every feature of every token is a string concatenated afresh; the
-	// lattice is three slices per sentence.
-	{"crf.extract", 507, 13200, hotDoc, func(in string) func() {
+	// The six sentence and token slices, three scratch slices sized to the
+	// longest sentence, and the matches grown by append; features are
+	// integer keys, and a token's case fold lives on the stack.
+	{"crf.extract", 15, 4752, hotDoc, func(in string) func() {
 		return func() { _ = gateCRF.Extract(in) }
 	}},
 }

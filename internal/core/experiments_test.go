@@ -62,7 +62,8 @@ func TestFig3Report(t *testing.T) {
 	if !strings.Contains(out, "POS tagging") || !strings.Contains(out, "dict (gene)") {
 		t.Fatalf("Fig3 report:\n%s", out)
 	}
-	// The ML-vs-dict gap must be large (paper: up to 3 orders of magnitude).
+	// Fig 3b prints the ML-to-dict time ratio per probe; its size is a
+	// measurement of this machine and is not asserted.
 	if !strings.Contains(out, "x") {
 		t.Error("no ratio column")
 	}

@@ -10,19 +10,29 @@
 // and — crucially for this paper — the decode path and its cost profile.
 // What the evaluation depends on is reproduced:
 //
-//   - decoding is orders of magnitude slower than dictionary matching
-//     (Fig 3b): every token evaluates dozens of feature hashes per label
-//     pair instead of one automaton transition per byte;
+//   - the decode path of Fig 3b: every token's emission is scored once,
+//     from up to 11 feature lookups, and every label pair is then weighed
+//     at every position, where a dictionary takes one automaton transition
+//     per byte (at this repository's scale the two now cost about the
+//     same per document: EXPERIMENTS.md, deviation 2);
 //   - models are trained on Medline-profile text only ("all ML-based
 //     methods used in this project employ models trained on Medline
 //     abstracts since no other training data is available", §5), so on web
 //     text the learned reliance on word shape makes the gene tagger label
 //     three-letter acronyms as genes — the §4.3.2 false-positive explosion
 //     the paper mitigates by filtering TLAs.
+//
+// Features are integers end to end. Each token's atoms — its lower-cased
+// form, the form's 3-byte suffix and prefix, and its shape — are interned
+// once per sentence as ids in the tagger's vocabulary, and each feature
+// template turns one or two atoms into a packed uint64 key. Only Train
+// adds to the vocabulary and the weights, so a trained Tagger may decode
+// from many goroutines at once.
 package crf
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"webtextie/internal/nlp"
 	"webtextie/internal/textgen"
@@ -52,9 +62,6 @@ type Config struct {
 	// UseShapeFeatures toggles the word-shape templates. Disabling them is
 	// the ablation that removes the TLA failure mode (at a recall cost).
 	UseShapeFeatures bool
-	// Seed orders nothing here (training is deterministic: fixed example
-	// order), but is kept for API stability with the other learners.
-	Seed uint64
 }
 
 // DefaultConfig returns the standard training setup.
@@ -68,22 +75,30 @@ type Tagger struct {
 	Entity textgen.EntityType
 	cfg    Config
 
-	// weights maps feature -> per-label weight vector.
-	weights map[string][numLabels]float64
+	// vocab interns every atom string training saw.
+	vocab map[string]int32
+	// weights maps feature key -> per-label weight vector.
+	weights map[uint64][numLabels]float64
 	// trans holds transition weights [prev][cur].
 	trans [numLabels][numLabels]float64
 }
 
-// featureAppender collects the active features of one position.
-type featureAppender struct {
-	feats []string
+// atoms are one token's interned feature atoms: the ids of its lower-cased
+// form and the form's suffix and prefix, and its shape code. An id the
+// vocabulary lacks is -1, and so are suf and pre for forms of 3 bytes or
+// fewer.
+type atoms struct{ w, suf, pre, sh int32 }
+
+// step is one position's column of the Viterbi lattice.
+type step struct {
+	delta [numLabels]float64
+	back  [numLabels]int8
 }
 
-func (f *featureAppender) add(s string) { f.feats = append(f.feats, s) }
-
-// shape returns the coarse word shape (same inventory as the POS tagger's
-// unknown-word model; BANNER uses comparable orthographic features).
-func shape(w string) string {
+// shape returns the code of w's coarse word shape (same inventory as the
+// POS tagger's unknown-word model; BANNER uses comparable orthographic
+// features).
+func shape(w string) int32 {
 	hasDigit, hasUpper, hasLower, hasHyphen := false, false, false, false
 	for i := 0; i < len(w); i++ {
 		c := w[i]
@@ -100,23 +115,23 @@ func shape(w string) string {
 	}
 	switch {
 	case hasDigit && !hasUpper && !hasLower:
-		return "num"
+		return 0 // num
 	case hasDigit && hasUpper:
-		return "alnumU"
+		return 1 // alnumU
 	case hasDigit:
-		return "alnum"
+		return 2 // alnum
 	case hasUpper && !hasLower && len(w) == 3:
-		return "tla"
+		return 3 // tla
 	case hasUpper && !hasLower && len(w) <= 5:
-		return "acro"
+		return 4 // acro
 	case hasUpper && !hasLower:
-		return "upper"
+		return 5 // upper
 	case hasUpper:
-		return "cap"
+		return 6 // cap
 	case hasHyphen:
-		return "hyph"
+		return 7 // hyph
 	default:
-		return "lower"
+		return 8 // lower
 	}
 }
 
@@ -135,51 +150,101 @@ func IsTLA(s string) bool {
 	return true
 }
 
-// features computes the active features at position i.
-func (t *Tagger) features(words []string, i int, f *featureAppender) {
-	f.feats = f.feats[:0]
-	w := words[i]
-	lw := strings.ToLower(w)
-	f.add("w=" + lw)
-	if n := len(lw); n > 3 {
-		f.add("suf3=" + lw[n-3:])
-		f.add("pre3=" + lw[:3])
+// id returns the vocabulary id of b. An unseen b is added when intern is
+// set (training only) and is -1 otherwise.
+func (t *Tagger) id(b []byte, intern bool) int32 {
+	if id, ok := t.vocab[string(b)]; ok {
+		return id
 	}
-	if t.cfg.UseShapeFeatures {
-		f.add("sh=" + shape(w))
+	if !intern {
+		return -1
 	}
-	if i > 0 {
-		p := strings.ToLower(words[i-1])
-		f.add("p=" + p)
-		f.add("pw=" + p + "|" + lw)
-		if t.cfg.UseShapeFeatures {
-			f.add("psh=" + shape(words[i-1]))
-		}
-	} else {
-		f.add("p=<s>")
-	}
-	if i+1 < len(words) {
-		n := strings.ToLower(words[i+1])
-		f.add("n=" + n)
-		if t.cfg.UseShapeFeatures {
-			f.add("nsh=" + shape(words[i+1]))
-		}
-	} else {
-		f.add("n=</s>")
-	}
-	if i > 1 {
-		f.add("pp=" + strings.ToLower(words[i-2]))
-	}
-	if i+2 < len(words) {
-		f.add("nn=" + strings.ToLower(words[i+2]))
-	}
+	id := int32(len(t.vocab))
+	t.vocab[string(b)] = id
+	return id
 }
 
-// score returns the per-label emission scores for the active features.
-func (t *Tagger) score(feats []string) [numLabels]float64 {
+// atomize computes w's atoms. ASCII is case-folded in a stack buffer; any
+// byte ≥ 0x80 sends the whole token through strings.ToLower, which also
+// turns invalid UTF-8 into U+FFFD.
+func (t *Tagger) atomize(w string, intern bool) atoms {
+	var buf [64]byte
+	lw := buf[:0]
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if c >= utf8.RuneSelf {
+			lw = append(buf[:0], strings.ToLower(w)...)
+			break
+		}
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		lw = append(lw, c)
+	}
+	a := atoms{w: t.id(lw, intern), suf: -1, pre: -1, sh: shape(w)}
+	if n := len(lw); n > 3 {
+		a.suf = t.id(lw[n-3:], intern)
+		a.pre = t.id(lw[:3], intern)
+	}
+	return a
+}
+
+// maxKeys is the most templates active at one position.
+const maxKeys = 11
+
+// keys appends the feature keys of position i in template order, leaving
+// out those built from an atom the vocabulary lacks. A key is its template
+// number in bits 56–63 and one or two 28-bit atom ids below it (2^28 atoms
+// would be gigabytes of training vocabulary). Atoms are one-to-one with the
+// strings each template stands for, and so are keys, as long as no word is
+// "<s>" or "</s>" and none holds a '|'.
+func (t *Tagger) keys(dst []uint64, a []atoms, i int) []uint64 {
+	add := func(tmpl uint64, x, y int32) {
+		if x >= 0 && y >= 0 {
+			dst = append(dst, tmpl<<56|uint64(x)<<28|uint64(y))
+		}
+	}
+	shapes := t.cfg.UseShapeFeatures
+	c := a[i]
+	add(0, c.w, 0)   // "w=" + lw
+	add(1, c.suf, 0) // "suf3=" + lw[n-3:]
+	add(2, c.pre, 0) // "pre3=" + lw[:3]
+	if shapes {
+		add(3, c.sh, 0) // "sh=" + shape(w)
+	}
+	if i > 0 {
+		add(4, a[i-1].w, 0)   // "p=" + p
+		add(5, a[i-1].w, c.w) // "pw=" + p + "|" + lw
+		if shapes {
+			add(6, a[i-1].sh, 0) // "psh=" + shape(p)
+		}
+	} else {
+		add(7, 0, 0) // "p=<s>"
+	}
+	if i+1 < len(a) {
+		add(8, a[i+1].w, 0) // "n=" + n
+		if shapes {
+			add(9, a[i+1].sh, 0) // "nsh=" + shape(n)
+		}
+	} else {
+		add(10, 0, 0) // "n=</s>"
+	}
+	if i > 1 {
+		add(11, a[i-2].w, 0) // "pp=" + pp
+	}
+	if i+2 < len(a) {
+		add(12, a[i+2].w, 0) // "nn=" + nn
+	}
+	return dst
+}
+
+// score returns the per-label emission scores of position i, adding the
+// weight vectors in template order.
+func (t *Tagger) score(a []atoms, i int) [numLabels]float64 {
+	var kb [maxKeys]uint64
 	var s [numLabels]float64
-	for _, ft := range feats {
-		if wv, ok := t.weights[ft]; ok {
+	for _, k := range t.keys(kb[:0], a, i) {
+		if wv, ok := t.weights[k]; ok {
 			for l := Label(0); l < numLabels; l++ {
 				s[l] += wv[l]
 			}
@@ -188,31 +253,25 @@ func (t *Tagger) score(feats []string) [numLabels]float64 {
 	return s
 }
 
-// viterbi decodes the best label sequence.
-func (t *Tagger) viterbi(words []string) []Label {
-	n := len(words)
+// viterbi decodes the best label sequence of a sentence's atoms into out,
+// with lat as the lattice; all three have the sentence's length.
+func (t *Tagger) viterbi(a []atoms, lat []step, out []Label) {
+	n := len(a)
 	if n == 0 {
-		return nil
+		return
 	}
 	const L = int(numLabels)
-	delta := make([][numLabels]float64, n)
-	back := make([][numLabels]int8, n)
-	var f featureAppender
-	t.features(words, 0, &f)
-	em := t.score(f.feats)
-	for l := 0; l < L; l++ {
-		delta[0][l] = em[l]
-	}
+	lat[0].delta = t.score(a, 0)
 	// I cannot start a sentence.
-	delta[0][I] -= 1000
+	lat[0].delta[I] -= 1000
 	for i := 1; i < n; i++ {
-		t.features(words, i, &f)
-		em = t.score(f.feats)
+		em := t.score(a, i)
+		prev := &lat[i-1].delta
 		for l := 0; l < L; l++ {
-			best := delta[i-1][0] + t.trans[0][l]
+			best := prev[0] + t.trans[0][l]
 			var arg int8
 			for p := 1; p < L; p++ {
-				if v := delta[i-1][p] + t.trans[p][l]; v > best {
+				if v := prev[p] + t.trans[p][l]; v > best {
 					best = v
 					arg = int8(p)
 				}
@@ -220,31 +279,29 @@ func (t *Tagger) viterbi(words []string) []Label {
 			// Structural constraint: I must follow B or I.
 			if Label(l) == I && arg == int8(O) {
 				// Recompute best among B, I only.
-				best = delta[i-1][B] + t.trans[B][l]
+				best = prev[B] + t.trans[B][l]
 				arg = int8(B)
-				if v := delta[i-1][I] + t.trans[I][l]; v > best {
+				if v := prev[I] + t.trans[I][l]; v > best {
 					best = v
 					arg = int8(I)
 				}
 			}
-			delta[i][l] = best + em[Label(l)]
-			back[i][l] = arg
+			lat[i].delta[l] = best + em[Label(l)]
+			lat[i].back[l] = arg
 		}
 	}
 	bestL := 0
 	for l := 1; l < L; l++ {
-		if delta[n-1][l] > delta[n-1][bestL] {
+		if lat[n-1].delta[l] > lat[n-1].delta[bestL] {
 			bestL = l
 		}
 	}
-	out := make([]Label, n)
 	for i := n - 1; i >= 0; i-- {
 		out[i] = Label(bestL)
 		if i > 0 {
-			bestL = int(back[i][bestL])
+			bestL = int(lat[i].back[bestL])
 		}
 	}
-	return out
 }
 
 // Train fits a tagger for one entity class with the averaged structured
@@ -253,40 +310,53 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 5
 	}
-	t := &Tagger{Entity: entity, cfg: cfg, weights: map[string][numLabels]float64{}}
+	t := &Tagger{Entity: entity, cfg: cfg, vocab: map[string]int32{}, weights: map[uint64][numLabels]float64{}}
+
+	// Every sentence's atoms, interned once: a new atom changes no score.
+	all := make([][]atoms, len(data))
+	longest := 0
+	for si, s := range data {
+		all[si] = make([]atoms, len(s.Words))
+		for i, w := range s.Words {
+			all[si][i] = t.atomize(w, true)
+		}
+		longest = max(longest, len(s.Words))
+	}
+	lat, preds := make([]step, longest), make([]Label, longest)
 
 	// Averaging accumulators.
-	acc := map[string][numLabels]float64{}
+	acc := map[uint64][numLabels]float64{}
 	var accTrans [numLabels][numLabels]float64
 	steps := 1.0
 
-	var f featureAppender
-	update := func(words []string, i int, l Label, delta float64) {
-		t.features(words, i, &f)
-		for _, ft := range f.feats {
-			wv := t.weights[ft]
+	update := func(a []atoms, i int, l Label, delta float64) {
+		var kb [maxKeys]uint64
+		for _, k := range t.keys(kb[:0], a, i) {
+			wv := t.weights[k]
 			wv[l] += delta
-			t.weights[ft] = wv
-			av := acc[ft]
+			t.weights[k] = wv
+			av := acc[k]
 			av[l] += delta * steps
-			acc[ft] = av
+			acc[k] = av
 		}
 	}
 
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		for _, s := range data {
-			if len(s.Words) == 0 {
+		for si, s := range data {
+			n := len(s.Words)
+			if n == 0 {
 				continue
 			}
-			pred := t.viterbi(s.Words)
+			a, pred := all[si], preds[:n]
+			t.viterbi(a, lat[:n], pred)
 			for i := range s.Words {
 				if pred[i] == s.Labels[i] {
 					continue
 				}
-				update(s.Words, i, s.Labels[i], +1)
-				update(s.Words, i, pred[i], -1)
+				update(a, i, s.Labels[i], +1)
+				update(a, i, pred[i], -1)
 			}
-			for i := 1; i < len(s.Words); i++ {
+			for i := 1; i < n; i++ {
 				gp, gc := s.Labels[i-1], s.Labels[i]
 				pp, pc := pred[i-1], pred[i]
 				if gp == pp && gc == pc {
@@ -302,12 +372,12 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 	}
 
 	// Average: w_avg = w - acc/steps.
-	for ft, wv := range t.weights {
-		av := acc[ft]
+	for k, wv := range t.weights {
+		av := acc[k]
 		for l := Label(0); l < numLabels; l++ {
 			wv[l] -= av[l] / steps
 		}
-		t.weights[ft] = wv
+		t.weights[k] = wv
 	}
 	for p := Label(0); p < numLabels; p++ {
 		for c := Label(0); c < numLabels; c++ {
@@ -321,7 +391,18 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 func (t *Tagger) NumFeatures() int { return len(t.weights) }
 
 // Tag labels a tokenized sentence.
-func (t *Tagger) Tag(words []string) []Label { return t.viterbi(words) }
+func (t *Tagger) Tag(words []string) []Label {
+	if len(words) == 0 {
+		return nil
+	}
+	a := make([]atoms, len(words))
+	for i, w := range words {
+		a[i] = t.atomize(w, false)
+	}
+	out := make([]Label, len(words))
+	t.viterbi(a, make([]step, len(words)), out)
+	return out
+}
 
 // Match is an extracted mention.
 type Match struct {
@@ -334,56 +415,58 @@ type Match struct {
 // ExtractTokens converts a labelled token sequence into matches using the
 // tokens' spans.
 func ExtractTokens(tokens []nlp.TokenSpan, labels []Label) []Match {
-	var out []Match
-	var cur *Match
+	return appendMatches(nil, tokens, labels)
+}
+
+// appendMatches appends the mentions of one labelled token sequence to out.
+func appendMatches(out []Match, tokens []nlp.TokenSpan, labels []Label) []Match {
+	var cur Match
+	open := false
 	for i, tok := range tokens {
 		if i >= len(labels) {
 			break
 		}
-		switch labels[i] {
-		case B:
-			if cur != nil {
-				out = append(out, *cur)
+		switch {
+		case labels[i] == B || (labels[i] == I && !open):
+			if open {
+				out = append(out, cur)
 			}
-			cur = &Match{Start: tok.Start, End: tok.End}
-		case I:
-			if cur == nil {
-				cur = &Match{Start: tok.Start, End: tok.End}
-			} else {
-				cur.End = tok.End
-			}
-		default:
-			if cur != nil {
-				out = append(out, *cur)
-				cur = nil
-			}
+			cur, open = Match{Start: tok.Start, End: tok.End}, true
+		case labels[i] == I:
+			cur.End = tok.End
+		case open:
+			out = append(out, cur)
+			open = false
 		}
 	}
-	if cur != nil {
-		out = append(out, *cur)
+	if open {
+		out = append(out, cur)
 	}
 	return out
 }
 
 // Extract runs sentence splitting, tokenization, decoding, and span
-// assembly over raw text.
+// assembly over raw text. Its scratch is allocated once, sized to the
+// longest sentence.
 func (t *Tagger) Extract(text string) []Match {
 	_, sentToks := nlp.SentenceTokens(text)
+	longest := 0
+	for _, toks := range sentToks {
+		longest = max(longest, len(toks))
+	}
+	a, lat, labels := make([]atoms, longest), make([]step, longest), make([]Label, longest)
 	var out []Match
 	for _, toks := range sentToks {
-		if len(toks) == 0 {
-			continue
-		}
-		words := make([]string, len(toks))
+		n := len(toks)
 		for i, tk := range toks {
-			words[i] = tk.Text
+			a[i] = t.atomize(tk.Text, false)
 		}
-		labels := t.viterbi(words)
-		ms := ExtractTokens(toks, labels)
-		for i := range ms {
-			ms[i].Surface = text[ms[i].Start:ms[i].End]
+		t.viterbi(a[:n], lat[:n], labels[:n])
+		first := len(out)
+		out = appendMatches(out, toks, labels[:n])
+		for i := first; i < len(out); i++ {
+			out[i].Surface = text[out[i].Start:out[i].End]
 		}
-		out = append(out, ms...)
 	}
 	return out
 }

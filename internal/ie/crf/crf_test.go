@@ -2,6 +2,10 @@ package crf
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"webtextie/internal/nlp"
@@ -13,6 +17,7 @@ import (
 type fixture struct {
 	lex  *textgen.Lexicon
 	gen  *textgen.Generator
+	data []Sentence
 	gene *Tagger
 }
 
@@ -30,8 +35,9 @@ func getFixture(t testing.TB) *fixture {
 	for i := 0; i < 400; i++ {
 		docs = append(docs, gen.Doc(r, textgen.Medline, fmt.Sprint("m", i)))
 	}
-	gene := Train(textgen.Gene, TrainingSentences(docs, textgen.Gene), DefaultConfig())
-	cached = &fixture{lex: lex, gen: gen, gene: gene}
+	data := TrainingSentences(docs, textgen.Gene)
+	gene := Train(textgen.Gene, data, DefaultConfig())
+	cached = &fixture{lex: lex, gen: gen, data: data, gene: gene}
 	return cached
 }
 
@@ -296,5 +302,441 @@ func BenchmarkExtract(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fx.gene.Extract(d.Text)
+	}
+}
+
+// --- The string-keyed model, kept as the oracle ---
+//
+// refTagger is the model the interned one must reproduce bit for bit:
+// every feature a string concatenated afresh at every position, weights in
+// a map of strings. Its features, viterbi and Train are the predecessor's,
+// verbatim but for the receiver.
+
+type refTagger struct {
+	cfg     Config
+	weights map[string][numLabels]float64
+	trans   [numLabels][numLabels]float64
+}
+
+// featureAppender collects the active features of one position.
+type featureAppender struct {
+	feats []string
+}
+
+func (f *featureAppender) add(s string) { f.feats = append(f.feats, s) }
+
+// refShape returns the coarse word shape.
+func refShape(w string) string {
+	hasDigit, hasUpper, hasLower, hasHyphen := false, false, false, false
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		switch {
+		case c >= '0' && c <= '9':
+			hasDigit = true
+		case c >= 'A' && c <= 'Z':
+			hasUpper = true
+		case c >= 'a' && c <= 'z':
+			hasLower = true
+		case c == '-':
+			hasHyphen = true
+		}
+	}
+	switch {
+	case hasDigit && !hasUpper && !hasLower:
+		return "num"
+	case hasDigit && hasUpper:
+		return "alnumU"
+	case hasDigit:
+		return "alnum"
+	case hasUpper && !hasLower && len(w) == 3:
+		return "tla"
+	case hasUpper && !hasLower && len(w) <= 5:
+		return "acro"
+	case hasUpper && !hasLower:
+		return "upper"
+	case hasUpper:
+		return "cap"
+	case hasHyphen:
+		return "hyph"
+	default:
+		return "lower"
+	}
+}
+
+// features computes the active features at position i.
+func (t *refTagger) features(words []string, i int, f *featureAppender) {
+	f.feats = f.feats[:0]
+	w := words[i]
+	lw := strings.ToLower(w)
+	f.add("w=" + lw)
+	if n := len(lw); n > 3 {
+		f.add("suf3=" + lw[n-3:])
+		f.add("pre3=" + lw[:3])
+	}
+	if t.cfg.UseShapeFeatures {
+		f.add("sh=" + refShape(w))
+	}
+	if i > 0 {
+		p := strings.ToLower(words[i-1])
+		f.add("p=" + p)
+		f.add("pw=" + p + "|" + lw)
+		if t.cfg.UseShapeFeatures {
+			f.add("psh=" + refShape(words[i-1]))
+		}
+	} else {
+		f.add("p=<s>")
+	}
+	if i+1 < len(words) {
+		n := strings.ToLower(words[i+1])
+		f.add("n=" + n)
+		if t.cfg.UseShapeFeatures {
+			f.add("nsh=" + refShape(words[i+1]))
+		}
+	} else {
+		f.add("n=</s>")
+	}
+	if i > 1 {
+		f.add("pp=" + strings.ToLower(words[i-2]))
+	}
+	if i+2 < len(words) {
+		f.add("nn=" + strings.ToLower(words[i+2]))
+	}
+}
+
+// score returns the per-label emission scores for the active features.
+func (t *refTagger) score(feats []string) [numLabels]float64 {
+	var s [numLabels]float64
+	for _, ft := range feats {
+		if wv, ok := t.weights[ft]; ok {
+			for l := Label(0); l < numLabels; l++ {
+				s[l] += wv[l]
+			}
+		}
+	}
+	return s
+}
+
+// viterbi decodes the best label sequence.
+func (t *refTagger) viterbi(words []string) []Label {
+	n := len(words)
+	if n == 0 {
+		return nil
+	}
+	const L = int(numLabels)
+	delta := make([][numLabels]float64, n)
+	back := make([][numLabels]int8, n)
+	var f featureAppender
+	t.features(words, 0, &f)
+	em := t.score(f.feats)
+	for l := 0; l < L; l++ {
+		delta[0][l] = em[l]
+	}
+	// I cannot start a sentence.
+	delta[0][I] -= 1000
+	for i := 1; i < n; i++ {
+		t.features(words, i, &f)
+		em = t.score(f.feats)
+		for l := 0; l < L; l++ {
+			best := delta[i-1][0] + t.trans[0][l]
+			var arg int8
+			for p := 1; p < L; p++ {
+				if v := delta[i-1][p] + t.trans[p][l]; v > best {
+					best = v
+					arg = int8(p)
+				}
+			}
+			// Structural constraint: I must follow B or I.
+			if Label(l) == I && arg == int8(O) {
+				// Recompute best among B, I only.
+				best = delta[i-1][B] + t.trans[B][l]
+				arg = int8(B)
+				if v := delta[i-1][I] + t.trans[I][l]; v > best {
+					best = v
+					arg = int8(I)
+				}
+			}
+			delta[i][l] = best + em[Label(l)]
+			back[i][l] = arg
+		}
+	}
+	bestL := 0
+	for l := 1; l < L; l++ {
+		if delta[n-1][l] > delta[n-1][bestL] {
+			bestL = l
+		}
+	}
+	out := make([]Label, n)
+	for i := n - 1; i >= 0; i-- {
+		out[i] = Label(bestL)
+		if i > 0 {
+			bestL = int(back[i][bestL])
+		}
+	}
+	return out
+}
+
+// refTrain fits the string-keyed model with the averaged structured
+// perceptron.
+func refTrain(data []Sentence, cfg Config) *refTagger {
+	if cfg.Epochs <= 0 {
+		cfg.Epochs = 5
+	}
+	t := &refTagger{cfg: cfg, weights: map[string][numLabels]float64{}}
+
+	// Averaging accumulators.
+	acc := map[string][numLabels]float64{}
+	var accTrans [numLabels][numLabels]float64
+	steps := 1.0
+
+	var f featureAppender
+	update := func(words []string, i int, l Label, delta float64) {
+		t.features(words, i, &f)
+		for _, ft := range f.feats {
+			wv := t.weights[ft]
+			wv[l] += delta
+			t.weights[ft] = wv
+			av := acc[ft]
+			av[l] += delta * steps
+			acc[ft] = av
+		}
+	}
+
+	for ep := 0; ep < cfg.Epochs; ep++ {
+		for _, s := range data {
+			if len(s.Words) == 0 {
+				continue
+			}
+			pred := t.viterbi(s.Words)
+			for i := range s.Words {
+				if pred[i] == s.Labels[i] {
+					continue
+				}
+				update(s.Words, i, s.Labels[i], +1)
+				update(s.Words, i, pred[i], -1)
+			}
+			for i := 1; i < len(s.Words); i++ {
+				gp, gc := s.Labels[i-1], s.Labels[i]
+				pp, pc := pred[i-1], pred[i]
+				if gp == pp && gc == pc {
+					continue
+				}
+				t.trans[gp][gc]++
+				t.trans[pp][pc]--
+				accTrans[gp][gc] += steps
+				accTrans[pp][pc] -= steps
+			}
+			steps++
+		}
+	}
+
+	// Average: w_avg = w - acc/steps.
+	for ft, wv := range t.weights {
+		av := acc[ft]
+		for l := Label(0); l < numLabels; l++ {
+			wv[l] -= av[l] / steps
+		}
+		t.weights[ft] = wv
+	}
+	for p := Label(0); p < numLabels; p++ {
+		for c := Label(0); c < numLabels; c++ {
+			t.trans[p][c] -= accTrans[p][c] / steps
+		}
+	}
+	return t
+}
+
+// refExtractTokens converts a labelled token sequence into matches.
+func refExtractTokens(tokens []nlp.TokenSpan, labels []Label) []Match {
+	var out []Match
+	var cur *Match
+	for i, tok := range tokens {
+		if i >= len(labels) {
+			break
+		}
+		switch labels[i] {
+		case B:
+			if cur != nil {
+				out = append(out, *cur)
+			}
+			cur = &Match{Start: tok.Start, End: tok.End}
+		case I:
+			if cur == nil {
+				cur = &Match{Start: tok.Start, End: tok.End}
+			} else {
+				cur.End = tok.End
+			}
+		default:
+			if cur != nil {
+				out = append(out, *cur)
+				cur = nil
+			}
+		}
+	}
+	if cur != nil {
+		out = append(out, *cur)
+	}
+	return out
+}
+
+// extract runs sentence splitting, tokenization, decoding, and span
+// assembly over raw text.
+func (t *refTagger) extract(text string) []Match {
+	_, sentToks := nlp.SentenceTokens(text)
+	var out []Match
+	for _, toks := range sentToks {
+		if len(toks) == 0 {
+			continue
+		}
+		words := make([]string, len(toks))
+		for i, tk := range toks {
+			words[i] = tk.Text
+		}
+		labels := t.viterbi(words)
+		ms := refExtractTokens(toks, labels)
+		for i := range ms {
+			ms[i].Surface = text[ms[i].Start:ms[i].End]
+		}
+		out = append(out, ms...)
+	}
+	return out
+}
+
+// TestInternedMatchesReference trains the interned and the string-keyed
+// model on the same data and holds them to the same model — feature count,
+// every weight and transition to the bit, with each string paired to its
+// key position by position — and to the same labels and matches on all
+// four corpus kinds.
+func TestInternedMatchesReference(t *testing.T) {
+	fx := getFixture(t)
+	// Non-ASCII tokens fold as strings.ToLower folds them: two invalid
+	// bytes both become U+FFFD, the Kelvin sign becomes an ASCII k.
+	data := append(fx.data[:len(fx.data):len(fx.data)], Sentence{
+		Words:  []string{"\xc3", "\xc4", "\u212aINASE", "kinase", "Ärzte", "ärzte", "."},
+		Labels: []Label{O, O, B, B, O, O, O},
+	})
+	noShape := DefaultConfig()
+	noShape.UseShapeFeatures = false
+	for _, cfg := range []Config{DefaultConfig(), noShape} {
+		t.Run(fmt.Sprintf("shape=%v", cfg.UseShapeFeatures), func(t *testing.T) {
+			got, want := Train(textgen.Gene, data, cfg), refTrain(data, cfg)
+			if got.NumFeatures() != len(want.weights) {
+				t.Fatalf("NumFeatures = %d, reference %d", got.NumFeatures(), len(want.weights))
+			}
+			for p := range got.trans {
+				for c := range got.trans[p] {
+					if math.Float64bits(got.trans[p][c]) != math.Float64bits(want.trans[p][c]) {
+						t.Errorf("trans[%d][%d] = %v, reference %v", p, c, got.trans[p][c], want.trans[p][c])
+					}
+				}
+			}
+			keyOf, strOf := map[string]uint64{}, map[uint64]string{}
+			var f featureAppender
+			for _, s := range data {
+				a := make([]atoms, len(s.Words))
+				for i, w := range s.Words {
+					a[i] = got.atomize(w, false)
+				}
+				for i := range s.Words {
+					want.features(s.Words, i, &f)
+					ks := got.keys(nil, a, i)
+					if len(ks) != len(f.feats) {
+						t.Fatalf("%q position %d: %d keys for %d features %q", s.Words, i, len(ks), len(f.feats), f.feats)
+					}
+					for j, ft := range f.feats {
+						if k, ok := keyOf[ft]; (ok && k != ks[j]) || (strOf[ks[j]] != "" && strOf[ks[j]] != ft) {
+							t.Fatalf("feature %q and key %#x are not paired one to one", ft, ks[j])
+						}
+						keyOf[ft], strOf[ks[j]] = ks[j], ft
+					}
+				}
+			}
+			for ft, wv := range want.weights {
+				k, ok := keyOf[ft]
+				if !ok {
+					t.Fatalf("reference feature %q has no key", ft)
+				}
+				gv, ok := got.weights[k]
+				for l := range wv {
+					if !ok || math.Float64bits(gv[l]) != math.Float64bits(wv[l]) {
+						t.Fatalf("weights[%q] = %v (present %v), reference %v", ft, gv, ok, wv)
+					}
+				}
+			}
+			for _, kind := range []textgen.CorpusKind{textgen.Medline, textgen.PMC, textgen.Relevant, textgen.Irrelevant} {
+				rg := rng.New(31)
+				for i := 0; i < 15; i++ {
+					d := fx.gen.Doc(rg, kind, fmt.Sprint("r", i))
+					for _, s := range d.Sentences {
+						words := make([]string, len(s.Tokens))
+						for j, tok := range s.Tokens {
+							words[j] = tok.Text
+						}
+						gl, wl := got.Tag(words), want.viterbi(words)
+						if !slices.Equal(gl, wl) {
+							t.Fatalf("%v: Tag(%q) = %v, reference %v", kind, words, gl, wl)
+						}
+					}
+					if gm, wm := got.Extract(d.Text), want.extract(d.Text); !slices.Equal(gm, wm) {
+						t.Fatalf("%v doc %d: Extract = %v, reference %v", kind, i, gm, wm)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzExtract holds Extract to the string-keyed reference on arbitrary
+// bytes: non-ASCII and invalid UTF-8 take the strings.ToLower fallback,
+// '|' and "<s>" probe the key packing, a 10k-token run-on the scratch.
+func FuzzExtract(f *testing.F) {
+	fx := getFixture(f)
+	ref := refTrain(fx.data, DefaultConfig())
+	f.Add("")
+	f.Add("a|b | <s> </s> n=</s> p=<s>")
+	f.Add("Die Ärzte fanden BRCA1 in Zürich. ǅemal Kelvin ΣΑΣ binds GAD-67 \xff\xfeX.")
+	f.Add(strings.Repeat("BRCA1 binds the p53 receptor and ", 2000))
+	f.Add(fx.gen.Doc(rng.New(3), textgen.Medline, "f").Text)
+	f.Add(fx.gen.Doc(rng.New(4), textgen.Irrelevant, "f").Text)
+	f.Fuzz(func(t *testing.T, text string) {
+		if got, want := fx.gene.Extract(text), ref.extract(text); !slices.Equal(got, want) {
+			t.Fatalf("Extract(%q) = %v, reference %v", text, got, want)
+		}
+	})
+}
+
+// TestExtractConcurrent shares one trained Tagger across goroutines, as
+// the executor does at DoP > 1, on texts no call has seen yet, and then
+// compares every result with a serial Extract; under -race it proves
+// decoding never writes to the model.
+func TestExtractConcurrent(t *testing.T) {
+	fx := getFixture(t)
+	rg := rng.New(21)
+	kinds := []textgen.CorpusKind{textgen.Medline, textgen.PMC, textgen.Relevant, textgen.Irrelevant}
+	var texts []string
+	for i := 0; i < 12; i++ {
+		texts = append(texts, fx.gen.Doc(rg, kinds[i%4], fmt.Sprint("c", i)).Text)
+	}
+	const workers = 4
+	var got [workers][][]Match
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = make([][]Match, len(texts))
+			for j := range texts {
+				i := (j + 3*g) % len(texts)
+				got[g][i] = fx.gene.Extract(texts[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, text := range texts {
+		serial := fx.gene.Extract(text)
+		for g := range got {
+			if !slices.Equal(got[g][i], serial) {
+				t.Errorf("goroutine %d, text %d: %v, serially %v", g, i, got[g][i], serial)
+			}
+		}
 	}
 }

@@ -7,8 +7,9 @@ GO ?= go
 
 # Packages with real concurrency (worth the ~100x race-detector slowdown),
 # and what the executor calls from DoP goroutines at once: the operators
-# (internal/core), the POS tagger and the entity taggers.
-RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/ ./internal/ie/...
+# (internal/core), the POS tagger, the entity taggers and the relevance
+# classifier.
+RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/ ./internal/ie/... ./internal/classify/
 
 # `make loc`: non-test Go code outside bench/, less blank and comment-only
 # lines — the one size every simplicity PR quotes.
@@ -61,8 +62,9 @@ supervisor-chaos:
 # Short fuzzing sessions over the HTML pipeline, the MIME detector, the
 # language filter, the classifier's tokenizer and the analysis flow's three
 # hot kernels (seeds alone run as part of `make test`).
-# FuzzIdentify, FuzzTag, FuzzAnalyze and crf's FuzzExtract are
-# differential: langid.Identify, postag.Tag, ling.Analyze and crf.Extract
+# FuzzIdentify, FuzzTag, FuzzAnalyze, crf's FuzzExtract, FuzzTokenize and
+# FuzzProbRelevant are differential: langid.Identify, postag.Tag,
+# ling.Analyze, crf.Extract and the classifier's Tokenize and ProbRelevant
 # against the predecessors kept in their tests;
 # so are the two FuzzRetention: the log sink and the trace recorder on the
 # shared obs.Keeper against the per-class retention loops they replaced.
@@ -72,6 +74,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/boiler/
 	$(GO) test -run=NONE -fuzz=FuzzDetect -fuzztime=15s ./internal/mimetype/
 	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=15s ./internal/classify/
+	$(GO) test -run=NONE -fuzz=FuzzProbRelevant -fuzztime=30s ./internal/classify/
 	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/
 	$(GO) test -run=NONE -fuzz=FuzzTag -fuzztime=60s ./internal/nlp/postag/
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=30s ./internal/ling/

@@ -156,9 +156,11 @@ type gateRow struct {
 // bench/spans.go order; TestAllocGateCoversBenchmark keeps the two lists
 // equal.
 var layerRows = []gateRow{
-	// The simulator renders a page per call: the Page, its Doc, its links
-	// and its HTML, built through strings.Builder and Sprintf.
-	{"synthweb.fetch", 2146, 506780, hotURLs, func(in string) func() {
+	// The simulator renders a page per call: the Page and its RNGs, the Doc
+	// with one exactly sized token slice per sentence, its text, spans and
+	// mentions, each link's URL string, and the HTML in one byte slice
+	// sized up front.
+	{"synthweb.fetch", 290, 144815, hotURLs, func(in string) func() {
 		urls := strings.Fields(in)
 		return func() {
 			for _, u := range urls {
@@ -196,8 +198,9 @@ var layerRows = []gateRow{
 	{"langid.identify", 0, 0, hotPage, func(in string) func() {
 		return func() { _, _ = gateLangID.Identify(in) }
 	}},
-	// A builder-grown string per token, and the token slice.
-	{"classify.prob_relevant", 791, 41744, hotPage, func(in string) func() {
+	// Tokens are scanned in place, folded in a stack buffer and looked up
+	// in the one word table: nothing allocates.
+	{"classify.prob_relevant", 0, 0, hotPage, func(in string) func() {
 		return func() { _ = gateNB.ProbRelevant(in) }
 	}},
 	// One span slice per document.

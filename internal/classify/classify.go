@@ -16,7 +16,6 @@ package classify
 import (
 	"math"
 	"sort"
-	"strings"
 )
 
 // Class is a binary relevance label.
@@ -41,44 +40,63 @@ func (c Class) String() string {
 // alphanumeric runs, with pure numbers and single characters dropped.
 func Tokenize(text string) []string {
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() >= 2 {
-			w := cur.String()
-			digitsOnly := true
-			for i := 0; i < len(w); i++ {
-				if w[i] < '0' || w[i] > '9' {
-					digitsOnly = false
-					break
-				}
-			}
-			if !digitsOnly {
-				out = append(out, w)
-			}
+	var buf [64]byte
+	for sc := (wordScanner{text: text}); ; {
+		w, ok := sc.next(buf[:0])
+		if !ok {
+			return out
 		}
-		cur.Reset()
+		out = append(out, string(w))
 	}
-	for _, r := range text {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			cur.WriteRune(r)
-		case r >= 'A' && r <= 'Z':
-			cur.WriteRune(r + 32)
-		default:
-			flush()
+}
+
+// wordScanner walks the bag-of-words tokens of a text in place: runs of
+// ASCII letters and digits, two bytes or longer and not all digits. Every
+// other byte separates runs — the bytes of a multi-byte rune and invalid
+// UTF-8 alike, as ranging over the text's runes did.
+type wordScanner struct {
+	text string
+	i    int
+}
+
+// next appends the next token to buf, lower-cased, and returns it; it
+// reports false at the end of the text.
+func (sc *wordScanner) next(buf []byte) ([]byte, bool) {
+	for sc.i < len(sc.text) {
+		start, letters := sc.i, false
+		for ; sc.i < len(sc.text); sc.i++ {
+			c := sc.text[sc.i]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if (c < 'a' || c > 'z') && (c < '0' || c > '9') {
+				break
+			}
+			letters = letters || c > '9'
+			buf = append(buf, c)
 		}
+		if sc.i-start >= 2 && letters {
+			return buf, true
+		}
+		buf = buf[:0]
+		sc.i++ // past the separator
 	}
-	flush()
-	return out
+	return nil, false
+}
+
+// wordStat is one vocabulary word's count per class and the smoothed log
+// count math.Log(float64(n[c])+1) that scoring adds, kept current by Learn.
+type wordStat struct {
+	n    [2]int
+	logN [2]float64
 }
 
 // NaiveBayes is a multinomial Naive Bayes text classifier with Laplace
 // smoothing. The zero value is an untrained classifier; use New.
 type NaiveBayes struct {
-	wordCounts [2]map[string]int
+	words      map[string]*wordStat
 	totalWords [2]int
 	docs       [2]int
-	vocab      map[string]struct{}
 
 	// Threshold is the posterior probability of Relevant required to
 	// classify as relevant. 0.5 is the Bayes decision; the paper's model
@@ -89,25 +107,26 @@ type NaiveBayes struct {
 
 // New returns an empty classifier with the default 0.5 threshold.
 func New() *NaiveBayes {
-	return &NaiveBayes{
-		wordCounts: [2]map[string]int{{}, {}},
-		vocab:      map[string]struct{}{},
-		Threshold:  0.5,
-	}
+	return &NaiveBayes{words: map[string]*wordStat{}, Threshold: 0.5}
 }
 
 // Learn incrementally updates the model with one labelled document.
 func (nb *NaiveBayes) Learn(text string, class Class) {
-	nb.LearnTokens(Tokenize(text), class)
-}
-
-// LearnTokens is Learn for pre-tokenized input.
-func (nb *NaiveBayes) LearnTokens(tokens []string, class Class) {
 	nb.docs[class]++
-	for _, w := range tokens {
-		nb.wordCounts[class][w]++
+	var buf [64]byte
+	for sc := (wordScanner{text: text}); ; {
+		w, ok := sc.next(buf[:0])
+		if !ok {
+			return
+		}
+		s := nb.words[string(w)]
+		if s == nil {
+			s = &wordStat{}
+			nb.words[string(w)] = s
+		}
+		s.n[class]++
+		s.logN[class] = math.Log(float64(s.n[class]) + 1)
 		nb.totalWords[class]++
-		nb.vocab[w] = struct{}{}
 	}
 }
 
@@ -117,42 +136,20 @@ func (nb *NaiveBayes) Trained() bool { return nb.docs[0] > 0 && nb.docs[1] > 0 }
 // Clone returns an independent deep copy of the model (for experiments
 // that update one instance incrementally while keeping the original).
 func (nb *NaiveBayes) Clone() *NaiveBayes {
-	out := New()
-	out.Threshold = nb.Threshold
-	out.totalWords = nb.totalWords
-	out.docs = nb.docs
-	for c := 0; c < 2; c++ {
-		for w, n := range nb.wordCounts[c] {
-			out.wordCounts[c][w] = n
-		}
+	out := &NaiveBayes{
+		words:      make(map[string]*wordStat, len(nb.words)),
+		totalWords: nb.totalWords,
+		docs:       nb.docs,
+		Threshold:  nb.Threshold,
 	}
-	for w := range nb.vocab {
-		out.vocab[w] = struct{}{}
+	for w, s := range nb.words {
+		c := *s
+		out.words[w] = &c
 	}
 	return out
 }
 
-// LogPosterior returns the unnormalized log joint probability of each class.
-func (nb *NaiveBayes) logJoint(tokens []string) (lIrr, lRel float64) {
-	totalDocs := nb.docs[0] + nb.docs[1]
-	v := float64(len(nb.vocab))
-	var l [2]float64
-	for c := 0; c < 2; c++ {
-		l[c] = math.Log(float64(nb.docs[c]+1) / float64(totalDocs+2))
-		denom := math.Log(float64(nb.totalWords[c]) + v)
-		for _, w := range tokens {
-			l[c] += math.Log(float64(nb.wordCounts[c][w])+1) - denom
-		}
-	}
-	return l[0], l[1]
-}
-
 // ProbRelevant returns P(Relevant | text) in [0, 1].
-func (nb *NaiveBayes) ProbRelevant(text string) float64 {
-	return nb.ProbRelevantTokens(Tokenize(text))
-}
-
-// ProbRelevantTokens is ProbRelevant for pre-tokenized input.
 //
 // The returned probability is length-calibrated: the class log-odds are
 // normalized by the token count before the logistic transform. Raw
@@ -161,30 +158,46 @@ func (nb *NaiveBayes) ProbRelevant(text string) float64 {
 // precision/yield knob — and tuning that knob is exactly the §5 trade-off
 // ("one could tune the classifier towards more recall during crawling").
 // The 0.5 decision boundary is unaffected (sigmoid(x) >= 0.5 iff x >= 0).
-func (nb *NaiveBayes) ProbRelevantTokens(tokens []string) float64 {
+//
+// Both class log joints accumulate in one pass in token order, each as
+// its own running sum, so every bit matches summing one class after the
+// other; an unseen word adds 0 - denom, which is math.Log(1) - denom.
+func (nb *NaiveBayes) ProbRelevant(text string) float64 {
 	if !nb.Trained() {
 		return 0.5
 	}
-	lIrr, lRel := nb.logJoint(tokens)
-	n := float64(len(tokens))
+	totalDocs := nb.docs[0] + nb.docs[1]
+	v := float64(len(nb.words))
+	var l, denom [2]float64
+	for c := 0; c < 2; c++ {
+		l[c] = math.Log(float64(nb.docs[c]+1) / float64(totalDocs+2))
+		denom[c] = math.Log(float64(nb.totalWords[c]) + v)
+	}
+	tokens := 0
+	var buf [64]byte
+	for sc := (wordScanner{text: text}); ; tokens++ {
+		w, ok := sc.next(buf[:0])
+		if !ok {
+			break
+		}
+		var logN [2]float64
+		if s := nb.words[string(w)]; s != nil {
+			logN = s.logN
+		}
+		l[0] += logN[0] - denom[0]
+		l[1] += logN[1] - denom[1]
+	}
+	n := float64(tokens)
 	if n < 1 {
 		n = 1
 	}
-	perToken := (lRel - lIrr) / n
+	perToken := (l[Relevant] - l[Irrelevant]) / n
 	return 1 / (1 + math.Exp(-8*perToken))
 }
 
 // Classify applies the decision threshold.
 func (nb *NaiveBayes) Classify(text string) Class {
 	if nb.ProbRelevant(text) >= nb.Threshold {
-		return Relevant
-	}
-	return Irrelevant
-}
-
-// ClassifyTokens is Classify for pre-tokenized input.
-func (nb *NaiveBayes) ClassifyTokens(tokens []string) Class {
-	if nb.ProbRelevantTokens(tokens) >= nb.Threshold {
 		return Relevant
 	}
 	return Irrelevant
@@ -198,12 +211,12 @@ func (nb *NaiveBayes) TopWords(class Class, n int) []string {
 		w string
 		s float64
 	}
-	v := float64(len(nb.vocab))
+	v := float64(len(nb.words))
 	var all []scored
-	for w := range nb.vocab {
-		pc := (float64(nb.wordCounts[class][w]) + 1) / (float64(nb.totalWords[class]) + v)
-		po := (float64(nb.wordCounts[other][w]) + 1) / (float64(nb.totalWords[other]) + v)
-		if nb.wordCounts[class][w] >= 3 {
+	for w, st := range nb.words {
+		pc := (float64(st.n[class]) + 1) / (float64(nb.totalWords[class]) + v)
+		po := (float64(st.n[other]) + 1) / (float64(nb.totalWords[other]) + v)
+		if st.n[class] >= 3 {
 			all = append(all, scored{w, math.Log(pc / po)})
 		}
 	}

@@ -2,8 +2,10 @@ package classify
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"webtextie/internal/rng"
@@ -178,8 +180,9 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// FuzzTokenize: Tokenize never panics, every token is two or more bytes
-// of [a-z0-9] and not a number, and ASCII case does not matter.
+// FuzzTokenize: Tokenize matches refTokenize, never panics, every token
+// is two or more bytes of [a-z0-9] and not a number, and ASCII case does
+// not matter.
 func FuzzTokenize(f *testing.F) {
 	f.Add("Alpha binds the beta receptor in approx. 1.5 hours. GAD-67 expression rose.")
 	f.Add("The BRCA1 gene, treated-with 42 mg/kg doses!")
@@ -187,6 +190,9 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
 		toks := Tokenize(s)
+		if want := refTokenize(s); !slices.Equal(toks, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", s, toks, want)
+		}
 		for _, tok := range toks {
 			digits := 0
 			for i := 0; i < len(tok); i++ {
@@ -210,4 +216,183 @@ func FuzzTokenize(f *testing.F) {
 			t.Fatalf("Tokenize(%q) = %q, upper-cased %q", s, toks, up)
 		}
 	})
+}
+
+// refTokenize, refModel.logJoint and refModel.probRelevantTokens are
+// Tokenize, NaiveBayes.logJoint and NaiveBayes.ProbRelevantTokens as they
+// were before scoring moved onto one word table and an in-place scanner:
+// a token slice built through a strings.Builder, scored against two count
+// maps and a vocabulary set. They are the oracle FuzzProbRelevant holds
+// the classifier to, bit for bit.
+func refTokenize(text string) []string {
+	var out []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() >= 2 {
+			w := cur.String()
+			digitsOnly := true
+			for i := 0; i < len(w); i++ {
+				if w[i] < '0' || w[i] > '9' {
+					digitsOnly = false
+					break
+				}
+			}
+			if !digitsOnly {
+				out = append(out, w)
+			}
+		}
+		cur.Reset()
+	}
+	for _, r := range text {
+		switch {
+		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
+			cur.WriteRune(r)
+		case r >= 'A' && r <= 'Z':
+			cur.WriteRune(r + 32)
+		default:
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+type refModel struct {
+	wordCounts [2]map[string]int
+	totalWords [2]int
+	docs       [2]int
+	vocab      map[string]struct{}
+}
+
+func newRefModel() *refModel {
+	return &refModel{wordCounts: [2]map[string]int{{}, {}}, vocab: map[string]struct{}{}}
+}
+
+func (nb *refModel) learn(text string, class Class) {
+	nb.docs[class]++
+	for _, w := range refTokenize(text) {
+		nb.wordCounts[class][w]++
+		nb.totalWords[class]++
+		nb.vocab[w] = struct{}{}
+	}
+}
+
+func (nb *refModel) clone() *refModel {
+	out := newRefModel()
+	out.totalWords = nb.totalWords
+	out.docs = nb.docs
+	for c := 0; c < 2; c++ {
+		for w, n := range nb.wordCounts[c] {
+			out.wordCounts[c][w] = n
+		}
+	}
+	for w := range nb.vocab {
+		out.vocab[w] = struct{}{}
+	}
+	return out
+}
+
+func (nb *refModel) logJoint(tokens []string) (lIrr, lRel float64) {
+	totalDocs := nb.docs[0] + nb.docs[1]
+	v := float64(len(nb.vocab))
+	var l [2]float64
+	for c := 0; c < 2; c++ {
+		l[c] = math.Log(float64(nb.docs[c]+1) / float64(totalDocs+2))
+		denom := math.Log(float64(nb.totalWords[c]) + v)
+		for _, w := range tokens {
+			l[c] += math.Log(float64(nb.wordCounts[c][w])+1) - denom
+		}
+	}
+	return l[0], l[1]
+}
+
+func (nb *refModel) probRelevantTokens(tokens []string) float64 {
+	if !(nb.docs[0] > 0 && nb.docs[1] > 0) {
+		return 0.5
+	}
+	lIrr, lRel := nb.logJoint(tokens)
+	n := float64(len(tokens))
+	if n < 1 {
+		n = 1
+	}
+	perToken := (lRel - lIrr) / n
+	return 1 / (1 + math.Exp(-8*perToken))
+}
+
+// FuzzProbRelevant trains NaiveBayes and refModel on the same texts —
+// from scratch or on top of a trained corpus, then a clone that learns
+// on while the original learns something else — and requires every
+// probability to carry the same bits.
+func FuzzProbRelevant(f *testing.F) {
+	f.Add("Alpha binds the BETA receptor in approx. 1.5 hours.", "Cheap flights and hotel deals!", "GAD-67 expression rose", "the beta receptor", uint8(1))
+	f.Add("naïve ſtraße ΑΒΓ \xff\xfe Über", "KELVIN K Straße", "é è ê", "ſtraße naïve", uint8(0))
+	f.Add("THE BRCA1 GENE", "CHEAP SHOES SALE", "The Gene", "tHe bRcA1 gEnE", uint8(3))
+	f.Add("12 345 6789", "1.5 2.25 42", "a 1 b 2", "007 x9 9x", uint8(2))
+	f.Add("", "", "", "", uint8(0))
+	f.Add("", "", "", "", uint8(1))
+	examples := syntheticExamples(f, 40)
+	base, baseRef := New(), newRefModel()
+	for _, ex := range examples {
+		base.Learn(ex.Text, ex.Class)
+		baseRef.learn(ex.Text, ex.Class)
+	}
+	f.Fuzz(func(t *testing.T, rel, irr, extra, query string, mode uint8) {
+		nb, ref := New(), newRefModel()
+		if mode&1 != 0 {
+			nb, ref = base.Clone(), baseRef.clone()
+		}
+		check := func(stage string, nb *NaiveBayes, ref *refModel) {
+			t.Helper()
+			for _, s := range []string{query, rel, irr, extra, examples[0].Text} {
+				got, want := nb.ProbRelevant(s), ref.probRelevantTokens(refTokenize(s))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: ProbRelevant(%q) = %v (%#x), reference %v (%#x)",
+						stage, s, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+		check("before learning", nb, ref)
+		nb.Learn(rel, Relevant)
+		ref.learn(rel, Relevant)
+		check("after one class", nb, ref)
+		nb.Learn(irr, Irrelevant)
+		ref.learn(irr, Irrelevant)
+		check("after both classes", nb, ref)
+
+		c, rc := nb.Clone(), ref.clone()
+		class := Class(mode >> 1 & 1)
+		c.Learn(extra, class)
+		rc.learn(extra, class)
+		nb.Learn(query, 1-class)
+		ref.learn(query, 1-class)
+		check("clone after learning", c, rc)
+		check("original after its clone learned", nb, ref)
+	})
+}
+
+// The executor's classify_relevance and relevance_filter score from DoP
+// goroutines against one model: scoring must not write to it.
+func TestProbRelevantConcurrent(t *testing.T) {
+	examples := syntheticExamples(t, 200)
+	nb := Train(examples[:120], 0.5)
+	texts := examples[120:]
+	want := make([]float64, len(texts))
+	for i, ex := range texts {
+		want[i] = nb.ProbRelevant(ex.Text)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range texts {
+				i := (k + g*len(texts)/4) % len(texts)
+				if got := nb.ProbRelevant(texts[i].Text); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("goroutine %d, text %d: %v, serial %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

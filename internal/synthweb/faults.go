@@ -14,7 +14,7 @@ package synthweb
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"webtextie/internal/rng"
 )
@@ -122,7 +122,7 @@ func (w *Web) truncated(rawurl string, attempt int) (bool, float64) {
 	if w.cfg.TruncateRate <= 0 {
 		return false, 0
 	}
-	r := rng.New(w.cfg.Seed).Split(fmt.Sprintf("fault/trunc/%s/%d", rawurl, attempt))
+	r := rng.New(w.cfg.Seed).Split("fault/trunc/" + rawurl + "/" + strconv.Itoa(attempt))
 	if !r.Bool(w.cfg.TruncateRate) {
 		return false, 0
 	}

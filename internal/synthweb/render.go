@@ -1,7 +1,9 @@
 package synthweb
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 
 	"webtextie/internal/mimetype"
@@ -34,7 +36,7 @@ func (w *Web) renderPage(h *Host, idx int) *Page {
 		case r.Bool(w.cfg.NonHTMLShare):
 			return w.renderBinaryPage(r, p)
 		case r.Bool(w.cfg.NonEnglishShare):
-			p.Lang = rng.Pick(r, []string{"de", "fr", "es", "nl"})
+			p.Lang = rng.Pick(r, foreignLangs)
 		case idx >= 2 && r.Bool(w.cfg.MirrorShare):
 			return w.renderMirrorPage(r, h, idx, p)
 		}
@@ -87,13 +89,15 @@ func (w *Web) renderPage(h *Host, idx int) *Page {
 	}
 
 	p.Links = w.pageLinks(r, h, idx, p)
-	p.Body = []byte(w.renderHTML(r, h, idx, p))
+	p.Body = w.renderHTML(r, h, idx, p)
 	return p
 }
 
 // trimPortal cuts a document down to a couple of teaser sentences.
 func trimPortal(d *textgen.Doc) { trimToSentences(d, 3) }
 
+// trimToSentences cuts a document to its first n sentences, with the
+// mentions and gold relations those sentences carry.
 func trimToSentences(d *textgen.Doc, n int) {
 	if len(d.Sentences) <= n {
 		return
@@ -109,6 +113,7 @@ func trimToSentences(d *textgen.Doc, n int) {
 		}
 	}
 	d.Mentions = ms
+	d.Relations = slices.DeleteFunc(d.Relations, func(rel textgen.Relation) bool { return rel.Sentence >= n })
 }
 
 // renderMirrorPage produces a near-copy of an earlier page on the same
@@ -123,7 +128,7 @@ func (w *Web) renderMirrorPage(r *rng.RNG, h *Host, idx int, p *Page) *Page {
 		p.Doc = d
 		p.NetText = d.Text
 		p.Links = w.pageLinks(r, h, idx, p)
-		p.Body = []byte(w.renderHTML(r, h, idx, p))
+		p.Body = w.renderHTML(r, h, idx, p)
 		return p
 	}
 	p.MirrorOf = src.URL
@@ -131,7 +136,7 @@ func (w *Web) renderMirrorPage(r *rng.RNG, h *Host, idx int, p *Page) *Page {
 	p.Doc = src.Doc
 	p.NetText = src.NetText + " This page is a hosted mirror copy of the original article."
 	p.Links = w.pageLinks(r, h, idx, p)
-	p.Body = []byte(w.renderHTML(r, h, idx, p))
+	p.Body = w.renderHTML(r, h, idx, p)
 	return p
 }
 
@@ -164,6 +169,9 @@ func (w *Web) renderBinaryPage(r *rng.RNG, p *Page) *Page {
 	p.Body = body
 	return p
 }
+
+// foreignLangs are the languages of non-English pages.
+var foreignLangs = []string{"de", "fr", "es", "nl"}
 
 // foreignText produces non-English filler from per-language function-word
 // pools — enough signal for the n-gram identifier to reject it.
@@ -198,18 +206,16 @@ func foreignText(r *rng.RNG, lang string) string {
 // pageLinks computes the out-link set of a page: navigational intra-host
 // links plus a few cross-host content links with topical locality.
 func (w *Web) pageLinks(r *rng.RNG, h *Host, idx int, p *Page) []string {
-	var links []string
-	seen := map[string]bool{}
-	add := func(u string) {
-		if !seen[u] && u != p.URL {
-			seen[u] = true
-			links = append(links, u)
-		}
-	}
-
 	nLinks := 4 + r.Intn(12)
 	if p.Portal {
 		nLinks = 15 + r.Intn(30) // hubs are link farms
+	}
+	// At most 45 links: de-duplicating by scanning beats hashing.
+	links := make([]string, 0, nLinks+1)
+	add := func(u string) {
+		if u != p.URL && !slices.Contains(links, u) {
+			links = append(links, u)
+		}
 	}
 	for i := 0; i < nLinks; i++ {
 		if r.Bool(w.cfg.IntraHostLinkShare) {
@@ -275,33 +281,17 @@ func (w *Web) chooseTargetHost(r *rng.RNG, from *Host) *Host {
 	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // renderTrapPage produces one page of the infinite trap subtree.
 func (w *Web) renderTrapPage(h *Host, depth int) *Page {
-	r := w.pageRNG(h, 1000000+depth)
-	p := &Page{
-		URL:  TrapURL(h.Name, depth),
-		Host: h, MIME: mimetype.HTML, Lang: "en",
-		Relevant: false,
-	}
-	p.NetText = fmt.Sprintf("calendar view %d", depth)
+	p := &Page{URL: TrapURL(h.Name, depth), Host: h, MIME: mimetype.HTML, Lang: "en"}
+	p.NetText = "calendar view " + strconv.Itoa(depth)
 	// Each trap page links deeper: unbounded unique URLs.
 	p.Links = []string{TrapURL(h.Name, depth+1), TrapURL(h.Name, depth+2)}
-	var b strings.Builder
-	b.WriteString("<html><head><title>Calendar</title></head><body>")
-	fmt.Fprintf(&b, "<p>%s</p>", p.NetText)
+	b := cat(nil, "<html><head><title>Calendar</title></head><body><p>", p.NetText, "</p>")
 	for _, l := range p.Links {
-		fmt.Fprintf(&b, `<a href="%s">next</a> `, l)
+		b = cat(b, `<a href="`, l, `">next</a> `)
 	}
-	_ = r
-	b.WriteString("</body></html>")
-	p.Body = []byte(b.String())
+	p.Body = cat(b, "</body></html>")
 	return p
 }
 
@@ -320,73 +310,78 @@ var footerPhrases = []string{
 
 // renderHTML assembles the served HTML: head with script/style noise, nav
 // chrome, the article (the gold net text), sidebar ads, footer — then
-// optional markup corruption.
-func (w *Web) renderHTML(r *rng.RNG, h *Host, idx int, p *Page) string {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html><head>")
-	fmt.Fprintf(&b, "<title>%s - page %d</title>", h.Name, idx)
-	b.WriteString(`<style>.nav{color:#333}</style><script>var _tr=1;track("` + h.Name + `");</script>`)
-	b.WriteString("</head><body>")
+// optional markup corruption. The page is appended into one byte slice,
+// sized up front for the chrome, the links and the escaped net text; the
+// page owns it.
+func (w *Web) renderHTML(r *rng.RNG, h *Host, idx int, p *Page) []byte {
+	// The fixed chrome and the host name, named eight times; the net text
+	// plus an eighth for entities and list and table markup; each link
+	// with its markup. Fewer than 0.2% of default-web pages outgrow it.
+	size := 640 + 8*len(h.Name) + len(p.NetText) + len(p.NetText)/8
+	for _, l := range p.Links {
+		size += len(l) + 40
+	}
+	b := make([]byte, 0, size)
+	b = cat(b, "<!DOCTYPE html>\n<html><head><title>", h.Name, " - page ")
+	b = strconv.AppendInt(b, int64(idx), 10)
+	b = cat(b, `</title><style>.nav{color:#333}</style><script>var _tr=1;track("`, h.Name, `");</script>`)
+	b = cat(b, "</head><body>")
 
 	// Navigation bar: link-dense chrome.
-	b.WriteString(`<nav class="nav">`)
+	b = cat(b, `<nav class="nav">`)
 	for i, l := range p.Links {
 		if i >= 8 {
 			break
 		}
-		fmt.Fprintf(&b, `<a href="%s">%s</a> `, l, navLabels[i%len(navLabels)])
+		b = cat(b, `<a href="`, l, `">`, navLabels[i%len(navLabels)], "</a> ")
 	}
-	b.WriteString("</nav>")
+	b = cat(b, "</nav>")
 
 	// Article: paragraphs of the gold net text. A fraction of paragraphs
 	// renders as lists or tables — the content class boilerplate detection
 	// systematically drops ("tables and lists, which often contain
 	// valuable facts, are not recognized properly in many cases", §4.1).
-	b.WriteString(`<article>`)
+	b = cat(b, `<article>`)
 	for _, para := range paragraphs(r, p) {
 		switch {
 		case r.Bool(0.08):
-			b.WriteString("<ul>")
-			for _, item := range splitSentences(para) {
-				fmt.Fprintf(&b, "<li>%s</li>", escapeText(item))
-			}
-			b.WriteString("</ul>\n")
+			b = cat(appendItems(cat(b, "<ul>"), para, "<li>", "</li>"), "</ul>\n")
 		case r.Bool(0.06):
-			b.WriteString("<table>")
-			for _, item := range splitSentences(para) {
-				fmt.Fprintf(&b, "<tr><td>%s</td></tr>", escapeText(item))
-			}
-			b.WriteString("</table>\n")
+			b = cat(appendItems(cat(b, "<table>"), para, "<tr><td>", "</td></tr>"), "</table>\n")
 		default:
-			fmt.Fprintf(&b, "<p>%s</p>\n", escapeText(para))
+			b = cat(appendEscaped(cat(b, "<p>"), para), "</p>\n")
 		}
 	}
-	b.WriteString("</article>")
+	b = cat(b, "</article>")
 
 	// Sidebar with remaining links and an ad block.
-	b.WriteString(`<div class="sidebar"><ul>`)
-	for i, l := range p.Links {
-		if i < 8 {
-			continue
-		}
-		fmt.Fprintf(&b, `<li><a href="%s">related link %d</a></li>`, l, i)
+	b = cat(b, `<div class="sidebar"><ul>`)
+	for i := 8; i < len(p.Links); i++ {
+		b = strconv.AppendInt(cat(b, `<li><a href="`, p.Links[i], `">related link `), int64(i), 10)
+		b = cat(b, "</a></li>")
 	}
-	b.WriteString("</ul>")
-	fmt.Fprintf(&b, `<div class="ad"><a href="http://ads.example/c%d">%s</a></div></div>`,
-		r.Intn(1000), rng.Pick(r, adPhrases))
+	b = strconv.AppendInt(cat(b, "</ul>", `<div class="ad"><a href="http://ads.example/c`), int64(r.Intn(1000)), 10)
+	b = cat(b, `">`, rng.Pick(r, adPhrases), "</a></div></div>")
 
 	// Footer chrome.
-	b.WriteString("<footer>")
+	b = cat(b, "<footer>")
 	for _, f := range footerPhrases {
-		fmt.Fprintf(&b, `<a href="http://%s/meta">%s</a> | `, h.Name, f)
+		b = cat(b, `<a href="http://`, h.Name, `/meta">`, f, "</a> | ")
 	}
-	b.WriteString("</footer></body></html>")
+	b = cat(b, "</footer></body></html>")
 
-	html := b.String()
 	if r.Bool(w.cfg.CorruptShare) {
-		html = corrupt(r, html)
+		b = corrupt(r, b)
 	}
-	return html
+	return b
+}
+
+// cat appends strings to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	return b
 }
 
 // paragraphs splits the net text into paragraph strings along sentence
@@ -398,8 +393,8 @@ func paragraphs(r *rng.RNG, p *Page) []string {
 		}
 		return []string{p.NetText}
 	}
-	var out []string
 	spans := p.Doc.SentSpans
+	out := make([]string, 0, len(spans)/3+2)
 	for i := 0; i < len(spans); {
 		n := 3 + r.Intn(4)
 		j := i + n
@@ -417,52 +412,84 @@ func paragraphs(r *rng.RNG, p *Page) []string {
 	return out
 }
 
-// splitSentences chops a paragraph at sentence-final periods for list and
-// table rendering.
-func splitSentences(para string) []string {
-	var out []string
+// appendItems renders a paragraph as list or table rows, split at
+// sentence-final periods, each escaped between open and close.
+func appendItems(b []byte, para, open, close string) []byte {
 	start := 0
 	for i := 0; i < len(para); i++ {
 		if para[i] == '.' && (i+1 == len(para) || para[i+1] == ' ') {
-			out = append(out, strings.TrimSpace(para[start:i+1]))
+			b = cat(appendEscaped(cat(b, open), strings.TrimSpace(para[start:i+1])), close)
 			start = i + 1
 		}
 	}
 	if rest := strings.TrimSpace(para[start:]); rest != "" {
-		out = append(out, rest)
+		b = cat(appendEscaped(cat(b, open), rest), close)
 	}
-	return out
+	return b
 }
 
-func escapeText(s string) string {
-	s = strings.ReplaceAll(s, "&", "&amp;")
-	s = strings.ReplaceAll(s, "<", "&lt;")
-	s = strings.ReplaceAll(s, ">", "&gt;")
-	return s
+// appendEscaped appends s with &, < and > escaped as entities.
+func appendEscaped(b []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, "&<>")
+		if i < 0 {
+			return append(b, s...)
+		}
+		b = append(b, s[:i]...)
+		switch s[i] {
+		case '&':
+			b = append(b, "&amp;"...)
+		case '<':
+			b = append(b, "&lt;"...)
+		default:
+			b = append(b, "&gt;"...)
+		}
+		s = s[i+1:]
+	}
 }
 
 // corrupt introduces the markup defects that dominate real-world HTML
 // ([19]: 95% of pages non-conforming): dropped end tags, misnesting,
 // unquoted attributes, stray end tags.
-func corrupt(r *rng.RNG, html string) string {
+func corrupt(r *rng.RNG, html []byte) []byte {
 	ops := 1 + r.Intn(3)
 	for i := 0; i < ops; i++ {
 		switch r.Intn(4) {
 		case 0:
 			// Drop some </p> tags.
-			html = strings.Replace(html, "</p>", "", 1+r.Intn(3))
+			html = replace(html, "</p>", "", 1+r.Intn(3))
 		case 1:
 			// Drop a </div>.
-			html = strings.Replace(html, "</div>", "", 1)
+			html = replace(html, "</div>", "", 1)
 		case 2:
 			// Stray end tag injected mid-document.
-			if idx := strings.Index(html, "<article>"); idx >= 0 {
-				html = html[:idx] + "</span>" + html[idx:]
+			if idx := bytes.Index(html, []byte("<article>")); idx >= 0 {
+				const stray = "</span>"
+				html = append(html, stray...)
+				copy(html[idx+len(stray):], html[idx:])
+				copy(html[idx:], stray)
 			}
 		default:
 			// Unquote an attribute.
-			html = strings.Replace(html, `class="nav"`, `class=nav`, 1)
+			html = replace(html, `class="nav"`, `class=nav`, 1)
 		}
 	}
 	return html
+}
+
+// replace is strings.Replace in place, for a new no longer than old:
+// occurrences are found left to right in what is not yet rewritten, so a
+// match a removal creates is not taken.
+func replace(b []byte, old, new string, n int) []byte {
+	for i := 0; n > 0; n-- {
+		j := bytes.Index(b[i:], []byte(old))
+		if j < 0 {
+			break
+		}
+		j += i
+		copy(b[j:], new)
+		b = append(b[:j+len(new)], b[j+len(old):]...)
+		i = j + len(new)
+	}
+	return b
 }

@@ -266,12 +266,12 @@ func (w *Web) Fetches() int { return w.fetches }
 
 // PageURL builds the canonical URL for a host page index.
 func PageURL(host string, index int) string {
-	return fmt.Sprintf("http://%s/p%d.html", host, index)
+	return "http://" + host + "/p" + strconv.Itoa(index) + ".html"
 }
 
 // TrapURL builds a trap URL at the given depth.
 func TrapURL(host string, depth int) string {
-	return fmt.Sprintf("http://%s/trap/%d", host, depth)
+	return "http://" + host + "/trap/" + strconv.Itoa(depth)
 }
 
 // SplitURL parses a synthetic URL into host and path.
@@ -374,5 +374,5 @@ func (w *Web) PageContent(rawurl string) (*Page, error) {
 
 // pageRNG derives the deterministic generator for one page.
 func (w *Web) pageRNG(h *Host, idx int) *rng.RNG {
-	return rng.New(w.cfg.Seed).Split(fmt.Sprintf("page/%s/%d", h.Name, idx))
+	return rng.New(w.cfg.Seed).Split("page/" + h.Name + "/" + strconv.Itoa(idx))
 }

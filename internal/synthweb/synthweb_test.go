@@ -148,7 +148,7 @@ func TestPageHTMLContainsNetTextAndChrome(t *testing.T) {
 			if len(probe) > 40 {
 				probe = probe[:40]
 			}
-			if !strings.Contains(body, escapeText(probe)) {
+			if !strings.Contains(body, string(appendEscaped(nil, probe))) {
 				t.Errorf("net text not in body:\nprobe=%q", probe)
 			}
 			if !strings.Contains(body, "<nav") || !strings.Contains(body, "<footer>") {

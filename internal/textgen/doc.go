@@ -1,6 +1,8 @@
 package textgen
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 
 	"webtextie/internal/rng"
@@ -224,9 +226,14 @@ func (g *Generator) Doc(r *rng.RNG, kind CorpusKind, id string) *Doc {
 	if nSent < 1 {
 		nSent = 1
 	}
-	d := &Doc{ID: id, Kind: kind}
+	d := &Doc{ID: id, Kind: kind, Sentences: make([]Sentence, 0, nSent)}
+	// Each sentence grows in one scratch slice and is copied out at its
+	// final length: one exact allocation per sentence.
+	scratch := make([]Token, 0, 64)
 	for i := 0; i < nSent; i++ {
-		s := g.sentence(r, p)
+		s := g.sentence(r, p, scratch[:0])
+		scratch = s.Tokens
+		s.Tokens = slices.Clone(s.Tokens)
 		capitalizeSentence(&s)
 		d.Sentences = append(d.Sentences, s)
 	}
@@ -253,12 +260,13 @@ func capitalizeSentence(s *Sentence) {
 	}
 }
 
-// sentence generates one sentence according to the profile.
-func (g *Generator) sentence(r *rng.RNG, p *Profile) Sentence {
+// sentence generates one sentence according to the profile, appending its
+// tokens to buf.
+func (g *Generator) sentence(r *rng.RNG, p *Profile, buf []Token) Sentence {
 	if r.Bool(p.DegenerateRate) {
-		return g.degenerate(r)
+		return g.degenerate(r, buf)
 	}
-	var s Sentence
+	s := Sentence{Tokens: buf}
 	target := int(r.LogNorm(p.TokensPerSentence.Mu, p.TokensPerSentence.Sigma) + 0.5)
 	if target < 5 {
 		target = 5
@@ -266,13 +274,15 @@ func (g *Generator) sentence(r *rng.RNG, p *Profile) Sentence {
 
 	// Decide the sentence's special content up front.
 	negate := r.Bool(p.NegationRate)
-	var prons []PronounClass
+	var pronBuf [NumPronounClasses]PronounClass
+	prons := pronBuf[:0]
 	for c := PronounClass(0); c < PronounClass(NumPronounClasses); c++ {
 		if r.Bool(p.PronounRate[c]) {
 			prons = append(prons, c)
 		}
 	}
-	var ents []EntityType
+	var entBuf [8]EntityType
+	ents := entBuf[:0]
 	for _, t := range EntityTypes {
 		for i := 0; i < r.Poisson(p.EntityRate[t]); i++ {
 			ents = append(ents, t)
@@ -289,29 +299,30 @@ func (g *Generator) sentence(r *rng.RNG, p *Profile) Sentence {
 		s.add(g.pronoun(r, PronSubject))
 		prons = prons[1:]
 	} else if len(ents) > 0 {
-		s.addAll(g.entityNP(r, p, &s, ents[0]))
+		g.entityNP(r, p, &s, ents[0])
 		ents = ents[1:]
 		subjectEntity = true
 	} else {
-		s.addAll(g.nounPhrase(r, p))
+		g.nounPhrase(r, p, &s)
 	}
 
-	// Verb phrase, with optional negation.
-	vp := g.verbPhrase(r, p, negate)
-	s.addAll(vp)
+	// Verb phrase, with optional negation: tokens [vpStart, vpEnd).
+	vpStart := len(s.Tokens)
+	g.verbPhrase(r, p, &s, negate)
+	vpEnd := len(s.Tokens)
 	s.Negated = negate
 
 	// Object: entity or plain NP. An entity subject and an entity object
 	// joined by the main verb form a gold relation.
 	if len(ents) > 0 {
-		s.addAll(g.entityNP(r, p, &s, ents[0]))
+		g.entityNP(r, p, &s, ents[0])
 		ents = ents[1:]
 		if subjectEntity {
 			s.RelSubjObj = true
-			s.RelVerb = mainVerb(vp)
+			s.RelVerb = mainVerb(s.Tokens[vpStart:vpEnd])
 		}
 	} else {
-		s.addAll(g.nounPhrase(r, p))
+		g.nounPhrase(r, p, &s)
 	}
 
 	// Pad with prepositional phrases, remaining entities, pronouns, TLAs
@@ -320,10 +331,10 @@ func (g *Generator) sentence(r *rng.RNG, p *Profile) Sentence {
 		switch {
 		case len(ents) > 0:
 			s.add(Token{Text: rng.Pick(r, prepositions), Tag: TagIN})
-			s.addAll(g.entityNP(r, p, &s, ents[0]))
+			g.entityNP(r, p, &s, ents[0])
 			ents = ents[1:]
 		case len(prons) > 0:
-			s.addAll(g.pronounPhrase(r, p, prons[0]))
+			g.pronounPhrase(r, p, &s, prons[0])
 			prons = prons[1:]
 		case nTLA > 0:
 			// A non-entity acronym. Half the time in a noun frame ("the
@@ -342,13 +353,12 @@ func (g *Generator) sentence(r *rng.RNG, p *Profile) Sentence {
 			nTLA--
 		case r.Bool(0.25):
 			// Relative clause.
-			s.add(Token{Text: ",", Tag: TagComma})
-			s.add(Token{Text: "which", Tag: TagWDT})
-			s.addAll(g.verbPhrase(r, p, false))
-			s.addAll(g.nounPhrase(r, p))
+			s.add(Token{Text: ",", Tag: TagComma}, Token{Text: "which", Tag: TagWDT})
+			g.verbPhrase(r, p, &s, false)
+			g.nounPhrase(r, p, &s)
 		default:
 			s.add(Token{Text: rng.Pick(r, prepositions), Tag: TagIN})
-			s.addAll(g.nounPhrase(r, p))
+			g.nounPhrase(r, p, &s)
 		}
 		if len(s.Tokens) > target+20 {
 			break
@@ -358,7 +368,7 @@ func (g *Generator) sentence(r *rng.RNG, p *Profile) Sentence {
 	// Optional parenthesized insert before the final period.
 	if r.Bool(p.ParenRate) {
 		s.add(Token{Text: "(", Tag: TagLRB})
-		for _, w := range strings.Fields(rng.Pick(r, parenFillers)) {
+		for w := range strings.FieldsSeq(rng.Pick(r, parenFillers)) {
 			tag := TagSYM
 			if w[0] >= 'a' && w[0] <= 'z' {
 				tag = TagNN
@@ -373,8 +383,7 @@ func (g *Generator) sentence(r *rng.RNG, p *Profile) Sentence {
 	return s
 }
 
-func (s *Sentence) add(t Token)       { s.Tokens = append(s.Tokens, t) }
-func (s *Sentence) addAll(ts []Token) { s.Tokens = append(s.Tokens, ts...) }
+func (s *Sentence) add(ts ...Token) { s.Tokens = append(s.Tokens, ts...) }
 
 // mainVerb returns the last verb-tagged token of a verb phrase.
 func mainVerb(vp []Token) string {
@@ -402,123 +411,104 @@ func (g *Generator) pronoun(r *rng.RNG, c PronounClass) Token {
 }
 
 // pronounPhrase embeds a pronoun of class c in a small grammatical frame.
-func (g *Generator) pronounPhrase(r *rng.RNG, p *Profile, c PronounClass) []Token {
+func (g *Generator) pronounPhrase(r *rng.RNG, p *Profile, s *Sentence, c PronounClass) {
 	pron := g.pronoun(r, c)
 	switch c {
-	case PronPossessive:
-		return []Token{{Text: rng.Pick(r, prepositions), Tag: TagIN}, pron,
-			{Text: rng.Pick(r, p.register.nouns), Tag: TagNN}}
-	case PronDemonstrative:
-		return []Token{{Text: rng.Pick(r, prepositions), Tag: TagIN}, pron,
-			{Text: rng.Pick(r, p.register.nouns), Tag: TagNN}}
+	case PronPossessive, PronDemonstrative:
+		s.add(Token{Text: rng.Pick(r, prepositions), Tag: TagIN}, pron,
+			Token{Text: rng.Pick(r, p.register.nouns), Tag: TagNN})
 	case PronRelative:
 		vb := rng.Pick(r, p.register.verbs)
-		return []Token{{Text: ",", Tag: TagComma}, pron,
-			{Text: vb[1], Tag: TagVBZ},
-			{Text: rng.Pick(r, determiners), Tag: TagDT},
-			{Text: rng.Pick(r, p.register.nouns), Tag: TagNN}}
+		s.add(Token{Text: ",", Tag: TagComma}, pron,
+			Token{Text: vb[1], Tag: TagVBZ},
+			Token{Text: rng.Pick(r, determiners), Tag: TagDT},
+			Token{Text: rng.Pick(r, p.register.nouns), Tag: TagNN})
 	default:
-		return []Token{{Text: rng.Pick(r, prepositions), Tag: TagIN}, pron}
+		s.add(Token{Text: rng.Pick(r, prepositions), Tag: TagIN}, pron)
 	}
 }
 
-func (g *Generator) nounPhrase(r *rng.RNG, p *Profile) []Token {
-	out := []Token{{Text: rng.Pick(r, determiners), Tag: TagDT}}
+func (g *Generator) nounPhrase(r *rng.RNG, p *Profile, s *Sentence) {
+	s.add(Token{Text: rng.Pick(r, determiners), Tag: TagDT})
 	if r.Bool(0.5) {
-		out = append(out, Token{Text: rng.Pick(r, p.register.adjectives), Tag: TagJJ})
+		s.add(Token{Text: rng.Pick(r, p.register.adjectives), Tag: TagJJ})
 	}
-	noun := rng.Pick(r, p.register.nouns)
-	tag := TagNN
+	i := r.Intn(len(p.register.nouns))
 	if r.Bool(0.25) {
-		noun += "s"
-		tag = TagNNS
+		s.add(Token{Text: p.register.plurals[i], Tag: TagNNS})
+	} else {
+		s.add(Token{Text: p.register.nouns[i], Tag: TagNN})
 	}
-	out = append(out, Token{Text: noun, Tag: tag})
-	return out
 }
 
-func (g *Generator) verbPhrase(r *rng.RNG, p *Profile, negate bool) []Token {
-	var out []Token
+func (g *Generator) verbPhrase(r *rng.RNG, p *Profile, s *Sentence, negate bool) {
 	if r.Bool(0.25) {
-		out = append(out, Token{Text: rng.Pick(r, p.register.adverbs), Tag: TagRB})
+		s.add(Token{Text: rng.Pick(r, p.register.adverbs), Tag: TagRB})
 	}
 	if negate {
 		switch r.Intn(3) {
 		case 0:
-			out = append(out, Token{Text: "did", Tag: TagVBD}, Token{Text: "not", Tag: TagNEG},
+			s.add(Token{Text: "did", Tag: TagVBD}, Token{Text: "not", Tag: TagNEG},
 				Token{Text: rng.Pick(r, p.register.verbs)[0], Tag: TagVB})
 		case 1:
-			out = append(out, Token{Text: "neither", Tag: TagNEG},
+			s.add(Token{Text: "neither", Tag: TagNEG},
 				Token{Text: rng.Pick(r, p.register.verbsPast), Tag: TagVBD},
 				Token{Text: "nor", Tag: TagNEG},
 				Token{Text: rng.Pick(r, p.register.verbsPast), Tag: TagVBD})
 		default:
-			out = append(out, Token{Text: "was", Tag: TagVBD}, Token{Text: "not", Tag: TagNEG},
+			s.add(Token{Text: "was", Tag: TagVBD}, Token{Text: "not", Tag: TagNEG},
 				Token{Text: rng.Pick(r, p.register.verbsPast), Tag: TagVBN})
 		}
-		return out
+		return
 	}
 	if r.Bool(0.5) {
-		out = append(out, Token{Text: rng.Pick(r, p.register.verbs)[1], Tag: TagVBZ})
+		s.add(Token{Text: rng.Pick(r, p.register.verbs)[1], Tag: TagVBZ})
 	} else {
-		out = append(out, Token{Text: rng.Pick(r, p.register.verbsPast), Tag: TagVBD})
+		s.add(Token{Text: rng.Pick(r, p.register.verbsPast), Tag: TagVBD})
 	}
-	return out
 }
 
 // entityNP renders an entity mention, optionally wrapped in a
 // class-indicative context frame. The mention tokens carry gold labels.
-func (g *Generator) entityNP(r *rng.RNG, p *Profile, s *Sentence, t EntityType) []Token {
+// The frame is drawn before any token is appended: its strength, then,
+// for drugs and diseases, whether it leads or trails the mention.
+func (g *Generator) entityNP(r *rng.RNG, p *Profile, s *Sentence, t EntityType) {
 	e := g.pickEntry(r, p.Kind, t)
 	surface := e.Name
 	if len(e.Synonyms) > 0 && r.Bool(0.3) {
 		surface = rng.Pick(r, e.Synonyms)
 	}
-	words := strings.Fields(surface)
-	mention := make([]Token, 0, len(words))
-	for i, w := range words {
-		mention = append(mention, Token{Text: w, Tag: TagNNP, Ent: t, First: i == 0})
-	}
 	strong := r.Bool(p.EntityContextStrength)
-	switch t {
-	case Gene:
-		if strong {
-			out := []Token{{Text: "the", Tag: TagDT}}
-			out = append(out, mention...)
-			out = append(out, Token{Text: "gene", Tag: TagNN})
-			return out
-		}
-	case Drug:
-		if strong {
-			if r.Bool(0.5) {
-				out := []Token{{Text: "treated", Tag: TagVBN}, {Text: "with", Tag: TagIN}}
-				return append(out, mention...)
-			}
-			out := append([]Token{}, mention...)
-			return append(out, Token{Text: "therapy", Tag: TagNN})
-		}
-	case Disease:
-		if strong {
-			if r.Bool(0.5) {
-				out := []Token{{Text: "patients", Tag: TagNNS}, {Text: "with", Tag: TagIN}}
-				return append(out, mention...)
-			}
-			out := append([]Token{}, mention...)
-			return append(out, Token{Text: "patients", Tag: TagNNS})
-		}
+	leads := strong && (t == Drug || t == Disease) && r.Bool(0.5)
+	switch {
+	case strong && t == Gene:
+		s.add(Token{Text: "the", Tag: TagDT})
+	case leads && t == Drug:
+		s.add(Token{Text: "treated", Tag: TagVBN}, Token{Text: "with", Tag: TagIN})
+	case leads:
+		s.add(Token{Text: "patients", Tag: TagNNS}, Token{Text: "with", Tag: TagIN})
 	}
-	return mention
+	first := true
+	for w := range strings.FieldsSeq(surface) {
+		s.add(Token{Text: w, Tag: TagNNP, Ent: t, First: first})
+		first = false
+	}
+	switch {
+	case !strong || leads:
+	case t == Gene:
+		s.add(Token{Text: "gene", Tag: TagNN})
+	case t == Drug:
+		s.add(Token{Text: "therapy", Tag: TagNN})
+	case t == Disease:
+		s.add(Token{Text: "patients", Tag: TagNNS})
+	}
 }
 
 // degenerate produces a long structureless fragment (keyword soup), the web
 // pathology that makes sentence detection emit 2000+ character "sentences".
-func (g *Generator) degenerate(r *rng.RNG) Sentence {
+func (g *Generator) degenerate(r *rng.RNG, buf []Token) Sentence {
 	n := 60 + r.Intn(400)
-	s := Sentence{Degenerate: true}
-	navWords := []string{
-		"home", "login", "contact", "sitemap", "copyright", "privacy", "terms",
-		"next", "previous", "search", "menu", "share", "rss", "archive",
-	}
+	s := Sentence{Tokens: buf, Degenerate: true}
 	for i := 0; i < n; i++ {
 		switch r.Intn(4) {
 		case 0:
@@ -528,7 +518,7 @@ func (g *Generator) degenerate(r *rng.RNG) Sentence {
 		case 2:
 			s.add(Token{Text: rng.Pick(r, webNouns), Tag: TagNN})
 		default:
-			s.add(Token{Text: itoa(r.Intn(2026)), Tag: TagCD})
+			s.add(Token{Text: numerals[r.Intn(len(numerals))], Tag: TagCD})
 		}
 		if r.Bool(0.08) {
 			s.add(Token{Text: "|", Tag: TagSYM})
@@ -537,19 +527,20 @@ func (g *Generator) degenerate(r *rng.RNG) Sentence {
 	return s
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+// navWords are the navigation labels keyword soup draws from.
+var navWords = []string{
+	"home", "login", "contact", "sitemap", "copyright", "privacy", "terms",
+	"next", "previous", "search", "menu", "share", "rss", "archive",
 }
+
+// numerals are the decimal numbers keyword soup draws from, 0 to 2025.
+var numerals = func() []string {
+	out := make([]string, 2026)
+	for i := range out {
+		out[i] = strconv.Itoa(i)
+	}
+	return out
+}()
 
 // noSpaceBefore reports whether a token attaches to the previous one
 // without whitespace when rendering.
@@ -563,13 +554,26 @@ func noSpaceBefore(text string) bool {
 
 // render produces d.Text, d.SentSpans, and d.Mentions with byte offsets.
 func (g *Generator) render(d *Doc) {
+	size, mentions := 0, 0
+	for _, s := range d.Sentences {
+		for _, tok := range s.Tokens {
+			size += len(tok.Text) + 1 // at most one space before each token
+			if tok.First {
+				mentions++
+			}
+		}
+	}
 	var b strings.Builder
+	b.Grow(size)
+	d.SentSpans = make([][2]int, 0, len(d.Sentences))
+	d.Mentions = make([]Mention, 0, mentions)
 	for si, s := range d.Sentences {
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
 		sentStart := b.Len()
-		var cur *Mention
+		var cur Mention
+		open := false
 		for ti, tok := range s.Tokens {
 			if ti > 0 && !noSpaceBefore(tok.Text) && s.Tokens[ti-1].Text != "(" {
 				b.WriteByte(' ')
@@ -578,21 +582,21 @@ func (g *Generator) render(d *Doc) {
 			b.WriteString(tok.Text)
 			end := b.Len()
 			if tok.Ent != None {
-				if tok.First || cur == nil || cur.Type != tok.Ent {
-					if cur != nil {
-						d.Mentions = append(d.Mentions, *cur)
+				if tok.First || !open || cur.Type != tok.Ent {
+					if open {
+						d.Mentions = append(d.Mentions, cur)
 					}
-					cur = &Mention{Type: tok.Ent, Start: start, End: end, Sentence: si}
+					cur, open = Mention{Type: tok.Ent, Start: start, End: end, Sentence: si}, true
 				} else {
 					cur.End = end
 				}
-			} else if cur != nil {
-				d.Mentions = append(d.Mentions, *cur)
-				cur = nil
+			} else if open {
+				d.Mentions = append(d.Mentions, cur)
+				open = false
 			}
 		}
-		if cur != nil {
-			d.Mentions = append(d.Mentions, *cur)
+		if open {
+			d.Mentions = append(d.Mentions, cur)
 		}
 		d.SentSpans = append(d.SentSpans, [2]int{sentStart, b.Len()})
 	}
@@ -610,17 +614,23 @@ func (g *Generator) render(d *Doc) {
 		if !s.RelSubjObj {
 			continue
 		}
-		var idx []int
-		for mi, m := range d.Mentions {
-			if m.Sentence == si {
-				idx = append(idx, mi)
+		subj, obj := -1, -1
+		for mi := range d.Mentions {
+			if d.Mentions[mi].Sentence != si {
+				continue
+			}
+			if subj < 0 {
+				subj = mi
+			} else {
+				obj = mi
+				break
 			}
 		}
-		if len(idx) < 2 {
+		if obj < 0 {
 			continue
 		}
 		d.Relations = append(d.Relations, Relation{
-			Sentence: si, A: idx[0], B: idx[1],
+			Sentence: si, A: subj, B: obj,
 			Verb: s.RelVerb, Negated: s.Negated,
 		})
 	}

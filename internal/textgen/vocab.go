@@ -156,14 +156,24 @@ var (
 	}
 )
 
-// register bundles the word pools for one text register.
+// register bundles the word pools for one text register. plurals[i] is
+// nouns[i] + "s".
 type register struct {
 	nouns      []string
+	plurals    []string
 	verbs      [][2]string
 	verbsPast  []string
 	adjectives []string
 	adverbs    []string
 }
 
-var sciRegister = register{sciNouns, sciVerbs, sciVerbsPast, sciAdjectives, sciAdverbs}
-var webRegister = register{webNouns, webVerbs, webVerbsPast, webAdjectives, webAdverbs}
+var sciRegister = register{sciNouns, plurals(sciNouns), sciVerbs, sciVerbsPast, sciAdjectives, sciAdverbs}
+var webRegister = register{webNouns, plurals(webNouns), webVerbs, webVerbsPast, webAdjectives, webAdverbs}
+
+func plurals(nouns []string) []string {
+	out := make([]string, len(nouns))
+	for i, n := range nouns {
+		out[i] = n + "s"
+	}
+	return out
+}

@@ -62,10 +62,10 @@ supervisor-chaos:
 # Short fuzzing sessions over the HTML pipeline, the MIME detector, the
 # language filter, the classifier's tokenizer and the analysis flow's three
 # hot kernels (seeds alone run as part of `make test`).
-# FuzzIdentify, FuzzTag, FuzzAnalyze, crf's FuzzExtract, FuzzTokenize and
-# FuzzProbRelevant are differential: langid.Identify, postag.Tag,
-# ling.Analyze, crf.Extract and the classifier's Tokenize and ProbRelevant
-# against the predecessors kept in their tests;
+# FuzzIdentify, FuzzTag, FuzzAnalyze, crf's FuzzExtract, FuzzFind,
+# FuzzTokenize and FuzzProbRelevant are differential: langid.Identify,
+# postag.Tag, ling.Analyze, crf.Extract, dict.Find and the classifier's
+# Tokenize and ProbRelevant against the predecessors kept in their tests;
 # so are the two FuzzRetention: the log sink and the trace recorder on the
 # shared obs.Keeper against the per-class retention loops they replaced.
 fuzz:
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTag -fuzztime=60s ./internal/nlp/postag/
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=30s ./internal/ling/
 	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/ie/crf/
+	$(GO) test -run=NONE -fuzz=FuzzFind -fuzztime=30s ./internal/ie/dict/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/evlog/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/trace/
 

@@ -224,13 +224,15 @@ var layerRows = []gateRow{
 		sents := nlp.SplitSentences(in)
 		return func() { _ = ling.Analyze("d1", in, sents) }
 	}},
-	// The discarded result buffer stays on the stack.
+	// One table step per byte, the byte classes folding ASCII case; the
+	// discarded result buffer stays on the stack.
 	{"dict.find", 0, 0, hotDoc, func(in string) func() {
 		return func() { _ = gateMatcher.Find(in) }
 	}},
 	// The six sentence and token slices, three scratch slices sized to the
-	// longest sentence, and the matches grown by append; features are
-	// integer keys, and a token's case fold lives on the stack.
+	// longest sentence, and the matches grown by append; features are row
+	// numbers into one weight table, and a token's case fold lives on the
+	// stack.
 	{"crf.extract", 15, 4752, hotDoc, func(in string) func() {
 		return func() { _ = gateCRF.Extract(in) }
 	}},
@@ -238,7 +240,8 @@ var layerRows = []gateRow{
 
 // extraRows gate entries that sit on no traced layer boundary.
 var extraRows = []gateRow{
-	// The caller-owned-buffer entry is allocation-free.
+	// The caller-owned-buffer entry is allocation-free: the automaton is
+	// flat tables, and only non-ASCII text takes a folded copy.
 	{"dict_find_append", 0, 0, hotDoc, func(in string) func() {
 		return func() { dictBuf = gateMatcher.FindAppend(dictBuf[:0], in) }
 	}},

@@ -332,7 +332,7 @@ func BenchmarkAblationDictVariants(b *testing.B) {
 					dict.Options{Variants: variants, CaseInsensitive: true})
 			}
 			b.ReportMetric(float64(m.Stats().Nodes), "nodes")
-			b.ReportMetric(float64(m.Stats().ApproxBytes()), "bytes")
+			b.ReportMetric(float64(m.Stats().Bytes), "bytes")
 		})
 	}
 }

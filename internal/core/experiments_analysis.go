@@ -84,8 +84,8 @@ func (e *Experiments) Fig3() string {
 		r.line("%10d %14s %14s %9.0fx", len(p.text), dDict, dML, ratio)
 	}
 	st := s.DictMatchers[textgen.Gene].Stats()
-	r.line("\ngene dictionary: %d entries -> %d surfaces -> %d automaton nodes, built in %s",
-		st.Entries, st.Surfaces, st.Nodes, st.BuildTime)
+	r.line("\ngene dictionary: %d entries -> %d surfaces -> %d automaton nodes, %d KB, built in %s",
+		st.Entries, st.Surfaces, st.Nodes, st.Bytes>>10, st.BuildTime)
 	r.line("paper-scale extrapolation: 700,000 entries, ~20 min load, 6-20 GB per worker (§4.2)")
 	return r.String()
 }

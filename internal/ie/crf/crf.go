@@ -11,10 +11,10 @@
 // What the evaluation depends on is reproduced:
 //
 //   - the decode path of Fig 3b: every token's emission is scored once,
-//     from up to 11 feature lookups, and every label pair is then weighed
-//     at every position, where a dictionary takes one automaton transition
-//     per byte (at this repository's scale the two now cost about the
-//     same per document: EXPERIMENTS.md, deviation 2);
+//     from up to 11 weight rows, and every label pair is then weighed at
+//     every position, where a dictionary takes one table step per byte
+//     (at this repository's scale the tagger costs 6–7× the dictionary
+//     per document: EXPERIMENTS.md, deviation 2);
 //   - models are trained on Medline-profile text only ("all ML-based
 //     methods used in this project employ models trained on Medline
 //     abstracts since no other training data is available", §5), so on web
@@ -24,10 +24,11 @@
 //
 // Features are integers end to end. Each token's atoms — its lower-cased
 // form, the form's 3-byte suffix and prefix, and its shape — are interned
-// once per sentence as ids in the tagger's vocabulary, and each feature
-// template turns one or two atoms into a packed uint64 key. Only Train
-// adds to the vocabulary and the weights, so a trained Tagger may decode
-// from many goroutines at once.
+// once per sentence as ids in the tagger's vocabulary, and each feature is
+// a row of one weight table: its template's first row plus an atom's id,
+// or for the word bigram the number training gave the pair. Only Train
+// adds to the vocabulary and lays out the rows, so a trained Tagger may
+// decode from many goroutines at once.
 package crf
 
 import (
@@ -75,10 +76,22 @@ type Tagger struct {
 	Entity textgen.EntityType
 	cfg    Config
 
-	// vocab interns every atom string training saw.
+	// vocab interns every atom string training saw, and affix holds, per
+	// id, the suffix and prefix ids of a word of more than 3 bytes.
 	vocab map[string]int32
-	// weights maps feature key -> per-label weight vector.
-	weights map[uint64][numLabels]float64
+	affix [][2]int32
+	// pairs numbers the adjacent (previous, current) word pairs of the
+	// training data, keyed by the two word ids.
+	pairs map[uint64]int32
+	// base is each template's first row in weights. A template over a word,
+	// suffix or prefix has a row per vocabulary id, one over a shape a row
+	// per shape code, "p=<s>" and "n=</s>" one row, and "pw" a row per pair.
+	base [numTemplates]int32
+	// weights holds a per-label weight vector per feature row; rows no
+	// update touched stay zero.
+	weights [][numLabels]float64
+	// features is the number of rows training touched.
+	features int
 	// trans holds transition weights [prev][cur].
 	trans [numLabels][numLabels]float64
 }
@@ -94,6 +107,9 @@ type step struct {
 	delta [numLabels]float64
 	back  [numLabels]int8
 }
+
+// numShapes is the number of shape codes shape returns.
+const numShapes = 9
 
 // shape returns the code of w's coarse word shape (same inventory as the
 // POS tagger's unknown-word model; BANNER uses comparable orthographic
@@ -161,12 +177,14 @@ func (t *Tagger) id(b []byte, intern bool) int32 {
 	}
 	id := int32(len(t.vocab))
 	t.vocab[string(b)] = id
+	t.affix = append(t.affix, [2]int32{-1, -1})
 	return id
 }
 
 // atomize computes w's atoms. ASCII is case-folded in a stack buffer; any
 // byte ≥ 0x80 sends the whole token through strings.ToLower, which also
-// turns invalid UTF-8 into U+FFFD.
+// turns invalid UTF-8 into U+FFFD. A known form's suffix and prefix were
+// interned with it, so decoding looks up one string per known token.
 func (t *Tagger) atomize(w string, intern bool) atoms {
 	var buf [64]byte
 	lw := buf[:0]
@@ -183,71 +201,90 @@ func (t *Tagger) atomize(w string, intern bool) atoms {
 	}
 	a := atoms{w: t.id(lw, intern), suf: -1, pre: -1, sh: shape(w)}
 	if n := len(lw); n > 3 {
+		if a.w >= 0 && !intern {
+			a.suf, a.pre = t.affix[a.w][0], t.affix[a.w][1]
+			return a
+		}
 		a.suf = t.id(lw[n-3:], intern)
 		a.pre = t.id(lw[:3], intern)
+		if intern {
+			t.affix[a.w] = [2]int32{a.suf, a.pre}
+		}
 	}
 	return a
 }
 
-// maxKeys is the most templates active at one position.
-const maxKeys = 11
+// maxKeys is the most templates active at one position, and numTemplates
+// the number of templates.
+const maxKeys, numTemplates = 11, 13
 
-// keys appends the feature keys of position i in template order, leaving
-// out those built from an atom the vocabulary lacks. A key is its template
-// number in bits 56–63 and one or two 28-bit atom ids below it (2^28 atoms
-// would be gigabytes of training vocabulary). Atoms are one-to-one with the
-// strings each template stands for, and so are keys, as long as no word is
-// "<s>" or "</s>" and none holds a '|'.
-func (t *Tagger) keys(dst []uint64, a []atoms, i int) []uint64 {
-	add := func(tmpl uint64, x, y int32) {
-		if x >= 0 && y >= 0 {
-			dst = append(dst, tmpl<<56|uint64(x)<<28|uint64(y))
+// pair returns the row number of the word pair (x, y) within template
+// "pw", or -1 if either word is unknown or training never saw the pair.
+func (t *Tagger) pair(x, y int32) int32 {
+	if x < 0 || y < 0 {
+		return -1
+	}
+	if id, ok := t.pairs[uint64(x)<<32|uint64(y)]; ok {
+		return id
+	}
+	return -1
+}
+
+// keys appends the feature rows of position i in template order, leaving
+// out those built from an atom the vocabulary lacks and word pairs training
+// never saw. Atoms are one-to-one with the strings each template stands
+// for, and so are rows, as long as no word is "<s>" or "</s>" and none
+// holds a '|'.
+func (t *Tagger) keys(dst []int32, a []atoms, i int) []int32 {
+	add := func(tmpl int, x int32) {
+		if x >= 0 {
+			dst = append(dst, t.base[tmpl]+x)
 		}
 	}
 	shapes := t.cfg.UseShapeFeatures
 	c := a[i]
-	add(0, c.w, 0)   // "w=" + lw
-	add(1, c.suf, 0) // "suf3=" + lw[n-3:]
-	add(2, c.pre, 0) // "pre3=" + lw[:3]
+	add(0, c.w)   // "w=" + lw
+	add(1, c.suf) // "suf3=" + lw[n-3:]
+	add(2, c.pre) // "pre3=" + lw[:3]
 	if shapes {
-		add(3, c.sh, 0) // "sh=" + shape(w)
+		add(3, c.sh) // "sh=" + shape(w)
 	}
 	if i > 0 {
-		add(4, a[i-1].w, 0)   // "p=" + p
-		add(5, a[i-1].w, c.w) // "pw=" + p + "|" + lw
+		add(4, a[i-1].w)              // "p=" + p
+		add(5, t.pair(a[i-1].w, c.w)) // "pw=" + p + "|" + lw
 		if shapes {
-			add(6, a[i-1].sh, 0) // "psh=" + shape(p)
+			add(6, a[i-1].sh) // "psh=" + shape(p)
 		}
 	} else {
-		add(7, 0, 0) // "p=<s>"
+		add(7, 0) // "p=<s>"
 	}
 	if i+1 < len(a) {
-		add(8, a[i+1].w, 0) // "n=" + n
+		add(8, a[i+1].w) // "n=" + n
 		if shapes {
-			add(9, a[i+1].sh, 0) // "nsh=" + shape(n)
+			add(9, a[i+1].sh) // "nsh=" + shape(n)
 		}
 	} else {
-		add(10, 0, 0) // "n=</s>"
+		add(10, 0) // "n=</s>"
 	}
 	if i > 1 {
-		add(11, a[i-2].w, 0) // "pp=" + pp
+		add(11, a[i-2].w) // "pp=" + pp
 	}
 	if i+2 < len(a) {
-		add(12, a[i+2].w, 0) // "nn=" + nn
+		add(12, a[i+2].w) // "nn=" + nn
 	}
 	return dst
 }
 
 // score returns the per-label emission scores of position i, adding the
-// weight vectors in template order.
+// weight rows in template order. A row no update touched adds +0, which
+// leaves every sum as it was: no weight or partial sum is ever -0.
 func (t *Tagger) score(a []atoms, i int) [numLabels]float64 {
-	var kb [maxKeys]uint64
+	var kb [maxKeys]int32
 	var s [numLabels]float64
-	for _, k := range t.keys(kb[:0], a, i) {
-		if wv, ok := t.weights[k]; ok {
-			for l := Label(0); l < numLabels; l++ {
-				s[l] += wv[l]
-			}
+	for _, r := range t.keys(kb[:0], a, i) {
+		wv := &t.weights[r]
+		for l := Label(0); l < numLabels; l++ {
+			s[l] += wv[l]
 		}
 	}
 	return s
@@ -310,34 +347,50 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 5
 	}
-	t := &Tagger{Entity: entity, cfg: cfg, vocab: map[string]int32{}, weights: map[uint64][numLabels]float64{}}
+	t := &Tagger{Entity: entity, cfg: cfg, vocab: map[string]int32{}, pairs: map[uint64]int32{}}
 
-	// Every sentence's atoms, interned once: a new atom changes no score.
+	// Every sentence's atoms and word pairs, interned once: a new atom
+	// changes no score.
 	all := make([][]atoms, len(data))
 	longest := 0
 	for si, s := range data {
-		all[si] = make([]atoms, len(s.Words))
+		a := make([]atoms, len(s.Words))
 		for i, w := range s.Words {
-			all[si][i] = t.atomize(w, true)
+			a[i] = t.atomize(w, true)
+			if i == 0 {
+				continue
+			}
+			k := uint64(a[i-1].w)<<32 | uint64(a[i].w)
+			if _, ok := t.pairs[k]; !ok {
+				t.pairs[k] = int32(len(t.pairs))
+			}
 		}
+		all[si] = a
 		longest = max(longest, len(s.Words))
 	}
 	lat, preds := make([]step, longest), make([]Label, longest)
 
+	// The row layout, fixed now that the vocabulary and the pairs are.
+	v := int32(len(t.vocab))
+	rows := int32(0)
+	for tmpl, n := range [numTemplates]int32{v, v, v, numShapes, v, int32(len(t.pairs)), numShapes, 1, v, numShapes, 1, v, v} {
+		t.base[tmpl] = rows
+		rows += n
+	}
+	t.weights = make([][numLabels]float64, rows)
+
 	// Averaging accumulators.
-	acc := map[uint64][numLabels]float64{}
+	acc := make([][numLabels]float64, rows)
+	touched := make([]bool, rows)
 	var accTrans [numLabels][numLabels]float64
 	steps := 1.0
 
 	update := func(a []atoms, i int, l Label, delta float64) {
-		var kb [maxKeys]uint64
-		for _, k := range t.keys(kb[:0], a, i) {
-			wv := t.weights[k]
-			wv[l] += delta
-			t.weights[k] = wv
-			av := acc[k]
-			av[l] += delta * steps
-			acc[k] = av
+		var kb [maxKeys]int32
+		for _, r := range t.keys(kb[:0], a, i) {
+			t.weights[r][l] += delta
+			acc[r][l] += delta * steps
+			touched[r] = true
 		}
 	}
 
@@ -372,12 +425,13 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 	}
 
 	// Average: w_avg = w - acc/steps.
-	for k, wv := range t.weights {
-		av := acc[k]
+	for r := range t.weights {
 		for l := Label(0); l < numLabels; l++ {
-			wv[l] -= av[l] / steps
+			t.weights[r][l] -= acc[r][l] / steps
 		}
-		t.weights[k] = wv
+		if touched[r] {
+			t.features++
+		}
 	}
 	for p := Label(0); p < numLabels; p++ {
 		for c := Label(0); c < numLabels; c++ {
@@ -387,8 +441,9 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 	return t
 }
 
-// NumFeatures returns the learned feature count (model size proxy).
-func (t *Tagger) NumFeatures() int { return len(t.weights) }
+// NumFeatures returns the learned feature count (model size proxy): the
+// rows some update touched.
+func (t *Tagger) NumFeatures() int { return t.features }
 
 // Tag labels a tokenized sentence.
 func (t *Tagger) Tag(words []string) []Label {

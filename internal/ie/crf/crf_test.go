@@ -604,8 +604,8 @@ func (t *refTagger) extract(text string) []Match {
 // TestInternedMatchesReference trains the interned and the string-keyed
 // model on the same data and holds them to the same model — feature count,
 // every weight and transition to the bit, with each string paired to its
-// key position by position — and to the same labels and matches on all
-// four corpus kinds.
+// row position by position, and every row no reference feature owns +0 —
+// and to the same labels and matches on all four corpus kinds.
 func TestInternedMatchesReference(t *testing.T) {
 	fx := getFixture(t)
 	// Non-ASCII tokens fold as strings.ToLower folds them: two invalid
@@ -629,7 +629,7 @@ func TestInternedMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			keyOf, strOf := map[string]uint64{}, map[uint64]string{}
+			keyOf, strOf := map[string]int32{}, map[int32]string{}
 			var f featureAppender
 			for _, s := range data {
 				a := make([]atoms, len(s.Words))
@@ -644,21 +644,29 @@ func TestInternedMatchesReference(t *testing.T) {
 					}
 					for j, ft := range f.feats {
 						if k, ok := keyOf[ft]; (ok && k != ks[j]) || (strOf[ks[j]] != "" && strOf[ks[j]] != ft) {
-							t.Fatalf("feature %q and key %#x are not paired one to one", ft, ks[j])
+							t.Fatalf("feature %q and row %d are not paired one to one", ft, ks[j])
 						}
 						keyOf[ft], strOf[ks[j]] = ks[j], ft
 					}
 				}
 			}
+			owned := make([]bool, len(got.weights))
 			for ft, wv := range want.weights {
-				k, ok := keyOf[ft]
+				r, ok := keyOf[ft]
 				if !ok {
-					t.Fatalf("reference feature %q has no key", ft)
+					t.Fatalf("reference feature %q has no row", ft)
 				}
-				gv, ok := got.weights[k]
-				for l := range wv {
-					if !ok || math.Float64bits(gv[l]) != math.Float64bits(wv[l]) {
-						t.Fatalf("weights[%q] = %v (present %v), reference %v", ft, gv, ok, wv)
+				owned[r] = true
+				for l, gv := range got.weights[r] {
+					if math.Float64bits(gv) != math.Float64bits(wv[l]) {
+						t.Fatalf("weights[%q] = %v, reference %v", ft, got.weights[r], wv)
+					}
+				}
+			}
+			for r, gv := range got.weights {
+				for _, g := range gv {
+					if !owned[r] && math.Float64bits(g) != 0 {
+						t.Fatalf("row %d belongs to no reference feature and is %v, not +0", r, gv)
 					}
 				}
 			}

@@ -2,14 +2,15 @@ package dict
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // TestBuildTwoRunIdentity: two builds from the same surface list must
-// produce structurally identical automata — same node table (edges, fail
-// links, output chains), same build stats, and the same matches. Guards
-// the BFS construction, which walks edge maps in sorted byte order
-// instead of Go's per-run randomized map iteration order.
+// produce identical automata — the same byte classes, transition table,
+// output chains and canonical table, the same build stats, and the same
+// matches. Guards the construction, whose classes and BFS run in byte
+// order.
 func TestBuildTwoRunIdentity(t *testing.T) {
 	surfaces := []string{
 		"p53", "BRCA1", "insulin", "insulin-like growth factor",
@@ -18,17 +19,22 @@ func TestBuildTwoRunIdentity(t *testing.T) {
 	a := Build("genes", surfaces, DefaultOptions())
 	b := Build("genes", surfaces, DefaultOptions())
 
-	if len(a.nodes) != len(b.nodes) {
-		t.Fatalf("node counts differ across runs: %d vs %d", len(a.nodes), len(b.nodes))
+	if a.k != b.k || a.class != b.class {
+		t.Errorf("byte classes differ across runs: %d %v vs %d %v", a.k, a.class, b.k, b.class)
 	}
-	for i := range a.nodes {
-		na, nb := &a.nodes[i], &b.nodes[i]
-		if na.fail != nb.fail || na.out != nb.out || na.outLen != nb.outLen || na.outLink != nb.outLink {
-			t.Errorf("node %d links differ across runs: %+v vs %+v", i, *na, *nb)
+	for _, col := range []struct {
+		name string
+		a, b []int32
+	}{
+		{"next", a.next, b.next}, {"first", a.first, b.first},
+		{"plen", a.plen, b.plen}, {"link", a.link, b.link},
+	} {
+		if !slices.Equal(col.a, col.b) {
+			t.Errorf("%s differs across runs:\n  %v\n  %v", col.name, col.a, col.b)
 		}
-		if !reflect.DeepEqual(na.next, nb.next) {
-			t.Errorf("node %d edges differ across runs: %v vs %v", i, na.next, nb.next)
-		}
+	}
+	if !slices.Equal(a.canon, b.canon) {
+		t.Errorf("canonical table differs across runs: %v vs %v", a.canon, b.canon)
 	}
 
 	sa, sb := a.Stats(), b.Stats()

@@ -14,14 +14,16 @@
 //     hard floor under every scale-out curve (Fig 5);
 //   - memory appetite: the expanded automaton is much larger than the raw
 //     dictionary (§4.2: 6-20 GB per worker at 700K-entry scale). Build
-//     statistics expose node counts and byte estimates that feed the
-//     simulated cluster's memory model.
+//     statistics record the automaton's state count and its bytes.
 package dict
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"webtextie/internal/obs"
 )
@@ -57,36 +59,35 @@ type BuildStats struct {
 	Entries int
 	// Surfaces is the number of patterns after variant expansion.
 	Surfaces int
-	// Nodes is the automaton node count.
+	// Nodes is the automaton state count.
 	Nodes int
+	// Bytes is the automaton's size: the capacities of its tables.
+	Bytes int64
 	// BuildTime is the wall-clock construction time.
 	BuildTime time.Duration
 }
 
-// ApproxBytes estimates the automaton's memory footprint (nodes dominate:
-// each node carries a sparse edge map and fail/output links).
-func (s BuildStats) ApproxBytes() int64 {
-	// ~96 bytes of fixed node state plus edge map overhead.
-	return int64(s.Nodes) * 160
-}
-
-// node is one Aho-Corasick state.
-type node struct {
-	next map[byte]int32
-	fail int32
-	// out is the index+1 into the matcher's canonical table if a pattern
-	// ends here (0 = none); outLink chains suffix outputs.
-	out     int32
-	outLen  int32
-	outLink int32
-}
-
-// Matcher is a built dictionary automaton.
+// Matcher is a built dictionary automaton: a complete DFA over byte
+// classes, in flat tables. A pattern is an output; outputs are numbered in
+// pattern order, and 1 + that number names one in first and link (0 is
+// none).
 type Matcher struct {
-	Name  string
-	opts  Options
-	nodes []node
-	// canon maps output ids to canonical forms.
+	Name string
+	opts Options
+	// class maps a byte to its class: one per byte some pattern uses, in
+	// byte order from 1, and 0 for every other byte. With CaseInsensitive
+	// A–Z share the classes of a–z.
+	class [256]uint16
+	// k is the class count, and next[s*k+class] the successor of state s.
+	k    int
+	next []int32
+	// first is, per state, the longest output that ends there: the state's
+	// own pattern, else the longest pattern that is a suffix of it.
+	first []int32
+	// Per output: its pattern's byte length, the next shorter output on
+	// its suffix chain, and its canonical form.
+	plen  []int32
+	link  []int32
 	canon []string
 	stats BuildStats
 }
@@ -122,34 +123,9 @@ func expandVariants(term string, opts Options) []string {
 func Build(name string, surfaces []string, opts Options) *Matcher {
 	sp := obs.Default().StartSpan("dict.build")
 	m := &Matcher{Name: name, opts: opts}
-	m.nodes = append(m.nodes, node{next: map[byte]int32{}, fail: 0})
 
-	addPattern := func(pat, canonical string) {
-		if pat == "" {
-			return
-		}
-		key := pat
-		if opts.CaseInsensitive {
-			key = strings.ToLower(pat)
-		}
-		cur := int32(0)
-		for i := 0; i < len(key); i++ {
-			c := key[i]
-			nxt, ok := m.nodes[cur].next[c]
-			if !ok {
-				nxt = int32(len(m.nodes))
-				m.nodes = append(m.nodes, node{next: map[byte]int32{}})
-				m.nodes[cur].next[c] = nxt
-			}
-			cur = nxt
-		}
-		if m.nodes[cur].out == 0 {
-			m.canon = append(m.canon, canonical)
-			m.nodes[cur].out = int32(len(m.canon))
-			m.nodes[cur].outLen = int32(len(key))
-		}
-	}
-
+	// The distinct patterns, in order, and the bytes they use.
+	var keys []string
 	seen := map[string]bool{}
 	for _, s := range surfaces {
 		m.stats.Entries++
@@ -163,60 +139,84 @@ func Build(name string, surfaces []string, opts Options) *Matcher {
 			}
 			seen[k] = true
 			m.stats.Surfaces++
-			addPattern(v, s)
+			if k != "" {
+				keys = append(keys, k)
+				m.canon = append(m.canon, s)
+				for i := 0; i < len(k); i++ {
+					m.class[k[i]] = 1
+				}
+			}
 		}
 	}
+	k := 1
+	for c, used := range m.class {
+		if used != 0 {
+			m.class[c] = uint16(k)
+			k++
+		}
+	}
+	if opts.CaseInsensitive {
+		for c := 'A'; c <= 'Z'; c++ {
+			m.class[c] = m.class[c+'a'-'A']
+		}
+	}
+	m.k = k
 
-	// BFS to set fail links and output chains. Edges are walked in byte
-	// order (not map order) so the traversal — and everything derived from
-	// it — is identical across runs.
-	queue := make([]int32, 0, len(m.nodes))
-	for _, c := range sortedEdges(&m.nodes[0]) {
-		nxt := m.nodes[0].next[c]
-		m.nodes[nxt].fail = 0
-		queue = append(queue, nxt)
+	// The trie, straight into the transition table: 0 is "no edge yet",
+	// since no edge leads back to the root.
+	next, first := make([]int32, k), []int32{0}
+	for id, key := range keys {
+		cur := 0
+		for i := 0; i < len(key); i++ {
+			e := cur*k + int(m.class[key[i]])
+			if next[e] == 0 {
+				next[e] = int32(len(first))
+				next = append(next, make([]int32, k)...)
+				first = append(first, 0)
+			}
+			cur = int(next[e])
+		}
+		first[cur] = int32(id) + 1
+		m.plen = append(m.plen, int32(len(key)))
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, c := range sortedEdges(&m.nodes[u]) {
-			v := m.nodes[u].next[c]
+	// Copied out at their final length, the tables carry no append slack.
+	m.next, m.first = slices.Clone(next), slices.Clone(first)
+	next, first = m.next, m.first
+	m.link = make([]int32, len(keys))
+
+	// One BFS in class order completes the table: a missing edge is the
+	// fail state's edge, and a new state's fail state is its parent's fail
+	// state's successor on the same class. The fail links are scratch.
+	fail := make([]int32, len(first))
+	queue := make([]int32, 0, len(first))
+	for c := 0; c < k; c++ {
+		if v := next[c]; v != 0 {
 			queue = append(queue, v)
-			// Follow fail links from u until a state with a c-edge exists.
-			f := m.nodes[u].fail
-			for {
-				if w, ok := m.nodes[f].next[c]; ok && w != v {
-					m.nodes[v].fail = w
-					break
-				}
-				if f == 0 {
-					m.nodes[v].fail = 0
-					break
-				}
-				f = m.nodes[f].fail
-			}
-			fv := m.nodes[v].fail
-			if m.nodes[fv].out != 0 {
-				m.nodes[v].outLink = fv
-			} else {
-				m.nodes[v].outLink = m.nodes[fv].outLink
-			}
 		}
 	}
-	m.stats.Nodes = len(m.nodes)
+	for h := 0; h < len(queue); h++ {
+		u := int(queue[h])
+		row, frow := next[u*k:(u+1)*k], next[int(fail[u])*k:]
+		for c, v := range row {
+			f := frow[c]
+			if v == 0 {
+				row[c] = f
+				continue
+			}
+			fail[v] = f
+			if o := first[v]; o != 0 {
+				m.link[o-1] = first[f]
+			} else {
+				first[v] = first[f]
+			}
+			queue = append(queue, v)
+		}
+	}
+	m.stats.Nodes = len(first)
+	m.stats.Bytes = int64(len(m.class))*2 + 4*int64(cap(m.next)+cap(m.first)+cap(m.plen)+cap(m.link)) +
+		int64(unsafe.Sizeof(""))*int64(cap(m.canon))
 	m.stats.BuildTime = sp.End()
 	return m
-}
-
-// sortedEdges returns a node's outgoing edge labels in byte order, so BFS
-// never observes Go's per-run randomized map iteration order.
-func sortedEdges(n *node) []byte {
-	cs := make([]byte, 0, len(n.next))
-	for c := range n.next {
-		cs = append(cs, c)
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	return cs
 }
 
 // isWordByte reports whether a byte is part of a word (no boundary).
@@ -234,16 +234,6 @@ func asciiOnly(s string) bool {
 	return true
 }
 
-// lowerASCII folds one ASCII byte to lower case. For ASCII input this is
-// exactly what strings.ToLower would produce, byte for byte — the scan
-// below relies on that equivalence (pinned by test).
-func lowerASCII(c byte) byte {
-	if c >= 'A' && c <= 'Z' {
-		return c + ('a' - 'A')
-	}
-	return c
-}
-
 // Find returns all whole-word matches in text, resolved left-to-right with
 // the longest match winning at each position. The single allocation is the
 // result slice; callers on the per-document path should prefer FindAppend
@@ -255,59 +245,72 @@ func (m *Matcher) Find(text string) []Match {
 // FindAppend is Find writing into a caller-owned buffer: it appends the
 // resolved matches to dst and returns the extended slice. With a buffer
 // of sufficient capacity the whole match path is allocation-free for
-// ASCII documents; case folding happens per byte during the scan instead
-// of copying the document up front. Non-ASCII documents fall back to the
-// whole-copy fold, preserving the exact offsets the original
-// implementation produced.
+// ASCII documents, whose case the byte classes fold. Non-ASCII documents
+// are scanned in a strings.ToLower copy.
 func (m *Matcher) FindAppend(dst []Match, text string) []Match {
 	base := len(dst)
 	if m.opts.CaseInsensitive && !asciiOnly(text) {
 		search := strings.ToLower(text)
-		dst = m.scan(dst, text, search, false)
+		dst = m.scan(dst, text, search, foldOffsets(text, search))
 	} else {
-		dst = m.scan(dst, text, text, m.opts.CaseInsensitive)
+		dst = m.scan(dst, text, text, nil)
 	}
 	n := resolveLongest(dst[base:])
 	return dst[:base+n]
 }
 
+// foldOffsets maps fold, the strings.ToLower copy of text, back onto text:
+// offs[j] is the offset in text of the rune fold's byte j came from, and
+// offs[len(fold)] is len(text). It is nil when every rune folds to as many
+// bytes as it had, and the offsets need no mapping. Each rune folds to one
+// rune and patterns are whole runes, so a match starts and ends on rune
+// boundaries of fold, which offs maps to rune boundaries of text.
+func foldOffsets(text, fold string) []int {
+	var offs []int
+	for i := 0; i < len(text); {
+		r, w := utf8.DecodeRuneInString(text[i:])
+		n := utf8.RuneLen(unicode.ToLower(r))
+		if offs == nil && n != w {
+			offs = make([]int, i, len(fold)+1)
+			for j := range offs {
+				offs[j] = j
+			}
+		}
+		for ; offs != nil && n > 0; n-- {
+			offs = append(offs, i)
+		}
+		i += w
+	}
+	if offs != nil {
+		offs = append(offs, len(text))
+	}
+	return offs
+}
+
 // scan runs the automaton over search, appending raw (unresolved) whole
-// word matches to dst. Surfaces slice text, which must be byte-aligned
-// with search. With foldASCII set, bytes are case-folded on the fly.
-func (m *Matcher) scan(dst []Match, text, search string, foldASCII bool) []Match {
+// word matches to dst. Surfaces slice text: at the same offsets when offs
+// is nil, else at the runes offs maps search's bytes to.
+func (m *Matcher) scan(dst []Match, text, search string, offs []int) []Match {
+	next, first, k := m.next, m.first, m.k
 	cur := int32(0)
 	for i := 0; i < len(search); i++ {
-		c := search[i]
-		if foldASCII {
-			c = lowerASCII(c)
-		}
-		for {
-			if nxt, ok := m.nodes[cur].next[c]; ok {
-				cur = nxt
-				break
-			}
-			if cur == 0 {
-				break
-			}
-			cur = m.nodes[cur].fail
-		}
+		cur = next[int(cur)*k+int(m.class[search[i]])]
 		// Collect outputs along the output chain.
-		for n := cur; n != 0; {
-			nd := &m.nodes[n]
-			if nd.out != 0 {
-				end := i + 1
-				start := end - int(nd.outLen)
-				// Whole-word constraint.
-				if (start == 0 || !isWordByte(search[start-1])) &&
-					(end == len(search) || !isWordByte(search[end])) {
-					dst = append(dst, Match{
-						Start: start, End: end,
-						Surface:   text[start:end],
-						Canonical: m.canon[nd.out-1],
-					})
+		for o := first[cur]; o != 0; o = m.link[o-1] {
+			end := i + 1
+			start := end - int(m.plen[o-1])
+			// Whole-word constraint.
+			if (start == 0 || !isWordByte(search[start-1])) &&
+				(end == len(search) || !isWordByte(search[end])) {
+				if offs != nil {
+					start, end = offs[start], offs[end]
 				}
+				dst = append(dst, Match{
+					Start: start, End: end,
+					Surface:   text[start:end],
+					Canonical: m.canon[o-1],
+				})
 			}
-			n = nd.outLink
 		}
 	}
 	return dst

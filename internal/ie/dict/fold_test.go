@@ -8,15 +8,15 @@ import (
 )
 
 // TestASCIIFoldEquivalence pins the equivalence the zero-alloc fast path
-// rests on: for ASCII text, the per-byte fold during the scan produces
-// exactly the matches of the legacy whole-copy strings.ToLower fold.
+// rests on: for ASCII text, scanning through the case-folding byte classes
+// produces exactly the matches of scanning a strings.ToLower copy.
 func TestASCIIFoldEquivalence(t *testing.T) {
 	m := Build("t", []string{"Alpha", "BETA-max", "a1"}, DefaultOptions())
 	r := rng.New(97)
 	for trial := 0; trial < 200; trial++ {
 		text := randomText(r, 3+r.Intn(40))
-		fast := m.scan(nil, text, text, true)
-		slow := m.scan(nil, text, strings.ToLower(text), false)
+		fast := m.scan(nil, text, text, nil)
+		slow := m.scan(nil, text, strings.ToLower(text), nil)
 		if len(fast) != len(slow) {
 			t.Fatalf("trial %d: %d vs %d raw matches on %q", trial, len(fast), len(slow), text)
 		}
@@ -65,8 +65,8 @@ func TestFindAppendReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestNonASCIIFallback keeps the legacy offset behavior for non-ASCII
-// documents (the fold copies the document; offsets index the fold).
+// TestNonASCIIFallback: non-ASCII documents are scanned in a folded copy,
+// and matches are still spans of the document.
 func TestNonASCIIFallback(t *testing.T) {
 	m := Build("t", []string{"alpha"}, DefaultOptions())
 	text := "héllo Alpha wörld"

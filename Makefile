@@ -26,11 +26,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Domain static analysis (internal/analysis/checks): determinism,
-# map-iteration order, lock copies, goroutine lifecycles, write-path
-# error handling, metric/trace/series/profiler name grammar, blocking
-# sleeps, library printing — and //lintx:ignore directives that suppress
-# nothing. `lintx -list` enumerates checks.
+# Domain static analysis (internal/analysis/checks): determinism (wall
+# clock, blocking sleeps, math/rand), map-iteration order, goroutine
+# lifecycles, write-path error handling, metric/trace/series/profiler
+# name grammar, library printing — and //lintx:ignore directives that
+# suppress nothing. Lock copies are vet's (-copylocks). `lintx -list`
+# enumerates checks.
 lint:
 	$(GO) run ./cmd/lintx ./...
 

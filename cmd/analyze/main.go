@@ -7,7 +7,7 @@
 //	        [-error-policy quarantine|failfast] [-op-retries N]
 //	        [-trace] [-trace-out FILE] [-trace-chrome FILE]
 //	        [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
-//	        [-series] [-series-out FILE] [-series-json FILE]
+//	        [-series] [-series-out FILE]
 //	        [-prof] [-prof-out FILE] [-prof-topk N]
 //
 // -trace attaches the per-record lineage recorder to the executor (every

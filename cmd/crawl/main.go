@@ -12,7 +12,7 @@
 //	      [-checkpoint FILE -checkpoint-cycles N] [-resume FILE]
 //	      [-trace] [-trace-out FILE] [-trace-chrome FILE]
 //	      [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
-//	      [-series] [-series-out FILE] [-series-json FILE]
+//	      [-series] [-series-out FILE]
 //	      [-prof] [-prof-out FILE] [-prof-topk N]
 //
 // -shards N partitions the frontier by host hash into N shards, each with
@@ -39,11 +39,11 @@
 // (-log-out writes its logfmt export) and -doctor prints the cross-pillar
 // diagnosis at exit. -series samples the metric registry on the virtual
 // clock — per cycle unsharded, per BSP round fleet-wide — and prints
-// end-of-run sparklines (-series-out / -series-json write the CSV and
-// JSON exports). -prof attaches the wall-clock stage profiler — calls and
-// wall ms per frontier/fetch/filter/classify stage, per shard and summed
-// fleet-wide — and prints the -prof-topk most expensive scopes at exit
-// (-prof-out writes the profile as JSON). -debug-addr serves /metrics,
+// end-of-run sparklines (-series-out writes the CSV export). -prof
+// attaches the wall-clock stage profiler — calls and wall ms per
+// frontier/fetch/filter/classify stage, per shard and summed fleet-wide —
+// and prints the -prof-topk most expensive scopes at exit (-prof-out
+// writes the profile as JSON). -debug-addr serves /metrics,
 // /traces, /logs, /doctor, /timeseries, /profile, /progress and
 // /debug/pprof live while the crawl runs.
 //

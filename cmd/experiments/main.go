@@ -7,7 +7,7 @@
 //	experiments [-quick] [-seed N] [-scale N] [-metrics]
 //	            [-trace] [-trace-out FILE] [-trace-chrome FILE]
 //	            [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
-//	            [-series] [-series-out FILE] [-series-json FILE]
+//	            [-series] [-series-out FILE]
 //	            [-prof] [-prof-out FILE] [-prof-topk N]
 //	            [experiment ...]
 //

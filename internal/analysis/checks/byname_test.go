@@ -10,8 +10,8 @@ import (
 
 func TestByName(t *testing.T) {
 	all := checks.All()
-	if len(all) != 11 {
-		t.Fatalf("All() returns %d analyzers, want 11 (update this test when adding a check)", len(all))
+	if len(all) != 9 {
+		t.Fatalf("All() returns %d analyzers, want 9 (update this test when adding a check)", len(all))
 	}
 	seen := map[string]bool{}
 	for _, az := range all {
@@ -28,11 +28,11 @@ func TestByName(t *testing.T) {
 		}
 	})
 	t.Run("list preserves order and trims spaces", func(t *testing.T) {
-		got, unknown := checks.ByName(" sleepcall , maprange ,logcall")
+		got, unknown := checks.ByName(" goroleak , maprange ,logcall")
 		if len(unknown) != 0 {
 			t.Fatalf("unknown = %v", unknown)
 		}
-		want := []string{"sleepcall", "maprange", "logcall"}
+		want := []string{"goroleak", "maprange", "logcall"}
 		if len(got) != len(want) {
 			t.Fatalf("got %d analyzers, want %d", len(got), len(want))
 		}

@@ -2,9 +2,10 @@
 // repository. Each encodes one invariant the reproduction's credibility
 // rests on:
 //
-//	determinism  no wall-clock or math/rand outside internal/obs + internal/rng
+//	determinism  no wall-clock reads, blocking time primitives (Sleep,
+//	             timers, tickers) or math/rand outside internal/obs +
+//	             internal/rng
 //	maprange     no unordered map iteration feeding slices or channels
-//	lockcopy     no sync.Mutex/WaitGroup/atomic values copied by value
 //	goroleak     no goroutine without a lifecycle signal (WaitGroup, close,
 //	             context, or channel it drains)
 //	errsink      no discarded errors on store/crawldb write paths
@@ -16,15 +17,15 @@
 //	profname     profiler scope names are constants in the dotted-name
 //	             grammar (the dots say which stage is bracketed
 //	             inside which)
-//	sleepcall    no blocking time primitives in crawler/dataflow paths
-//	             (backoff runs on the virtual clock, not time.Sleep)
 //	logcall      no fmt/log printing outside package main (library code
 //	             reports via evlog); evlog msg/component names are
 //	             constants in the dotted-name grammar
 //
 // The analyzers are deliberately narrow: they encode this repo's
-// conventions, not general Go style. Suppress a finding with
-// `//lintx:ignore <check> <reason>` on or directly above the line.
+// conventions, not general Go style, and leave what `go vet` already
+// checks (lock copies among it) to make verify's vet step. Suppress a
+// finding with `//lintx:ignore <check> <reason>` on or directly above
+// the line.
 package checks
 
 import (
@@ -40,14 +41,12 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Determinism,
 		MapRange,
-		LockCopy,
 		GoroLeak,
 		ErrSink,
 		MetricName,
 		TraceName,
 		SeriesName,
 		ProfName,
-		SleepCall,
 		LogCall,
 	}
 }

@@ -15,7 +15,10 @@ import (
 // specified to be bit-reproducible per seed in virtual-clock units —
 // crawler metrics, dataflow plans, corpus generation, experiment tables —
 // and a single time.Now in one of those paths silently breaks the
-// DoP-equivalence and two-run identity guarantees.
+// DoP-equivalence and two-run identity guarantees. Blocking primitives
+// (Sleep, timers, tickers) count too: retry backoff and breaker-open
+// periods elapse on the virtual clock (crawldb NextEligibleMs), never by
+// blocking a goroutine.
 //
 // Wall-clock timing that is genuinely wanted (progress displays,
 // benchmark-style reports) should go through an obs span

@@ -1,5 +1,6 @@
 // Package determinism exercises the determinism analyzer: wall-clock
-// reads and math/rand imports are flagged; suppressed lines are not.
+// reads, blocking time primitives and math/rand imports are flagged;
+// pure duration math and suppressed lines are not.
 package determinism
 
 import (
@@ -11,6 +12,14 @@ import (
 func Elapsed() time.Duration {
 	start := time.Now()
 	return time.Since(start)
+}
+
+// Backoff sleeps out a retry delay and polls a ticker — both flagged:
+// delays are virtual-clock data (crawldb NextEligibleMs), never a block.
+func Backoff(attempt int) {
+	time.Sleep(time.Duration(500<<attempt) * time.Millisecond)
+	t := time.NewTicker(time.Second)
+	t.Stop()
 }
 
 // Roll draws from the global math/rand source; the import is flagged.

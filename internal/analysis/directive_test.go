@@ -43,7 +43,7 @@ func TestCollectIgnores(t *testing.T) {
 	}
 	wantChecks := []map[string]bool{
 		{"maprange": true},
-		{"lockcopy": true, "maprange": true},
+		{"goroleak": true, "maprange": true},
 		{"all": true},
 		{"maprange": true},
 		{"nosuchcheck": true},
@@ -80,9 +80,9 @@ func TestSuppressed(t *testing.T) {
 		{"line below the directive", diag(preceding.path, preceding.line+1, "maprange"), true},
 		{"two lines below", diag(preceding.path, preceding.line+2, "maprange"), false},
 		{"line above", diag(preceding.path, preceding.line-1, "maprange"), false},
-		{"other check", diag(preceding.path, preceding.line, "lockcopy"), false},
+		{"other check", diag(preceding.path, preceding.line, "goroleak"), false},
 		{"other file", diag("elsewhere.go", preceding.line, "maprange"), false},
-		{"same-line multi-check first", diag(sameLine.path, sameLine.line, "lockcopy"), true},
+		{"same-line multi-check first", diag(sameLine.path, sameLine.line, "goroleak"), true},
 		{"same-line multi-check second", diag(sameLine.path, sameLine.line, "maprange"), true},
 		{"all matches any check", diag(blanket.path, blanket.line+1, "goroutine"), true},
 	}
@@ -95,7 +95,7 @@ func TestSuppressed(t *testing.T) {
 
 // TestRunReportsStaleIgnores drives Run over the fixture with a stand-in
 // maprange that fires on every package-level var but e and f, and a
-// silent lockcopy: the ignore above e suppresses nothing, the one above f
+// silent goroleak: the ignore above e suppresses nothing, the one above f
 // names no analyzer.
 func TestRunReportsStaleIgnores(t *testing.T) {
 	pkg := loadDirectivesFixture(t)
@@ -114,8 +114,8 @@ func TestRunReportsStaleIgnores(t *testing.T) {
 			}
 		}
 	}}
-	lockcopy := &Analyzer{Name: "lockcopy", Run: func(*Pass) {}}
-	known := []*Analyzer{maprange, lockcopy}
+	goroleak := &Analyzer{Name: "goroleak", Run: func(*Pass) {}}
+	known := []*Analyzer{maprange, goroleak}
 
 	render := func(run []*Analyzer) string {
 		var b strings.Builder

@@ -11,7 +11,7 @@ var a = 1
 //lintx:ignore maprange the traversal sorts its output
 var b = 2
 
-var c = 3 //lintx:ignore lockcopy,maprange same-line, two checks
+var c = 3 //lintx:ignore goroleak,maprange same-line, two checks
 
 //lintx:ignore all blanket suppression with a reason
 var d = 4

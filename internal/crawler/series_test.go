@@ -81,15 +81,16 @@ func TestSeriesSamplingInvisibleToMetrics(t *testing.T) {
 
 // TestCheckpointResumeSeriesExportIdentical: a crawl interrupted after a
 // few cycles and resumed in fresh objects exports byte-identical series —
-// the raw rings, rollup tiers, and partial accumulators all ride the
-// checkpoint.
+// the rings, already wrapped at the cut, and their all-time totals ride
+// the checkpoint.
 func TestCheckpointResumeSeriesExportIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxPages = 250
+	cfg.FetchListSize = 60 // several cycles on each side of the cut
 	seedsOf := func(p *pipeline) []string { return defaultSeeds(t, p) }
-	// A small config so rollup flushes and a partial accumulator are both
-	// in play at the cut point.
-	sCfg := series.Config{RawCap: 8, RollupEvery: 2, Tiers: 2, TierCap: 4}
+	// A ring shorter than the three cycles before the cut, so eviction
+	// is in play at the cut point.
+	sCfg := series.Config{RawCap: 2}
 
 	p1 := chaosPipeline(t, 50, chaosWeb)
 	ref := New(cfg, p1.web, p1.clf).WithSeries(series.New(sCfg)).Run(seedsOf(p1))
@@ -109,6 +110,13 @@ func TestCheckpointResumeSeriesExportIdentical(t *testing.T) {
 	cp, err := UnmarshalCheckpoint(raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	evicted := false
+	for _, sd := range cp.Series.Series {
+		evicted = evicted || sd.Total > int64(len(sd.Points))
+	}
+	if !evicted {
+		t.Fatal("no series ring has wrapped at the cut; eviction across resume is untested")
 	}
 	p3 := chaosPipeline(t, 50, chaosWeb)
 	rc, err := Resume(cfg, p3.web, p3.clf, cp)

@@ -105,12 +105,14 @@ func TestFleetSeriesSamplingInvisible(t *testing.T) {
 }
 
 // TestFleetSeriesIdenticalAfterResume: a fleet checkpointed at a round
-// barrier and resumed in fresh objects exports byte-identical series.
+// barrier, its series rings already wrapped, and resumed in fresh objects
+// exports byte-identical series.
 func TestFleetSeriesIdenticalAfterResume(t *testing.T) {
 	e := newEnv(t, 80, nil)
 	cfg := Config{Crawl: crawler.DefaultConfig(), Shards: 3, Parallelism: 2}
 	cfg.Crawl.MaxPages = 400
-	sCfg := series.Config{RawCap: 16, RollupEvery: 2, Tiers: 2, TierCap: 8}
+	cfg.Crawl.FetchListSize = 20     // several rounds on each side of the cut
+	sCfg := series.Config{RawCap: 2} // shorter than the three rounds before the cut
 
 	// Uninterrupted reference.
 	ref, err := New(cfg, e.newWeb, e.clf)
@@ -140,6 +142,13 @@ func TestFleetSeriesIdenticalAfterResume(t *testing.T) {
 	cp2, err := UnmarshalCheckpoint(raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	evicted := false
+	for _, sd := range cp2.Series.Series {
+		evicted = evicted || sd.Total > int64(len(sd.Points))
+	}
+	if !evicted {
+		t.Fatal("no series ring has wrapped at the cut; eviction across resume is untested")
 	}
 	resumedCfg := cfg
 	resumedCfg.Parallelism = 3

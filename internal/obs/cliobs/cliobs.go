@@ -35,7 +35,6 @@ type Flags struct {
 	DoctorOn    *bool
 	SeriesOn    *bool
 	SeriesOut   *string
-	SeriesJSON  *string
 	ProfOn      *bool
 	ProfOut     *string
 	ProfTopK    *int
@@ -47,7 +46,7 @@ type Flags struct {
 // FlagSet.
 func Names() []string {
 	return []string{"trace", "trace-out", "trace-chrome", "log", "log-out", "doctor",
-		"series", "series-out", "series-json",
+		"series", "series-out",
 		"prof", "prof-out", "prof-topk", "debug-addr"}
 }
 
@@ -62,7 +61,6 @@ func Register(fs *flag.FlagSet) *Flags {
 		DoctorOn:    fs.Bool("doctor", false, "print the cross-pillar crawl-doctor diagnosis at exit (implies -log)"),
 		SeriesOn:    fs.Bool("series", false, "attach the virtual-time metric series recorder"),
 		SeriesOut:   fs.String("series-out", "", "write the end-of-run series export (CSV) to FILE (implies -series)"),
-		SeriesJSON:  fs.String("series-json", "", "write the end-of-run series export (JSON) to FILE (implies -series)"),
 		ProfOn:      fs.Bool("prof", false, "attach the wall-clock stage profiler"),
 		ProfOut:     fs.String("prof-out", "", "write the end-of-run stage profile (JSON) to FILE (implies -prof)"),
 		ProfTopK:    fs.Int("prof-topk", 10, "rows in the end-of-run profile table, most expensive first (0 = all scopes)"),
@@ -90,7 +88,7 @@ func (f *Flags) Setup(seed uint64) *Setup {
 	if *f.LogOn || *f.LogOut != "" || *f.DoctorOn || *f.DebugAddr != "" {
 		s.Log = evlog.NewSink(evlog.DefaultConfig(seed)).WithMetrics(obs.Default())
 	}
-	if *f.SeriesOn || *f.SeriesOut != "" || *f.SeriesJSON != "" || *f.DebugAddr != "" {
+	if *f.SeriesOn || *f.SeriesOut != "" || *f.DebugAddr != "" {
 		s.Series = series.New(series.DefaultConfig())
 	}
 	if *f.ProfOn || *f.ProfOut != "" || *f.DebugAddr != "" {
@@ -114,13 +112,12 @@ func (s *Setup) Serve(progress func() any) (string, error) {
 }
 
 // Finish writes the -trace-out / -trace-chrome / -log-out / -series-out
-// / -series-json / -prof-out export files from snap and returns the
-// end-of-run summary (trace tallies, event-log tallies, series
-// sparklines, the profile table, and the -doctor report), ready
-// for the command to print. Empty when every observability flag was off;
-// a nil pillar in snap reads as "flag off". A command whose pillars are
-// this setup's own passes s.Snapshot(); the sharded crawl passes its
-// merged per-shard snapshot.
+// / -prof-out export files from snap and returns the end-of-run summary
+// (trace tallies, event-log tallies, series sparklines, the profile
+// table, and the -doctor report), ready for the command to print. Empty
+// when every observability flag was off; a nil pillar in snap reads as
+// "flag off". A command whose pillars are this setup's own passes
+// s.Snapshot(); the sharded crawl passes its merged per-shard snapshot.
 //
 // The -doctor diagnosis reads diag, or snap itself when diag is nil. A
 // supervised sharded crawl uses diag to diagnose the crawl and
@@ -186,16 +183,6 @@ func (s *Setup) Finish(snap pillars.Snapshot, diag *doctor.Input) (string, error
 				return b.String(), err
 			}
 			fmt.Fprintf(&b, "series export (CSV) written to %s\n", *s.f.SeriesOut)
-		}
-		if *s.f.SeriesJSON != "" {
-			blob, err := seriesSnap.JSON()
-			if err != nil {
-				return b.String(), err
-			}
-			if err := os.WriteFile(*s.f.SeriesJSON, blob, 0o644); err != nil {
-				return b.String(), err
-			}
-			fmt.Fprintf(&b, "series export (JSON) written to %s\n", *s.f.SeriesJSON)
 		}
 	}
 	if profSnap != nil {

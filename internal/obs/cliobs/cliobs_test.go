@@ -114,7 +114,6 @@ func TestSetupGating(t *testing.T) {
 		{"doctor", []string{"-doctor"}, false, true, false},
 		{"series", []string{"-series"}, false, false, true},
 		{"series-out", []string{"-series-out", "x"}, false, false, true},
-		{"series-json", []string{"-series-json", "x"}, false, false, true},
 		{"debug-addr", []string{"-debug-addr", "127.0.0.1:0"}, true, true, true},
 		{"both", []string{"-trace", "-log"}, true, true, false},
 	}
@@ -173,15 +172,14 @@ func TestFinishExportsAndDoctor(t *testing.T) {
 	}
 }
 
-// TestFinishSeriesExports runs the series half of the Finish path: CSV
-// and JSON export files plus the sparkline summary block.
+// TestFinishSeriesExports runs the series half of the Finish path: the
+// CSV export file plus the sparkline summary block.
 func TestFinishSeriesExports(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "run.csv")
-	jsonPath := filepath.Join(dir, "run.json")
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := Register(fs)
-	if err := fs.Parse([]string{"-series-out", csvPath, "-series-json", jsonPath}); err != nil {
+	if err := fs.Parse([]string{"-series-out", csvPath}); err != nil {
 		t.Fatal(err)
 	}
 	s := f.Setup(7)
@@ -203,15 +201,7 @@ func TestFinishSeriesExports(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CSV export not written: %v", err)
 	}
-	if !strings.HasPrefix(string(csvData), "series,kind,tier,") ||
-		!strings.Contains(string(csvData), "crawler.fetch.ok,raw,") {
+	if !strings.HasPrefix(string(csvData), "series,at_ms,value\ncrawler.fetch.ok,0,0\n") {
 		t.Errorf("CSV export malformed:\n%s", csvData)
-	}
-	jsonData, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON export not written: %v", err)
-	}
-	if !strings.Contains(string(jsonData), `"crawler.fetch.ok"`) {
-		t.Errorf("JSON export missing series:\n%s", jsonData)
 	}
 }

@@ -341,7 +341,8 @@ func (o Options) doctor(w http.ResponseWriter, r *http.Request) {
 }
 
 // timeseries serves the virtual-time series pillar: every sampled metric
-// series with its sparkline, trend numbers, and raw/rollup exports.
+// series with its sparkline and trend numbers, or its points as CSV or
+// JSON.
 func (o Options) timeseries(w http.ResponseWriter, r *http.Request) {
 	if o.Series == nil {
 		http.Error(w, "timeseries off: no recorder attached", http.StatusNotFound)

@@ -53,7 +53,7 @@ func TestTimeseriesEndpoint(t *testing.T) {
 
 	// CSV and JSON renderings.
 	code, body = get(t, h, "/timeseries?format=csv")
-	if code != 200 || !strings.HasPrefix(body, "series,kind,tier,from_ms,to_ms,count,first,last,min,max,sum") {
+	if code != 200 || !strings.HasPrefix(body, "series,at_ms,value\ncrawler.fetch.ok,0,0\n") {
 		t.Fatalf("csv: %d\n%s", code, body)
 	}
 	code, body = get(t, h, "/timeseries?format=json&name=crawler")

@@ -2,16 +2,15 @@
 // virtual-clock time series over the metric registry. A Recorder
 // periodically samples registry counters and gauges (per crawl cycle in
 // the plain crawler, per BSP round at the fleet barrier in the sharded
-// one) and retains each metric's history in a bounded raw ring plus
-// tiered downsampling rollups, so "harvest rate over crawl progress" —
-// the paper's temporal pitfall analysis — becomes a first-class,
-// byte-identical export instead of an end-of-run total.
+// one) and retains each metric's newest samples in one bounded ring, so
+// "harvest rate over crawl progress" — the paper's temporal pitfall
+// analysis — becomes a first-class, byte-identical export instead of an
+// end-of-run total.
 //
 // Everything is a pure function of the sample stream: timestamps come
-// from the deterministic virtual clocks, ring eviction never feeds the
-// rollup cascade (tiers accumulate from the stream itself, not from
-// evicted entries), and snapshots capture the full internal state so a
-// checkpoint/resume cut replays to byte-identical exports.
+// from the deterministic virtual clocks, and snapshots capture the full
+// internal state so a checkpoint/resume cut replays to byte-identical
+// exports.
 package series
 
 import (
@@ -21,42 +20,23 @@ import (
 	"webtextie/internal/obs"
 )
 
-// Config sizes a Recorder's per-series retention. The zero value of any
-// field falls back to DefaultConfig.
+// Config sizes a Recorder's per-series retention. A zero RawCap falls
+// back to DefaultConfig's.
 type Config struct {
-	// RawCap bounds the raw sample ring (newest RawCap points kept).
+	// RawCap bounds the sample ring (newest RawCap points kept).
 	RawCap int `json:"raw_cap"`
-	// RollupEvery is the downsampling fan-in: every RollupEvery samples
-	// fold into one tier-0 rollup, every RollupEvery tier-0 rollups fold
-	// into one tier-1 rollup, and so on.
-	RollupEvery int `json:"rollup_every"`
-	// Tiers is the number of rollup tiers kept above the raw ring.
-	Tiers int `json:"tiers"`
-	// TierCap bounds each tier's rollup ring.
-	TierCap int `json:"tier_cap"`
 }
 
-// DefaultConfig is the retention shape the CLIs use: 512 raw samples and
-// two rollup tiers of 256 entries folding 8-to-1, which covers ~33k
-// samples of history in bounded memory.
+// DefaultConfig is the retention the CLIs use: 512 samples per series,
+// more cycles than any crawl the repo runs.
 func DefaultConfig() Config {
-	return Config{RawCap: 512, RollupEvery: 8, Tiers: 2, TierCap: 256}
+	return Config{RawCap: 512}
 }
 
-// normalized fills zero or out-of-range fields from DefaultConfig.
+// normalized fills a zero or negative RawCap from DefaultConfig.
 func (c Config) normalized() Config {
-	d := DefaultConfig()
 	if c.RawCap <= 0 {
-		c.RawCap = d.RawCap
-	}
-	if c.RollupEvery <= 1 {
-		c.RollupEvery = d.RollupEvery
-	}
-	if c.Tiers <= 0 {
-		c.Tiers = d.Tiers
-	}
-	if c.TierCap <= 0 {
-		c.TierCap = d.TierCap
+		c.RawCap = DefaultConfig().RawCap
 	}
 	return c
 }
@@ -67,151 +47,33 @@ type Point struct {
 	V    float64 `json:"v"`
 }
 
-// Rollup is the downsampled summary of a run of consecutive samples (or,
-// in higher tiers, of consecutive lower-tier rollups).
-type Rollup struct {
-	FromMs int64   `json:"from_ms"`
-	ToMs   int64   `json:"to_ms"`
-	Count  int64   `json:"count"`
-	First  float64 `json:"first"`
-	Last   float64 `json:"last"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	Sum    float64 `json:"sum"`
-}
-
-// addPoint folds one sample into the accumulator.
-func (r *Rollup) addPoint(p Point) {
-	if r.Count == 0 {
-		*r = Rollup{FromMs: p.AtMs, ToMs: p.AtMs, Count: 1, First: p.V, Last: p.V, Min: p.V, Max: p.V, Sum: p.V}
-		return
-	}
-	r.Count++
-	r.ToMs = p.AtMs
-	r.Last = p.V
-	if p.V < r.Min {
-		r.Min = p.V
-	}
-	if p.V > r.Max {
-		r.Max = p.V
-	}
-	r.Sum += p.V
-}
-
-// addRollup folds a finished lower-tier rollup into the accumulator.
-func (r *Rollup) addRollup(o Rollup) {
-	if r.Count == 0 {
-		*r = o
-		return
-	}
-	r.Count += o.Count
-	r.ToMs = o.ToMs
-	r.Last = o.Last
-	if o.Min < r.Min {
-		r.Min = o.Min
-	}
-	if o.Max > r.Max {
-		r.Max = o.Max
-	}
-	r.Sum += o.Sum
-}
-
-// tierState is one rollup tier: a partial accumulator plus a bounded
-// ring of finished rollups. accN counts the children (samples for tier
-// 0, lower-tier rollups above) folded into acc so far — kept separately
-// because acc.Count in higher tiers counts raw samples, not children.
-type tierState struct {
-	acc     Rollup
-	accN    int
-	ring    []Rollup
-	head    int
-	n       int
-	evicted int64
-}
-
-func (t *tierState) push(cap int, r Rollup) {
-	if t.ring == nil {
-		t.ring = make([]Rollup, cap)
-	}
-	if t.n < len(t.ring) {
-		t.ring[(t.head+t.n)%len(t.ring)] = r
-		t.n++
-		return
-	}
-	t.ring[t.head] = r
-	t.head = (t.head + 1) % len(t.ring)
-	t.evicted++
-}
-
-// rollups returns the live ring entries oldest-first.
-func (t *tierState) rollups() []Rollup {
-	if t.n == 0 {
-		return nil
-	}
-	out := make([]Rollup, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.ring[(t.head+i)%len(t.ring)]
-	}
-	return out
-}
-
 // seriesState is one metric's retained history.
 type seriesState struct {
 	total int64 // samples ever observed, including evicted
-	raw   []Point
+	ring  []Point
 	head  int
 	n     int
-	tiers []tierState
 }
 
-func newSeriesState(cfg Config) *seriesState {
-	return &seriesState{raw: make([]Point, cfg.RawCap), tiers: make([]tierState, cfg.Tiers)}
-}
-
-func (st *seriesState) add(cfg Config, p Point) {
+func (st *seriesState) add(p Point) {
 	st.total++
-	if st.n < len(st.raw) {
-		st.raw[(st.head+st.n)%len(st.raw)] = p
+	if st.n < len(st.ring) {
+		st.ring[(st.head+st.n)%len(st.ring)] = p
 		st.n++
-	} else {
-		st.raw[st.head] = p
-		st.head = (st.head + 1) % len(st.raw)
-	}
-	if len(st.tiers) == 0 {
 		return
 	}
-	// The cascade feeds from the sample stream, never from ring
-	// eviction: tier 0's accumulator sees every sample, tier i+1's sees
-	// every tier-i flush. That makes every tier a pure function of the
-	// stream, which is what lets a resumed recorder replay to the exact
-	// state of an uninterrupted one.
-	t0 := &st.tiers[0]
-	t0.acc.addPoint(p)
-	t0.accN++
-	for i := range st.tiers {
-		t := &st.tiers[i]
-		if t.accN < cfg.RollupEvery {
-			break
-		}
-		flushed := t.acc
-		t.push(cfg.TierCap, flushed)
-		t.acc, t.accN = Rollup{}, 0
-		if i+1 < len(st.tiers) {
-			next := &st.tiers[i+1]
-			next.acc.addRollup(flushed)
-			next.accN++
-		}
-	}
+	st.ring[st.head] = p
+	st.head = (st.head + 1) % len(st.ring)
 }
 
-// points returns the live raw ring oldest-first.
+// points returns the live ring oldest-first.
 func (st *seriesState) points() []Point {
 	if st.n == 0 {
 		return nil
 	}
 	out := make([]Point, st.n)
 	for i := 0; i < st.n; i++ {
-		out[i] = st.raw[(st.head+i)%len(st.raw)]
+		out[i] = st.ring[(st.head+i)%len(st.ring)]
 	}
 	return out
 }
@@ -257,10 +119,10 @@ func (r *Recorder) Observe(name string, atMs int64, v float64) {
 func (r *Recorder) observe(name string, atMs int64, v float64) {
 	st := r.series[name]
 	if st == nil {
-		st = newSeriesState(r.cfg)
+		st = &seriesState{ring: make([]Point, r.cfg.RawCap)}
 		r.series[name] = st
 	}
-	st.add(r.cfg, Point{AtMs: atMs, V: v})
+	st.add(Point{AtMs: atMs, V: v})
 }
 
 // Sample appends one sample per counter and gauge in the registry
@@ -296,10 +158,10 @@ func (r *Recorder) Sample(atMs int64, snap obs.Snapshot) {
 	}
 }
 
-// Snapshot freezes the recorder: every series sorted by name, raw rings
-// and rollup tiers unrolled oldest-first, partial accumulators included.
-// The snapshot is a deep copy and captures enough state that Load into a
-// fresh recorder continues the streams exactly where they stopped.
+// Snapshot freezes the recorder: every series sorted by name, its ring
+// unrolled oldest-first with its all-time sample count. The snapshot is
+// a deep copy and captures enough state that Load into a fresh recorder
+// continues the streams exactly where they stopped.
 func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
@@ -314,20 +176,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		st := r.series[name]
-		sd := &SeriesData{Name: name, Total: st.total, Points: st.points()}
-		if len(st.tiers) > 0 {
-			sd.Tiers = make([]TierData, len(st.tiers))
-			for i := range st.tiers {
-				t := &st.tiers[i]
-				td := TierData{AccN: t.accN, Rollups: t.rollups(), Evicted: t.evicted}
-				if t.accN > 0 {
-					acc := t.acc
-					td.Acc = &acc
-				}
-				sd.Tiers[i] = td
-			}
-		}
-		out.Series = append(out.Series, sd)
+		out.Series = append(out.Series, &SeriesData{Name: name, Total: st.total, Points: st.points()})
 	}
 	return out
 }
@@ -349,32 +198,11 @@ func (r *Recorder) Load(s *Snapshot) {
 		if sd == nil {
 			continue
 		}
-		st := newSeriesState(r.cfg)
-		st.total = sd.Total
+		st := &seriesState{ring: make([]Point, r.cfg.RawCap)}
 		for _, p := range sd.Points {
-			if st.n < len(st.raw) {
-				st.raw[st.n] = p
-				st.n++
-			} else {
-				st.raw[st.head] = p
-				st.head = (st.head + 1) % len(st.raw)
-			}
+			st.add(p)
 		}
-		for i := range st.tiers {
-			if i >= len(sd.Tiers) {
-				break
-			}
-			td := sd.Tiers[i]
-			t := &st.tiers[i]
-			t.accN = td.AccN
-			if td.Acc != nil {
-				t.acc = *td.Acc
-			}
-			for _, ru := range td.Rollups {
-				t.push(r.cfg.TierCap, ru)
-			}
-			t.evicted = td.Evicted
-		}
+		st.total = sd.Total
 		r.series[sd.Name] = st
 	}
 }

@@ -36,14 +36,14 @@ func TestConfigNormalization(t *testing.T) {
 	if got, want := r.Config(), DefaultConfig(); got != want {
 		t.Fatalf("zero config normalized to %+v, want %+v", got, want)
 	}
-	r = New(Config{RawCap: 4, RollupEvery: 2, Tiers: 1, TierCap: 3})
-	if got := r.Config(); got.RawCap != 4 || got.RollupEvery != 2 || got.Tiers != 1 || got.TierCap != 3 {
+	r = New(Config{RawCap: 4})
+	if got := r.Config(); got.RawCap != 4 {
 		t.Fatalf("explicit config mangled: %+v", got)
 	}
 }
 
 func TestRawRingEvictsOldest(t *testing.T) {
-	r := New(Config{RawCap: 4, RollupEvery: 2, Tiers: 1, TierCap: 8})
+	r := New(Config{RawCap: 4})
 	feed(r, "m.x", 6)
 	sd := r.Snapshot().Get("m.x")
 	if sd == nil {
@@ -60,51 +60,6 @@ func TestRawRingEvictsOldest(t *testing.T) {
 		if sd.Points[i] != p {
 			t.Fatalf("points[%d] = %v, want %v", i, sd.Points[i], p)
 		}
-	}
-}
-
-func TestRollupCascade(t *testing.T) {
-	r := New(Config{RawCap: 64, RollupEvery: 2, Tiers: 2, TierCap: 8})
-	feed(r, "m.x", 5) // values 0..4 at 0,10,..,40
-	sd := r.Snapshot().Get("m.x")
-	if len(sd.Tiers) != 2 {
-		t.Fatalf("tiers = %d, want 2", len(sd.Tiers))
-	}
-	t0 := sd.Tiers[0]
-	if len(t0.Rollups) != 2 {
-		t.Fatalf("tier0 rollups = %v, want 2 entries", t0.Rollups)
-	}
-	if got, want := t0.Rollups[0], (Rollup{FromMs: 0, ToMs: 10, Count: 2, First: 0, Last: 1, Min: 0, Max: 1, Sum: 1}); got != want {
-		t.Fatalf("tier0 rollup[0] = %+v, want %+v", got, want)
-	}
-	if t0.Acc == nil || t0.Acc.Count != 1 || t0.Acc.First != 4 || t0.AccN != 1 {
-		t.Fatalf("tier0 acc = %+v accN=%d, want partial single-sample acc", t0.Acc, t0.AccN)
-	}
-	t1 := sd.Tiers[1]
-	if len(t1.Rollups) != 1 {
-		t.Fatalf("tier1 rollups = %v, want 1 entry", t1.Rollups)
-	}
-	if got, want := t1.Rollups[0], (Rollup{FromMs: 0, ToMs: 30, Count: 4, First: 0, Last: 3, Min: 0, Max: 3, Sum: 6}); got != want {
-		t.Fatalf("tier1 rollup[0] = %+v, want %+v", got, want)
-	}
-}
-
-// TestRollupsIndependentOfRawEviction pins the determinism argument: the
-// rollup cascade is a pure function of the sample stream, so a tiny raw
-// ring (heavy eviction) and a huge one retain identical tiers.
-func TestRollupsIndependentOfRawEviction(t *testing.T) {
-	small := New(Config{RawCap: 2, RollupEvery: 4, Tiers: 2, TierCap: 16})
-	big := New(Config{RawCap: 4096, RollupEvery: 4, Tiers: 2, TierCap: 16})
-	for _, r := range []*Recorder{small, big} {
-		for i := 0; i < 300; i++ {
-			r.Observe("m.x", int64(i*7), math.Sin(float64(i)))
-		}
-	}
-	a, b := small.Snapshot().Get("m.x"), big.Snapshot().Get("m.x")
-	aj, _ := json.Marshal(a.Tiers)
-	bj, _ := json.Marshal(b.Tiers)
-	if string(aj) != string(bj) {
-		t.Fatalf("rollup tiers depend on raw ring size:\nsmall: %s\nbig:   %s", aj, bj)
 	}
 }
 
@@ -127,8 +82,27 @@ func TestSampleOrderAndCollision(t *testing.T) {
 	}
 }
 
+// parentCut is the 41-sample cut below as the recorder wrote it before
+// its rollup tiers were removed: a "tiers" array per series and three
+// retired retention keys in the config. Checkpoints written then embed
+// exactly this JSON, so it must still load.
+const parentCut = `{"config":{"raw_cap":8,"rollup_every":3,"tiers":2,"tier_cap":4},
+"series":[{"name":"m.x","total":41,
+"points":[{"at_ms":33,"v":7},{"at_ms":34,"v":8},{"at_ms":35,"v":9},{"at_ms":36,"v":10},
+{"at_ms":37,"v":11},{"at_ms":38,"v":12},{"at_ms":39,"v":0},{"at_ms":40,"v":1}],
+"tiers":[{"acc":{"from_ms":39,"to_ms":40,"count":2,"first":0,"last":1,"min":0,"max":1,"sum":1},"acc_n":2,
+"rollups":[{"from_ms":27,"to_ms":29,"count":3,"first":1,"last":3,"min":1,"max":3,"sum":6},
+{"from_ms":30,"to_ms":32,"count":3,"first":4,"last":6,"min":4,"max":6,"sum":15},
+{"from_ms":33,"to_ms":35,"count":3,"first":7,"last":9,"min":7,"max":9,"sum":24},
+{"from_ms":36,"to_ms":38,"count":3,"first":10,"last":12,"min":10,"max":12,"sum":33}],"evicted":9},
+{"acc":{"from_ms":36,"to_ms":38,"count":3,"first":10,"last":12,"min":10,"max":12,"sum":33},"acc_n":1,
+"rollups":[{"from_ms":0,"to_ms":8,"count":9,"first":0,"last":8,"min":0,"max":8,"sum":36},
+{"from_ms":9,"to_ms":17,"count":9,"first":9,"last":4,"min":0,"max":12,"sum":52},
+{"from_ms":18,"to_ms":26,"count":9,"first":5,"last":0,"min":0,"max":12,"sum":68},
+{"from_ms":27,"to_ms":35,"count":9,"first":1,"last":9,"min":1,"max":9,"sum":45}]}]}]}`
+
 func TestSnapshotLoadRoundTripContinuesStream(t *testing.T) {
-	cfg := Config{RawCap: 8, RollupEvery: 3, Tiers: 2, TierCap: 4}
+	cfg := Config{RawCap: 8}
 	full := New(cfg)
 	cut := New(cfg)
 	for i := 0; i < 100; i++ {
@@ -137,26 +111,33 @@ func TestSnapshotLoadRoundTripContinuesStream(t *testing.T) {
 			cut.Observe("m.x", int64(i), float64(i%13))
 		}
 	}
+	var parent Snapshot
+	if err := json.Unmarshal([]byte(parentCut), &parent); err != nil {
+		t.Fatal(err)
+	}
 	// Resume: checkpoint at sample 41, load into a fresh recorder, feed
-	// the remainder. Exports must be byte-identical to uninterrupted.
-	resumed := New(DefaultConfig()) // deliberately different config: Load adopts the snapshot's
-	resumed.Load(cut.Snapshot())
-	for i := 41; i < 100; i++ {
-		resumed.Observe("m.x", int64(i), float64(i%13))
-	}
-	if got, want := resumed.Snapshot().CSV(), full.Snapshot().CSV(); got != want {
-		t.Fatalf("resumed CSV diverges from uninterrupted:\nresumed:\n%s\nfull:\n%s", got, want)
-	}
-	gj, _ := resumed.Snapshot().JSON()
-	wj, _ := full.Snapshot().JSON()
-	if string(gj) != string(wj) {
-		t.Fatalf("resumed JSON diverges from uninterrupted")
+	// the remainder. Exports must be byte-identical to uninterrupted,
+	// whichever shape the checkpoint was written in.
+	for name, snap := range map[string]*Snapshot{"current": cut.Snapshot(), "parent-shaped": &parent} {
+		resumed := New(DefaultConfig()) // deliberately different config: Load adopts the snapshot's
+		resumed.Load(snap)
+		for i := 41; i < 100; i++ {
+			resumed.Observe("m.x", int64(i), float64(i%13))
+		}
+		if got, want := resumed.Snapshot().CSV(), full.Snapshot().CSV(); got != want {
+			t.Fatalf("%s: resumed CSV diverges from uninterrupted:\nresumed:\n%s\nfull:\n%s", name, got, want)
+		}
+		gj, _ := resumed.Snapshot().JSON()
+		wj, _ := full.Snapshot().JSON()
+		if string(gj) != string(wj) {
+			t.Fatalf("%s: resumed JSON diverges from uninterrupted:\nresumed:\n%s\nfull:\n%s", name, gj, wj)
+		}
 	}
 }
 
 func TestTwoRunByteIdentity(t *testing.T) {
 	run := func() string {
-		r := New(Config{RawCap: 16, RollupEvery: 4, Tiers: 2, TierCap: 8})
+		r := New(Config{RawCap: 16})
 		for i := 0; i < 123; i++ {
 			r.Sample(int64(i*25), obs.Snapshot{
 				Counters: map[string]int64{"fetch.ok": int64(i * 2), "classify.relevant": int64(i / 3)},
@@ -186,17 +167,8 @@ func TestQueries(t *testing.T) {
 	if got := Slope(pts); math.Abs(got-10) > 1e-9 {
 		t.Errorf("Slope = %v, want 10/s", got)
 	}
-	if got := MovingAvg(pts, 2); got != 35 {
-		t.Errorf("MovingAvg(2) = %v, want 35", got)
-	}
-	if got := MovingAvg(pts, 99); got != 25 {
-		t.Errorf("MovingAvg(99) = %v, want 25", got)
-	}
-	if got := Window(pts, 1000, 2000); len(got) != 2 || got[0].AtMs != 1000 {
-		t.Errorf("Window = %v, want the middle two points", got)
-	}
 	// Degenerate windows.
-	if Delta(nil) != 0 || Rate(nil) != 0 || Slope(nil) != 0 || MovingAvg(nil, 3) != 0 {
+	if Delta(nil) != 0 || Rate(nil) != 0 || Slope(nil) != 0 {
 		t.Error("empty-window queries should all be 0")
 	}
 	same := []Point{{5, 1}, {5, 2}}
@@ -206,22 +178,15 @@ func TestQueries(t *testing.T) {
 }
 
 func TestCSVShape(t *testing.T) {
-	r := New(Config{RawCap: 4, RollupEvery: 2, Tiers: 1, TierCap: 4})
+	r := New(Config{RawCap: 2})
 	feed(r, "m.x", 3)
-	csv := r.Snapshot().CSV()
-	lines := strings.Split(strings.TrimSuffix(csv, "\n"), "\n")
-	if lines[0] != "series,kind,tier,from_ms,to_ms,count,first,last,min,max,sum" {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	want := []string{
-		"m.x,raw,-1,0,0,1,0,0,0,0,0",
-		"m.x,raw,-1,10,10,1,1,1,1,1,1",
-		"m.x,raw,-1,20,20,1,2,2,2,2,2",
-		"m.x,rollup,0,0,10,2,0,1,0,1,1",
-		"m.x,acc,0,20,20,1,2,2,2,2,2",
-	}
-	if got := strings.Join(lines[1:], "\n"); got != strings.Join(want, "\n") {
-		t.Fatalf("csv rows:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	feed(r, "a.y", 1)
+	want := "series,at_ms,value\n" +
+		"a.y,0,0\n" +
+		"m.x,10,1\n" +
+		"m.x,20,2\n"
+	if got := r.Snapshot().CSV(); got != want {
+		t.Fatalf("csv:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -16,24 +16,12 @@ type Snapshot struct {
 	Series []*SeriesData `json:"series,omitempty"`
 }
 
-// SeriesData is one metric's frozen history: the raw ring oldest-first
-// plus each rollup tier's finished rollups and partial accumulator.
+// SeriesData is one metric's frozen history: the ring oldest-first, and
+// Total, the samples ever observed including those the ring evicted.
 type SeriesData struct {
-	Name   string     `json:"name"`
-	Total  int64      `json:"total"`
-	Points []Point    `json:"points,omitempty"`
-	Tiers  []TierData `json:"tiers,omitempty"`
-}
-
-// TierData is one frozen rollup tier. Acc is the partial accumulator
-// (nil when empty); AccN counts the children folded into it so a Load
-// knows when the next flush is due; Evicted counts rollups the bounded
-// ring has dropped.
-type TierData struct {
-	Acc     *Rollup  `json:"acc,omitempty"`
-	AccN    int      `json:"acc_n,omitempty"`
-	Rollups []Rollup `json:"rollups,omitempty"`
-	Evicted int64    `json:"evicted,omitempty"`
+	Name   string  `json:"name"`
+	Total  int64   `json:"total"`
+	Points []Point `json:"points,omitempty"`
 }
 
 // Get returns the named series, or nil when absent.
@@ -75,7 +63,7 @@ func (s *Snapshot) Narrow(substr string) *Snapshot {
 
 // Windowed queries. The package-level forms work over any point window
 // (the doctor's time-aware rules slice their own early/late windows);
-// the SeriesData methods apply them to the full retained raw ring.
+// the SeriesData methods apply them to the full retained ring.
 
 // Delta returns last minus first value of the window (0 with fewer than
 // two points).
@@ -97,22 +85,6 @@ func Rate(pts []Point) float64 {
 		return 0
 	}
 	return Delta(pts) * 1000 / float64(dt)
-}
-
-// MovingAvg returns the mean of the last n values (all of them when the
-// window is shorter; 0 when empty or n <= 0).
-func MovingAvg(pts []Point, n int) float64 {
-	if n <= 0 || len(pts) == 0 {
-		return 0
-	}
-	if n > len(pts) {
-		n = len(pts)
-	}
-	var sum float64
-	for _, p := range pts[len(pts)-n:] {
-		sum += p.V
-	}
-	return sum / float64(n)
 }
 
 // Slope returns the least-squares trend of the window in value units per
@@ -140,26 +112,13 @@ func Slope(pts []Point) float64 {
 	return (n*sumTV - sumT*sumV) / den * 1000
 }
 
-// Window returns the points with fromMs <= AtMs <= toMs.
-func Window(pts []Point, fromMs, toMs int64) []Point {
-	lo := sort.Search(len(pts), func(i int) bool { return pts[i].AtMs >= fromMs })
-	hi := sort.Search(len(pts), func(i int) bool { return pts[i].AtMs > toMs })
-	if lo >= hi {
-		return nil
-	}
-	return pts[lo:hi]
-}
-
-// Delta applies Delta to the retained raw window.
+// Delta applies Delta to the retained window.
 func (sd *SeriesData) Delta() float64 { return Delta(sd.Points) }
 
-// Rate applies Rate to the retained raw window.
+// Rate applies Rate to the retained window.
 func (sd *SeriesData) Rate() float64 { return Rate(sd.Points) }
 
-// MovingAvg applies MovingAvg to the retained raw window.
-func (sd *SeriesData) MovingAvg(n int) float64 { return MovingAvg(sd.Points, n) }
-
-// Slope applies Slope to the retained raw window.
+// Slope applies Slope to the retained window.
 func (sd *SeriesData) Slope() float64 { return Slope(sd.Points) }
 
 // Last returns the newest retained point.
@@ -172,37 +131,19 @@ func (sd *SeriesData) Last() (Point, bool) {
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// CSV renders the snapshot as a deterministic table, one row per raw
-// point, finished rollup, or partial accumulator:
+// CSV renders the snapshot as a deterministic table, one row per
+// retained point, sorted by series name then time:
 //
-//	series,kind,tier,from_ms,to_ms,count,first,last,min,max,sum
-//
-// Raw points are degenerate rollup rows (kind raw, tier -1, from = to,
-// count 1, every value column the sample). Rows sort by series name,
-// then raw before rollups, then tier, then time — byte-identical for
-// identical sample streams.
+//	series,at_ms,value
 func (s *Snapshot) CSV() string {
 	var b strings.Builder
-	b.WriteString("series,kind,tier,from_ms,to_ms,count,first,last,min,max,sum\n")
+	b.WriteString("series,at_ms,value\n")
 	if s == nil {
 		return b.String()
 	}
-	row := func(name, kind string, tier int, r Rollup) {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%s,%s,%s,%s,%s\n",
-			name, kind, tier, r.FromMs, r.ToMs, r.Count,
-			fmtFloat(r.First), fmtFloat(r.Last), fmtFloat(r.Min), fmtFloat(r.Max), fmtFloat(r.Sum))
-	}
 	for _, sd := range s.Series {
 		for _, p := range sd.Points {
-			row(sd.Name, "raw", -1, Rollup{FromMs: p.AtMs, ToMs: p.AtMs, Count: 1, First: p.V, Last: p.V, Min: p.V, Max: p.V, Sum: p.V})
-		}
-		for tier, td := range sd.Tiers {
-			for _, r := range td.Rollups {
-				row(sd.Name, "rollup", tier, r)
-			}
-			if td.Acc != nil {
-				row(sd.Name, "acc", tier, *td.Acc)
-			}
+			fmt.Fprintf(&b, "%s,%d,%s\n", sd.Name, p.AtMs, fmtFloat(p.V))
 		}
 	}
 	return b.String()

@@ -41,23 +41,27 @@ race:
 	$(GO) test -race -timeout 15m $(RACE_PKGS)
 
 # Deterministic fault-injection suite under the race detector: chaos
-# crawls over flaky/dead/rate-limited webs, checkpoint/resume identity,
-# and the executor's quarantine / fail-fast / retry paths.
+# crawls over flaky/dead/rate-limited webs, the executor's, crawler's and
+# fleet's identity tests (DoP, rerun, checkpoint/resume and invisibility,
+# each over all five pillars on a faulty fixture), and the executor's
+# quarantine / fail-fast / retry paths.
 chaos:
 	$(GO) test -race -timeout 10m \
-		-run 'Chaos|Checkpoint|Resume|Fault|Quarantine|FailFast|OpRetries|Panic' \
+		-run 'Identity|Chaos|Checkpoint|Resume|Fault|Quarantine|FailFast|OpRetries|Panic' \
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/ ./internal/dataflow/
 
 # Fleet fault-tolerance suite under the race detector: seeded crash
 # schedules (explicit points, random-rate replays, and the exhaustive
 # crash-at-every-(shard, round) sweep), stall detection, degraded-mode
 # completion, and the supervision-is-invisible clean-run gate — every
-# recovery byte-identical at DoP 1 and full DoP.
+# recovery byte-identical at DoP 1 and full DoP; below the supervisor, the
+# crawler's identity test (its resume axis kills a crawl mid-cycle) and
+# the fleet's restart and fencing primitives.
 supervisor-chaos:
 	$(GO) test -race -timeout 15m -count=1 \
 		./internal/crawler/shard/supervisor/
 	$(GO) test -race -timeout 10m -count=1 \
-		-run 'Crash|StepFault|CheckpointSilent|StepShard|RestartShard|Fence|DeliverMail|SentinelErrors' \
+		-run 'CrawlIdentity|Crash|StepFault|CheckpointSilent|StepShard|RestartShard|Fence|DeliverMail|SentinelErrors' \
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/
 
 # Short fuzzing sessions over the HTML pipeline, the MIME detector, the
@@ -106,6 +110,7 @@ loc:
 		      for (p in lines) printf "%-20s %6d\n", p, lines[p] | "sort" }'
 
 # Every golden, determinism and identity test (trace/log/series/profile
-# exports, the doctor, the sharded-crawl DoP and resume identities) is a
-# plain package test, so `test` already runs each of them exactly once.
+# exports, the doctor, and the one identity test per level: executor,
+# crawler, fleet, supervisor) is a plain package test, so `test` already
+# runs each of them exactly once.
 verify: build test vet lint race chaos supervisor-chaos alloc-gate

@@ -79,16 +79,7 @@ func num(v float64) meteor.Value { return meteor.Value{Num: v, IsNum: true} }
 // ConsolidatedFlow builds the full Fig 2 plan over web input: 38 operator
 // nodes (11 web pretreatment + 5 shared NLP + 6 linguistic + 14 entity +
 // source + final union).
-func (r *Registry) ConsolidatedFlow() *dataflow.Plan {
-	p := &dataflow.Plan{}
-	src := p.Add(r.Op("identity", nil)) // 37 (source)
-	n := r.webPretreatment(p, src)
-	n = r.nlpShared(p, n)
-	lingOut := r.linguisticBranch(p, n)
-	entOut := r.entityBranch(p, n)
-	p.Add(r.Op("union", nil), lingOut, entOut) // 38 (merge of the two result streams)
-	return p
-}
+func (r *Registry) ConsolidatedFlow() *dataflow.Plan { return r.AnalysisFlow(true) }
 
 // LinguisticFlow builds the standalone linguistic flow of §4.2 ("both
 // first filter long texts, repair and remove HTML markup, and annotate
@@ -114,23 +105,6 @@ func (r *Registry) EntityFlow(web bool) *dataflow.Plan {
 	}
 	n = r.nlpShared(p, n)
 	r.entityBranch(p, n)
-	return p
-}
-
-// EntityClassFlow builds the per-entity-class flow of the §4.2 war story
-// ("we created ... one flow per entity class of the biomedical analysis").
-func (r *Registry) EntityClassFlow(class string, web bool) *dataflow.Plan {
-	p := &dataflow.Plan{}
-	n := p.Add(r.Op("identity", nil))
-	if web {
-		n = r.webPretreatment(p, n)
-	}
-	n = r.nlpShared(p, n)
-	n = p.Add(r.Op("pos_tag", nil), n)
-	n = p.Add(r.Op("annotate_entities_dict", meteor.Params{"type": {Str: class}}), n)
-	n = p.Add(r.Op("annotate_entities_ml", meteor.Params{"type": {Str: class}}), n)
-	n = p.Add(r.Op("merge_entities", nil), n)
-	p.Add(r.Op("filter_tla_entities", nil), n)
 	return p
 }
 

@@ -1,36 +1,11 @@
 package crawler
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
-	"webtextie/internal/classify"
-	"webtextie/internal/rng"
 	"webtextie/internal/synthweb"
-	"webtextie/internal/textgen"
 )
-
-// chaosPipeline is newPipeline with a fault-injected web.
-func chaosPipeline(t testing.TB, hosts int, mutate func(*synthweb.Config)) *pipeline {
-	t.Helper()
-	lex := textgen.NewLexicon(rng.New(1), textgen.LexiconSizes{Genes: 500, Drugs: 150, Diseases: 150}, 0.75)
-	gen := textgen.NewGenerator(2, lex, textgen.DefaultProfiles())
-	cfg := synthweb.DefaultConfig()
-	cfg.NumHosts = hosts
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	web := synthweb.New(cfg, gen)
-
-	clf := classify.New()
-	r := rng.New(3)
-	for i := 0; i < 300; i++ {
-		clf.Learn(gen.Doc(r, textgen.Medline, fmt.Sprint("m", i)).Text, classify.Relevant)
-		clf.Learn(gen.Doc(r, textgen.Irrelevant, fmt.Sprint("w", i)).Text, classify.Irrelevant)
-	}
-	return &pipeline{lex: lex, gen: gen, web: web, clf: clf}
-}
 
 func urlSet(pages []CrawledPage) map[string]bool {
 	s := make(map[string]bool, len(pages))
@@ -57,43 +32,6 @@ func chaosWeb(c *synthweb.Config) {
 	c.SlowHostShare = 0.2
 	c.RateLimitShare = 0.2
 	c.TruncateRate = 0.05
-}
-
-// TestChaosCrawlDeterministic: two same-seed crawls over a heavily faulty
-// web — retries, backoff, breakers and all — produce identical stats,
-// corpora, and metric snapshots.
-func TestChaosCrawlDeterministic(t *testing.T) {
-	run := func() *Result {
-		p := chaosPipeline(t, 50, chaosWeb)
-		cfg := DefaultConfig()
-		cfg.MaxPages = 400
-		return New(cfg, p.web, p.clf).Run(defaultSeeds(t, p))
-	}
-	a, b := run(), run()
-	if a.Stats != b.Stats {
-		t.Fatalf("stats differ:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-	if len(a.Relevant) != len(b.Relevant) {
-		t.Fatal("relevant corpus size differs")
-	}
-	for i := range a.Relevant {
-		if a.Relevant[i].URL != b.Relevant[i].URL || a.Relevant[i].NetText != b.Relevant[i].NetText {
-			t.Fatalf("corpus diverges at %d", i)
-		}
-	}
-	if at, bt := a.Metrics.Text(), b.Metrics.Text(); at != bt {
-		t.Fatalf("metric snapshots differ:\n%s\nvs\n%s", at, bt)
-	}
-	// The fault machinery actually fired and is visible in obs.
-	if a.Stats.Retries == 0 || a.Metrics.Counter("crawler.retry.scheduled") == 0 {
-		t.Error("no retries scheduled under chaos")
-	}
-	if a.Metrics.Counter("crawler.fetch.hostdown") == 0 {
-		t.Error("no host-down failures observed under chaos")
-	}
-	if a.Stats.RateLimited == 0 || a.Metrics.Counter("crawler.fetch.ratelimited") == 0 {
-		t.Error("no rate-limit rejections observed under chaos")
-	}
 }
 
 // TestChaosRetriesRecoverEverything: with no dead hosts and no truncation,

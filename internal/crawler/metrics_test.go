@@ -117,22 +117,6 @@ func TestMetricsMatchStatsOnTrapCrawl(t *testing.T) {
 	}
 }
 
-// TestMetricsDeterministic: the crawler's instruments observe only
-// virtual-clock and count values, so two identical crawls must render
-// byte-identical snapshots.
-func TestMetricsDeterministic(t *testing.T) {
-	render := func() string {
-		p := newPipeline(t, 40)
-		cfg := DefaultConfig()
-		cfg.MaxPages = 200
-		return New(cfg, p.web, p.clf).Run(defaultSeeds(t, p)).Metrics.Text()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Fatalf("same-seed crawls rendered different snapshots:\n--- run 1\n%s\n--- run 2\n%s", a, b)
-	}
-}
-
 // TestWithMetricsSharedRegistry: WithMetrics(reg) must report into the
 // caller's registry and accumulate across crawls.
 func TestWithMetricsSharedRegistry(t *testing.T) {

@@ -105,23 +105,3 @@ func TestChaosCorpusIndependentOfShardCount(t *testing.T) {
 			plain.Stats.Fetched, sharded.Stats.Fetched)
 	}
 }
-
-// Chaos + DoP invariance: the full fault surface must not reintroduce
-// schedule dependence. Same fleet, 1 vs 4 workers, byte-identical
-// exports.
-func TestChaosShardedCrawlDeterministicAcrossDoP(t *testing.T) {
-	e := newEnv(t, 50, chaosWeb)
-	run := func(parallelism int) exports {
-		cfg := Config{Crawl: crawler.DefaultConfig(), Shards: 4, Parallelism: parallelism}
-		// The fleet budget is enforced at round barriers, so it is as
-		// DoP-invisible as the rest of the plan — and it keeps the -race
-		// run affordable.
-		cfg.Crawl.MaxPages = 500
-		return runShardedCfg(t, e, cfg)
-	}
-	a := run(1)
-	if a.stats.Retries == 0 {
-		t.Fatal("chaos run never retried — fault surface not engaged")
-	}
-	diffExports(t, "chaos DoP 4", a, run(4))
-}

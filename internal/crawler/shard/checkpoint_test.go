@@ -4,136 +4,7 @@ import (
 	"testing"
 
 	"webtextie/internal/crawler"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/trace"
-	"webtextie/internal/synthweb"
 )
-
-// finishExports renders a finished fleet's byte surfaces.
-func finishExports(t *testing.T, res *Result) exports {
-	t.Helper()
-	out := exports{
-		corpus:  res.CorpusManifest(),
-		metrics: res.Metrics.Text(),
-		stats:   res.Stats,
-		rounds:  res.Rounds,
-	}
-	if res.Traces != nil {
-		out.traces = res.Traces.Text()
-		tj, err := res.Traces.JSON()
-		if err != nil {
-			t.Fatalf("trace JSON export: %v", err)
-		}
-		out.tracesJS = string(tj)
-	}
-	if res.Logs != nil {
-		out.logs = res.Logs.Logfmt()
-		lj, err := res.Logs.JSON()
-		if err != nil {
-			t.Fatalf("log JSON export: %v", err)
-		}
-		out.logsJS = string(lj)
-	}
-	return out
-}
-
-// The satellite property: kill the fleet at a round barrier, resume from
-// the serialized manifest, and the merged corpus, metrics, trace, and
-// log exports are byte-identical to an uninterrupted run — faults on,
-// observability on.
-func TestShardCheckpointResumeByteIdentical(t *testing.T) {
-	e := newEnv(t, 40, func(c *synthweb.Config) {
-		c.FailureRate = 0.25
-		c.RateLimitShare = 0.2
-		c.TruncateRate = 0.05
-	})
-	cfg := Config{Crawl: crawler.DefaultConfig(), Shards: 3, Parallelism: 3}
-	cfg.Crawl.MaxPages = 600
-	// Small fetch lists stretch the crawl over many rounds so there is a
-	// mid-crawl barrier to interrupt at.
-	cfg.Crawl.FetchListSize = 60
-
-	newRunner := func() *Runner {
-		r, err := New(cfg, e.newWeb, e.clf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.WithTrace(trace.DefaultConfig(7)).WithLog(evlog.DefaultConfig(7))
-	}
-
-	// Uninterrupted reference run.
-	want := finishExports(t, newRunner().Run(e.seeds))
-
-	// Interrupted run: stop after 3 rounds, serialize, "kill the fleet",
-	// resume from bytes, crawl to the end.
-	first := newRunner()
-	first.Seed(e.seeds)
-	for i := 0; i < 3; i++ {
-		if !first.Round() {
-			t.Fatalf("fleet finished in %d rounds — too small to interrupt", i)
-		}
-	}
-	cp, err := first.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := cp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := UnmarshalCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(cfg, e.newWeb, e.clf, restored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.WithTrace(trace.DefaultConfig(7)).WithLog(evlog.DefaultConfig(7))
-	for resumed.Round() {
-	}
-	got := finishExports(t, resumed.Finish())
-
-	diffExports(t, "resumed", want, got)
-}
-
-// A resumed fleet must also still be DoP-invisible: resume with a
-// different parallelism than the original run and the exports must not
-// move.
-func TestShardResumeWithDifferentParallelism(t *testing.T) {
-	e := newEnv(t, 30, nil)
-	cfg := Config{Crawl: crawler.DefaultConfig(), Shards: 4, Parallelism: 4}
-	cfg.Crawl.MaxPages = 400
-	cfg.Crawl.FetchListSize = 50
-
-	r, err := New(cfg, e.newWeb, e.clf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := finishExports(t, r.Run(e.seeds))
-
-	first, err := New(cfg, e.newWeb, e.clf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Seed(e.seeds)
-	first.Round()
-	first.Round()
-	cp, err := first.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialCfg := cfg
-	serialCfg.Parallelism = 1
-	resumed, err := Resume(serialCfg, e.newWeb, e.clf, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for resumed.Round() {
-	}
-	diffExports(t, "serial resume", want, finishExports(t, resumed.Finish()))
-}
 
 func TestShardResumeValidation(t *testing.T) {
 	e := newEnv(t, 20, nil)

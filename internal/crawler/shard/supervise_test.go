@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"webtextie/internal/crawler"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/trace"
 )
 
 // TestStepShardRecoversPanic: a panic inside a shard's crawl cycle
@@ -53,26 +51,19 @@ func TestStepShardRecoversPanic(t *testing.T) {
 }
 
 // TestRestartShardReplaysIdentically is the determinism core of crash
-// recovery: crash a shard mid-run, roll it back to its barrier
-// checkpoint, re-step, finish — every export must be byte-identical to
-// the fault-free run.
+// recovery: crash a shard of the identity fixture mid-run, roll it back
+// to its barrier checkpoint, re-step, finish — every export of all five
+// pillars must be byte-identical to the fault-free reference run.
 func TestRestartShardReplaysIdentically(t *testing.T) {
-	e := newEnv(t, 60, nil)
-	cfg := Config{Crawl: crawler.DefaultConfig(), Shards: 3, Parallelism: 1}
-	cfg.Crawl.MaxPages = 300
-	cfg.Crawl.FetchListSize = 40 // small cycles force a multi-round fleet
-	base := runShardedCfg(t, e, cfg)
-	if base.rounds < 2 {
-		t.Fatalf("need a multi-round run to crash mid-run, got %d rounds", base.rounds)
-	}
-
-	r, err := New(cfg, e.newWeb, e.clf)
+	want := reference.run(t).ex
+	e := fixtureEnv // built by the reference run
+	r, err := New(reference.config(1), e.newWeb, e.clf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.WithTrace(trace.DefaultConfig(7)).WithLog(evlog.DefaultConfig(7))
+	reference.attach(r)
 	r.Seed(e.seeds)
-	ckpts := make([][]byte, cfg.Shards)
+	ckpts := make([][]byte, r.Shards())
 	refresh := func() {
 		for i := range ckpts {
 			if ckpts[i], err = r.BarrierCheckpoint(i); err != nil {
@@ -116,33 +107,7 @@ func TestRestartShardReplaysIdentically(t *testing.T) {
 	if crashes != 2 {
 		t.Fatalf("staged 2 crashes, executed %d", crashes)
 	}
-	res := r.Finish()
-	got := exportsOf(t, res)
-	diffExports(t, "crash-recovered", base, got)
-}
-
-// exportsOf renders a Result's byte surfaces (the recovered-run half of
-// diffExports comparisons).
-func exportsOf(t *testing.T, res *Result) exports {
-	t.Helper()
-	tj, err := res.Traces.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lj, err := res.Logs.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return exports{
-		corpus:   res.CorpusManifest(),
-		metrics:  res.Metrics.Text(),
-		traces:   res.Traces.Text(),
-		tracesJS: string(tj),
-		logs:     res.Logs.Logfmt(),
-		logsJS:   string(lj),
-		stats:    res.Stats,
-		rounds:   res.Rounds,
-	}
+	diffExports(t, "crash-recovered", want, exportsOf(t, r.Finish()))
 }
 
 // TestResumeSentinelErrors: the rejection paths return errors.Is-testable

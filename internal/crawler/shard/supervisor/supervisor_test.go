@@ -62,59 +62,62 @@ func fleetCfg(shards, parallelism int) shard.Config {
 	return cfg
 }
 
-// exports bundles every byte surface of the crawl pillars.
-type exports struct {
-	corpus  string
-	metrics string
-	traces  string
-	logs    string
-	stats   crawler.Stats
-	rounds  int
-}
+// exports maps each byte surface of a run to its rendering. A surface a
+// run did not produce, because its pillar was off, is absent and
+// compares as empty.
+type exports map[string]string
 
-func exportsOf(t *testing.T, res *shard.Result) exports {
-	t.Helper()
-	return exports{
-		corpus:  res.CorpusManifest(),
-		metrics: res.Metrics.Text(),
-		traces:  res.Traces.Text(),
-		logs:    res.Logs.Logfmt(),
-		stats:   res.Stats,
-		rounds:  res.Rounds,
+// surfaces is the order diffExports walks.
+var surfaces = []string{"corpus", "stats", "metrics", "trace", "log", "series", "profile"}
+
+// exportsOf renders a fleet's result whole: corpus manifest, stats and
+// rounds, and every pillar it ran with, each in one format (the shard
+// package holds the formats to each other). Profiles render as call rows
+// only, since wall time is a measurement; crawl.checkpoint is left out,
+// since it counts the barrier checkpoints only a supervised run writes.
+func exportsOf(res *shard.Result) exports {
+	ex := exports{
+		"corpus":  res.CorpusManifest(),
+		"stats":   fmt.Sprintf("%+v rounds=%d", res.Stats, res.Rounds),
+		"metrics": res.Metrics.Text(),
 	}
+	if res.Traces != nil {
+		ex["trace"] = res.Traces.Text()
+	}
+	if res.Logs != nil {
+		ex["log"] = res.Logs.Logfmt()
+	}
+	if res.Series != nil {
+		ex["series"] = res.Series.CSV()
+	}
+	if res.Profile != nil {
+		var rows strings.Builder
+		for _, sd := range res.Profile.Scopes {
+			if sd.Name != "crawl.checkpoint" {
+				fmt.Fprintf(&rows, "%s %d\n", sd.Name, sd.Calls)
+			}
+		}
+		ex["profile"] = rows.String()
+	}
+	return ex
 }
 
+// diffExports names the first surface on which got differs from want,
+// and the first byte at which it does.
 func diffExports(t *testing.T, label string, want, got exports) {
 	t.Helper()
-	check := func(surface, w, g string) {
-		if w != g {
-			i := 0
-			for i < len(w) && i < len(g) && w[i] == g[i] {
-				i++
-			}
-			lo := i - 80
-			if lo < 0 {
-				lo = 0
-			}
-			clip := func(s string) string {
-				if i+80 < len(s) {
-					return s[lo : i+80]
-				}
-				return s[lo:]
-			}
-			t.Errorf("%s: %s export differs at byte %d\nwant ...%q...\ngot  ...%q...",
-				label, surface, i, clip(w), clip(g))
+	for _, name := range surfaces {
+		w, g := want[name], got[name]
+		if w == g {
+			continue
 		}
-	}
-	check("corpus", want.corpus, got.corpus)
-	check("metrics", want.metrics, got.metrics)
-	check("trace", want.traces, got.traces)
-	check("log", want.logs, got.logs)
-	if want.stats != got.stats {
-		t.Errorf("%s: stats differ:\nwant %+v\ngot  %+v", label, want.stats, got.stats)
-	}
-	if want.rounds != got.rounds {
-		t.Errorf("%s: rounds differ: want %d, got %d", label, want.rounds, got.rounds)
+		i := 0
+		for i < len(w) && i < len(g) && w[i] == g[i] {
+			i++
+		}
+		clip := func(s string) string { return s[max(i-80, 0):min(i+80, len(s))] }
+		t.Errorf("%s: %s differs at byte %d\nwant ...%q...\ngot  ...%q...", label, name, i, clip(w), clip(g))
+		return
 	}
 }
 
@@ -128,12 +131,6 @@ func newFleet(t *testing.T, e *env, cfg shard.Config) *shard.Runner {
 	return r
 }
 
-// runPlain runs the unsupervised fleet.
-func runPlain(t *testing.T, e *env, cfg shard.Config) exports {
-	t.Helper()
-	return exportsOf(t, newFleet(t, e, cfg).Run(e.seeds))
-}
-
 // runSupervised runs the supervised fleet and returns its exports and
 // the supervision report.
 func runSupervised(t *testing.T, e *env, cfg shard.Config, scfg Config) (exports, *Report, *shard.Result) {
@@ -143,56 +140,7 @@ func runSupervised(t *testing.T, e *env, cfg shard.Config, scfg Config) (exports
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exportsOf(t, res), sup.Report(), res
-}
-
-// TestSupervisionIsInvisibleOnCleanRuns: with no faults, a supervised
-// fleet's exports are byte-identical to an unsupervised one's — the
-// silent barrier checkpoints leave no residue in any pillar.
-func TestSupervisionIsInvisibleOnCleanRuns(t *testing.T) {
-	e := newEnv(t, 60, nil)
-	base := runPlain(t, e, fleetCfg(3, 1))
-	if base.rounds < 2 {
-		t.Fatalf("need a multi-round fleet, got %d rounds", base.rounds)
-	}
-	for _, dop := range []int{1, 3} {
-		got, rep, _ := runSupervised(t, e, fleetCfg(3, dop), Config{RecoveryBudget: 3, Seed: 7})
-		diffExports(t, fmt.Sprintf("supervised DoP %d", dop), base, got)
-		if !rep.Quiet() {
-			t.Errorf("DoP %d: clean run report not quiet: %+v", dop, rep)
-		}
-	}
-}
-
-// TestCrashRecoveryByteIdentical is the chaos determinism gate: under an
-// injected crash schedule whose recovery budget is not exhausted, the
-// merged corpus, metrics, trace, and log exports are byte-identical to
-// the fault-free run's — at DoP 1 and DoP 4.
-func TestCrashRecoveryByteIdentical(t *testing.T) {
-	e := newEnv(t, 60, nil)
-	base := runPlain(t, e, fleetCfg(4, 1))
-	if base.rounds < 3 {
-		t.Fatalf("need >= 3 rounds to place the crash schedule, got %d", base.rounds)
-	}
-	crash := &synthweb.CrashPlan{Points: []synthweb.CrashPoint{
-		{Shard: 0, Round: 1, Attempts: 1},
-		{Shard: 2, Round: 1, Attempts: 2}, // crash the recovered shard again
-		{Shard: 1, Round: 2, Attempts: 1},
-	}}
-	for _, dop := range []int{1, 4} {
-		got, rep, _ := runSupervised(t, e, fleetCfg(4, dop),
-			Config{RecoveryBudget: 3, Crash: crash, Seed: 7})
-		diffExports(t, fmt.Sprintf("chaos DoP %d", dop), base, got)
-		if rep.Crashes == 0 {
-			t.Fatalf("DoP %d: crash schedule never fired", dop)
-		}
-		if len(rep.Fenced) != 0 {
-			t.Errorf("DoP %d: budget 3 should recover everything, fenced %v", dop, rep.Fenced)
-		}
-		if rep.Restarts[0] == 0 || rep.Restarts[2] == 0 {
-			t.Errorf("DoP %d: expected restarts on shards 0 and 2, got %v", dop, rep.Restarts)
-		}
-	}
+	return exportsOf(res), sup.Report(), res
 }
 
 // TestRandomCrashScheduleReplayable: the seeded random crash tier is
@@ -238,7 +186,7 @@ func TestDegradedCompletion(t *testing.T) {
 	if len(res.Degraded) != 1 || res.Degraded[0].Shard != 1 || res.Degraded[0].FencedAtRound != 1 {
 		t.Fatalf("Degraded = %+v, want shard 1 fenced at round 1", res.Degraded)
 	}
-	if !strings.Contains(base.corpus, "deg shard=1/3 fenced_round=1") {
+	if !strings.Contains(base["corpus"], "deg shard=1/3 fenced_round=1") {
 		t.Error("corpus manifest lacks the deg footer for shard 1")
 	}
 	if res.Stats.FrontierEmptied {
@@ -287,7 +235,7 @@ func TestSupervisionPillarsAndDoctor(t *testing.T) {
 	got, rep, res := runSupervised(t, e, fleetCfg(3, 1),
 		Config{RecoveryBudget: 1, Crash: crash, Seed: 7})
 
-	if strings.Contains(got.logs, "fleet.supervisor") {
+	if strings.Contains(got["log"], "fleet.supervisor") {
 		t.Error("supervision records leaked into the crawl log export")
 	}
 	if rep.Metrics.Counter("fleet.shard.crashes") == 0 {

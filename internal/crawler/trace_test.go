@@ -7,51 +7,13 @@ import (
 	"webtextie/internal/obs/trace"
 )
 
-// chaosTracedRun drives a chaos crawl with a trace recorder attached and
-// returns the recorder.
-func chaosTracedRun(t testing.TB, maxPages int) *trace.Recorder {
-	t.Helper()
-	p := chaosPipeline(t, 50, chaosWeb)
-	cfg := DefaultConfig()
-	cfg.MaxPages = maxPages
-	rec := trace.NewRecorder(trace.DefaultConfig(1))
-	New(cfg, p.web, p.clf).WithTrace(rec).Run(defaultSeeds(t, p))
-	return rec
-}
-
-// TestChaosTraceDeterministic: two same-seed chaos crawls export
-// byte-identical traces in every format.
-func TestChaosTraceDeterministic(t *testing.T) {
-	a := chaosTracedRun(t, 250).Snapshot()
-	b := chaosTracedRun(t, 250).Snapshot()
-	aj, err := a.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := b.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(aj) != string(bj) {
-		t.Fatal("same-seed chaos crawls exported different trace JSON")
-	}
-	if a.Text() != b.Text() {
-		t.Fatal("same-seed chaos crawls exported different trace text")
-	}
-	ac, _ := a.Chrome()
-	bc, _ := b.Chrome()
-	if string(ac) != string(bc) {
-		t.Fatal("same-seed chaos crawls exported different chrome JSON")
-	}
-}
-
 // TestBreakerOpenYieldsPinnedLineage is the acceptance criterion: a
 // breaker-opened host pins a trace whose span tree names every hop —
 // frontier insertion, each fetch attempt, each backoff, the breaker
-// transition — and the trace survives eviction.
+// transition — and the trace survives eviction. The crawl is the
+// identity fixture's reference.
 func TestBreakerOpenYieldsPinnedLineage(t *testing.T) {
-	rec := chaosTracedRun(t, 250)
-	s := rec.Snapshot()
+	s := fixture{}.run(t).res.Traces
 
 	opened := s.Filter(trace.Filter{ErrClass: "breaker_open"})
 	if len(opened.Traces) == 0 {
@@ -109,41 +71,12 @@ func TestRetryExhaustionPinsTrace(t *testing.T) {
 	}
 }
 
-// TestTraceOffCrawlIdentical: attaching no recorder changes nothing about
-// the crawl itself (stats and corpus match a traced run).
-func TestTraceOffCrawlIdentical(t *testing.T) {
-	run := func(withTrace bool) *Result {
-		p := chaosPipeline(t, 50, chaosWeb)
-		cfg := DefaultConfig()
-		cfg.MaxPages = 250
-		c := New(cfg, p.web, p.clf)
-		if withTrace {
-			c.WithTrace(trace.NewRecorder(trace.DefaultConfig(1)))
-		}
-		return c.Run(defaultSeeds(t, p))
-	}
-	off, on := run(false), run(true)
-	if off.Stats != on.Stats {
-		t.Fatalf("tracing changed crawl stats:\noff: %+v\non:  %+v", off.Stats, on.Stats)
-	}
-	if len(off.Relevant) != len(on.Relevant) {
-		t.Fatal("tracing changed the relevant corpus")
-	}
-	if off.Metrics.Text() != on.Metrics.Text() {
-		t.Fatal("tracing changed the metric snapshot")
-	}
-}
-
 // TestCrawlTraceIDsStoredInDB: every traced URL's ID is resolvable through
-// the CrawlDB, so lineage lookups by URL work after the crawl.
+// the CrawlDB, so lineage lookups by URL work after the crawl — here the
+// identity fixture's crawl, killed and resumed mid-run.
 func TestCrawlTraceIDsStoredInDB(t *testing.T) {
-	p := chaosPipeline(t, 20, nil)
-	cfg := DefaultConfig()
-	cfg.MaxPages = 100
-	rec := trace.NewRecorder(trace.DefaultConfig(7))
-	res := New(cfg, p.web, p.clf).WithTrace(rec).Run(defaultSeeds(t, p))
-
-	s := rec.Snapshot()
+	res := fixture{resumed: true}.run(t).res
+	s := res.Traces
 	checked := 0
 	for _, page := range res.Relevant {
 		id, ok := res.CrawlDB.TraceOf(page.URL)

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -42,31 +41,6 @@ func runLogged(t *testing.T, dop int) *evlog.Snapshot {
 		t.Fatal(err)
 	}
 	return sink.Snapshot()
-}
-
-// TestExecLogByteIdenticalAcrossDoP: the executor's event log rides the
-// plan-position logical clock and evlog's order-independent retention,
-// so a DoP-1 run and a DoP-4 run of the same plan export identical bytes
-// in every format.
-func TestExecLogByteIdenticalAcrossDoP(t *testing.T) {
-	a, b := runLogged(t, 1), runLogged(t, 4)
-	aj, err := a.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := b.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("JSON export differs across DoP:\n--- DoP 1 ---\n%s\n--- DoP 4 ---\n%s", aj, bj)
-	}
-	if a.Logfmt() != b.Logfmt() {
-		t.Fatal("logfmt export differs across DoP")
-	}
-	if a.Text() != b.Text() {
-		t.Fatal("text export differs across DoP")
-	}
 }
 
 // TestExecLogContent: lifecycle, quarantine, panic, retry, and summary

@@ -52,48 +52,6 @@ func canonical(recs []Record) []string {
 	return out
 }
 
-// TestDoPEquivalence checks that the degree of parallelism changes only
-// scheduling, never results: identical sink records (order-insensitive)
-// and identical per-node In/Out/Errors totals for DoP 1, 4, and 16.
-func TestDoPEquivalence(t *testing.T) {
-	type run struct {
-		dop   int
-		sink  []string
-		stats map[int][3]int64
-	}
-	var runs []run
-	for _, dop := range []int{1, 4, 16} {
-		p := testPlan()
-		out, st := runSingleSink(t, p, input(200), ExecConfig{DoP: dop})
-		perNode := map[int][3]int64{}
-		for id, ns := range st.PerNode {
-			perNode[id] = [3]int64{ns.In, ns.Out, ns.Errors}
-		}
-		runs = append(runs, run{dop, canonical(out), perNode})
-	}
-	// Sanity-check the DoP=1 baseline itself: 200 in, 100 even, 20 of
-	// those are multiples of 10 and crash, 80 reach the sink.
-	if len(runs[0].sink) != 80 {
-		t.Fatalf("DoP=1 sink size = %d, want 80", len(runs[0].sink))
-	}
-	base := runs[0]
-	for _, r := range runs[1:] {
-		if len(r.sink) != len(base.sink) {
-			t.Fatalf("DoP=%d sink size = %d, DoP=1 = %d", r.dop, len(r.sink), len(base.sink))
-		}
-		for i := range base.sink {
-			if r.sink[i] != base.sink[i] {
-				t.Fatalf("DoP=%d sink record %d = %q, DoP=1 = %q", r.dop, i, r.sink[i], base.sink[i])
-			}
-		}
-		for id, want := range base.stats {
-			if got := r.stats[id]; got != want {
-				t.Errorf("DoP=%d node %d In/Out/Errors = %v, DoP=1 = %v", r.dop, id, got, want)
-			}
-		}
-	}
-}
-
 // TestExecMetricsMatchStats checks that the obs registry view of an
 // execution agrees with the public ExecStats.
 func TestExecMetricsMatchStats(t *testing.T) {

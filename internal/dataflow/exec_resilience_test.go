@@ -3,7 +3,6 @@ package dataflow
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -336,27 +335,5 @@ func TestErrorsLandInStatsAndObs(t *testing.T) {
 	}
 	if st.TotalQuarantined() != want || int64(len(st.Quarantined)) != want {
 		t.Fatalf("quarantine counts %d/%d, want %d", st.TotalQuarantined(), len(st.Quarantined), want)
-	}
-}
-
-// TestQuarantineDeterministicAcrossRuns: the dead-letter report is sorted,
-// so two identical high-DoP runs render it identically.
-func TestQuarantineDeterministicAcrossRuns(t *testing.T) {
-	run := func() []QuarantinedRecord {
-		p := &Plan{}
-		src := p.Add(passOp("src"))
-		p.Add(&Op{Name: "flaky", Pkg: IE, Selectivity: 1,
-			Fn: func(r Record, emit Emit) error {
-				if r["x"].(int)%7 == 0 {
-					return fmt.Errorf("bad record %d", r["x"].(int)%3)
-				}
-				emit(r)
-				return nil
-			}}, src)
-		_, st := runSingleSink(t, p, input(300), ExecConfig{DoP: 16})
-		return st.Quarantined
-	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-		t.Fatal("quarantine order differs across identical runs")
 	}
 }

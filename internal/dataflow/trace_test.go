@@ -85,36 +85,6 @@ func TestQuarantinedRecordPinnedLineage(t *testing.T) {
 	}
 }
 
-// TestExecuteTraceDeterministicUnderDoP: byte-identical exports from
-// repeated DoP>1 runs — the concurrent-emitter half of the determinism
-// claim, exercised through the real executor.
-func TestExecuteTraceDeterministicUnderDoP(t *testing.T) {
-	run := func(dop int) string {
-		rec := trace.NewRecorder(trace.DefaultConfig(11))
-		_, _, err := Execute(faultyPlan(7), tracedInput(120),
-			ExecConfig{DoP: dop, Policy: Quarantine, OpRetries: 1, TraceKey: "id", Set: pillars.Set{Trace: rec}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := rec.Snapshot().JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(blob)
-	}
-	base := run(8)
-	for i := 0; i < 3; i++ {
-		if got := run(8); got != base {
-			t.Fatalf("DoP=8 run %d exported different traces", i)
-		}
-	}
-	// DoP must not change the trace content either: worker count is an
-	// execution detail, not part of the record's story.
-	if got := run(1); got != base {
-		t.Fatal("DoP=1 and DoP=8 exported different traces")
-	}
-}
-
 // TestPanicPinsTrace: a panicking UDF is recovered and the record's
 // lineage is pinned with the panic error class.
 func TestPanicPinsTrace(t *testing.T) {
@@ -178,42 +148,6 @@ func TestRetrySucceedsTraceShowsAttempts(t *testing.T) {
 	}
 	if tr := s.Filter(trace.Filter{Key: "doc-0005"}).Traces[0]; len(tr.ErrClasses) != 0 {
 		t.Fatalf("recovered record should have no error class: %v", tr.ErrClasses)
-	}
-}
-
-// TestTraceOffExecuteIdentical: an untraced execution returns the same
-// results and stats as a traced one.
-func TestTraceOffExecuteIdentical(t *testing.T) {
-	run := func(rec *trace.Recorder) (map[int][]Record, *ExecStats) {
-		out, stats, err := Execute(faultyPlan(10), tracedInput(60),
-			ExecConfig{DoP: 4, Policy: Quarantine, TraceKey: "id", Set: pillars.Set{Trace: rec}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, stats
-	}
-	offOut, offStats := run(nil)
-	onOut, onStats := run(trace.NewRecorder(trace.DefaultConfig(1)))
-	if len(offOut) != len(onOut) {
-		t.Fatal("tracing changed sink count")
-	}
-	for id := range offOut {
-		if len(offOut[id]) != len(onOut[id]) {
-			t.Fatalf("tracing changed sink %d size", id)
-		}
-	}
-	if offStats.TotalQuarantined() != onStats.TotalQuarantined() {
-		t.Fatal("tracing changed quarantine counts")
-	}
-	// The only permitted Quarantined difference is the trace ID itself.
-	for i := range offStats.Quarantined {
-		a, b := offStats.Quarantined[i], onStats.Quarantined[i]
-		if a.NodeID != b.NodeID || a.Op != b.Op || a.Err != b.Err {
-			t.Fatalf("tracing changed quarantine entry %d", i)
-		}
-		if a.Trace != "" || b.Trace == "" {
-			t.Fatalf("trace IDs wrong: off=%q on=%q", a.Trace, b.Trace)
-		}
 	}
 }
 

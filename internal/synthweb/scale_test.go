@@ -40,18 +40,21 @@ func TestScaledConfigClampsFactor(t *testing.T) {
 
 // equivalenceGrid is the seed/config matrix the lazy-vs-precomputed
 // comparison runs over: clean webs, a chaos-faulted web, and a
-// mirror-heavy web, across seeds.
+// mirror-heavy web, across seeds. The webs are small: the comparison
+// walks every page, and TestRenderGolden pins the full 700-host web's
+// bytes.
 func equivalenceGrid() map[string]Config {
+	const hosts = 12
 	grid := map[string]Config{}
 	for _, seed := range []uint64{1, 7, 1234} {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
-		cfg.NumHosts = 50
+		cfg.NumHosts = hosts
 		grid[fmt.Sprintf("clean/seed=%d", seed)] = cfg
 	}
 	faulted := DefaultConfig()
 	faulted.Seed = 5
-	faulted.NumHosts = 50
+	faulted.NumHosts = hosts
 	faulted.FailureRate = 0.3
 	faulted.DeadHostShare = 0.1
 	faulted.SlowHostShare = 0.2
@@ -60,7 +63,7 @@ func equivalenceGrid() map[string]Config {
 	grid["faulted/seed=5"] = faulted
 	mirrors := DefaultConfig()
 	mirrors.Seed = 9
-	mirrors.NumHosts = 50
+	mirrors.NumHosts = hosts
 	mirrors.MirrorShare = 0.3
 	grid["mirrors/seed=9"] = mirrors
 	return grid

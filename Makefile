@@ -7,9 +7,9 @@ GO ?= go
 
 # Packages with real concurrency (worth the ~100x race-detector slowdown),
 # and what the executor calls from DoP goroutines at once: the operators
-# (internal/core), the POS tagger, the entity taggers and the relevance
-# classifier.
-RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/ ./internal/ie/... ./internal/classify/
+# (internal/core), the POS tagger, the entity taggers, the relevance
+# classifier and htmlkit's pooled scratch.
+RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/ ./internal/ie/... ./internal/classify/ ./internal/htmlkit/
 
 # `make loc`: non-test Go code outside bench/, less blank and comment-only
 # lines — the one size every simplicity PR quotes.
@@ -65,19 +65,26 @@ supervisor-chaos:
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/
 
 # Short fuzzing sessions over the HTML pipeline, the MIME detector, the
-# language filter, the classifier's tokenizer and the analysis flow's three
-# hot kernels (seeds alone run as part of `make test`).
-# FuzzIdentify, FuzzTag, FuzzAnalyze, crf's FuzzExtract, FuzzFind,
-# FuzzTokenize and FuzzProbRelevant are differential: langid.Identify,
-# postag.Tag, ling.Analyze, crf.Extract, dict.Find and the classifier's
-# Tokenize and ProbRelevant against the predecessors kept in their tests;
-# so are the two FuzzRetention: the log sink and the trace recorder on the
-# shared obs.Keeper against the per-class retention loops they replaced.
+# language filter, the classifier's tokenizer, the sentence splitter and
+# tokenizer, and the analysis flow's three hot kernels (seeds alone run as
+# part of `make test`).
+# FuzzStreamMatchesReference, FuzzDecodeEntities, FuzzExtractMatchesReference,
+# FuzzDetect, FuzzIdentify, FuzzTag, FuzzAnalyze, crf's FuzzExtract,
+# FuzzFind, FuzzTokenize and FuzzProbRelevant are differential: htmlkit's
+# streaming core, its entity decoder, boiler.Extract, mimetype.Sniff,
+# langid.Identify, postag.Tag, ling.Analyze, crf.Extract, dict.Find and the
+# classifier's Tokenize and ProbRelevant against the predecessors kept in
+# their tests; so are the two FuzzRetention: the log sink and the trace
+# recorder on the shared obs.Keeper against the per-class retention loops
+# they replaced. FuzzSentenceTokens checks the spans every tagger reads.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeRepairExtract -fuzztime=30s ./internal/htmlkit/
+	$(GO) test -run=NONE -fuzz=FuzzStreamMatchesReference -fuzztime=60s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEntities -fuzztime=15s ./internal/htmlkit/
-	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/boiler/
+	$(GO) test -run=NONE -fuzz='^FuzzExtract$$' -fuzztime=30s ./internal/boiler/
+	$(GO) test -run=NONE -fuzz=FuzzExtractMatchesReference -fuzztime=60s ./internal/boiler/
 	$(GO) test -run=NONE -fuzz=FuzzDetect -fuzztime=15s ./internal/mimetype/
+	$(GO) test -run=NONE -fuzz=FuzzSentenceTokens -fuzztime=30s ./internal/nlp/
 	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=15s ./internal/classify/
 	$(GO) test -run=NONE -fuzz=FuzzProbRelevant -fuzztime=30s ./internal/classify/
 	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/

@@ -101,21 +101,30 @@ type Result struct {
 }
 
 // Extract runs the full pipeline on raw HTML: tokenize → repair → block
-// segmentation → block classification → net text.
+// segmentation → block classification → net text. The first three are
+// htmlkit.Blocks' one streaming pass; the content blocks' texts are joined
+// into a net text sized up front.
 func (c *Classifier) Extract(html string) Result {
-	tokens, stats := htmlkit.Repair(htmlkit.Tokenize(html))
-	blocks := htmlkit.ExtractBlocks(tokens)
-	labels := c.Classify(blocks)
-	var parts []string
-	content := 0
-	for _, l := range labels {
-		if l.Content {
-			parts = append(parts, l.Block.Text)
+	blocks, stats := htmlkit.Blocks(html)
+	size, content := 0, 0
+	for i := range blocks {
+		if c.isContent(blocks, i) {
+			size += 1 + len(blocks[i].Text)
 			content++
 		}
 	}
+	var net strings.Builder
+	net.Grow(size)
+	for i := range blocks {
+		if c.isContent(blocks, i) {
+			if net.Len() > 0 {
+				net.WriteByte('\n')
+			}
+			net.WriteString(blocks[i].Text)
+		}
+	}
 	return Result{
-		NetText:       strings.Join(parts, "\n"),
+		NetText:       net.String(),
 		ContentBlocks: content,
 		TotalBlocks:   len(blocks),
 		RepairStats:   stats,

@@ -216,7 +216,7 @@ func TestRepairBalancedProperty(t *testing.T) {
 		for _, tok := range toks {
 			switch tok.Type {
 			case StartTag:
-				if !tok.SelfClosing && !voidElements[tok.Name] {
+				if opens(&tok) {
 					stack = append(stack, tok.Name)
 				}
 			case EndTag:
@@ -286,6 +286,17 @@ func TestLinkDensityEmptyBlock(t *testing.T) {
 	}
 }
 
+// TestEndTagX: "</x>" closes <x>. Its name once read as the placeholder
+// for "no name", which left the literal "</x>" in the text and <x> open.
+func TestEndTagX(t *testing.T) {
+	if got := StripMarkup("<x>a</x>b"); got != "ab" {
+		t.Errorf("StripMarkup = %q, want %q", got, "ab")
+	}
+	if _, stats := Repair(Tokenize("<x>a</x>b")); stats != (RepairStats{}) {
+		t.Errorf("repairs %+v, want none", stats)
+	}
+}
+
 func TestStripMarkup(t *testing.T) {
 	got := StripMarkup(`<html><body><h1>Title</h1><p>Body &amp; text.</p><script>x()</script></body></html>`)
 	if !strings.Contains(got, "Title") || !strings.Contains(got, "Body & text.") {
@@ -334,6 +345,12 @@ func TestDecodeEntities(t *testing.T) {
 	if got := DecodeEntities("plain"); got != "plain" {
 		t.Errorf("DecodeEntities(plain) = %q", got)
 	}
+	// One pass, no recursion; unknown and unterminated entities stay.
+	for in, want := range map[string]string{"&amp;lt;": "&lt;", "&unknown; &amp": "&unknown; &amp", "&&amp;;": "&&;"} {
+		if got := DecodeEntities(in); got != want {
+			t.Errorf("DecodeEntities(%q) = %q, want %q", in, got, want)
+		}
+	}
 }
 
 func TestIsBlock(t *testing.T) {
@@ -371,7 +388,7 @@ func TestTokenizeRandomBytesNeverPanics(t *testing.T) {
 		for _, tok := range toks {
 			switch tok.Type {
 			case StartTag:
-				if !tok.SelfClosing && !voidElements[tok.Name] {
+				if opens(&tok) {
 					stack = append(stack, tok.Name)
 				}
 			case EndTag:

@@ -1,7 +1,5 @@
 package htmlkit
 
-import "strings"
-
 // RepairStats records what the repair pass had to fix; the crawl analysis
 // reports these to quantify how broken web markup is (§5: 13% of sites in
 // [19] could not be transcoded at all).
@@ -21,240 +19,75 @@ func (s RepairStats) Total() int { return s.UnclosedTags + s.StrayEndTags + s.Mi
 // is eventually closed, stray end tags are dropped, and misnested end tags
 // implicitly close the intervening elements (the browser algorithm).
 func Repair(tokens []Token) ([]Token, RepairStats) {
-	var out []Token
-	var stack []string
-	var stats RepairStats
-	for _, t := range tokens {
-		switch t.Type {
-		case StartTag:
-			out = append(out, t)
-			if !t.SelfClosing && !voidElements[t.Name] {
-				stack = append(stack, t.Name)
+	// Every token but an end tag passes through, and every element pushed
+	// is popped by exactly one end tag: the output's size is known before
+	// the stack runs.
+	n := 0
+	for i := range tokens {
+		if t := &tokens[i]; t.Type != EndTag {
+			n++
+			if t.Type == StartTag && opens(t) {
+				n++
 			}
-		case EndTag:
-			// Find the matching open element.
-			idx := -1
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i] == t.Name {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				stats.StrayEndTags++
-				continue // drop stray end tag
-			}
-			// Implicitly close everything above the match.
-			for i := len(stack) - 1; i > idx; i-- {
-				out = append(out, Token{Type: EndTag, Name: stack[i]})
-				stats.MisnestedTags++
-			}
-			out = append(out, Token{Type: EndTag, Name: t.Name})
-			stack = stack[:idx]
-		default:
-			out = append(out, t)
 		}
 	}
-	// Close everything still open.
-	for i := len(stack) - 1; i >= 0; i-- {
-		out = append(out, Token{Type: EndTag, Name: stack[i]})
-		stats.UnclosedTags++
+	var out []Token
+	if n > 0 {
+		out = make([]Token, 0, n)
 	}
+	emit := func(t Token) { out = append(out, t) }
+	s := getScratch()
+	for _, t := range tokens {
+		s.r.feed(t, emit)
+	}
+	s.r.close(emit)
+	stats := s.r.stats
+	scratchPool.Put(s)
 	return out, stats
 }
 
-// Block is a run of text between block-level boundaries, the unit the
-// boilerplate detector classifies.
-type Block struct {
-	// Text is the whitespace-normalized text of the block.
-	Text string
-	// Words is the number of whitespace-separated words.
-	Words int
-	// LinkedWords is the number of words inside <a> elements.
-	LinkedWords int
-	// Tag is the nearest enclosing block element name ("p", "div", "li"...).
-	Tag string
-	// Depth is the element nesting depth at the block's start.
-	Depth int
+// repairer is the repair pass fed one token at a time: the stack of open
+// elements, and what fixing the stream has cost so far. It hands each
+// token of the repaired stream to emit.
+type repairer struct {
+	stack []string
+	stats RepairStats
 }
 
-// LinkDensity returns the fraction of words inside anchors, the single most
-// discriminative shallow feature in Boilerpipe [15].
-func (b *Block) LinkDensity() float64 {
-	if b.Words == 0 {
-		return 0
-	}
-	return float64(b.LinkedWords) / float64(b.Words)
-}
-
-// ExtractBlocks segments repaired tokens into text blocks with the shallow
-// features boilerplate detection needs. Script/style content never reaches
-// the blocks (the tokenizer marks those elements; their text is skipped).
-func ExtractBlocks(tokens []Token) []Block {
-	var blocks []Block
-	var cur strings.Builder
-	curWords, curLinked := 0, 0
-	depth, linkDepth := 0, 0
-	skip := 0 // inside script/style
-	tag := "body"
-	curTag := tag
-
-	flush := func() {
-		text := normalizeSpace(cur.String())
-		if text != "" {
-			blocks = append(blocks, Block{
-				Text: text, Words: curWords, LinkedWords: curLinked,
-				Tag: curTag, Depth: depth,
-			})
+func (r *repairer) feed(t Token, emit func(Token)) {
+	switch t.Type {
+	case StartTag:
+		emit(t)
+		if opens(&t) {
+			r.stack = append(r.stack, t.Name)
 		}
-		cur.Reset()
-		curWords, curLinked = 0, 0
-		curTag = tag
-	}
-
-	for _, t := range tokens {
-		switch t.Type {
-		case StartTag:
-			if rawTextElements[t.Name] {
-				if !t.SelfClosing {
-					skip++
-				}
-				continue
-			}
-			if t.Name == "a" {
-				linkDepth++
-			}
-			if IsBlock(t.Name) {
-				flush()
-				tag = t.Name
-				curTag = tag
-			}
-			if !t.SelfClosing && !voidElements[t.Name] {
-				depth++
-			}
-		case EndTag:
-			if rawTextElements[t.Name] {
-				if skip > 0 {
-					skip--
-				}
-				continue
-			}
-			if t.Name == "a" && linkDepth > 0 {
-				linkDepth--
-			}
-			if IsBlock(t.Name) {
-				flush()
-			}
-			if depth > 0 {
-				depth--
-			}
-		case Text:
-			if skip > 0 {
-				continue
-			}
-			text := DecodeEntities(t.Data)
-			words := len(strings.Fields(text))
-			if words == 0 && strings.TrimSpace(text) == "" {
-				// Pure whitespace: keep a single separator.
-				if cur.Len() > 0 {
-					cur.WriteByte(' ')
-				}
-				continue
-			}
-			cur.WriteString(text)
-			curWords += words
-			if linkDepth > 0 {
-				curLinked += words
-			}
+	case EndTag:
+		// Find the matching open element.
+		idx := len(r.stack) - 1
+		for idx >= 0 && r.stack[idx] != t.Name {
+			idx--
 		}
-	}
-	flush()
-	return blocks
-}
-
-// normalizeSpace collapses runs of whitespace to single spaces and trims.
-func normalizeSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
-}
-
-// StripMarkup is the "remove all markup" operator: tokenize, repair, and
-// concatenate all text blocks. This is the fallback when boilerplate
-// detection is disabled.
-func StripMarkup(html string) string {
-	tokens, _ := Repair(Tokenize(html))
-	blocks := ExtractBlocks(tokens)
-	parts := make([]string, len(blocks))
-	for i, b := range blocks {
-		parts[i] = b.Text
-	}
-	return strings.Join(parts, "\n")
-}
-
-// Link is an extracted hyperlink.
-type Link struct {
-	// Href is the raw href attribute value.
-	Href string
-	// Anchor is the normalized anchor text.
-	Anchor string
-}
-
-// ExtractLinks returns every <a href=...> link with its anchor text.
-func ExtractLinks(tokens []Token) []Link {
-	var links []Link
-	var anchor strings.Builder
-	href := ""
-	inA := false
-	for _, t := range tokens {
-		switch t.Type {
-		case StartTag:
-			if t.Name == "a" {
-				if inA && href != "" {
-					links = append(links, Link{Href: href, Anchor: normalizeSpace(anchor.String())})
-				}
-				inA = true
-				href, _ = t.Attr("href")
-				anchor.Reset()
-			}
-		case EndTag:
-			if t.Name == "a" && inA {
-				if href != "" {
-					links = append(links, Link{Href: href, Anchor: normalizeSpace(anchor.String())})
-				}
-				inA = false
-				href = ""
-				anchor.Reset()
-			}
-		case Text:
-			if inA {
-				anchor.WriteString(DecodeEntities(t.Data))
-			}
+		if idx < 0 {
+			r.stats.StrayEndTags++
+			return // drop stray end tag
 		}
+		// Implicitly close everything above the match.
+		for i := len(r.stack) - 1; i > idx; i-- {
+			emit(Token{Type: EndTag, Name: r.stack[i]})
+			r.stats.MisnestedTags++
+		}
+		emit(Token{Type: EndTag, Name: t.Name})
+		r.stack = r.stack[:idx]
+	default:
+		emit(t)
 	}
-	if inA && href != "" {
-		links = append(links, Link{Href: href, Anchor: normalizeSpace(anchor.String())})
-	}
-	return links
 }
 
-// Title returns the contents of the first <title> element, if any.
-func Title(tokens []Token) string {
-	inTitle := false
-	var b strings.Builder
-	for _, t := range tokens {
-		switch t.Type {
-		case StartTag:
-			if t.Name == "title" {
-				inTitle = true
-			}
-		case EndTag:
-			if t.Name == "title" {
-				return normalizeSpace(b.String())
-			}
-		case Text:
-			if inTitle {
-				b.WriteString(DecodeEntities(t.Data))
-			}
-		}
+// close ends the stream: everything still open is closed.
+func (r *repairer) close(emit func(Token)) {
+	for i := len(r.stack) - 1; i >= 0; i-- {
+		emit(Token{Type: EndTag, Name: r.stack[i]})
+		r.stats.UnclosedTags++
 	}
-	return normalizeSpace(b.String())
+	r.stack = r.stack[:0]
 }

@@ -6,7 +6,10 @@
 // name-based detection).
 package mimetype
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+)
 
 // Type is a detected MIME type.
 type Type string
@@ -63,22 +66,23 @@ func FromExtension(path string) (Type, bool) {
 }
 
 // Sniff detects from content bytes: magic prefixes first, then an HTML
-// probe, then a binary-vs-text heuristic over the first window.
+// probe, then a binary-vs-text heuristic over the first window. The probes
+// fold ASCII case on the bytes in place; no other rune lower-cases to a
+// probe's letters (U+0130 and the Kelvin sign fold to 'i' and 'k'), so
+// this is strings.ToLower's verdict without its copy.
 func Sniff(content []byte) Type {
 	head := content
 	if len(head) > 512 {
 		head = head[:512]
 	}
-	s := string(head)
 	for _, m := range magic {
-		if strings.HasPrefix(s, m.prefix) {
+		if len(head) >= len(m.prefix) && string(head[:len(m.prefix)]) == m.prefix {
 			return m.t
 		}
 	}
-	trimmed := strings.TrimLeft(s, " \t\r\n")
-	lower := strings.ToLower(trimmed)
-	if strings.HasPrefix(lower, "<!doctype html") || strings.HasPrefix(lower, "<html") ||
-		strings.Contains(lower, "<body") || strings.Contains(lower, "<head") {
+	trimmed := bytes.TrimLeft(head, " \t\r\n")
+	if hasPrefixFold(trimmed, "<!doctype html") || hasPrefixFold(trimmed, "<html") ||
+		containsFold(trimmed, "<body") || containsFold(trimmed, "<head") {
 		return HTML
 	}
 	// Binary heuristic: control bytes (outside tab/LF/CR) imply binary.
@@ -95,10 +99,43 @@ func Sniff(content []byte) Type {
 	if float64(binary)/float64(len(head)) > 0.02 {
 		return Unknown
 	}
-	if strings.Contains(lower, "<") && strings.Contains(lower, ">") {
+	if bytes.IndexByte(head, '<') >= 0 && bytes.IndexByte(head, '>') >= 0 {
 		return HTML
 	}
 	return Plain
+}
+
+// hasPrefixFold reports whether b starts with pat, a lower-case ASCII
+// string, folding ASCII case in b.
+func hasPrefixFold(b []byte, pat string) bool {
+	if len(b) < len(pat) {
+		return false
+	}
+	for i := 0; i < len(pat); i++ {
+		c := b[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != pat[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// containsFold reports whether b holds pat, a lower-case ASCII string
+// starting with '<', folding ASCII case in b.
+func containsFold(b []byte, pat string) bool {
+	for {
+		i := bytes.IndexByte(b, '<')
+		if i < 0 {
+			return false
+		}
+		if hasPrefixFold(b[i:], pat) {
+			return true
+		}
+		b = b[i+1:]
+	}
 }
 
 // Detect combines extension and content sniffing: content wins on conflict

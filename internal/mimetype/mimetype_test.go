@@ -109,7 +109,8 @@ func min(a, b int) int {
 }
 
 // FuzzDetect: Detect never panics, answers with one of the declared
-// types, and reads one sniff window — bytes past it change nothing.
+// types, and reads one sniff window — bytes past it change nothing; and
+// Sniff, which folds case in place, gives its predecessor's verdict.
 func FuzzDetect(f *testing.F) {
 	f.Add("/p1.html", []byte("<!DOCTYPE html>\n<html><head><title>Beta receptor</title></head><body><p>Alpha binds."))
 	f.Add("/x/paper.pdf?rev=1.2", []byte("%PDF-1.4 binary"))
@@ -117,9 +118,15 @@ func FuzzDetect(f *testing.F) {
 	f.Add("/img.png#a.b", []byte("\x89PNG\r\n\x1a\n\x00\x00\x00\x0dIHDR"))
 	f.Add("", []byte{})
 	f.Add("/blob.zip", []byte(strings.Repeat("\x00\x01 text", 120)))
+	f.Add("/p", []byte("  <!DocType HTML><P>x"))
+	f.Add("/p", []byte("text \u212A\u0130 <HeAd> <\xc4\xb0body>"))
+	f.Add("/p", []byte("\xff\xfe<Html \xe2\x84\xaa> x"))
 	declared := map[Type]bool{HTML: true, Plain: true, PDF: true, Zip: true, GIF: true,
 		PNG: true, JPEG: true, MSWord: true, Unknown: true}
 	f.Fuzz(func(t *testing.T, path string, body []byte) {
+		if got, want := Sniff(body), refSniff(body); got != want {
+			t.Fatalf("Sniff(%q) = %q, its predecessor says %q", body, got, want)
+		}
 		got := Detect(path, body)
 		if !declared[got] {
 			t.Fatalf("Detect(%q, %q) = %q: not a declared type", path, body, got)

@@ -166,3 +166,53 @@ func BenchmarkTokenize(b *testing.B) {
 		_ = Tokenize(text, 0)
 	}
 }
+
+// FuzzSentenceTokens holds the stand-off spans every tagger reads to their
+// contract on arbitrary text: sentences are in bounds, ordered and
+// disjoint; every token lies inside its sentence and is the text it spans;
+// and inside a sentence every non-space byte is covered by exactly one
+// token, and no space byte by any.
+func FuzzSentenceTokens(f *testing.F) {
+	for _, s := range []string{
+		"", "   ", "One two. Three four five.", "Dr. Smith saw e.g. 1.5 mg. (Then) left!",
+		"GAD-67 rose -- and fell.. ?! \"Quoted.\" Next", "no terminal punctuation at all",
+		"tabs\tand\r\nnewlines. Ünïcödé wörds. \xff\xfe invalid.",
+		strings.Repeat("word ", 500),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		sents, toks := SentenceTokens(text)
+		if len(toks) != len(sents) {
+			t.Fatalf("%d sentences, %d token lists", len(sents), len(toks))
+		}
+		prev := 0
+		for i, s := range sents {
+			if s.Start < prev || s.End <= s.Start || s.End > len(text) {
+				t.Fatalf("sentence %d %+v out of order or bounds (previous ends at %d, text %d bytes)", i, s, prev, len(text))
+			}
+			prev = s.End
+			cover := make([]int, s.Len())
+			for _, tk := range toks[i] {
+				if tk.Start < s.Start || tk.End > s.End || tk.End <= tk.Start {
+					t.Fatalf("token %+v outside sentence %+v", tk, s)
+				}
+				if tk.Text != text[tk.Start:tk.End] {
+					t.Fatalf("token %+v does not spell %q", tk, text[tk.Start:tk.End])
+				}
+				for j := tk.Start; j < tk.End; j++ {
+					cover[j-s.Start]++
+				}
+			}
+			for j, n := range cover {
+				want := 1
+				if isSpace(text[s.Start+j]) {
+					want = 0
+				}
+				if n != want {
+					t.Fatalf("byte %d (%q) of %q covered %d times, want %d", s.Start+j, text[s.Start+j], text, n, want)
+				}
+			}
+		}
+	})
+}

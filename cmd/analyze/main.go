@@ -5,21 +5,22 @@
 //
 //	analyze [-corpus relevant|irrelevant|medline|pmc] [-dop N] [-quick] [-metrics]
 //	        [-error-policy quarantine|failfast] [-op-retries N]
-//	        [-trace] [-trace-out FILE] [-trace-chrome FILE]
+//	        [-trace] [-trace-out FILE]
 //	        [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
 //	        [-series] [-series-out FILE]
-//	        [-prof] [-prof-out FILE] [-prof-topk N]
+//	        [-prof] [-prof-out FILE]
 //
 // -trace attaches the per-record lineage recorder to the executor (every
 // quarantined record pins its full operator lineage); -log attaches the
-// deterministic structured event log and -doctor prints the cross-pillar
-// diagnosis at exit. -prof attaches the wall-clock stage profiler — calls
-// and wall ms per operator — and prints the -prof-topk most expensive
-// operators at exit (-prof-out writes the profile as JSON). The -series
-// flags are accepted for parity with crawl; an execution has no sample
-// clock, so their exports stay empty. -debug-addr serves /metrics,
-// /traces, /logs, /doctor, /timeseries, /profile, /progress and
-// /debug/pprof live while the analysis runs.
+// deterministic structured event log. -prof attaches the wall-clock stage
+// profiler — calls and wall ms per operator — and prints the 10 most
+// expensive operators at exit (-prof-out writes the profile as JSON).
+// The -series flags are accepted for parity with crawl; an execution has
+// no sample clock, so their exports stay empty. -doctor attaches every
+// pillar and prints the cross-pillar diagnosis at exit. -debug-addr
+// serves /metrics, /traces, /logs, /timeseries, /profile and /doctor —
+// the same bytes as the -metrics block, the export files and the -doctor
+// report — plus /progress and /debug/pprof live while the analysis runs.
 package main
 
 import (

@@ -10,10 +10,10 @@
 //	      [-failure-rate P] [-dead-hosts P] [-slow-hosts P] [-ratelimit-hosts P] [-truncate-rate P]
 //	      [-max-retries N] [-breaker-failures N] [-breaker-open-ms N]
 //	      [-checkpoint FILE -checkpoint-cycles N] [-resume FILE]
-//	      [-trace] [-trace-out FILE] [-trace-chrome FILE]
+//	      [-trace] [-trace-out FILE]
 //	      [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
 //	      [-series] [-series-out FILE]
-//	      [-prof] [-prof-out FILE] [-prof-topk N]
+//	      [-prof] [-prof-out FILE]
 //
 // -shards N partitions the frontier by host hash into N shards, each with
 // its own crawldb, metric registry, trace recorder, and log sink, crawling
@@ -33,19 +33,19 @@
 // corpus manifest. The -shard-crash-* flags inject a deterministic crash
 // schedule (pure in the crash seed) and imply -supervise.
 //
-// -trace attaches the deterministic lineage recorder; -trace-out /
-// -trace-chrome write its end-of-run export (text, or Perfetto-loadable
-// trace_event JSON). -log attaches the deterministic structured event log
-// (-log-out writes its logfmt export) and -doctor prints the cross-pillar
-// diagnosis at exit. -series samples the metric registry on the virtual
-// clock — per cycle unsharded, per BSP round fleet-wide — and prints
-// end-of-run sparklines (-series-out writes the CSV export). -prof
-// attaches the wall-clock stage profiler — calls and wall ms per
-// frontier/fetch/filter/classify stage, per shard and summed fleet-wide —
-// and prints the -prof-topk most expensive scopes at exit (-prof-out
-// writes the profile as JSON). -debug-addr serves /metrics,
-// /traces, /logs, /doctor, /timeseries, /profile, /progress and
-// /debug/pprof live while the crawl runs.
+// -trace attaches the deterministic lineage recorder; -trace-out writes
+// its end-of-run text export. -log attaches the deterministic structured
+// event log (-log-out writes its logfmt export). -series samples the
+// metric registry on the virtual clock — per cycle unsharded, per BSP
+// round fleet-wide — and prints end-of-run sparklines (-series-out writes
+// the CSV export). -prof attaches the wall-clock stage profiler — calls
+// and wall ms per frontier/fetch/filter/classify stage, per shard and
+// summed fleet-wide — and prints the 10 most expensive scopes at exit
+// (-prof-out writes the profile as JSON). -doctor attaches all of them and
+// prints the cross-pillar diagnosis at exit. -debug-addr serves the same
+// bytes live while the crawl runs: /metrics is the -metrics block,
+// /traces, /logs, /timeseries and /profile are the four export files, and
+// /doctor is the -doctor report; /progress and /debug/pprof ride along.
 //
 // Fault injection is deterministic in the seed: the same flags reproduce
 // the same failures, retries, and breaker trips. A crawl interrupted with

@@ -5,19 +5,20 @@
 // Usage:
 //
 //	experiments [-quick] [-seed N] [-scale N] [-metrics]
-//	            [-trace] [-trace-out FILE] [-trace-chrome FILE]
+//	            [-trace] [-trace-out FILE]
 //	            [-log] [-log-out FILE] [-doctor] [-debug-addr HOST:PORT]
 //	            [-series] [-series-out FILE]
-//	            [-prof] [-prof-out FILE] [-prof-topk N]
+//	            [-prof] [-prof-out FILE]
 //	            [experiment ...]
 //
 // The observability flags are the ones crawl and analyze take: -prof
 // attaches the wall-clock stage profiler to every dataflow execution the
-// experiments run and prints the -prof-topk most expensive operators at
-// exit; the -series flags are accepted for parity and stay empty (an
-// execution has no sample clock). -debug-addr serves /metrics, /traces,
-// /logs, /doctor, /timeseries, /profile, /progress and /debug/pprof live
-// while the experiments run.
+// experiments run and prints the 10 most expensive operators at exit;
+// the -series flags are accepted for parity and stay empty (an execution
+// has no sample clock); -doctor attaches every pillar. -debug-addr serves
+// /metrics, /traces, /logs, /timeseries, /profile and /doctor — the same
+// bytes as the -metrics block, the export files and the -doctor report —
+// plus /progress and /debug/pprof live while the experiments run.
 //
 // Experiments: table1 seeds crawl classifier boilerplate table2 table3
 // fig3 fig4 fig5 warstory fig6 pronouns table4 fig7 fig8 jsd all

@@ -19,7 +19,7 @@ import (
 //   - evlog message names (Logger.Debug/Info/Warn/Error) and component
 //     names (Sink.Logger) must be compile-time constants in the dotted
 //     lower-case grammar shared with metric and trace names — the doctor
-//     and the /logs filters key on them, and log exports are compared
+//     and /logs?component= key on them, and log exports are compared
 //     byte-for-byte across runs.
 var LogCall = &analysis.Analyzer{
 	Name: "logcall",

@@ -19,10 +19,10 @@ import (
 // or come from the pillar's one sanctioned builder function, which owns
 // the grammar for computed names (the dataflow executor's per-operator
 // namers). Constant names keep golden-tested exports stable across
-// builds, keep the join keys between pillars (sampling, /timeseries and
-// /logs filters, doctor rules) intact, and bound every pillar's
-// cardinality — a name interpolated from data would grow it without
-// limit. Each pillar is one nameSpec below; runNames is the one AST walk.
+// builds, keep the join keys between pillars (sampling, doctor rules and
+// the /traces?err= and /logs?component= URLs their evidence cites)
+// intact, and bound every pillar's cardinality — a name interpolated
+// from data would grow it without limit. Each pillar is one nameSpec below; runNames is the one AST walk.
 
 // dottedNameRE is the grammar above; labelRE also admits a single
 // segment (trace marks, error classes, attribute keys).
@@ -68,7 +68,7 @@ var (
 			"dynamic names destabilize snapshot diffs and unbound registry cardinality",
 	}
 	// traceNames: span/event names are dotted; mark names and error
-	// classes (filter keys on /traces, flight-recorder pin reasons) and
+	// classes (the /traces?err= key, flight-recorder pin reasons) and
 	// attribute keys (sorted and rendered by every export) may be a
 	// single segment.
 	traceNames = nameSpec{
@@ -110,7 +110,7 @@ var (
 		},
 		grammar: lowerGrammar,
 		dynamic: "%s passed to %s must be a compile-time constant: the doctor and " +
-			"/logs filters key on it, and log exports are byte-compared across runs",
+			"/logs?component= key on it, and log exports are byte-compared across runs",
 	}
 )
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"slices"
@@ -28,12 +29,13 @@ type exports map[string]string
 
 // surfaces is the order diffExports walks.
 var surfaces = []string{"corpus", "stats", "metrics",
-	"trace", "trace-json", "trace-chrome", "log", "log-json", "log-text",
+	"trace", "trace-json", "log", "log-json",
 	"series", "series-json", "series-text", "profile"}
 
 // exportsOf renders a fleet's result whole: corpus manifest, stats and
-// rounds, and every pillar in every export format. Profiles render as
-// call rows only, since wall time is a measurement.
+// rounds, and every pillar's export plus its whole snapshot as JSON (any
+// byte another rendering could show is a function of it). Profiles render
+// as call rows only, since wall time is a measurement.
 func exportsOf(t testing.TB, res *Result) exports {
 	t.Helper()
 	ex := exports{
@@ -48,13 +50,13 @@ func exportsOf(t testing.TB, res *Result) exports {
 		return string(b)
 	}
 	if s := res.Traces; s != nil {
-		ex["trace"], ex["trace-json"], ex["trace-chrome"] = s.Text(), str(s.JSON()), str(s.Chrome())
+		ex["trace"], ex["trace-json"] = s.Text(), str(json.Marshal(s))
 	}
 	if s := res.Logs; s != nil {
-		ex["log"], ex["log-json"], ex["log-text"] = s.Logfmt(), str(s.JSON()), s.Text()
+		ex["log"], ex["log-json"] = s.Logfmt(), str(json.Marshal(s))
 	}
 	if s := res.Series; s != nil {
-		ex["series"], ex["series-json"], ex["series-text"] = s.CSV(), str(s.JSON()), s.Text()
+		ex["series"], ex["series-json"], ex["series-text"] = s.CSV(), str(json.Marshal(s)), s.Text()
 	}
 	if res.Profile != nil {
 		var rows strings.Builder

@@ -7,6 +7,17 @@ import (
 	"webtextie/internal/obs/trace"
 )
 
+// tracesWhere returns a snapshot of the traces in s that keep accepts.
+func tracesWhere(s *trace.Snapshot, keep func(*trace.Trace) bool) *trace.Snapshot {
+	out := &trace.Snapshot{}
+	for _, tr := range s.Traces {
+		if keep(tr) {
+			out.Traces = append(out.Traces, tr)
+		}
+	}
+	return out
+}
+
 // TestBreakerOpenYieldsPinnedLineage is the acceptance criterion: a
 // breaker-opened host pins a trace whose span tree names every hop —
 // frontier insertion, each fetch attempt, each backoff, the breaker
@@ -15,7 +26,7 @@ import (
 func TestBreakerOpenYieldsPinnedLineage(t *testing.T) {
 	s := fixture{}.run(t).res.Traces
 
-	opened := s.Filter(trace.Filter{ErrClass: "breaker_open"})
+	opened := tracesWhere(s, func(tr *trace.Trace) bool { return tr.HasErrClass("breaker_open") })
 	if len(opened.Traces) == 0 {
 		t.Fatal("chaos crawl opened no breakers (fault config too mild?)")
 	}
@@ -26,7 +37,7 @@ func TestBreakerOpenYieldsPinnedLineage(t *testing.T) {
 	}
 	// The lineage of one pinned trace names every hop.
 	tr := opened.Traces[0]
-	text := s.Filter(trace.Filter{Key: tr.Key, PinnedOnly: true}).Text()
+	text := tracesWhere(s, func(t *trace.Trace) bool { return t.Key == tr.Key && t.Pinned }).Text()
 	for _, hop := range []string{
 		"span crawler.url",
 		"frontier.inject",
@@ -57,7 +68,7 @@ func TestRetryExhaustionPinsTrace(t *testing.T) {
 	rec := trace.NewRecorder(trace.DefaultConfig(1))
 	New(cfg, p.web, p.clf).WithTrace(rec).Run(defaultSeeds(t, p))
 	s := rec.Snapshot()
-	exhausted := s.Filter(trace.Filter{ErrClass: "retry_exhausted"})
+	exhausted := tracesWhere(s, func(tr *trace.Trace) bool { return tr.HasErrClass("retry_exhausted") })
 	if len(exhausted.Traces) == 0 {
 		t.Fatal("no URL exhausted its retry budget despite disabled breakers")
 	}
@@ -83,7 +94,7 @@ func TestCrawlTraceIDsStoredInDB(t *testing.T) {
 		if !ok {
 			t.Fatalf("no trace ID stored for crawled %s", page.URL)
 		}
-		if tr := s.Find(trace.TraceID(id)); tr != nil {
+		for _, tr := range tracesWhere(s, func(tr *trace.Trace) bool { return tr.ID == trace.TraceID(id) }).Traces {
 			if tr.Key != page.URL {
 				t.Fatalf("trace %s key %q != URL %q", tr.ID, tr.Key, page.URL)
 			}

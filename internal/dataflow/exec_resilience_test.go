@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -242,7 +243,7 @@ func TestEmitRuleAtEveryRetryBudget(t *testing.T) {
 		rec := trace.NewRecorder(trace.DefaultConfig(3))
 		cfg.TraceKey, cfg.Trace = "id", rec
 		out, _ := runSingleSink(t, p, tracedInput(40), cfg)
-		blob, err := rec.Snapshot().JSON()
+		blob, err := json.Marshal(rec.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}

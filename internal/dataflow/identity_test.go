@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,11 +58,12 @@ type exports map[string]string
 
 // surfaces is the order diffExports walks.
 var surfaces = []string{"sink", "stats", "dead-letters", "metrics",
-	"trace", "trace-json", "trace-chrome", "trace-dead-letters", "log", "log-json", "log-text", "profile"}
+	"trace", "trace-json", "trace-dead-letters", "log", "log-json", "profile"}
 
 // exportsOf renders an execution whole: its sink records
-// (order-insensitively), per-node stats, dead letters, and every pillar
-// in every export format. Metrics render as counters only and profiles
+// (order-insensitively), per-node stats, dead letters, and every pillar's
+// export plus its whole snapshot as JSON (any byte another rendering could
+// show is a function of it). Metrics render as counters only and profiles
 // as call rows only: histogram buckets, queue high-water marks and wall
 // time are measurements.
 func exportsOf(t *testing.T, sink []Record, st *ExecStats, snap pillars.Snapshot) exports {
@@ -91,10 +93,10 @@ func exportsOf(t *testing.T, sink []Record, st *ExecStats, snap pillars.Snapshot
 		return string(b)
 	}
 	if s := snap.Traces; s != nil {
-		ex["trace"], ex["trace-json"], ex["trace-chrome"] = s.Text(), str(s.JSON()), str(s.Chrome())
+		ex["trace"], ex["trace-json"] = s.Text(), str(json.Marshal(s))
 	}
 	if s := snap.Logs; s != nil {
-		ex["log"], ex["log-json"], ex["log-text"] = s.Logfmt(), str(s.JSON()), s.Text()
+		ex["log"], ex["log-json"] = s.Logfmt(), str(json.Marshal(s))
 	}
 	if snap.Profile != nil {
 		for _, sd := range snap.Profile.Scopes {

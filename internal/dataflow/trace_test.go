@@ -19,6 +19,17 @@ func tracedInput(n int) []Record {
 	return recs
 }
 
+// tracesWhere returns a snapshot of the traces in s that keep accepts.
+func tracesWhere(s *trace.Snapshot, keep func(*trace.Trace) bool) *trace.Snapshot {
+	out := &trace.Snapshot{}
+	for _, tr := range s.Traces {
+		if keep(tr) {
+			out.Traces = append(out.Traces, tr)
+		}
+	}
+	return out
+}
+
 // faultyPlan: src -> shaky (errors on ids divisible by div) -> mark.
 func faultyPlan(div int) *Plan {
 	p := &Plan{}
@@ -54,20 +65,17 @@ func TestQuarantinedRecordPinnedLineage(t *testing.T) {
 		if qr.Trace == "" {
 			t.Fatalf("quarantined record %v has no trace ID", qr.Rec)
 		}
-		id, err := trace.ParseID(qr.Trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := s.Find(id)
-		if tr == nil {
+		found := tracesWhere(s, func(tr *trace.Trace) bool { return tr.ID.String() == qr.Trace }).Traces
+		if len(found) != 1 {
 			t.Fatalf("quarantined trace %s not retained", qr.Trace)
 		}
+		tr := found[0]
 		if !tr.Pinned || !tr.HasErrClass("quarantine") {
 			t.Fatalf("quarantined trace %s not pinned: %+v", qr.Trace, tr)
 		}
 		// The lineage names every hop: root -> src -> shaky, with the
 		// quarantine event on the failing hop.
-		text := s.Filter(trace.Filter{Key: tr.Key}).Text()
+		text := tracesWhere(s, func(t *trace.Trace) bool { return t.Key == tr.Key }).Text()
 		for _, hop := range []string{
 			"span dataflow.record",
 			"span dataflow.op.src",
@@ -107,7 +115,7 @@ func TestPanicPinsTrace(t *testing.T) {
 	if stats.PerNode[1].Panics != 1 {
 		t.Fatalf("want 1 panic, got %d", stats.PerNode[1].Panics)
 	}
-	pinned := rec.Snapshot().Filter(trace.Filter{ErrClass: "panic"})
+	pinned := tracesWhere(rec.Snapshot(), func(tr *trace.Trace) bool { return tr.HasErrClass("panic") })
 	if len(pinned.Traces) != 1 || !pinned.Traces[0].Pinned {
 		t.Fatalf("panic did not pin exactly one trace: %d", len(pinned.Traces))
 	}
@@ -141,12 +149,12 @@ func TestRetrySucceedsTraceShowsAttempts(t *testing.T) {
 	if stats.PerNode[1].Retries != 2 {
 		t.Fatalf("want 2 retries, got %d", stats.PerNode[1].Retries)
 	}
-	s := rec.Snapshot()
-	text := s.Filter(trace.Filter{Key: "doc-0005"}).Text()
+	doc5 := tracesWhere(rec.Snapshot(), func(tr *trace.Trace) bool { return tr.Key == "doc-0005" })
+	text := doc5.Text()
 	if !strings.Contains(text, "op.retry") {
 		t.Fatalf("retried record's trace lacks op.retry:\n%s", text)
 	}
-	if tr := s.Filter(trace.Filter{Key: "doc-0005"}).Traces[0]; len(tr.ErrClasses) != 0 {
+	if tr := doc5.Traces[0]; len(tr.ErrClasses) != 0 {
 		t.Fatalf("recovered record should have no error class: %v", tr.ErrClasses)
 	}
 }
@@ -163,7 +171,7 @@ func TestFanOutLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := rec.Snapshot().Filter(trace.Filter{Key: "doc-0000"}).Text()
+	text := tracesWhere(rec.Snapshot(), func(tr *trace.Trace) bool { return tr.Key == "doc-0000" }).Text()
 	for _, hop := range []string{"dataflow.op.src", "dataflow.op.left", "dataflow.op.right"} {
 		if !strings.Contains(text, hop) {
 			t.Fatalf("fan-out lineage missing %q:\n%s", hop, text)

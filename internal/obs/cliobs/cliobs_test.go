@@ -5,12 +5,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"webtextie/internal/obs/debugserv"
 )
 
 // TestNamesMatchRegister pins the parity contract: the flag set Register
@@ -99,23 +102,20 @@ func TestFlagParityAcrossCommands(t *testing.T) {
 // TestSetupGating tables which flags bring up which pillar.
 func TestSetupGating(t *testing.T) {
 	cases := []struct {
-		name       string
-		args       []string
-		wantTraces bool
-		wantLogs   bool
-		wantSeries bool
+		name                                       string
+		args                                       []string
+		wantTraces, wantLogs, wantSeries, wantProf bool
 	}{
-		{"none", nil, false, false, false},
-		{"trace", []string{"-trace"}, true, false, false},
-		{"trace-out", []string{"-trace-out", "x"}, true, false, false},
-		{"trace-chrome", []string{"-trace-chrome", "x"}, true, false, false},
-		{"log", []string{"-log"}, false, true, false},
-		{"log-out", []string{"-log-out", "x"}, false, true, false},
-		{"doctor", []string{"-doctor"}, false, true, false},
-		{"series", []string{"-series"}, false, false, true},
-		{"series-out", []string{"-series-out", "x"}, false, false, true},
-		{"debug-addr", []string{"-debug-addr", "127.0.0.1:0"}, true, true, true},
-		{"both", []string{"-trace", "-log"}, true, true, false},
+		{"none", nil, false, false, false, false},
+		{"trace", []string{"-trace"}, true, false, false, false},
+		{"trace-out", []string{"-trace-out", "x"}, true, false, false, false},
+		{"log", []string{"-log"}, false, true, false, false},
+		{"log-out", []string{"-log-out", "x"}, false, true, false, false},
+		{"doctor", []string{"-doctor"}, true, true, true, true},
+		{"series", []string{"-series"}, false, false, true, false},
+		{"series-out", []string{"-series-out", "x"}, false, false, true, false},
+		{"debug-addr", []string{"-debug-addr", "127.0.0.1:0"}, true, true, true, true},
+		{"both", []string{"-trace", "-log"}, true, true, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +134,69 @@ func TestSetupGating(t *testing.T) {
 			if got := s.Series != nil; got != tc.wantSeries {
 				t.Errorf("Series attached = %v, want %v", got, tc.wantSeries)
 			}
+			if got := s.Prof != nil; got != tc.wantProf {
+				t.Errorf("Prof attached = %v, want %v", got, tc.wantProf)
+			}
 		})
+	}
+}
+
+// TestExitExportsMatchEndpoints: on one snapshot, each export file a
+// flag writes at exit holds the bytes the debug server's matching
+// endpoint serves, and the -doctor report that ends the summary is the
+// /doctor body.
+func TestExitExportsMatchEndpoints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"/traces":     filepath.Join(dir, "run.trace"),
+		"/logs":       filepath.Join(dir, "run.logfmt"),
+		"/timeseries": filepath.Join(dir, "run.csv"),
+		"/profile":    filepath.Join(dir, "run.prof.json"),
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs)
+	if err := fs.Parse([]string{"-doctor", "-trace-out", files["/traces"], "-log-out", files["/logs"],
+		"-series-out", files["/timeseries"], "-prof-out", files["/profile"]}); err != nil {
+		t.Fatal(err)
+	}
+	s := f.Setup(7)
+	tc := s.Trace.Start("crawler.url", "http://h1/p0", 0)
+	tc.Error("retry_exhausted", 10)
+	tc.Finish(20)
+	s.Log.Logger("crawler.frontier").Warn("frontier.exhausted", 30)
+	for i := 0; i < 10; i++ {
+		s.Series.Observe("crawler.fetch.ok", int64(i)*1000, float64(i*10))
+	}
+	s.Prof.Scope("crawl.cycle").Enter().Exit()
+
+	summary, err := s.Finish(s.Snapshot(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := debugserv.Handler(debugserv.Options{Set: s.Set})
+	body := func(path string) string {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest("GET", path, nil))
+		if rw.Code != 200 {
+			t.Fatalf("%s: status %d", path, rw.Code)
+		}
+		return rw.Body.String()
+	}
+	for _, path := range []string{"/traces", "/logs", "/timeseries", "/profile"} {
+		data, err := os.ReadFile(files[path])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := body(path); got != string(data) {
+			t.Errorf("%s serves\n%s\nbut its export file holds\n%s", path, got, data)
+		}
+	}
+	doctor := body("/doctor")
+	if !strings.Contains(doctor, "frontier-exhausted") {
+		t.Fatalf("/doctor missed the log-pillar finding:\n%s", doctor)
+	}
+	if !strings.HasSuffix(summary, "\n"+doctor) {
+		t.Errorf("-doctor report differs from /doctor:\n%s\nvs\n%s", summary, doctor)
 	}
 }
 

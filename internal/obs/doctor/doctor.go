@@ -15,7 +15,6 @@
 package doctor
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -46,34 +45,6 @@ func (s Severity) String() string {
 		return fmt.Sprintf("severity(%d)", int8(s))
 	}
 	return severityNames[s]
-}
-
-// ParseSeverity maps a lower-case severity name back to its Severity.
-func ParseSeverity(v string) (Severity, bool) {
-	for i, n := range severityNames {
-		if n == v {
-			return Severity(i), true
-		}
-	}
-	return Note, false
-}
-
-// MarshalJSON renders the severity as its quoted name.
-func (s Severity) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + s.String() + `"`), nil
-}
-
-// UnmarshalJSON parses a quoted severity name.
-func (s *Severity) UnmarshalJSON(data []byte) error {
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return fmt.Errorf("doctor: bad severity %s", data)
-	}
-	v, ok := ParseSeverity(string(data[1 : len(data)-1]))
-	if !ok {
-		return fmt.Errorf("doctor: unknown severity %s", data)
-	}
-	*s = v
-	return nil
 }
 
 // Input is everything a rule may consult. Any pillar may be absent
@@ -133,18 +104,18 @@ func (in Input) profScope(name string) *prof.ScopeData {
 // Evidence lists the cross-pillar observations the rule fused, one per
 // line, already deterministic.
 type Finding struct {
-	Rule     string   `json:"rule"`
-	Severity Severity `json:"severity"`
-	Score    float64  `json:"score"`
-	Summary  string   `json:"summary"`
-	Evidence []string `json:"evidence,omitempty"`
+	Rule     string
+	Severity Severity
+	Score    float64
+	Summary  string
+	Evidence []string
 }
 
 // Report is a ranked diagnosis: findings sorted by (severity desc,
 // score desc, rule asc, summary asc).
 type Report struct {
-	Healthy  bool      `json:"healthy"`
-	Findings []Finding `json:"findings"`
+	Healthy  bool
+	Findings []Finding
 }
 
 // Diagnose runs every rule over the input and ranks the findings.
@@ -154,7 +125,7 @@ func Diagnose(in Input) *Report {
 		r.Findings = append(r.Findings, rule(in)...)
 	}
 	// Scores grade magnitude, not precision: quantize to 3 decimals so
-	// text and JSON renderings stay readable and stable.
+	// the report stays readable and stable.
 	for i := range r.Findings {
 		r.Findings[i].Score = math.Round(r.Findings[i].Score*1000) / 1000
 	}
@@ -173,23 +144,6 @@ func Diagnose(in Input) *Report {
 	})
 	r.Healthy = len(r.Findings) == 0
 	return r
-}
-
-// Filter returns a report holding only findings at or above minSev whose
-// rule name contains the substring (empty = any).
-func (r *Report) Filter(minSev Severity, rule string) *Report {
-	out := &Report{Findings: []Finding{}}
-	for _, f := range r.Findings {
-		if f.Severity < minSev {
-			continue
-		}
-		if rule != "" && !strings.Contains(f.Rule, rule) {
-			continue
-		}
-		out.Findings = append(out.Findings, f)
-	}
-	out.Healthy = len(out.Findings) == 0
-	return out
 }
 
 // Text renders the report deterministically:
@@ -217,11 +171,6 @@ func (r *Report) Text() string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the report as deterministic indented JSON.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // pct renders a ratio as an integer percentage string — coarse on

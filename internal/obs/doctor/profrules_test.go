@@ -1,7 +1,7 @@
 package doctor
 
 import (
-	"bytes"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -163,9 +163,7 @@ func TestProfRulesDeterministic(t *testing.T) {
 	if a.Text() != b.Text() {
 		t.Errorf("diagnosis text not deterministic:\n%s\nvs\n%s", a.Text(), b.Text())
 	}
-	aj, _ := a.JSON()
-	bj, _ := b.JSON()
-	if !bytes.Equal(aj, bj) {
-		t.Errorf("diagnosis JSON not deterministic")
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("diagnosis not deterministic:\n%+v\nvs\n%+v", a, b)
 	}
 }

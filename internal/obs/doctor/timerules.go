@@ -68,7 +68,7 @@ func harvestDecay(in Input) []Finding {
 		Evidence: []string{
 			fmt.Sprintf("early half: %d relevant of %d classified; late half: %d of %d",
 				int64(earlyRel), int64(earlyN), int64(lateRel), int64(lateN)),
-			fmt.Sprintf("series crawler.classify.{relevant,irrelevant}: %d samples over %dms of virtual time (see /timeseries?name=crawler.classify)",
+			fmt.Sprintf("series crawler.classify.{relevant,irrelevant}: %d samples over %dms of virtual time (see /timeseries)",
 				n, rel[n-1].AtMs-rel[0].AtMs),
 		},
 	}}
@@ -100,7 +100,7 @@ func breakerOscillation(in Input) []Finding {
 		Summary: fmt.Sprintf("circuit breakers opened across %d distinct sampling windows (%d openings): hosts are flapping, not failing once",
 			windows, total),
 		Evidence: []string{
-			fmt.Sprintf("series crawler.breaker.opened: %d samples, %d windows with fresh openings (see /timeseries?name=crawler.breaker)",
+			fmt.Sprintf("series crawler.breaker.opened: %d samples, %d windows with fresh openings (see /timeseries)",
 				len(pts), windows),
 		},
 	}}
@@ -180,7 +180,7 @@ func throughputCliff(in Input) []Finding {
 		Summary: fmt.Sprintf("fetch throughput fell from %s pages/s (quarter %d) to %s in the final quarter",
 			fmtRate(peak), peakIdx+1, fmtRate(rates[3])),
 		Evidence: []string{
-			fmt.Sprintf("series crawler.fetch.ok quarter rates: %s %s %s %s pages/s (see /timeseries?name=crawler.fetch)",
+			fmt.Sprintf("series crawler.fetch.ok quarter rates: %s %s %s %s pages/s (see /timeseries)",
 				fmtRate(rates[0]), fmtRate(rates[1]), fmtRate(rates[2]), fmtRate(rates[3])),
 		},
 	}}

@@ -1,7 +1,6 @@
 package evlog
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -11,6 +10,16 @@ import (
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/trace"
 )
+
+// snapJSON marshals a snapshot whole: every field a rendering could show.
+func snapJSON(t testing.TB, s *Snapshot) string {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 func TestLevelRoundTrip(t *testing.T) {
 	for _, lv := range []Level{Debug, Info, Warn, Error} {
@@ -74,16 +83,11 @@ func TestEmitRetainAndExport(t *testing.T) {
 	if !strings.Contains(logfmt, wantLine+"\n") {
 		t.Errorf("logfmt missing %q:\n%s", wantLine, logfmt)
 	}
-	text := snap.Text()
-	for _, want := range []string{
-		"@10ms info  crawler.fetch fetch.ok bytes=512",
-		"total info crawler.fetch 1",
-		"total warn crawler.fetch 1",
-		"stats emitted=3",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("text missing %q:\n%s", want, text)
-		}
+	if !strings.Contains(logfmt, "at_ms=10 level=info component=crawler.fetch msg=fetch.ok bytes=512\n") {
+		t.Errorf("logfmt missing the info record:\n%s", logfmt)
+	}
+	if snap.Totals["info crawler.fetch"] != 1 || snap.Totals["warn crawler.fetch"] != 1 || snap.Stats.Emitted != 3 {
+		t.Errorf("totals %v, stats %+v", snap.Totals, snap.Stats)
 	}
 	if got := snap.ComponentTotal(Info, "crawler.fetch"); got != 1 {
 		t.Errorf("ComponentTotal = %d, want 1", got)
@@ -198,20 +202,9 @@ func TestRetentionPureFunction(t *testing.T) {
 		fwd[i] = i
 		perm[i] = (i*193 + 71) % n // 193 is coprime with 400
 	}
-	a, err := emit(fwd).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := emit(perm).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	snap := emit(fwd)
+	if a, b := snapJSON(t, snap), snapJSON(t, emit(perm)); a != b {
 		t.Errorf("retention depends on arrival order:\n%s\n----\n%s", a, b)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(a, &snap); err != nil {
-		t.Fatal(err)
 	}
 	if len(snap.Records) != 4+16+8 {
 		t.Errorf("retained %d records, want pinned 4 + tail 16 + reservoir 8", len(snap.Records))
@@ -246,9 +239,8 @@ func TestConcurrentEmissionDeterministic(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	a, _ := serial.Snapshot().JSON()
-	b, _ := conc.Snapshot().JSON()
-	if !bytes.Equal(a, b) {
+	a, b := snapJSON(t, serial.Snapshot()), snapJSON(t, conc.Snapshot())
+	if a != b {
 		t.Error("concurrent emission changed the export")
 	}
 	if lf := conc.Snapshot().Logfmt(); lf != serial.Snapshot().Logfmt() {
@@ -301,9 +293,8 @@ func TestSnapshotLoadResumeIdentity(t *testing.T) {
 	resumed.Load(&mid)
 	feed(resumed, 40, 100)
 
-	a, _ := full.Snapshot().JSON()
-	b, _ := resumed.Snapshot().JSON()
-	if !bytes.Equal(a, b) {
+	a, b := snapJSON(t, full.Snapshot()), snapJSON(t, resumed.Snapshot())
+	if a != b {
 		t.Errorf("resumed export differs from uninterrupted:\n%s\n----\n%s", a, b)
 	}
 }
@@ -335,14 +326,8 @@ func TestFilter(t *testing.T) {
 	if got := snap.Filter(Filter{MinLevel: Warn}); len(got.Records) != 2 {
 		t.Errorf("level filter kept %d", len(got.Records))
 	}
-	if got := snap.Filter(Filter{Msg: "panic"}); len(got.Records) != 1 {
-		t.Errorf("msg filter kept %d", len(got.Records))
-	}
-	if got := snap.Filter(Filter{Trace: 5}); len(got.Records) != 1 || got.Records[0].Msg != "fetch.error" {
-		t.Errorf("trace filter kept %v", got.Records)
-	}
-	if got := snap.Filter(Filter{Limit: 3}); len(got.Records) != 3 {
-		t.Errorf("limit filter kept %d", len(got.Records))
+	if got := snap.Filter(Filter{Component: "dataflow", MinLevel: Warn}); len(got.Records) != 1 || got.Records[0].Msg != "op.panic" {
+		t.Errorf("component+level filter kept %v", got.Records)
 	}
 	if got := snap.Filter(Filter{}); len(got.Records) != 4 {
 		t.Errorf("zero filter kept %d", len(got.Records))

@@ -1,8 +1,6 @@
 package evlog
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,8 +8,8 @@ import (
 	"webtextie/internal/obs/trace"
 )
 
-// Exporters render a Snapshot — never the live sink — so every format
-// sees one consistent, canonically ordered view. The canonical logfmt
+// Exporters render a Snapshot — never the live sink — so the export sees
+// one consistent, canonically ordered view. The canonical logfmt
 // line is load-bearing: it is the record identity that retention
 // priorities hash and the export order sorts on, so identical record
 // multisets always render identical bytes.
@@ -80,35 +78,13 @@ func canonical(es []entry) []Record {
 	return out
 }
 
-// Filter selects a subset of a snapshot's records. Zero value keeps all.
+// Filter selects a subset of a snapshot's records — the two /logs query
+// parameters the doctor's evidence lines cite. Zero value keeps all.
 type Filter struct {
 	// Component keeps records whose component contains the substring.
 	Component string
 	// MinLevel keeps records at or above the level.
 	MinLevel Level
-	// Msg keeps records whose message contains the substring.
-	Msg string
-	// Trace keeps records stamped with the trace ID (0 = any).
-	Trace uint64
-	// Limit caps the number of records (0 = unlimited), applied after
-	// the other predicates, keeping the first matches in canonical order.
-	Limit int
-}
-
-func (f Filter) match(r Record) bool {
-	if r.Level < f.MinLevel {
-		return false
-	}
-	if f.Component != "" && !strings.Contains(r.Component, f.Component) {
-		return false
-	}
-	if f.Msg != "" && !strings.Contains(r.Msg, f.Msg) {
-		return false
-	}
-	if f.Trace != 0 && uint64(r.Trace) != f.Trace {
-		return false
-	}
-	return true
 }
 
 // Filter returns a shallow-copied snapshot holding only matching
@@ -117,19 +93,16 @@ func (f Filter) match(r Record) bool {
 func (s *Snapshot) Filter(f Filter) *Snapshot {
 	out := &Snapshot{Stats: s.Stats, Totals: s.Totals, Buckets: s.Buckets, Records: []Record{}}
 	for _, r := range s.Records {
-		if !f.match(r) {
-			continue
-		}
-		out.Records = append(out.Records, r)
-		if f.Limit > 0 && len(out.Records) >= f.Limit {
-			break
+		if r.Level >= f.MinLevel && strings.Contains(r.Component, f.Component) {
+			out.Records = append(out.Records, r)
 		}
 	}
 	return out
 }
 
-// Logfmt renders one canonical line per record — the golden-testable
-// machine form, and byte-for-byte the identity retention hashed.
+// Logfmt renders one canonical line per record — the one rendering (the
+// -log-out file and the /logs body), and byte-for-byte the identity
+// retention hashed.
 func (s *Snapshot) Logfmt() string {
 	var b strings.Builder
 	for _, r := range s.Records {
@@ -137,46 +110,6 @@ func (s *Snapshot) Logfmt() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Text renders the human form: aligned records, then per-(level,
-// component) totals sorted by key, then the loss counters.
-//
-//	@2900ms  warn  crawler.fetch fetch.error cause="host down" trace=00ab...
-//	total warn crawler.fetch 12
-//	stats emitted=99 dropped_sampled=3 dropped_rated=0 dropped_retention=0 pin_dropped=0
-func (s *Snapshot) Text() string {
-	var b strings.Builder
-	for _, r := range s.Records {
-		fmt.Fprintf(&b, "@%dms %-5s %s %s", r.AtMs, r.Level, r.Component, r.Msg)
-		for _, a := range r.Attrs {
-			fmt.Fprintf(&b, " %s=%s", a.Key, logfmtValue(a.Value))
-		}
-		if r.Trace != 0 {
-			fmt.Fprintf(&b, " trace=%s", r.Trace)
-		}
-		b.WriteByte('\n')
-	}
-	keys := make([]string, 0, len(s.Totals))
-	for k := range s.Totals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "total %s %d\n", k, s.Totals[k])
-	}
-	if s.Stats != (Stats{}) {
-		fmt.Fprintf(&b, "stats emitted=%d dropped_sampled=%d dropped_rated=%d dropped_retention=%d pin_dropped=%d\n",
-			s.Stats.Emitted, s.Stats.DroppedSampled, s.Stats.DroppedRated,
-			s.Stats.DroppedRetention, s.Stats.PinDropped)
-	}
-	return b.String()
-}
-
-// JSON renders the snapshot as deterministic indented JSON (map keys
-// sort under encoding/json).
-func (s *Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // LevelCounts tallies emitted records per level from the totals (the

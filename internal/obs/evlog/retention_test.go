@@ -1,7 +1,6 @@
 package evlog
 
 import (
-	"bytes"
 	"encoding/json"
 	"sort"
 	"testing"
@@ -249,12 +248,7 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
 	if g, w := got.Logfmt(), want.Logfmt(); g != w {
 		t.Errorf("logfmt differs from the reference:\n%s----\n%s", g, w)
 	}
-	if g, w := got.Text(), want.Text(); g != w {
-		t.Errorf("text differs from the reference:\n%s----\n%s", g, w)
-	}
-	g, _ := got.JSON()
-	w, _ := want.JSON()
-	if !bytes.Equal(g, w) {
+	if g, w := snapJSON(t, got), snapJSON(t, want); g != w {
 		t.Errorf("JSON differs from the reference:\n%s\n----\n%s", g, w)
 	}
 }

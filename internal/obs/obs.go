@@ -1,7 +1,7 @@
 // Package obs is the repo's dependency-free observability substrate:
 // atomic counters, gauges, fixed-bucket histograms, and lightweight spans
 // collected in a named registry with snapshot/diff/merge and deterministic
-// text/JSON rendering.
+// text rendering.
 //
 // The paper's war stories are measurement stories — the 20-minute
 // dictionary loads (§4.2), the DoP capped by 6-20 GB workers (§4.2), the
@@ -21,8 +21,9 @@
 //
 // All metric types are safe for concurrent use. A Snapshot is a plain
 // value: Diff subtracts a baseline (per-interval rates), Merge folds
-// shard registries together, Text/JSON render deterministically (sorted
-// names) for golden tests and end-of-run dumps.
+// shard registries together, and Text renders it deterministically
+// (sorted names) for golden tests, end-of-run dumps and the debug
+// server's /metrics.
 package obs
 
 import (

@@ -66,6 +66,10 @@ func TestTopKOrderAndLimit(t *testing.T) {
 	if got := s.totalNs(); got != 10_000_000 {
 		t.Fatalf("totalNs = %d, want 10ms (cycle + checkpoint; the stages are inside cycle)", got)
 	}
+	// Without their parent, sibling stages are each outermost.
+	if got := (&Snapshot{Scopes: s.Scopes[3:5]}).totalNs(); got != 6_750_000 {
+		t.Errorf("totalNs over fetch+filter = %d, want 6.75ms", got)
+	}
 	lines := strings.Split(strings.TrimRight(s.Text(0), "\n"), "\n")
 	var names []string
 	for _, l := range lines {
@@ -140,7 +144,7 @@ func TestNilSafety(t *testing.T) {
 	if got := none.Text(5); !strings.Contains(got, "TOTAL") {
 		t.Errorf("nil snapshot Text = %q, want header+TOTAL", got)
 	}
-	if none.Get("x") != nil || none.Narrow("x") != nil || none.totalNs() != 0 {
+	if none.Get("x") != nil || none.totalNs() != 0 {
 		t.Error("nil snapshot accessors are not empty")
 	}
 }
@@ -159,23 +163,5 @@ func TestHotPathAllocationFree(t *testing.T) {
 func TestScopeName(t *testing.T) {
 	if got := ScopeName("dataflow", "op", "pos_tag"); got != "dataflow.op.pos_tag" {
 		t.Errorf("ScopeName = %q", got)
-	}
-}
-
-func TestNarrow(t *testing.T) {
-	s := sampleSnapshot()
-	n := s.Narrow("cycle")
-	if len(n.Scopes) != 5 {
-		t.Errorf("Narrow(cycle) kept %d scopes, want 5", len(n.Scopes))
-	}
-	if s.Narrow("") != s {
-		t.Error("Narrow(\"\") should return the receiver")
-	}
-	if got := n.Get("crawl.checkpoint"); got != nil {
-		t.Errorf("narrowed snapshot still has crawl.checkpoint: %+v", got)
-	}
-	// Shares follow the view: with only the stages left, each is outermost.
-	if got := s.Narrow("cycle.f").totalNs(); got != 6_750_000 {
-		t.Errorf("totalNs over fetch+filter = %d, want 6.75ms", got)
 	}
 }

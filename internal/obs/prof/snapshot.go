@@ -8,7 +8,8 @@ import (
 
 // Snapshot is a frozen Profiler: every scope sorted by name. It is the
 // unit that rides checkpoints, merges into fleet results, renders the
-// end-of-run table, and — marshalled as is — the JSON export.
+// end-of-run table, and — marshalled as is — the JSON export (the
+// -prof-out file and the /profile body).
 type Snapshot struct {
 	Scopes []*ScopeData `json:"scopes,omitempty"`
 }
@@ -97,22 +98,6 @@ func (s *Snapshot) Get(name string) *ScopeData {
 		return s.Scopes[i]
 	}
 	return nil
-}
-
-// Narrow returns a snapshot view holding only the scopes whose names
-// contain substr (the snapshot itself for the empty string). Scope data
-// is shared with the receiver, not copied.
-func (s *Snapshot) Narrow(substr string) *Snapshot {
-	if s == nil || substr == "" {
-		return s
-	}
-	out := &Snapshot{}
-	for _, sd := range s.Scopes {
-		if strings.Contains(sd.Name, substr) {
-			out.Scopes = append(out.Scopes, sd)
-		}
-	}
-	return out
 }
 
 // totalNs is the wall time the snapshot attributes: the sum over

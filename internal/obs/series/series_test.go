@@ -127,8 +127,8 @@ func TestSnapshotLoadRoundTripContinuesStream(t *testing.T) {
 		if got, want := resumed.Snapshot().CSV(), full.Snapshot().CSV(); got != want {
 			t.Fatalf("%s: resumed CSV diverges from uninterrupted:\nresumed:\n%s\nfull:\n%s", name, got, want)
 		}
-		gj, _ := resumed.Snapshot().JSON()
-		wj, _ := full.Snapshot().JSON()
+		gj, _ := json.Marshal(resumed.Snapshot())
+		wj, _ := json.Marshal(full.Snapshot())
 		if string(gj) != string(wj) {
 			t.Fatalf("%s: resumed JSON diverges from uninterrupted:\nresumed:\n%s\nfull:\n%s", name, gj, wj)
 		}
@@ -145,7 +145,7 @@ func TestTwoRunByteIdentity(t *testing.T) {
 			})
 		}
 		s := r.Snapshot()
-		j, err := s.JSON()
+		j, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,20 +212,18 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestGetAndFilter(t *testing.T) {
+func TestGet(t *testing.T) {
 	r := New(DefaultConfig())
 	feed(r, "crawler.fetch.ok", 2)
 	feed(r, "crawler.fetch.err", 2)
 	feed(r, "fleet.rounds", 2)
 	s := r.Snapshot()
-	if s.Get("crawler.fetch.ok") == nil || s.Get("nope") != nil {
+	if s.Get("crawler.fetch.ok") == nil || s.Get("fleet.rounds") == nil || s.Get("nope") != nil {
 		t.Fatal("Get lookup broken")
 	}
-	if got := len(s.Filter("fetch")); got != 2 {
-		t.Fatalf("Filter(fetch) = %d series, want 2", got)
-	}
-	if got := len(s.Filter("")); got != 3 {
-		t.Fatalf("Filter(\"\") = %d series, want all 3", got)
+	var none *Snapshot
+	if none.Get("crawler.fetch.ok") != nil {
+		t.Fatal("nil snapshot Get found a series")
 	}
 }
 

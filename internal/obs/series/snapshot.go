@@ -1,7 +1,6 @@
 package series
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -34,31 +33,6 @@ func (s *Snapshot) Get(name string) *SeriesData {
 		return s.Series[i]
 	}
 	return nil
-}
-
-// Filter returns the series whose names contain substr (all of them for
-// the empty string), preserving name order.
-func (s *Snapshot) Filter(substr string) []*SeriesData {
-	if s == nil {
-		return nil
-	}
-	out := make([]*SeriesData, 0, len(s.Series))
-	for _, sd := range s.Series {
-		if strings.Contains(sd.Name, substr) {
-			out = append(out, sd)
-		}
-	}
-	return out
-}
-
-// Narrow returns a snapshot view holding only the series whose names
-// contain substr (the snapshot itself for the empty string). Series data
-// is shared with the receiver, not copied.
-func (s *Snapshot) Narrow(substr string) *Snapshot {
-	if s == nil || substr == "" {
-		return s
-	}
-	return &Snapshot{Config: s.Config, Series: s.Filter(substr)}
 }
 
 // Windowed queries. The package-level forms work over any point window
@@ -131,8 +105,9 @@ func (sd *SeriesData) Last() (Point, bool) {
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// CSV renders the snapshot as a deterministic table, one row per
-// retained point, sorted by series name then time:
+// CSV renders the snapshot — the -series-out file and the /timeseries
+// body — as a deterministic table, one row per retained point, sorted by
+// series name then time:
 //
 //	series,at_ms,value
 func (s *Snapshot) CSV() string {
@@ -149,23 +124,12 @@ func (s *Snapshot) CSV() string {
 	return b.String()
 }
 
-// JSON renders the snapshot as deterministic indented JSON.
-func (s *Snapshot) JSON() ([]byte, error) {
-	if s == nil {
-		return []byte("null"), nil
-	}
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // Text renders a one-line summary per series — retained/total sample
 // counts, last value, window delta/rate/slope, and a sparkline of the
-// retained window:
+// retained window up to 32 glyphs wide:
 //
 //	crawler.fetch.ok n=12 total=12 last=118 delta=108 rate=3.2/s slope=0.4/s ▁▂▃▅▆█
-func (s *Snapshot) Text() string { return s.TextWidth(32) }
-
-// TextWidth renders Text with sparklines up to width glyphs wide.
-func (s *Snapshot) TextWidth(width int) string {
+func (s *Snapshot) Text() string {
 	if s == nil {
 		return ""
 	}
@@ -175,7 +139,7 @@ func (s *Snapshot) TextWidth(width int) string {
 		fmt.Fprintf(&b, "%s n=%d total=%d last=%s delta=%s rate=%s/s slope=%s/s %s\n",
 			sd.Name, len(sd.Points), sd.Total, fmtFloat(last.V),
 			fmtFloat(sd.Delta()), fmtFloat(sd.Rate()), fmtFloat(sd.Slope()),
-			Sparkline(sd.Points, width))
+			Sparkline(sd.Points, 32))
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -248,10 +247,4 @@ func (s Snapshot) Text() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// JSON renders the snapshot as deterministic indented JSON (object keys
-// sort lexically under encoding/json).
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

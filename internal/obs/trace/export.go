@@ -1,102 +1,14 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 )
 
-// Exporters render a Snapshot — never the live recorder — so every format
-// sees one consistent, canonically ordered view. Text and JSON are the
-// golden-testable forms; Chrome is the trace_event JSON Perfetto and
-// chrome://tracing load (virtual-clock milliseconds mapped onto the
-// microsecond ts axis).
-
-// Filter selects a subset of a snapshot's traces. Zero value keeps all.
-type Filter struct {
-	// Key keeps traces whose key (URL, record key) contains the substring.
-	Key string
-	// Op keeps traces with a span or event name containing the substring.
-	Op string
-	// ErrClass keeps traces that recorded the error class.
-	ErrClass string
-	// PinnedOnly keeps flight-recorder traces.
-	PinnedOnly bool
-	// Limit caps the number of traces (0 = unlimited), applied after the
-	// other predicates, keeping the first matches in StartIndex order.
-	Limit int
-}
-
-func (f Filter) match(t *Trace) bool {
-	if f.Key != "" && !strings.Contains(t.Key, f.Key) {
-		return false
-	}
-	if f.ErrClass != "" && !t.HasErrClass(f.ErrClass) {
-		return false
-	}
-	if f.PinnedOnly && !t.Pinned {
-		return false
-	}
-	if f.Op != "" {
-		found := false
-		for _, sp := range t.Spans {
-			if strings.Contains(sp.Name, f.Op) {
-				found = true
-				break
-			}
-			for _, ev := range sp.Events {
-				if strings.Contains(ev.Name, f.Op) {
-					found = true
-					break
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// Filter returns a shallow-copied snapshot holding only matching traces.
-func (s *Snapshot) Filter(f Filter) *Snapshot {
-	out := &Snapshot{StartSeq: s.StartSeq, Stats: s.Stats, Marks: s.Marks}
-	for _, t := range s.Traces {
-		if !f.match(t) {
-			continue
-		}
-		out.Traces = append(out.Traces, t)
-		if f.Limit > 0 && len(out.Traces) >= f.Limit {
-			break
-		}
-	}
-	return out
-}
-
-// Find returns the snapshot's trace with the given ID, or nil.
-func (s *Snapshot) Find(id TraceID) *Trace {
-	for _, t := range s.Traces {
-		if t.ID == id {
-			return t
-		}
-	}
-	return nil
-}
-
-// Pinned returns the flight-recorder traces.
-func (s *Snapshot) Pinned() []*Trace {
-	var out []*Trace
-	for _, t := range s.Traces {
-		if t.Pinned {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// Exporters render a Snapshot — never the live recorder — so the export
+// sees one consistent, canonically ordered view. Text is the one
+// rendering: the -trace-out file and the debug server's /traces body.
 
 func fmtAttrs(b *strings.Builder, attrs []Attr) {
 	for _, a := range attrs {
@@ -158,112 +70,6 @@ func writeSpanTree(b *strings.Builder, t *Trace, parent SpanID, indent string) {
 		}
 		writeSpanTree(b, t, sp.ID, indent+"  ")
 	}
-}
-
-// JSON renders the snapshot as deterministic indented JSON.
-func (s *Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// chromeEvent is one entry of the trace_event format ("X" complete spans,
-// "i" instants, "M" metadata). See the Chromium Trace Event Format spec.
-type chromeEvent struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat,omitempty"`
-	Phase string            `json:"ph"`
-	TsUs  int64             `json:"ts"`
-	DurUs int64             `json:"dur,omitempty"`
-	Pid   int64             `json:"pid"`
-	Tid   int64             `json:"tid"`
-	Scope string            `json:"s,omitempty"`
-	Args  map[string]string `json:"args,omitempty"`
-}
-
-func attrArgs(attrs []Attr) map[string]string {
-	if len(attrs) == 0 {
-		return nil
-	}
-	args := make(map[string]string, len(attrs))
-	for _, a := range attrs {
-		args[a.Key] = a.Value
-	}
-	return args
-}
-
-// Chrome renders the snapshot as Chrome trace_event JSON, loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing. Each trace maps to one
-// thread row (tid = StartIndex+1); spans become complete ("X") events and
-// span events become instants ("i") on the virtual-clock timeline.
-func (s *Snapshot) Chrome() ([]byte, error) {
-	type doc struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}
-	out := doc{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	for _, t := range s.Traces {
-		tid := int64(t.StartIndex) + 1
-		name := t.Key
-		if t.Pinned {
-			name = "[pinned] " + name
-		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Phase: "M", Pid: 1, Tid: tid,
-			Args: map[string]string{"name": name},
-		})
-		for _, sp := range t.Spans {
-			dur := (sp.EndMs - sp.StartMs) * 1000
-			if dur <= 0 {
-				dur = 1 // zero-width spans are invisible in Perfetto
-			}
-			args := attrArgs(sp.Attrs)
-			if args == nil {
-				args = map[string]string{}
-			}
-			args["trace_id"] = t.ID.String()
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: sp.Name, Cat: "span", Phase: "X",
-				TsUs: sp.StartMs * 1000, DurUs: dur, Pid: 1, Tid: tid, Args: args,
-			})
-			for _, ev := range sp.Events {
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: ev.Name, Cat: "event", Phase: "i", Scope: "t",
-					TsUs: ev.AtMs * 1000, Pid: 1, Tid: tid, Args: attrArgs(ev.Attrs),
-				})
-			}
-		}
-	}
-	for _, m := range s.Marks {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: m.Name, Cat: "mark", Phase: "i", Scope: "g",
-			TsUs: m.AtMs * 1000, Pid: 1, Tid: 0, Args: attrArgs(m.Attrs),
-		})
-	}
-	return json.MarshalIndent(out, "", " ")
-}
-
-// Summary returns one line per trace (for /traces listings): ID, key,
-// span/event counts, error classes, pinned/active markers.
-func (s *Snapshot) Summary() string {
-	var b strings.Builder
-	for _, t := range s.Traces {
-		events := 0
-		for _, sp := range t.Spans {
-			events += len(sp.Events)
-		}
-		fmt.Fprintf(&b, "%s %-40s spans=%d events=%d [%d-%dms]",
-			t.ID, t.Key, len(t.Spans), events, t.StartMs, t.EndMs)
-		if len(t.ErrClasses) > 0 {
-			fmt.Fprintf(&b, " err=%s", strings.Join(t.ErrClasses, ","))
-		}
-		if t.Pinned {
-			b.WriteString(" pinned")
-		}
-		if !t.Done {
-			b.WriteString(" active")
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // ErrClassCounts tallies traces per error class (the /traces index view).

@@ -30,7 +30,7 @@ import (
 // TraceID identifies one document's trace.
 type TraceID uint64
 
-// String renders the ID as fixed-width hex (the /traces?id= form).
+// String renders the ID as fixed-width hex.
 func (t TraceID) String() string { return fixedHex(uint64(t)) }
 
 // SpanID identifies one span within a trace. Zero means "none" (the
@@ -48,12 +48,6 @@ func fixedHex(v uint64) string {
 		v >>= 4
 	}
 	return string(b[:])
-}
-
-// ParseID parses the fixed-width hex form of a trace ID.
-func ParseID(s string) (TraceID, error) {
-	v, err := strconv.ParseUint(s, 16, 64)
-	return TraceID(v), err
 }
 
 // Attr is one key/value annotation on a span or event. Keys are

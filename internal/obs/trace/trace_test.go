@@ -1,12 +1,32 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 )
+
+// snapJSON marshals a snapshot whole: every field a rendering could show.
+func snapJSON(t testing.TB, s *Snapshot) string {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// pinnedOf returns the snapshot's flight-recorder traces.
+func pinnedOf(s *Snapshot) []*Trace {
+	var out []*Trace
+	for _, t := range s.Traces {
+		if t.Pinned {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 func TestIDsDeterministicPerSeed(t *testing.T) {
 	mint := func(seed uint64) []TraceID {
@@ -88,9 +108,7 @@ func TestFinishedTraceIsImmutable(t *testing.T) {
 		t.Fatal("StartSpan on a finished trace returned an active context")
 	}
 	after := r.Snapshot()
-	bj, _ := before.JSON()
-	aj, _ := after.JSON()
-	if !bytes.Equal(bj, aj) {
+	if bj, aj := snapJSON(t, before), snapJSON(t, after); bj != aj {
 		t.Fatalf("finished trace mutated:\nbefore:\n%s\nafter:\n%s", bj, aj)
 	}
 }
@@ -135,11 +153,11 @@ func TestFlightRecorderPinsSurviveEviction(t *testing.T) {
 	}
 	s := r.Snapshot()
 	for _, id := range pinned {
-		tr := s.Find(id)
-		if tr == nil {
+		i := slices.IndexFunc(s.Traces, func(tr *Trace) bool { return tr.ID == id })
+		if i < 0 {
 			t.Fatalf("pinned trace %s evicted", id)
 		}
-		if !tr.Pinned || !tr.HasErrClass("quarantine") {
+		if tr := s.Traces[i]; !tr.Pinned || !tr.HasErrClass("quarantine") {
 			t.Fatalf("pinned trace lost metadata: %+v", tr)
 		}
 	}
@@ -161,8 +179,8 @@ func TestFlightRecorderPinsSurviveEviction(t *testing.T) {
 	if s.Stats.Dropped == 0 {
 		t.Fatal("expected eviction drops with 200 traces and tiny bounds")
 	}
-	if got := len(s.Pinned()); got != len(pinned) {
-		t.Fatalf("Pinned() = %d, want %d", got, len(pinned))
+	if got := len(pinnedOf(s)); got != len(pinned) {
+		t.Fatalf("pinned traces = %d, want %d", got, len(pinned))
 	}
 }
 
@@ -174,7 +192,7 @@ func TestPinLimitFallsBackToNormalRetention(t *testing.T) {
 		tc.Finish(int64(i))
 	}
 	s := r.Snapshot()
-	if got := len(s.Pinned()); got != 2 {
+	if got := len(pinnedOf(s)); got != 2 {
 		t.Fatalf("PinLimit=2 but %d pinned", got)
 	}
 	if s.Stats.PinDropped != 3 {
@@ -301,47 +319,7 @@ func TestTextExportGolden(t *testing.T) {
 	}
 }
 
-func TestChromeExportWellFormed(t *testing.T) {
-	r := NewRecorder(Config{Seed: 3})
-	tc := r.Start("crawler.url", "http://h2/p0", 100)
-	sub := tc.StartSpan("crawler.fetch.attempt", 150)
-	sub.Event("fetch.ok", 180)
-	sub.End(200)
-	tc.Finish(220)
-	r.Mark("checkpoint", 250)
-
-	blob, err := r.Snapshot().Chrome()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatalf("chrome export is not valid JSON: %v", err)
-	}
-	var phases []string
-	for _, ev := range doc.TraceEvents {
-		phases = append(phases, ev["ph"].(string))
-	}
-	joined := strings.Join(phases, "")
-	if !strings.Contains(joined, "M") || !strings.Contains(joined, "X") || !strings.Contains(joined, "i") {
-		t.Fatalf("chrome export missing phases, got %v", phases)
-	}
-	// Span ts must be virtual ms * 1000.
-	for _, ev := range doc.TraceEvents {
-		if ev["name"] == "crawler.fetch.attempt" {
-			if ts := ev["ts"].(float64); ts != 150*1000 {
-				t.Fatalf("span ts = %v, want 150000", ts)
-			}
-			if dur := ev["dur"].(float64); dur != 50*1000 {
-				t.Fatalf("span dur = %v, want 50000", dur)
-			}
-		}
-	}
-}
-
-func TestFilter(t *testing.T) {
+func TestErrClassCounts(t *testing.T) {
 	r := NewRecorder(Config{Seed: 5})
 	a := r.Start("crawler.url", "http://alpha/x", 0)
 	a.StartSpan("crawler.fetch.attempt", 10).End(20)
@@ -351,41 +329,15 @@ func TestFilter(t *testing.T) {
 	b.Finish(25)
 
 	s := r.Snapshot()
-	if got := len(s.Filter(Filter{Key: "alpha"}).Traces); got != 1 {
-		t.Fatalf("key filter: got %d, want 1", got)
-	}
-	if got := len(s.Filter(Filter{Op: "fetch.attempt"}).Traces); got != 1 {
-		t.Fatalf("op filter: got %d, want 1", got)
-	}
-	if got := len(s.Filter(Filter{ErrClass: "quarantine"}).Traces); got != 1 {
-		t.Fatalf("err filter: got %d, want 1", got)
-	}
-	if got := len(s.Filter(Filter{PinnedOnly: true}).Traces); got != 1 {
-		t.Fatalf("pinned filter: got %d, want 1", got)
-	}
-	if got := len(s.Filter(Filter{Limit: 1}).Traces); got != 1 {
-		t.Fatalf("limit: got %d, want 1", got)
-	}
-	if got := len(s.Filter(Filter{}).Traces); got != 2 {
-		t.Fatalf("zero filter: got %d, want 2", got)
-	}
 	counts := s.ErrClassCounts()
-	if counts["quarantine"] != 1 {
+	if counts["quarantine"] != 1 || len(counts) != 1 {
 		t.Fatalf("ErrClassCounts = %v", counts)
 	}
 	if keys := SortedErrClasses(counts); len(keys) != 1 || keys[0] != "quarantine" {
 		t.Fatalf("SortedErrClasses = %v", keys)
 	}
-}
-
-func TestParseID(t *testing.T) {
-	id := TraceID(0xdeadbeef12345678)
-	got, err := ParseID(id.String())
-	if err != nil || got != id {
-		t.Fatalf("ParseID(%q) = %v, %v", id.String(), got, err)
-	}
-	if _, err := ParseID("zzz"); err == nil {
-		t.Fatal("ParseID accepted garbage")
+	if s.Traces[0].HasErrClass("quarantine") || !s.Traces[1].HasErrClass("quarantine") {
+		t.Fatalf("HasErrClass disagrees with the recorded classes: %v, %v", s.Traces[0].ErrClasses, s.Traces[1].ErrClasses)
 	}
 }
 

@@ -772,13 +772,15 @@ func keepEntities(pred func(EntityAnn) bool) dataflow.UDF {
 
 // tagSentences POS-tags every sentence of the record. A sentence the tagger
 // fails on is left untagged and counted; first is the first such failure.
+// Tag keeps nothing of its argument, so one words buffer serves them all.
 func (r *Registry) tagSentences(rec dataflow.Record) (pos [][]string, failed int, first error) {
 	toks := get[[][]nlp.TokenSpan](rec, "tokens")
 	pos = make([][]string, len(toks))
+	var words []string
 	for i, sent := range toks {
-		words := make([]string, len(sent))
-		for j, t := range sent {
-			words[j] = t.Text
+		words = words[:0]
+		for _, t := range sent {
+			words = append(words, t.Text)
 		}
 		tags, err := r.sys.POS.Tag(words)
 		if err != nil {

@@ -7,12 +7,16 @@
 //
 // Both order 2 (bigram transitions) and order 3 (trigram transitions) are
 // supported; the ablation bench compares them. Order 3 decodes exactly but
-// not densely: an admissible bound on every completion prunes the tag-pair
-// lattice to the states that can still lie on a best path — one or two per
-// token on a sentence of clean text, hundreds on junk, and hundreds again
-// on anything much past a hundred tokens, because the bound's slack grows
-// with the tokens still to come. That is where §4.2's "large runtime
-// fluctuations" come from here; the dense sweep's cost is the ceiling.
+// not densely: two admissible bounds prune the tag-pair lattice to the
+// states that can still lie on a best path. One bounds every completion
+// from a bigram relaxation, and its slack grows with the tokens still to
+// come; the other bounds what a state can gain on the position's best one
+// before their paths rejoin two tokens later, and does not grow at all. So
+// a sentence of clean text keeps one or two states per token at any length
+// up to MaxTokens, and web text a dozen or two, where unknown words leave
+// emissions little to tell tags apart by. That is where §4.2's "large
+// runtime fluctuations" come from here; the dense sweep's cost is the
+// ceiling.
 package postag
 
 import (
@@ -79,6 +83,10 @@ type Tagger struct {
 	// transBoundMax[j] = max over b of transBound[j*T+b].
 	transBound    []float64
 	transBoundMax []float64
+	// merge[r*N+s], over the N = (T+1)·T pair states a*T+b: the most two
+	// more tags can add after state s beyond what the same two add after
+	// state r, where both paths have rejoined (order 3 only).
+	merge []float64
 }
 
 // Train estimates the model from gold-tagged sentences.
@@ -258,6 +266,32 @@ func (t *Tagger) densify() {
 			t.transBound[j*T+b] = bound
 			t.transBoundMax[j] = max(t.transBoundMax[j], bound)
 		}
+	}
+	// second[(r*T+b)*T+j1] = max over j2 of logTrans3[b,j1][j2] −
+	// logTrans3[r,j1][j2]: the second step's part of merge, O(T⁴) once
+	// instead of inside the O(N²·T) loop.
+	second := make([]float64, T*T*T)
+	for x := range second {
+		r, b, j1 := x/(T*T), x/T%T, x%T
+		from, to := t.logTrans3[r*S+j1], t.logTrans3[b*S+j1]
+		second[x] = math.Inf(-1)
+		for j2, lp := range to {
+			second[x] = max(second[x], lp-from[j2])
+		}
+	}
+	N := S * T
+	t.merge = make([]float64, N*N)
+	for x := range t.merge {
+		r, s := x/N, x%N
+		from, to := t.logTrans3[r/T*S+r%T], t.logTrans3[s/T*S+s%T]
+		from, rest := from[:len(to)], second[(r%T*T+s%T)*T:][:len(to)]
+		m := math.Inf(-1)
+		for j1, lp := range to {
+			if d := lp - from[j1] + rest[j1]; d > m {
+				m = d
+			}
+		}
+		t.merge[x] = m
 	}
 }
 
@@ -480,11 +514,24 @@ func (l *lattice) reset(n, T int) {
 // at position i, from the bigram relaxation transBound of the trigram
 // table. floor is the score of one real path, so the best path scores at
 // least that. A state whose score plus bound falls short of floor is on no
-// best path; every state of a best path clears it, with slack far above
-// the rounding difference between the bound's summation order and the
+// best path. ahead sums one relaxation per token still to come, so on a
+// long sentence its slack outgrows what a wrong tag costs.
+//
+// The second test's slack does not grow. Take the position's best state r,
+// of score best, and another state s of score v. A completion of s two or
+// more tokens long reaches some state (j1, j2); from there on it is a
+// completion of r too, with the same emissions, and up to there it adds at
+// most merge[r][s] more than it would after r. A shorter completion gains
+// no more: two distributions p and q always have some tag with p ≥ q, so
+// merge[r][s] is at least 0 and at least any first step's gain. So if
+// v + merge[r][s] falls short of best, a path through r beats every path
+// through s, however long the sentence.
+//
+// Every state of a best path clears both tests, with slack far above the
+// rounding difference between the bounds' summation order and the
 // lattice's. Survivors' scores can only be lower than in the dense sweep,
-// never higher, and those on the best path are equal — so dropping the rest
-// changes no comparison the best path wins.
+// never higher, and those on the best path are equal — so dropping the
+// rest changes no comparison the best path wins.
 func (t *Tagger) viterbi3(lat *lattice, words []string) ([]string, error) {
 	T := len(t.tags)
 	if T == 0 {
@@ -517,8 +564,9 @@ func (t *Tagger) viterbi3(lat *lattice, words []string) ([]string, error) {
 		into := ahead[i*T : (i+1)*T]
 		least := math.Inf(1)
 		for b, lp := range t.transBound[first*T : (first+1)*T] {
-			into[b] = lp + gain[first]
-			least = min(least, into[b])
+			if into[b] = lp + gain[first]; into[b] < least {
+				least = into[b]
+			}
 		}
 		for j, g := range gain {
 			if j == first || g+t.transBoundMax[j] <= least {
@@ -560,32 +608,42 @@ func (t *Tagger) viterbi3(lat *lattice, words []string) ([]string, error) {
 
 	for i := 1; i < n; i++ {
 		e := em[i*T : (i+1)*T]
+		best, bestS := neg, 0
 		for k, st := range lat.state[lat.start[i-1]:lat.start[i]] {
 			a := int(st) / T // previous-previous tag (or start)
 			b := int(st) % T // previous tag
 			row := t.logTrans3[a*S+b]
 			score := lat.cur[k]
 			next, from := lat.next[b*T:(b+1)*T], lat.from[b*T:(b+1)*T]
+			row, e := row[:len(next)], e[:len(next)] // one length: no bounds checks below
 			lat.reached[b] = true
 			for j := range next {
 				v := score + row[j] + e[j]
 				if v > next[j] {
 					next[j] = v
 					from[j] = int32(k)
+					if v > best {
+						best, bestS = v, b*T+j
+					}
 				}
 			}
 		}
+		rival := t.merge[bestS*S*T : (bestS+1)*S*T]
+		cut := best - (1e-6 + 1e-9*math.Abs(best))
 		lat.grown = lat.grown[:0]
+		aheadI := ahead[i*T : (i+1)*T]
 		for b, hit := range lat.reached {
 			if !hit {
 				continue
 			}
 			lat.reached[b] = false
-			for j, v := range lat.next[b*T : (b+1)*T] {
-				lat.next[b*T+j] = neg
-				if v+ahead[i*T+j] >= floor {
+			next := lat.next[b*T : (b+1)*T]
+			from, rivalB, aheadI := lat.from[b*T:][:len(next)], rival[b*T:][:len(next)], aheadI[:len(next)]
+			for j, v := range next {
+				next[j] = neg
+				if v+aheadI[j] >= floor && v+rivalB[j] >= cut {
 					lat.state = append(lat.state, int32(b*T+j))
-					lat.back = append(lat.back, lat.from[b*T+j])
+					lat.back = append(lat.back, from[j])
 					lat.grown = append(lat.grown, v)
 				}
 			}

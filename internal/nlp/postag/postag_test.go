@@ -181,13 +181,25 @@ func TestAccuracyHelper(t *testing.T) {
 
 func TestLinearRuntimeShape(t *testing.T) {
 	// Fig 3a: runtime "is, in principle, linear in the length of the text".
-	// Wall time is not asserted; what is: a sentence far past any limit
+	// Wall time is not asserted; what is: the lattice a decode keeps per
+	// token does not grow with the sentence, a sentence far past any limit
 	// decodes, to exactly the dense reference's tags, and a sentence one
 	// token over the limit is refused before any decoding is set up.
 	data := trainingData(t, 100, textgen.Medline)
 	cfg := DefaultConfig()
 	cfg.MaxTokens = 0
 	tagger := Train(data, cfg)
+
+	// Fig 3a's probes: the first n tokens of concatenated Medline sentences.
+	var clean []string
+	for _, sent := range corpusSentences(20, textgen.Medline, 11) {
+		clean = append(clean, wordsOf(sent)...)
+	}
+	short, long := liveStates(t, tagger, clean[:50]), liveStates(t, tagger, clean[:400])
+	t.Logf("live states per position: %.1f over 50 tokens, %.1f over 400", short, long)
+	if long > 2*short {
+		t.Errorf("400 clean tokens keep %.1f states per position, 50 keep %.1f: pruning loses its grip with length", long, short)
+	}
 	mk := func(n int) []string {
 		out := make([]string, n)
 		words := []string{"the", "patient", "was", "treated", "with", "aspirin", "."}
@@ -398,6 +410,17 @@ func firstDiff(a, b []string) int {
 	return -1
 }
 
+// liveStates is the mean number of tag-pair states per position that the
+// pruned decoder keeps on words.
+func liveStates(t *testing.T, tagger *Tagger, words []string) float64 {
+	t.Helper()
+	var lat lattice
+	if _, err := tagger.viterbi3(&lat, words); err != nil {
+		t.Fatal(err)
+	}
+	return float64(len(lat.state)) / float64(len(words))
+}
+
 // checkAgainstReference holds Tag to refViterbi3 on one sentence, and the
 // emission rows Tag reads to the ones the reference computes, bit for bit.
 func checkAgainstReference(t *testing.T, tagger *Tagger, words []string) {
@@ -462,8 +485,40 @@ func TestTagMatchesDenseReference(t *testing.T) {
 		t.Logf("%-10s %5d sentences %6d tokens: %5.1f%% unknown words, mean %.1f of %d states live per position",
 			kind, len(sents), tokens, 100*float64(unknown)/float64(tokens), mean, (T+1)*T)
 		// Equal tags do not show that anything was pruned; this does.
-		if clean := kind == textgen.Medline || kind == textgen.PMC; clean && mean > 3 {
-			t.Errorf("%s: %.1f states live per position on clean text, want a handful at most", kind, mean)
+		ceiling := map[textgen.CorpusKind]float64{textgen.Relevant: 15, textgen.Irrelevant: 25, textgen.Medline: 3, textgen.PMC: 3}[kind]
+		if mean > ceiling {
+			t.Errorf("%s: %.1f states live per position, want at most %.0f", kind, mean, ceiling)
+		}
+	}
+}
+
+// TestMergeBound holds the merge table to what viterbi3 relies on: a state
+// gains nothing on itself, and neither one step nor two steps after s add
+// more than merge[r][s] beyond the same steps after r.
+func TestMergeBound(t *testing.T) {
+	for name, tagger := range map[string]*Tagger{
+		"medline":      Train(corpusSentences(60, textgen.Medline, 7), DefaultConfig()),
+		"one sentence": Train(corpusSentences(1, textgen.Medline, 7)[:1], DefaultConfig()),
+	} {
+		T := len(tagger.tags)
+		S, N := T+1, (T+1)*T
+		trans := func(st, j int) float64 { return tagger.logTrans3[st/T*S+st%T][j] }
+		for s := 0; s < N; s++ {
+			if m := tagger.merge[s*N+s]; m != 0 {
+				t.Fatalf("%s: merge[%d][%d] = %v, want 0", name, s, s, m)
+			}
+		}
+		r := rng.New(3)
+		for trial := 0; trial < 20000; trial++ {
+			rs, s, j1, j2 := r.Intn(N), r.Intn(N), r.Intn(T), r.Intn(T)
+			// Paths through s and rs rejoin at (j1, j2) after two steps; a
+			// sentence may also end after one, or none.
+			one := trans(s, j1) - trans(rs, j1)
+			two := (trans(s, j1) + trans(s%T*T+j1, j2)) - (trans(rs, j1) + trans(rs%T*T+j1, j2))
+			// Rounding slack only: a millionth of what Tag allows for it.
+			if m := tagger.merge[rs*N+s]; max(0, one, two) > m+1e-12 {
+				t.Fatalf("%s: after %d, steps (%d, %d) gain %v then %v on %d; merge says at most %v", name, s, j1, j2, one, two, rs, m)
+			}
 		}
 	}
 }
@@ -577,6 +632,17 @@ func FuzzTag(f *testing.F) {
 	f.Add("The #40s were not #7ing ( #3 ) , nor #9 .")
 	f.Add("zq xv 17 -- | | ΑΒΓ \xff")
 	f.Add("#5")
+	// Where the bigram bound alone goes slack: clean text 150 to 400 tokens
+	// long (the training words in order) and keyword soup.
+	var clean, soup []string
+	for i := 0; i < 400; i++ {
+		clean = append(clean, fmt.Sprint("#", i))
+		soup = append(soup, []string{"home", "BRCA1", "login", "|", fmt.Sprint(i), "TLA", "sitemap", "#9"}[i%8])
+	}
+	f.Add(strings.Join(clean[:150], " "))
+	f.Add(strings.Join(clean, " "))
+	f.Add(strings.Join(soup[:200], " "))
+	f.Add(strings.Join(soup, " "))
 	f.Fuzz(func(t *testing.T, input string) {
 		fz := &fuzzTaggers
 		fz.once.Do(func() {

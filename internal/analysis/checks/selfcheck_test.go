@@ -11,6 +11,7 @@ package checks_test
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"webtextie/internal/analysis"
@@ -36,19 +37,37 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
+// module is the whole module, loaded and type-checked once per test
+// binary: the dogfood lint and the reachability walk share it.
+var module struct {
+	once sync.Once
+	l    *analysis.Loader
+	pkgs []*analysis.Package
+	err  error
+}
+
+// loadModule returns the module root, the loader and every package under
+// the root, bench/'s main included (the pattern walk does not stop at its
+// go.mod).
+func loadModule(t *testing.T) (string, *analysis.Loader, []*analysis.Package) {
+	t.Helper()
+	root := moduleRoot(t)
+	module.once.Do(func() {
+		if module.l, module.err = analysis.NewLoader(root); module.err == nil {
+			module.pkgs, module.err = module.l.LoadPatterns(filepath.Join(root, "..."))
+		}
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return root, module.l, module.pkgs
+}
+
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root := moduleRoot(t)
-	l, err := analysis.NewLoader(root)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.LoadPatterns(filepath.Join(root, "..."))
-	if err != nil {
-		t.Fatalf("LoadPatterns: %v", err)
-	}
+	_, _, pkgs := loadModule(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages — pattern walk is broken", len(pkgs))
 	}

@@ -15,7 +15,6 @@ package classify
 
 import (
 	"math"
-	"sort"
 )
 
 // Class is a binary relevance label.
@@ -34,20 +33,6 @@ func (c Class) String() string {
 		return "relevant"
 	}
 	return "irrelevant"
-}
-
-// Tokenize converts text to the bag-of-words features: lower-cased
-// alphanumeric runs, with pure numbers and single characters dropped.
-func Tokenize(text string) []string {
-	var out []string
-	var buf [64]byte
-	for sc := (wordScanner{text: text}); ; {
-		w, ok := sc.next(buf[:0])
-		if !ok {
-			return out
-		}
-		out = append(out, string(w))
-	}
 }
 
 // wordScanner walks the bag-of-words tokens of a text in place: runs of
@@ -203,39 +188,6 @@ func (nb *NaiveBayes) Classify(text string) Class {
 	return Irrelevant
 }
 
-// TopWords returns the n strongest indicator words for a class by
-// log-likelihood ratio — useful for model inspection in reports.
-func (nb *NaiveBayes) TopWords(class Class, n int) []string {
-	other := 1 - class
-	type scored struct {
-		w string
-		s float64
-	}
-	v := float64(len(nb.words))
-	var all []scored
-	for w, st := range nb.words {
-		pc := (float64(st.n[class]) + 1) / (float64(nb.totalWords[class]) + v)
-		po := (float64(st.n[other]) + 1) / (float64(nb.totalWords[other]) + v)
-		if st.n[class] >= 3 {
-			all = append(all, scored{w, math.Log(pc / po)})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].s != all[j].s {
-			return all[i].s > all[j].s
-		}
-		return all[i].w < all[j].w
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	out := make([]string, len(all))
-	for i, s := range all {
-		out[i] = s.w
-	}
-	return out
-}
-
 // Example is one labelled training document.
 type Example struct {
 	Text  string
@@ -272,24 +224,6 @@ func (q Quality) Recall() float64 {
 		return 1
 	}
 	return float64(q.TP) / float64(q.TP+q.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (q Quality) F1() float64 {
-	p, r := q.Precision(), q.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// Accuracy returns the fraction of correct decisions.
-func (q Quality) Accuracy() float64 {
-	total := q.TP + q.FP + q.TN + q.FN
-	if total == 0 {
-		return 1
-	}
-	return float64(q.TP+q.TN) / float64(total)
 }
 
 // Add accumulates another quality count.

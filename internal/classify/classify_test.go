@@ -12,11 +12,26 @@ import (
 	"webtextie/internal/textgen"
 )
 
+// tokenize collects what wordScanner yields: the bag-of-words features,
+// lower-cased alphanumeric runs with pure numbers and single characters
+// dropped. It is the harness the scanner's tests and FuzzTokenize drive.
+func tokenize(text string) []string {
+	var out []string
+	var buf [64]byte
+	for sc := (wordScanner{text: text}); ; {
+		w, ok := sc.next(buf[:0])
+		if !ok {
+			return out
+		}
+		out = append(out, string(w))
+	}
+}
+
 func TestTokenize(t *testing.T) {
-	got := Tokenize("The BRCA1 gene, treated-with 42 mg/kg doses!")
+	got := tokenize("The BRCA1 gene, treated-with 42 mg/kg doses!")
 	want := []string{"the", "brca1", "gene", "treated", "with", "mg", "kg", "doses"}
 	if len(got) != len(want) {
-		t.Fatalf("Tokenize = %v, want %v", got, want)
+		t.Fatalf("tokenize = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -26,9 +41,9 @@ func TestTokenize(t *testing.T) {
 }
 
 func TestTokenizeDropsNumbersAndSingles(t *testing.T) {
-	got := Tokenize("a 1 22 333 bb")
+	got := tokenize("a 1 22 333 bb")
 	if len(got) != 1 || got[0] != "bb" {
-		t.Fatalf("Tokenize = %v", got)
+		t.Fatalf("tokenize = %v", got)
 	}
 }
 
@@ -119,17 +134,11 @@ func TestQualityMetrics(t *testing.T) {
 	if r := q.Recall(); r < 0.888 || r > 0.889 {
 		t.Errorf("recall = %v", r)
 	}
-	if a := q.Accuracy(); a != 0.85 {
-		t.Errorf("accuracy = %v", a)
-	}
-	if f := q.F1(); f < 0.84 || f > 0.85 {
-		t.Errorf("f1 = %v", f)
-	}
 }
 
 func TestQualityDegenerate(t *testing.T) {
 	var q Quality
-	if q.Precision() != 1 || q.Recall() != 1 || q.Accuracy() != 1 || q.F1() != 1 {
+	if q.Precision() != 1 || q.Recall() != 1 {
 		t.Error("empty quality should be all-1 (vacuous)")
 	}
 	q2 := Quality{FN: 5}
@@ -143,23 +152,6 @@ func TestQualityAdd(t *testing.T) {
 	a.Add(Quality{TP: 10, FP: 20, TN: 30, FN: 40})
 	if a.TP != 11 || a.FP != 22 || a.TN != 33 || a.FN != 44 {
 		t.Errorf("Add = %+v", a)
-	}
-}
-
-func TestTopWords(t *testing.T) {
-	nb := New()
-	for i := 0; i < 5; i++ {
-		nb.Learn("tumor gene mutation tumor tumor", Relevant)
-		nb.Learn("shoes sale discount shoes shoes", Irrelevant)
-	}
-	top := nb.TopWords(Relevant, 2)
-	if len(top) == 0 {
-		t.Fatal("no top words")
-	}
-	for _, w := range top {
-		if w == "shoes" || w == "sale" {
-			t.Errorf("irrelevant indicator %q in relevant top words", w)
-		}
 	}
 }
 
@@ -180,18 +172,18 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// FuzzTokenize: Tokenize matches refTokenize, never panics, every token
-// is two or more bytes of [a-z0-9] and not a number, and ASCII case does
-// not matter.
+// FuzzTokenize: wordScanner, through tokenize, matches refTokenize, never
+// panics, every token is two or more bytes of [a-z0-9] and not a number,
+// and ASCII case does not matter.
 func FuzzTokenize(f *testing.F) {
 	f.Add("Alpha binds the beta receptor in approx. 1.5 hours. GAD-67 expression rose.")
 	f.Add("The BRCA1 gene, treated-with 42 mg/kg doses!")
 	f.Add("a 1 22 x9 9x \xff\xfe naïve ſtraße ΑΒΓ")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
-		toks := Tokenize(s)
+		toks := tokenize(s)
 		if want := refTokenize(s); !slices.Equal(toks, want) {
-			t.Fatalf("Tokenize(%q) = %q, reference %q", s, toks, want)
+			t.Fatalf("tokenize(%q) = %q, reference %q", s, toks, want)
 		}
 		for _, tok := range toks {
 			digits := 0
@@ -200,11 +192,11 @@ func FuzzTokenize(f *testing.F) {
 				if c >= '0' && c <= '9' {
 					digits++
 				} else if c < 'a' || c > 'z' {
-					t.Fatalf("Tokenize(%q): token %q holds byte %q", s, tok, c)
+					t.Fatalf("tokenize(%q): token %q holds byte %q", s, tok, c)
 				}
 			}
 			if len(tok) < 2 || digits == len(tok) {
-				t.Fatalf("Tokenize(%q): token %q is too short or a number", s, tok)
+				t.Fatalf("tokenize(%q): token %q is too short or a number", s, tok)
 			}
 		}
 		for i := 0; i < len(s); i++ {
@@ -212,17 +204,17 @@ func FuzzTokenize(f *testing.F) {
 				return // ToUpper maps some non-ASCII letters into ASCII
 			}
 		}
-		if up := Tokenize(strings.ToUpper(s)); !slices.Equal(up, toks) {
-			t.Fatalf("Tokenize(%q) = %q, upper-cased %q", s, toks, up)
+		if up := tokenize(strings.ToUpper(s)); !slices.Equal(up, toks) {
+			t.Fatalf("tokenize(%q) = %q, upper-cased %q", s, toks, up)
 		}
 	})
 }
 
 // refTokenize, refModel.logJoint and refModel.probRelevantTokens are
-// Tokenize, NaiveBayes.logJoint and NaiveBayes.ProbRelevantTokens as they
-// were before scoring moved onto one word table and an in-place scanner:
-// a token slice built through a strings.Builder, scored against two count
-// maps and a vocabulary set. They are the oracle FuzzProbRelevant holds
+// the tokenizer, NaiveBayes.logJoint and NaiveBayes.ProbRelevantTokens as
+// they were before scoring moved onto one word table and an in-place
+// scanner: a token slice built through a strings.Builder, scored against
+// two count maps and a vocabulary set. They are the oracle FuzzProbRelevant holds
 // the classifier to, bit for bit.
 func refTokenize(text string) []string {
 	var out []string

@@ -48,10 +48,6 @@ func PaperCluster() Config {
 	}
 }
 
-// MaxDoP returns the CPU-bound maximum degree of parallelism (168 for the
-// paper cluster).
-func (c Config) MaxDoP() int { return c.Nodes * c.CoresPerNode }
-
 // FlowProfile is the cost signature of one data flow, normally derived
 // from a dataflow.Plan via Profile().
 type FlowProfile struct {
@@ -259,26 +255,4 @@ func IdealScaleUp(points []SweepPoint) float64 {
 		}
 	}
 	return 0
-}
-
-// Speedup returns T(base)/T(d) for each point relative to the first
-// feasible point of a scale-out sweep.
-func Speedup(points []SweepPoint) map[int]float64 {
-	out := map[int]float64{}
-	var base float64
-	for _, p := range points {
-		if p.Result.Feasible {
-			base = p.Result.TotalSec
-			break
-		}
-	}
-	if base == 0 {
-		return out
-	}
-	for _, p := range points {
-		if p.Result.Feasible && p.Result.TotalSec > 0 {
-			out[p.DoP] = base / p.Result.TotalSec
-		}
-	}
-	return out
 }

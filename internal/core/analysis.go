@@ -96,16 +96,6 @@ func (a *CorpusAnalysis) MentionsPer1000Sentences(m Method, t textgen.EntityType
 	return 1000 * float64(a.TotalMentions[m][t]) / float64(a.Sentences)
 }
 
-// CombinedMentionsPer1000 combines both extraction methods (the paper's
-// "for both annotation methods combined" measure for drugs).
-func (a *CorpusAnalysis) CombinedMentionsPer1000(t textgen.EntityType) float64 {
-	if a.Sentences == 0 {
-		return 0
-	}
-	total := a.TotalMentions[Dict][t] + a.TotalMentions[ML][t]
-	return 1000 * float64(total) / float64(a.Sentences)
-}
-
 // Distribution returns the entity-name frequency distribution for JSD.
 func (a *CorpusAnalysis) Distribution(m Method, t textgen.EntityType) stats.Distribution {
 	return stats.NewDistribution(a.NameCounts[m][t])

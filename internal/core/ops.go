@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"webtextie/internal/annot"
 	"webtextie/internal/boiler"
 	"webtextie/internal/dataflow"
 	"webtextie/internal/dedup"
@@ -35,7 +34,7 @@ import (
 //	tokens    [][]nlp.TokenSpan   per-sentence tokens
 //	pos       [][]string          per-sentence POS tags
 //	pos_failed int                sentences the tagger crashed on
-//	anns      []annot.Annotation  linguistic annotations
+//	anns      []ling.Annotation   linguistic annotations
 //	ling      ling.DocStats       per-document linguistic measurements
 //	entities  []EntityAnn         extracted entity mentions
 //	relevant  bool                classifier decision
@@ -101,16 +100,6 @@ func (r *Registry) Resolve(name string, params meteor.Params) (*dataflow.Op, err
 		return nil, fmt.Errorf("core: unknown operator %q", name)
 	}
 	return b(params)
-}
-
-// Names returns all registered operator names, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.builders))
-	for n := range r.builders {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Op resolves an operator programmatically, panicking on unknown names —
@@ -488,11 +477,11 @@ func (r *Registry) table() []opRow {
 				return dataflow.Edit(func(out dataflow.Record) { out["pos"] = pos })(rec, emit)
 			}},
 		{name: "annotate_negation", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: annotateKind(annot.KindNegation)},
+			fn: annotateKind(ling.KindNegation)},
 		{name: "annotate_pronouns", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: annotateKind(annot.KindPronoun)},
+			fn: annotateKind(ling.KindPronoun)},
 		{name: "annotate_parens", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: annotateKind(annot.KindParen)},
+			fn: annotateKind(ling.KindParen)},
 		{name: "ling_stats", pkg: dataflow.IE, reads: []string{"text", "id"}, writes: []string{"ling"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.15},
 			fn: dataflow.Edit(func(rec dataflow.Record) {
 				rec["ling"] = ling.Measure(get[string](rec, "id"), get[string](rec, "text"))
@@ -573,11 +562,11 @@ func (r *Registry) table() []opRow {
 			}},
 		{name: "count_negations", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_negations"}, sel: 1,
 			fn: dataflow.Edit(func(rec dataflow.Record) {
-				rec["n_negations"] = len(filterKind(get[[]annot.Annotation](rec, "anns"), annot.KindNegation))
+				rec["n_negations"] = len(filterKind(get[[]ling.Annotation](rec, "anns"), ling.KindNegation))
 			})},
 		{name: "count_pronouns", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_pronouns"}, sel: 1,
 			fn: dataflow.Edit(func(rec dataflow.Record) {
-				rec["n_pronouns"] = len(filterKind(get[[]annot.Annotation](rec, "anns"), annot.KindPronoun))
+				rec["n_pronouns"] = len(filterKind(get[[]ling.Annotation](rec, "anns"), ling.KindPronoun))
 			})},
 		{name: "entity_density", pkg: dataflow.IE, reads: []string{"entities", "sentences"}, writes: []string{"entities_per_ksent"}, sel: 1,
 			fn: dataflow.Edit(func(rec dataflow.Record) {
@@ -796,15 +785,15 @@ func (r *Registry) tagSentences(rec dataflow.Record) (pos [][]string, failed int
 
 // annotateKind is the operator that appends the document's linguistic
 // annotations of one kind to anns.
-func annotateKind(kind annot.Kind) dataflow.UDF {
+func annotateKind(kind ling.Kind) dataflow.UDF {
 	return dataflow.Edit(func(rec dataflow.Record) {
 		all := ling.Analyze(get[string](rec, "id"), get[string](rec, "text"), get[[]nlp.Span](rec, "sentences"))
-		rec["anns"] = append(append([]annot.Annotation{}, get[[]annot.Annotation](rec, "anns")...), filterKind(all, kind)...)
+		rec["anns"] = append(append([]ling.Annotation{}, get[[]ling.Annotation](rec, "anns")...), filterKind(all, kind)...)
 	})
 }
 
-func filterKind(anns []annot.Annotation, kind annot.Kind) []annot.Annotation {
-	var out []annot.Annotation
+func filterKind(anns []ling.Annotation, kind ling.Kind) []ling.Annotation {
+	var out []ling.Annotation
 	for _, a := range anns {
 		if a.Kind == kind {
 			out = append(out, a)

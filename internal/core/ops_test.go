@@ -426,7 +426,7 @@ func TestOperatorContract(t *testing.T) {
 	}
 	params := meteor.Params{"type": {Str: "gene"}, "keep": {Str: "id text"}, "from": {Str: "a"}, "to": {Str: "b"},
 		"field": {Str: "n"}, "value": {Str: "v"}, "rate": {Num: 1, IsNum: true}}
-	for _, name := range reg.Names() {
+	for _, name := range opNames(reg) {
 		op, err := reg.Resolve(name, params)
 		if err != nil {
 			t.Errorf("resolve %q: %v", name, err)

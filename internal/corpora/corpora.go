@@ -63,7 +63,7 @@ func (c *Corpus) RawBytes() int64 {
 
 // MeanChars returns the mean analysis-text length (Table 3's "mean no. of
 // chars" for the generated corpora; for web corpora the paper reports raw
-// page bytes, which MeanRawBytes provides).
+// page bytes, RawBytes over NumDocs).
 func (c *Corpus) MeanChars() float64 {
 	if len(c.Docs) == 0 {
 		return 0
@@ -73,35 +73,6 @@ func (c *Corpus) MeanChars() float64 {
 		t += int64(len(d.Text))
 	}
 	return float64(t) / float64(len(c.Docs))
-}
-
-// MeanRawBytes returns the mean raw artifact size.
-func (c *Corpus) MeanRawBytes() float64 {
-	if len(c.Docs) == 0 {
-		return 0
-	}
-	return float64(c.RawBytes()) / float64(len(c.Docs))
-}
-
-// Chunks splits the corpus into pieces of at most chunkBytes raw bytes
-// (the 50 GB war-story workaround, scaled).
-func (c *Corpus) Chunks(chunkBytes int64) [][]Document {
-	var out [][]Document
-	var cur []Document
-	var size int64
-	for _, d := range c.Docs {
-		if size > 0 && size+int64(d.RawBytes) > chunkBytes {
-			out = append(out, cur)
-			cur = nil
-			size = 0
-		}
-		cur = append(cur, d)
-		size += int64(d.RawBytes)
-	}
-	if len(cur) > 0 {
-		out = append(out, cur)
-	}
-	return out
 }
 
 // BuildConfig controls corpus construction.
@@ -148,9 +119,6 @@ var paperDocCounts = map[textgen.CorpusKind]int{
 	textgen.Medline:    21686397,
 	textgen.PMC:        250440,
 }
-
-// PaperDocCount returns Table 3's document count for a corpus.
-func PaperDocCount(kind textgen.CorpusKind) int { return paperDocCounts[kind] }
 
 // Set bundles the four corpora with the artifacts of their construction.
 type Set struct {

@@ -46,7 +46,7 @@ func TestBuildProducesFourCorpora(t *testing.T) {
 func TestScaledCounts(t *testing.T) {
 	s := testSet(t)
 	med := s.Corpus(textgen.Medline).NumDocs()
-	want := PaperDocCount(textgen.Medline) / smallConfig().ScaleFactor
+	want := paperDocCounts[textgen.Medline] / smallConfig().ScaleFactor
 	if med != want {
 		t.Errorf("Medline docs = %d, want %d", med, want)
 	}
@@ -92,46 +92,20 @@ func TestTable3ShapeHolds(t *testing.T) {
 			byKind[textgen.Relevant].MeanChars, byKind[textgen.Medline].MeanChars)
 	}
 	rel := s.Corpus(textgen.Relevant)
-	if rel.MeanRawBytes() <= rel.MeanChars() {
+	if meanRawBytes(rel) <= rel.MeanChars() {
 		t.Error("web raw bytes should exceed net text length")
 	}
 	// Paper shape: irrelevant raw pages smaller than relevant on average.
 	irr := s.Corpus(textgen.Irrelevant)
-	if irr.MeanRawBytes() >= rel.MeanRawBytes() {
+	if meanRawBytes(irr) >= meanRawBytes(rel) {
 		t.Errorf("irrelevant mean raw %.0f >= relevant %.0f",
-			irr.MeanRawBytes(), rel.MeanRawBytes())
+			meanRawBytes(irr), meanRawBytes(rel))
 	}
 }
 
-func TestChunks(t *testing.T) {
-	s := testSet(t)
-	c := s.Corpus(textgen.Medline)
-	chunks := c.Chunks(10000)
-	if len(chunks) < 2 {
-		t.Fatalf("chunking produced %d chunks", len(chunks))
-	}
-	total := 0
-	for i, ch := range chunks {
-		var size int64
-		for _, d := range ch {
-			size += int64(d.RawBytes)
-			total++
-		}
-		if size > 10000 && len(ch) > 1 {
-			t.Errorf("chunk %d oversize: %d bytes, %d docs", i, size, len(ch))
-		}
-	}
-	if total != c.NumDocs() {
-		t.Errorf("chunks cover %d docs of %d", total, c.NumDocs())
-	}
-}
-
-func TestChunksSingleOversizeDoc(t *testing.T) {
-	c := &Corpus{Docs: []Document{{ID: "big", RawBytes: 999999, Text: "x"}}}
-	chunks := c.Chunks(100)
-	if len(chunks) != 1 || len(chunks[0]) != 1 {
-		t.Fatalf("oversize doc chunking: %v", chunks)
-	}
+// meanRawBytes returns a corpus's mean raw artifact size.
+func meanRawBytes(c *Corpus) float64 {
+	return float64(c.RawBytes()) / float64(c.NumDocs())
 }
 
 func TestTrainClassifierQuality(t *testing.T) {

@@ -154,12 +154,6 @@ func (db *CrawlDB) NextEligible() (int64, bool) {
 	return earliest, true
 }
 
-// StatusOf returns a URL's status and whether it is known.
-func (db *CrawlDB) StatusOf(url string) (Status, bool) {
-	s, ok := db.status[url]
-	return s, ok
-}
-
 // Pending returns the number of URLs still in the frontier.
 func (db *CrawlDB) Pending() int { return db.pending }
 
@@ -170,12 +164,6 @@ func (db *CrawlDB) Known() int { return len(db.status) }
 type FetchItem struct {
 	URL  string
 	Host string
-}
-
-// Generate produces the next fetch list ignoring retry eligibility — the
-// original time-free surface, equivalent to GenerateAt at the end of time.
-func (db *CrawlDB) Generate(total, maxPerHost int) []FetchItem {
-	return db.GenerateAt(total, maxPerHost, math.MaxInt64)
 }
 
 // GenerateAt produces the next fetch list as of virtual time nowMs: up to
@@ -226,52 +214,27 @@ func (db *CrawlDB) GenerateAt(total, maxPerHost int, nowMs int64) []FetchItem {
 	return out
 }
 
-// Counts returns the number of URLs per status.
-func (db *CrawlDB) Counts() map[Status]int {
-	out := map[Status]int{}
-	for _, s := range db.status {
-		out[s]++
-	}
-	return out
-}
-
 // LinkDB stores the directed link graph of crawled pages.
 type LinkDB struct {
 	// out maps a source URL to its out-link targets.
-	out map[string][]string
-	// inCount tracks in-degree per URL.
-	inCount map[string]int
-	edges   int
+	out   map[string][]string
+	edges int
 }
 
 // NewLinkDB returns an empty LinkDB.
 func NewLinkDB() *LinkDB {
-	return &LinkDB{out: map[string][]string{}, inCount: map[string]int{}}
+	return &LinkDB{out: map[string][]string{}}
 }
 
 // AddLinks records the out-links of a crawled page (replacing any previous
 // record for the same source).
 func (l *LinkDB) AddLinks(src string, targets []string) {
-	if old, ok := l.out[src]; ok {
-		for _, t := range old {
-			l.inCount[t]--
-		}
-		l.edges -= len(old)
-	}
+	l.edges -= len(l.out[src])
 	cp := make([]string, len(targets))
 	copy(cp, targets)
 	l.out[src] = cp
-	for _, t := range cp {
-		l.inCount[t]++
-	}
 	l.edges += len(cp)
 }
-
-// OutLinks returns the recorded out-links of a URL.
-func (l *LinkDB) OutLinks(src string) []string { return l.out[src] }
-
-// InDegree returns the number of recorded links pointing at a URL.
-func (l *LinkDB) InDegree(url string) int { return l.inCount[url] }
 
 // Pages returns all source URLs in sorted order.
 func (l *LinkDB) Pages() []string {

@@ -126,7 +126,7 @@ func TestLinkSnapshotRoundTrip(t *testing.T) {
 	if restored.Edges() != l.Edges() {
 		t.Fatalf("edges = %d, want %d", restored.Edges(), l.Edges())
 	}
-	if restored.InDegree("http://b.com/2") != 1 || restored.InDegree("http://a.com/1") != 1 {
+	if inDegree(restored, "http://b.com/2") != 1 || inDegree(restored, "http://a.com/1") != 1 {
 		t.Fatal("in-degrees lost")
 	}
 	if !reflect.DeepEqual(restored.Pages(), l.Pages()) {

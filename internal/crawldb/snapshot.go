@@ -62,8 +62,8 @@ func FromSnapshot(s Snapshot) *CrawlDB {
 	return db
 }
 
-// LinkSnapshot is the frozen state of a LinkDB (out-links only; in-degrees
-// and edge counts are derived on restore).
+// LinkSnapshot is the frozen state of a LinkDB (out-links only; the edge
+// count is derived on restore).
 type LinkSnapshot struct {
 	Out map[string][]string `json:"out"`
 }

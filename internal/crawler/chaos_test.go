@@ -118,12 +118,13 @@ func TestChaosDeadHostsExcluded(t *testing.T) {
 	// (3) Every fault-free relevant page on a live host that the faulty
 	// crawl discovered was recovered by the retry machinery.
 	faultySet := urlSet(faulty.Relevant)
+	known := faulty.CrawlDB.Snapshot().Status
 	lost := 0
 	for u := range cleanSet {
 		if onDeadHost(u) {
 			continue
 		}
-		if _, known := faulty.CrawlDB.StatusOf(u); known && !faultySet[u] {
+		if _, ok := known[u]; ok && !faultySet[u] {
 			t.Errorf("live-host page %s discovered but lost", u)
 			lost++
 			if lost > 5 {

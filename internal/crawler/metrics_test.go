@@ -33,7 +33,7 @@ func TestMetricsZeroPageCrawl(t *testing.T) {
 			t.Errorf("%s = %d, want 0", name, v)
 		}
 	}
-	if h, ok := snap.Hist("crawler.page.cost.ms"); ok && h.Count != 0 {
+	if h, ok := snap.Hists["crawler.page.cost.ms"]; ok && h.Count != 0 {
 		t.Errorf("crawler.page.cost.ms count = %d, want 0", h.Count)
 	}
 }
@@ -107,12 +107,12 @@ func TestMetricsMatchStatsOnTrapCrawl(t *testing.T) {
 	}
 	// Per-cycle fetch histogram: one observation per cycle, summing to the
 	// total fetch count.
-	if h, ok := snap.Hist("crawler.cycle.fetched"); !ok || h.Count != int64(st.Cycles) || int64(h.Sum) != int64(st.Fetched) {
+	if h, ok := snap.Hists["crawler.cycle.fetched"]; !ok || h.Count != int64(st.Cycles) || int64(h.Sum) != int64(st.Fetched) {
 		t.Errorf("crawler.cycle.fetched count=%d sum=%v, want count=%d sum=%d",
 			h.Count, h.Sum, st.Cycles, st.Fetched)
 	}
 	// Page cost is observed once per fetch attempt (successful or failed).
-	if h, ok := snap.Hist("crawler.page.cost.ms"); !ok || h.Count != int64(st.Fetched+st.FetchErrors) {
+	if h, ok := snap.Hists["crawler.page.cost.ms"]; !ok || h.Count != int64(st.Fetched+st.FetchErrors) {
 		t.Errorf("crawler.page.cost.ms count = %d, want %d", h.Count, st.Fetched+st.FetchErrors)
 	}
 }

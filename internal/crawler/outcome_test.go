@@ -156,7 +156,7 @@ func TestFetchOneOutcomes(t *testing.T) {
 			if f, cl := res.Profile.Get("crawl.cycle.filter"), res.Profile.Get("crawl.cycle.classify"); f.Calls != 1 || cl.Calls != classified {
 				t.Errorf("profile: filter %+v classify %+v, want 1 and %d call(s)", f, cl, classified)
 			}
-			if st, _ := c.db.StatusOf(url); st != tc.dbStatus {
+			if st := c.db.Snapshot().Status[url]; st != tc.dbStatus {
 				t.Errorf("crawldb status = %v, want %v", st, tc.dbStatus)
 			}
 			// Trace: the exit's event, then crawl.done with the terminal status.

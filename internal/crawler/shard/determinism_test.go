@@ -44,7 +44,7 @@ func TestSingleShardMatchesPlainCrawler(t *testing.T) {
 	}
 	sortCorpus(plainRes.Relevant)
 	sortCorpus(plainRes.IrrelevantPages)
-	if res.CorpusManifest() != plainRes.CorpusManifest() {
+	if corpusManifest(res) != corpusManifest(plainRes) {
 		t.Error("corpus manifests diverge")
 	}
 	if res.Metrics.Text() != plain.Metrics.Text() {
@@ -75,8 +75,8 @@ func TestShardedCrawlWithEntityMatchersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.WithEntityMatchers(matchers)
-		return r.Run(e.seeds).CorpusManifest()
+		r.attach(func(c *crawler.Crawler) { c.WithEntityMatchers(matchers) })
+		return corpusManifest(r.Run(e.seeds))
 	}
 	if run(1) != run(4) {
 		t.Error("entity-boosted sharded crawl is not DoP-invisible")

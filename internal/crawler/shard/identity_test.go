@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"testing"
@@ -22,6 +23,36 @@ import (
 // and breakers all fire, and their state crosses the cut) with all five
 // pillars on.
 
+// corpusManifest renders the merged corpora as one canonical line per
+// page — URL, raw size, gold label, and an FNV-1a digest of the extracted
+// net text — relevant pages first, each group URL-sorted. Two crawls
+// stored identical corpora iff their manifests are byte-identical; the
+// determinism and checkpoint suites compare this form.
+//
+// A degraded run appends one `deg` footer line per fenced partition, so
+// a manifest consumer cannot mistake a corpus with known coverage holes
+// for a complete one. Healthy runs emit no footer, keeping the form
+// byte-compatible with every pre-supervision manifest.
+func corpusManifest(res *Result) string {
+	var b strings.Builder
+	render := func(class string, pages []crawler.CrawledPage) {
+		for _, p := range pages {
+			h := fnv.New64a()
+			h.Write([]byte(p.NetText))
+			fmt.Fprintf(&b, "%s %s bytes=%d gold=%t text=%016x\n",
+				class, p.URL, p.Bytes, p.GoldRelevant, h.Sum64())
+		}
+	}
+	render("rel", res.Relevant)
+	render("irr", res.IrrelevantPages)
+	shards := len(res.PerShard)
+	for _, d := range res.Degraded {
+		fmt.Fprintf(&b, "deg shard=%d/%d fenced_round=%d pending_lost=%d mail_lost=%d\n",
+			d.Shard, shards, d.FencedAtRound, d.PendingLost, d.MailLost)
+	}
+	return b.String()
+}
+
 // exports maps each byte surface of a run to its rendering. A surface a
 // run did not produce, because its pillar was off, is absent and
 // compares as empty.
@@ -39,7 +70,7 @@ var surfaces = []string{"corpus", "stats", "metrics",
 func exportsOf(t testing.TB, res *Result) exports {
 	t.Helper()
 	ex := exports{
-		"corpus":  res.CorpusManifest(),
+		"corpus":  corpusManifest(res),
 		"stats":   fmt.Sprintf("%+v rounds=%d stopped=%t", res.Stats, res.Rounds, res.Stopped),
 		"metrics": res.Metrics.Text(),
 	}

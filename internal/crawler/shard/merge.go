@@ -8,10 +8,7 @@
 package shard
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sort"
-	"strings"
 
 	"webtextie/internal/crawldb"
 	"webtextie/internal/crawler"
@@ -151,34 +148,4 @@ func mergeStats(acc, s crawler.Stats, first bool) crawler.Stats {
 // unique across shards, so the order is total).
 func sortCorpus(pages []crawler.CrawledPage) {
 	sort.Slice(pages, func(i, j int) bool { return pages[i].URL < pages[j].URL })
-}
-
-// CorpusManifest renders the merged corpora as one canonical line per
-// page — URL, raw size, gold label, and an FNV-1a digest of the extracted
-// net text — relevant pages first, each group URL-sorted. Two crawls
-// stored identical corpora iff their manifests are byte-identical; the
-// determinism and checkpoint suites compare this form.
-//
-// A degraded run appends one `deg` footer line per fenced partition, so
-// a manifest consumer cannot mistake a corpus with known coverage holes
-// for a complete one. Healthy runs emit no footer, keeping the form
-// byte-compatible with every pre-supervision manifest.
-func (res *Result) CorpusManifest() string {
-	var b strings.Builder
-	render := func(class string, pages []crawler.CrawledPage) {
-		for _, p := range pages {
-			h := fnv.New64a()
-			h.Write([]byte(p.NetText))
-			fmt.Fprintf(&b, "%s %s bytes=%d gold=%t text=%016x\n",
-				class, p.URL, p.Bytes, p.GoldRelevant, h.Sum64())
-		}
-	}
-	render("rel", res.Relevant)
-	render("irr", res.IrrelevantPages)
-	shards := len(res.PerShard)
-	for _, d := range res.Degraded {
-		fmt.Fprintf(&b, "deg shard=%d/%d fenced_round=%d pending_lost=%d mail_lost=%d\n",
-			d.Shard, shards, d.FencedAtRound, d.PendingLost, d.MailLost)
-	}
-	return b.String()
 }

@@ -28,14 +28,12 @@ import (
 
 	"webtextie/internal/classify"
 	"webtextie/internal/crawler"
-	"webtextie/internal/ie/dict"
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/evlog"
 	"webtextie/internal/obs/prof"
 	"webtextie/internal/obs/series"
 	"webtextie/internal/obs/trace"
 	"webtextie/internal/synthweb"
-	"webtextie/internal/textgen"
 )
 
 // Of returns the shard owning a host: FNV-1a over the host name, modulo
@@ -256,12 +254,6 @@ func (r *Runner) sampleSeries() {
 	r.series.Observe("fleet.rounds", makespanMs, float64(r.rounds))
 }
 
-// WithEntityMatchers shares the read-only entity dictionaries with every
-// shard (the EntityBoost extension). Returns the runner for chaining.
-func (r *Runner) WithEntityMatchers(m map[textgen.EntityType]*dict.Matcher) *Runner {
-	return r.attach(func(c *crawler.Crawler) { c.WithEntityMatchers(m) })
-}
-
 // Shard returns shard i's crawler (tests inspect per-shard state).
 // After RestartShard the previous crawler is gone — callers must not
 // cache the pointer across rounds under supervision.
@@ -272,10 +264,6 @@ func (r *Runner) Shards() int { return r.cfg.Shards }
 
 // Rounds returns the number of completed rounds.
 func (r *Runner) Rounds() int { return r.rounds }
-
-// Stopped reports whether the fleet page budget ended the crawl (false
-// means the frontiers drained).
-func (r *Runner) Stopped() bool { return r.stopped }
 
 // Seed partitions the seed list across shards by host hash, preserving
 // list order within each shard. URLs that do not parse go to shard 0,
@@ -432,11 +420,11 @@ func (r *Runner) RestartShard(i int, ckpt []byte) error {
 
 // Fence permanently removes shard i from the fleet: it never steps
 // again, mail addressed to it is dropped at barriers, and the loss is
-// recorded so Result and CorpusManifest can report the missing
-// partition instead of silently shrinking the corpus. The caller should
-// first RestartShard from the last good checkpoint so the fenced
-// shard's contribution to the merged corpus is a consistent barrier
-// state, not a half-stepped one.
+// recorded so Result.Degraded reports the missing partition instead of
+// silently shrinking the corpus. The caller should first RestartShard
+// from the last good checkpoint so the fenced shard's contribution to
+// the merged corpus is a consistent barrier state, not a half-stepped
+// one.
 func (r *Runner) Fence(i int) {
 	if r.fenced[i] {
 		return

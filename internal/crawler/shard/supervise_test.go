@@ -202,7 +202,7 @@ func TestFenceDegradesLoudly(t *testing.T) {
 	if res.Stats.FrontierEmptied {
 		t.Error("degraded run claims an emptied frontier")
 	}
-	manifest := res.CorpusManifest()
+	manifest := corpusManifest(res)
 	if !strings.Contains(manifest, "deg shard=") {
 		t.Error("corpus manifest lacks the deg footer")
 	}

@@ -64,7 +64,7 @@ func (f fixture) run(t *testing.T) fixtureRun {
 		}
 		sup := New(fleet, cfg)
 		var err error
-		if res, err = sup.Run(fixtureEnv.seeds); err != nil {
+		if res, err = sup.run(fixtureEnv.seeds); err != nil {
 			t.Fatal(err)
 		}
 		r.rep = sup.Report()

@@ -26,8 +26,8 @@
 //     its barrier state one last time and fenced: it never steps again,
 //     mail addressed to it is dropped (and counted), and the run
 //     finishes with the surviving partitions. The missing host-hash
-//     partitions are recorded on Result.Degraded and in the
-//     CorpusManifest footer — the corpus shrinks loudly, never silently.
+//     partitions are recorded on Result.Degraded, which cmd/crawl
+//     reports — the corpus shrinks loudly, never silently.
 //
 // Supervision has its own three observability pillars (a fleet.* metric
 // registry, a trace recorder for shard.crash/restart/stall/fenced marks,
@@ -373,22 +373,4 @@ func (s *Supervisor) makespan() int64 {
 		}
 	}
 	return max
-}
-
-// Run executes the supervised crawl to completion: seed, supervised
-// rounds until the budget or the frontiers end it, merge. The merged
-// Result carries the crawl-pillar exports; supervision exports come
-// from Report.
-func (s *Supervisor) Run(seedURLs []string) (*shard.Result, error) {
-	s.r.Seed(seedURLs)
-	for {
-		cont, err := s.Round()
-		if err != nil {
-			return nil, err
-		}
-		if !cont {
-			break
-		}
-	}
-	return s.r.Finish(), nil
 }

@@ -70,6 +70,22 @@ type exports map[string]string
 // surfaces is the order diffExports walks.
 var surfaces = []string{"corpus", "stats", "metrics", "trace", "log", "series", "profile"}
 
+// corpusOf renders the merged corpora and the fenced partitions, one
+// line per page in merge order.
+func corpusOf(res *shard.Result) string {
+	var b strings.Builder
+	for class, pages := range [][]crawler.CrawledPage{res.Relevant, res.IrrelevantPages} {
+		for _, p := range pages {
+			fmt.Fprintf(&b, "%d %s bytes=%d gold=%t text=%q\n", class, p.URL, p.Bytes, p.GoldRelevant, p.NetText)
+		}
+	}
+	for _, d := range res.Degraded {
+		fmt.Fprintf(&b, "deg shard=%d/%d fenced_round=%d pending_lost=%d mail_lost=%d\n",
+			d.Shard, len(res.PerShard), d.FencedAtRound, d.PendingLost, d.MailLost)
+	}
+	return b.String()
+}
+
 // exportsOf renders a fleet's result whole: corpus manifest, stats and
 // rounds, and every pillar it ran with, each in one format (the shard
 // package holds the formats to each other). Profiles render as call rows
@@ -77,7 +93,7 @@ var surfaces = []string{"corpus", "stats", "metrics", "trace", "log", "series", 
 // since it counts the barrier checkpoints only a supervised run writes.
 func exportsOf(res *shard.Result) exports {
 	ex := exports{
-		"corpus":  res.CorpusManifest(),
+		"corpus":  corpusOf(res),
 		"stats":   fmt.Sprintf("%+v rounds=%d", res.Stats, res.Rounds),
 		"metrics": res.Metrics.Text(),
 	}
@@ -131,12 +147,28 @@ func newFleet(t *testing.T, e *env, cfg shard.Config) *shard.Runner {
 	return r
 }
 
+// run executes the supervised crawl to completion: seed, supervised
+// rounds until the budget or the frontiers end it, merge — cmd/crawl's
+// round loop without its checkpoint cut.
+func (s *Supervisor) run(seedURLs []string) (*shard.Result, error) {
+	s.r.Seed(seedURLs)
+	for {
+		cont, err := s.Round()
+		if err != nil {
+			return nil, err
+		}
+		if !cont {
+			return s.r.Finish(), nil
+		}
+	}
+}
+
 // runSupervised runs the supervised fleet and returns its exports and
 // the supervision report.
 func runSupervised(t *testing.T, e *env, cfg shard.Config, scfg Config) (exports, *Report, *shard.Result) {
 	t.Helper()
 	sup := New(newFleet(t, e, cfg), scfg)
-	res, err := sup.Run(e.seeds)
+	res, err := sup.run(e.seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

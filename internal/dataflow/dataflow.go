@@ -201,17 +201,6 @@ func (p *Plan) Sinks() []*Node {
 	return out
 }
 
-// TotalMemoryPerWorker sums the operator footprints — the number the §4.2
-// war story is about ("the complete data flow ... needs roughly 60 GB main
-// memory per worker thread").
-func (p *Plan) TotalMemoryPerWorker() int64 {
-	var total int64
-	for _, n := range p.nodes {
-		total += n.Op.Cost.MemoryBytes
-	}
-	return total
-}
-
 // String renders the plan topologically for debugging and reports.
 func (p *Plan) String() string {
 	var b strings.Builder

@@ -343,15 +343,6 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
-func TestTotalMemoryPerWorker(t *testing.T) {
-	p := &Plan{}
-	a := p.Add(&Op{Name: "a", Cost: Cost{MemoryBytes: 100}, Fn: func(r Record, e Emit) error { return nil }})
-	p.Add(&Op{Name: "b", Cost: Cost{MemoryBytes: 250}, Fn: func(r Record, e Emit) error { return nil }}, a)
-	if got := p.TotalMemoryPerWorker(); got != 350 {
-		t.Errorf("memory = %d", got)
-	}
-}
-
 func BenchmarkExecuteLinear(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := &Plan{}

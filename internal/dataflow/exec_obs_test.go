@@ -79,14 +79,14 @@ func TestExecMetricsMatchStats(t *testing.T) {
 		}
 		// The latency histogram observes once per input record; assert the
 		// count (bucket placement is wall-clock and nondeterministic).
-		if h, ok := snap.Hist(MetricName(n, "ms")); !ok || h.Count != ns.In {
+		if h, ok := snap.Hists[MetricName(n, "ms")]; !ok || h.Count != ns.In {
 			t.Errorf("%s count = %d (present=%v), want %d", MetricName(n, "ms"), h.Count, ok, ns.In)
 		}
 		if hw := snap.Gauge(MetricName(n, "queue.highwater")); hw < 0 {
 			t.Errorf("%s = %d, want >= 0", MetricName(n, "queue.highwater"), hw)
 		}
 	}
-	if h, ok := snap.Hist("dataflow.wall.ms"); !ok || h.Count != 1 {
+	if h, ok := snap.Hists["dataflow.wall.ms"]; !ok || h.Count != 1 {
 		t.Errorf("dataflow.wall.ms count = %d (present=%v), want 1", h.Count, ok)
 	}
 }

@@ -79,7 +79,7 @@ func TestSeenMarkEpochReset(t *testing.T) {
 			}
 		}
 	}
-	if idx.Len() != len(texts) {
-		t.Fatalf("index grew to %d, want %d", idx.Len(), len(texts))
+	if len(idx.ids) != len(texts) {
+		t.Fatalf("index grew to %d, want %d", len(idx.ids), len(texts))
 	}
 }

@@ -18,8 +18,6 @@ import (
 	"sync"
 
 	"webtextie/internal/obs"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/trace"
 )
 
 // SignatureSize is the number of MinHash components.
@@ -208,18 +206,6 @@ type Index struct {
 	seenEpoch uint32
 
 	cIndexed, cDup, cCand *obs.Counter
-	lg                    evlog.Logger
-}
-
-// WithLog points the index at an event-log sink: duplicate hits are
-// logged (sampled 1-in-4 by document id) on an index-size logical clock,
-// deterministic when the index is fed serially. Returns the index for
-// chaining.
-func (x *Index) WithLog(sink *evlog.Sink) *Index {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.lg = sink.Logger("dedup.index")
-	return x
 }
 
 // WithMetrics redirects the index's counters (dedup.indexed,
@@ -245,13 +231,6 @@ func NewIndex(threshold float64) *Index {
 		idx.buckets[i] = map[uint64][]int{}
 	}
 	return idx.WithMetrics(nil)
-}
-
-// Len returns the number of indexed documents.
-func (x *Index) Len() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.ids)
 }
 
 // bandHash hashes one band of the signature.
@@ -291,10 +270,6 @@ func (x *Index) AddOrFind(id string, sig Signature) (dupOf string, dup bool) {
 			x.cCand.Inc()
 			if Similarity(sig, x.sigs[cand]) >= x.Threshold {
 				x.cDup.Inc()
-				if x.lg.Enabled() {
-					x.lg.Sample(id, 4).Debug("dedup.duplicate", int64(len(x.ids)),
-						trace.String("id", id), trace.String("dup_of", x.ids[cand]))
-				}
 				return x.ids[cand], true
 			}
 		}

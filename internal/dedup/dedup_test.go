@@ -106,8 +106,8 @@ func TestIndexFindsNearDuplicates(t *testing.T) {
 	if _, dup := idx.AddOrFind("other", Sketch(other, 3)); dup {
 		t.Fatal("unrelated document reported as dup")
 	}
-	if idx.Len() != 2 {
-		t.Fatalf("index size = %d, want 2", idx.Len())
+	if len(idx.ids) != 2 {
+		t.Fatalf("index size = %d, want 2", len(idx.ids))
 	}
 }
 
@@ -144,7 +144,7 @@ func TestIndexConcurrentSafe(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
-	if idx.Len() == 0 {
+	if len(idx.ids) == 0 {
 		t.Fatal("nothing indexed")
 	}
 }

@@ -54,9 +54,6 @@ func FromLinkDB(ldb *crawldb.LinkDB) *HostGraph {
 	return g
 }
 
-// Size returns the number of host nodes.
-func (g *HostGraph) Size() int { return len(g.Nodes) }
-
 // PageRank computes the stationary distribution with damping factor d,
 // iterating until the L1 change drops below tol or maxIter is reached.
 // Dangling nodes distribute their mass uniformly (the standard fix).

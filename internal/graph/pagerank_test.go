@@ -21,8 +21,8 @@ func buildLinkDB() *crawldb.LinkDB {
 
 func TestFromLinkDBDropsSelfLoops(t *testing.T) {
 	g := FromLinkDB(buildLinkDB())
-	if g.Size() != 4 {
-		t.Fatalf("nodes = %d (%v), want 4", g.Size(), g.Nodes)
+	if len(g.Nodes) != 4 {
+		t.Fatalf("nodes = %d (%v), want 4", len(g.Nodes), g.Nodes)
 	}
 	for i, outs := range g.out {
 		for _, to := range outs {

@@ -93,9 +93,6 @@ func classOf(name string) uint8 {
 	return 0
 }
 
-// IsBlock reports whether the tag introduces a block boundary.
-func IsBlock(name string) bool { return classOf(name)&clsBlock != 0 }
-
 // opens reports whether a start tag pushes an element the repairer must
 // close.
 func opens(t *Token) bool { return !t.SelfClosing && classOf(t.Name)&clsVoid == 0 }

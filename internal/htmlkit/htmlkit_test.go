@@ -354,8 +354,9 @@ func TestDecodeEntities(t *testing.T) {
 }
 
 func TestIsBlock(t *testing.T) {
-	if !IsBlock("p") || !IsBlock("div") || IsBlock("span") || IsBlock("b") {
-		t.Error("IsBlock misclassifies")
+	isBlock := func(name string) bool { return classOf(name)&clsBlock != 0 }
+	if !isBlock("p") || !isBlock("div") || isBlock("span") || isBlock("b") {
+		t.Error("classOf misclassifies block tags")
 	}
 }
 

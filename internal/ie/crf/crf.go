@@ -90,8 +90,6 @@ type Tagger struct {
 	// weights holds a per-label weight vector per feature row; rows no
 	// update touched stay zero.
 	weights [][numLabels]float64
-	// features is the number of rows training touched.
-	features int
 	// trans holds transition weights [prev][cur].
 	trans [numLabels][numLabels]float64
 }
@@ -149,21 +147,6 @@ func shape(w string) int32 {
 	default:
 		return 8 // lower
 	}
-}
-
-// IsTLA reports whether a surface form is a bare three-letter acronym, the
-// filter the paper applies to the ML gene annotations ("we filtered all
-// TLAs from the list of ML-tagged gene names", §4.3.2).
-func IsTLA(s string) bool {
-	if len(s) != 3 {
-		return false
-	}
-	for i := 0; i < 3; i++ {
-		if s[i] < 'A' || s[i] > 'Z' {
-			return false
-		}
-	}
-	return true
 }
 
 // id returns the vocabulary id of b. An unseen b is added when intern is
@@ -381,7 +364,6 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 
 	// Averaging accumulators.
 	acc := make([][numLabels]float64, rows)
-	touched := make([]bool, rows)
 	var accTrans [numLabels][numLabels]float64
 	steps := 1.0
 
@@ -390,7 +372,6 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 		for _, r := range t.keys(kb[:0], a, i) {
 			t.weights[r][l] += delta
 			acc[r][l] += delta * steps
-			touched[r] = true
 		}
 	}
 
@@ -429,9 +410,6 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 		for l := Label(0); l < numLabels; l++ {
 			t.weights[r][l] -= acc[r][l] / steps
 		}
-		if touched[r] {
-			t.features++
-		}
 	}
 	for p := Label(0); p < numLabels; p++ {
 		for c := Label(0); c < numLabels; c++ {
@@ -441,36 +419,12 @@ func Train(entity textgen.EntityType, data []Sentence, cfg Config) *Tagger {
 	return t
 }
 
-// NumFeatures returns the learned feature count (model size proxy): the
-// rows some update touched.
-func (t *Tagger) NumFeatures() int { return t.features }
-
-// Tag labels a tokenized sentence.
-func (t *Tagger) Tag(words []string) []Label {
-	if len(words) == 0 {
-		return nil
-	}
-	a := make([]atoms, len(words))
-	for i, w := range words {
-		a[i] = t.atomize(w, false)
-	}
-	out := make([]Label, len(words))
-	t.viterbi(a, make([]step, len(words)), out)
-	return out
-}
-
 // Match is an extracted mention.
 type Match struct {
 	// Start/End are byte offsets into the input text.
 	Start, End int
 	// Surface is the mention text.
 	Surface string
-}
-
-// ExtractTokens converts a labelled token sequence into matches using the
-// tokens' spans.
-func ExtractTokens(tokens []nlp.TokenSpan, labels []Label) []Match {
-	return appendMatches(nil, tokens, labels)
 }
 
 // appendMatches appends the mentions of one labelled token sequence to out.
@@ -521,18 +475,6 @@ func (t *Tagger) Extract(text string) []Match {
 		out = appendMatches(out, toks, labels[:n])
 		for i := first; i < len(out); i++ {
 			out[i].Surface = text[out[i].Start:out[i].End]
-		}
-	}
-	return out
-}
-
-// FilterTLAs removes bare three-letter-acronym matches, the paper's
-// post-hoc mitigation for the gene tagger on web text (§4.3.2).
-func FilterTLAs(ms []Match) []Match {
-	out := ms[:0]
-	for _, m := range ms {
-		if !IsTLA(m.Surface) {
-			out = append(out, m)
 		}
 	}
 	return out

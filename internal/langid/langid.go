@@ -91,18 +91,6 @@ func New() *Identifier {
 	return id
 }
 
-// Train adds or replaces the profile for a language from sample text. It
-// is not safe to call concurrently with Identify.
-func (id *Identifier) Train(lang, sample string) {
-	id.profiles[lang] = profileOf(sample)
-	id.compile()
-}
-
-// Languages returns the known language codes, sorted.
-func (id *Identifier) Languages() []string {
-	return slices.Clone(id.langs)
-}
-
 // profileOf computes the rank-ordered trigram profile of text: its top
 // profileSize packed trigrams, most frequent first.
 func profileOf(text string) []uint32 {

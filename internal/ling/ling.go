@@ -15,12 +15,36 @@
 // expressions themselves and checks the scan against them.
 package ling
 
-import (
-	"strconv"
+import "webtextie/internal/nlp"
 
-	"webtextie/internal/annot"
-	"webtextie/internal/nlp"
+// Kind classifies an annotation.
+type Kind string
+
+// The annotation kinds Analyze produces.
+const (
+	KindNegation Kind = "negation"
+	KindPronoun  Kind = "pronoun"
+	KindParen    Kind = "paren"
 )
+
+// Annotation is one stand-off annotation (§3.2): every result is recorded
+// "together with information on document ID, sentence ID, and start/end
+// positions" rather than by mutating the text.
+type Annotation struct {
+	// DocID identifies the document.
+	DocID string
+	// Sentence is the index of the containing sentence (-1 if unknown).
+	Sentence int
+	// Start/End are byte offsets into the document text.
+	Start, End int
+	// Kind classifies the annotation.
+	Kind Kind
+	// Value carries the payload: the matched surface form, or the pronoun
+	// class.
+	Value string
+	// Source names the producing annotator.
+	Source string
+}
 
 // PronounClassNames names the six classes in annotation values.
 var PronounClassNames = []string{
@@ -180,7 +204,7 @@ func scan(dst []mention, text string, sentences []nlp.Span) []mention {
 // subject class, then parentheses, each in text order. Words match up to
 // ASCII case. Sentence indexes are assigned from the provided spans, which
 // must be ascending and disjoint, as nlp.SplitSentences returns them.
-func Analyze(docID, text string, sentences []nlp.Span) []annot.Annotation {
+func Analyze(docID, text string, sentences []nlp.Span) []Annotation {
 	// An abstract's mentions fit the stack; a full text's spill to the heap.
 	mentions := scan(make([]mention, 0, 64), text, sentences)
 
@@ -192,19 +216,19 @@ func Analyze(docID, text string, sentences []nlp.Span) []annot.Annotation {
 	for g := 1; g < len(at); g++ {
 		at[g] += at[g-1]
 	}
-	out := make([]annot.Annotation, len(mentions))
+	out := make([]Annotation, len(mentions))
 	for _, m := range mentions {
-		a := annot.Annotation{
+		a := Annotation{
 			DocID: docID, Sentence: m.sentence, Start: m.start, End: m.end,
 			Source: "ling",
 		}
 		switch m.group {
 		case groupNegation:
-			a.Kind, a.Value = annot.KindNegation, text[m.start:m.end]
+			a.Kind, a.Value = KindNegation, text[m.start:m.end]
 		case groupParen:
-			a.Kind, a.Value = annot.KindParen, text[m.start:m.end]
+			a.Kind, a.Value = KindParen, text[m.start:m.end]
 		default:
-			a.Kind, a.Value = annot.KindPronoun, PronounClassNames[m.group.pronounClass()]
+			a.Kind, a.Value = KindPronoun, PronounClassNames[m.group.pronounClass()]
 		}
 		out[at[m.group]] = a
 		at[m.group]++
@@ -251,11 +275,11 @@ func Measure(docID, text string) DocStats {
 	}
 	for _, a := range anns {
 		switch a.Kind {
-		case annot.KindNegation:
+		case KindNegation:
 			st.Negations++
-		case annot.KindParen:
+		case KindParen:
 			st.Parens++
-		case annot.KindPronoun:
+		case KindPronoun:
 			for i, n := range PronounClassNames {
 				if a.Value == n {
 					st.Pronouns[i]++
@@ -264,12 +288,4 @@ func Measure(docID, text string) DocStats {
 		}
 	}
 	return st
-}
-
-// FormatSentenceID renders a sentence index for report output.
-func FormatSentenceID(i int) string {
-	if i < 0 {
-		return "-"
-	}
-	return strconv.Itoa(i)
 }

@@ -7,18 +7,17 @@ import (
 	"strings"
 	"testing"
 
-	"webtextie/internal/annot"
 	"webtextie/internal/nlp"
 	"webtextie/internal/rng"
 	"webtextie/internal/synthweb"
 	"webtextie/internal/textgen"
 )
 
-func analyze(text string) []annot.Annotation {
+func analyze(text string) []Annotation {
 	return Analyze("d", text, nlp.SplitSentences(text))
 }
 
-func count(anns []annot.Annotation, k annot.Kind) int {
+func count(anns []Annotation, k Kind) int {
 	n := 0
 	for _, a := range anns {
 		if a.Kind == k {
@@ -30,21 +29,21 @@ func count(anns []annot.Annotation, k annot.Kind) int {
 
 func TestNegationDetection(t *testing.T) {
 	anns := analyze("The drug did not work. Neither dose nor schedule mattered.")
-	if got := count(anns, annot.KindNegation); got != 3 {
+	if got := count(anns, KindNegation); got != 3 {
 		t.Errorf("negations = %d, want 3 (not, neither, nor)", got)
 	}
 }
 
 func TestNegationWordBoundary(t *testing.T) {
 	anns := analyze("The notation denotes nothing important.")
-	if got := count(anns, annot.KindNegation); got != 0 {
+	if got := count(anns, KindNegation); got != 0 {
 		t.Errorf("negations = %d in text without negation words", got)
 	}
 }
 
 func TestNegationCaseInsensitive(t *testing.T) {
 	anns := analyze("Not a single case. NOR that one.")
-	if got := count(anns, annot.KindNegation); got != 2 {
+	if got := count(anns, KindNegation); got != 2 {
 		t.Errorf("negations = %d, want 2", got)
 	}
 }
@@ -53,7 +52,7 @@ func TestPronounClasses(t *testing.T) {
 	anns := analyze("They saw him. This works, which itself was their idea.")
 	classes := map[string]int{}
 	for _, a := range anns {
-		if a.Kind == annot.KindPronoun {
+		if a.Kind == KindPronoun {
 			classes[a.Value]++
 		}
 	}
@@ -68,7 +67,7 @@ func TestReflexiveNotDoubleCounted(t *testing.T) {
 	anns := analyze("The cell divides itself.")
 	var values []string
 	for _, a := range anns {
-		if a.Kind == annot.KindPronoun {
+		if a.Kind == KindPronoun {
 			values = append(values, a.Value)
 		}
 	}
@@ -79,11 +78,11 @@ func TestReflexiveNotDoubleCounted(t *testing.T) {
 
 func TestParentheses(t *testing.T) {
 	anns := analyze("The result (p < 0.01) was clear (see Fig. 2).")
-	if got := count(anns, annot.KindParen); got != 2 {
+	if got := count(anns, KindParen); got != 2 {
 		t.Errorf("parens = %d, want 2", got)
 	}
 	for _, a := range anns {
-		if a.Kind == annot.KindParen {
+		if a.Kind == KindParen {
 			if a.Value[0] != '(' || a.Value[len(a.Value)-1] != ')' {
 				t.Errorf("paren value %q not parenthesized", a.Value)
 			}
@@ -95,10 +94,10 @@ func TestUnbalancedParensIgnored(t *testing.T) {
 	anns := analyze("An open ( without close and a close ) alone.")
 	// The expression requires a balanced non-nested pair; "( without close
 	// and a close )" IS a balanced pair here, so exactly one match.
-	if got := count(anns, annot.KindParen); got != 1 {
+	if got := count(anns, KindParen); got != 1 {
 		t.Errorf("parens = %d", got)
 	}
-	if got := count(analyze("No parens at all."), annot.KindParen); got != 0 {
+	if got := count(analyze("No parens at all."), KindParen); got != 0 {
 		t.Errorf("spurious paren match: %d", got)
 	}
 }
@@ -106,9 +105,9 @@ func TestUnbalancedParensIgnored(t *testing.T) {
 func TestSentenceIDsAssigned(t *testing.T) {
 	text := "First has not one. Second has neither."
 	anns := analyze(text)
-	negs := []annot.Annotation{}
+	negs := []Annotation{}
 	for _, a := range anns {
-		if a.Kind == annot.KindNegation {
+		if a.Kind == KindNegation {
 			negs = append(negs, a)
 		}
 	}
@@ -123,7 +122,7 @@ func TestSentenceIDsAssigned(t *testing.T) {
 func TestOffsetsMatchText(t *testing.T) {
 	text := "They did not respond (sadly)."
 	for _, a := range analyze(text) {
-		if text[a.Start:a.End] != a.Value && a.Kind != annot.KindPronoun {
+		if text[a.Start:a.End] != a.Value && a.Kind != KindPronoun {
 			t.Errorf("span %q != value %q", text[a.Start:a.End], a.Value)
 		}
 	}
@@ -159,12 +158,6 @@ func TestMeasureEmpty(t *testing.T) {
 	st := Measure("e", "")
 	if st.Sentences != 0 || st.NegPerSentence() != 0 || st.MeanSentenceLen != 0 {
 		t.Errorf("empty stats: %+v", st)
-	}
-}
-
-func TestFormatSentenceID(t *testing.T) {
-	if FormatSentenceID(-1) != "-" || FormatSentenceID(3) != "3" {
-		t.Error("FormatSentenceID broken")
 	}
 }
 
@@ -249,7 +242,7 @@ var (
 // analyze is Analyze as it was: each expression in turn over the whole
 // text, pronoun classes from reflexive to subject with a later class
 // yielding to an earlier one's span, a linear search for the sentence.
-func (p patterns) analyze(docID, text string, sentences []nlp.Span) []annot.Annotation {
+func (p patterns) analyze(docID, text string, sentences []nlp.Span) []Annotation {
 	sentenceAt := func(pos int) int {
 		for i, s := range sentences {
 			if pos >= s.Start && pos < s.End {
@@ -268,11 +261,11 @@ func (p patterns) analyze(docID, text string, sentences []nlp.Span) []annot.Anno
 		}
 		return false
 	}
-	out := make([]annot.Annotation, 0, 16)
+	out := make([]Annotation, 0, 16)
 	for _, m := range p.negation.FindAllStringIndex(text, -1) {
-		out = append(out, annot.Annotation{
+		out = append(out, Annotation{
 			DocID: docID, Sentence: sentenceAt(m[0]), Start: m[0], End: m[1],
-			Kind: annot.KindNegation, Value: text[m[0]:m[1]], Source: "ling",
+			Kind: KindNegation, Value: text[m[0]:m[1]], Source: "ling",
 		})
 	}
 	for _, class := range []int{5, 4, 3, 2, 1, 0} {
@@ -281,17 +274,17 @@ func (p patterns) analyze(docID, text string, sentences []nlp.Span) []annot.Anno
 				continue
 			}
 			claimed = append(claimed, claim{m[0], m[1]})
-			out = append(out, annot.Annotation{
+			out = append(out, Annotation{
 				DocID: docID, Sentence: sentenceAt(m[0]), Start: m[0], End: m[1],
-				Kind: annot.KindPronoun, Value: PronounClassNames[class],
+				Kind: KindPronoun, Value: PronounClassNames[class],
 				Source: "ling",
 			})
 		}
 	}
 	for _, m := range p.paren.FindAllStringIndex(text, -1) {
-		out = append(out, annot.Annotation{
+		out = append(out, Annotation{
 			DocID: docID, Sentence: sentenceAt(m[0]), Start: m[0], End: m[1],
-			Kind: annot.KindParen, Value: text[m[0]:m[1]], Source: "ling",
+			Kind: KindParen, Value: text[m[0]:m[1]], Source: "ling",
 		})
 	}
 	return out

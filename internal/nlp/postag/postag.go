@@ -295,9 +295,6 @@ func (t *Tagger) densify() {
 	}
 }
 
-// Tags returns the tag inventory in training order.
-func (t *Tagger) Tags() []string { return t.tags }
-
 func suffix(w string, n int) string {
 	if len(w) <= n {
 		return strings.ToLower(w)
@@ -669,26 +666,3 @@ func (t *Tagger) viterbi3(lat *lattice, words []string) ([]string, error) {
 }
 
 var errNoPath = errors.New("postag: no path")
-
-// Accuracy scores predicted against gold tags, ignoring length mismatches.
-func Accuracy(gold, pred [][]string) float64 {
-	var hit, total int
-	for i := range gold {
-		if i >= len(pred) {
-			break
-		}
-		for j := range gold[i] {
-			if j >= len(pred[i]) {
-				break
-			}
-			total++
-			if gold[i][j] == pred[i][j] {
-				hit++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hit) / float64(total)
-}

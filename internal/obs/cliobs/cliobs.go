@@ -44,14 +44,6 @@ type Flags struct {
 // profTopK is the number of rows in the end-of-run profile table.
 const profTopK = 10
 
-// Names lists the shared observability flag names every binary exposes —
-// the parity contract the cmd table test checks against each command's
-// FlagSet.
-func Names() []string {
-	return []string{"trace", "trace-out", "log", "log-out", "doctor",
-		"series", "series-out", "prof", "prof-out", "debug-addr"}
-}
-
 // Register installs the shared observability flags on a FlagSet.
 func Register(fs *flag.FlagSet) *Flags {
 	return &Flags{

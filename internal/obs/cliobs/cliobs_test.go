@@ -16,25 +16,33 @@ import (
 	"webtextie/internal/obs/debugserv"
 )
 
+// sharedNames lists the shared observability flag names every binary
+// exposes — the parity contract the cmd table test checks against each
+// command's FlagSet.
+func sharedNames() []string {
+	return []string{"trace", "trace-out", "log", "log-out", "doctor",
+		"series", "series-out", "prof", "prof-out", "debug-addr"}
+}
+
 // TestNamesMatchRegister pins the parity contract: the flag set Register
-// installs is exactly Names(), no more, no less.
+// installs is exactly sharedNames(), no more, no less.
 func TestNamesMatchRegister(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Register(fs)
 	got := map[string]bool{}
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = true })
-	want := Names()
+	want := sharedNames()
 	if len(got) != len(want) {
-		t.Errorf("Register installed %d flags, Names() lists %d", len(got), len(want))
+		t.Errorf("Register installed %d flags, sharedNames() lists %d", len(got), len(want))
 	}
 	for _, name := range want {
 		if !got[name] {
-			t.Errorf("Names() lists %q but Register did not install it", name)
+			t.Errorf("sharedNames() lists %q but Register did not install it", name)
 		}
 		delete(got, name)
 	}
 	for name := range got {
-		t.Errorf("Register installed %q but Names() does not list it", name)
+		t.Errorf("Register installed %q but sharedNames() does not list it", name)
 	}
 }
 
@@ -44,7 +52,7 @@ func TestNamesMatchRegister(t *testing.T) {
 // the shared names itself (no shadowing, no drift).
 func TestFlagParityAcrossCommands(t *testing.T) {
 	shared := map[string]bool{}
-	for _, n := range Names() {
+	for _, n := range sharedNames() {
 		shared[n] = true
 	}
 	for _, cmd := range []string{"crawl", "analyze", "experiments"} {

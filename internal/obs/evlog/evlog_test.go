@@ -50,9 +50,6 @@ func TestNilAndZeroAreNoOps(t *testing.T) {
 	lg := s.Logger("nil.sink")
 	lg.Info("nothing.happens", 1, trace.String("k", "v"))
 	lg.Sample("x", 10).RateLimit(1, 1).Error("still.nothing", 2)
-	if s.Len() != 0 {
-		t.Error("nil sink retained records")
-	}
 	if got := s.Snapshot(); len(got.Records) != 0 {
 		t.Errorf("nil sink snapshot has %d records", len(got.Records))
 	}

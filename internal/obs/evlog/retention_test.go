@@ -242,8 +242,8 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
 	if got.Stats != want.Stats {
 		t.Errorf("stats = %+v, reference %+v", got.Stats, want.Stats)
 	}
-	if sink.Len() != len(want.Records) {
-		t.Errorf("Len() = %d, reference retains %d", sink.Len(), len(want.Records))
+	if n := sink.lenLocked(); n != len(want.Records) {
+		t.Errorf("%d records retained, reference retains %d", n, len(want.Records))
 	}
 	if g, w := got.Logfmt(), want.Logfmt(); g != w {
 		t.Errorf("logfmt differs from the reference:\n%s----\n%s", g, w)

@@ -237,16 +237,6 @@ func (s *Sink) admitLocked(r Record) {
 	}
 }
 
-// Len returns the number of retained records.
-func (s *Sink) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lenLocked()
-}
-
 func (s *Sink) lenLocked() int {
 	return len(s.pinned.Items()) + len(s.tail.Items()) + len(s.resv.Items())
 }

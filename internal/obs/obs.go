@@ -1,6 +1,6 @@
 // Package obs is the repo's dependency-free observability substrate:
 // atomic counters, gauges, fixed-bucket histograms, and lightweight spans
-// collected in a named registry with snapshot/diff/merge and deterministic
+// collected in a named registry with snapshot/merge and deterministic
 // text rendering.
 //
 // The paper's war stories are measurement stories — the 20-minute
@@ -20,10 +20,9 @@
 //	store.write.records           counter   fact-database rows written
 //
 // All metric types are safe for concurrent use. A Snapshot is a plain
-// value: Diff subtracts a baseline (per-interval rates), Merge folds
-// shard registries together, and Text renders it deterministically
-// (sorted names) for golden tests, end-of-run dumps and the debug
-// server's /metrics.
+// value: Merge folds shard registries together, and Text renders it
+// deterministically (sorted names) for golden tests, end-of-run dumps and
+// the debug server's /metrics.
 package obs
 
 import (
@@ -40,7 +39,7 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n should be >= 0; Diff reports resets as negative deltas).
+// Add adds n (n should be >= 0).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -68,11 +67,6 @@ func (g *Gauge) Max(n int64) {
 	}
 }
 
-// Clock supplies the current time for span timing. Registries default to
-// the wall clock; tests (and virtual-time harnesses) inject their own via
-// Registry.SetClock so span durations become deterministic.
-type Clock func() time.Time
-
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations v with bounds[i-1] < v <= bounds[i]; one extra overflow
 // bucket catches v > bounds[len-1] (rendered as +Inf).
@@ -81,10 +75,6 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
-
-	// clock is inherited from the owning registry (atomic so SetClock can
-	// retarget live histograms without racing span starts); nil = wall.
-	clock atomic.Pointer[Clock]
 }
 
 // DefaultMsBuckets is the standard latency bucket layout (milliseconds),
@@ -132,20 +122,11 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// now reads the histogram's clock (the owning registry's, wall by default).
-func (h *Histogram) now() time.Time {
-	if c := h.clock.Load(); c != nil {
-		return (*c)()
-	}
-	return time.Now()
-}
-
 // Start begins a span into this histogram — the unnamed counterpart of
 // Registry.StartSpan for hot paths that already hold the histogram.
 // Spans are the only sanctioned wall-clock timer outside this package
-// (the lintx determinism analyzer enforces that), and they honor the
-// registry's injected Clock so virtual-time tests stay deterministic.
-func (h *Histogram) Start() Span { return Span{h: h, start: h.now()} }
+// (the lintx determinism analyzer enforces that).
+func (h *Histogram) Start() Span { return Span{h: h, start: time.Now()} }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -161,13 +142,12 @@ type Span struct {
 	start time.Time
 }
 
-// End records the elapsed time (milliseconds) on the histogram's clock and
-// returns it.
+// End records the elapsed time (milliseconds) and returns it.
 func (s Span) End() time.Duration {
+	d := time.Since(s.start)
 	if s.h == nil {
-		return time.Since(s.start)
+		return d
 	}
-	d := s.h.now().Sub(s.start)
 	s.h.ObserveDuration(d)
 	return d
 }
@@ -181,23 +161,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	clock    *Clock // nil = wall clock; inherited by histograms at creation
-}
-
-// SetClock makes every span started from this registry (including existing
-// histograms' Start) read the given clock instead of the wall clock. A nil
-// clock restores wall time. Safe to call while spans are being started.
-func (r *Registry) SetClock(c Clock) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var p *Clock
-	if c != nil {
-		p = &c
-	}
-	r.clock = p
-	for _, h := range r.hists {
-		h.clock.Store(p)
-	}
 }
 
 // New returns an empty registry.
@@ -257,14 +220,12 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	h, ok := r.hists[name]
 	if !ok {
 		h = newHistogram(bounds)
-		h.clock.Store(r.clock)
 		r.hists[name] = h
 	}
 	return h
 }
 
-// StartSpan starts timing into histogram <name>.ms on the registry clock.
+// StartSpan starts timing into histogram <name>.ms.
 func (r *Registry) StartSpan(name string) Span {
-	h := r.Histogram(name + ".ms")
-	return Span{h: h, start: h.now()}
+	return r.Histogram(name + ".ms").Start()
 }

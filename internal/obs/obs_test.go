@@ -91,7 +91,7 @@ func TestSpanRecords(t *testing.T) {
 	if d := s.End(); d <= 0 {
 		t.Errorf("span duration = %v", d)
 	}
-	h, ok := r.Snapshot().Hist("work.ms")
+	h, ok := r.Snapshot().Hists["work.ms"]
 	if !ok || h.Count != 1 {
 		t.Fatalf("span histogram missing or empty: %+v", h)
 	}
@@ -109,9 +109,6 @@ func TestEmptyRegistry(t *testing.T) {
 	if s.Text() != "" {
 		t.Errorf("empty Text = %q", s.Text())
 	}
-	if d := s.Diff(s); len(d.Counters) != 0 {
-		t.Errorf("empty Diff = %+v", d)
-	}
 	if m := s.Merge(s); len(m.Counters) != 0 {
 		t.Errorf("empty Merge = %+v", m)
 	}
@@ -121,78 +118,6 @@ func TestEmptyRegistry(t *testing.T) {
 	}
 	if string(js) != "{}" {
 		t.Errorf("empty JSON = %s", js)
-	}
-}
-
-func TestSnapshotDiff(t *testing.T) {
-	cases := []struct {
-		name  string
-		setup func(r *Registry) (before Snapshot)
-		check func(t *testing.T, d Snapshot)
-	}{
-		{
-			name: "counter-delta",
-			setup: func(r *Registry) Snapshot {
-				r.Counter("c").Add(10)
-				before := r.Snapshot()
-				r.Counter("c").Add(5)
-				r.Counter("new").Inc()
-				return before
-			},
-			check: func(t *testing.T, d Snapshot) {
-				if d.Counter("c") != 5 || d.Counter("new") != 1 {
-					t.Errorf("deltas = %+v", d.Counters)
-				}
-			},
-		},
-		{
-			name: "gauge-keeps-current",
-			setup: func(r *Registry) Snapshot {
-				r.Gauge("g").Set(100)
-				before := r.Snapshot()
-				r.Gauge("g").Set(3)
-				return before
-			},
-			check: func(t *testing.T, d Snapshot) {
-				if d.Gauge("g") != 3 {
-					t.Errorf("gauge = %d, want current value 3", d.Gauge("g"))
-				}
-			},
-		},
-		{
-			name: "hist-delta",
-			setup: func(r *Registry) Snapshot {
-				h := r.Histogram("h", 1, 10)
-				h.Observe(0.5)
-				h.Observe(5)
-				before := r.Snapshot()
-				h.Observe(5)
-				h.Observe(100)
-				return before
-			},
-			check: func(t *testing.T, d Snapshot) {
-				h, ok := d.Hist("h")
-				if !ok {
-					t.Fatal("hist missing from diff")
-				}
-				if h.Count != 2 || h.Sum != 105 {
-					t.Errorf("count=%d sum=%v, want 2/105", h.Count, h.Sum)
-				}
-				want := []int64{0, 1, 1}
-				for i, c := range h.Counts {
-					if c != want[i] {
-						t.Errorf("bucket %d = %d, want %d", i, c, want[i])
-					}
-				}
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := New()
-			before := tc.setup(r)
-			tc.check(t, r.Snapshot().Diff(before))
-		})
 	}
 }
 
@@ -216,11 +141,11 @@ func TestSnapshotMerge(t *testing.T) {
 	if m.Gauge("g") != 7 {
 		t.Errorf("gauge = %d, want 7", m.Gauge("g"))
 	}
-	h, _ := m.Hist("h")
+	h := m.Hists["h"]
 	if h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
 		t.Errorf("merged hist = %+v", h)
 	}
-	mix, _ := m.Hist("mix")
+	mix := m.Hists["mix"]
 	if mix.Count != 2 || mix.Sum != 4 || mix.Bounds != nil || mix.Counts != nil {
 		t.Errorf("mismatched-layout merge = %+v, want count/sum only", mix)
 	}
@@ -256,7 +181,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if s.Gauge("g") != total {
 		t.Errorf("gauge = %d, want %d", s.Gauge("g"), total)
 	}
-	h, _ := s.Hist("h")
+	h := s.Hists["h"]
 	if h.Count != total {
 		t.Errorf("hist count = %d, want %d", h.Count, total)
 	}
@@ -348,56 +273,8 @@ func TestRegistryLoadResumesStreams(t *testing.T) {
 func TestRegistryLoadDegradedHistogram(t *testing.T) {
 	r := New()
 	r.Load(Snapshot{Hists: map[string]HistSnapshot{"h.only": {Count: 4, Sum: 20}}})
-	h, ok := r.Snapshot().Hist("h.only")
+	h, ok := r.Snapshot().Hists["h.only"]
 	if !ok || h.Count != 4 || h.Sum != 20 {
 		t.Fatalf("degraded load: %+v ok=%v", h, ok)
-	}
-}
-
-// TestSetClock: span timing follows an injected clock — including spans on
-// histograms created before SetClock — and nil restores wall time.
-func TestSetClock(t *testing.T) {
-	r := New()
-	pre := r.Histogram("pre.ms") // created before the clock swap
-
-	now := time.Unix(1000, 0)
-	r.SetClock(func() time.Time { return now })
-
-	s := r.StartSpan("op")
-	now = now.Add(250 * time.Millisecond)
-	if d := s.End(); d != 250*time.Millisecond {
-		t.Fatalf("injected clock span = %v, want 250ms", d)
-	}
-
-	ps := pre.Start()
-	now = now.Add(40 * time.Millisecond)
-	if d := ps.End(); d != 40*time.Millisecond {
-		t.Fatalf("pre-existing histogram span = %v, want 40ms", d)
-	}
-
-	snap := r.Snapshot()
-	if h, ok := snap.Hist("op.ms"); !ok || h.Count != 1 || h.Sum != 250 {
-		t.Fatalf("op.ms snapshot: %+v ok=%v", h, ok)
-	}
-
-	// Two same-script registries render identically under injected clocks.
-	script := func() string {
-		reg := New()
-		at := time.Unix(0, 0)
-		reg.SetClock(func() time.Time { return at })
-		sp := reg.StartSpan("det")
-		at = at.Add(7 * time.Millisecond)
-		sp.End()
-		return reg.Snapshot().Text()
-	}
-	if a, b := script(), script(); a != b {
-		t.Fatalf("injected-clock spans not deterministic:\n%s\nvs\n%s", a, b)
-	}
-
-	// Restore wall clock: spans stop following the fake.
-	r.SetClock(nil)
-	ws := r.StartSpan("wall")
-	if d := ws.End(); d < 0 || d > 10*time.Second {
-		t.Fatalf("wall-clock span looks wrong: %v", d)
 	}
 }

@@ -94,16 +94,6 @@ func New(cfg Config) *Recorder {
 	return &Recorder{cfg: cfg.normalized(), series: map[string]*seriesState{}}
 }
 
-// Config returns the recorder's normalized retention config.
-func (r *Recorder) Config() Config {
-	if r == nil {
-		return Config{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfg
-}
-
 // Observe appends one sample to the named series. Names follow the same
 // constant lower-dotted grammar as metric names (the lintx seriesname
 // check enforces this at call sites outside internal/obs).

@@ -26,18 +26,15 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if s := r.Snapshot(); s != nil {
 		t.Fatalf("nil recorder snapshot = %v, want nil", s)
 	}
-	if c := r.Config(); c != (Config{}) {
-		t.Fatalf("nil recorder config = %+v, want zero", c)
-	}
 }
 
 func TestConfigNormalization(t *testing.T) {
 	r := New(Config{})
-	if got, want := r.Config(), DefaultConfig(); got != want {
+	if got, want := r.cfg, DefaultConfig(); got != want {
 		t.Fatalf("zero config normalized to %+v, want %+v", got, want)
 	}
 	r = New(Config{RawCap: 4})
-	if got := r.Config(); got.RawCap != 4 {
+	if got := r.cfg; got.RawCap != 4 {
 		t.Fatalf("explicit config mangled: %+v", got)
 	}
 }

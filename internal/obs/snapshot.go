@@ -65,12 +65,6 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // Gauge returns a gauge's value (0 when absent).
 func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Hist returns a histogram snapshot by name.
-func (s Snapshot) Hist(name string) (HistSnapshot, bool) {
-	h, ok := s.Hists[name]
-	return h, ok
-}
-
 func sameBounds(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -81,40 +75,6 @@ func sameBounds(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// Diff returns s minus prev: counter and histogram deltas for the interval
-// between the two snapshots, gauges at their current (s) value. Metrics
-// absent from s are dropped; metrics absent from prev are treated as zero.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Counters: make(map[string]int64, len(s.Counters)),
-		Gauges:   make(map[string]int64, len(s.Gauges)),
-		Hists:    make(map[string]HistSnapshot, len(s.Hists)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, h := range s.Hists {
-		p, ok := prev.Hists[name]
-		if !ok {
-			out.Hists[name] = h
-			continue
-		}
-		d := HistSnapshot{Count: h.Count - p.Count, Sum: h.Sum - p.Sum}
-		if sameBounds(h.Bounds, p.Bounds) && len(h.Counts) == len(p.Counts) {
-			d.Bounds = append([]float64(nil), h.Bounds...)
-			d.Counts = make([]int64, len(h.Counts))
-			for i := range h.Counts {
-				d.Counts[i] = h.Counts[i] - p.Counts[i]
-			}
-		}
-		out.Hists[name] = d
-	}
-	return out
 }
 
 // Merge returns the union of two snapshots with values summed — for

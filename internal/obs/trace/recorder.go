@@ -494,13 +494,3 @@ func (r *Recorder) Load(s *Snapshot) {
 		}
 	}
 }
-
-// Len returns the number of retained traces (active plus completed).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.traces)
-}

@@ -205,8 +205,8 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, n int, pErr float64) 
 	if got.Stats != want.Stats {
 		t.Errorf("stats = %+v, reference %+v", got.Stats, want.Stats)
 	}
-	if rec.Len() != len(ref.traces) {
-		t.Errorf("Len() = %d, reference retains %d", rec.Len(), len(ref.traces))
+	if len(rec.traces) != len(ref.traces) {
+		t.Errorf("%d traces retained, reference retains %d", len(rec.traces), len(ref.traces))
 	}
 	if g, w := got.Text(), want.Text(); g != w {
 		t.Errorf("text differs from the reference:\n%s----\n%s", g, w)

@@ -135,15 +135,6 @@ func (r *RNG) LogNorm(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Poisson returns a Poisson-distributed count with the given mean, using
 // Knuth's method for small means and a normal approximation above 30.
 func (r *RNG) Poisson(mean float64) int {
@@ -194,32 +185,6 @@ func Pick[T any](r *RNG, xs []T) T {
 	return xs[r.Intn(len(xs))]
 }
 
-// Weighted samples an index in [0, len(weights)) with probability
-// proportional to the weight. Non-positive weights are treated as zero;
-// if all weights are zero the choice is uniform.
-func (r *RNG) Weighted(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
-		return r.Intn(len(weights))
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Zipf draws ranks from a Zipf distribution over [0, n) with exponent s.
 // Word frequencies, host out-degrees and entity-name popularity all follow
 // power laws in web corpora; Zipf sampling is used everywhere a long-tail
@@ -245,9 +210,6 @@ func NewZipf(r *RNG, n int, s float64) *Zipf {
 	}
 	return &Zipf{cdf: cdf, rng: r}
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Draw returns a rank in [0, n), rank 0 being the most likely.
 func (z *Zipf) Draw() int {

@@ -160,18 +160,6 @@ func TestLogNormPositive(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(17)
-	const trials = 200000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += r.Exp(5)
-	}
-	if got := sum / trials; math.Abs(got-5) > 0.1 {
-		t.Fatalf("Exp(5) mean = %.3f", got)
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	r := New(19)
 	for _, mean := range []float64{0.5, 3, 12, 50} {
@@ -203,36 +191,6 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("not a permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestWeightedRespectsWeights(t *testing.T) {
-	r := New(29)
-	w := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	const trials = 100000
-	for i := 0; i < trials; i++ {
-		counts[r.Weighted(w)]++
-	}
-	if counts[0] != 0 {
-		t.Errorf("zero-weight bucket drawn %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if math.Abs(ratio-3) > 0.2 {
-		t.Errorf("weight ratio = %.3f, want ~3", ratio)
-	}
-}
-
-func TestWeightedAllZeroUniform(t *testing.T) {
-	r := New(31)
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		counts[r.Weighted([]float64{0, 0, 0, 0})]++
-	}
-	for i, c := range counts {
-		if c < 8000 || c > 12000 {
-			t.Errorf("bucket %d count %d not ~uniform", i, c)
-		}
 	}
 }
 

@@ -36,7 +36,6 @@ const (
 	DrugSpecific
 	// GeneSpecific covers gene names ("BRCA", "Cactin").
 	GeneSpecific
-	numCategories
 )
 
 // Categories lists all categories in Table 1 order.
@@ -138,9 +137,6 @@ func BuildCatalog(seed uint64, lex *textgen.Lexicon, sizes CatalogSizes) *Catalo
 	return c
 }
 
-// Count returns the number of terms in a category.
-func (c *Catalog) Count(cat Category) int { return len(c.Terms[cat]) }
-
 // Total returns the number of terms across all categories.
 func (c *Catalog) Total() int {
 	n := 0
@@ -178,9 +174,6 @@ func DefaultEngines(seed uint64, web *synthweb.Web) []*Engine {
 		{Name: "natureblogs", ResultCap: 10, QueryBudget: 20000, HostRestrict: "blogs.nature.com", web: web, seed: seed},
 	}
 }
-
-// Queries returns how many queries this engine has served.
-func (e *Engine) Queries() int { return e.queries }
 
 // Search returns up to ResultCap URLs for a term. General-category terms
 // yield authoritative portal pages; specific terms yield deep content

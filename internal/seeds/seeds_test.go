@@ -43,10 +43,10 @@ func TestScaledSizes(t *testing.T) {
 func TestBuildCatalog(t *testing.T) {
 	lex, _ := testSetup(t)
 	c := BuildCatalog(3, lex, CatalogSizes{General: 20, Disease: 50, Drug: 40, Gene: 60})
-	if c.Count(General) != 20 || c.Count(DiseaseSpecific) != 50 ||
-		c.Count(DrugSpecific) != 40 || c.Count(GeneSpecific) != 60 {
-		t.Errorf("counts: %d %d %d %d", c.Count(General), c.Count(DiseaseSpecific),
-			c.Count(DrugSpecific), c.Count(GeneSpecific))
+	if len(c.Terms[General]) != 20 || len(c.Terms[DiseaseSpecific]) != 50 ||
+		len(c.Terms[DrugSpecific]) != 40 || len(c.Terms[GeneSpecific]) != 60 {
+		t.Errorf("counts: %d %d %d %d", len(c.Terms[General]), len(c.Terms[DiseaseSpecific]),
+			len(c.Terms[DrugSpecific]), len(c.Terms[GeneSpecific]))
 	}
 	if c.Total() != 170 {
 		t.Errorf("total = %d", c.Total())
@@ -62,8 +62,8 @@ func TestBuildCatalog(t *testing.T) {
 func TestBuildCatalogCapsAtLexicon(t *testing.T) {
 	lex, _ := testSetup(t)
 	c := BuildCatalog(3, lex, CatalogSizes{Drug: 100000})
-	if c.Count(DrugSpecific) != 200 {
-		t.Errorf("drug terms = %d, want capped at 200", c.Count(DrugSpecific))
+	if len(c.Terms[DrugSpecific]) != 200 {
+		t.Errorf("drug terms = %d, want capped at 200", len(c.Terms[DrugSpecific]))
 	}
 }
 
@@ -146,8 +146,8 @@ func TestQueryBudget(t *testing.T) {
 	if res := e.Search("c", General); res != nil {
 		t.Error("query over budget returned results")
 	}
-	if e.Queries() != 2 {
-		t.Errorf("queries = %d", e.Queries())
+	if e.queries != 2 {
+		t.Errorf("queries = %d", e.queries)
 	}
 }
 

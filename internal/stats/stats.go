@@ -3,8 +3,8 @@
 // corpora ("This test produces a P-value, which estimates the probability
 // that the observed differences are due to random effects"), the
 // Jensen-Shannon divergence used to compare entity-name distributions
-// (§4.3.2), and descriptive statistics / histograms for the Fig 6-7
-// distribution plots.
+// (§4.3.2), and descriptive statistics for the Fig 6-7 distribution
+// plots.
 package stats
 
 import (
@@ -162,10 +162,18 @@ func NewDistribution(counts map[string]int) Distribution {
 }
 
 // KL returns the Kullback-Leibler divergence D(p || q) in bits, treating
-// missing q-mass as absolute (callers should use JSD for safety).
+// missing q-mass as absolute (callers should use JSD for safety). The
+// terms are summed in key order, so the result does not depend on map
+// iteration order.
 func KL(p, q Distribution) float64 {
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	var d float64
-	for k, pk := range p {
+	for _, k := range keys {
+		pk := p[k]
 		if pk <= 0 {
 			continue
 		}
@@ -196,74 +204,4 @@ func JSD(p, q Distribution) float64 {
 		m[k] += v / 2
 	}
 	return KL(p, m)/2 + KL(q, m)/2
-}
-
-// Histogram is a fixed-bin histogram over float64 samples.
-type Histogram struct {
-	// Edges has len(Counts)+1 entries; bin i covers [Edges[i], Edges[i+1]).
-	Edges  []float64
-	Counts []int
-	// Under/Over count samples outside the range.
-	Under, Over int
-}
-
-// NewHistogram builds an empty histogram with nbins equal-width bins.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		return &Histogram{Edges: []float64{lo, hi}, Counts: make([]int, 1)}
-	}
-	h := &Histogram{Edges: make([]float64, nbins+1), Counts: make([]int, nbins)}
-	w := (hi - lo) / float64(nbins)
-	for i := 0; i <= nbins; i++ {
-		h.Edges[i] = lo + float64(i)*w
-	}
-	return h
-}
-
-// NewLogHistogram builds log-spaced bins, appropriate for the heavy-tailed
-// length distributions of Fig 6a.
-func NewLogHistogram(lo, hi float64, nbins int) *Histogram {
-	if lo <= 0 {
-		lo = 1
-	}
-	h := &Histogram{Edges: make([]float64, nbins+1), Counts: make([]int, nbins)}
-	ratio := math.Pow(hi/lo, 1/float64(nbins))
-	e := lo
-	for i := 0; i <= nbins; i++ {
-		h.Edges[i] = e
-		e *= ratio
-	}
-	return h
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	if x < h.Edges[0] {
-		h.Under++
-		return
-	}
-	if x >= h.Edges[len(h.Edges)-1] {
-		h.Over++
-		return
-	}
-	// Binary search for the bin.
-	lo, hi := 0, len(h.Counts)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if x >= h.Edges[mid] {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	h.Counts[lo]++
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }

@@ -3,7 +3,8 @@
 // end product of information extraction (§1), stored in the chunked
 // fashion the paper's war story forced ("we splitted the crawled data
 // into chunks of 50 GB", §4.2). Chunking gives failure isolation: one
-// corrupt chunk loses one chunk.
+// corrupt chunk loses one chunk. The package only writes; its tests hold
+// the reader a consumer would write.
 package store
 
 import (
@@ -13,12 +14,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"webtextie/internal/obs"
-	"webtextie/internal/obs/evlog"
-	"webtextie/internal/obs/trace"
 )
 
 // Writer writes records into numbered chunk files
@@ -36,15 +33,6 @@ type Writer struct {
 	records int64
 
 	cRecords, cChunks, cBytes *obs.Counter
-	lg                        evlog.Logger
-}
-
-// WithLog points the writer at an event-log sink: chunk rollovers are
-// logged on a record-count logical clock (deterministic for a
-// deterministic record stream). Returns the writer for chaining.
-func (w *Writer) WithLog(sink *evlog.Sink) *Writer {
-	w.lg = sink.Logger("store.writer")
-	return w
 }
 
 // WithMetrics redirects the writer's counters (store.write.records,
@@ -80,8 +68,6 @@ func (w *Writer) roll() error {
 	}
 	w.chunk++
 	w.cChunks.Inc()
-	w.lg.Info("chunk.roll", w.records,
-		trace.Int("chunk", int64(w.chunk)), trace.String("prefix", w.prefix))
 	name := filepath.Join(w.dir, fmt.Sprintf("%s-%05d.jsonl.gz", w.prefix, w.chunk))
 	f, err := os.Create(name)
 	if err != nil {
@@ -136,78 +122,8 @@ func (w *Writer) Write(v any) error {
 // Records returns the number of records written so far.
 func (w *Writer) Records() int64 { return w.records }
 
-// Chunks returns the number of chunks opened so far.
-func (w *Writer) Chunks() int { return w.chunk + 1 }
-
 // Close flushes and closes the current chunk.
 func (w *Writer) Close() error { return w.closeChunk() }
-
-// ChunkFiles lists the chunk files of a prefix in order.
-func ChunkFiles(dir, prefix string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, prefix+"-") && strings.HasSuffix(name, ".jsonl.gz") {
-			out = append(out, filepath.Join(dir, name))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Read streams every record of a prefix, decoding each JSON line into a
-// fresh value produced by newV, and invoking fn. A decode error aborts the
-// current chunk but continues with the next (failure isolation). Records
-// and chunk errors are counted into obs.Default() (store.read.records,
-// store.read.chunk_errors).
-func Read[T any](dir, prefix string, fn func(T) error) (records int, chunkErrs int, err error) {
-	files, err := ChunkFiles(dir, prefix)
-	if err != nil {
-		return 0, 0, err
-	}
-	reg := obs.Default()
-	for _, path := range files {
-		n, cerr := readChunk(path, fn)
-		records += n
-		reg.Counter("store.read.records").Add(int64(n))
-		if cerr != nil {
-			chunkErrs++
-			reg.Counter("store.read.chunk_errors").Inc()
-		}
-	}
-	return records, chunkErrs, nil
-}
-
-func readChunk[T any](path string, fn func(T) error) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		return 0, err
-	}
-	defer gz.Close()
-	sc := bufio.NewScanner(gz)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	n := 0
-	for sc.Scan() {
-		var v T
-		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
-			return n, fmt.Errorf("store: %s: %w", path, err)
-		}
-		if err := fn(v); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, sc.Err()
-}
 
 // Fact is the flat export row for one extracted entity mention — the
 // schema of the "structured fact database" the pipeline produces.

@@ -1,15 +1,74 @@
 package store
 
 import (
+	"bufio"
+	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
 type row struct {
 	ID string `json:"id"`
 	N  int    `json:"n"`
+}
+
+// chunkFiles lists the chunk files of a prefix in order.
+func chunkFiles(t *testing.T, dir, prefix string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasPrefix(name, prefix+"-") && strings.HasSuffix(name, ".jsonl.gz") {
+			out = append(out, filepath.Join(dir, name))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// readAll is the reader a consumer of the export would write: it decodes
+// every record of a prefix, chunk by chunk, and counts the chunks that do
+// not decode to the end. A bad chunk costs only its own remaining records.
+func readAll(t *testing.T, dir, prefix string) (recs []row, chunkErrs int) {
+	t.Helper()
+	for _, path := range chunkFiles(t, dir, prefix) {
+		var err error
+		if recs, err = readChunk(path, recs); err != nil {
+			chunkErrs++
+		}
+	}
+	return recs, chunkErrs
+}
+
+func readChunk(path string, recs []row) ([]row, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return recs, err
+	}
+	defer f.Close()
+	gz, err := gzip.NewReader(f)
+	if err != nil {
+		return recs, err
+	}
+	defer gz.Close()
+	sc := bufio.NewScanner(gz)
+	for sc.Scan() {
+		var r row
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			return recs, err
+		}
+		recs = append(recs, r)
+	}
+	return recs, sc.Err()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -30,16 +89,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("records = %d", w.Records())
 	}
 
-	var got []row
-	n, chunkErrs, err := Read(dir, "facts", func(r row) error {
-		got = append(got, r)
-		return nil
-	})
-	if err != nil || chunkErrs != 0 {
-		t.Fatalf("read: %v, chunkErrs=%d", err, chunkErrs)
+	got, chunkErrs := readAll(t, dir, "facts")
+	if chunkErrs != 0 {
+		t.Fatalf("chunkErrs=%d", chunkErrs)
 	}
-	if n != 100 || len(got) != 100 {
-		t.Fatalf("read %d records", n)
+	if len(got) != 100 {
+		t.Fatalf("read %d records", len(got))
 	}
 	for i, r := range got {
 		if r.N != i {
@@ -62,19 +117,14 @@ func TestChunkRollover(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Chunks() < 5 {
-		t.Fatalf("chunks = %d, want several", w.Chunks())
+	if w.chunk+1 < 5 {
+		t.Fatalf("chunks = %d, want several", w.chunk+1)
 	}
-	files, err := ChunkFiles(dir, "x")
-	if err != nil {
-		t.Fatal(err)
+	if files := chunkFiles(t, dir, "x"); len(files) != w.chunk+1 {
+		t.Fatalf("files = %d, chunks = %d", len(files), w.chunk+1)
 	}
-	if len(files) != w.Chunks() {
-		t.Fatalf("files = %d, chunks = %d", len(files), w.Chunks())
-	}
-	n, _, err := Read(dir, "x", func(r row) error { return nil })
-	if err != nil || n != 50 {
-		t.Fatalf("read %d, err %v", n, err)
+	if got, chunkErrs := readAll(t, dir, "x"); len(got) != 50 || chunkErrs != 0 {
+		t.Fatalf("read %d, %d chunk errors", len(got), chunkErrs)
 	}
 }
 
@@ -85,7 +135,7 @@ func TestCorruptChunkIsolated(t *testing.T) {
 		_ = w.Write(row{ID: "some-identifier-string", N: i})
 	}
 	_ = w.Close()
-	files, _ := ChunkFiles(dir, "y")
+	files := chunkFiles(t, dir, "y")
 	if len(files) < 3 {
 		t.Skip("need several chunks")
 	}
@@ -93,10 +143,8 @@ func TestCorruptChunkIsolated(t *testing.T) {
 	if err := os.WriteFile(files[1], []byte("not gzip at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, chunkErrs, err := Read(dir, "y", func(r row) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, chunkErrs := readAll(t, dir, "y")
+	n := len(got)
 	if chunkErrs != 1 {
 		t.Errorf("chunkErrs = %d, want 1", chunkErrs)
 	}
@@ -116,41 +164,7 @@ func TestChunkFilesFiltersPrefix(t *testing.T) {
 	// A stray file that must be ignored.
 	_ = os.WriteFile(filepath.Join(dir, "a-junk.txt"), []byte("junk"), 0o644)
 
-	files, err := ChunkFiles(dir, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 1 {
+	if files := chunkFiles(t, dir, "a"); len(files) != 1 {
 		t.Fatalf("files = %v", files)
-	}
-}
-
-func TestReadCallbackError(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := NewWriter(dir, "z", 1<<20)
-	for i := 0; i < 5; i++ {
-		_ = w.Write(row{N: i})
-	}
-	_ = w.Close()
-	stop := fmt.Errorf("stop")
-	n, chunkErrs, err := Read(dir, "z", func(r row) error {
-		if r.N == 2 {
-			return stop
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunkErrs != 1 || n != 2 {
-		t.Errorf("n=%d chunkErrs=%d", n, chunkErrs)
-	}
-}
-
-func TestEmptyPrefix(t *testing.T) {
-	dir := t.TempDir()
-	n, chunkErrs, err := Read(dir, "nothing", func(r row) error { return nil })
-	if err != nil || n != 0 || chunkErrs != 0 {
-		t.Fatalf("empty read: %d %d %v", n, chunkErrs, err)
 	}
 }

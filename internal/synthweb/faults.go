@@ -144,7 +144,6 @@ func (w *Web) truncated(rawurl string, attempt int) (bool, float64) {
 //
 // Unknown URLs return ErrNotFound on every attempt (retrying is futile).
 func (w *Web) FetchAttempt(rawurl string, attempt int) (*Page, FetchInfo, error) {
-	w.fetches++
 	var info FetchInfo
 	host, _, err := SplitURL(rawurl)
 	if err != nil {

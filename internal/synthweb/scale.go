@@ -1,12 +1,12 @@
-// Web-scale configuration and eager materialization. The default web is a
-// few hundred hosts / a few tens of thousands of pages — enough for unit
-// tests, far from the paper's 21M-page crawl. Because every page is a pure
-// function of (config seed, URL), scaling the universe costs only host
-// metadata: ScaledConfig multiplies the host count and the bench suite
-// crawls a ~1M-page web without ever holding it in memory. Materialize is
-// the opposite trade — it renders every regular page into a precomputed
-// map, which the equivalence suite compares byte-for-byte against lazy
-// rendering to prove the two paths serve the same universe.
+// Web-scale configuration. The default web is a few hundred hosts / a few
+// tens of thousands of pages — enough for unit tests, far from the paper's
+// 21M-page crawl. Because every page is a pure function of (config seed,
+// URL), scaling the universe costs only host metadata: ScaledConfig
+// multiplies the host count and the bench suite crawls a ~1M-page web
+// without ever holding it in memory. scale_test.go holds the opposite
+// trade — eager materialization of every regular page into a map, compared
+// byte-for-byte against lazy rendering to prove the two paths serve the
+// same universe.
 
 package synthweb
 
@@ -23,35 +23,4 @@ func ScaledConfig(seed uint64, factor int) Config {
 	cfg.Seed = seed
 	cfg.NumHosts *= factor
 	return cfg
-}
-
-// TotalPages returns the number of regular pages in the universe (the
-// finite URL space; trap chains are excluded as they are unbounded).
-func (w *Web) TotalPages() int {
-	total := 0
-	for _, h := range w.Hosts {
-		total += h.Pages
-	}
-	return total
-}
-
-// Materialize eagerly renders every regular page into a URL-keyed map —
-// the precomputed form the lazy render path is tested against. Trap pages
-// are excluded (their URL space is infinite by design). The map is
-// independent of the live web: mutating it does not affect Fetch.
-//
-// This is a test and tooling surface: at bench scale (~1M pages) the map
-// would cost gigabytes, which is exactly why the crawl path renders
-// lazily instead.
-func (w *Web) Materialize() map[string]*Page {
-	out := make(map[string]*Page, w.TotalPages())
-	for _, h := range w.Hosts {
-		for idx := 0; idx < h.Pages; idx++ {
-			// Key by the canonical request URL — binary noise pages advertise
-			// a rewritten display URL (.pdf/.png) in Page.URL, but they are
-			// fetched at the .html address, exactly as on the lazy path.
-			out[PageURL(h.Name, idx)] = w.renderPage(h, idx)
-		}
-	}
-	return out
 }

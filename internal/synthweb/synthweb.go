@@ -200,9 +200,6 @@ type Web struct {
 	byName map[string]*Host
 	gen    *textgen.Generator
 	base   *rng.RNG
-
-	// fetches counts Fetch calls (for harvest-rate style accounting).
-	fetches int
 }
 
 // ErrNotFound is returned for URLs outside the universe.
@@ -260,9 +257,6 @@ func (w *Web) HostByName(name string) (*Host, bool) {
 	h, ok := w.byName[name]
 	return h, ok
 }
-
-// Fetches returns the number of Fetch calls served so far.
-func (w *Web) Fetches() int { return w.fetches }
 
 // PageURL builds the canonical URL for a host page index.
 func PageURL(host string, index int) string {

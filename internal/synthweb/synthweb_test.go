@@ -374,15 +374,6 @@ func TestMarkupCorruptionPresent(t *testing.T) {
 	}
 }
 
-func TestFetchesCounter(t *testing.T) {
-	w := testWeb(t)
-	before := w.Fetches()
-	_, _ = w.Fetch(PageURL(w.Hosts[0].Name, 0))
-	if w.Fetches() != before+1 {
-		t.Error("fetch counter not incremented")
-	}
-}
-
 func BenchmarkFetch(b *testing.B) {
 	w := testWeb(b)
 	urls := make([]string, 0, 100)

@@ -80,15 +80,6 @@ type Relation struct {
 	Negated bool
 }
 
-// NumTokens returns the total token count.
-func (d *Doc) NumTokens() int {
-	n := 0
-	for _, s := range d.Sentences {
-		n += len(s.Tokens)
-	}
-	return n
-}
-
 // Generator produces documents following per-corpus profiles over a shared
 // lexicon. A Generator is safe for concurrent use as long as each call gets
 // its own *rng.RNG.

@@ -12,11 +12,7 @@ const (
 	Medline
 	// PMC is the PLoS open-access full-text collection (~250 K articles).
 	PMC
-	numCorpusKinds
 )
-
-// NumCorpusKinds is the number of corpora under comparison.
-const NumCorpusKinds = int(numCorpusKinds)
 
 // CorpusKinds lists all corpora in the paper's reporting order (Table 3).
 var CorpusKinds = []CorpusKind{Relevant, Irrelevant, Medline, PMC}

@@ -313,7 +313,11 @@ func TestDegenerateSentencesOnlyOnWeb(t *testing.T) {
 
 func TestTokensHaveKnownTags(t *testing.T) {
 	known := map[string]bool{}
-	for _, tag := range AllTags {
+	for _, tag := range []string{
+		TagNN, TagNNS, TagNNP, TagVB, TagVBZ, TagVBD, TagVBN, TagJJ, TagRB,
+		TagDT, TagIN, TagPRP, TagPRPS, TagWDT, TagCD, TagNEG,
+		TagLRB, TagRRB, TagComma, TagPeriod, TagSYM,
+	} {
 		known[tag] = true
 	}
 	g := testGenerator(t)

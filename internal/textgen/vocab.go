@@ -16,27 +16,17 @@ const (
 	TagRB     = "RB"   // adverb
 	TagDT     = "DT"   // determiner
 	TagIN     = "IN"   // preposition
-	TagCC     = "CC"   // coordinating conjunction
 	TagPRP    = "PRP"  // personal pronoun
 	TagPRPS   = "PRP$" // possessive pronoun
 	TagWDT    = "WDT"  // wh-determiner (relative)
-	TagTO     = "TO"
-	TagCD     = "CD"  // cardinal number
-	TagNEG    = "NEG" // not / nor / neither (MedPost keeps a dedicated tag)
+	TagCD     = "CD"   // cardinal number
+	TagNEG    = "NEG"  // not / nor / neither (MedPost keeps a dedicated tag)
 	TagLRB    = "-LRB-"
 	TagRRB    = "-RRB-"
 	TagComma  = ","
 	TagPeriod = "."
 	TagSYM    = "SYM"
 )
-
-// AllTags lists every tag the generator can emit; the HMM tagger uses this
-// as its closed tag inventory.
-var AllTags = []string{
-	TagNN, TagNNS, TagNNP, TagVB, TagVBZ, TagVBD, TagVBN, TagJJ, TagRB,
-	TagDT, TagIN, TagCC, TagPRP, TagPRPS, TagWDT, TagTO, TagCD, TagNEG,
-	TagLRB, TagRRB, TagComma, TagPeriod, TagSYM,
-}
 
 // PronounClass enumerates the six pronoun classes counted in §4.3.1.
 type PronounClass int
@@ -84,17 +74,12 @@ var pronounWords = map[PronounClass][]string{
 	PronReflexive:     {"itself", "themselves", "himself", "herself"},
 }
 
-// NegationWords are the three forms the paper's regex detector looks for
-// ("mentions of the words not, nor, and neither", §4.3.1).
-var NegationWords = []string{"not", "nor", "neither"}
-
 // General-English vocabulary, split by word class. Two registers exist:
 // a scientific register (Medline/PMC/relevant-web) and a mundane register
 // (irrelevant web pages: shopping, sports, travel, ...).
 var (
 	determiners  = []string{"the", "a", "an", "each", "some", "no", "all", "both"}
 	prepositions = []string{"of", "in", "with", "for", "on", "by", "from", "during", "after", "between", "against", "under"}
-	conjunctions = []string{"and", "or", "but"}
 
 	sciNouns = []string{
 		"patient", "study", "treatment", "expression", "mutation", "therapy",

@@ -113,14 +113,14 @@ func TestMetricsIntegration(t *testing.T) {
 	if got := snap.Counter("crawler.cycles"); got != int64(st.Cycles) {
 		t.Errorf("crawler.cycles = %d, Stats says %d", got, st.Cycles)
 	}
-	h, ok := snap.Hist("crawler.cycle.fetched")
+	h, ok := snap.Hists["crawler.cycle.fetched"]
 	if !ok || h.Count != int64(st.Cycles) || int64(h.Sum) != int64(st.Fetched) {
 		t.Errorf("crawler.cycle.fetched count=%d sum=%v, want count=%d sum=%d",
 			h.Count, h.Sum, st.Cycles, st.Fetched)
 	}
 
 	// The per-page processing-cost histogram covers every fetch attempt.
-	pc, ok := snap.Hist("crawler.page.cost.ms")
+	pc, ok := snap.Hists["crawler.page.cost.ms"]
 	if !ok || pc.Count != int64(st.Fetched+st.FetchErrors) {
 		t.Errorf("crawler.page.cost.ms count = %d, want %d", pc.Count, st.Fetched+st.FetchErrors)
 	}

@@ -74,8 +74,8 @@ supervisor-chaos:
 
 # Short fuzzing sessions over the HTML pipeline, the MIME detector, the
 # language filter, the classifier's tokenizer, the sentence splitter and
-# tokenizer, and the analysis flow's three hot kernels (seeds alone run as
-# part of `make test`).
+# tokenizer, the analysis flow's three hot kernels and the Meteor front end
+# (seeds alone run as part of `make test`).
 # FuzzStreamMatchesReference, FuzzDecodeEntities, FuzzExtractMatchesReference,
 # FuzzDetect, FuzzIdentify, FuzzTag, FuzzAnalyze, crf's FuzzExtract,
 # FuzzFind, FuzzTokenize and FuzzProbRelevant are differential: htmlkit's
@@ -84,7 +84,10 @@ supervisor-chaos:
 # classifier's word scanner and ProbRelevant against the predecessors kept
 # in their tests; so are the two FuzzRetention: the log sink and the trace
 # recorder on the shared obs.Keeper against the per-class retention loops
-# they replaced. FuzzSentenceTokens checks the spans every tagger reads.
+# they replaced; and FuzzDecodeMatchesExtract: the CRF model's one decode
+# of all classes against each class's Extract. FuzzSentenceTokens checks
+# the spans every tagger reads; FuzzParseCompile runs meteor.Parse and
+# Compile against the real operator registry, which must never panic.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeRepairExtract -fuzztime=30s ./internal/htmlkit/
 	$(GO) test -run=NONE -fuzz=FuzzStreamMatchesReference -fuzztime=60s ./internal/htmlkit/
@@ -98,7 +101,9 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzIdentify -fuzztime=60s ./internal/langid/
 	$(GO) test -run=NONE -fuzz=FuzzTag -fuzztime=60s ./internal/nlp/postag/
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=30s ./internal/ling/
-	$(GO) test -run=NONE -fuzz=FuzzExtract -fuzztime=30s ./internal/ie/crf/
+	$(GO) test -run=NONE -fuzz='^FuzzExtract$$' -fuzztime=30s ./internal/ie/crf/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeMatchesExtract -fuzztime=30s ./internal/ie/crf/
+	$(GO) test -run=NONE -fuzz=FuzzParseCompile -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzFind -fuzztime=30s ./internal/ie/dict/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/evlog/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/trace/

@@ -92,7 +92,7 @@ var (
 	gateLog     evlog.Logger
 	gateWeb     *synthweb.Web
 	gateNB      *classify.NaiveBayes
-	gateCRF     *crf.Tagger
+	gateCRF     *crf.Model
 )
 
 func gateSetup() {
@@ -130,11 +130,13 @@ func gateSetup() {
 			{Text: hotDoc, Class: classify.Relevant},
 			{Text: "Cheap flights and hotel deals for your summer travel. Shop the sale today, theirs were not.", Class: classify.Irrelevant},
 		}, 0.5)
-		gateCRF = crf.Train(textgen.Gene, []crf.Sentence{
+		// Genes, drugs and diseases, trained as one model.
+		B, I, O := crf.B, crf.I, crf.O
+		gateCRF = crf.Train(textgen.EntityTypes, []crf.Sentence{
 			{Words: []string{"Alpha", "binds", "the", "beta", "receptor", "."},
-				Labels: []crf.Label{crf.B, crf.O, crf.O, crf.B, crf.I, crf.O}},
+				Labels: [][]crf.Label{{B, O, O, B, I, O}, {O, O, O, O, O, O}, {O, O, O, O, O, O}}},
 			{Words: []string{"GAD-67", "expression", "rose", "while", "gamma", "fell", "."},
-				Labels: []crf.Label{crf.B, crf.O, crf.O, crf.O, crf.B, crf.O, crf.O}},
+				Labels: [][]crf.Label{{B, O, O, O, O, O, O}, {O, O, O, O, B, O, O}, {O, O, B, O, O, O, O}}},
 		}, crf.DefaultConfig())
 	})
 }
@@ -234,12 +236,12 @@ var layerRows = []gateRow{
 	{"dict.find", 0, 0, hotDoc, func(in string) func() {
 		return func() { _ = gateMatcher.Find(in) }
 	}},
-	// The six sentence and token slices, three scratch slices sized to the
-	// longest sentence, and the matches grown by append; features are row
-	// numbers into one weight table, and a token's case fold lives on the
-	// stack.
-	{"crf.extract", 15, 4752, hotDoc, func(in string) func() {
-		return func() { _ = gateCRF.Extract(in) }
+	// The six sentence and token slices, then crf_decode's six for one
+	// class; features are row numbers into one weight table, and a token's
+	// case fold lives on the stack.
+	{"crf.extract", 12, 3048, hotDoc, func(in string) func() {
+		gene := gateCRF.Tagger(textgen.Gene)
+		return func() { _ = gene.Extract(in) }
 	}},
 }
 
@@ -266,6 +268,14 @@ var extraRows = []gateRow{
 	// epoch-marked scratch: zero allocations.
 	{"dedup_probe_dup", 0, 0, "", func(string) func() {
 		return func() { _, _ = gateIndex.AddOrFind("probe", probeSig) }
+	}},
+	// All three classes' matches from pre-tokenized sentences: the atoms,
+	// emissions and lattice sized to the longest sentence, the document's
+	// labels, the matches of all classes in one slice and its per-class
+	// view.
+	{"crf_decode", 6, 2368, hotDoc, func(in string) func() {
+		_, sents := nlp.SentenceTokens(in)
+		return func() { _ = gateCRF.Decode(in, sents) }
 	}},
 	// One record into a full sink costs what rendering its identity once
 	// costs — the attrs, the line, the totals key — however much the sink
@@ -338,12 +348,13 @@ func TestAllocGate(t *testing.T) {
 
 // TestAllocGateScaling is the gate's second axis: twice the input may
 // cost twice the allocations and bytes, plus a constant — never the
-// square. The HTML kernels also run the two shapes that have bitten them:
-// many raw-text elements and deep unclosed nesting (at the paper's 95%
-// invalid markup, that is ordinary traffic).
+// square. It runs every row, extra rows too. The HTML kernels also run the
+// two shapes that have bitten them: many raw-text elements and deep
+// unclosed nesting (at the paper's 95% invalid markup, that is ordinary
+// traffic).
 func TestAllocGateScaling(t *testing.T) {
 	gateSetup()
-	for _, r := range layerRows {
+	for _, r := range append(layerRows, extraRows...) {
 		t.Run(r.name, func(t *testing.T) {
 			inputs := []string{r.in}
 			if strings.HasPrefix(r.name, "htmlkit.") {

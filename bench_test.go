@@ -355,7 +355,7 @@ func BenchmarkAblationCRFFeatures(b *testing.B) {
 			cfg.UseShapeFeatures = shapes
 			var tagger *crf.Tagger
 			for i := 0; i < b.N; i++ {
-				tagger = crf.Train(Gene, data, cfg)
+				tagger = crf.Train([]textgen.EntityType{Gene}, data, cfg).Tagger(Gene)
 			}
 			// TLA matches over 20 web documents.
 			wr := rng.New(9)

@@ -115,7 +115,9 @@ type System struct {
 	POS *postag.Tagger
 	// DictMatchers holds the per-class dictionary automatons.
 	DictMatchers map[textgen.EntityType]*dict.Matcher
-	// CRFTaggers holds the per-class ML taggers.
+	// CRF is the ML taggers of the three classes as one model, and
+	// CRFTaggers holds its per-class views.
+	CRF        *crf.Model
 	CRFTaggers map[textgen.EntityType]*crf.Tagger
 }
 
@@ -166,8 +168,9 @@ func NewSystem(cfg Config) *System {
 	for i := 0; i < cfg.CRFTrainDocs; i++ {
 		crfDocs = append(crfDocs, set.Generator.Doc(rc, textgen.Medline, fmt.Sprint("crf-train", i)))
 	}
+	s.CRF = crf.Train(textgen.EntityTypes, crf.TrainingSentences(crfDocs, textgen.EntityTypes...), crf.DefaultConfig())
 	for _, t := range textgen.EntityTypes {
-		s.CRFTaggers[t] = crf.Train(t, crf.TrainingSentences(crfDocs, t), crf.DefaultConfig())
+		s.CRFTaggers[t] = s.CRF.Tagger(t)
 	}
 	return s
 }
@@ -184,7 +187,11 @@ func (s *System) ExtractDict(t textgen.EntityType, text string) []EntityAnn {
 
 // ExtractML runs CRF NER of one class over text.
 func (s *System) ExtractML(t textgen.EntityType, text string) []EntityAnn {
-	ms := s.CRFTaggers[t].Extract(text)
+	return mlAnns(t, s.CRFTaggers[t].Extract(text))
+}
+
+// mlAnns converts one class's CRF matches into entity mentions.
+func mlAnns(t textgen.EntityType, ms []crf.Match) []EntityAnn {
 	out := make([]EntityAnn, len(ms))
 	for i, m := range ms {
 		out[i] = EntityAnn{Type: t, Method: ML, Start: m.Start, End: m.End, Surface: m.Surface}

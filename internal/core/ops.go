@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"webtextie/internal/dataflow"
 	"webtextie/internal/dedup"
 	"webtextie/internal/htmlkit"
+	"webtextie/internal/ie/crf"
 	"webtextie/internal/langid"
 	"webtextie/internal/ling"
 	"webtextie/internal/meteor"
@@ -37,6 +39,7 @@ import (
 //	anns      []ling.Annotation   linguistic annotations
 //	ling      ling.DocStats       per-document linguistic measurements
 //	entities  []EntityAnn         extracted entity mentions
+//	crf_matches [][]crf.Match     every ML class's matches, in System.CRF order
 //	relevant  bool                classifier decision
 //	prob      float64             classifier posterior
 
@@ -678,17 +681,37 @@ func (r *Registry) registerParametric() {
 		return &dataflow.Op{Name: "annotate_entities_dict:" + t.String(), Pkg: dataflow.IE,
 			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
 			Cost: paperScaledDictCost(t),
-			Fn:   appendEntities(func(text string) []EntityAnn { return r.sys.ExtractDict(t, text) })}, nil
+			Fn: dataflow.Edit(func(rec dataflow.Record) {
+				rec["entities"] = withEntities(rec, r.sys.ExtractDict(t, get[string](rec, "text")))
+			})}, nil
 	})
 	r.register("annotate_entities_ml", func(p meteor.Params) (*dataflow.Op, error) {
 		t, err := entityType(p)
 		if err != nil {
 			return nil, err
 		}
+		k := slices.Index(r.sys.CRF.Entities, t)
 		return &dataflow.Op{Name: "annotate_entities_ml:" + t.String(), Pkg: dataflow.IE,
-			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
+			Reads: []string{"text", "tokens", "crf_matches", "entities"}, Writes: []string{"crf_matches", "entities"}, Selectivity: 1,
 			Cost: dataflow.Cost{PerKBms: 30, StartupMs: 10000, MemoryBytes: 2 << 30},
-			Fn:   appendEntities(func(text string) []EntityAnn { return r.sys.ExtractML(t, text) })}, nil
+			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
+				// The first ML node of a chain decodes every class from the
+				// record's tokens at once; the ones after it take their
+				// class's matches from what it stored.
+				out := rec.Clone()
+				ms, ok := rec["crf_matches"].([][]crf.Match)
+				if !ok {
+					toks, ok := rec["tokens"].([][]nlp.TokenSpan)
+					if !ok {
+						return errors.New("annotate_entities_ml: the record has no tokens")
+					}
+					ms = r.sys.CRF.Decode(get[string](rec, "text"), toks)
+					out["crf_matches"] = ms
+				}
+				out["entities"] = withEntities(rec, mlAnns(t, ms[k]))
+				emit(out)
+				return nil
+			}}, nil
 	})
 	r.register("keep_entities_of_type", func(p meteor.Params) (*dataflow.Op, error) {
 		t, err := entityType(p)
@@ -714,13 +737,10 @@ func entityType(p meteor.Params) (textgen.EntityType, error) {
 	return textgen.None, fmt.Errorf("annotate_entities: unknown type %q", paramStr(p, "type", ""))
 }
 
-// appendEntities is the operator that appends the mentions extract finds in
-// the text to the entity list.
-func appendEntities(extract func(text string) []EntityAnn) dataflow.UDF {
-	return dataflow.Edit(func(rec dataflow.Record) {
-		found := extract(get[string](rec, "text"))
-		rec["entities"] = append(append([]EntityAnn{}, get[[]EntityAnn](rec, "entities")...), found...)
-	})
+// withEntities returns rec's entity list followed by found, in a new slice.
+func withEntities(rec dataflow.Record, found []EntityAnn) []EntityAnn {
+	ents := get[[]EntityAnn](rec, "entities")
+	return append(append(make([]EntityAnn, 0, len(ents)+len(found)), ents...), found...)
 }
 
 // --- helpers shared by several rows ---

@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,7 +17,10 @@ import (
 	"webtextie/internal/ling"
 	"webtextie/internal/meteor"
 	"webtextie/internal/nlp"
+	"webtextie/internal/obs/pillars"
+	"webtextie/internal/obs/trace"
 	"webtextie/internal/relex"
+	"webtextie/internal/rng"
 	"webtextie/internal/textgen"
 )
 
@@ -504,4 +508,159 @@ write $n to 'names';
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("DoP 4 and DoP 1 disagree after the fan-out")
 	}
+}
+
+// entityBranchScript is Fig 2's entity branch on text input: tokens, POS,
+// then the dictionary and the ML tagger of each class.
+const entityBranchScript = `
+$x  = read from 'in';
+$s  = annotate_sentences $x;
+$t  = annotate_tokens $s;
+$p  = pos_tag $t;
+$dg = annotate_entities_dict $p  with type=gene;
+$dd = annotate_entities_dict $dg with type=drug;
+$ds = annotate_entities_dict $dd with type=disease;
+$mg = annotate_entities_ml   $ds with type=gene;
+$md = annotate_entities_ml   $mg with type=drug;
+$ms = annotate_entities_ml   $md with type=disease;
+write $ms to 'out';
+`
+
+// noTokensScript runs an ML tagger on a record annotate_tokens never saw.
+const noTokensScript = `
+$x = read from 'in';
+$s = annotate_sentences $x;
+$m = annotate_entities_ml $s with type=gene;
+write $m to 'out';
+`
+
+// mlEntities returns the ML mentions of class t in ents.
+func mlEntities(ents []EntityAnn, t textgen.EntityType) []EntityAnn {
+	var out []EntityAnn
+	for _, e := range ents {
+		if e.Method == ML && e.Type == t {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestOpMLRunOnOneSentenceOf10kTokens is Fig 3a's degenerate input run
+// through the entity branch: one "sentence" of 10k tokens. The POS tagger
+// fails on it and the document goes on without it; the ML taggers decode
+// it, nothing is quarantined, and every class's mentions are those its own
+// Extract finds in the text.
+func TestOpMLRunOnOneSentenceOf10kTokens(t *testing.T) {
+	s, _ := testSystem(t)
+	// Medline abstracts with every sentence end taken out.
+	var b strings.Builder
+	r := rng.New(5)
+	for i := 0; b.Len() < 60000; i++ {
+		b.WriteString(strings.NewReplacer(".", ",", "?", ",", "!", ",").Replace(s.Set.Generator.Doc(r, textgen.Medline, fmt.Sprint("run-on", i)).Text))
+		b.WriteString(" ")
+	}
+	text := b.String()
+	out, stats, err := meteor.Run(entityBranchScript, s.Registry(), map[string][]dataflow.Record{
+		"in": {rec("id", "d", "text", text)}}, false, dataflow.ExecConfig{DoP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TotalErrors() != 0 || stats.TotalQuarantined() != 0 || len(out["out"]) != 1 {
+		t.Fatalf("%d errors, %d quarantined, %d records out; want 0, 0, 1", stats.TotalErrors(), stats.TotalQuarantined(), len(out["out"]))
+	}
+	r0 := out["out"][0]
+	if toks := r0["tokens"].([][]nlp.TokenSpan); len(toks) != 1 || len(toks[0]) < 10000 {
+		t.Fatalf("want one sentence of at least 10k tokens, got %d sentences", len(toks))
+	}
+	if r0["pos_failed"] != 1 {
+		t.Errorf("pos_failed = %v, want the one sentence", r0["pos_failed"])
+	}
+	ents := r0["entities"].([]EntityAnn)
+	for _, et := range textgen.EntityTypes {
+		got, want := mlEntities(ents, et), s.ExtractML(et, text)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%v: %d ML mentions, Extract finds %d", et, len(got), len(want))
+		}
+	}
+}
+
+// TestOpMLDecodesOncePerRecord: the first ML node decodes every class and
+// stores the matches; a later one takes its class's matches from the
+// record, which needs no tokens, and both equal each class's Extract.
+func TestOpMLDecodesOncePerRecord(t *testing.T) {
+	s, _ := testSystem(t)
+	reg := s.Registry()
+	var text string
+	for r, i := rng.New(6), 0; i < 5; i++ {
+		text += s.Set.Generator.Doc(r, textgen.Medline, fmt.Sprint("d", i)).Text + " "
+	}
+	_, toks := nlp.SentenceTokens(text)
+	first := runOp(t, reg, "annotate_entities_ml with type=gene", []dataflow.Record{rec("id", "d", "text", text, "tokens", toks)})[0]
+	if _, ok := first["crf_matches"]; !ok {
+		t.Fatal("the first ML node stored no matches")
+	}
+	delete(first, "tokens")
+	later := runOp(t, reg, "annotate_entities_ml with type=drug", []dataflow.Record{first})[0]
+	ents := later["entities"].([]EntityAnn)
+	for _, et := range []textgen.EntityType{textgen.Gene, textgen.Drug} {
+		if got, want := mlEntities(ents, et), s.ExtractML(et, text); len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%v: %v, Extract %v", et, got, want)
+		}
+	}
+}
+
+// TestOpMLWithoutTokensQuarantined: the ML taggers read the record's
+// tokens, so a script that leaves out annotate_tokens quarantines the
+// record with its lineage pinned, instead of passing it on with no ML
+// mentions.
+func TestOpMLWithoutTokensQuarantined(t *testing.T) {
+	s, _ := testSystem(t)
+	tr := trace.NewRecorder(trace.DefaultConfig(1))
+	out, stats, err := meteor.Run(noTokensScript, s.Registry(), map[string][]dataflow.Record{
+		"in": {rec("id", "d", "text", "The BRCA1 gene regulates growth.")}}, false,
+		dataflow.ExecConfig{DoP: 1, TraceKey: "id", Set: pillars.Set{Trace: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out["out"]) != 0 || len(stats.Quarantined) != 1 {
+		t.Fatalf("%d records out, %d quarantined; want 0, 1", len(out["out"]), len(stats.Quarantined))
+	}
+	q := stats.Quarantined[0]
+	if q.Op != "annotate_entities_ml:gene" || !strings.Contains(q.Err, "tokens") {
+		t.Fatalf("quarantined by %s: %s", q.Op, q.Err)
+	}
+	pinned := false
+	for _, tc := range tr.Snapshot().Traces {
+		pinned = pinned || (tc.ID.String() == q.Trace && tc.Pinned)
+	}
+	if !pinned {
+		t.Errorf("the quarantined record's lineage %q is not pinned", q.Trace)
+	}
+}
+
+// FuzzParseCompile drives the Meteor parser and compiler with the real
+// operator registry: any input may be rejected, none may panic, and
+// parsing the same input twice gives the same script or the same error.
+func FuzzParseCompile(f *testing.F) {
+	s, _ := testSystem(f)
+	reg := s.Registry()
+	for _, src := range []string{ConsolidatedMeteorScript, entityBranchScript, noTokensScript,
+		"$x = read from 'in';\n$y = project $x with keep='id text';\nwrite $y to 'out';\n",
+		"$x = read from 'in';\n$y = sample $x with rate=0.5;\n$z = union $x, $y;\nwrite $z to 'o';\n",
+		"$x = read from 'in'; $y = limit $x with n=-1e308; write $y to 'o';",
+		"$y = pos_tag $undefined; write $y to 'o';",
+		"-- only a comment", "", "$x = read from 'a'; write $x to", "$x = nosuch_op $x with type=gene;",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		a, errA := meteor.Parse(src)
+		b, errB := meteor.Parse(src)
+		if fmt.Sprintf("%+v %v", a, errA) != fmt.Sprintf("%+v %v", b, errB) {
+			t.Fatalf("Parse(%q) twice: %+v, %v then %+v, %v", src, a, errA, b, errB)
+		}
+		if errA == nil {
+			_, _ = meteor.Compile(a, reg)
+		}
+	})
 }

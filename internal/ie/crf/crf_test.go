@@ -3,6 +3,7 @@ package crf
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -13,12 +14,15 @@ import (
 	"webtextie/internal/textgen"
 )
 
-// fixture builds a shared lexicon/generator and trained gene tagger.
+// fixture builds a shared lexicon/generator, training data for all three
+// classes, the model trained on it and its gene tagger.
 type fixture struct {
-	lex  *textgen.Lexicon
-	gen  *textgen.Generator
-	data []Sentence
-	gene *Tagger
+	lex   *textgen.Lexicon
+	gen   *textgen.Generator
+	docs  []*textgen.Doc
+	data  []Sentence
+	model *Model
+	gene  *Tagger
 }
 
 var cached *fixture
@@ -35,9 +39,9 @@ func getFixture(t testing.TB) *fixture {
 	for i := 0; i < 400; i++ {
 		docs = append(docs, gen.Doc(r, textgen.Medline, fmt.Sprint("m", i)))
 	}
-	data := TrainingSentences(docs, textgen.Gene)
-	gene := Train(textgen.Gene, data, DefaultConfig())
-	cached = &fixture{lex: lex, gen: gen, data: data, gene: gene}
+	data := TrainingSentences(docs, textgen.EntityTypes...)
+	model := Train(textgen.EntityTypes, data, DefaultConfig())
+	cached = &fixture{lex: lex, gen: gen, docs: docs, data: data, model: model, gene: model.Tagger(textgen.Gene)}
 	return cached
 }
 
@@ -162,28 +166,40 @@ func isTLA(s string) bool {
 
 // tag labels one tokenized sentence.
 func (t *Tagger) tag(words []string) []Label {
-	if len(words) == 0 {
+	n := len(words)
+	if n == 0 {
 		return nil
 	}
-	a := make([]atoms, len(words))
+	a := make([]atoms, n)
 	for i, w := range words {
-		a[i] = t.atomize(w, false)
+		a[i] = t.m.atomize(w, false)
 	}
-	out := make([]Label, len(words))
-	t.viterbi(a, make([]step, len(words)), out)
+	out := make([]Label, n)
+	t.m.label(a, t.k, t.k+1, make([][numLabels]float64, n), make([]step, n), out, n)
 	return out
 }
+
+// row returns the tagger's weight vector of feature row r.
+func (t *Tagger) row(r int) [numLabels]float64 { return t.m.weights[r*len(t.m.Entities)+t.k] }
+
+// numRows is the number of feature rows of the model's layout.
+func (m *Model) numRows() int { return len(m.dead) }
 
 // numFeatures counts the weight rows training left non-zero, the model
 // size proxy.
 func numFeatures(t *Tagger) int {
 	n := 0
-	for _, row := range t.weights {
-		if row != ([numLabels]float64{}) {
+	for r := range t.m.numRows() {
+		if t.row(r) != ([numLabels]float64{}) {
 			n++
 		}
 	}
 	return n
+}
+
+// trainOne trains a model of one class alone.
+func trainOne(docs []*textgen.Doc, e textgen.EntityType, cfg Config) *Tagger {
+	return Train([]textgen.EntityType{e}, TrainingSentences(docs, e), cfg).Tagger(e)
 }
 
 func TestIsTLA(t *testing.T) {
@@ -205,17 +221,17 @@ func TestExtractTokensBIO(t *testing.T) {
 		{Span: nlp.Span{Start: 10, End: 19}, Text: "carcinoma"},
 		{Span: nlp.Span{Start: 20, End: 25}, Text: "cases"},
 	}
-	ms := appendMatches(nil, toks, []Label{O, B, I, O})
+	ms := appendMatches(nil, "The renal carcinoma cases", toks, []Label{O, B, I, O})
 	if len(ms) != 1 || ms[0].Start != 4 || ms[0].End != 19 {
 		t.Fatalf("matches = %+v", ms)
 	}
 	// I without preceding B starts a new mention (robustness).
-	ms = appendMatches(nil, toks, []Label{I, O, B, B})
+	ms = appendMatches(nil, "The renal carcinoma cases", toks, []Label{I, O, B, B})
 	if len(ms) != 3 {
 		t.Fatalf("matches = %+v", ms)
 	}
 	// Trailing mention is flushed.
-	ms = appendMatches(nil, toks, []Label{O, O, O, B})
+	ms = appendMatches(nil, "The renal carcinoma cases", toks, []Label{O, O, O, B})
 	if len(ms) != 1 || ms[0].Start != 20 {
 		t.Fatalf("matches = %+v", ms)
 	}
@@ -260,7 +276,7 @@ func TestTrainingDeterministic(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			docs = append(docs, gen.Doc(r, textgen.Medline, fmt.Sprint("d", i)))
 		}
-		return Train(textgen.Gene, TrainingSentences(docs, textgen.Gene), DefaultConfig())
+		return trainOne(docs, textgen.Gene, DefaultConfig())
 	}
 	a, b := mk(), mk()
 	if numFeatures(a) != numFeatures(b) {
@@ -286,7 +302,7 @@ func TestShapeFeatureAblationReducesTLAFPs(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.UseShapeFeatures = false
-	noShape := Train(textgen.Gene, TrainingSentences(docs, textgen.Gene), cfg)
+	noShape := trainOne(docs, textgen.Gene, cfg)
 
 	countTLAFP := func(tg *Tagger) int {
 		rg := rng.New(14)
@@ -501,9 +517,9 @@ func (t *refTagger) viterbi(words []string) []Label {
 	return out
 }
 
-// refTrain fits the string-keyed model with the averaged structured
-// perceptron.
-func refTrain(data []Sentence, cfg Config) *refTagger {
+// refTrain fits the string-keyed model of the k-th class labelled in data
+// with the averaged structured perceptron.
+func refTrain(data []Sentence, k int, cfg Config) *refTagger {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 5
 	}
@@ -534,14 +550,14 @@ func refTrain(data []Sentence, cfg Config) *refTagger {
 			}
 			pred := t.viterbi(s.Words)
 			for i := range s.Words {
-				if pred[i] == s.Labels[i] {
+				if pred[i] == s.Labels[k][i] {
 					continue
 				}
-				update(s.Words, i, s.Labels[i], +1)
+				update(s.Words, i, s.Labels[k][i], +1)
 				update(s.Words, i, pred[i], -1)
 			}
 			for i := 1; i < len(s.Words); i++ {
-				gp, gc := s.Labels[i-1], s.Labels[i]
+				gp, gc := s.Labels[k][i-1], s.Labels[k][i]
 				pp, pc := pred[i-1], pred[i]
 				if gp == pp && gc == pc {
 					continue
@@ -627,44 +643,37 @@ func (t *refTagger) extract(text string) []Match {
 	return out
 }
 
-// TestInternedMatchesReference trains the interned and the string-keyed
-// model on the same data and holds them to the same model — feature count,
-// every weight and transition to the bit, with each string paired to its
-// row position by position, and every row no reference feature owns +0 —
-// and to the same labels and matches on all four corpus kinds.
+// TestInternedMatchesReference trains the interned model of all three
+// classes and the string-keyed model of each class on the same data, and
+// holds every class to its reference: feature count, every weight and
+// transition to the bit, with each string paired to its row position by
+// position, and every row no reference feature owns +0; and the same
+// labels and matches on all four corpus kinds.
 func TestInternedMatchesReference(t *testing.T) {
 	fx := getFixture(t)
 	// Non-ASCII tokens fold as strings.ToLower folds them: two invalid
 	// bytes both become U+FFFD, the Kelvin sign becomes an ASCII k.
 	data := append(fx.data[:len(fx.data):len(fx.data)], Sentence{
 		Words:  []string{"\xc3", "\xc4", "\u212aINASE", "kinase", "Ärzte", "ärzte", "."},
-		Labels: []Label{O, O, B, B, O, O, O},
+		Labels: [][]Label{{O, O, B, B, O, O, O}, {B, O, O, O, O, O, O}, {O, O, O, O, B, I, O}},
 	})
 	noShape := DefaultConfig()
 	noShape.UseShapeFeatures = false
 	for _, cfg := range []Config{DefaultConfig(), noShape} {
 		t.Run(fmt.Sprintf("shape=%v", cfg.UseShapeFeatures), func(t *testing.T) {
-			got, want := Train(textgen.Gene, data, cfg), refTrain(data, cfg)
-			if numFeatures(got) != len(want.weights) {
-				t.Fatalf("%d non-zero feature rows, reference %d features", numFeatures(got), len(want.weights))
-			}
-			for p := range got.trans {
-				for c := range got.trans[p] {
-					if math.Float64bits(got.trans[p][c]) != math.Float64bits(want.trans[p][c]) {
-						t.Errorf("trans[%d][%d] = %v, reference %v", p, c, got.trans[p][c], want.trans[p][c])
-					}
-				}
-			}
+			m := Train(textgen.EntityTypes, data, cfg)
+			// Features depend on the configuration alone, not the class.
+			feats := &refTagger{cfg: cfg}
 			keyOf, strOf := map[string]int32{}, map[int32]string{}
 			var f featureAppender
 			for _, s := range data {
 				a := make([]atoms, len(s.Words))
 				for i, w := range s.Words {
-					a[i] = got.atomize(w, false)
+					a[i] = m.atomize(w, false)
 				}
 				for i := range s.Words {
-					want.features(s.Words, i, &f)
-					ks := got.keys(nil, a, i)
+					feats.features(s.Words, i, &f)
+					ks := m.keys(nil, a, i)
 					if len(ks) != len(f.feats) {
 						t.Fatalf("%q position %d: %d keys for %d features %q", s.Words, i, len(ks), len(f.feats), f.feats)
 					}
@@ -676,46 +685,99 @@ func TestInternedMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			owned := make([]bool, len(got.weights))
-			for ft, wv := range want.weights {
-				r, ok := keyOf[ft]
-				if !ok {
-					t.Fatalf("reference feature %q has no row", ft)
+			for k, e := range m.Entities {
+				got, want := m.Tagger(e), refTrain(data, k, cfg)
+				if numFeatures(got) != len(want.weights) {
+					t.Fatalf("%v: %d non-zero feature rows, reference %d features", e, numFeatures(got), len(want.weights))
 				}
-				owned[r] = true
-				for l, gv := range got.weights[r] {
-					if math.Float64bits(gv) != math.Float64bits(wv[l]) {
-						t.Fatalf("weights[%q] = %v, reference %v", ft, got.weights[r], wv)
-					}
-				}
-			}
-			for r, gv := range got.weights {
-				for _, g := range gv {
-					if !owned[r] && math.Float64bits(g) != 0 {
-						t.Fatalf("row %d belongs to no reference feature and is %v, not +0", r, gv)
-					}
-				}
-			}
-			for _, kind := range []textgen.CorpusKind{textgen.Medline, textgen.PMC, textgen.Relevant, textgen.Irrelevant} {
-				rg := rng.New(31)
-				for i := 0; i < 15; i++ {
-					d := fx.gen.Doc(rg, kind, fmt.Sprint("r", i))
-					for _, s := range d.Sentences {
-						words := make([]string, len(s.Tokens))
-						for j, tok := range s.Tokens {
-							words[j] = tok.Text
-						}
-						gl, wl := got.tag(words), want.viterbi(words)
-						if !slices.Equal(gl, wl) {
-							t.Fatalf("%v: Tag(%q) = %v, reference %v", kind, words, gl, wl)
+				for p := range m.trans[k] {
+					for c := range m.trans[k][p] {
+						if math.Float64bits(m.trans[k][p][c]) != math.Float64bits(want.trans[p][c]) {
+							t.Errorf("%v: trans[%d][%d] = %v, reference %v", e, p, c, m.trans[k][p][c], want.trans[p][c])
 						}
 					}
-					if gm, wm := got.Extract(d.Text), want.extract(d.Text); !slices.Equal(gm, wm) {
-						t.Fatalf("%v doc %d: Extract = %v, reference %v", kind, i, gm, wm)
+				}
+				owned := make([]bool, m.numRows())
+				for ft, wv := range want.weights {
+					r, ok := keyOf[ft]
+					if !ok {
+						t.Fatalf("%v: reference feature %q has no row", e, ft)
+					}
+					owned[r] = true
+					for l, gv := range got.row(int(r)) {
+						if math.Float64bits(gv) != math.Float64bits(wv[l]) {
+							t.Fatalf("%v: weights[%q] = %v, reference %v", e, ft, got.row(int(r)), wv)
+						}
+					}
+				}
+				for r := range owned {
+					for _, g := range got.row(r) {
+						if !owned[r] && math.Float64bits(g) != 0 {
+							t.Fatalf("%v: row %d belongs to no reference feature and is %v, not +0", e, r, got.row(r))
+						}
+					}
+				}
+				for _, kind := range []textgen.CorpusKind{textgen.Medline, textgen.PMC, textgen.Relevant, textgen.Irrelevant} {
+					rg := rng.New(31)
+					for i := 0; i < 15; i++ {
+						d := fx.gen.Doc(rg, kind, fmt.Sprint("r", i))
+						for _, s := range d.Sentences {
+							words := make([]string, len(s.Tokens))
+							for j, tok := range s.Tokens {
+								words[j] = tok.Text
+							}
+							gl, wl := got.tag(words), want.viterbi(words)
+							if !slices.Equal(gl, wl) {
+								t.Fatalf("%v, %v: Tag(%q) = %v, reference %v", e, kind, words, gl, wl)
+							}
+						}
+						if gm, wm := got.Extract(d.Text), want.extract(d.Text); !slices.Equal(gm, wm) {
+							t.Fatalf("%v, %v doc %d: Extract = %v, reference %v", e, kind, i, gm, wm)
+						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestSharedTrainingMatchesSeparate trains the three classes as one model
+// and each class alone, on the same documents: every class's layout —
+// vocabulary, affixes, pairs, row bases, configuration — is the one its
+// own training builds, and its weights and transitions are the same bits.
+func TestSharedTrainingMatchesSeparate(t *testing.T) {
+	fx := getFixture(t)
+	for k, e := range fx.model.Entities {
+		oneTagger := trainOne(fx.docs, e, DefaultConfig())
+		one := oneTagger.m
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{{"vocab", fx.model.vocab, one.vocab}, {"affix", fx.model.affix, one.affix},
+			{"pairs", fx.model.pairs, one.pairs}, {"base", fx.model.base, one.base}, {"cfg", fx.model.cfg, one.cfg}} {
+			if !reflect.DeepEqual(f.got, f.want) {
+				t.Fatalf("%v: the shared %s differs from the one its own training builds", e, f.name)
+			}
+		}
+		if fx.model.numRows() != one.numRows() {
+			t.Fatalf("%v: %d rows shared, %d alone", e, fx.model.numRows(), one.numRows())
+		}
+		shared := fx.model.Tagger(e)
+		for r := range one.numRows() {
+			got, want := shared.row(r), oneTagger.row(r)
+			for l := range got {
+				if math.Float64bits(got[l]) != math.Float64bits(want[l]) {
+					t.Fatalf("%v: row %d = %v shared, %v alone", e, r, got, want)
+				}
+			}
+		}
+		for p := range one.trans[0] {
+			for c := range one.trans[0][p] {
+				if math.Float64bits(fx.model.trans[k][p][c]) != math.Float64bits(one.trans[0][p][c]) {
+					t.Fatalf("%v: trans[%d][%d] = %v shared, %v alone", e, p, c, fx.model.trans[k][p][c], one.trans[0][p][c])
+				}
+			}
+		}
 	}
 }
 
@@ -724,7 +786,7 @@ func TestInternedMatchesReference(t *testing.T) {
 // '|' and "<s>" probe the key packing, a 10k-token run-on the scratch.
 func FuzzExtract(f *testing.F) {
 	fx := getFixture(f)
-	ref := refTrain(fx.data, DefaultConfig())
+	ref := refTrain(fx.data, fx.gene.k, DefaultConfig())
 	f.Add("")
 	f.Add("a|b | <s> </s> n=</s> p=<s>")
 	f.Add("Die Ärzte fanden BRCA1 in Zürich. ǅemal Kelvin ΣΑΣ binds GAD-67 \xff\xfeX.")
@@ -772,5 +834,52 @@ func TestExtractConcurrent(t *testing.T) {
 				t.Errorf("goroutine %d, text %d: %v, serially %v", g, i, got[g][i], serial)
 			}
 		}
+	}
+}
+
+// FuzzDecodeMatchesExtract holds the one decode of every class over a
+// text's sentences, tokenized by nlp.SentenceTokens, to each class's own
+// Extract of the text.
+func FuzzDecodeMatchesExtract(f *testing.F) {
+	fx := getFixture(f)
+	f.Add("")
+	f.Add("a|b | <s> </s> n=</s> p=<s>")
+	f.Add("Die Ärzte fanden BRCA1 in Zürich. ǅemal Kelvin ΣΑΣ binds GAD-67 \xff\xfeX.")
+	f.Add(strings.Repeat("BRCA1 binds the p53 receptor and ", 2000))
+	f.Add(fx.gen.Doc(rng.New(3), textgen.Medline, "f").Text)
+	f.Add(fx.gen.Doc(rng.New(4), textgen.Irrelevant, "f").Text)
+	f.Fuzz(func(t *testing.T, text string) {
+		_, sents := nlp.SentenceTokens(text)
+		got := fx.model.Decode(text, sents)
+		for k, e := range fx.model.Entities {
+			if want := fx.model.Tagger(e).Extract(text); !slices.Equal(got[k], want) {
+				t.Fatalf("%v: Decode(%q) = %v, Extract %v", e, text, got[k], want)
+			}
+		}
+	})
+}
+
+// TestDecodeAtomizesOncePerToken counts atomizations by the one allocation
+// each costs on a token longer than atomize's 64-byte case-fold buffer: a
+// document's decode for all three classes costs one allocation more per
+// such token than the same document with short words in its place, whose
+// atoms, and so labels and matches, are the same.
+func TestDecodeAtomizesOncePerToken(t *testing.T) {
+	fx := getFixture(t)
+	long, short := strings.Repeat("z", 100), "zzzzz"
+	if fx.model.atomize(long, false) != fx.model.atomize(short, false) {
+		t.Fatal("the long and the short word have different atoms")
+	}
+	if n := testing.AllocsPerRun(10, func() { fx.model.atomize(long, false) }); n != 1 {
+		t.Fatalf("atomizing a %d-byte token costs %v allocations, want 1", len(long), n)
+	}
+	allocs := func(w string) float64 {
+		text := strings.Repeat("The "+w+" binds "+w+" . ", 10)
+		_, sents := nlp.SentenceTokens(text)
+		return testing.AllocsPerRun(10, func() { _ = fx.model.Decode(text, sents) })
+	}
+	if got := allocs(long) - allocs(short); got != 20 {
+		t.Errorf("decoding 20 long tokens for %d classes costs %v allocations more than short ones, want 20: one atomization per token",
+			len(fx.model.Entities), got)
 	}
 }

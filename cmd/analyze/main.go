@@ -38,7 +38,7 @@ import (
 
 func main() {
 	corpusName := flag.String("corpus", "medline", "corpus to analyze")
-	dop := flag.Int("dop", 4, "degree of parallelism of the local executor")
+	dop := flag.Int("dop", 4, "degree of parallelism: executor workers, each carrying records through the whole flow")
 	quick := flag.Bool("quick", true, "use the reduced quick configuration")
 	out := flag.String("out", "", "directory for the exported fact database (JSONL chunks); empty = no export")
 	metrics := flag.Bool("metrics", false, "dump the obs metric registry at exit")

@@ -21,9 +21,9 @@ import (
 )
 
 func main() {
-	scriptPath := flag.String("script", "", "Meteor script file ('' = built-in consolidated flow)")
+	scriptPath := flag.String("script", "", "Meteor script file ('' = the built-in 30-node variant of the consolidated flow)")
 	docs := flag.Int("docs", 50, "number of raw web pages to feed")
-	dop := flag.Int("dop", 4, "degree of parallelism")
+	dop := flag.Int("dop", 4, "degree of parallelism: executor workers, each carrying records through the whole plan")
 	noopt := flag.Bool("noopt", false, "disable the logical optimizer")
 	showPlan := flag.Bool("plan", false, "print the compiled plan and exit")
 	flag.Parse()

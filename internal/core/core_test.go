@@ -3,8 +3,10 @@ package core
 import (
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,18 +119,19 @@ func TestConsolidatedMeteorScriptCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compiled.Plan.Size() < 25 {
-		t.Errorf("meteor plan only %d nodes", compiled.Plan.Size())
+	// A 30-node variant of Fig 2 with one sink per branch, not the
+	// 38-operator ConsolidatedFlow.
+	if compiled.Plan.Size() != 30 || len(compiled.Plan.Sinks()) != 2 {
+		t.Errorf("meteor plan has %d nodes and %d sinks, want 30 and 2", compiled.Plan.Size(), len(compiled.Plan.Sinks()))
 	}
 	if err := compiled.Plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMeteorScriptRunsOnRawPages(t *testing.T) {
-	// End-to-end: fetch raw pages from the synthetic web and push them
-	// through the scripted consolidated flow.
-	s, _ := testSystem(t)
+// rawPages fetches 30 raw pages of biomedical hosts from the synthetic web,
+// as records of the web flows' input.
+func rawPages(s *System) []dataflow.Record {
 	var recs []dataflow.Record
 	for _, h := range s.Set.Web.Hosts {
 		if !h.Biomed || h.Hub {
@@ -145,8 +148,15 @@ func TestMeteorScriptRunsOnRawPages(t *testing.T) {
 			break
 		}
 	}
+	return recs
+}
+
+func TestMeteorScriptRunsOnRawPages(t *testing.T) {
+	// End-to-end: fetch raw pages from the synthetic web and push them
+	// through the scripted consolidated flow.
+	s, _ := testSystem(t)
 	out, execStats, err := meteor.Run(ConsolidatedMeteorScript, s.Registry(),
-		map[string][]dataflow.Record{"crawl": recs}, true, dataflow.ExecConfig{DoP: 2})
+		map[string][]dataflow.Record{"crawl": rawPages(s)}, true, dataflow.ExecConfig{DoP: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +171,77 @@ func TestMeteorScriptRunsOnRawPages(t *testing.T) {
 	for _, rec := range out["entities"] {
 		if _, ok := rec["entities"].([]EntityAnn); !ok {
 			t.Fatalf("entity record missing entities field: %v", rec)
+		}
+	}
+}
+
+// TestFlowsRunTheSameTwice: operators create their state per Execute, so
+// each flow plan — analysis, consolidated, linguistic, entity and relation,
+// web and not, and the compiled Meteor script, each optimized and not —
+// executed twice over one input fills its sinks the same both times: no
+// record is dropped at a dedupe that remembers the first run.
+func TestFlowsRunTheSameTwice(t *testing.T) {
+	s, _ := testSystem(t)
+	reg := s.Registry()
+	pages := rawPages(s)
+	var abstracts []dataflow.Record
+	for _, d := range s.Set.Corpus(textgen.Medline).Docs[:30] {
+		abstracts = append(abstracts, dataflow.Record{"id": d.ID, "text": d.Text})
+	}
+	type flow struct {
+		name  string
+		web   bool
+		build func() *dataflow.Plan
+	}
+	flows := []flow{
+		{"consolidated", true, reg.ConsolidatedFlow},
+		{"script", true, func() *dataflow.Plan {
+			script, err := meteor.Parse(ConsolidatedMeteorScript)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compiled, err := meteor.Compile(script, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return compiled.Plan
+		}},
+	}
+	for _, web := range []bool{false, true} {
+		for i, build := range []func(bool) *dataflow.Plan{reg.AnalysisFlow, reg.LinguisticFlow, reg.EntityFlow, reg.RelationFlow} {
+			name := []string{"analysis", "linguistic", "entity", "relation"}[i]
+			flows = append(flows, flow{fmt.Sprintf("%s/web=%v", name, web), web, func() *dataflow.Plan { return build(web) }})
+		}
+	}
+	// sinks renders every sink record of one execution, sorted: fmt
+	// prints a record's fields in key order.
+	sinks := func(plan *dataflow.Plan, in []dataflow.Record) []string {
+		res, _, err := dataflow.Execute(plan, in, dataflow.ExecConfig{DoP: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for id, recs := range res {
+			for _, rec := range recs {
+				lines = append(lines, fmt.Sprintf("%d %v", id, rec))
+			}
+		}
+		sort.Strings(lines)
+		return lines
+	}
+	for _, f := range flows {
+		for _, optimize := range []bool{false, true} {
+			plan, in := f.build(), abstracts
+			if optimize {
+				dataflow.Optimize(plan)
+			}
+			if f.web {
+				in = pages
+			}
+			first, second := sinks(plan, in), sinks(plan, in)
+			if len(first) == 0 || !slices.Equal(first, second) {
+				t.Errorf("%s, optimized=%v: %d sink records, then %d", f.name, optimize, len(first), len(second))
+			}
 		}
 	}
 }

@@ -59,6 +59,10 @@ type opRow struct {
 	// state set with instead, which builds the work for one statement.
 	fn   dataflow.UDF
 	with func(meteor.Params) (dataflow.UDF, error)
+	// perRun marks a with whose work keeps state across records (a count,
+	// a seen-set): the operator's Init builds it afresh for every Execute,
+	// so a plan runs the same every time.
+	perRun bool
 }
 
 // build resolves the row into the operator of one script statement.
@@ -70,8 +74,15 @@ func (row opRow) build(p meteor.Params) (*dataflow.Op, error) {
 			return nil, err
 		}
 	}
-	return &dataflow.Op{Name: row.name, Pkg: row.pkg, Fn: fn, Filter: row.filter,
-		Reads: row.reads, Writes: row.writes, Selectivity: row.sel, Cost: row.cost}, nil
+	op := &dataflow.Op{Name: row.name, Pkg: row.pkg, Fn: fn, Filter: row.filter,
+		Reads: row.reads, Writes: row.writes, Selectivity: row.sel, Cost: row.cost}
+	if row.perRun {
+		op.Init = func() (err error) {
+			op.Fn, err = row.with(p)
+			return err
+		}
+	}
+	return op, nil
 }
 
 // opBuilder constructs an operator from parameters.
@@ -216,7 +227,7 @@ func (r *Registry) table() []opRow {
 					return v >= min && v <= max
 				}), nil
 			}},
-		{name: "limit", pkg: dataflow.BASE, filter: true, reads: []string{}, sel: 0.5,
+		{name: "limit", pkg: dataflow.BASE, filter: true, reads: []string{}, sel: 0.5, perRun: true,
 			with: func(p meteor.Params) (dataflow.UDF, error) {
 				max := int64(paramNum(p, "n", 1000))
 				var seen atomic.Int64
@@ -339,7 +350,7 @@ func (r *Registry) table() []opRow {
 			})},
 
 		// --- DC: data cleansing operators ---
-		{name: "dedupe_exact", pkg: dataflow.DC, filter: true, reads: []string{"text"}, sel: 0.95,
+		{name: "dedupe_exact", pkg: dataflow.DC, filter: true, reads: []string{"text"}, sel: 0.95, perRun: true,
 			with: func(meteor.Params) (dataflow.UDF, error) {
 				var mu sync.Mutex
 				seen := map[uint64]bool{}
@@ -352,7 +363,8 @@ func (r *Registry) table() []opRow {
 					return !dup
 				}), nil
 			}},
-		{name: "dedupe_near", pkg: dataflow.DC, filter: true, reads: []string{"text", "id"}, sel: 0.95, cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 256 << 20},
+		{name: "dedupe_near", pkg: dataflow.DC, filter: true, reads: []string{"text", "id"}, sel: 0.95, perRun: true,
+			cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 256 << 20},
 			with: func(p meteor.Params) (dataflow.UDF, error) {
 				idx := dedup.NewIndex(paramNum(p, "threshold", 0.8))
 				return dataflow.Keep(func(rec dataflow.Record) bool {

@@ -94,8 +94,10 @@ type Op struct {
 	Pkg Pkg
 	// Fn is the implementation.
 	Fn UDF
-	// Init runs once per worker before records flow (models startup cost
-	// for real execution; the virtual StartupMs models it for simulation).
+	// Init runs once per Execute, before any record flows: it pays startup
+	// cost for real execution (the virtual StartupMs models it for
+	// simulation) and creates the operator's per-run state, so a plan runs
+	// the same every time.
 	Init func() error
 
 	// Reads/Writes are the record fields the operator touches — SOFA's

@@ -29,26 +29,22 @@ const (
 	FailFast
 )
 
-const (
-	// queueLen is the capacity of each inter-operator queue: enough to
-	// ride out per-record cost variance between neighbours without letting
-	// a fast producer run a whole corpus ahead of a slow consumer.
-	queueLen = 64
-	// quarantineLimit caps the dead-letter records retained in
-	// ExecStats.Quarantined; overflowing records are still counted in
-	// stats and metrics.
-	quarantineLimit = 1024
-)
+// quarantineLimit caps the dead-letter records retained in
+// ExecStats.Quarantined; overflowing records are still counted in stats
+// and metrics.
+const quarantineLimit = 1024
 
 // ExecConfig controls plan execution.
 type ExecConfig struct {
-	// DoP is the number of worker goroutines per operator node.
+	// DoP is the number of chain instances: worker goroutines that each
+	// carry whole records through the plan, so at most DoP operator calls
+	// run at once.
 	DoP int
 	// Set attaches the observability pillars; a nil handle leaves that
 	// pillar off (Series is not used: an execution has no sample clock).
 	//
-	// Metrics receives the per-operator counters, latency histograms, and
-	// queue gauges. Nil uses a fresh private registry so ExecStats stays
+	// Metrics receives the per-operator counters and latency histograms.
+	// Nil uses a fresh private registry so ExecStats stays
 	// exact; pass obs.Default() (or any shared registry) to accumulate
 	// across executions. Sharing one registry between *concurrent*
 	// executions keeps the metric totals exact but makes the
@@ -71,10 +67,10 @@ type ExecConfig struct {
 	// Prof attributes execution cost per operator under
 	// dataflow.op.<name> scopes: every processed record is one bracket
 	// (a call and its real nanoseconds) around the operator invocation,
-	// retries included, closed before its emissions are routed — time
-	// blocked on a full downstream queue is nobody's cost. Call counts are
-	// DoP-independent under the Quarantine policy — the same caveat as
-	// Trace.
+	// retries included, closed before its emissions move downstream, so
+	// downstream operators run outside the upstream bracket. Call counts
+	// are DoP-independent under the Quarantine policy — the same caveat
+	// as Trace.
 	pillars.Set
 	// Policy selects the response to UDF errors (Quarantine by default).
 	Policy ErrorPolicy
@@ -167,7 +163,6 @@ type nodeMetrics struct {
 	in0, out0, errs0             int64 // registry values before this execution
 	retries0, panics0, quar0     int64
 	latency                      *obs.Histogram
-	queueDepth, queueWater       *obs.Gauge
 }
 
 // MetricName returns the obs registry name for one per-operator metric of
@@ -186,8 +181,6 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		panics:      reg.Counter(MetricName(n, "panics")),
 		quarantined: reg.Counter(MetricName(n, "quarantined")),
 		latency:     reg.Histogram(MetricName(n, "ms"), obs.DefaultMsBuckets...),
-		queueDepth:  reg.Gauge(MetricName(n, "queue.depth")),
-		queueWater:  reg.Gauge(MetricName(n, "queue.highwater")),
 	}
 	m.in0, m.out0, m.errs0 = m.in.Value(), m.out.Value(), m.errs.Value()
 	m.retries0, m.panics0, m.quar0 = m.retries.Value(), m.panics.Value(), m.quarantined.Value()
@@ -208,11 +201,15 @@ func safeUDF(fn UDF, rec Record, emit Emit) (err error) {
 	return fn(rec, emit)
 }
 
-// flowItem is one record in flight between operators, paired with its
-// lineage trace context (a zero Context when tracing is off).
-type flowItem struct {
-	rec Record
-	tc  trace.Context
+// execNode is one plan node's state for one execution: its instruments,
+// the nodes reading its output (none for a sink), its hop span name and
+// its profiler scope.
+type execNode struct {
+	*Node
+	m       *nodeMetrics
+	readers []*execNode
+	span    string
+	scope   prof.Scope
 }
 
 // quarantineLog collects dead-letter records across worker goroutines.
@@ -271,8 +268,7 @@ func (q *quarantineLog) sorted() []QuarantinedRecord {
 // abort. Each attempt collects its emissions in *out, the worker's reusable
 // buffer; the caller routes them once process returns, and an attempt that
 // fails or stops the flow leaves none. A non-nil return is a FailFast abort.
-func process(n *Node, nm *nodeMetrics, cfg ExecConfig, item flowItem, out *[]Record, q *quarantineLog, lg evlog.Logger) error {
-	rec, tc := item.rec, item.tc
+func process(n *Node, nm *nodeMetrics, cfg ExecConfig, rec Record, tc trace.Context, out *[]Record, q *quarantineLog, lg evlog.Logger) error {
 	ts := int64(n.id) // plan-position logical clock
 	collect := func(r Record) { *out = append(*out, r) }
 	var lastErr error
@@ -322,12 +318,19 @@ func process(n *Node, nm *nodeMetrics, cfg ExecConfig, item flowItem, out *[]Rec
 
 // Execute runs the plan over the input records. Records are fed to every
 // node without inputs; the returned map holds the records that reached
-// each sink node (keyed by node id).
+// each sink node (keyed by node id). Every edge is a forward edge, so the
+// whole plan is one chain in Stratosphere's sense: cfg.DoP workers take
+// input records in turn and carry each one depth-first through the DAG,
+// running each operator and then every reader of its emissions.
 //
 // UDF failures follow cfg.Policy: under Quarantine (default) the failing
 // record lands in ExecStats.Quarantined and the flow continues; under
 // FailFast the first terminal failure aborts the run and is returned.
 // Operator panics are recovered and treated as errors either way.
+//
+// A plan runs in one Execute at a time: Op.Init creates the operators'
+// per-run state, so consecutive runs of one plan are independent, but two
+// concurrent runs would share it.
 func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecStats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -356,11 +359,23 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		trace.Int("records", int64(len(input))),
 		trace.Int("nodes", int64(len(p.nodes))))
 
+	// Per-node state, indexed by node id (ids are plan positions). Span
+	// names and profiler scopes go through the sanctioned dotted-name
+	// builders (operator names are config data, not compile-time
+	// constants); a zero Scope is the disabled one.
 	stats := &ExecStats{PerNode: map[int]*NodeStats{}}
-	metrics := map[int]*nodeMetrics{}
+	nodes := make([]execNode, len(p.nodes))
 	for _, n := range p.nodes {
 		stats.PerNode[n.id] = &NodeStats{}
-		metrics[n.id] = newNodeMetrics(reg, n)
+		x := &nodes[n.id]
+		x.Node, x.m = n, newNodeMetrics(reg, n)
+		x.span = trace.TraceName("dataflow.op", n.Op.Name)
+		if cfg.Prof != nil {
+			x.scope = cfg.Prof.Scope(prof.ScopeName("dataflow.op", n.Op.Name))
+		}
+		for _, in := range n.Inputs {
+			nodes[in.id].readers = append(nodes[in.id].readers, x)
+		}
 	}
 
 	// Operator Init runs before any goroutine spawns, so an Init error
@@ -377,57 +392,12 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	}
 
 	quar := &quarantineLog{}
-	// abortErr holds the first FailFast error; once set, workers drain
-	// their queues without processing so the topology still unwinds.
+	// abortErr holds the first FailFast error; once set, workers count the
+	// records that reach a node without processing them.
 	var abortErr atomic.Pointer[error]
-
-	// Topology.
-	readers := map[*Node][]*Node{}
-	for _, n := range p.nodes {
-		for _, in := range n.Inputs {
-			readers[in] = append(readers[in], n)
-		}
-	}
-	inCh := map[*Node]chan flowItem{}
-	upstreams := map[*Node]*sync.WaitGroup{}
-	for _, n := range p.nodes {
-		inCh[n] = make(chan flowItem, queueLen)
-		wg := &sync.WaitGroup{}
-		if len(n.Inputs) == 0 {
-			wg.Add(1) // the feeder
-		} else {
-			wg.Add(len(n.Inputs))
-		}
-		upstreams[n] = wg
-		go func(n *Node, wg *sync.WaitGroup) {
-			wg.Wait()
-			close(inCh[n])
-		}(n, wg)
-	}
-
-	// Sink collection.
-	sinkSet := map[*Node]bool{}
-	for _, s := range p.Sinks() {
-		sinkSet[s] = true
-	}
 	results := map[int][]Record{}
 	var resultsMu sync.Mutex
 
-	// Span names per node, via the sanctioned dotted-name builder (operator
-	// names are config data, not compile-time constants).
-	spanName := map[int]string{}
-	for _, n := range p.nodes {
-		spanName[n.id] = trace.TraceName("dataflow.op", n.Op.Name)
-	}
-	// Profiler cost scopes per node, likewise through the sanctioned
-	// builder. A missing entry is the zero (disabled) Scope, so workers
-	// index unconditionally.
-	opScope := map[int]prof.Scope{}
-	if cfg.Prof != nil {
-		for _, n := range p.nodes {
-			opScope[n.id] = cfg.Prof.Scope(prof.ScopeName("dataflow.op", n.Op.Name))
-		}
-	}
 	// hopSlot keys a child span by (downstream node, emit index): the emit
 	// index is the emission's position in one process() call's output, so
 	// span IDs are deterministic per record path regardless of worker
@@ -436,74 +406,46 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		return uint64(nodeID)<<32 | uint64(emitIdx)
 	}
 
-	// Run the nodes.
-	var nodeWG sync.WaitGroup
-	for _, n := range p.nodes {
-		nm := metrics[n.id]
-		outs := readers[n]
-		// emitFrom routes one emission, minting the downstream hop's span
-		// as a child of the emitting record's span.
-		emitFrom := func(rec Record, parent trace.Context, emitIdx int) {
-			nm.out.Inc()
-			if sinkSet[n] {
+	// walk runs one record through x, then carries each emission into every
+	// reader, minting the reader's hop span as a child of the record's. A
+	// fan-out clones the emission for every reader but the last. bufs is
+	// the worker's emission buffer per node: a node is on an acyclic path
+	// once, so no buffer is in use twice.
+	var walk func(x *execNode, rec Record, tc trace.Context, bufs [][]Record)
+	walk = func(x *execNode, rec Record, tc trace.Context, bufs [][]Record) {
+		x.m.in.Inc()
+		if abortErr.Load() != nil {
+			return // fail-fast: drain without processing
+		}
+		inflight.Add(1)
+		bufs[x.id] = bufs[x.id][:0]
+		sp := x.m.latency.Start()
+		ph := x.scope.Enter()
+		err := process(x.Node, x.m, cfg, rec, tc, &bufs[x.id], quar, lgOp)
+		ph.Exit()
+		sp.End()
+		inflight.Add(-1)
+		tc.End(int64(x.id) + 1)
+		if err != nil {
+			abort := err // escapes to the heap only on the failing path
+			abortErr.CompareAndSwap(nil, &abort)
+		}
+		for i, rec := range bufs[x.id] {
+			x.m.out.Inc()
+			if len(x.readers) == 0 {
 				resultsMu.Lock()
-				results[n.id] = append(results[n.id], rec)
+				results[x.id] = append(results[x.id], rec)
 				resultsMu.Unlock()
-				return
 			}
-			for i, r := range outs {
-				out := rec
-				if i != len(outs)-1 {
-					out = rec.Clone()
+			for j, r := range x.readers {
+				own := rec
+				if j != len(x.readers)-1 {
+					own = rec.Clone()
 				}
-				//lintx:ignore tracename spanName entries are precomputed through TraceName at plan build
-				tc := parent.StartSpanKeyed(spanName[r.id], hopSlot(r.id, emitIdx), int64(r.id))
-				inCh[r] <- flowItem{rec: out, tc: tc}
+				//lintx:ignore tracename span names are precomputed through TraceName above
+				walk(r, own, tc.StartSpanKeyed(r.span, hopSlot(r.id, i), int64(r.id)), bufs)
 			}
 		}
-		nodeWG.Add(1)
-		go func(n *Node, nm *nodeMetrics) {
-			defer nodeWG.Done()
-			psc := opScope[n.id]
-			var workerWG sync.WaitGroup
-			for w := 0; w < cfg.DoP; w++ {
-				workerWG.Add(1)
-				go func() {
-					defer workerWG.Done()
-					var out []Record // this worker's emissions for the record in hand
-					for item := range inCh[n] {
-						depth := int64(len(inCh[n]))
-						nm.queueDepth.Set(depth)
-						nm.queueWater.Max(depth)
-						nm.in.Inc()
-						if abortErr.Load() != nil {
-							continue // fail-fast: drain without processing
-						}
-						inflight.Add(1)
-						sp := nm.latency.Start()
-						ph := psc.Enter()
-						err := process(n, nm, cfg, item, &out, quar, lgOp)
-						ph.Exit()
-						sp.End()
-						for i, rec := range out {
-							emitFrom(rec, item.tc, i)
-						}
-						out = out[:0]
-						item.tc.End(int64(n.id) + 1)
-						inflight.Add(-1)
-						if err != nil {
-							abortErr.CompareAndSwap(nil, &err)
-						}
-					}
-					nm.queueDepth.Set(0)
-				}()
-			}
-			workerWG.Wait()
-			// Signal downstream that this upstream is done.
-			for _, r := range readers[n] {
-				upstreams[r].Done()
-			}
-		}(n, nm)
 	}
 
 	// One lineage trace per input record, minted serially in input order so
@@ -523,33 +465,41 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		}
 	}
 
-	// Feed sources. With several source nodes, each gets its own copy of
-	// the records so concurrent operators never share mutable maps, and its
-	// own source-hop span under the record's root.
-	var sources []*Node
-	for _, n := range p.nodes {
-		if len(n.Inputs) == 0 {
-			sources = append(sources, n)
+	// DoP workers take input records in turn and walk each from every
+	// source node. With several sources, each gets its own copy of the
+	// record so no two walks share a mutable map, and its own source-hop
+	// span under the record's root.
+	var sources []*execNode
+	for i := range nodes {
+		if len(nodes[i].Inputs) == 0 {
+			sources = append(sources, &nodes[i])
 		}
 	}
-	for si, n := range sources {
-		go func(n *Node, cloneAll bool) {
-			for i, rec := range input {
-				if cloneAll {
-					rec = rec.Clone()
+	var next atomic.Int64 // the next input record to take
+	var workers sync.WaitGroup
+	for w := 0; w < cfg.DoP; w++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			bufs := make([][]Record, len(nodes))
+			for i := int(next.Add(1) - 1); i < len(input); i = int(next.Add(1) - 1) {
+				for si, s := range sources {
+					rec := input[i]
+					if si < len(sources)-1 {
+						rec = rec.Clone()
+					}
+					var tc trace.Context
+					if roots != nil {
+						//lintx:ignore tracename span names are precomputed through TraceName above
+						tc = roots[i].StartSpanKeyed(s.span, hopSlot(s.id, 0), int64(s.id))
+					}
+					walk(s, rec, tc, bufs)
 				}
-				var tc trace.Context
-				if roots != nil {
-					//lintx:ignore tracename spanName entries are precomputed through TraceName at plan build
-					tc = roots[i].StartSpanKeyed(spanName[n.id], hopSlot(n.id, 0), int64(n.id))
-				}
-				inCh[n] <- flowItem{rec: rec, tc: tc}
 			}
-			upstreams[n].Done()
-		}(n, si < len(sources)-1)
+		}()
 	}
+	workers.Wait()
 
-	nodeWG.Wait()
 	// Close every record's trace at the end of the plan (serial, so
 	// retention decisions replay identically run to run).
 	for i := range roots {
@@ -561,7 +511,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	// joined, so these land after every per-record event).
 	endTs := int64(len(p.nodes)) + 1
 	for _, n := range p.nodes {
-		ns, nm := stats.PerNode[n.id], metrics[n.id]
+		ns, nm := stats.PerNode[n.id], nodes[n.id].m
 		ns.In = nm.in.Value() - nm.in0
 		ns.Out = nm.out.Value() - nm.out0
 		ns.Errors = nm.errs.Value() - nm.errs0

@@ -82,9 +82,6 @@ func TestExecMetricsMatchStats(t *testing.T) {
 		if h, ok := snap.Hists[MetricName(n, "ms")]; !ok || h.Count != ns.In {
 			t.Errorf("%s count = %d (present=%v), want %d", MetricName(n, "ms"), h.Count, ok, ns.In)
 		}
-		if hw := snap.Gauge(MetricName(n, "queue.highwater")); hw < 0 {
-			t.Errorf("%s = %d, want >= 0", MetricName(n, "queue.highwater"), hw)
-		}
 	}
 	if h, ok := snap.Hists["dataflow.wall.ms"]; !ok || h.Count != 1 {
 		t.Errorf("dataflow.wall.ms count = %d (present=%v), want 1", h.Count, ok)

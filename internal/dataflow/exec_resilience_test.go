@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,8 +268,9 @@ func TestEmitRuleAtEveryRetryBudget(t *testing.T) {
 }
 
 // TestProfileExcludesBlockedSends: an operator's profiler bracket closes
-// before its emissions are routed, so a cheap operator feeding a slow one
-// through a full queue is not charged the time it spends blocked.
+// before its emissions move downstream, so a cheap operator feeding a slow
+// one is not charged the slow one's time: downstream operators run
+// outside the upstream bracket.
 func TestProfileExcludesBlockedSends(t *testing.T) {
 	p := &Plan{}
 	cheap := p.Add(passOp("cheap"))
@@ -281,14 +284,55 @@ func TestProfileExcludesBlockedSends(t *testing.T) {
 	pr := prof.New(prof.Config{})
 	cfg := ExecConfig{DoP: 1}
 	cfg.Prof = pr
-	runSingleSink(t, p, input(4*queueLen), cfg)
+	runSingleSink(t, p, input(256), cfg)
 	snap := pr.Snapshot()
 	c, s := snap.Get("dataflow.op.cheap"), snap.Get("dataflow.op.slow")
-	if c == nil || s == nil || c.Calls != 4*queueLen || s.Calls != 4*queueLen {
+	if c == nil || s == nil || c.Calls != 256 || s.Calls != 256 {
 		t.Fatalf("profile rows: cheap=%+v slow=%+v", c, s)
 	}
 	if c.WallNs*4 >= s.WallNs {
-		t.Fatalf("cheap operator charged %d ns against the slow one's %d ns: blocked sends are in its bracket", c.WallNs, s.WallNs)
+		t.Fatalf("cheap operator charged %d ns against the slow one's %d ns: downstream time is in its bracket", c.WallNs, s.WallNs)
+	}
+}
+
+// TestDoPBoundsOperatorCalls: each of the DoP workers carries one record
+// at a time through the whole plan, so across all of a chain's operators
+// at most DoP UDF calls run at once, and Execute leaves no goroutine
+// behind.
+func TestDoPBoundsOperatorCalls(t *testing.T) {
+	var live, peak atomic.Int64
+	p := &Plan{}
+	var n *Node
+	for i := range 6 {
+		op := &Op{Name: fmt.Sprintf("nap%d", i), Pkg: BASE, Selectivity: 1,
+			Fn: func(r Record, emit Emit) error {
+				cur := live.Add(1)
+				for old := peak.Load(); cur > old && !peak.CompareAndSwap(old, cur); old = peak.Load() {
+				}
+				time.Sleep(time.Millisecond)
+				live.Add(-1)
+				emit(r)
+				return nil
+			}}
+		if n == nil {
+			n = p.Add(op)
+		} else {
+			n = p.Add(op, n)
+		}
+	}
+	before := runtime.NumGoroutine()
+	if out, _ := runSingleSink(t, p, input(40), ExecConfig{DoP: 2}); len(out) != 40 {
+		t.Fatalf("got %d records, want 40", len(out))
+	}
+	if got := peak.Load(); got > 2 {
+		t.Fatalf("%d operator calls in flight at once at DoP 2, want at most 2", got)
+	}
+	// A worker's deferred Done runs just before the goroutine exits, so
+	// give the last ones a moment to go.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Execute, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

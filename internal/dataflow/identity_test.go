@@ -64,8 +64,7 @@ var surfaces = []string{"sink", "stats", "dead-letters", "metrics",
 // (order-insensitively), per-node stats, dead letters, and every pillar's
 // export plus its whole snapshot as JSON (any byte another rendering could
 // show is a function of it). Metrics render as counters only and profiles
-// as call rows only: histogram buckets, queue high-water marks and wall
-// time are measurements.
+// as call rows only: histogram buckets and wall time are measurements.
 func exportsOf(t *testing.T, sink []Record, st *ExecStats, snap pillars.Snapshot) exports {
 	t.Helper()
 	ex := exports{"sink": strings.Join(canonical(sink), "\n")}
@@ -147,12 +146,17 @@ const (
 	traceAndLog
 )
 
-// fixture is one memoized execution: its pillars, DoP and rerun index.
+// fixture is one memoized execution: its pillars, DoP and rerun index,
+// and whether it executes reusedPlan instead of a fresh plan.
 type fixture struct {
 	pillars pillarSet
 	dop     int
 	rerun   int
+	reused  bool
 }
+
+// reusedPlan is the one Plan value every reused fixture executes.
+var reusedPlan = identityPlan()
 
 var reference = fixture{dop: 1}
 
@@ -175,6 +179,9 @@ func (f fixture) run(t *testing.T) exports {
 		set.Metrics, set.Prof = obs.New(), prof.New(prof.Config{})
 	}
 	p := identityPlan()
+	if f.reused {
+		p = reusedPlan
+	}
 	sink, st := runSingleSink(t, p, tracedInput(200), ExecConfig{DoP: f.dop, OpRetries: 1, TraceKey: "id", Set: set})
 	ex := exportsOf(t, sink, st, set.Snapshot())
 	if f == reference {
@@ -204,6 +211,7 @@ func TestExecIdentity(t *testing.T) {
 	t.Run("dop", dopIdentity)
 	t.Run("rerun", rerunIdentity)
 	t.Run("invisible", invisibility)
+	t.Run("same-plan", samePlanIdentity)
 }
 
 // dopIdentity: the degree of parallelism changes only scheduling. Every
@@ -230,6 +238,16 @@ func invisibility(t *testing.T) {
 		fixture{pillars: noPillars, dop: 1}.run(t))
 	diffExports(t, "trace+log only", ref.without("metrics", "profile"),
 		fixture{pillars: traceAndLog, dop: 1}.run(t))
+}
+
+// samePlanIdentity: one Plan value executed twice publishes, both times,
+// the bytes of a fresh plan — an execution leaves nothing behind in the
+// plan that a later one would see.
+func samePlanIdentity(t *testing.T) {
+	ref := reference.run(t)
+	for rerun := range 2 {
+		diffExports(t, fmt.Sprintf("same plan, run %d", rerun+1), ref, fixture{dop: 4, rerun: rerun, reused: true}.run(t))
+	}
 }
 
 // The per-pillar identity tests TestExecIdentity replaced keep their

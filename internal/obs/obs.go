@@ -45,7 +45,7 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value (queue depth, records in flight).
+// Gauge is an atomic instantaneous value (records in flight).
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores the value.
@@ -56,16 +56,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Max raises the gauge to n if n is larger (high-water marks).
-func (g *Gauge) Max(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
 
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations v with bounds[i-1] < v <= bounds[i]; one extra overflow

@@ -25,11 +25,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if g.Value() != 4 {
 		t.Errorf("gauge = %d, want 4", g.Value())
 	}
-	g.Max(10)
-	g.Max(2)
-	if g.Value() != 10 {
-		t.Errorf("gauge after Max = %d, want 10", g.Value())
-	}
 	if r.Gauge("q.depth") != g {
 		t.Error("Gauge not get-or-create")
 	}

@@ -118,5 +118,7 @@ func NewExperimentsFromSystem(sys *System) *Experiments {
 // without training the IE tool suite.
 func BuildCorpora(cfg corpora.BuildConfig) *corpora.Set { return corpora.Build(cfg) }
 
-// ConsolidatedMeteorScript is the paper's Fig 2 flow in the Meteor dialect.
+// ConsolidatedMeteorScript is a Meteor-dialect variant of the paper's Fig 2
+// flow: 30 nodes with one sink per branch, smaller than the 38-operator
+// ConsolidatedFlow.
 const ConsolidatedMeteorScript = core.ConsolidatedMeteorScript

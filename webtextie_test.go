@@ -45,8 +45,8 @@ func TestFacadeMeteorScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compiled.Plan.Size() < 25 {
-		t.Errorf("plan size = %d", compiled.Plan.Size())
+	if compiled.Plan.Size() != 30 || len(compiled.SinkIDs) != 2 {
+		t.Errorf("plan size = %d with %d sinks, want 30 with 2", compiled.Plan.Size(), len(compiled.SinkIDs))
 	}
 }
 

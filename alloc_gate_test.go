@@ -256,6 +256,12 @@ var extraRows = []gateRow{
 	{"nlp_sentence_tokens", 6, 1920, hotDoc, func(in string) func() {
 		return func() { _, _ = nlp.SentenceTokens(in) }
 	}},
+	// The web flow's one pass over a page: the block slice and the string
+	// all block texts share, the link slice and the string all anchors
+	// share, and the title; the attribute buffer is pooled.
+	{"htmlkit_parse", 5, 1328, hotHTML, func(in string) func() {
+		return func() { _ = htmlkit.Parse(in) }
+	}},
 	// One label slice per page.
 	{"boiler_classify", 1, 192, "", func(string) func() {
 		return func() { _ = boilerClassifier.Classify(gateBlocks) }
@@ -357,7 +363,7 @@ func TestAllocGateScaling(t *testing.T) {
 	for _, r := range append(layerRows, extraRows...) {
 		t.Run(r.name, func(t *testing.T) {
 			inputs := []string{r.in}
-			if strings.HasPrefix(r.name, "htmlkit.") {
+			if strings.HasPrefix(r.name, "htmlkit") {
 				inputs = append(inputs, hotStyles, hotDivs)
 			}
 			for _, in := range inputs {

@@ -102,10 +102,15 @@ type Result struct {
 
 // Extract runs the full pipeline on raw HTML: tokenize → repair → block
 // segmentation → block classification → net text. The first three are
-// htmlkit.Blocks' one streaming pass; the content blocks' texts are joined
-// into a net text sized up front.
+// htmlkit.Blocks' one streaming pass, the last two FromBlocks.
 func (c *Classifier) Extract(html string) Result {
-	blocks, stats := htmlkit.Blocks(html)
+	return c.FromBlocks(htmlkit.Blocks(html))
+}
+
+// FromBlocks classifies a page's blocks and joins the content blocks'
+// texts into a net text sized up front; stats are the repairs that
+// segmenting the page took.
+func (c *Classifier) FromBlocks(blocks []htmlkit.Block, stats htmlkit.RepairStats) Result {
 	size, content := 0, 0
 	for i := range blocks {
 		if c.isContent(blocks, i) {

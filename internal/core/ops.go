@@ -29,6 +29,9 @@ import (
 //
 //	id        string              document identifier / URL
 //	html      string              raw HTML (web documents)
+//	html_page htmlkit.Page        html's one parse: blocks, repairs, links, title
+//	links     []htmlkit.Link      the page's hyperlinks
+//	title     string              the page's title
 //	text      string              analysis text
 //	mime      string              detected MIME type
 //	lang      string              detected language
@@ -290,34 +293,31 @@ func (r *Registry) table() []opRow {
 			fn: dataflow.Edit(func(rec dataflow.Record) { rec["mime"] = string(detectMIME(rec)) })},
 		{name: "mime_filter", pkg: dataflow.WA, filter: true, reads: []string{"id", "html"}, sel: 0.9, cost: dataflow.Cost{PerKBms: 0.005},
 			fn: dataflow.Keep(func(rec dataflow.Record) bool { return detectMIME(rec).IsTextual() })},
-		{name: "parse_html", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"html_tokens"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["html_tokens"] = htmlTokens(rec) })},
-		{name: "repair_markup", pkg: dataflow.WA, reads: []string{"html_tokens"}, writes: []string{"html_tokens", "repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.03},
-			fn: dataflow.Edit(func(rec dataflow.Record) {
-				repaired, stats := htmlkit.Repair(get[[]htmlkit.Token](rec, "html_tokens"))
-				rec["html_tokens"] = repaired
-				rec["repairs"] = stats.Total()
-			})},
+		{name: "parse_html", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"html_page"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["html_page"] = htmlkit.Parse(get[string](rec, "html")) })},
+		{name: "repair_markup", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.03},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["repairs"] = htmlPage(rec).Repairs.Total() })},
 		{name: "remove_markup", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"text"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.08},
 			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = htmlkit.StripMarkup(get[string](rec, "html")) })},
-		{name: "boilerplate_detect", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"text", "blocks_total", "blocks_content", "repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1},
+		{name: "boilerplate_detect", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"text", "blocks_total", "blocks_content", "repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1},
 			with: func(p meteor.Params) (dataflow.UDF, error) {
 				c := boiler.Default()
 				if paramNum(p, "keep_tables", 0) > 0 {
 					c.KeepTables = true
 				}
 				return dataflow.Edit(func(rec dataflow.Record) {
-					res := c.Extract(get[string](rec, "html"))
+					page := htmlPage(rec)
+					res := c.FromBlocks(page.Blocks, page.Repairs)
 					rec["text"] = res.NetText
 					rec["blocks_total"] = res.TotalBlocks
 					rec["blocks_content"] = res.ContentBlocks
 					rec["repairs"] = res.RepairStats.Total()
 				}), nil
 			}},
-		{name: "extract_links", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"links"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["links"] = htmlkit.ExtractLinks(htmlTokens(rec)) })},
-		{name: "extract_title", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"title"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["title"] = htmlkit.Title(htmlTokens(rec)) })},
+		{name: "extract_links", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"links"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["links"] = htmlPage(rec).Links })},
+		{name: "extract_title", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"title"}, sel: 1,
+			fn: dataflow.Edit(func(rec dataflow.Record) { rec["title"] = htmlPage(rec).Title })},
 		{name: "language_detect", pkg: dataflow.WA, reads: []string{"text"}, writes: []string{"lang", "lang_conf"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
 			fn: dataflow.Edit(func(rec dataflow.Record) {
 				rec["lang"], rec["lang_conf"] = r.langID.Identify(get[string](rec, "text"))
@@ -340,7 +340,7 @@ func (r *Registry) table() []opRow {
 				// Re-rendering without script bodies: the tokenizer already
 				// drops raw-text content, so a simple strip suffices.
 				var b strings.Builder
-				for _, t := range htmlTokens(rec) {
+				for _, t := range htmlkit.Tokenize(get[string](rec, "html")) {
 					if t.Type == htmlkit.Text {
 						b.WriteString(t.Data)
 						b.WriteByte(' ')
@@ -761,8 +761,16 @@ func detectMIME(rec dataflow.Record) mimetype.Type {
 	return mimetype.Detect(get[string](rec, "id"), []byte(get[string](rec, "html")))
 }
 
-func htmlTokens(rec dataflow.Record) []htmlkit.Token {
-	return htmlkit.Tokenize(get[string](rec, "html"))
+// htmlPage is the parse of the record's html: the page parse_html stored,
+// or a fresh parse when there is none or it is of other HTML (an operator
+// rewrote html after parse_html). On the normal path the two strings share
+// one pointer, so comparing them costs nothing.
+func htmlPage(rec dataflow.Record) htmlkit.Page {
+	html := get[string](rec, "html")
+	if p, ok := rec["html_page"].(htmlkit.Page); ok && p.Source == html {
+		return p
+	}
+	return htmlkit.Parse(html)
 }
 
 func isTLA(s string) bool {

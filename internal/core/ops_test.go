@@ -146,6 +146,127 @@ func TestOpBoilerplateAndMarkup(t *testing.T) {
 	}
 }
 
+// runScript runs a Meteor script that reads 'in' and writes 'out'.
+func runScript(t *testing.T, reg *Registry, script string, in []dataflow.Record) []dataflow.Record {
+	t.Helper()
+	out, _, err := meteor.Run(script, reg, map[string][]dataflow.Record{"in": in}, false, dataflow.ExecConfig{DoP: 1})
+	if err != nil {
+		t.Fatalf("script %q: %v", script, err)
+	}
+	return out["out"]
+}
+
+// TestWebPretreatmentSharesOnePage: parse_html stores one parse of each
+// page and the HTML operators after it read theirs from it. On synthweb
+// pages the web head's fields are the kernels' own: its links are every
+// <a href> start tag of Tokenize's raw stream, in order, and Parse's links
+// (htmlkit holds those and Parse's title to ExtractLinks and Title over
+// Tokenize), its repairs Repair's count over Tokenize.
+func TestWebPretreatmentSharesOnePage(t *testing.T) {
+	s, _ := testSystem(t)
+	reg := s.Registry()
+	p := &dataflow.Plan{}
+	reg.webPretreatment(p, p.Add(reg.Op("identity", nil)))
+	res, _, err := dataflow.Execute(p, rawPages(s), dataflow.ExecConfig{DoP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := res[p.Sinks()[0].ID()]
+	withLinks, withTitle := 0, 0
+	for _, r := range sink {
+		html := r["html"].(string)
+		page := htmlkit.Parse(html)
+		if !reflect.DeepEqual(r["html_page"], page) {
+			t.Errorf("%s: the stored page is not Parse(html)", r["id"])
+		}
+		tokens := htmlkit.Tokenize(html)
+		var hrefs []string
+		for _, tok := range tokens {
+			if h, _ := tok.Attr("href"); tok.Type == htmlkit.StartTag && tok.Name == "a" && h != "" {
+				hrefs = append(hrefs, h)
+			}
+		}
+		links := r["links"].([]htmlkit.Link)
+		var got []string
+		for _, l := range links {
+			got = append(got, l.Href)
+		}
+		if !slices.Equal(got, hrefs) || !reflect.DeepEqual(links, page.Links) {
+			t.Errorf("%s: links %v, want the hrefs %v", r["id"], links, hrefs)
+		}
+		if r["title"] != page.Title {
+			t.Errorf("%s: title %q, want %q", r["id"], r["title"], page.Title)
+		}
+		if _, stats := htmlkit.Repair(tokens); r["repairs"] != stats.Total() {
+			t.Errorf("%s: repairs %v, want %d", r["id"], r["repairs"], stats.Total())
+		}
+		if len(links) > 0 {
+			withLinks++
+		}
+		if page.Title != "" {
+			withTitle++
+		}
+	}
+	t.Logf("%d pages through the web head, %d with links, %d with a title", len(sink), withLinks, withTitle)
+	if withLinks == 0 || withTitle == 0 {
+		t.Fatalf("%d pages through the web head, %d with links, %d with a title: want some of each", len(sink), withLinks, withTitle)
+	}
+}
+
+// TestHTMLOperatorsWithoutParseHTML: an HTML operator on a record that
+// parse_html never saw parses the page itself and fills the same fields.
+func TestHTMLOperatorsWithoutParseHTML(t *testing.T) {
+	s, _ := testSystem(t)
+	reg := s.Registry()
+	pages := rawPages(s)
+	for _, op := range []string{"repair_markup", "boilerplate_detect", "extract_links", "extract_title"} {
+		alone := runOp(t, reg, op, pages)
+		parsed := runScript(t, reg, "$x = read from 'in';\n$p = parse_html $x;\n$y = "+op+" $p;\nwrite $y to 'out';\n", pages)
+		if len(alone) != len(pages) || len(parsed) != len(pages) {
+			t.Fatalf("%s: %d and %d records out of %d", op, len(alone), len(parsed), len(pages))
+		}
+		byID := map[any]dataflow.Record{}
+		for _, r := range parsed {
+			byID[r["id"]] = r
+		}
+		for _, r := range alone {
+			for _, f := range []string{"repairs", "text", "blocks_total", "blocks_content", "links", "title"} {
+				if !reflect.DeepEqual(r[f], byID[r["id"]][f]) {
+					t.Errorf("%s on %s: %s differs without parse_html", op, r["id"], f)
+				}
+			}
+		}
+	}
+}
+
+// TestHTMLOperatorsAfterRewrite: an operator that rewrites html after
+// parse_html leaves a page of other HTML behind, and extract_links reads
+// the rewritten page, not the stored one.
+func TestHTMLOperatorsAfterRewrite(t *testing.T) {
+	s, _ := testSystem(t)
+	reg := s.Registry()
+	pages := rawPages(s)
+	out := runScript(t, reg, `$x = read from 'in';
+$p = parse_html $x;
+$s = strip_scripts $p;
+$l = extract_links $s;
+write $l to 'out';
+`, pages)
+	stale := 0
+	for _, r := range out {
+		links := r["links"].([]htmlkit.Link)
+		if want := htmlkit.Parse(r["html"].(string)).Links; !reflect.DeepEqual(links, want) {
+			t.Errorf("%s: links %v, want the rewritten page's %v", r["id"], links, want)
+		}
+		if len(r["html_page"].(htmlkit.Page).Links) > 0 {
+			stale++
+		}
+	}
+	if len(out) != len(pages) || stale == 0 {
+		t.Fatalf("%d of %d records out, %d with links before the rewrite: want all, and some", len(out), len(pages), stale)
+	}
+}
+
 func TestOpLanguageFilter(t *testing.T) {
 	s, _ := testSystem(t)
 	reg := s.Registry()
@@ -408,7 +529,7 @@ func richRecord() dataflow.Record {
 	a, c := ents[0], ents[5]
 	return dataflow.Record{
 		"id": "http://fixture.example/p1.html", "html": html, "text": text,
-		"html_tokens": htmlkit.Tokenize(html), "links": htmlkit.ExtractLinks(htmlkit.Tokenize(html)),
+		"html_page": htmlkit.Parse(html), "links": htmlkit.Parse(html).Links,
 		"sentences": sents, "tokens": toks, "entities": ents,
 		"anns": ling.Analyze("fixture", text, sents),
 		"relations": []relex.Relation{{Sentence: 0, Trigger: "inhibits", Kind: "regulation",

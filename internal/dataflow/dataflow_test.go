@@ -217,6 +217,34 @@ func TestDoPParallelism(t *testing.T) {
 	}
 }
 
+// TestLongerChainAddsNoAllocsPerRecord: a worker builds its emitter for
+// each node once, so a hop through a Keep operator allocates nothing per
+// record, and a chain four times as long costs the same per record.
+func TestLongerChainAddsNoAllocsPerRecord(t *testing.T) {
+	perRecord := func(length int) float64 {
+		p := &Plan{}
+		n := p.Add(passOp("keep"))
+		for i := 1; i < length; i++ {
+			n = p.Add(passOp("keep"), n)
+		}
+		allocs := func(records int) float64 {
+			in := input(records)
+			return testing.AllocsPerRun(5, func() {
+				if _, _, err := Execute(p, in, ExecConfig{DoP: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return (allocs(1000) - allocs(200)) / 800
+	}
+	short, long := perRecord(3), perRecord(12)
+	t.Logf("allocations per record: %.3f at 3 operators, %.3f at 12", short, long)
+	if long-short > 0.5 {
+		t.Errorf("9 more operators cost %.2f more allocations per record (%.3f at 3, %.3f at 12), want none",
+			long-short, short, long)
+	}
+}
+
 func TestEmptyInput(t *testing.T) {
 	p := &Plan{}
 	src := p.Add(passOp("src"))

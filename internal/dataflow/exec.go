@@ -95,8 +95,6 @@ type NodeStats struct {
 	// Retries counts re-presented records; Panics counts recovered UDF
 	// panics; Quarantined counts records moved to the dead-letter output.
 	Retries, Panics, Quarantined int64
-	// InitTime is the one-time startup duration (dictionary loads).
-	InitTime time.Duration
 }
 
 // QuarantinedRecord is one dead-letter entry: the input record an
@@ -265,12 +263,12 @@ func (q *quarantineLog) sorted() []QuarantinedRecord {
 
 // process runs one record through one operator under the error policy:
 // panic recovery, up to cfg.OpRetries re-presentations, then quarantine or
-// abort. Each attempt collects its emissions in *out, the worker's reusable
-// buffer; the caller routes them once process returns, and an attempt that
-// fails or stops the flow leaves none. A non-nil return is a FailFast abort.
-func process(n *Node, nm *nodeMetrics, cfg ExecConfig, rec Record, tc trace.Context, out *[]Record, q *quarantineLog, lg evlog.Logger) error {
+// abort. Each attempt hands its emissions to collect, which appends them to
+// *out, the worker's reusable buffer; the caller routes them once process
+// returns, and an attempt that fails or stops the flow leaves none. A
+// non-nil return is a FailFast abort.
+func process(n *Node, nm *nodeMetrics, cfg ExecConfig, rec Record, tc trace.Context, out *[]Record, collect Emit, q *quarantineLog, lg evlog.Logger) error {
 	ts := int64(n.id) // plan-position logical clock
-	collect := func(r Record) { *out = append(*out, r) }
 	var lastErr error
 	for attempt := 0; attempt <= cfg.OpRetries; attempt++ {
 		in := rec
@@ -384,11 +382,9 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		if n.Op.Init == nil {
 			continue
 		}
-		sp := reg.Histogram("dataflow.init.ms", obs.DefaultMsBuckets...).Start()
 		if err := n.Op.Init(); err != nil {
 			return nil, nil, fmt.Errorf("dataflow: init %q: %w", n.Op.Name, err)
 		}
-		stats.PerNode[n.id].InitTime = sp.End()
 	}
 
 	quar := &quarantineLog{}
@@ -409,10 +405,11 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	// walk runs one record through x, then carries each emission into every
 	// reader, minting the reader's hop span as a child of the record's. A
 	// fan-out clones the emission for every reader but the last. bufs is
-	// the worker's emission buffer per node: a node is on an acyclic path
-	// once, so no buffer is in use twice.
-	var walk func(x *execNode, rec Record, tc trace.Context, bufs [][]Record)
-	walk = func(x *execNode, rec Record, tc trace.Context, bufs [][]Record) {
+	// the worker's emission buffer per node and emits its emitter into it,
+	// built once per worker: a node is on an acyclic path once, so no
+	// buffer is in use twice.
+	var walk func(x *execNode, rec Record, tc trace.Context, bufs [][]Record, emits []Emit)
+	walk = func(x *execNode, rec Record, tc trace.Context, bufs [][]Record, emits []Emit) {
 		x.m.in.Inc()
 		if abortErr.Load() != nil {
 			return // fail-fast: drain without processing
@@ -421,7 +418,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		bufs[x.id] = bufs[x.id][:0]
 		sp := x.m.latency.Start()
 		ph := x.scope.Enter()
-		err := process(x.Node, x.m, cfg, rec, tc, &bufs[x.id], quar, lgOp)
+		err := process(x.Node, x.m, cfg, rec, tc, &bufs[x.id], emits[x.id], quar, lgOp)
 		ph.Exit()
 		sp.End()
 		inflight.Add(-1)
@@ -443,7 +440,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 					own = rec.Clone()
 				}
 				//lintx:ignore tracename span names are precomputed through TraceName above
-				walk(r, own, tc.StartSpanKeyed(r.span, hopSlot(r.id, i), int64(r.id)), bufs)
+				walk(r, own, tc.StartSpanKeyed(r.span, hopSlot(r.id, i), int64(r.id)), bufs, emits)
 			}
 		}
 	}
@@ -482,6 +479,10 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		go func() {
 			defer workers.Done()
 			bufs := make([][]Record, len(nodes))
+			emits := make([]Emit, len(nodes))
+			for id := range emits {
+				emits[id] = func(r Record) { bufs[id] = append(bufs[id], r) }
+			}
 			for i := int(next.Add(1) - 1); i < len(input); i = int(next.Add(1) - 1) {
 				for si, s := range sources {
 					rec := input[i]
@@ -493,7 +494,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 						//lintx:ignore tracename span names are precomputed through TraceName above
 						tc = roots[i].StartSpanKeyed(s.span, hopSlot(s.id, 0), int64(s.id))
 					}
-					walk(s, rec, tc, bufs)
+					walk(s, rec, tc, bufs, emits)
 				}
 			}
 		}()

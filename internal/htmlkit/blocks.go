@@ -70,18 +70,22 @@ func StripMarkup(html string) string {
 }
 
 // scratch is one call's working memory, pooled across calls: the repair
-// stack, and the block builder's text buffer and finished blocks.
+// stack, the block builder's text buffer and finished blocks, and Parse's
+// attribute buffer and link and title collector.
 type scratch struct {
-	r repairer
-	b builder
+	r     repairer
+	b     builder
+	attrs []Attr
+	c     collector
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{attrs: make([]Attr, 0, 64)} }}
 
 func getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
 	s.r = repairer{stack: s.r.stack[:0]}
 	s.b = builder{buf: s.b.buf[:0], blocks: s.b.blocks[:0], tag: "body", curTag: "body"}
+	s.c = collector{links: s.c.links[:0], ends: s.c.ends[:0], text: s.c.text[:0], title: s.c.title[:0]}
 	return s
 }
 
@@ -217,25 +221,10 @@ func (b *builder) write(data string) {
 
 // flush closes the open block; a block with no text is dropped. A block
 // whose tokens' bytes may have joined into one rune is normalized again,
-// in place, as strings.Join(strings.Fields(text), " ") would.
+// in place.
 func (b *builder) flush() {
 	if b.rejoin {
-		p := b.buf[b.start:]
-		w, gap := 0, false
-		for i := 0; i < len(p); {
-			r, size := utf8.DecodeRune(p[i:])
-			if unicode.IsSpace(r) {
-				gap, i = w > 0, i+size
-				continue
-			}
-			if gap {
-				p[w], gap = ' ', false
-				w++
-			}
-			w += copy(p[w:], p[i:i+size])
-			i += size
-		}
-		b.buf = b.buf[:b.start+w]
+		b.buf = b.buf[:b.start+squeeze(b.buf[b.start:])]
 	}
 	if len(b.buf) > b.start {
 		b.blocks = append(b.blocks, Block{Words: b.words, LinkedWords: b.linked, Tag: b.curTag, Depth: b.depth})
@@ -291,77 +280,3 @@ var byteClass = func() (t [256]uint8) {
 	}
 	return t
 }()
-
-// Link is an extracted hyperlink.
-type Link struct {
-	// Href is the raw href attribute value.
-	Href string
-	// Anchor is the normalized anchor text.
-	Anchor string
-}
-
-// ExtractLinks returns every <a href=...> link with its anchor text.
-func ExtractLinks(tokens []Token) []Link {
-	var links []Link
-	var anchor strings.Builder
-	href := ""
-	inA := false
-	for _, t := range tokens {
-		switch t.Type {
-		case StartTag:
-			if t.Name == "a" {
-				if inA && href != "" {
-					links = append(links, Link{Href: href, Anchor: normalizeSpace(anchor.String())})
-				}
-				inA = true
-				href, _ = t.Attr("href")
-				anchor.Reset()
-			}
-		case EndTag:
-			if t.Name == "a" && inA {
-				if href != "" {
-					links = append(links, Link{Href: href, Anchor: normalizeSpace(anchor.String())})
-				}
-				inA = false
-				href = ""
-				anchor.Reset()
-			}
-		case Text:
-			if inA {
-				anchor.WriteString(DecodeEntities(t.Data))
-			}
-		}
-	}
-	if inA && href != "" {
-		links = append(links, Link{Href: href, Anchor: normalizeSpace(anchor.String())})
-	}
-	return links
-}
-
-// Title returns the contents of the first <title> element, if any.
-func Title(tokens []Token) string {
-	inTitle := false
-	var b strings.Builder
-	for _, t := range tokens {
-		switch t.Type {
-		case StartTag:
-			if t.Name == "title" {
-				inTitle = true
-			}
-		case EndTag:
-			if t.Name == "title" {
-				return normalizeSpace(b.String())
-			}
-		case Text:
-			if inTitle {
-				b.WriteString(DecodeEntities(t.Data))
-			}
-		}
-	}
-	return normalizeSpace(b.String())
-}
-
-// normalizeSpace collapses runs of whitespace to single spaces and trims.
-func normalizeSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
-}

@@ -130,12 +130,17 @@ var streamShapes = []string{
 	"<a href=/x>one <b>two</b></a> three",
 	"&amp;lt; &nbsp;&nbsp; &am &amp &#39 x&mdash;y&ndash;&quot;&apos;&unknown;",
 	"</ p junk>a</p\u00a0x>b</\u00a0p>",
+	// More attributes than Parse's buffer holds before it grows, href last.
+	"<p><a " + strings.Repeat("data-x=1 ", 70) + "href=/far>many\u00a0<b>attrs</b></a><A HREF='/up'>&amp; again",
+	"</title><title>x</title>", "<title>a &amp;<b>b</b></title><title>no</title>",
+	"<a href=/1>one<a>two<a href=/3>\xc2</a>\xa0<a href=/4>\xc2<b>\x85</b>z</a>",
 }
 
 // checkStream compares every output of the streaming core on html with
 // its predecessor's: the token stream, the repaired stream and its
 // stats, the blocks (through the adapters, straight from unrepaired
-// tokens, and from Blocks), the stripped text and the decoded entities.
+// tokens, and from Blocks), each field of Parse's page, the stripped text
+// and the decoded entities.
 func checkStream(t *testing.T, html string) {
 	t.Helper()
 	same := func(what string, got, want any) {
@@ -156,6 +161,12 @@ func checkStream(t *testing.T, html string) {
 	blocks, stats := Blocks(html)
 	same("Blocks", blocks, refBlocks)
 	same("Blocks stats", stats, refStats)
+	page := Parse(html)
+	same("Parse source", page.Source, html)
+	same("Parse blocks", page.Blocks, blocks)
+	same("Parse repairs", page.Repairs, stats)
+	same("Parse links", page.Links, ExtractLinks(tokens))
+	same("Parse title", page.Title, Title(tokens))
 	same("StripMarkup", StripMarkup(html), refStripMarkup(html))
 	same("DecodeEntities", DecodeEntities(html), refDecodeEntities(html))
 }
@@ -192,19 +203,23 @@ func TestExtractBlocksOfAnyStreamMatchesReference(t *testing.T) {
 }
 
 // TestStreamConcurrent runs the pooled core from four goroutines at once,
-// as the crawl fleet and the executor do: every call must work in scratch
-// of its own.
+// as the crawl fleet and the executor do: every call, Parse's too, must
+// work in scratch of its own.
 func TestStreamConcurrent(t *testing.T) {
 	pages := synthPages(t, 7, 1.0, 40)
 	type result struct {
 		text     string
 		blocks   []Block
 		repaired []Token
+		page     Page
 	}
 	want := make([]result, len(pages))
 	for i, html := range pages {
-		repaired, _ := refRepair(refTokenize(html))
-		want[i] = result{refStripMarkup(html), refExtractBlocks(repaired), repaired}
+		tokens := refTokenize(html)
+		repaired, stats := refRepair(tokens)
+		blocks := refExtractBlocks(repaired)
+		page := Page{Source: html, Blocks: blocks, Repairs: stats, Links: ExtractLinks(tokens), Title: Title(tokens)}
+		want[i] = result{refStripMarkup(html), blocks, repaired, page}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -215,7 +230,7 @@ func TestStreamConcurrent(t *testing.T) {
 				i := (k + 10*g) % len(pages)
 				blocks, _ := Blocks(pages[i])
 				repaired, _ := Repair(Tokenize(pages[i]))
-				got := result{StripMarkup(pages[i]), blocks, repaired}
+				got := result{StripMarkup(pages[i]), blocks, repaired, Parse(pages[i])}
 				if !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("goroutine %d, page %d: outputs differ from the reference", g, i)
 					return

@@ -13,8 +13,10 @@
 // One streaming core does the work: a lexer that yields tokens by value as
 // spans of the source, the repair stack fed one token at a time, and a
 // block builder writing decoded, normalized text into one pooled buffer.
-// Blocks runs the three in one pass; Tokenize, Repair and ExtractBlocks run
-// them one at a time, with token slices between them.
+// Parse runs the three in one pass and hands the same raw tokens to a link
+// and title collector, so a web page is lexed once; Blocks runs the three
+// alone, for the crawler; Tokenize, Repair and ExtractBlocks run them one
+// at a time, with token slices between them.
 package htmlkit
 
 import (
@@ -350,19 +352,4 @@ func entityAt(s string) (ref, val string) {
 		}
 	}
 	return "&", "&"
-}
-
-// DecodeEntities resolves common character references.
-func DecodeEntities(s string) string {
-	i := strings.IndexByte(s, '&')
-	if i < 0 {
-		return s
-	}
-	out := make([]byte, 0, len(s))
-	for ; i >= 0; i = strings.IndexByte(s, '&') {
-		ref, val := entityAt(s[i:])
-		out = append(append(out, s[:i]...), val...)
-		s = s[i+len(ref):]
-	}
-	return string(append(out, s...))
 }

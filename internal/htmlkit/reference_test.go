@@ -385,3 +385,73 @@ func refDecodeEntities(s string) string {
 	}
 	return refEntityReplacer.Replace(s)
 }
+
+// DecodeEntities resolves common character references: appendDecoded as a
+// string function, the shape the entity tests compare.
+func DecodeEntities(s string) string { return string(appendDecoded(nil, s)) }
+
+// ExtractLinks and Title are the token-slice link and title extractors
+// Parse replaced, kept as the oracle for Page.Links and Page.Title over
+// Tokenize's raw stream; they decode and normalize with the predecessor's
+// helpers.
+
+// ExtractLinks returns every <a href=...> link with its anchor text.
+func ExtractLinks(tokens []Token) []Link {
+	var links []Link
+	var anchor strings.Builder
+	href := ""
+	inA := false
+	for _, t := range tokens {
+		switch t.Type {
+		case StartTag:
+			if t.Name == "a" {
+				if inA && href != "" {
+					links = append(links, Link{Href: href, Anchor: refNormalizeSpace(anchor.String())})
+				}
+				inA = true
+				href, _ = t.Attr("href")
+				anchor.Reset()
+			}
+		case EndTag:
+			if t.Name == "a" && inA {
+				if href != "" {
+					links = append(links, Link{Href: href, Anchor: refNormalizeSpace(anchor.String())})
+				}
+				inA = false
+				href = ""
+				anchor.Reset()
+			}
+		case Text:
+			if inA {
+				anchor.WriteString(refDecodeEntities(t.Data))
+			}
+		}
+	}
+	if inA && href != "" {
+		links = append(links, Link{Href: href, Anchor: refNormalizeSpace(anchor.String())})
+	}
+	return links
+}
+
+// Title returns the contents of the first <title> element, if any.
+func Title(tokens []Token) string {
+	inTitle := false
+	var b strings.Builder
+	for _, t := range tokens {
+		switch t.Type {
+		case StartTag:
+			if t.Name == "title" {
+				inTitle = true
+			}
+		case EndTag:
+			if t.Name == "title" {
+				return refNormalizeSpace(b.String())
+			}
+		case Text:
+			if inTitle {
+				b.WriteString(refDecodeEntities(t.Data))
+			}
+		}
+	}
+	return refNormalizeSpace(b.String())
+}

@@ -8,8 +8,9 @@ GO ?= go
 # Packages with real concurrency (worth the ~100x race-detector slowdown),
 # and what the executor calls from DoP goroutines at once: the operators
 # (internal/core), the POS tagger, the entity taggers, the relevance
-# classifier and htmlkit's pooled scratch.
-RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/ ./internal/ie/... ./internal/classify/ ./internal/htmlkit/
+# classifier and htmlkit's pooled scratch; and the simulator, whose
+# generator's pooled scratch the fleet's shard goroutines share.
+RACE_PKGS = ./internal/obs/... ./internal/dataflow/... ./internal/crawler/... ./internal/core/ ./internal/nlp/postag/ ./internal/ie/... ./internal/classify/ ./internal/htmlkit/ ./internal/textgen/ ./internal/synthweb/
 
 # `make loc`: non-test Go code outside bench/, less blank and comment-only
 # lines — the one size every simplicity PR quotes. It counts the working

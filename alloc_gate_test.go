@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +92,7 @@ var (
 	gateTagger  *postag.Tagger
 	gateLog     evlog.Logger
 	gateWeb     *synthweb.Web
+	gateGen     *textgen.Generator
 	gateNB      *classify.NaiveBayes
 	gateCRF     *crf.Model
 )
@@ -125,7 +127,8 @@ func gateSetup() {
 		webCfg := synthweb.DefaultConfig()
 		webCfg.NumHosts = 8
 		lex := textgen.NewLexicon(rng.New(1), textgen.LexiconSizes{Genes: 300, Drugs: 100, Diseases: 100}, 0.75)
-		gateWeb = synthweb.New(webCfg, textgen.NewGenerator(2, lex, textgen.DefaultProfiles()))
+		gateGen = textgen.NewGenerator(2, lex, textgen.DefaultProfiles())
+		gateWeb = synthweb.New(webCfg, gateGen)
 		gateNB = classify.Train([]classify.Example{
 			{Text: hotDoc, Class: classify.Relevant},
 			{Text: "Cheap flights and hotel deals for your summer travel. Shop the sale today, theirs were not.", Class: classify.Irrelevant},
@@ -159,10 +162,10 @@ type gateRow struct {
 // equal.
 var layerRows = []gateRow{
 	// The simulator renders a page per call: the Page and its RNGs, the Doc
-	// with one exactly sized token slice per sentence, its text, spans and
-	// mentions, each link's URL string, and the HTML in one byte slice
-	// sized up front.
-	{"synthweb.fetch", 290, 144815, hotURLs, func(in string) func() {
+	// with its text, spans, mentions and relations but no tokens (they are
+	// generated in pooled scratch), each link's URL string, and the HTML in
+	// one byte slice sized up front.
+	{"synthweb.fetch", 103, 31430, hotURLs, func(in string) func() {
 		urls := strings.Fields(in)
 		return func() {
 			for _, u := range urls {
@@ -261,6 +264,22 @@ var extraRows = []gateRow{
 	// share, and the title; the attribute buffer is pooled.
 	{"htmlkit_parse", 5, 1328, hotHTML, func(in string) func() {
 		return func() { _ = htmlkit.Parse(in) }
+	}},
+	// A token-carrying gold document per seed: its RNG, the Doc, its text,
+	// spans, mentions and relations, and the two copies out of the pooled
+	// scratch it is generated in — one token slice and one sentence slice,
+	// however many sentences it has.
+	{"textgen_doc", 27, 43363, "1 2 3", func(in string) func() {
+		var seeds []uint64
+		for _, f := range strings.Fields(in) {
+			n, _ := strconv.ParseUint(f, 10, 64)
+			seeds = append(seeds, n)
+		}
+		return func() {
+			for _, seed := range seeds {
+				_ = gateGen.Doc(rng.New(seed), textgen.Medline, "gate")
+			}
+		}
 	}},
 	// One label slice per page.
 	{"boiler_classify", 1, 192, "", func(string) func() {

@@ -134,8 +134,8 @@ func (e *Experiments) ClassifierQuality() string {
 	var examples []classify.Example
 	for i := 0; i < s.Cfg.Corpora.TrainDocsPerClass; i++ {
 		examples = append(examples,
-			classify.Example{Text: gen.Doc(r0, textgen.Medline, fmt.Sprint("cvm", i)).Text, Class: classify.Relevant},
-			classify.Example{Text: gen.Doc(r0, textgen.Irrelevant, fmt.Sprint("cvw", i)).Text, Class: classify.Irrelevant})
+			classify.Example{Text: gen.LeanDoc(r0, textgen.Medline, fmt.Sprint("cvm", i)).Text, Class: classify.Relevant},
+			classify.Example{Text: gen.LeanDoc(r0, textgen.Irrelevant, fmt.Sprint("cvw", i)).Text, Class: classify.Irrelevant})
 	}
 	cv := classify.CrossValidate(examples, 10, 0.5)
 

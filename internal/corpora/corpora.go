@@ -34,7 +34,8 @@ type Document struct {
 	ID string
 	// Text is the analysis text (extracted net text for web pages).
 	Text string
-	// Gold carries generation ground truth (nil for noise pages).
+	// Gold carries generation ground truth (nil for noise pages): text,
+	// sentence spans, mentions and relations, no tokens.
 	Gold *textgen.Doc
 	// RawBytes is the size of the original artifact (HTML page size for
 	// web documents, text size otherwise) — the unit of Table 3's GB.
@@ -149,8 +150,8 @@ func TrainClassifier(gen *textgen.Generator, seed uint64, perClass int) *classif
 	clf := classify.New()
 	r := rng.New(seed).Split("classifier-training")
 	for i := 0; i < perClass; i++ {
-		clf.Learn(gen.Doc(r, textgen.Medline, fmt.Sprint("train-m", i)).Text, classify.Relevant)
-		clf.Learn(gen.Doc(r, textgen.Irrelevant, fmt.Sprint("train-w", i)).Text, classify.Irrelevant)
+		clf.Learn(gen.LeanDoc(r, textgen.Medline, fmt.Sprint("train-m", i)).Text, classify.Relevant)
+		clf.Learn(gen.LeanDoc(r, textgen.Irrelevant, fmt.Sprint("train-w", i)).Text, classify.Irrelevant)
 	}
 	return clf
 }
@@ -215,7 +216,7 @@ func Build(cfg BuildConfig) *Set {
 		}
 		c := &Corpus{Kind: kind}
 		for i := 0; i < n; i++ {
-			d := gen.Doc(r, kind, fmt.Sprintf("%s-%d", kind, i))
+			d := gen.LeanDoc(r, kind, fmt.Sprintf("%s-%d", kind, i))
 			c.Docs = append(c.Docs, Document{
 				ID: d.ID, Text: d.Text, Gold: d,
 				RawBytes: len(d.Text), GoldRelevant: true,

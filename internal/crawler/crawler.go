@@ -119,7 +119,8 @@ type CrawledPage struct {
 	URL string
 	// NetText is the boilerplate-stripped text actually extracted.
 	NetText string
-	// Gold is the generation ground truth (nil for noise pages).
+	// Gold is the generation ground truth (nil for noise pages): text,
+	// sentence spans, mentions and relations, no tokens.
 	Gold *textgen.Doc
 	// GoldRelevant is the true topical label.
 	GoldRelevant bool

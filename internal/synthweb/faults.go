@@ -167,7 +167,7 @@ func (w *Web) FetchAttempt(rawurl string, attempt int) (*Page, FetchInfo, error)
 	if attempt < w.transientFailsThrough(rawurl) {
 		return nil, info, ErrFetchFailed
 	}
-	page, err := w.resolve(rawurl)
+	page, err := w.page(rawurl, false)
 	if err != nil {
 		return nil, info, err
 	}

@@ -3,6 +3,7 @@ package synthweb
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -92,26 +93,25 @@ func (g *goldenWriter) page(p *Page) {
 }
 
 // eachPage renders every regular page of a web and the first three trap
-// pages of every trap host.
-func eachPage(t *testing.T, w *Web, fn func(*Page)) {
+// pages of every trap host, their gold documents with tokens if tokens is
+// set, and hands each to fn with the URL it was rendered from.
+func eachPage(t *testing.T, w *Web, tokens bool, fn func(url string, p *Page)) {
 	t.Helper()
+	visit := func(url string) {
+		p, err := w.page(url, tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(url, p)
+	}
 	for _, h := range w.Hosts {
 		for idx := 0; idx < h.Pages; idx++ {
-			p, err := w.PageContent(PageURL(h.Name, idx))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fn(p)
+			visit(PageURL(h.Name, idx))
 		}
-		if !h.Trap {
-			continue
-		}
-		for depth := 0; depth < 3; depth++ {
-			p, err := w.PageContent(TrapURL(h.Name, depth))
-			if err != nil {
-				t.Fatal(err)
+		if h.Trap {
+			for depth := 0; depth < 3; depth++ {
+				visit(TrapURL(h.Name, depth))
 			}
-			fn(p)
 		}
 	}
 }
@@ -120,7 +120,9 @@ func eachPage(t *testing.T, w *Web, fn func(*Page)) {
 // served bytes, links, net text, labels, and each gold document's tokens,
 // sentence spans and mentions — and compares the hash with the one the
 // renderer's predecessor printed. A rewrite of the simulator that is meant
-// to change no byte must leave it alone.
+// to change no byte must leave it alone. Every page is also rendered as
+// Fetch serves it, whose gold document has no tokens, and must equal the
+// hashed page but for the document's Sentences.
 func TestRenderGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders a 700-host web")
@@ -129,11 +131,24 @@ func TestRenderGolden(t *testing.T) {
 	h := sha256.New()
 	var g goldenWriter
 	pages := 0
-	eachPage(t, w, func(p *Page) {
+	eachPage(t, w, true, func(url string, p *Page) {
 		g.buf = g.buf[:0]
 		g.page(p)
 		h.Write(g.buf)
 		pages++
+		served, err := w.page(url, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := *p
+		if p.Doc != nil {
+			doc := *p.Doc
+			doc.Sentences = nil
+			want.Doc = &doc
+		}
+		if !reflect.DeepEqual(served, &want) {
+			t.Fatalf("%s: the served page differs from the token-carrying page beyond its document's Sentences", url)
+		}
 	})
 	got := hex.EncodeToString(h.Sum(nil))
 	t.Logf("%d pages, hash %s", pages, got)
@@ -151,15 +166,15 @@ func TestGoldRelationsInRange(t *testing.T) {
 	cfg.NumHosts = 100
 	w := buildWeb(cfg)
 	relations := 0
-	eachPage(t, w, func(p *Page) {
+	eachPage(t, w, false, func(_ string, p *Page) {
 		if p.Doc == nil {
 			return
 		}
 		d := p.Doc
 		for _, r := range d.Relations {
 			relations++
-			if r.Sentence < 0 || r.Sentence >= len(d.Sentences) {
-				t.Fatalf("%s: relation names sentence %d of %d", p.URL, r.Sentence, len(d.Sentences))
+			if r.Sentence < 0 || r.Sentence >= len(d.SentSpans) {
+				t.Fatalf("%s: relation names sentence %d of %d", p.URL, r.Sentence, len(d.SentSpans))
 			}
 			for _, m := range []int{r.A, r.B} {
 				if m < 0 || m >= len(d.Mentions) {

@@ -23,8 +23,9 @@ func (w *Web) decayOnset() int {
 	return depthDecayOnset
 }
 
-// renderPage materializes a regular page.
-func (w *Web) renderPage(h *Host, idx int) *Page {
+// renderPage materializes a regular page; its gold document carries its
+// tokens only if tokens is set.
+func (w *Web) renderPage(h *Host, idx int, tokens bool) *Page {
 	r := w.pageRNG(h, idx)
 	p := &Page{URL: PageURL(h.Name, idx), Host: h, Lang: "en", MIME: mimetype.HTML}
 	p.Portal = idx == 0 || (h.Hub && idx < 4)
@@ -38,7 +39,7 @@ func (w *Web) renderPage(h *Host, idx int) *Page {
 		case r.Bool(w.cfg.NonEnglishShare):
 			p.Lang = rng.Pick(r, foreignLangs)
 		case idx >= 2 && r.Bool(w.cfg.MirrorShare):
-			return w.renderMirrorPage(r, h, idx, p)
+			return w.renderMirrorPage(r, h, idx, p, tokens)
 		}
 	}
 
@@ -63,29 +64,25 @@ func (w *Web) renderPage(h *Host, idx int) *Page {
 		p.Relevant = false
 	}
 
-	// Generate the main document.
-	switch {
-	case p.Lang != "en":
+	// Generate the main document. Portal pages keep a couple of teaser
+	// sentences, too-short pages a stub of one.
+	if p.Lang != "en" {
 		p.NetText = foreignText(r, p.Lang)
-	case p.Portal:
-		d := w.gen.Doc(r, textgen.Irrelevant, p.URL)
-		trimPortal(d)
-		p.Doc = d
-		p.NetText = d.Text
-	case !p.Portal && r.Bool(w.cfg.TooShortShare):
-		// Too-short page: a stub of one or two sentences.
-		d := w.gen.Doc(r, textgen.Irrelevant, p.URL)
-		trimToSentences(d, 1)
-		p.Doc = d
-		p.NetText = d.Text
-	case p.Relevant:
-		d := w.gen.Doc(r, textgen.Relevant, p.URL)
-		p.Doc = d
-		p.NetText = d.Text
-	default:
-		d := w.gen.Doc(r, textgen.Irrelevant, p.URL)
-		p.Doc = d
-		p.NetText = d.Text
+	} else {
+		kind, keep := textgen.Irrelevant, 0
+		switch {
+		case p.Portal:
+			keep = 3
+		case r.Bool(w.cfg.TooShortShare):
+			keep = 1
+		case p.Relevant:
+			kind = textgen.Relevant
+		}
+		p.Doc = w.doc(r, kind, p.URL, tokens)
+		if keep > 0 {
+			trimToSentences(p.Doc, keep)
+		}
+		p.NetText = p.Doc.Text
 	}
 
 	p.Links = w.pageLinks(r, h, idx, p)
@@ -93,16 +90,23 @@ func (w *Web) renderPage(h *Host, idx int) *Page {
 	return p
 }
 
-// trimPortal cuts a document down to a couple of teaser sentences.
-func trimPortal(d *textgen.Doc) { trimToSentences(d, 3) }
+// doc generates a gold document, with its tokens only if tokens is set.
+func (w *Web) doc(r *rng.RNG, kind textgen.CorpusKind, id string, tokens bool) *textgen.Doc {
+	if tokens {
+		return w.gen.Doc(r, kind, id)
+	}
+	return w.gen.LeanDoc(r, kind, id)
+}
 
 // trimToSentences cuts a document to its first n sentences, with the
 // mentions and gold relations those sentences carry.
 func trimToSentences(d *textgen.Doc, n int) {
-	if len(d.Sentences) <= n {
+	if len(d.SentSpans) <= n {
 		return
 	}
-	d.Sentences = d.Sentences[:n]
+	if d.Sentences != nil {
+		d.Sentences = d.Sentences[:n]
+	}
 	end := d.SentSpans[n-1][1]
 	d.SentSpans = d.SentSpans[:n]
 	d.Text = d.Text[:end]
@@ -120,13 +124,12 @@ func trimToSentences(d *textgen.Doc, n int) {
 // host: same net text plus a trailing mirror notice, fresh chrome. Exact
 // deduplication misses these; MinHash near-dedup (internal/dedup) catches
 // them.
-func (w *Web) renderMirrorPage(r *rng.RNG, h *Host, idx int, p *Page) *Page {
-	src := w.renderPage(h, idx/2)
+func (w *Web) renderMirrorPage(r *rng.RNG, h *Host, idx int, p *Page, tokens bool) *Page {
+	src := w.renderPage(h, idx/2, tokens)
 	if !src.MIME.IsTextual() || src.Lang != "en" || src.NetText == "" {
 		// Unusable source: fall through to a regular irrelevant page.
-		d := w.gen.Doc(r, textgen.Irrelevant, p.URL)
-		p.Doc = d
-		p.NetText = d.Text
+		p.Doc = w.doc(r, textgen.Irrelevant, p.URL, tokens)
+		p.NetText = p.Doc.Text
 		p.Links = w.pageLinks(r, h, idx, p)
 		p.Body = w.renderHTML(r, h, idx, p)
 		return p

@@ -38,7 +38,7 @@ func materialize(w *Web) map[string]*Page {
 			// Key by the canonical request URL — binary noise pages advertise
 			// a rewritten display URL (.pdf/.png) in Page.URL, but they are
 			// fetched at the .html address, exactly as on the lazy path.
-			out[PageURL(h.Name, idx)] = w.renderPage(h, idx)
+			out[PageURL(h.Name, idx)] = w.renderPage(h, idx, false)
 		}
 	}
 	return out

@@ -186,7 +186,8 @@ type Page struct {
 	// NetText is the gold main text (empty for non-HTML pages).
 	NetText string
 	// Doc is the gold annotated document behind NetText (nil for noise
-	// pages).
+	// pages): its text, sentence spans, mentions and relations. A served
+	// page's document carries no tokens (Sentences is nil).
 	Doc *textgen.Doc
 	// Links are the out-links as absolute URLs (both those rendered into
 	// the HTML and, equal to them, the gold link set).
@@ -322,8 +323,9 @@ func (w *Web) Fetch(rawurl string) (*Page, error) {
 	return page, err
 }
 
-// resolve maps a URL to its rendered page without fault injection.
-func (w *Web) resolve(rawurl string) (*Page, error) {
+// page maps a URL to its rendered page without fault injection; the
+// page's gold document carries its tokens only if tokens is set.
+func (w *Web) page(rawurl string, tokens bool) (*Page, error) {
 	host, path, err := SplitURL(rawurl)
 	if err != nil {
 		return nil, err
@@ -356,14 +358,14 @@ func (w *Web) resolve(rawurl string) (*Page, error) {
 			return nil, ErrNotFound
 		}
 	}
-	return w.renderPage(h, idx), nil
+	return w.renderPage(h, idx, tokens), nil
 }
 
 // PageContent renders a URL's true page, bypassing fault injection and
 // the fetch counter — the accessor checkpoint restore and ground-truth
 // tooling use to rebuild corpora without perturbing crawl accounting.
 func (w *Web) PageContent(rawurl string) (*Page, error) {
-	return w.resolve(rawurl)
+	return w.page(rawurl, false)
 }
 
 // pageRNG derives the deterministic generator for one page.

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"webtextie/internal/rng"
 )
@@ -52,8 +53,9 @@ type Mention struct {
 
 // Doc is one generated document: gold token structure plus rendered text.
 type Doc struct {
-	ID        string
-	Kind      CorpusKind
+	ID   string
+	Kind CorpusKind
+	// Sentences holds the gold tokens; it is nil on a LeanDoc.
 	Sentences []Sentence
 	// Text is the rendered plain text (net text for web pages; the HTML
 	// wrapper is added by synthweb).
@@ -210,26 +212,69 @@ func zipfDraw(r *rng.RNG, n int, s float64) int {
 	return idx
 }
 
-// Doc generates one document of the given corpus kind.
+// Doc generates one document of the given corpus kind, with its gold
+// tokens.
 func (g *Generator) Doc(r *rng.RNG, kind CorpusKind, id string) *Doc {
+	return g.doc(r, kind, id, true)
+}
+
+// LeanDoc generates the document Doc would from the same draws, but
+// without its tokens: Sentences is nil, and Text, SentSpans, Mentions and
+// Relations are Doc's.
+func (g *Generator) LeanDoc(r *rng.RNG, kind CorpusKind, id string) *Doc {
+	return g.doc(r, kind, id, false)
+}
+
+// docScratch is one document's generation scratch: the sentence being
+// generated, every sentence's tokens back to back with each one's end
+// index, and the sentences.
+type docScratch struct {
+	sent, flat []Token
+	ends       []int
+	sents      []Sentence
+}
+
+// scratchPool holds docScratch values: shard goroutines generate at once.
+var scratchPool = sync.Pool{New: func() any { return new(docScratch) }}
+
+// doc generates and renders a document in pooled scratch, then copies the
+// tokens out, in one token slice and one sentence slice, if tokens is set.
+func (g *Generator) doc(r *rng.RNG, kind CorpusKind, id string, tokens bool) *Doc {
 	p := g.Profiles[kind]
 	nSent := int(r.LogNorm(p.SentencesPerDoc.Mu, p.SentencesPerDoc.Sigma) + 0.5)
 	if nSent < 1 {
 		nSent = 1
 	}
-	d := &Doc{ID: id, Kind: kind, Sentences: make([]Sentence, 0, nSent)}
-	// Each sentence grows in one scratch slice and is copied out at its
-	// final length: one exact allocation per sentence.
-	scratch := make([]Token, 0, 64)
-	for i := 0; i < nSent; i++ {
-		s := g.sentence(r, p, scratch[:0])
-		scratch = s.Tokens
-		s.Tokens = slices.Clone(s.Tokens)
+	sc := scratchPool.Get().(*docScratch)
+	defer scratchPool.Put(sc)
+	sc.flat, sc.ends, sc.sents = sc.flat[:0], sc.ends[:0], sc.sents[:0]
+	for range nSent {
+		s := g.sentence(r, p, sc.sent[:0])
+		sc.sent = s.Tokens
 		capitalizeSentence(&s)
-		d.Sentences = append(d.Sentences, s)
+		sc.flat = append(sc.flat, s.Tokens...)
+		sc.ends = append(sc.ends, len(sc.flat))
+		sc.sents = append(sc.sents, s)
 	}
+	d := &Doc{ID: id, Kind: kind, Sentences: sc.sents}
+	setTokens(d.Sentences, sc.flat, sc.ends)
 	g.render(d)
+	d.Sentences = nil
+	if tokens {
+		d.Sentences = slices.Clone(sc.sents)
+		setTokens(d.Sentences, slices.Clone(sc.flat), sc.ends)
+	}
 	return d
+}
+
+// setTokens points each sentence at its tokens in flat, capped so that an
+// append cannot reach the next sentence's.
+func setTokens(sents []Sentence, flat []Token, ends []int) {
+	start := 0
+	for i, end := range ends {
+		sents[i].Tokens = flat[start:end:end]
+		start = end
+	}
 }
 
 // capitalizeSentence upper-cases the first letter of the sentence unless
@@ -245,11 +290,24 @@ func capitalizeSentence(s *Sentence) {
 	if t.Ent != None || t.Text == "" {
 		return
 	}
-	c := t.Text[0]
-	if c >= 'a' && c <= 'z' {
+	if up, ok := capitalized[t.Text]; ok {
+		t.Text = up
+	} else if c := t.Text[0]; c >= 'a' && c <= 'z' {
 		t.Text = string(c-32) + t.Text[1:]
 	}
 }
+
+// capitalized maps each word a sentence can open with (a subject pronoun,
+// a determiner, or an entity frame's first word) to its capitalized form.
+var capitalized = func() map[string]string {
+	m := map[string]string{}
+	for _, ws := range [][]string{pronounWords[PronSubject], determiners, {"treated", "patients"}} {
+		for _, w := range ws {
+			m[w] = string(w[0]-32) + w[1:]
+		}
+	}
+	return m
+}()
 
 // sentence generates one sentence according to the profile, appending its
 // tokens to buf.

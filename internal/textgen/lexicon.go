@@ -274,11 +274,21 @@ func synonymOf(r *rng.RNG, name string, i int) string {
 
 // RandomTLA returns a random three-letter acronym that is (almost surely)
 // NOT an entity: web text is full of these (HTML, USA, FAQ, ...) and they
-// are what BANNER-style taggers mis-tag as genes on web input.
+// are what BANNER-style taggers mis-tag as genes on web input. It returns a
+// slice of tlas and allocates nothing.
 func RandomTLA(r *rng.RNG) string {
-	b := make([]byte, 3)
-	for i := range b {
-		b[i] = byte('A' + r.Intn(26))
+	i := 0
+	for range 3 {
+		i = 26*i + r.Intn(26)
+	}
+	return tlas[3*i : 3*i+3]
+}
+
+// tlas holds every three-letter acronym, AAA to ZZZ, back to back.
+var tlas = func() string {
+	b := make([]byte, 0, 3*26*26*26)
+	for i := range 26 * 26 * 26 {
+		b = append(b, byte('A'+i/676), byte('A'+i/26%26), byte('A'+i%26))
 	}
 	return string(b)
-}
+}()

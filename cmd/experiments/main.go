@@ -118,7 +118,7 @@ func main() {
 			os.Exit(2)
 		}
 		current.Store(name)
-		sp := obs.Default().StartSpan("experiments.run")
+		sp := obs.StartSpan()
 		fmt.Println(run())
 		fmt.Printf("[%s completed in %s]\n\n", name, sp.End().Round(time.Millisecond))
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // Determinism flags reads of the wall clock and imports of math/rand
-// outside the two packages allowed to touch real time and entropy:
-// internal/obs (spans measure wall latency by design) and internal/rng
-// (the seeded PRNG wraps its own source). Everything else in the repo is
+// outside the packages allowed to touch real time and entropy:
+// internal/obs (its stopwatch), internal/obs/prof (the stage profiler)
+// and internal/rng (the seeded PRNG wraps its own source). Everything else in the repo is
 // specified to be bit-reproducible per seed in virtual-clock units —
 // crawler metrics, dataflow plans, corpus generation, experiment tables —
 // and a single time.Now in one of those paths silently breaks the
@@ -20,15 +20,15 @@ import (
 // periods elapse on the virtual clock (crawldb NextEligibleMs), never by
 // blocking a goroutine.
 //
-// Wall-clock timing that is genuinely wanted (progress displays,
-// benchmark-style reports) should go through an obs span
-// (Registry.StartSpan / Histogram.Start), which keeps the clock read
-// inside the allowlisted package and records the measurement into the
-// metric registry.
+// Wall-clock timing that is genuinely wanted goes through one of two
+// instruments that keep the clock read inside an allowlisted package: a
+// duration a program prints through the stopwatch (obs.StartSpan), and
+// where the wall time went through a profiler scope (prof.Scope). Neither
+// feeds the metric registry, so its snapshots stay byte-comparable.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "wall-clock (time.Now/Since/...) or math/rand use outside internal/obs and internal/rng; " +
-		"route timing through obs spans and randomness through internal/rng",
+	Doc: "wall-clock (time.Now/Since/...) or math/rand use outside internal/obs, internal/obs/prof and internal/rng; " +
+		"route timing through the obs stopwatch or a prof scope and randomness through internal/rng",
 	Run: runDeterminism,
 }
 
@@ -73,7 +73,7 @@ func runDeterminism(pass *analysis.Pass) {
 			}
 			if fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()] {
 				pass.Reportf(sel.Pos(),
-					"time.%s reads the wall clock: use the virtual clock or an obs span (Registry.StartSpan)", fn.Name())
+					"time.%s reads the wall clock: use the virtual clock, the obs stopwatch (obs.StartSpan) or a prof scope", fn.Name())
 			}
 			return true
 		})

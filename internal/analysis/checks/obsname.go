@@ -59,10 +59,10 @@ const (
 )
 
 var (
-	// metricNames: Registry.Counter/Gauge/Histogram/StartSpan keys.
+	// metricNames: Registry.Counter/Gauge/Histogram keys.
 	metricNames = nameSpec{
 		pkg: "internal/obs", builder: "MetricName",
-		args:    []nameArg{{[]string{"Counter", "Gauge", "Histogram", "StartSpan"}, "metric name", dottedNameRE}},
+		args:    []nameArg{{[]string{"Counter", "Gauge", "Histogram"}, "metric name", dottedNameRE}},
 		grammar: dottedGrammar,
 		dynamic: "%s passed to %s must be a compile-time constant (or a MetricName builder call): " +
 			"dynamic names destabilize snapshot diffs and unbound registry cardinality",

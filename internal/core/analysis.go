@@ -120,7 +120,7 @@ func (s *System) AnalyzeCorpusFunc(reg *Registry, c *corpora.Corpus, dop int,
 	for i, d := range c.Docs {
 		records[i] = dataflow.Record{"id": d.ID, "text": d.Text}
 	}
-	// Per-operator counters/latency go to the process registry (dumped by
+	// Per-operator counters go to the process registry (dumped by
 	// the cmds' -metrics flag); AnalyzeAll runs corpora sequentially, so
 	// the shared registry keeps ExecStats exact.
 	exec := dataflow.ExecConfig{DoP: dop, Set: s.Cfg.Exec, TraceKey: "id",

@@ -53,7 +53,7 @@ func (e *Experiments) Fig3() string {
 	timeIt := func(f func()) time.Duration {
 		// Repeat to get measurable times on fast paths.
 		const reps = 20
-		sp := obs.Default().StartSpan("experiments.fig3.probe")
+		sp := obs.StartSpan()
 		for i := 0; i < reps; i++ {
 			f()
 		}

@@ -212,9 +212,10 @@ type Result struct {
 }
 
 // metrics bundles the crawler's obs instruments. Counters mirror the
-// fields of Stats (kept for API compatibility); the histograms expose the
-// distributions Stats cannot: fetches per cycle, politeness stalls, and
-// per-page cost on the virtual clock.
+// fields of Stats, and they are what the doctor's rules, the series
+// pillar and the benchmark's crawler.fetch.bytes read; the histograms
+// expose the distributions Stats cannot: fetches per cycle, politeness
+// stalls, and per-page cost on the virtual clock.
 type metrics struct {
 	cycles, fetchOK, fetchErr, fetchBytes *obs.Counter
 	robotsBlocked, stalls, links          *obs.Counter

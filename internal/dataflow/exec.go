@@ -43,12 +43,13 @@ type ExecConfig struct {
 	// Set attaches the observability pillars; a nil handle leaves that
 	// pillar off (Series is not used: an execution has no sample clock).
 	//
-	// Metrics receives the per-operator counters and latency histograms.
-	// Nil uses a fresh private registry so ExecStats stays
-	// exact; pass obs.Default() (or any shared registry) to accumulate
-	// across executions. Sharing one registry between *concurrent*
-	// executions keeps the metric totals exact but makes the
-	// per-execution ExecStats deltas approximate.
+	// Metrics receives the per-operator counters (records in and out,
+	// errors, retries, panics, quarantines) — no clock readings, so the
+	// registry is a function of the plan and its input. Nil uses a fresh
+	// private registry so ExecStats stays exact; pass obs.Default() (or
+	// any shared registry) to accumulate across executions. Sharing one
+	// registry between *concurrent* executions keeps the metric totals
+	// exact but makes the per-execution ExecStats deltas approximate.
 	//
 	// Trace records every record's lineage: one trace per input record,
 	// one span per operator the record (or a record derived from it)
@@ -68,9 +69,10 @@ type ExecConfig struct {
 	// dataflow.op.<name> scopes: every processed record is one bracket
 	// (a call and its real nanoseconds) around the operator invocation,
 	// retries included, closed before its emissions move downstream, so
-	// downstream operators run outside the upstream bracket. Call counts
-	// are DoP-independent under the Quarantine policy — the same caveat
-	// as Trace.
+	// downstream operators run outside the upstream bracket. It is the
+	// executor's only per-operator wall-clock reading. Call counts are
+	// DoP-independent under the Quarantine policy — the same caveat as
+	// Trace.
 	pillars.Set
 	// Policy selects the response to UDF errors (Quarantine by default).
 	Policy ErrorPolicy
@@ -160,7 +162,6 @@ type nodeMetrics struct {
 	retries, panics, quarantined *obs.Counter
 	in0, out0, errs0             int64 // registry values before this execution
 	retries0, panics0, quar0     int64
-	latency                      *obs.Histogram
 }
 
 // MetricName returns the obs registry name for one per-operator metric of
@@ -178,7 +179,6 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		retries:     reg.Counter(MetricName(n, "retries")),
 		panics:      reg.Counter(MetricName(n, "panics")),
 		quarantined: reg.Counter(MetricName(n, "quarantined")),
-		latency:     reg.Histogram(MetricName(n, "ms"), obs.DefaultMsBuckets...),
 	}
 	m.in0, m.out0, m.errs0 = m.in.Value(), m.out.Value(), m.errs.Value()
 	m.retries0, m.panics0, m.quar0 = m.retries.Value(), m.panics.Value(), m.quarantined.Value()
@@ -340,9 +340,8 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	if reg == nil {
 		reg = obs.New()
 	}
-	wall := reg.StartSpan("dataflow.wall")
+	wall := obs.StartSpan()
 	reg.Counter("dataflow.executions").Inc()
-	inflight := reg.Gauge("dataflow.records.inflight")
 
 	// Event-log loggers (no-ops when cfg.Log is nil). lgOp is shared by
 	// every worker goroutine: Sink.emit serializes, record content derives
@@ -414,14 +413,10 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		if abortErr.Load() != nil {
 			return // fail-fast: drain without processing
 		}
-		inflight.Add(1)
 		bufs[x.id] = bufs[x.id][:0]
-		sp := x.m.latency.Start()
 		ph := x.scope.Enter()
 		err := process(x.Node, x.m, cfg, rec, tc, &bufs[x.id], emits[x.id], quar, lgOp)
 		ph.Exit()
-		sp.End()
-		inflight.Add(-1)
 		tc.End(int64(x.id) + 1)
 		if err != nil {
 			abort := err // escapes to the heap only on the failing path

@@ -63,9 +63,6 @@ func TestExecMetricsMatchStats(t *testing.T) {
 	if got := snap.Counter("dataflow.executions"); got != 1 {
 		t.Errorf("dataflow.executions = %d, want 1", got)
 	}
-	if got := snap.Gauge("dataflow.records.inflight"); got != 0 {
-		t.Errorf("records.inflight after completion = %d, want 0", got)
-	}
 	for _, n := range p.nodes {
 		ns := st.PerNode[n.id]
 		if got := snap.Counter(MetricName(n, "in")); got != ns.In {
@@ -77,14 +74,6 @@ func TestExecMetricsMatchStats(t *testing.T) {
 		if got := snap.Counter(MetricName(n, "errors")); got != ns.Errors {
 			t.Errorf("%s = %d, ExecStats.Errors = %d", MetricName(n, "errors"), got, ns.Errors)
 		}
-		// The latency histogram observes once per input record; assert the
-		// count (bucket placement is wall-clock and nondeterministic).
-		if h, ok := snap.Hists[MetricName(n, "ms")]; !ok || h.Count != ns.In {
-			t.Errorf("%s count = %d (present=%v), want %d", MetricName(n, "ms"), h.Count, ok, ns.In)
-		}
-	}
-	if h, ok := snap.Hists["dataflow.wall.ms"]; !ok || h.Count != 1 {
-		t.Errorf("dataflow.wall.ms count = %d (present=%v), want 1", h.Count, ok)
 	}
 }
 

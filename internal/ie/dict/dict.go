@@ -121,7 +121,7 @@ func expandVariants(term string, opts Options) []string {
 
 // Build constructs the automaton from dictionary surface forms.
 func Build(name string, surfaces []string, opts Options) *Matcher {
-	sp := obs.Default().StartSpan("dict.build")
+	sp := obs.StartSpan()
 	m := &Matcher{Name: name, opts: opts}
 
 	// The distinct patterns, in order, and the bytes they use.

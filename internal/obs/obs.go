@@ -1,7 +1,7 @@
 // Package obs is the repo's dependency-free observability substrate:
-// atomic counters, gauges, fixed-bucket histograms, and lightweight spans
-// collected in a named registry with snapshot/merge and deterministic
-// text rendering.
+// atomic counters, gauges and fixed-bucket histograms collected in a
+// named registry with snapshot/merge and deterministic text rendering,
+// plus the one stopwatch (StartSpan) for the durations a program prints.
 //
 // The paper's war stories are measurement stories — the 20-minute
 // dictionary loads (§4.2), the DoP capped by 6-20 GB workers (§4.2), the
@@ -16,8 +16,11 @@
 //	crawler.fetch.ok              counter   successful downloads
 //	crawler.cycle.fetched         histogram fetches per generate/fetch cycle
 //	dataflow.op.03.pos_tag.in     counter   records into plan node 3
-//	dataflow.op.03.pos_tag.ms     histogram per-record UDF latency
 //	store.write.records           counter   fact-database rows written
+//
+// The registry holds no clock readings: every value in it is a function
+// of the seed, so two same-seed runs render byte-identical snapshots.
+// Where the wall time went is the stage profiler's question (obs/prof).
 //
 // All metric types are safe for concurrent use. A Snapshot is a plain
 // value: Merge folds shard registries together, and Text renders it
@@ -45,14 +48,11 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value (records in flight).
+// Gauge is an atomic instantaneous value (pages on the frontier).
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -67,9 +67,9 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// DefaultMsBuckets is the standard latency bucket layout (milliseconds),
-// spanning sub-millisecond UDF calls to the paper's 20-minute dictionary
-// loads.
+// DefaultMsBuckets is the standard bucket layout for virtual-clock
+// milliseconds, spanning sub-millisecond values to the paper's 20-minute
+// dictionary loads.
 var DefaultMsBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500,
 	1000, 2500, 5000, 10000, 30000, 60000, 300000, 1200000,
@@ -107,40 +107,23 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration in milliseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(float64(d) / float64(time.Millisecond))
-}
-
-// Start begins a span into this histogram — the unnamed counterpart of
-// Registry.StartSpan for hot paths that already hold the histogram.
-// Spans are the only sanctioned wall-clock timer outside this package
-// (the lintx determinism analyzer enforces that).
-func (h *Histogram) Start() Span { return Span{h: h, start: time.Now()} }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Span times one operation into a histogram: s := reg.StartSpan(name);
-// defer s.End(). Spans are values; creating one costs a map lookup and a
-// clock read.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
+// Span is a stopwatch: s := obs.StartSpan(); ...; d := s.End(). It
+// records nothing — the caller prints the duration. Outside this package
+// and the profiler it is the only sanctioned wall-clock read (the lintx
+// determinism analyzer enforces that).
+type Span struct{ start time.Time }
 
-// End records the elapsed time (milliseconds) and returns it.
-func (s Span) End() time.Duration {
-	d := time.Since(s.start)
-	if s.h == nil {
-		return d
-	}
-	s.h.ObserveDuration(d)
-	return d
-}
+// StartSpan starts a stopwatch.
+func StartSpan() Span { return Span{start: time.Now()} }
+
+// End returns the time elapsed since StartSpan.
+func (s Span) End() time.Duration { return time.Since(s.start) }
 
 // Registry is a named collection of metrics. Metrics are get-or-create:
 // the first caller of a name determines the metric (and, for histograms,
@@ -213,9 +196,4 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// StartSpan starts timing into histogram <name>.ms.
-func (r *Registry) StartSpan(name string) Span {
-	return r.Histogram(name + ".ms").Start()
 }

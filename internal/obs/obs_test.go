@@ -21,7 +21,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("q.depth")
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if g.Value() != 4 {
 		t.Errorf("gauge = %d, want 4", g.Value())
 	}
@@ -79,19 +79,11 @@ func TestHistogramSum(t *testing.T) {
 	}
 }
 
-func TestSpanRecords(t *testing.T) {
-	r := New()
-	s := r.StartSpan("work")
+func TestSpanEnd(t *testing.T) {
+	s := StartSpan()
 	time.Sleep(time.Millisecond)
-	if d := s.End(); d <= 0 {
-		t.Errorf("span duration = %v", d)
-	}
-	h, ok := r.Snapshot().Hists["work.ms"]
-	if !ok || h.Count != 1 {
-		t.Fatalf("span histogram missing or empty: %+v", h)
-	}
-	if h.Sum <= 0 {
-		t.Errorf("span sum = %v", h.Sum)
+	if d := s.End(); d < time.Millisecond {
+		t.Errorf("span duration = %v, want at least 1ms", d)
 	}
 }
 
@@ -159,7 +151,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(int64(i))
 				r.Histogram("h", 1, 100).Observe(float64(i % 150))
 				if i%100 == 0 {
 					_ = r.Snapshot() // snapshots race the writers safely
@@ -173,8 +165,8 @@ func TestConcurrentWriters(t *testing.T) {
 	if s.Counter("c") != total {
 		t.Errorf("counter = %d, want %d", s.Counter("c"), total)
 	}
-	if s.Gauge("g") != total {
-		t.Errorf("gauge = %d, want %d", s.Gauge("g"), total)
+	if s.Gauge("g") != perWorker-1 { // every worker's last Set
+		t.Errorf("gauge = %d, want %d", s.Gauge("g"), perWorker-1)
 	}
 	h := s.Hists["h"]
 	if h.Count != total {

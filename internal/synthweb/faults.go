@@ -49,40 +49,23 @@ type FetchInfo struct {
 type HostFaultProfile struct {
 	// Dead hosts fail every attempt with ErrHostDown.
 	Dead bool
-	// Slow hosts add SlowLatencyMs of virtual latency per fetch.
+	// Slow hosts add slowLatencyMs of virtual latency per fetch.
 	Slow bool
 	// RateLimited hosts reject each URL's first attempts with
 	// ErrRateLimited before serving it.
 	RateLimited bool
 }
 
-// Fault-model defaults for config fields left at zero.
+// The fault model's fixed magnitudes.
 const (
-	defaultTransientMaxAttempts = 3
-	defaultSlowLatencyMs        = 2000
-	defaultRetryAfterMs         = 1500
+	// transientMaxAttempts bounds how many attempts a flaky URL fails
+	// before clearing.
+	transientMaxAttempts = 3
+	// slowLatencyMs is a slow host's virtual latency per fetch.
+	slowLatencyMs = 2000
+	// retryAfterMs is the throttle window a rate-limited response asks for.
+	retryAfterMs = 1500
 )
-
-func (c Config) transientMaxAttempts() int {
-	if c.TransientMaxAttempts <= 0 {
-		return defaultTransientMaxAttempts
-	}
-	return c.TransientMaxAttempts
-}
-
-func (c Config) slowLatencyMs() int {
-	if c.SlowLatencyMs <= 0 {
-		return defaultSlowLatencyMs
-	}
-	return c.SlowLatencyMs
-}
-
-func (c Config) retryAfterMs() int {
-	if c.RetryAfterMs <= 0 {
-		return defaultRetryAfterMs
-	}
-	return c.RetryAfterMs
-}
 
 // HostFaults returns a host's fault profile — a pure function of
 // (config seed, host name), so the assignment survives restarts.
@@ -96,7 +79,7 @@ func (w *Web) HostFaults(host string) HostFaultProfile {
 }
 
 // transientFailsThrough returns the number of leading attempts a URL fails
-// with ErrFetchFailed: 0 for healthy URLs, k in [1, TransientMaxAttempts]
+// with ErrFetchFailed: 0 for healthy URLs, k in [1, transientMaxAttempts]
 // for flaky ones. The first draw reuses the pre-fault-model "fail/<url>"
 // stream, so the attempt-0 failure set is unchanged for existing seeds.
 func (w *Web) transientFailsThrough(rawurl string) int {
@@ -107,7 +90,7 @@ func (w *Web) transientFailsThrough(rawurl string) int {
 	if !r.Bool(w.cfg.FailureRate) {
 		return 0
 	}
-	return 1 + r.Intn(w.cfg.transientMaxAttempts())
+	return 1 + r.Intn(transientMaxAttempts)
 }
 
 // rateLimitFailsThrough returns how many leading attempts a URL on a
@@ -138,7 +121,7 @@ func (w *Web) truncated(rawurl string, attempt int) (bool, float64) {
 //   - rate-limited hosts reject each URL's first 1-2 attempts with
 //     ErrRateLimited and a deterministic FetchInfo.RetryAfterMs;
 //   - flaky URLs (FailureRate) fail their first k attempts with
-//     ErrFetchFailed, k drawn per URL in [1, TransientMaxAttempts];
+//     ErrFetchFailed, k drawn per URL in [1, transientMaxAttempts];
 //   - individual attempts may return ErrTruncated with a partial body;
 //   - slow hosts succeed but report FetchInfo.LatencyMs.
 //
@@ -158,10 +141,10 @@ func (w *Web) FetchAttempt(rawurl string, attempt int) (*Page, FetchInfo, error)
 		return nil, info, ErrHostDown
 	}
 	if hf.Slow {
-		info.LatencyMs = w.cfg.slowLatencyMs()
+		info.LatencyMs = slowLatencyMs
 	}
 	if hf.RateLimited && attempt < w.rateLimitFailsThrough(rawurl) {
-		info.RetryAfterMs = w.cfg.retryAfterMs()
+		info.RetryAfterMs = retryAfterMs
 		return nil, info, ErrRateLimited
 	}
 	if attempt < w.transientFailsThrough(rawurl) {

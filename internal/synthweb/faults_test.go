@@ -26,7 +26,7 @@ func faultyWeb(t testing.TB, mutate func(*Config)) *Web {
 // then succeeds forever — the attempt-aware replacement for the old
 // permanent per-URL failure.
 func TestTransientFailureClearsAfterK(t *testing.T) {
-	w := faultyWeb(t, func(c *Config) { c.FailureRate = 0.4; c.TransientMaxAttempts = 3 })
+	w := faultyWeb(t, func(c *Config) { c.FailureRate = 0.4 })
 	flaky, cleared := 0, 0
 	for _, h := range w.Hosts {
 		for idx := 0; idx < min(h.Pages, 5); idx++ {
@@ -39,8 +39,8 @@ func TestTransientFailureClearsAfterK(t *testing.T) {
 				continue
 			}
 			flaky++
-			if k > 3 {
-				t.Fatalf("%s clears after %d attempts, cap is 3", u, k)
+			if k > transientMaxAttempts {
+				t.Fatalf("%s clears after %d attempts, cap is %d", u, k, transientMaxAttempts)
 			}
 			for a := 0; a < k; a++ {
 				if _, _, err := w.FetchAttempt(u, a); !errors.Is(err, ErrFetchFailed) {
@@ -96,7 +96,7 @@ func TestDeadHostsPermanent(t *testing.T) {
 // TestRateLimitedClearsWithRetryAfter: throttled URLs carry a retry-after
 // and succeed within two retries.
 func TestRateLimitedClearsWithRetryAfter(t *testing.T) {
-	w := faultyWeb(t, func(c *Config) { c.RateLimitShare = 0.5; c.RetryAfterMs = 900 })
+	w := faultyWeb(t, func(c *Config) { c.RateLimitShare = 0.5 })
 	limited := 0
 	for _, h := range w.Hosts {
 		if !w.HostFaults(h.Name).RateLimited {
@@ -107,8 +107,8 @@ func TestRateLimitedClearsWithRetryAfter(t *testing.T) {
 		if !errors.Is(err, ErrRateLimited) {
 			t.Fatalf("throttled host %s attempt 0: err=%v", h.Name, err)
 		}
-		if info.RetryAfterMs != 900 {
-			t.Fatalf("retry-after = %d, want 900", info.RetryAfterMs)
+		if info.RetryAfterMs != retryAfterMs {
+			t.Fatalf("retry-after = %d, want %d", info.RetryAfterMs, retryAfterMs)
 		}
 		if _, _, err := w.FetchAttempt(u, 2); err != nil {
 			t.Fatalf("throttled URL %s still failing at attempt 2: %v", u, err)
@@ -122,7 +122,7 @@ func TestRateLimitedClearsWithRetryAfter(t *testing.T) {
 
 // TestSlowHostLatency: slow hosts succeed but report injected latency.
 func TestSlowHostLatency(t *testing.T) {
-	w := faultyWeb(t, func(c *Config) { c.SlowHostShare = 0.4; c.SlowLatencyMs = 3000 })
+	w := faultyWeb(t, func(c *Config) { c.SlowHostShare = 0.4 })
 	slow := 0
 	for _, h := range w.Hosts {
 		u := PageURL(h.Name, 0)
@@ -132,7 +132,7 @@ func TestSlowHostLatency(t *testing.T) {
 		}
 		want := 0
 		if w.HostFaults(h.Name).Slow {
-			want = 3000
+			want = slowLatencyMs
 			slow++
 		}
 		if info.LatencyMs != want {

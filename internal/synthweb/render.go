@@ -11,22 +11,28 @@ import (
 	"webtextie/internal/textgen"
 )
 
-// depthDecayOnset is the default page index where DepthDecay begins to
-// bite: density is uniform through this front band, hyperbolic beyond it.
+// depthDecayOnset is the page index where DepthDecay begins to bite:
+// density is uniform through this front band, hyperbolic beyond it.
 const depthDecayOnset = 8
 
-// decayOnset resolves the configured front-band width.
-func (w *Web) decayOnset() int {
-	if w.cfg.DepthDecayOnset > 0 {
-		return w.cfg.DepthDecayOnset
-	}
-	return depthDecayOnset
-}
-
-// renderPage materializes a regular page; its gold document carries its
-// tokens only if tokens is set.
+// renderPage materializes a page from its stream: its gold first, then
+// the served body (and, for HTML, the links) from the rest of the stream.
+// Its gold document carries its tokens only if tokens is set.
 func (w *Web) renderPage(h *Host, idx int, tokens bool) *Page {
 	r := w.pageRNG(h, idx)
+	p := w.gold(r, h, idx, tokens)
+	if !p.MIME.IsTextual() {
+		p.Body = binaryBody(r, p.MIME)
+		return p
+	}
+	p.Links = w.pageLinks(r, h, idx, p)
+	p.Body = w.renderHTML(r, h, idx, p)
+	return p
+}
+
+// gold draws a page's ground truth from the head of its stream r: MIME
+// class, language, relevance, document and net text.
+func (w *Web) gold(r *rng.RNG, h *Host, idx int, tokens bool) *Page {
 	p := &Page{URL: PageURL(h.Name, idx), Host: h, Lang: "en", MIME: mimetype.HTML}
 	p.Portal = idx == 0 || (h.Hub && idx < 4)
 
@@ -35,24 +41,30 @@ func (w *Web) renderPage(h *Host, idx int, tokens bool) *Page {
 	if !p.Portal {
 		switch {
 		case r.Bool(w.cfg.NonHTMLShare):
-			return w.renderBinaryPage(r, p)
+			k := binaryKinds[r.Intn(len(binaryKinds))]
+			p.MIME = k.mime
+			if k.ext != "" {
+				p.URL = strings.TrimSuffix(p.URL, ".html") + k.ext
+			}
+			return p
 		case r.Bool(w.cfg.NonEnglishShare):
 			p.Lang = rng.Pick(r, foreignLangs)
 		case idx >= 2 && r.Bool(w.cfg.MirrorShare):
-			return w.renderMirrorPage(r, h, idx, p, tokens)
+			w.mirrorGold(r, h, idx, p, tokens)
+			return p
 		}
 	}
 
 	// Topical gold label.
 	if h.Biomed {
 		off := w.cfg.OffTopicShareOnBiomed
-		if onset := w.decayOnset(); w.cfg.DepthDecay > 0 && idx > onset {
+		if w.cfg.DepthDecay > 0 && idx > depthDecayOnset {
 			// Depth-decaying relevance: density holds through the front
 			// band (the curated hub pages a crawl enters through), then
 			// deeper pages are increasingly off-topic. Still exactly one
 			// Bool draw per page, so the noise and fault draws that
 			// follow stay aligned across idx.
-			off = 1 - (1-off)/(1+w.cfg.DepthDecay*float64(idx-onset))
+			off = 1 - (1-off)/(1+w.cfg.DepthDecay*float64(idx-depthDecayOnset))
 		}
 		p.Relevant = !r.Bool(off)
 	} else {
@@ -68,25 +80,22 @@ func (w *Web) renderPage(h *Host, idx int, tokens bool) *Page {
 	// sentences, too-short pages a stub of one.
 	if p.Lang != "en" {
 		p.NetText = foreignText(r, p.Lang)
-	} else {
-		kind, keep := textgen.Irrelevant, 0
-		switch {
-		case p.Portal:
-			keep = 3
-		case r.Bool(w.cfg.TooShortShare):
-			keep = 1
-		case p.Relevant:
-			kind = textgen.Relevant
-		}
-		p.Doc = w.doc(r, kind, p.URL, tokens)
-		if keep > 0 {
-			trimToSentences(p.Doc, keep)
-		}
-		p.NetText = p.Doc.Text
+		return p
 	}
-
-	p.Links = w.pageLinks(r, h, idx, p)
-	p.Body = w.renderHTML(r, h, idx, p)
+	kind, keep := textgen.Irrelevant, 0
+	switch {
+	case p.Portal:
+		keep = 3
+	case r.Bool(w.cfg.TooShortShare):
+		keep = 1
+	case p.Relevant:
+		kind = textgen.Relevant
+	}
+	p.Doc = w.doc(r, kind, p.URL, tokens)
+	if keep > 0 {
+		trimToSentences(p.Doc, keep)
+	}
+	p.NetText = p.Doc.Text
 	return p
 }
 
@@ -120,57 +129,54 @@ func trimToSentences(d *textgen.Doc, n int) {
 	d.Relations = slices.DeleteFunc(d.Relations, func(rel textgen.Relation) bool { return rel.Sentence >= n })
 }
 
-// renderMirrorPage produces a near-copy of an earlier page on the same
-// host: same net text plus a trailing mirror notice, fresh chrome. Exact
-// deduplication misses these; MinHash near-dedup (internal/dedup) catches
-// them.
-func (w *Web) renderMirrorPage(r *rng.RNG, h *Host, idx int, p *Page, tokens bool) *Page {
-	src := w.renderPage(h, idx/2, tokens)
+// mirrorGold makes p a near-copy of an earlier page on the same host:
+// the source's net text plus a trailing mirror notice; the render gives
+// it fresh chrome. Exact deduplication misses these; MinHash near-dedup
+// (internal/dedup) catches them. The source's gold comes from its own
+// stream and nothing of it is rendered, so a chain of mirrors recurses
+// through the gold step only.
+func (w *Web) mirrorGold(r *rng.RNG, h *Host, idx int, p *Page, tokens bool) {
+	src := w.gold(w.pageRNG(h, idx/2), h, idx/2, tokens)
 	if !src.MIME.IsTextual() || src.Lang != "en" || src.NetText == "" {
-		// Unusable source: fall through to a regular irrelevant page.
+		// Unusable source: a regular irrelevant page instead.
 		p.Doc = w.doc(r, textgen.Irrelevant, p.URL, tokens)
 		p.NetText = p.Doc.Text
-		p.Links = w.pageLinks(r, h, idx, p)
-		p.Body = w.renderHTML(r, h, idx, p)
-		return p
+		return
 	}
 	p.MirrorOf = src.URL
 	p.Relevant = src.Relevant
 	p.Doc = src.Doc
 	p.NetText = src.NetText + " This page is a hosted mirror copy of the original article."
-	p.Links = w.pageLinks(r, h, idx, p)
-	p.Body = w.renderHTML(r, h, idx, p)
-	return p
 }
 
-// renderBinaryPage produces a non-HTML body (PDF, image, archive, or an
-// embedded-slides blob mislabelled as .html — the §5 MIME war story).
-func (w *Web) renderBinaryPage(r *rng.RNG, p *Page) *Page {
-	kind := r.Intn(4)
-	size := 2048 + r.Intn(8192)
-	body := make([]byte, size)
+// binaryKinds are the non-HTML bodies a page can serve (PDF, archive,
+// image, or an embedded-slides blob mislabelled as .html — the §5 MIME
+// war story): the true type, the body's magic prefix and the URL
+// extension replacing .html ("" keeps it).
+var binaryKinds = [...]struct {
+	mime       mimetype.Type
+	magic, ext string
+}{
+	{mimetype.PDF, "%PDF-1.4\n", ".pdf"},
+	{mimetype.Zip, "PK\x03\x04", ""},
+	{mimetype.PNG, "\x89PNG\r\n\x1a\n", ".png"},
+	// The nasty case: binary office document served under .html.
+	{mimetype.MSWord, "\xd0\xcf\x11\xe0", ""},
+}
+
+// binaryBody draws a binary page's served bytes: random content behind
+// its type's magic prefix.
+func binaryBody(r *rng.RNG, mime mimetype.Type) []byte {
+	body := make([]byte, 2048+r.Intn(8192))
 	for i := range body {
 		body[i] = byte(r.Intn(256))
 	}
-	switch kind {
-	case 0:
-		p.MIME = mimetype.PDF
-		copy(body, "%PDF-1.4\n")
-		p.URL = strings.TrimSuffix(p.URL, ".html") + ".pdf"
-	case 1:
-		p.MIME = mimetype.Zip
-		copy(body, "PK\x03\x04")
-	case 2:
-		p.MIME = mimetype.PNG
-		copy(body, "\x89PNG\r\n\x1a\n")
-		p.URL = strings.TrimSuffix(p.URL, ".html") + ".png"
-	default:
-		// The nasty case: binary office document served under .html.
-		p.MIME = mimetype.MSWord
-		copy(body, "\xd0\xcf\x11\xe0")
+	for _, k := range binaryKinds {
+		if k.mime == mime {
+			copy(body, k.magic)
+		}
 	}
-	p.Body = body
-	return p
+	return body
 }
 
 // foreignLangs are the languages of non-English pages.

@@ -70,34 +70,24 @@ type Config struct {
 	// falls as it digs in. 0 (the default) keeps density uniform and
 	// preserves the exact RNG draw sequence of pre-decay webs.
 	DepthDecay float64
-	// DepthDecayOnset overrides the front-band width (how many pages stay
-	// at full density before DepthDecay bites). <= 0 means the default 8.
-	// Only consulted when DepthDecay > 0.
-	DepthDecayOnset int
 	// FailureRate injects transient fetch failures (timeouts, 5xx): the
 	// given fraction of URLs is flaky and fails its first k fetch attempts
 	// with ErrFetchFailed before succeeding (k is drawn per URL in
-	// [1, TransientMaxAttempts]). The failure decision is a pure function
-	// of (config, URL, attempt), so a retrying crawler deterministically
-	// recovers every flaky URL while a retry-free crawler sees the same
-	// permanent per-URL failures this knob used to inject.
+	// [1, 3]). The failure decision is a pure function of (config, URL,
+	// attempt), so a retrying crawler deterministically recovers every
+	// flaky URL while a retry-free crawler sees the same permanent per-URL
+	// failures this knob used to inject.
 	FailureRate float64
-	// TransientMaxAttempts bounds how many attempts a flaky URL fails
-	// before clearing (0 means 3).
-	TransientMaxAttempts int
 	// DeadHostShare is the fraction of hosts that are persistently down:
 	// every fetch attempt against them returns ErrHostDown, forever.
 	DeadHostShare float64
 	// SlowHostShare is the fraction of hosts serving with a latency spike
-	// of SlowLatencyMs virtual milliseconds per fetch (0 means 2000).
+	// of 2000 virtual milliseconds per fetch.
 	SlowHostShare float64
-	SlowLatencyMs int
 	// RateLimitShare is the fraction of hosts that throttle: the first one
 	// or two attempts of each URL fail with ErrRateLimited carrying a
-	// deterministic retry-after of RetryAfterMs virtual milliseconds
-	// (0 means 1500).
+	// deterministic retry-after of 1500 virtual milliseconds.
 	RateLimitShare float64
-	RetryAfterMs   int
 	// TruncateRate is the per-(URL, attempt) probability of a truncated
 	// body: the fetch returns ErrTruncated together with the partial page.
 	// Truncation is transient — a retry re-reads the full body.

@@ -3,8 +3,9 @@ package webtextie
 // End-to-end test of the observability layer: one registry receives a
 // focused crawl and a dataflow execution, and the rendered snapshot must
 // carry per-cycle fetch counts, per-operator record counts, and the
-// per-page processing-cost histogram. The crawler instruments observe
-// only virtual-clock values, so that subset must be bit-identical across
+// per-page processing-cost histogram. The registry holds no clock
+// readings — the crawler observes virtual-clock values, the executor
+// counts records — so the whole snapshot must be bit-identical across
 // same-seed runs.
 
 import (
@@ -21,31 +22,6 @@ import (
 	"webtextie/internal/synthweb"
 	"webtextie/internal/textgen"
 )
-
-// crawlerSubset extracts the deterministic crawler.* part of a snapshot.
-func crawlerSubset(s obs.Snapshot) obs.Snapshot {
-	out := obs.Snapshot{
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-		Hists:    map[string]obs.HistSnapshot{},
-	}
-	for k, v := range s.Counters {
-		if strings.HasPrefix(k, "crawler.") {
-			out.Counters[k] = v
-		}
-	}
-	for k, v := range s.Gauges {
-		if strings.HasPrefix(k, "crawler.") {
-			out.Gauges[k] = v
-		}
-	}
-	for k, v := range s.Hists {
-		if strings.HasPrefix(k, "crawler.") {
-			out.Hists[k] = v
-		}
-	}
-	return out
-}
 
 type integrationRun struct {
 	snap  obs.Snapshot
@@ -156,9 +132,8 @@ func TestMetricsIntegration(t *testing.T) {
 }
 
 func TestMetricsIntegrationDeterministic(t *testing.T) {
-	a := crawlerSubset(runInstrumented(t).snap)
-	b := crawlerSubset(runInstrumented(t).snap)
-	if at, bt := a.Text(), b.Text(); at != bt {
-		t.Fatalf("crawler metrics differ across same-seed runs:\n--- run 1\n%s\n--- run 2\n%s", at, bt)
+	a, b := runInstrumented(t).snap.Text(), runInstrumented(t).snap.Text()
+	if a != b {
+		t.Fatalf("metrics differ across same-seed runs:\n--- run 1\n%s\n--- run 2\n%s", a, b)
 	}
 }

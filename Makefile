@@ -86,7 +86,10 @@ supervisor-chaos:
 # in their tests; so are the two FuzzRetention: the log sink and the trace
 # recorder on the shared obs.Keeper against the per-class retention loops
 # they replaced; and FuzzDecodeMatchesExtract: the CRF model's one decode
-# of all classes against each class's Extract. FuzzSentenceTokens checks
+# of all classes against each class's Extract; FuzzLeanDocMatchesDoc:
+# textgen's token-free LeanDoc against Doc; and FuzzKeyedMatchesSplit: the
+# simulator's keyed value RNGs against New(seed).Split(label), the
+# allocating form they replace. FuzzSentenceTokens checks
 # the spans every tagger reads; FuzzParseCompile runs meteor.Parse and
 # Compile against the real operator registry, which must never panic.
 fuzz:
@@ -108,6 +111,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFind -fuzztime=30s ./internal/ie/dict/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/evlog/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/trace/
+	$(GO) test -run=NONE -fuzz=FuzzLeanDocMatchesDoc -fuzztime=30s ./internal/textgen/
+	$(GO) test -run=NONE -fuzz=FuzzKeyedMatchesSplit -fuzztime=15s ./internal/rng/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): wall-clock
 # crawl and analysis-flow throughput with a layer-by-layer trace. The

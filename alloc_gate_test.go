@@ -161,11 +161,12 @@ type gateRow struct {
 // bench/spans.go order; TestAllocGateCoversBenchmark keeps the two lists
 // equal.
 var layerRows = []gateRow{
-	// The simulator renders a page per call: the Page and its RNGs, the Doc
+	// The simulator renders a page per call: the Page, its URL and the Doc
 	// with its text, spans, mentions and relations but no tokens (they are
-	// generated in pooled scratch), each link's URL string, and the HTML in
-	// one byte slice sized up front.
-	{"synthweb.fetch", 103, 31430, hotURLs, func(in string) func() {
+	// generated in pooled scratch), the link slice and the one string all
+	// its links share, and the HTML in one byte slice sized up front. The
+	// page's and the fault draws' RNGs are values on the stack.
+	{"synthweb.fetch", 31, 30729, hotURLs, func(in string) func() {
 		urls := strings.Fields(in)
 		return func() {
 			for _, u := range urls {
@@ -279,6 +280,20 @@ var extraRows = []gateRow{
 			for _, seed := range seeds {
 				_ = gateGen.Doc(rng.New(seed), textgen.Medline, "gate")
 			}
+		}
+	}},
+	// Tracing off: the recorder keeps no reference to a call site's
+	// attrs, so they stay on the caller's stack and a nil recorder and a
+	// zero Context cost nothing.
+	{"trace_disabled", 0, 0, "", func(string) func() {
+		var rec *trace.Recorder
+		return func() {
+			tc := rec.Start("crawler.url", "http://h0/p1", 0, trace.String("host", "h0"))
+			at := tc.StartSpan("crawler.fetch.attempt", 1, trace.Int("attempt", 0))
+			at.Event("fetch.ok", 2, trace.String("url", "http://h0/p1"))
+			at.End(2)
+			rec.Mark("checkpoint", 3, trace.Int("cycle", 1))
+			tc.Finish(3)
 		}
 	}},
 	// One label slice per page.

@@ -896,8 +896,11 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 		c.onFetchError(item, attempt, info, err, tc)
 		return
 	}
-	at.Event("fetch.ok", c.nowMs(), trace.Int("bytes", int64(len(page.Body))))
-	at.End(c.nowMs())
+	if at.Active() {
+		// The byte count is formatted eagerly: only a live span pays for it.
+		at.Event("fetch.ok", c.nowMs(), trace.Int("bytes", int64(len(page.Body))))
+		at.End(c.nowMs())
+	}
 	if c.lg.fetch.Enabled() {
 		c.lg.fetch.For(tc.Trace).Sample(item.URL, 8).Debug("fetch.ok", c.nowMs(),
 			trace.String("url", item.URL), trace.Int("bytes", int64(len(page.Body))))

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -160,7 +161,7 @@ func (r *Recorder) Start(name, key string, atMs int64, attrs ...Attr) Context {
 		Name:    name,
 		StartMs: atMs,
 		EndMs:   atMs,
-		Attrs:   attrs,
+		Attrs:   slices.Clone(attrs),
 	}
 	t := &Trace{ID: id, Key: key, StartIndex: idx, StartMs: atMs, EndMs: atMs}
 	t.addSpan(root)
@@ -192,7 +193,7 @@ func (r *Recorder) Mark(name string, atMs int64, attrs ...Attr) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.marks = append(r.marks, Mark{Name: name, AtMs: atMs, Attrs: attrs})
+	r.marks = append(r.marks, Mark{Name: name, AtMs: atMs, Attrs: slices.Clone(attrs)})
 }
 
 // lockedSpan resolves the context's span with the recorder lock held.
@@ -244,7 +245,7 @@ func (c Context) startSpanLocked(t *Trace, name string, slot uint64, atMs int64,
 		Name:    name,
 		StartMs: atMs,
 		EndMs:   atMs,
-		Attrs:   attrs,
+		Attrs:   slices.Clone(attrs),
 	}
 	t.addSpan(sp)
 	if atMs > t.EndMs {
@@ -264,7 +265,7 @@ func (c Context) Event(name string, atMs int64, attrs ...Attr) {
 	if t == nil || sp == nil || t.Done {
 		return
 	}
-	sp.Events = append(sp.Events, Event{Name: name, AtMs: atMs, Attrs: attrs})
+	sp.Events = append(sp.Events, Event{Name: name, AtMs: atMs, Attrs: slices.Clone(attrs)})
 	if atMs > sp.EndMs {
 		sp.EndMs = atMs
 	}

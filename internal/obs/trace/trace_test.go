@@ -136,6 +136,49 @@ func TestNoopContexts(t *testing.T) {
 	}
 }
 
+// TestRecorderCopiesAttrs: the recorder keeps a copy of the attrs it is
+// handed, so a caller that reuses its slice rewrites nothing recorded.
+func TestRecorderCopiesAttrs(t *testing.T) {
+	r := NewRecorder(Config{Seed: 1})
+	attrs := []Attr{String("host", "h0"), Int("n", 1)}
+	tc := r.Start("test.root", "k", 0, attrs...)
+	sp := tc.StartSpan("test.span", 1, attrs...)
+	kp := tc.StartSpanKeyed("test.keyed", 7, 2, attrs...)
+	sp.Event("test.event", 3, attrs...)
+	r.Mark("test.mark", 4, attrs...)
+	kp.End(5)
+	sp.End(5)
+	tc.Finish(5)
+	want := snapJSON(t, r.Snapshot())
+	for i := range attrs {
+		attrs[i] = String("rewritten", "x")
+	}
+	if got := snapJSON(t, r.Snapshot()); got != want {
+		t.Fatalf("rewriting the caller's attrs changed the recorder:\nbefore:\n%s\nafter:\n%s", want, got)
+	}
+}
+
+// TestDisabledTraceAllocatesNothing: with tracing off, a call site that
+// passes attrs costs no allocation — the recorder keeps no reference to
+// the caller's slice, so it stays on the caller's stack.
+func TestDisabledTraceAllocatesNothing(t *testing.T) {
+	var r *Recorder
+	var zero Context
+	host := "h0"
+	allocs := testing.AllocsPerRun(100, func() {
+		tc := r.Start("test.root", "k", 0, String("host", host))
+		sp := tc.StartSpan("test.span", 1, String("host", host))
+		zero.StartSpanKeyed("test.keyed", 7, 2, String("host", host), String("op", "parse"))
+		sp.Event("test.event", 3, String("host", host))
+		zero.Event("test.event", 3, String("host", host))
+		r.Mark("test.mark", 4, String("host", host))
+		tc.Finish(5)
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled tracing allocates %.1f times per call site group, want 0", allocs)
+	}
+}
+
 func TestFlightRecorderPinsSurviveEviction(t *testing.T) {
 	cfg := Config{Seed: 7, HeadKeep: 2, TailKeep: 4, ReservoirKeep: 2, PinLimit: 8, MaxActive: 1024}
 	r := NewRecorder(cfg)

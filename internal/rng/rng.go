@@ -13,7 +13,7 @@ package rng
 import "math"
 
 // RNG is a xoshiro256** generator. The zero value is not usable; construct
-// with New or Split.
+// with New, Split or Keyed.
 type RNG struct {
 	s [4]uint64
 }
@@ -22,7 +22,12 @@ type RNG struct {
 // which guarantees the four state words are well distributed even for
 // small consecutive seeds.
 func New(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is New by value.
+func seeded(seed uint64) (r RNG) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -49,6 +54,23 @@ func (r *RNG) Split(label string) *RNG {
 		h *= 1099511628211
 	}
 	return New(r.Uint64() ^ h)
+}
+
+// Keyed returns, by value, the generator New(seed).Split(label) returns
+// for label the concatenation of parts. The parts are hashed one after
+// the other, as Split hashes its label, and never joined, so a label
+// built from a URL and a few constants costs no allocation. Split stays
+// the reference it is tested against.
+func Keyed(seed uint64, parts ...string) RNG {
+	h := uint64(14695981039346656037)
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			h ^= uint64(p[i])
+			h *= 1099511628211
+		}
+	}
+	parent := seeded(seed)
+	return seeded(parent.Uint64() ^ h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

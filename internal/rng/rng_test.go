@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +53,40 @@ func TestSplitIndependence(t *testing.T) {
 	if !diff {
 		t.Fatal("splits with different labels produced identical streams")
 	}
+}
+
+// keyedMatchesSplit fails t unless Keyed(seed, parts...) draws what
+// Split, the reference, draws from New(seed) for the joined label.
+func keyedMatchesSplit(t *testing.T, seed uint64, parts ...string) {
+	t.Helper()
+	got := Keyed(seed, parts...)
+	want := New(seed).Split(strings.Join(parts, ""))
+	for i := 0; i < 16; i++ {
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("Keyed(%d, %q) draw %d = %#x, Split says %#x", seed, parts, i, g, w)
+		}
+	}
+}
+
+func TestKeyedMatchesSplit(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 1 << 63} {
+		keyedMatchesSplit(t, seed)
+		keyedMatchesSplit(t, seed, "")
+		keyedMatchesSplit(t, seed, "hosts")
+		keyedMatchesSplit(t, seed, "page/", "nih.gov", "/", "117")
+		keyedMatchesSplit(t, seed, "fault/trunc/", "http://cancer.org/p9.html", "/", "2")
+		keyedMatchesSplit(t, seed, "", "fail/", "", "http://h0/p1.html")
+	}
+}
+
+func FuzzKeyedMatchesSplit(f *testing.F) {
+	f.Add(uint64(1), "page/nih.gov/117", 5)
+	f.Add(uint64(3), "fail/http://cancer.org/p9.html", 0)
+	f.Add(uint64(0), "", 0)
+	f.Fuzz(func(t *testing.T, seed uint64, label string, cut int) {
+		cut = int(uint(cut) % uint(len(label)+1))
+		keyedMatchesSplit(t, seed, label[:cut], label[cut:])
+	})
 }
 
 func TestIntnBounds(t *testing.T) {

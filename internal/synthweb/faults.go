@@ -70,7 +70,7 @@ const (
 // HostFaults returns a host's fault profile — a pure function of
 // (config seed, host name), so the assignment survives restarts.
 func (w *Web) HostFaults(host string) HostFaultProfile {
-	r := rng.New(w.cfg.Seed).Split("fault/host/" + host)
+	r := rng.Keyed(w.cfg.Seed, "fault/host/", host)
 	return HostFaultProfile{
 		Dead:        r.Bool(w.cfg.DeadHostShare),
 		Slow:        r.Bool(w.cfg.SlowHostShare),
@@ -86,7 +86,7 @@ func (w *Web) transientFailsThrough(rawurl string) int {
 	if w.cfg.FailureRate <= 0 {
 		return 0
 	}
-	r := rng.New(w.cfg.Seed).Split("fail/" + rawurl)
+	r := rng.Keyed(w.cfg.Seed, "fail/", rawurl)
 	if !r.Bool(w.cfg.FailureRate) {
 		return 0
 	}
@@ -96,7 +96,8 @@ func (w *Web) transientFailsThrough(rawurl string) int {
 // rateLimitFailsThrough returns how many leading attempts a URL on a
 // throttling host is rejected (1 or 2), deterministic per URL.
 func (w *Web) rateLimitFailsThrough(rawurl string) int {
-	return 1 + rng.New(w.cfg.Seed).Split("fault/rate/"+rawurl).Intn(2)
+	r := rng.Keyed(w.cfg.Seed, "fault/rate/", rawurl)
+	return 1 + r.Intn(2)
 }
 
 // truncated reports whether one specific attempt's transfer is cut off,
@@ -105,7 +106,7 @@ func (w *Web) truncated(rawurl string, attempt int) (bool, float64) {
 	if w.cfg.TruncateRate <= 0 {
 		return false, 0
 	}
-	r := rng.New(w.cfg.Seed).Split("fault/trunc/" + rawurl + "/" + strconv.Itoa(attempt))
+	r := rng.Keyed(w.cfg.Seed, "fault/trunc/", rawurl, "/", strconv.Itoa(attempt))
 	if !r.Bool(w.cfg.TruncateRate) {
 		return false, 0
 	}

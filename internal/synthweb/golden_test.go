@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -116,13 +117,32 @@ func eachPage(t *testing.T, w *Web, tokens bool, fn func(url string, p *Page)) {
 	}
 }
 
+// servedKind names the class of a page that the served-page check in
+// TestRenderGolden must sample: each is rendered through its own path.
+func servedKind(p *Page) string {
+	switch {
+	case strings.Contains(p.URL, "/trap/"):
+		return "trap"
+	case p.Portal:
+		return "portal"
+	case p.MirrorOf != "":
+		return "mirror"
+	case !p.MIME.IsTextual():
+		return "binary"
+	case p.Lang != "en":
+		return "foreign"
+	}
+	return "regular"
+}
+
 // TestRenderGolden hashes every page of a fixed default-shaped web — URL,
 // served bytes, links, net text, labels, and each gold document's tokens,
 // sentence spans and mentions — and compares the hash with the one the
 // renderer's predecessor printed. A rewrite of the simulator that is meant
-// to change no byte must leave it alone. Every page is also rendered as
-// Fetch serves it, whose gold document has no tokens, and must equal the
-// hashed page but for the document's Sentences.
+// to change no byte must leave it alone. A deterministic sample of the
+// pages — the first 32 of each kind and every 8th page — is also rendered
+// as Fetch serves it, whose gold document has no tokens, and must equal
+// the hashed page but for the document's Sentences.
 func TestRenderGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders a 700-host web")
@@ -131,11 +151,17 @@ func TestRenderGolden(t *testing.T) {
 	h := sha256.New()
 	var g goldenWriter
 	pages := 0
+	sampled := map[string]int{}
 	eachPage(t, w, true, func(url string, p *Page) {
 		g.buf = g.buf[:0]
 		g.page(p)
 		h.Write(g.buf)
 		pages++
+		kind := servedKind(p)
+		if sampled[kind] >= 32 && pages%8 != 0 {
+			return
+		}
+		sampled[kind]++
 		served, err := w.page(url, false)
 		if err != nil {
 			t.Fatal(err)
@@ -151,9 +177,14 @@ func TestRenderGolden(t *testing.T) {
 		}
 	})
 	got := hex.EncodeToString(h.Sum(nil))
-	t.Logf("%d pages, hash %s", pages, got)
+	t.Logf("%d pages, hash %s; served pages compared by kind: %v", pages, got, sampled)
 	if got != renderGoldenHash {
 		t.Errorf("render hash over %d pages = %s, want %s", pages, got, renderGoldenHash)
+	}
+	for _, kind := range []string{"trap", "portal", "mirror", "binary", "foreign", "regular"} {
+		if sampled[kind] == 0 {
+			t.Errorf("no %s page in the served-page sample", kind)
+		}
 	}
 }
 

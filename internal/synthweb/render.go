@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"webtextie/internal/mimetype"
 	"webtextie/internal/rng"
@@ -20,13 +21,13 @@ const depthDecayOnset = 8
 // Its gold document carries its tokens only if tokens is set.
 func (w *Web) renderPage(h *Host, idx int, tokens bool) *Page {
 	r := w.pageRNG(h, idx)
-	p := w.gold(r, h, idx, tokens)
+	p := w.gold(&r, h, idx, tokens)
 	if !p.MIME.IsTextual() {
-		p.Body = binaryBody(r, p.MIME)
+		p.Body = binaryBody(&r, p.MIME)
 		return p
 	}
-	p.Links = w.pageLinks(r, h, idx, p)
-	p.Body = w.renderHTML(r, h, idx, p)
+	p.Links = w.pageLinks(&r, h, idx, p)
+	p.Body = w.renderHTML(&r, h, idx, p)
 	return p
 }
 
@@ -136,7 +137,8 @@ func trimToSentences(d *textgen.Doc, n int) {
 // stream and nothing of it is rendered, so a chain of mirrors recurses
 // through the gold step only.
 func (w *Web) mirrorGold(r *rng.RNG, h *Host, idx int, p *Page, tokens bool) {
-	src := w.gold(w.pageRNG(h, idx/2), h, idx/2, tokens)
+	sr := w.pageRNG(h, idx/2)
+	src := w.gold(&sr, h, idx/2, tokens)
 	if !src.MIME.IsTextual() || src.Lang != "en" || src.NetText == "" {
 		// Unusable source: a regular irrelevant page instead.
 		p.Doc = w.doc(r, textgen.Irrelevant, p.URL, tokens)
@@ -212,24 +214,43 @@ func foreignText(r *rng.RNG, lang string) string {
 	return strings.Join(words, " ")
 }
 
+// linkPool holds pageLinks' scratch, in which a page's out-links are
+// appended end to end.
+var linkPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // pageLinks computes the out-link set of a page: navigational intra-host
-// links plus a few cross-host content links with topical locality.
+// links plus a few cross-host content links with topical locality. Each
+// candidate is appended into pooled scratch and dropped again if it is
+// the page itself or a link already kept; the kept links are cut from
+// one string.
 func (w *Web) pageLinks(r *rng.RNG, h *Host, idx int, p *Page) []string {
 	nLinks := 4 + r.Intn(12)
 	if p.Portal {
 		nLinks = 15 + r.Intn(30) // hubs are link farms
 	}
-	// At most 45 links: de-duplicating by scanning beats hashing.
-	links := make([]string, 0, nLinks+1)
-	add := func(u string) {
-		if u != p.URL && !slices.Contains(links, u) {
-			links = append(links, u)
+	scratch := linkPool.Get().(*[]byte)
+	buf := (*scratch)[:0]
+	// ends[i] is where the i-th kept link ends in buf. At most 45 links:
+	// the ends fit on the stack, and de-duplicating by scanning beats
+	// hashing. add takes buf with one candidate appended.
+	ends := make([]int, 0, 45)
+	add := func(grown []byte) {
+		u, prev := grown[len(buf):], 0
+		dup := string(u) == p.URL
+		for _, end := range ends {
+			dup = dup || string(buf[prev:end]) == string(u)
+			prev = end
+		}
+		if !dup {
+			buf = grown
+			ends = append(ends, len(buf))
 		}
 	}
 	for i := 0; i < nLinks; i++ {
+		host, ti := h.Name, 0
 		if r.Bool(w.cfg.IntraHostLinkShare) {
 			// Navigational or same-host content link.
-			ti := r.Intn(h.Pages)
+			ti = r.Intn(h.Pages)
 			if w.cfg.DepthDecay > 0 && idx+1 < h.Pages {
 				// Forward-biased navigation: link a small window ahead,
 				// so the frontier marches from the dense shallow pages
@@ -240,27 +261,33 @@ func (w *Web) pageLinks(r *rng.RNG, h *Host, idx int, p *Page) []string {
 				}
 				ti = idx + 1 + r.Intn(window)
 			}
-			add(PageURL(h.Name, ti))
-			continue
+		} else {
+			// Cross-host link with topical locality. Most cross-host
+			// links point at site front pages (people link to
+			// homepages); since front pages are content-poor portals the
+			// classifier rejects, these chains die after one hop — the
+			// §2.2 weak-linking effect.
+			target := w.chooseTargetHost(r, h)
+			if target == nil {
+				continue
+			}
+			host = target.Name
+			if r.Bool(0.05) && target.Pages > 1 {
+				ti = r.Intn(target.Pages)
+			}
 		}
-		// Cross-host link with topical locality. Most cross-host links
-		// point at site front pages (people link to homepages); since
-		// front pages are content-poor portals the classifier rejects,
-		// these chains die after one hop — the §2.2 weak-linking effect.
-		target := w.chooseTargetHost(r, h)
-		if target == nil {
-			continue
-		}
-		ti := 0
-		if r.Bool(0.05) && target.Pages > 1 {
-			ti = r.Intn(target.Pages)
-		}
-		add(PageURL(target.Name, ti))
+		add(appendPageURL(buf, host, ti))
 	}
 	// Trap entrance: a dynamically generated calendar-style link.
 	if h.Trap && r.Bool(0.3) {
-		add(TrapURL(h.Name, 0))
+		add(append(buf, TrapURL(h.Name, 0)...))
 	}
+	all, links, prev := string(buf), make([]string, len(ends)), 0
+	for i, end := range ends {
+		links[i], prev = all[prev:end], end
+	}
+	*scratch = buf
+	linkPool.Put(scratch)
 	return links
 }
 

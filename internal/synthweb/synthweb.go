@@ -180,7 +180,9 @@ type Page struct {
 	// page's document carries no tokens (Sentences is nil).
 	Doc *textgen.Doc
 	// Links are the out-links as absolute URLs (both those rendered into
-	// the HTML and, equal to them, the gold link set).
+	// the HTML and, equal to them, the gold link set). A page's entries
+	// share one backing string: holding any one of them keeps all of
+	// them alive.
 	Links []string
 }
 
@@ -190,7 +192,6 @@ type Web struct {
 	Hosts  []*Host
 	byName map[string]*Host
 	gen    *textgen.Generator
-	base   *rng.RNG
 }
 
 // ErrNotFound is returned for URLs outside the universe.
@@ -199,7 +200,7 @@ var ErrNotFound = errors.New("synthweb: no such page")
 // New builds the web universe. Host metadata is materialized eagerly; page
 // bodies are rendered lazily and deterministically per URL.
 func New(cfg Config, gen *textgen.Generator) *Web {
-	w := &Web{cfg: cfg, byName: map[string]*Host{}, gen: gen, base: rng.New(cfg.Seed)}
+	w := &Web{cfg: cfg, byName: map[string]*Host{}, gen: gen}
 	r := rng.New(cfg.Seed).Split("hosts")
 	for i := 0; i < cfg.NumHosts; i++ {
 		h := &Host{}
@@ -251,7 +252,13 @@ func (w *Web) HostByName(name string) (*Host, bool) {
 
 // PageURL builds the canonical URL for a host page index.
 func PageURL(host string, index int) string {
-	return "http://" + host + "/p" + strconv.Itoa(index) + ".html"
+	return string(appendPageURL(make([]byte, 0, 64), host, index))
+}
+
+// appendPageURL appends PageURL(host, index) to b.
+func appendPageURL(b []byte, host string, index int) []byte {
+	b = append(append(append(b, "http://"...), host...), "/p"...)
+	return append(strconv.AppendInt(b, int64(index), 10), ".html"...)
 }
 
 // TrapURL builds a trap URL at the given depth.
@@ -358,7 +365,8 @@ func (w *Web) PageContent(rawurl string) (*Page, error) {
 	return w.page(rawurl, false)
 }
 
-// pageRNG derives the deterministic generator for one page.
-func (w *Web) pageRNG(h *Host, idx int) *rng.RNG {
-	return rng.New(w.cfg.Seed).Split("page/" + h.Name + "/" + strconv.Itoa(idx))
+// pageRNG derives the deterministic generator for one page, the stream
+// keyed "page/<host>/<idx>", by value.
+func (w *Web) pageRNG(h *Host, idx int) rng.RNG {
+	return rng.Keyed(w.cfg.Seed, "page/", h.Name, "/", string(strconv.AppendInt(make([]byte, 0, 20), int64(idx), 10)))
 }

@@ -85,7 +85,9 @@ supervisor-chaos:
 # classifier's word scanner and ProbRelevant against the predecessors kept
 # in their tests; so are the two FuzzRetention: the log sink and the trace
 # recorder on the shared obs.Keeper against the per-class retention loops
-# they replaced; and FuzzDecodeMatchesExtract: the CRF model's one decode
+# they replaced; FuzzRecorderMatchesReference: the trace recorder's
+# one-object starts and block snapshots against the span-map, deep-copy
+# recorder it replaced; and FuzzDecodeMatchesExtract: the CRF model's one decode
 # of all classes against each class's Extract; FuzzLeanDocMatchesDoc:
 # textgen's token-free LeanDoc against Doc; and FuzzKeyedMatchesSplit: the
 # simulator's keyed value RNGs against New(seed).Split(label), the
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFind -fuzztime=30s ./internal/ie/dict/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/evlog/
 	$(GO) test -run=NONE -fuzz=FuzzRetention -fuzztime=30s ./internal/obs/trace/
+	$(GO) test -run=NONE -fuzz=FuzzRecorderMatchesReference -fuzztime=60s ./internal/obs/trace/
 	$(GO) test -run=NONE -fuzz=FuzzLeanDocMatchesDoc -fuzztime=30s ./internal/textgen/
 	$(GO) test -run=NONE -fuzz=FuzzKeyedMatchesSplit -fuzztime=15s ./internal/rng/
 

@@ -296,6 +296,29 @@ var extraRows = []gateRow{
 			tc.Finish(3)
 		}
 	}},
+	// Tracing on, as the crawler's inject runs it for each URL: Start makes
+	// the one object holding the trace, its root span and the inject
+	// event with both attrs; the rest is the trace map's amortized growth.
+	{"trace_start_inject", 3, 1436, "http://h0/p1 http://h1/p2 http://h2/p3", func(in string) func() {
+		urls := strings.Fields(in)
+		rec := trace.NewRecorder(trace.DefaultConfig(1))
+		return func() {
+			for _, u := range urls {
+				tc := rec.Start("crawler.url", u, 0, trace.String("host", u[7:9]))
+				tc.Event("frontier.inject", 0, trace.Int("depth", 1))
+			}
+		}
+	}},
+	// A snapshot of 64 one-span traces copies them in blocks: the snapshot,
+	// its trace pointers, and one slice each of traces, spans and span
+	// pointers, however many traces there are.
+	{"trace_snapshot", 5, 14416, strings.Repeat("t ", 64), func(in string) func() {
+		rec := trace.NewRecorder(trace.DefaultConfig(1))
+		for i, f := range strings.Fields(in) {
+			rec.Start("crawler.url", f+strconv.Itoa(i), 0, trace.String("host", "h0"))
+		}
+		return func() { _ = rec.Snapshot() }
+	}},
 	// One label slice per page.
 	{"boiler_classify", 1, 192, "", func(string) func() {
 		return func() { _ = boilerClassifier.Classify(gateBlocks) }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -353,6 +354,28 @@ func invisibility(t *testing.T) {
 		fixture{pillars: noPillars, dop: 1}.run(t).ex)
 	diffExports(t, "trace+log only", ref.without("series", "profile"),
 		fixture{pillars: traceAndLog, dop: 1}.run(t).ex)
+}
+
+// traceGolden is the sha256 of the fixture's trace exports. The digests
+// were recorded before the recorder's block-copy rewrite, so they show
+// that no trace byte moved with it; the identities above compare runs of
+// one build only and cannot.
+var traceGolden = map[string]string{
+	"trace":      "a8ad382b2f246193035122f7d96f542e0646dbecaf008a43b5219749804e15e1",
+	"trace-json": "00011a708f0055a9fb6b204b8cf530a30a18c16709389dd8b7bef4e54e33f166",
+}
+
+// TestFleetTraceGolden pins the all-pillars chaos fleet's trace exports
+// at DoP 1 and at full DoP to traceGolden.
+func TestFleetTraceGolden(t *testing.T) {
+	for _, f := range []fixture{reference, {dop: 4}} {
+		ex := f.run(t).ex
+		for _, name := range []string{"trace", "trace-json"} {
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(ex[name]))); got != traceGolden[name] {
+				t.Errorf("DoP %d: sha256(%s) = %s, want %s", f.dop, name, got, traceGolden[name])
+			}
+		}
+	}
 }
 
 // The per-pillar identity tests TestFleetIdentity replaced keep their

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -247,6 +248,26 @@ func samePlanIdentity(t *testing.T) {
 	ref := reference.run(t)
 	for rerun := range 2 {
 		diffExports(t, fmt.Sprintf("same plan, run %d", rerun+1), ref, fixture{dop: 4, rerun: rerun, reused: true}.run(t))
+	}
+}
+
+// traceGolden is the sha256 of the reference execution's trace exports.
+// The digests were recorded before the recorder's block-copy rewrite, so
+// they show that no trace byte moved with it; the identities above
+// compare runs of one build only and cannot.
+var traceGolden = map[string]string{
+	"trace":      "825b3126244492f12a52c37e6e8952a22491d34205b42438cb4325e0200bce59",
+	"trace-json": "97d254464270708dc6b690353e6ea8b84cbf0ed1ea912a1b6678883fb101b1a1",
+}
+
+// TestExecTraceGolden pins the reference execution's trace exports to
+// traceGolden.
+func TestExecTraceGolden(t *testing.T) {
+	ex := reference.run(t)
+	for _, name := range []string{"trace", "trace-json"} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(ex[name]))); got != traceGolden[name] {
+			t.Errorf("sha256(%s) = %s, want %s", name, got, traceGolden[name])
+		}
 	}
 }
 

@@ -9,32 +9,29 @@ package trace
 // and loss counters — the merged snapshot Loads into a fresh recorder and
 // exports deterministically. Marks concatenate in shard order.
 //
+// Each shard's traces are copied once, in blocks, as Snapshot copies
+// them. The inputs are never mutated; like them, the merged snapshot is
+// read-only, sharing their attr and event slices (and their marks').
+//
 // The merge is deterministic in the argument order: callers pass shards
 // in index order so one fleet always renders one byte sequence.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	out := &Snapshot{Traces: []*Trace{}}
-	var base uint64
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
-		for _, t := range s.Traces {
-			cp := copyTrace(t)
-			cp.StartIndex += base
-			out.Traces = append(out.Traces, cp)
+		n := len(out.Traces)
+		out.Traces = append(out.Traces, s.Traces...)
+		freeze(out.Traces[n:])
+		for _, t := range out.Traces[n:] {
+			t.StartIndex += out.StartSeq
 		}
-		for _, m := range s.Marks {
-			out.Marks = append(out.Marks, Mark{
-				Name:  m.Name,
-				AtMs:  m.AtMs,
-				Attrs: append([]Attr(nil), m.Attrs...),
-			})
-		}
-		base += s.StartSeq
+		out.Marks = append(out.Marks, s.Marks...)
+		out.StartSeq += s.StartSeq
 		out.Stats.Dropped += s.Stats.Dropped
 		out.Stats.DroppedActive += s.Stats.DroppedActive
 		out.Stats.PinDropped += s.Stats.PinDropped
 	}
-	out.StartSeq = base
 	return out
 }

@@ -58,6 +58,35 @@ func TestMergeIsDeepCopy(t *testing.T) {
 	}
 }
 
+// TestMergeLeavesInputsUnchanged: Merge copies its inputs' traces and
+// shares their attr and event slices, so neither merging nor a recorder
+// that loads the merge and emits on must change an input snapshot.
+func TestMergeLeavesInputsUnchanged(t *testing.T) {
+	ra, rb := recorderWith(1, "a/", 3), recorderWith(1, "b/", 3)
+	for i, r := range []*Recorder{ra, rb} {
+		tc := r.Start("crawler.url", []string{"a/open", "b/open"}[i], 100, String("host", "h0"))
+		tc.Event("frontier.inject", 100, Int("depth", 1))
+		tc.Error("breaker_open", 101)
+		r.Mark("checkpoint", 102, Int("cycle", 1))
+	}
+	a, b := ra.Snapshot(), rb.Snapshot()
+	wantA, wantB := snapJSON(t, a), snapJSON(t, b)
+	m := Merge(a, b)
+	resumed := NewRecorder(DefaultConfig(1))
+	resumed.Load(m)
+	for _, tr := range m.Traces {
+		if !tr.Done {
+			tc := resumed.Context(tr.ID)
+			tc.Event("fetch.ok", 200, Int("bytes", 10))
+			tc.Error("aaa_first", 201, String("cause", "late"))
+			tc.Finish(202)
+		}
+	}
+	if snapJSON(t, a) != wantA || snapJSON(t, b) != wantB {
+		t.Error("merging, or emitting on a recorder loaded from the merge, changed an input snapshot")
+	}
+}
+
 func TestMergeSumsStatsAndConcatenatesMarks(t *testing.T) {
 	ra := recorderWith(1, "a/", 2)
 	ra.Mark("phase.one", 100)

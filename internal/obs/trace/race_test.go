@@ -83,7 +83,9 @@ func TestConcurrentPinsSurvive(t *testing.T) {
 }
 
 // TestConcurrentSnapshotWhileEmitting takes snapshots while workers are
-// still emitting — the live /traces endpoint path — under -race.
+// still emitting — the live /traces endpoint path — under -race. The
+// snapshots share the traces' attr and event backing arrays, which the
+// workers keep appending to.
 func TestConcurrentSnapshotWhileEmitting(t *testing.T) {
 	r := NewRecorder(Config{Seed: 3, MaxActive: 4096})
 	stop := make(chan struct{})
@@ -93,10 +95,13 @@ func TestConcurrentSnapshotWhileEmitting(t *testing.T) {
 		go func(w int) {
 			defer emitters.Done()
 			for i := 0; i < 200; i++ {
-				tc := r.Start("test.record", fmt.Sprintf("w%d-%d", w, i), int64(i))
+				tc := r.Start("test.record", fmt.Sprintf("w%d-%d", w, i), int64(i), Int("w", int64(w)))
 				sub := tc.StartSpanKeyed("test.op.first", 1, int64(i))
 				sub.Event("op.enter", int64(i))
 				sub.End(int64(i) + 1)
+				// Appends into the trace's attr buffer and event slices,
+				// which snapshots taken meanwhile share.
+				tc.Event("op.exit", int64(i)+1, Int("i", int64(i)))
 				tc.Finish(int64(i) + 2)
 			}
 		}(w)

@@ -1,8 +1,8 @@
 package trace
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"webtextie/internal/obs"
@@ -67,7 +67,7 @@ type Recorder struct {
 	cfg Config
 
 	startSeq uint64
-	traces   map[TraceID]*Trace
+	traces   map[TraceID]*live
 	active   int
 	pinCount int
 
@@ -104,10 +104,46 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 	return &Recorder{
 		cfg:       cfg,
-		traces:    map[TraceID]*Trace{},
+		traces:    map[TraceID]*live{},
 		tail:      obs.NewKeeper(cfg.TailKeep, newestFirst),
 		reservoir: obs.NewKeeper(cfg.ReservoirKeep, byPriority),
 	}
+}
+
+// live is a trace as the recorder holds it: the exported Trace plus
+// inline storage for a short trace — its root span, a one-entry span
+// list, the root's first event and a few attrs — so Start makes one
+// object. Snapshots copy the embedded Trace alone.
+type live struct {
+	Trace
+	root   SpanData
+	spans  [1]*SpanData
+	events [1]Event
+	attrs  [4]Attr
+	nattrs int // attrs entries in use
+}
+
+// hold returns n attr slots the trace keeps: from the inline buffer while
+// it has room, else a fresh slice. The slots are capped, so no append to
+// them reaches the buffer's next entries.
+func (l *live) hold(n int) []Attr {
+	if n == 0 {
+		return nil
+	}
+	if l.nattrs+n > len(l.attrs) {
+		return make([]Attr, n)
+	}
+	a := l.attrs[l.nattrs : l.nattrs+n : l.nattrs+n]
+	l.nattrs += n
+	return a
+}
+
+// keep copies a call site's attrs into slots the trace holds, so the
+// caller's variadic slice never escapes.
+func (l *live) keep(attrs []Attr) []Attr {
+	a := l.hold(len(attrs))
+	copy(a, attrs)
+	return a
 }
 
 // kept is an evictable trace's retention identity, computed once when it
@@ -156,18 +192,20 @@ func (r *Recorder) Start(name, key string, atMs int64, attrs ...Attr) Context {
 	idx := r.startSeq
 	r.startSeq++
 	id := TraceID(nonZero(obs.FNVMix(r.cfg.Seed, obs.FNVString(key), idx)))
-	root := &SpanData{
+	l := &live{Trace: Trace{ID: id, Key: key, StartIndex: idx, StartMs: atMs, EndMs: atMs}}
+	l.root = SpanData{
 		ID:      SpanID(nonZero(obs.FNVMix(uint64(id), 0, 0))),
 		Name:    name,
 		StartMs: atMs,
 		EndMs:   atMs,
-		Attrs:   slices.Clone(attrs),
+		Attrs:   l.keep(attrs),
+		Events:  l.events[:0],
 	}
-	t := &Trace{ID: id, Key: key, StartIndex: idx, StartMs: atMs, EndMs: atMs}
-	t.addSpan(root)
-	r.traces[id] = t
+	l.spans[0] = &l.root
+	l.Spans = l.spans[:]
+	r.traces[id] = l
 	r.active++
-	return Context{r: r, Trace: id, Span: root.ID}
+	return Context{r: r, Trace: id, Span: l.root.ID}
 }
 
 // Context returns a handle onto the root span of a known unfinished
@@ -197,7 +235,7 @@ func (r *Recorder) Mark(name string, atMs int64, attrs ...Attr) {
 }
 
 // lockedSpan resolves the context's span with the recorder lock held.
-func (c Context) lockedSpan() (*Trace, *SpanData) {
+func (c Context) lockedSpan() (*live, *SpanData) {
 	t := c.r.traces[c.Trace]
 	if t == nil {
 		return nil, nil
@@ -214,7 +252,7 @@ func (c Context) StartSpan(name string, atMs int64, attrs ...Attr) Context {
 	}
 	c.r.mu.Lock()
 	defer c.r.mu.Unlock()
-	t, _ := c.lockedSpan()
+	t := c.r.traces[c.Trace]
 	if t == nil || t.Done {
 		return Context{}
 	}
@@ -231,23 +269,23 @@ func (c Context) StartSpanKeyed(name string, slot uint64, atMs int64, attrs ...A
 	}
 	c.r.mu.Lock()
 	defer c.r.mu.Unlock()
-	t, _ := c.lockedSpan()
+	t := c.r.traces[c.Trace]
 	if t == nil || t.Done {
 		return Context{}
 	}
 	return c.startSpanLocked(t, name, slot, atMs, attrs)
 }
 
-func (c Context) startSpanLocked(t *Trace, name string, slot uint64, atMs int64, attrs []Attr) Context {
+func (c Context) startSpanLocked(t *live, name string, slot uint64, atMs int64, attrs []Attr) Context {
 	sp := &SpanData{
 		ID:      SpanID(nonZero(obs.FNVMix(uint64(c.Trace), uint64(c.Span), slot, obs.FNVString(name)))),
 		Parent:  c.Span,
 		Name:    name,
 		StartMs: atMs,
 		EndMs:   atMs,
-		Attrs:   slices.Clone(attrs),
+		Attrs:   t.keep(attrs),
 	}
-	t.addSpan(sp)
+	t.Spans = append(t.Spans, sp)
 	if atMs > t.EndMs {
 		t.EndMs = atMs
 	}
@@ -265,7 +303,7 @@ func (c Context) Event(name string, atMs int64, attrs ...Attr) {
 	if t == nil || sp == nil || t.Done {
 		return
 	}
-	sp.Events = append(sp.Events, Event{Name: name, AtMs: atMs, Attrs: slices.Clone(attrs)})
+	sp.Events = append(sp.Events, Event{Name: name, AtMs: atMs, Attrs: t.keep(attrs)})
 	if atMs > sp.EndMs {
 		sp.EndMs = atMs
 	}
@@ -307,13 +345,15 @@ func (c Context) Error(class string, atMs int64, attrs ...Attr) {
 	if t == nil || sp == nil || t.Done {
 		return
 	}
-	sp.Events = append(sp.Events, Event{Name: "error", AtMs: atMs,
-		Attrs: append([]Attr{{Key: "class", Value: class}}, attrs...)})
+	a := t.hold(1 + len(attrs))
+	a[0] = Attr{Key: "class", Value: class}
+	copy(a[1:], attrs)
+	sp.Events = append(sp.Events, Event{Name: "error", AtMs: atMs, Attrs: a})
 	if atMs > t.EndMs {
 		t.EndMs = atMs
 	}
 	t.addErrClass(class)
-	c.r.pinLocked(t)
+	c.r.pinLocked(&t.Trace)
 }
 
 // pinLocked promotes a trace to the pinned retention class. Only an
@@ -352,7 +392,7 @@ func (c Context) Finish(atMs int64) {
 		sp.EndMs = t.EndMs
 	}
 	c.r.active--
-	c.r.retainLocked(t)
+	c.r.retainLocked(&t.Trace)
 }
 
 // retainLocked slots one completed trace into the retention classes — on
@@ -381,10 +421,13 @@ type SnapshotStats struct {
 	PinDropped    uint64 `json:"pin_dropped,omitempty"`
 }
 
-// Snapshot is a deep, consistent copy of the recorder: every retained
-// trace (active and completed) in StartIndex order with spans sorted into
-// the canonical deterministic order, plus the sequence counters needed to
-// continue the ID stream after a resume. It is plain JSON-encodable data.
+// Snapshot is a consistent copy of the recorder: every retained trace
+// (active and completed) in StartIndex order with spans sorted into the
+// canonical deterministic order, plus the sequence counters needed to
+// continue the ID stream after a resume. It is plain JSON-encodable data,
+// and read-only: its traces and spans are its own, but their Attrs and
+// Events slices (and its marks' Attrs) share the recorder's backing
+// arrays.
 type Snapshot struct {
 	StartSeq uint64        `json:"start_seq"`
 	Stats    SnapshotStats `json:"stats,omitempty"`
@@ -392,8 +435,9 @@ type Snapshot struct {
 	Traces   []*Trace      `json:"traces"`
 }
 
-// Snapshot freezes the recorder. The copy shares nothing with the live
-// recorder.
+// Snapshot freezes the recorder. Later emission never shows in the copy:
+// the recorder only appends to the attr and event slices it shares, past
+// the copy's capped ends, and never rewrites an element of one.
 func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
@@ -411,53 +455,72 @@ func (r *Recorder) Snapshot() *Snapshot {
 		Traces: make([]*Trace, 0, len(r.traces)),
 	}
 	for _, t := range r.traces {
-		s.Traces = append(s.Traces, copyTrace(t))
+		s.Traces = append(s.Traces, &t.Trace)
 	}
-	sort.Slice(s.Traces, func(i, j int) bool {
-		return s.Traces[i].StartIndex < s.Traces[j].StartIndex
-	})
+	slices.SortFunc(s.Traces, func(a, b *Trace) int { return cmp.Compare(a.StartIndex, b.StartIndex) })
+	freeze(s.Traces)
 	return s
 }
 
-// copyTrace deep-copies a trace with spans in canonical order: sorted by
-// (StartMs, Parent, ID). Span insertion order can race under concurrent
-// emitters; the sort key is made of derived values only, so the canonical
-// order is deterministic per seed.
-func copyTrace(t *Trace) *Trace {
-	out := &Trace{
-		ID:         t.ID,
-		Key:        t.Key,
-		StartIndex: t.StartIndex,
-		StartMs:    t.StartMs,
-		EndMs:      t.EndMs,
-		Done:       t.Done,
-		Pinned:     t.Pinned,
-		ErrClasses: append([]string(nil), t.ErrClasses...),
-		Spans:      make([]*SpanData, len(t.Spans)),
+// freeze replaces every trace in ts by a copy, made in blocks: one slice
+// of traces, one of spans, one of span pointers and one of error classes
+// for all of them, whatever their number. Each copy's spans are sorted
+// canonically by (StartMs, Parent, ID): insertion order can race under
+// concurrent emitters, and the sort key is made of derived values only, so
+// the canonical order is deterministic per seed. Attrs and Events are
+// shared, capped at their length; ErrClasses is copied, since addErrClass
+// inserts in place.
+func freeze(ts []*Trace) {
+	var nSpans, nErrs int
+	for _, t := range ts {
+		nSpans += len(t.Spans)
+		nErrs += len(t.ErrClasses)
 	}
-	for i, sp := range t.Spans {
-		cp := &SpanData{
-			ID:      sp.ID,
-			Parent:  sp.Parent,
-			Name:    sp.Name,
-			StartMs: sp.StartMs,
-			EndMs:   sp.EndMs,
-			Attrs:   append([]Attr(nil), sp.Attrs...),
-			Events:  append([]Event(nil), sp.Events...),
+	traces := make([]Trace, len(ts))
+	spans := make([]SpanData, nSpans)
+	ptrs := make([]*SpanData, nSpans)
+	errs := make([]string, nErrs)
+	for i, t := range ts {
+		cp := &traces[i]
+		*cp = *t
+		n := len(t.Spans)
+		cp.Spans, ptrs = ptrs[:n:n], ptrs[n:]
+		for j, sp := range t.Spans {
+			spans[j] = *sp
+			spans[j].Attrs = capped(sp.Attrs)
+			spans[j].Events = capped(sp.Events)
+			cp.Spans[j] = &spans[j]
 		}
-		out.Spans[i] = cp
+		spans = spans[n:]
+		if n > 1 {
+			slices.SortFunc(cp.Spans, spanOrder)
+		}
+		cp.ErrClasses = nil
+		if k := len(t.ErrClasses); k > 0 {
+			cp.ErrClasses, errs = errs[:k:k], errs[k:]
+			copy(cp.ErrClasses, t.ErrClasses)
+		}
+		ts[i] = cp
 	}
-	sort.Slice(out.Spans, func(i, j int) bool {
-		a, b := out.Spans[i], out.Spans[j]
-		if a.StartMs != b.StartMs {
-			return a.StartMs < b.StartMs
-		}
-		if a.Parent != b.Parent {
-			return a.Parent < b.Parent
-		}
-		return a.ID < b.ID
-	})
-	return out
+}
+
+// capped is s with no spare capacity, nil when empty.
+func capped[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
+}
+
+// spanOrder is the canonical span order.
+func spanOrder(a, b *SpanData) int {
+	if c := cmp.Compare(a.StartMs, b.StartMs); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Parent, b.Parent); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Load restores a snapshot into a fresh recorder (the resume half of
@@ -482,14 +545,16 @@ func (r *Recorder) Load(s *Snapshot) {
 	r.droppedActive = s.Stats.DroppedActive
 	r.pinDropped = s.Stats.PinDropped
 	r.marks = append([]Mark(nil), s.Marks...)
-	for _, t := range s.Traces {
-		cp := copyTrace(t)
-		r.traces[cp.ID] = cp
-		if cp.Pinned {
+	ts := slices.Clone(s.Traces)
+	freeze(ts)
+	for _, t := range ts {
+		l := &live{Trace: *t}
+		r.traces[l.ID] = l
+		if l.Pinned {
 			r.pinCount++
 		}
-		if cp.Done {
-			r.retainLocked(cp)
+		if l.Done {
+			r.retainLocked(&l.Trace)
 		} else {
 			r.active++
 		}

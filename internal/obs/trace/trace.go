@@ -111,24 +111,18 @@ type Trace struct {
 	// ErrClasses lists the distinct error classes seen, sorted.
 	ErrClasses []string    `json:"err_classes,omitempty"`
 	Spans      []*SpanData `json:"spans"`
-
-	spanIdx map[SpanID]*SpanData
 }
 
+// span finds a span by ID, scanning from the newest: emitters nearly
+// always address the span they opened last. A duplicated ID resolves to
+// its last entry.
 func (t *Trace) span(id SpanID) *SpanData {
-	if t.spanIdx == nil {
-		t.spanIdx = make(map[SpanID]*SpanData, len(t.Spans))
-		for _, s := range t.Spans {
-			t.spanIdx[s.ID] = s
+	for i := len(t.Spans) - 1; i >= 0; i-- {
+		if sp := t.Spans[i]; sp.ID == id {
+			return sp
 		}
 	}
-	return t.spanIdx[id]
-}
-
-func (t *Trace) addSpan(s *SpanData) {
-	t.span(0) // materialize the index
-	t.Spans = append(t.Spans, s)
-	t.spanIdx[s.ID] = s
+	return nil
 }
 
 // addErrClass inserts a class into the sorted distinct list.

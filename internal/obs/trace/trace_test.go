@@ -113,6 +113,42 @@ func TestFinishedTraceIsImmutable(t *testing.T) {
 	}
 }
 
+// TestSnapshotUnaffectedByLaterEmission: a snapshot shares its attr and
+// event slices with the recorder, so emission after it — appends into the
+// same attr buffer and event backings, an error class inserted in place,
+// spans, ends, finishes and starts that evict — must not show in it.
+func TestSnapshotUnaffectedByLaterEmission(t *testing.T) {
+	r := NewRecorder(Config{Seed: 1, HeadKeep: 1, TailKeep: 1, ReservoirKeep: 1})
+	tc := r.Start("crawler.url", "http://h0/a", 0, String("host", "h0"))
+	tc.Event("frontier.inject", 0, Int("depth", 0)) // two attrs of the inline four
+	at := tc.StartSpan("crawler.fetch.attempt", 1)
+	for i := range 3 { // three events in a backing of four
+		at.Event("fetch.retry", int64(2+i))
+	}
+	ot := r.Start("crawler.url", "http://h0/b", 0)
+	for _, class := range []string{"m_class", "n_class", "o_class"} { // three classes in a backing of four
+		ot.Error(class, 5)
+	}
+	snap := r.Snapshot()
+	want, wantText := snapJSON(t, snap), snap.Text()
+
+	at.Event("fetch.retry", 6, Int("attempt", 1))
+	ot.Error("a_class", 7, String("cause", "sorts first"))
+	tc.Event("fetch.ok", 8, Int("bytes", 10))
+	tc.StartSpan("crawler.fetch.attempt", 9, Int("attempt", 2)).End(10)
+	at.End(11)
+	tc.Finish(12)
+	for i := range 4 {
+		r.Start("crawler.url", "http://h1/"+string(rune('a'+i)), 13, String("host", "h1")).Finish(14)
+	}
+	if got := snapJSON(t, snap); got != want {
+		t.Fatalf("later emission changed the snapshot:\nbefore:\n%s\nafter:\n%s", want, got)
+	}
+	if got := snap.Text(); got != wantText {
+		t.Fatalf("later emission changed the snapshot's text:\nbefore:\n%s\nafter:\n%s", wantText, got)
+	}
+}
+
 func TestNoopContexts(t *testing.T) {
 	var r *Recorder // nil recorder is always-off
 	tc := r.Start("x", "k", 0)

@@ -296,6 +296,14 @@ var extraRows = []gateRow{
 			tc.Finish(3)
 		}
 	}},
+	// A sampled-out Debug, as the crawler's frontier.inject sheds seven
+	// in eight: the logger returns before it copies the attrs, so they
+	// stay on the caller's stack and a shed record costs nothing.
+	{"evlog_sampled_out", 0, 0, "", func(string) func() {
+		return func() {
+			gateLog.Sample("http://h0/p1", 1<<20).Debug("frontier.inject", 9000, trace.String("url", "http://h0/p1"), trace.Int("depth", 3))
+		}
+	}},
 	// Tracing on, as the crawler's inject runs it for each URL: Start makes
 	// the one object holding the trace, its root span and the inject
 	// event with both attrs; the rest is the trace map's amortized growth.
@@ -340,9 +348,9 @@ var extraRows = []gateRow{
 		_, sents := nlp.SentenceTokens(in)
 		return func() { _ = gateCRF.Decode(in, sents) }
 	}},
-	// One record into a full sink costs what rendering its identity once
-	// costs — the attrs, the line, the totals key — however much the sink
-	// already holds: no class re-renders what it kept to decide what goes.
+	// A kept record into a full sink copies its attrs once, renders its
+	// line once and builds its totals key, however much the sink already
+	// holds: no class re-renders what it kept to decide what goes.
 	{"evlog_warn_full_sink", 12, 280, "", func(string) func() {
 		return func() {
 			gateLog.Warn("fetch.error", 9000, trace.String("cause", "host down"), trace.Int("attempt", 3))

@@ -386,9 +386,6 @@ func (c *Crawler) WithTrace(rec *trace.Recorder) *Crawler {
 type crawlLogs struct {
 	frontier, fetch, filter, classify Logger
 	breaker, cycle, checkpoint        Logger
-	// crawl shares the cycle component but skips its rate limit so the
-	// terminal crawl.done record always lands.
-	crawl Logger
 }
 
 // Logger aliases evlog.Logger so crawlLogs stays readable.
@@ -396,10 +393,10 @@ type Logger = evlog.Logger
 
 // WithLog points the crawler at an event-log sink: frontier, fetch,
 // filter, classify, breaker, and checkpoint decisions are logged in
-// virtual-clock time, hot paths sampled or rate-limited, every record
-// carrying its URL's trace ID when tracing is on. On a resumed crawler
-// the checkpoint's log snapshot is loaded first, so the sink continues
-// the original stream and budgets. Returns the crawler for chaining.
+// virtual-clock time, hot paths hash-sampled, every record carrying its
+// URL's trace ID when tracing is on. On a resumed crawler the
+// checkpoint's log snapshot is loaded first, so the sink continues the
+// original stream and totals. Returns the crawler for chaining.
 func (c *Crawler) WithLog(sink *evlog.Sink) *Crawler {
 	c.p.Log = sink
 	sink.Load(c.resume.Logs)
@@ -409,9 +406,8 @@ func (c *Crawler) WithLog(sink *evlog.Sink) *Crawler {
 		filter:     sink.Logger("crawler.filter"),
 		classify:   sink.Logger("crawler.classify"),
 		breaker:    sink.Logger("crawler.breaker"),
-		cycle:      sink.Logger("crawler.cycle").RateLimit(8, 1),
+		cycle:      sink.Logger("crawler.cycle"),
 		checkpoint: sink.Logger("crawler.checkpoint"),
-		crawl:      sink.Logger("crawler.cycle"),
 	}
 	return c
 }
@@ -696,7 +692,7 @@ func (c *Crawler) Finish() *Result {
 	c.m.frontierPending.Set(int64(c.db.Pending()))
 	c.m.frontierKnown.Set(int64(c.db.Known()))
 	c.m.virtualMs.Set(c.stats.VirtualMs)
-	c.lg.crawl.Info("crawl.done", c.nowMs(),
+	c.lg.cycle.Info("crawl.done", c.nowMs(),
 		trace.Int("fetched", int64(c.stats.Fetched)),
 		trace.Int("relevant", int64(c.stats.Relevant)),
 		trace.Int("cycles", int64(c.stats.Cycles)))

@@ -69,9 +69,8 @@ type Setup struct {
 }
 
 // Setup builds the trace recorder, event-log sink, series recorder, and
-// profiler the flags ask for, all seeded/configured for determinism. The
-// sink's derived evlog.records counters land in the process metric
-// registry. -doctor and -debug-addr attach every pillar: the doctor's
+// profiler the flags ask for, all seeded/configured for determinism.
+// -doctor and -debug-addr attach every pillar: the doctor's
 // rules read all five, so the exit report and /doctor see the same
 // evidence.
 func (f *Flags) Setup(seed uint64) *Setup {
@@ -81,7 +80,7 @@ func (f *Flags) Setup(seed uint64) *Setup {
 		s.Trace = trace.NewRecorder(trace.DefaultConfig(seed))
 	}
 	if all || *f.LogOn || *f.LogOut != "" {
-		s.Log = evlog.NewSink(evlog.DefaultConfig(seed)).WithMetrics(obs.Default())
+		s.Log = evlog.NewSink(evlog.DefaultConfig(seed))
 	}
 	if all || *f.SeriesOn || *f.SeriesOut != "" {
 		s.Series = series.New(series.DefaultConfig())

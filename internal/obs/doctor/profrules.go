@@ -74,9 +74,12 @@ func shardCostSkew(in Input) []Finding {
 }
 
 // checkpointOverheadDominance fires when the wall-clock time spent
-// writing checkpoints rivals the wall-clock time spent crawling — the
-// durability knob (CheckpointEvery) is set so aggressively that the
-// crawl does more saving than fetching. Virtual time cannot see this:
+// writing checkpoints rivals the wall-clock time spent crawling. Repeated
+// crawl.checkpoint brackets come only from the supervisor's silent
+// per-round barrier checkpoints (Runner.BarrierCheckpoint →
+// Crawler.CheckpointSilent, one per shard per round; -checkpoint writes
+// one), so a firing rule prices supervision's restart points. Virtual
+// time cannot see this:
 // checkpointing is free on the simulated clock, so only the wall-clock
 // profiler exposes it.
 func checkpointOverheadDominance(in Input) []Finding {
@@ -103,7 +106,7 @@ func checkpointOverheadDominance(in Input) []Finding {
 		Evidence: []string{
 			fmt.Sprintf("profile: crawl.checkpoint=%dms over %d calls vs crawl.cycle=%dms over %d calls",
 				cp.WallNs/1e6, cp.Calls, cyc.WallNs/1e6, cyc.Calls),
-			"raise CheckpointEvery (or checkpoint on a coarser trigger) to reclaim the lost wall time (see /profile)",
+			"repeated checkpoints are the supervisor's silent per-round barrier checkpoints (Runner.BarrierCheckpoint, one per shard per round): this is the wall time -supervise pays for crash recovery (see /profile)",
 		},
 	}}
 }

@@ -135,6 +135,11 @@ func TestCheckpointOverheadDominance(t *testing.T) {
 			if found.Severity != tc.wantSev {
 				t.Errorf("severity = %v, want %v", found.Severity, tc.wantSev)
 			}
+			const wantSource = "repeated checkpoints are the supervisor's silent per-round barrier checkpoints " +
+				"(Runner.BarrierCheckpoint, one per shard per round): this is the wall time -supervise pays for crash recovery (see /profile)"
+			if got := found.Evidence[len(found.Evidence)-1]; got != wantSource {
+				t.Errorf("evidence names %q, want %q", got, wantSource)
+			}
 		})
 	}
 	// Without the pillar the rule cannot fire.

@@ -13,9 +13,8 @@
 //     (the crawler's discrete-event clock, the dataflow's plan-position
 //     logical clock);
 //   - sampling is hash-based — keep/drop is a pure function of
-//     (seed, component, sample key), never a racy counter;
-//   - rate limiting is a token bucket refilled by virtual time, for
-//     serial emitters (the crawler loop) only;
+//     (seed, component, sample key), never a racy counter, so serial
+//     and concurrent emitters shed the same records;
 //   - retention is a pure function of the emitted record multiset
 //     (bottom-k by seeded FNV priority, evict-min tails), so two
 //     same-seed runs export byte-identical logs even when records are
@@ -23,8 +22,8 @@
 //   - exporters render a canonical record order derived from record
 //     content, never from arrival order.
 //
-// Records at Warn and above bypass sampling and rate limiting: the
-// interesting records always land, only chatter is shed.
+// Records at Warn and above bypass sampling: the interesting records
+// always land, only chatter is shed.
 //
 // Attrs reuse trace.Attr, so the attribute vocabulary (and the lintx
 // key-hygiene grammar) is shared across pillars, and any record can
@@ -33,6 +32,7 @@ package evlog
 
 import (
 	"fmt"
+	"slices"
 
 	"webtextie/internal/obs"
 	"webtextie/internal/obs/trace"
@@ -106,7 +106,6 @@ type Logger struct {
 	s          *Sink
 	component  string
 	trace      trace.TraceID
-	rate       string // bucket key ("" = unlimited)
 	sampledOut bool
 }
 
@@ -137,23 +136,6 @@ func (l Logger) Sample(key string, n int) Logger {
 	return l
 }
 
-// RateLimit attaches the component's token bucket (creating it with the
-// given burst capacity and refill rate if absent): Debug/Info records
-// spend one token each, the bucket refills perSec tokens per virtual
-// second, and an empty bucket sheds the record (counted in the sink
-// stats). Buckets are keyed per component and their state rides
-// snapshots, so a resumed run continues the same budget. Valid for
-// serial emitters only — concurrent hot paths must use Sample, whose
-// keep/drop decision does not depend on emission order.
-func (l Logger) RateLimit(burst int, perSec float64) Logger {
-	if l.s == nil || burst <= 0 || perSec <= 0 {
-		return l
-	}
-	l.s.ensureBucket(l.component, burst, perSec)
-	l.rate = l.component
-	return l
-}
-
 // Debug emits a debug-level record.
 func (l Logger) Debug(msg string, atMs int64, attrs ...trace.Attr) {
 	l.emit(Debug, msg, atMs, attrs)
@@ -164,47 +146,33 @@ func (l Logger) Info(msg string, atMs int64, attrs ...trace.Attr) {
 	l.emit(Info, msg, atMs, attrs)
 }
 
-// Warn emits a warn-level record (never sampled or rate-limited).
+// Warn emits a warn-level record (never sampled).
 func (l Logger) Warn(msg string, atMs int64, attrs ...trace.Attr) {
 	l.emit(Warn, msg, atMs, attrs)
 }
 
-// Error emits an error-level record (never sampled or rate-limited).
+// Error emits an error-level record (never sampled).
 func (l Logger) Error(msg string, atMs int64, attrs ...trace.Attr) {
 	l.emit(Error, msg, atMs, attrs)
 }
 
+// emit hands the record to the sink. A shed record returns before its
+// attrs are copied, so a call site's variadic slice stays on its stack;
+// a kept record owns its copy.
 func (l Logger) emit(lv Level, msg string, atMs int64, attrs []trace.Attr) {
 	if l.s == nil {
 		return
 	}
-	rate := l.rate
-	if lv >= Warn {
-		rate = "" // severity bypasses shedding
-	} else if l.sampledOut {
+	if lv < Warn && l.sampledOut {
 		l.s.countSampledDrop()
 		return
 	}
-	l.s.emit(rate, Record{
+	l.s.emit(Record{
 		AtMs:      atMs,
 		Level:     lv,
 		Component: l.component,
 		Msg:       msg,
 		Trace:     l.trace,
-		Attrs:     attrs,
+		Attrs:     slices.Clone(attrs),
 	})
-}
-
-// MetricName joins metric name parts with dots — the sanctioned builder
-// for computed metric names (mirrors dataflow.MetricName; the lintx
-// metricname check allows it and nothing else).
-func MetricName(parts ...string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "."
-		}
-		out += p
-	}
-	return out
 }

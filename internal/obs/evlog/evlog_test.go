@@ -3,11 +3,11 @@ package evlog
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
 
-	"webtextie/internal/obs"
 	"webtextie/internal/obs/trace"
 )
 
@@ -49,7 +49,7 @@ func TestNilAndZeroAreNoOps(t *testing.T) {
 	var s *Sink
 	lg := s.Logger("nil.sink")
 	lg.Info("nothing.happens", 1, trace.String("k", "v"))
-	lg.Sample("x", 10).RateLimit(1, 1).Error("still.nothing", 2)
+	lg.Sample("x", 10).Error("still.nothing", 2)
 	if got := s.Snapshot(); len(got.Records) != 0 {
 		t.Errorf("nil sink snapshot has %d records", len(got.Records))
 	}
@@ -91,21 +91,6 @@ func TestEmitRetainAndExport(t *testing.T) {
 	}
 	if lc := snap.LevelCounts(); lc["debug"] != 1 || lc["info"] != 1 || lc["warn"] != 1 {
 		t.Errorf("LevelCounts = %v", lc)
-	}
-}
-
-func TestMinLevelGate(t *testing.T) {
-	s := NewSink(Config{Seed: 1, MinLevel: Warn})
-	lg := s.Logger("c.x")
-	lg.Debug("shed.debug", 1)
-	lg.Info("shed.info", 2)
-	lg.Warn("kept.warn", 3)
-	snap := s.Snapshot()
-	if len(snap.Records) != 1 || snap.Records[0].Msg != "kept.warn" {
-		t.Fatalf("MinLevel gate kept %v", snap.Records)
-	}
-	if snap.Stats.Emitted != 1 {
-		t.Errorf("emitted = %d, want 1 (below-level records are not emissions)", snap.Stats.Emitted)
 	}
 }
 
@@ -153,26 +138,6 @@ func TestSamplingDeterministicAndWarnBypass(t *testing.T) {
 	}
 	if !found {
 		t.Error("Warn did not bypass sampling")
-	}
-}
-
-func TestRateLimitVirtualClock(t *testing.T) {
-	s := NewSink(Config{Seed: 1})
-	lg := s.Logger("crawler.cycle").RateLimit(2, 1) // burst 2, 1 token/s
-	lg.Info("cycle.done", 0)
-	lg.Info("cycle.done", 10)   // bucket empty after this
-	lg.Info("cycle.done", 20)   // shed
-	lg.Warn("cycle.stall", 30)  // severity bypasses the bucket
-	lg.Info("cycle.done", 1015) // ~1 token refilled by 1s of virtual time
-	snap := s.Snapshot()
-	if snap.Stats.DroppedRated != 1 {
-		t.Errorf("dropped_rated = %d, want 1", snap.Stats.DroppedRated)
-	}
-	if snap.Stats.Emitted != 4 {
-		t.Errorf("emitted = %d, want 4", snap.Stats.Emitted)
-	}
-	if len(snap.Buckets) != 1 {
-		t.Errorf("bucket state missing from snapshot: %v", snap.Buckets)
 	}
 }
 
@@ -264,7 +229,7 @@ func emitOne(lg Logger, w, i int) {
 func TestSnapshotLoadResumeIdentity(t *testing.T) {
 	cfg := Config{Seed: 3, TailKeep: 8, ReservoirKeep: 4, PinKeep: 4}
 	feed := func(s *Sink, from, to int) {
-		lg := s.Logger("crawler.fetch").RateLimit(4, 10)
+		lg := s.Logger("crawler.fetch")
 		for i := from; i < to; i++ {
 			if i%11 == 0 {
 				lg.Warn("fetch.error", int64(i*7), trace.Int("attempt", int64(i)))
@@ -293,6 +258,48 @@ func TestSnapshotLoadResumeIdentity(t *testing.T) {
 	a, b := snapJSON(t, full.Snapshot()), snapJSON(t, resumed.Snapshot())
 	if a != b {
 		t.Errorf("resumed export differs from uninterrupted:\n%s\n----\n%s", a, b)
+	}
+}
+
+// oldSnapshot is a log snapshot as checkpoints wrote it while the sink
+// still had per-component token buckets: it carries their state under
+// "buckets" and their sheds under stats.dropped_rated.
+const oldSnapshot = `{"stats":{"emitted":3,"dropped_sampled":1,"dropped_rated":3},` +
+	`"totals":{"info crawler.cycle":2,"warn crawler.fetch":1},` +
+	`"buckets":{"crawler.cycle":{"burst":2,"per_sec":1,"tokens":0.40000000000000013,"last_ms":400}},` +
+	`"records":[{"at_ms":0,"level":"info","component":"crawler.cycle","msg":"cycle.done","attrs":[{"k":"fetched","v":"0"}]},` +
+	`{"at_ms":100,"level":"info","component":"crawler.cycle","msg":"cycle.done","attrs":[{"k":"fetched","v":"1"}]},` +
+	`{"at_ms":250,"level":"warn","component":"crawler.fetch","msg":"fetch.error","trace":48879,"attrs":[{"k":"cause","v":"host down"}]}]}`
+
+// TestOldSnapshotResumes: a checkpoint written before the buckets went
+// still loads, and resumes exactly as the same snapshot without the
+// bucket keys does.
+func TestOldSnapshotResumes(t *testing.T) {
+	var raw map[string]any
+	if err := json.Unmarshal([]byte(oldSnapshot), &raw); err != nil {
+		t.Fatal(err)
+	}
+	delete(raw, "buckets")
+	delete(raw["stats"].(map[string]any), "dropped_rated")
+	stripped, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(blob []byte) *Snapshot {
+		var snap Snapshot
+		if err := json.Unmarshal(blob, &snap); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSink(Config{Seed: 7, TailKeep: 3, ReservoirKeep: 1, PinKeep: 2})
+		s.Load(&snap)
+		return s.Snapshot()
+	}
+	old, cur := load([]byte(oldSnapshot)), load(stripped)
+	if len(old.Records) != 3 || old.Logfmt() != cur.Logfmt() {
+		t.Errorf("old snapshot resumes to\n%s\nwant\n%s", old.Logfmt(), cur.Logfmt())
+	}
+	if !maps.Equal(old.Totals, cur.Totals) || old.ComponentTotal(Info, "crawler.cycle") != 2 {
+		t.Errorf("old snapshot totals %v, want %v", old.Totals, cur.Totals)
 	}
 }
 
@@ -328,20 +335,5 @@ func TestFilter(t *testing.T) {
 	}
 	if got := snap.Filter(Filter{}); len(got.Records) != 4 {
 		t.Errorf("zero filter kept %d", len(got.Records))
-	}
-}
-
-func TestDerivedCounters(t *testing.T) {
-	reg := obs.New()
-	s := NewSink(Config{Seed: 1}).WithMetrics(reg)
-	lg := s.Logger("crawler.fetch")
-	lg.Info("fetch.ok", 1)
-	lg.Info("fetch.ok", 2)
-	lg.Warn("fetch.error", 3)
-	if got := reg.Counter("evlog.records.crawler.fetch.info").Value(); got != 2 {
-		t.Errorf("derived info counter = %d, want 2", got)
-	}
-	if got := reg.Counter("evlog.records.crawler.fetch.warn").Value(); got != 1 {
-		t.Errorf("derived warn counter = %d, want 1", got)
 	}
 }

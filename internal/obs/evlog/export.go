@@ -88,10 +88,10 @@ type Filter struct {
 }
 
 // Filter returns a shallow-copied snapshot holding only matching
-// records. Totals, stats, and buckets pass through unchanged: they
-// describe the whole run, not the filtered view.
+// records. Totals and stats pass through unchanged: they describe the
+// whole run, not the filtered view.
 func (s *Snapshot) Filter(f Filter) *Snapshot {
-	out := &Snapshot{Stats: s.Stats, Totals: s.Totals, Buckets: s.Buckets, Records: []Record{}}
+	out := &Snapshot{Stats: s.Stats, Totals: s.Totals, Records: []Record{}}
 	for _, r := range s.Records {
 		if r.Level >= f.MinLevel && strings.Contains(r.Component, f.Component) {
 			out.Records = append(out.Records, r)

@@ -5,12 +5,9 @@ package evlog
 // and loss counters summed. The result is deterministic in the record
 // multisets alone — shards emit on independent virtual clocks, so there
 // is no meaningful global emission order to preserve, and the canonical
-// sort gives every fleet exactly one byte rendering.
-//
-// Rate-bucket states are dropped: token budgets are per-shard throttle
-// state, not fleet observables, and a merged snapshot is an export
-// surface, not a resume point (resume goes through the per-shard
-// checkpoints, each carrying its own snapshot).
+// sort gives every fleet exactly one byte rendering. A merged snapshot
+// is an export surface, not a resume point: resume goes through the
+// per-shard checkpoints, each carrying its own snapshot.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	out := &Snapshot{}
 	var es []entry
@@ -29,7 +26,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		}
 		out.Stats.Emitted += s.Stats.Emitted
 		out.Stats.DroppedSampled += s.Stats.DroppedSampled
-		out.Stats.DroppedRated += s.Stats.DroppedRated
 		out.Stats.DroppedRetention += s.Stats.DroppedRetention
 		out.Stats.PinDropped += s.Stats.PinDropped
 	}

@@ -31,9 +31,6 @@ func newRefSink(cfg Config) *refSink {
 }
 
 func (s *refSink) emit(r Record) {
-	if r.Level < s.cfg.MinLevel {
-		return
-	}
 	s.stats.Emitted++
 	s.totals[totalKey(r.Level, r.Component)]++
 	if r.Level >= Warn {
@@ -260,7 +257,7 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
 func TestRetentionMatchesReference(t *testing.T) {
 	for ci, cfg := range []Config{
 		{TailKeep: 5, ReservoirKeep: 3, PinKeep: 4},
-		{TailKeep: 1, ReservoirKeep: 1, PinKeep: 1, MinLevel: Info},
+		{TailKeep: 1, ReservoirKeep: 1, PinKeep: 1},
 		{},
 	} {
 		eff, dense := NewSink(cfg).cfg, cfg != Config{}

@@ -21,8 +21,6 @@ import (
 type Config struct {
 	// Seed feeds sampling decisions and retention priorities.
 	Seed uint64
-	// MinLevel drops records below it at emission (default Debug).
-	MinLevel Level
 	// TailKeep is the ring of most recent Debug/Info records.
 	TailKeep int
 	// ReservoirKeep is the bottom-k sample size over tail evictees.
@@ -41,56 +39,26 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
-// bucket is one component's token bucket, in virtual time. The state is
-// exported so snapshots can carry budgets across checkpoint/resume.
-type bucket struct {
-	Burst  float64 `json:"burst"`
-	PerSec float64 `json:"per_sec"`
-	Tokens float64 `json:"tokens"`
-	LastMs int64   `json:"last_ms"`
-}
-
-// take spends one token, refilling first from elapsed virtual time.
-func (b *bucket) take(atMs int64) bool {
-	if atMs > b.LastMs {
-		b.Tokens += float64(atMs-b.LastMs) * b.PerSec / 1000
-		if b.Tokens > b.Burst {
-			b.Tokens = b.Burst
-		}
-		b.LastMs = atMs
-	}
-	if b.Tokens < 1 {
-		return false
-	}
-	b.Tokens--
-	return true
-}
-
 // Sink collects records under a single mutex. All methods are safe for
 // concurrent use; a nil *Sink is a valid always-off sink.
 type Sink struct {
 	mu  sync.Mutex
 	cfg Config
-	reg *obs.Registry
 
 	pinned *obs.Keeper[entry] // Warn/Error, bottom-PinKeep by priority
 	tail   *obs.Keeper[entry] // Debug/Info, most recent TailKeep
 	resv   *obs.Keeper[entry] // bottom-ReservoirKeep sample of tail evictees
 
-	totals  map[string]uint64 // "<level> <component>" -> emitted count
-	buckets map[string]*bucket
-	stats   Stats
-
-	counters map[string]*obs.Counter // derived-metric cache
+	totals map[string]uint64 // "<level> <component>" -> emitted count
+	stats  Stats
 }
 
 // Stats are the sink's emission and loss counters. Emitted counts every
-// record past the level gate (including ones later shed by retention);
+// record not sampled out (including ones later shed by retention);
 // the drop counters partition everything that did not survive.
 type Stats struct {
 	Emitted          uint64 `json:"emitted"`
 	DroppedSampled   uint64 `json:"dropped_sampled,omitempty"`
-	DroppedRated     uint64 `json:"dropped_rated,omitempty"`
 	DroppedRetention uint64 `json:"dropped_retention,omitempty"`
 	PinDropped       uint64 `json:"pin_dropped,omitempty"`
 }
@@ -109,26 +77,12 @@ func NewSink(cfg Config) *Sink {
 		cfg.PinKeep = def.PinKeep
 	}
 	return &Sink{
-		cfg:      cfg,
-		pinned:   obs.NewKeeper(cfg.PinKeep, byPriority),
-		tail:     obs.NewKeeper(cfg.TailKeep, newestFirst),
-		resv:     obs.NewKeeper(cfg.ReservoirKeep, byPriority),
-		totals:   map[string]uint64{},
-		buckets:  map[string]*bucket{},
-		counters: map[string]*obs.Counter{},
+		cfg:    cfg,
+		pinned: obs.NewKeeper(cfg.PinKeep, byPriority),
+		tail:   obs.NewKeeper(cfg.TailKeep, newestFirst),
+		resv:   obs.NewKeeper(cfg.ReservoirKeep, byPriority),
+		totals: map[string]uint64{},
 	}
-}
-
-// WithMetrics derives log->metric counters into the registry: every
-// emitted record increments evlog.records.<component>.<level>.
-func (s *Sink) WithMetrics(reg *obs.Registry) *Sink {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	s.reg = reg
-	s.mu.Unlock()
-	return s
 }
 
 // Logger returns a component-scoped logger. Components are dotted
@@ -154,39 +108,12 @@ func (s *Sink) countSampledDrop() {
 	s.mu.Unlock()
 }
 
-func (s *Sink) ensureBucket(component string, burst int, perSec float64) {
+// emit counts one record in the totals and admits it to retention.
+func (s *Sink) emit(r Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.buckets[component]; !ok {
-		s.buckets[component] = &bucket{Burst: float64(burst), PerSec: perSec, Tokens: float64(burst)}
-	}
-}
-
-// emit admits one record through the level gate, the rate bucket, and
-// retention, and feeds the totals and derived counters.
-func (s *Sink) emit(rateKey string, r Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r.Level < s.cfg.MinLevel {
-		return
-	}
-	if rateKey != "" {
-		if b := s.buckets[rateKey]; b != nil && !b.take(r.AtMs) {
-			s.stats.DroppedRated++
-			return
-		}
-	}
 	s.stats.Emitted++
-	key := totalKey(r.Level, r.Component)
-	s.totals[key]++
-	if s.reg != nil {
-		c := s.counters[key] // cached: the registry lookup allocates and locks
-		if c == nil {
-			c = s.reg.Counter(MetricName("evlog", "records", r.Component, r.Level.String()))
-			s.counters[key] = c
-		}
-		c.Inc()
-	}
+	s.totals[totalKey(r.Level, r.Component)]++
 	s.admitLocked(r)
 }
 
@@ -242,12 +169,11 @@ func (s *Sink) lenLocked() int {
 }
 
 // Snapshot is a deep, consistent copy of the sink: retained records in
-// canonical order plus the totals, loss counters, and bucket states
-// needed to continue after a resume. It is plain JSON-encodable data.
+// canonical order plus the totals and loss counters needed to continue
+// after a resume. It is plain JSON-encodable data.
 type Snapshot struct {
 	Stats   Stats             `json:"stats"`
 	Totals  map[string]uint64 `json:"totals,omitempty"`
-	Buckets map[string]bucket `json:"buckets,omitempty"`
 	Records []Record          `json:"records"`
 }
 
@@ -265,12 +191,6 @@ func (s *Sink) Snapshot() *Snapshot {
 			out.Totals[k] = v
 		}
 	}
-	if len(s.buckets) > 0 {
-		out.Buckets = make(map[string]bucket, len(s.buckets))
-		for k, b := range s.buckets {
-			out.Buckets[k] = *b
-		}
-	}
 	es := make([]entry, 0, s.lenLocked())
 	for _, class := range []*obs.Keeper[entry]{s.pinned, s.tail, s.resv} {
 		es = append(es, class.Items()...)
@@ -286,7 +206,7 @@ func (s *Sink) Snapshot() *Snapshot {
 // moves, and retention after the resume proceeds exactly as it would have
 // in the uninterrupted run.
 // Load panics if the sink has already emitted: resuming into a used sink
-// would fold two runs' budgets together.
+// would fold two runs' records together.
 func (s *Sink) Load(snap *Snapshot) {
 	if s == nil || snap == nil {
 		return
@@ -299,10 +219,6 @@ func (s *Sink) Load(snap *Snapshot) {
 	s.stats = snap.Stats
 	for k, v := range snap.Totals {
 		s.totals[k] = v
-	}
-	for k, b := range snap.Buckets {
-		cp := b
-		s.buckets[k] = &cp
 	}
 	for _, r := range snap.Records {
 		r.Attrs = append([]trace.Attr(nil), r.Attrs...)

@@ -53,10 +53,11 @@ race:
 # crawls over flaky/dead/rate-limited webs, the executor's, crawler's and
 # fleet's identity tests (DoP, rerun, checkpoint/resume and invisibility,
 # each over all five pillars on a faulty fixture), and the executor's
-# quarantine / fail-fast / retry paths.
+# quarantine / fail-fast / retry paths, its in-place undo log and the seed
+# corpus of its reference-executor fuzz target.
 chaos:
 	$(GO) test -race -timeout 10m \
-		-run 'Identity|Chaos|Checkpoint|Resume|Fault|Quarantine|FailFast|OpRetries|Panic' \
+		-run 'Identity|Chaos|Checkpoint|Resume|Fault|Quarantine|FailFast|OpRetries|Panic|InPlace|ExecuteMatchesReference' \
 		./internal/synthweb/ ./internal/crawler/ ./internal/crawler/shard/ ./internal/dataflow/
 
 # Fleet fault-tolerance suite under the race detector: seeded crash
@@ -75,8 +76,8 @@ supervisor-chaos:
 
 # Short fuzzing sessions over the HTML pipeline, the MIME detector, the
 # language filter, the classifier's tokenizer, the sentence splitter and
-# tokenizer, the analysis flow's three hot kernels and the Meteor front end
-# (seeds alone run as part of `make test`).
+# tokenizer, the analysis flow's three hot kernels, the dataflow executor
+# and the Meteor front end (seeds alone run as part of `make test`).
 # FuzzStreamMatchesReference, FuzzDecodeEntities, FuzzExtractMatchesReference,
 # FuzzDetect, FuzzIdentify, FuzzTag, FuzzAnalyze, crf's FuzzExtract,
 # FuzzFind, FuzzTokenize and FuzzProbRelevant are differential: htmlkit's
@@ -89,9 +90,11 @@ supervisor-chaos:
 # one-object starts and block snapshots against the span-map, deep-copy
 # recorder it replaced; and FuzzDecodeMatchesExtract: the CRF model's one decode
 # of all classes against each class's Extract; FuzzLeanDocMatchesDoc:
-# textgen's token-free LeanDoc against Doc; and FuzzKeyedMatchesSplit: the
+# textgen's token-free LeanDoc against Doc; FuzzKeyedMatchesSplit: the
 # simulator's keyed value RNGs against New(seed).Split(label), the
-# allocating form they replace. FuzzSentenceTokens checks
+# allocating form they replace; and FuzzExecuteMatchesReference: the
+# dataflow executor, its in-place undo log included, against the naive
+# node-by-node reference executor in its tests. FuzzSentenceTokens checks
 # the spans every tagger reads; FuzzParseCompile runs meteor.Parse and
 # Compile against the real operator registry, which must never panic.
 fuzz:
@@ -116,6 +119,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRecorderMatchesReference -fuzztime=60s ./internal/obs/trace/
 	$(GO) test -run=NONE -fuzz=FuzzLeanDocMatchesDoc -fuzztime=30s ./internal/textgen/
 	$(GO) test -run=NONE -fuzz=FuzzKeyedMatchesSplit -fuzztime=15s ./internal/rng/
+	$(GO) test -run=NONE -fuzz=FuzzExecuteMatchesReference -fuzztime=60s ./internal/dataflow/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): wall-clock
 # crawl and analysis-flow throughput with a layer-by-layer trace. The

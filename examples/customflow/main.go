@@ -33,14 +33,18 @@ func main() {
 	// system registry for everything else.
 	reg := meteor.RegistryFunc(func(name string, p meteor.Params) (*dataflow.Op, error) {
 		if name == "shout_title" {
+			// One annotator, two forms: Fn runs it on a clone, InPlace lets
+			// the executor run it on the record it owns.
+			shout := func(rec dataflow.Record) error {
+				if t, ok := rec["title"].(string); ok {
+					rec["title"] = strings.ToUpper(t)
+				}
+				return nil
+			}
 			return &dataflow.Op{
 				Name: "shout_title", Pkg: dataflow.BASE,
 				Reads: []string{"title"}, Writes: []string{"title"}, Selectivity: 1,
-				Fn: dataflow.Edit(func(rec dataflow.Record) {
-					if t, ok := rec["title"].(string); ok {
-						rec["title"] = strings.ToUpper(t)
-					}
-				}),
+				Fn: dataflow.Edit(shout), InPlace: shout,
 			}, nil
 		}
 		return base.Resolve(name, p)

@@ -48,9 +48,9 @@ import (
 
 // opRow declares one operator: its registry name and package, the
 // annotations the optimizer reorders on (§3.1), and the function that does
-// the work, written against one of three UDF shapes — dataflow.Keep for
-// filters, dataflow.Edit for operators that fill fields, a raw dataflow.UDF
-// for the few that emit 1:N or build a new record.
+// the work, in one of three shapes — dataflow.Keep for filters, an
+// annotator for operators that fill fields, a raw dataflow.UDF for the few
+// that emit 1:N or build a new record.
 type opRow struct {
 	name          string
 	pkg           dataflow.Pkg
@@ -58,10 +58,13 @@ type opRow struct {
 	reads, writes []string
 	sel           float64
 	cost          dataflow.Cost
-	// fn is the work; operators that take parameters or keep per-instance
-	// state set with instead, which builds the work for one statement.
-	fn   dataflow.UDF
-	with func(meteor.Params) (dataflow.UDF, error)
+	// fn or edit is the work; operators that take parameters or keep
+	// per-instance state set with or editWith instead, which builds it for
+	// one statement.
+	fn       dataflow.UDF
+	edit     annotator
+	with     func(meteor.Params) (dataflow.UDF, error)
+	editWith func(meteor.Params) (annotator, error)
 	// perRun marks a with whose work keeps state across records (a count,
 	// a seen-set): the operator's Init builds it afresh for every Execute,
 	// so a plan runs the same every time.
@@ -70,15 +73,20 @@ type opRow struct {
 
 // build resolves the row into the operator of one script statement.
 func (row opRow) build(p meteor.Params) (*dataflow.Op, error) {
-	fn := row.fn
+	fn, edit, err := row.fn, row.edit, error(nil)
 	if row.with != nil {
-		var err error
-		if fn, err = row.with(p); err != nil {
-			return nil, err
-		}
+		fn, err = row.with(p)
+	} else if row.editWith != nil {
+		edit, err = row.editWith(p)
+	}
+	if err != nil {
+		return nil, err
 	}
 	op := &dataflow.Op{Name: row.name, Pkg: row.pkg, Fn: fn, Filter: row.filter,
 		Reads: row.reads, Writes: row.writes, Selectivity: row.sel, Cost: row.cost}
+	if edit != nil {
+		edited(op, edit)
+	}
 	if row.perRun {
 		op.Init = func() (err error) {
 			op.Fn, err = row.with(p)
@@ -86,6 +94,29 @@ func (row opRow) build(p meteor.Params) (*dataflow.Op, error) {
 		}
 	}
 	return op, nil
+}
+
+// annotator is an operator's work on a record it may write: it fills the
+// fields the operator declares in Writes, replacing values, never mutating
+// them (see dataflow.Record.Clone).
+type annotator func(dataflow.Record) error
+
+// fill is the annotator of work that cannot fail.
+func fill(f func(dataflow.Record)) annotator {
+	return func(rec dataflow.Record) error { f(rec); return nil }
+}
+
+// edited gives op both forms of one annotator: InPlace, which
+// dataflow.Execute runs on the record it owns, and Fn, its cloning form
+// (dataflow.Edit) for every other caller. An executor's undo log cannot
+// name the fields of a Writes of "*" (a script naming that field), so such
+// an op keeps Fn only.
+func edited(op *dataflow.Op, f annotator) *dataflow.Op {
+	if !slices.Contains(op.Writes, "*") {
+		op.InPlace = f
+	}
+	op.Fn = dataflow.Edit(f)
+	return op
 }
 
 // opBuilder constructs an operator from parameters.
@@ -258,30 +289,30 @@ func (r *Registry) table() []opRow {
 				}, nil
 			}},
 		{name: "count_chars", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"chars"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["chars"] = len(get[string](rec, "text")) })},
+			edit: fill(func(rec dataflow.Record) { rec["chars"] = len(get[string](rec, "text")) })},
 		{name: "count_words", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"words"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["words"] = len(strings.Fields(get[string](rec, "text"))) })},
+			edit: fill(func(rec dataflow.Record) { rec["words"] = len(strings.Fields(get[string](rec, "text"))) })},
 		{name: "count_sentences", pkg: dataflow.BASE, reads: []string{"sentences"}, writes: []string{"n_sentences"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_sentences"] = len(get[[]nlp.Span](rec, "sentences")) })},
+			edit: fill(func(rec dataflow.Record) { rec["n_sentences"] = len(get[[]nlp.Span](rec, "sentences")) })},
 		{name: "count_entities", pkg: dataflow.BASE, reads: []string{"entities"}, writes: []string{"n_entities"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_entities"] = len(get[[]EntityAnn](rec, "entities")) })},
+			edit: fill(func(rec dataflow.Record) { rec["n_entities"] = len(get[[]EntityAnn](rec, "entities")) })},
 		{name: "count_links", pkg: dataflow.BASE, reads: []string{"links"}, writes: []string{"n_links"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_links"] = len(get[[]htmlkit.Link](rec, "links")) })},
+			edit: fill(func(rec dataflow.Record) { rec["n_links"] = len(get[[]htmlkit.Link](rec, "links")) })},
 		{name: "identity", pkg: dataflow.BASE, reads: []string{}, writes: []string{}, sel: 1, fn: pass},
 		{name: "union", pkg: dataflow.BASE, reads: []string{}, writes: []string{}, sel: 1, fn: pass},
 		{name: "tag_source", pkg: dataflow.BASE, reads: []string{}, writes: []string{"source"}, sel: 1,
-			with: func(p meteor.Params) (dataflow.UDF, error) {
+			editWith: func(p meteor.Params) (annotator, error) {
 				v := paramStr(p, "value", "unknown")
-				return dataflow.Edit(func(rec dataflow.Record) { rec["source"] = v }), nil
+				return fill(func(rec dataflow.Record) { rec["source"] = v }), nil
 			}},
 		{name: "hash_id", pkg: dataflow.BASE, reads: []string{"id"}, writes: []string{"hash"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["hash"] = int(hashField(rec, "id") & 0x7fffffff) })},
+			edit: fill(func(rec dataflow.Record) { rec["hash"] = int(hashField(rec, "id") & 0x7fffffff) })},
 		{name: "lowercase_text", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"text"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.01},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = strings.ToLower(get[string](rec, "text")) })},
+			edit: fill(func(rec dataflow.Record) { rec["text"] = strings.ToLower(get[string](rec, "text")) })},
 		{name: "truncate_text", pkg: dataflow.BASE, reads: []string{"text"}, writes: []string{"text"}, sel: 1,
-			with: func(p meteor.Params) (dataflow.UDF, error) {
+			editWith: func(p meteor.Params) (annotator, error) {
 				max := int(paramNum(p, "max", 100000))
-				return dataflow.Edit(func(rec dataflow.Record) {
+				return fill(func(rec dataflow.Record) {
 					if t := get[string](rec, "text"); len(t) > max {
 						rec["text"] = t[:max]
 					}
@@ -290,22 +321,22 @@ func (r *Registry) table() []opRow {
 
 		// --- WA: web analytics operators ---
 		{name: "mime_detect", pkg: dataflow.WA, reads: []string{"id", "html"}, writes: []string{"mime"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.005},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["mime"] = string(detectMIME(rec)) })},
+			edit: fill(func(rec dataflow.Record) { rec["mime"] = string(detectMIME(rec)) })},
 		{name: "mime_filter", pkg: dataflow.WA, filter: true, reads: []string{"id", "html"}, sel: 0.9, cost: dataflow.Cost{PerKBms: 0.005},
 			fn: dataflow.Keep(func(rec dataflow.Record) bool { return detectMIME(rec).IsTextual() })},
 		{name: "parse_html", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"html_page"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["html_page"] = htmlkit.Parse(get[string](rec, "html")) })},
+			edit: fill(func(rec dataflow.Record) { rec["html_page"] = htmlkit.Parse(get[string](rec, "html")) })},
 		{name: "repair_markup", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.03},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["repairs"] = htmlPage(rec).Repairs.Total() })},
+			edit: fill(func(rec dataflow.Record) { rec["repairs"] = htmlPage(rec).Repairs.Total() })},
 		{name: "remove_markup", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"text"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.08},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = htmlkit.StripMarkup(get[string](rec, "html")) })},
+			edit: fill(func(rec dataflow.Record) { rec["text"] = htmlkit.StripMarkup(get[string](rec, "html")) })},
 		{name: "boilerplate_detect", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"text", "blocks_total", "blocks_content", "repairs"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1},
-			with: func(p meteor.Params) (dataflow.UDF, error) {
+			editWith: func(p meteor.Params) (annotator, error) {
 				c := boiler.Default()
 				if paramNum(p, "keep_tables", 0) > 0 {
 					c.KeepTables = true
 				}
-				return dataflow.Edit(func(rec dataflow.Record) {
+				return fill(func(rec dataflow.Record) {
 					page := htmlPage(rec)
 					res := c.FromBlocks(page.Blocks, page.Repairs)
 					rec["text"] = res.NetText
@@ -315,11 +346,11 @@ func (r *Registry) table() []opRow {
 				}), nil
 			}},
 		{name: "extract_links", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"links"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["links"] = htmlPage(rec).Links })},
+			edit: fill(func(rec dataflow.Record) { rec["links"] = htmlPage(rec).Links })},
 		{name: "extract_title", pkg: dataflow.WA, reads: []string{"html", "html_page"}, writes: []string{"title"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["title"] = htmlPage(rec).Title })},
+			edit: fill(func(rec dataflow.Record) { rec["title"] = htmlPage(rec).Title })},
 		{name: "language_detect", pkg: dataflow.WA, reads: []string{"text"}, writes: []string{"lang", "lang_conf"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				rec["lang"], rec["lang_conf"] = r.langID.Identify(get[string](rec, "text"))
 			})},
 		{name: "language_filter", pkg: dataflow.WA, filter: true, reads: []string{"text"}, sel: 0.85, cost: dataflow.Cost{PerKBms: 0.05},
@@ -331,12 +362,12 @@ func (r *Registry) table() []opRow {
 				}), nil
 			}},
 		{name: "url_host", pkg: dataflow.WA, reads: []string{"id"}, writes: []string{"host"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				// An id that is not a URL has the empty host.
 				rec["host"], _, _ = synthweb.SplitURL(get[string](rec, "id"))
 			})},
 		{name: "strip_scripts", pkg: dataflow.WA, reads: []string{"html"}, writes: []string{"html"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				// Re-rendering without script bodies: the tokenizer already
 				// drops raw-text content, so a simple strip suffices.
 				var b strings.Builder
@@ -373,9 +404,9 @@ func (r *Registry) table() []opRow {
 				}), nil
 			}},
 		{name: "normalize_whitespace", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"text"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.01},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = strings.Join(strings.Fields(get[string](rec, "text")), " ") })},
+			edit: fill(func(rec dataflow.Record) { rec["text"] = strings.Join(strings.Fields(get[string](rec, "text")), " ") })},
 		{name: "remove_control_chars", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"text"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				rec["text"] = strings.Map(func(c rune) rune {
 					if c < 32 && c != '\n' && c != '\t' {
 						return -1
@@ -384,7 +415,7 @@ func (r *Registry) table() []opRow {
 				}, get[string](rec, "text"))
 			})},
 		{name: "classify_relevance", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"relevant", "prob"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 64 << 20},
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				clf := r.sys.Set.Classifier
 				prob := clf.ProbRelevant(get[string](rec, "text"))
 				rec["prob"] = prob
@@ -398,7 +429,7 @@ func (r *Registry) table() []opRow {
 				}), nil
 			}},
 		{name: "merge_entities", pkg: dataflow.DC, reads: []string{"entities"}, writes: []string{"entities"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				type key struct {
 					t          textgen.EntityType
 					m          Method
@@ -423,7 +454,7 @@ func (r *Registry) table() []opRow {
 				rec["entities"] = out
 			})},
 		{name: "filter_tla_entities", pkg: dataflow.DC, reads: []string{"entities"}, writes: []string{"entities", "tla_removed"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				ents := get[[]EntityAnn](rec, "entities")
 				out := make([]EntityAnn, 0, len(ents))
 				var removed []EntityAnn
@@ -441,9 +472,9 @@ func (r *Registry) table() []opRow {
 				rec["tla_removed"] = removed
 			})},
 		{name: "resolve_entity_overlaps", pkg: dataflow.DC, reads: []string{"entities"}, writes: []string{"entities"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				// Sort a copy: the input slice is shared with every clone
-				// of the record (fan-out, retries, the dead-letter queue).
+				// of the record (fan-out, the dead letter, the undo log).
 				ents := append([]EntityAnn(nil), get[[]EntityAnn](rec, "entities")...)
 				sort.Slice(ents, func(i, j int) bool {
 					if ents[i].Start != ents[j].Start {
@@ -463,13 +494,13 @@ func (r *Registry) table() []opRow {
 				rec["entities"] = out
 			})},
 		{name: "trim_text", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"text"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["text"] = strings.TrimSpace(get[string](rec, "text")) })},
+			edit: fill(func(rec dataflow.Record) { rec["text"] = strings.TrimSpace(get[string](rec, "text")) })},
 
 		// --- IE: information extraction operators ---
 		{name: "annotate_sentences", pkg: dataflow.IE, reads: []string{"text"}, writes: []string{"sentences"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.02},
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["sentences"] = nlp.SplitSentences(get[string](rec, "text")) })},
+			edit: fill(func(rec dataflow.Record) { rec["sentences"] = nlp.SplitSentences(get[string](rec, "text")) })},
 		{name: "annotate_tokens", pkg: dataflow.IE, reads: []string{"text", "sentences"}, writes: []string{"tokens"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				text, spans := get[string](rec, "text"), get[[]nlp.Span](rec, "sentences")
 				toks := make([][]nlp.TokenSpan, len(spans))
 				for i, s := range spans {
@@ -478,31 +509,32 @@ func (r *Registry) table() []opRow {
 				rec["tokens"] = toks
 			})},
 		{name: "pos_tag", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos", "pos_failed"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				// MedPost-style crash on a degenerate sentence: skip the
 				// sentence, keep the document (§4.2/§5).
 				rec["pos"], rec["pos_failed"], _ = r.tagSentences(rec)
 			})},
 		{name: "pos_tag_strict", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
-			fn: func(rec dataflow.Record, emit dataflow.Emit) error {
+			edit: func(rec dataflow.Record) error {
 				pos, _, err := r.tagSentences(rec)
 				if err != nil {
 					return err // drops the whole document — the unpatched tool
 				}
-				return dataflow.Edit(func(out dataflow.Record) { out["pos"] = pos })(rec, emit)
+				rec["pos"] = pos
+				return nil
 			}},
 		{name: "annotate_negation", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: annotateKind(ling.KindNegation)},
+			edit: annotateKind(ling.KindNegation)},
 		{name: "annotate_pronouns", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: annotateKind(ling.KindPronoun)},
+			edit: annotateKind(ling.KindPronoun)},
 		{name: "annotate_parens", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
-			fn: annotateKind(ling.KindParen)},
+			edit: annotateKind(ling.KindParen)},
 		{name: "ling_stats", pkg: dataflow.IE, reads: []string{"text", "id"}, writes: []string{"ling"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.15},
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				rec["ling"] = ling.Measure(get[string](rec, "id"), get[string](rec, "text"))
 			})},
 		{name: "abbreviations", pkg: dataflow.IE, reads: []string{"text"}, writes: []string{"abbrevs"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				text := get[string](rec, "text")
 				var abbrevs []string
 				for i := 0; i+4 < len(text); i++ {
@@ -513,7 +545,7 @@ func (r *Registry) table() []opRow {
 				rec["abbrevs"] = abbrevs
 			})},
 		{name: "sentence_lengths", pkg: dataflow.IE, reads: []string{"sentences"}, writes: []string{"sent_lengths"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				spans := get[[]nlp.Span](rec, "sentences")
 				ls := make([]int, len(spans))
 				for i, s := range spans {
@@ -522,9 +554,9 @@ func (r *Registry) table() []opRow {
 				rec["sent_lengths"] = ls
 			})},
 		{name: "filter_degenerate_sentences", pkg: dataflow.IE, reads: []string{"text", "sentences"}, writes: []string{"text", "sentences"}, sel: 1,
-			with: func(p meteor.Params) (dataflow.UDF, error) {
+			editWith: func(p meteor.Params) (annotator, error) {
 				max := int(paramNum(p, "max_chars", 600))
-				return dataflow.Edit(func(rec dataflow.Record) {
+				return fill(func(rec dataflow.Record) {
 					// The §5 workaround: "we eventually had to define a hard
 					// upper limit on the texts to be analyzed". Over-long
 					// "sentences" (navigation residue, keyword soup) are cut
@@ -546,7 +578,7 @@ func (r *Registry) table() []opRow {
 				}), nil
 			}},
 		{name: "token_count", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"n_tokens"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				n := 0
 				for _, s := range get[[][]nlp.TokenSpan](rec, "tokens") {
 					n += len(s)
@@ -568,7 +600,7 @@ func (r *Registry) table() []opRow {
 				return nil
 			}},
 		{name: "keep_entities_by_method", pkg: dataflow.IE, reads: []string{"entities"}, writes: []string{"entities"}, sel: 1,
-			with: func(p meteor.Params) (dataflow.UDF, error) {
+			editWith: func(p meteor.Params) (annotator, error) {
 				m, ok := map[string]Method{"dict": Dict, "ml": ML}[paramStr(p, "method", "dict")]
 				if !ok {
 					return nil, fmt.Errorf("keep_entities_by_method: unknown method %q", paramStr(p, "method", ""))
@@ -576,15 +608,15 @@ func (r *Registry) table() []opRow {
 				return keepEntities(func(e EntityAnn) bool { return e.Method == m }), nil
 			}},
 		{name: "count_negations", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_negations"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				rec["n_negations"] = len(filterKind(get[[]ling.Annotation](rec, "anns"), ling.KindNegation))
 			})},
 		{name: "count_pronouns", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_pronouns"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				rec["n_pronouns"] = len(filterKind(get[[]ling.Annotation](rec, "anns"), ling.KindPronoun))
 			})},
 		{name: "entity_density", pkg: dataflow.IE, reads: []string{"entities", "sentences"}, writes: []string{"entities_per_ksent"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				d := 0.0
 				if spans := get[[]nlp.Span](rec, "sentences"); len(spans) > 0 {
 					d = 1000 * float64(len(get[[]EntityAnn](rec, "entities"))) / float64(len(spans))
@@ -592,7 +624,7 @@ func (r *Registry) table() []opRow {
 				rec["entities_per_ksent"] = d
 			})},
 		{name: "annotate_relations", pkg: dataflow.IE, reads: []string{"text", "sentences", "entities"}, writes: []string{"relations"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1},
-			with: func(p meteor.Params) (dataflow.UDF, error) {
+			editWith: func(p meteor.Params) (annotator, error) {
 				cfg := relex.DefaultConfig()
 				if paramNum(p, "cooccurrence", 0) > 0 {
 					cfg.RequireTrigger = false
@@ -603,7 +635,7 @@ func (r *Registry) table() []opRow {
 				if d := paramNum(p, "max_distance", 0); d > 0 {
 					cfg.MaxPairDistance = int(d)
 				}
-				return dataflow.Edit(func(rec dataflow.Record) {
+				return fill(func(rec dataflow.Record) {
 					var ms []relex.Mention
 					seen := map[[2]int]bool{}
 					for _, e := range get[[]EntityAnn](rec, "entities") {
@@ -621,9 +653,9 @@ func (r *Registry) table() []opRow {
 				}), nil
 			}},
 		{name: "count_relations", pkg: dataflow.IE, reads: []string{"relations"}, writes: []string{"n_relations"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) { rec["n_relations"] = len(get[[]relex.Relation](rec, "relations")) })},
+			edit: fill(func(rec dataflow.Record) { rec["n_relations"] = len(get[[]relex.Relation](rec, "relations")) })},
 		{name: "entity_names", pkg: dataflow.IE, reads: []string{"entities"}, writes: []string{"names"}, sel: 1,
-			fn: dataflow.Edit(func(rec dataflow.Record) {
+			edit: fill(func(rec dataflow.Record) {
 				seen := map[string]bool{}
 				var names []string
 				for _, e := range get[[]EntityAnn](rec, "entities") {
@@ -652,23 +684,23 @@ func (r *Registry) registerParametric() {
 	})
 	r.register("drop_field", func(p meteor.Params) (*dataflow.Op, error) {
 		field := paramStr(p, "field", "")
-		return &dataflow.Op{Name: "drop_field", Pkg: dataflow.BASE,
-			Reads: []string{}, Writes: []string{field}, Selectivity: 1,
-			Fn: dataflow.Edit(func(rec dataflow.Record) { delete(rec, field) })}, nil
+		return edited(&dataflow.Op{Name: "drop_field", Pkg: dataflow.BASE,
+			Reads: []string{}, Writes: []string{field}, Selectivity: 1},
+			fill(func(rec dataflow.Record) { delete(rec, field) })), nil
 	})
 	r.register("rename_field", func(p meteor.Params) (*dataflow.Op, error) {
 		from, to := paramStr(p, "from", ""), paramStr(p, "to", "")
 		if from == "" || to == "" {
 			return nil, fmt.Errorf("rename_field: %w: from/to", errNoParam)
 		}
-		return &dataflow.Op{Name: "rename_field", Pkg: dataflow.BASE,
-			Reads: []string{from}, Writes: []string{from, to}, Selectivity: 1,
-			Fn: dataflow.Edit(func(rec dataflow.Record) {
+		return edited(&dataflow.Op{Name: "rename_field", Pkg: dataflow.BASE,
+			Reads: []string{from}, Writes: []string{from, to}, Selectivity: 1},
+			fill(func(rec dataflow.Record) {
 				if v, ok := rec[from]; ok {
 					rec[to] = v
 					delete(rec, from)
 				}
-			})}, nil
+			})), nil
 	})
 	r.register("set_field", func(p meteor.Params) (*dataflow.Op, error) {
 		field := paramStr(p, "field", "tag")
@@ -680,9 +712,9 @@ func (r *Registry) registerParametric() {
 				val = v.Str
 			}
 		}
-		return &dataflow.Op{Name: "set_field", Pkg: dataflow.BASE,
-			Reads: []string{}, Writes: []string{field}, Selectivity: 1,
-			Fn: dataflow.Edit(func(rec dataflow.Record) { rec[field] = val })}, nil
+		return edited(&dataflow.Op{Name: "set_field", Pkg: dataflow.BASE,
+			Reads: []string{}, Writes: []string{field}, Selectivity: 1},
+			fill(func(rec dataflow.Record) { rec[field] = val })), nil
 	})
 
 	r.register("annotate_entities_dict", func(p meteor.Params) (*dataflow.Op, error) {
@@ -690,12 +722,12 @@ func (r *Registry) registerParametric() {
 		if err != nil {
 			return nil, err
 		}
-		return &dataflow.Op{Name: "annotate_entities_dict:" + t.String(), Pkg: dataflow.IE,
+		return edited(&dataflow.Op{Name: "annotate_entities_dict:" + t.String(), Pkg: dataflow.IE,
 			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Cost: paperScaledDictCost(t),
-			Fn: dataflow.Edit(func(rec dataflow.Record) {
+			Cost: paperScaledDictCost(t)},
+			fill(func(rec dataflow.Record) {
 				rec["entities"] = withEntities(rec, r.sys.ExtractDict(t, get[string](rec, "text")))
-			})}, nil
+			})), nil
 	})
 	r.register("annotate_entities_ml", func(p meteor.Params) (*dataflow.Op, error) {
 		t, err := entityType(p)
@@ -703,14 +735,13 @@ func (r *Registry) registerParametric() {
 			return nil, err
 		}
 		k := slices.Index(r.sys.CRF.Entities, t)
-		return &dataflow.Op{Name: "annotate_entities_ml:" + t.String(), Pkg: dataflow.IE,
+		return edited(&dataflow.Op{Name: "annotate_entities_ml:" + t.String(), Pkg: dataflow.IE,
 			Reads: []string{"text", "tokens", "crf_matches", "entities"}, Writes: []string{"crf_matches", "entities"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 30, StartupMs: 10000, MemoryBytes: 2 << 30},
-			Fn: func(rec dataflow.Record, emit dataflow.Emit) error {
+			Cost: dataflow.Cost{PerKBms: 30, StartupMs: 10000, MemoryBytes: 2 << 30}},
+			func(rec dataflow.Record) error {
 				// The first ML node of a chain decodes every class from the
 				// record's tokens at once; the ones after it take their
 				// class's matches from what it stored.
-				out := rec.Clone()
 				ms, ok := rec["crf_matches"].([][]crf.Match)
 				if !ok {
 					toks, ok := rec["tokens"].([][]nlp.TokenSpan)
@@ -718,21 +749,20 @@ func (r *Registry) registerParametric() {
 						return errors.New("annotate_entities_ml: the record has no tokens")
 					}
 					ms = r.sys.CRF.Decode(get[string](rec, "text"), toks)
-					out["crf_matches"] = ms
+					rec["crf_matches"] = ms
 				}
-				out["entities"] = withEntities(rec, mlAnns(t, ms[k]))
-				emit(out)
+				rec["entities"] = withEntities(rec, mlAnns(t, ms[k]))
 				return nil
-			}}, nil
+			}), nil
 	})
 	r.register("keep_entities_of_type", func(p meteor.Params) (*dataflow.Op, error) {
 		t, err := entityType(p)
 		if err != nil {
 			return nil, err
 		}
-		return &dataflow.Op{Name: "keep_entities_of_type:" + t.String(), Pkg: dataflow.IE,
-			Reads: []string{"entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Fn: keepEntities(func(e EntityAnn) bool { return e.Type == t })}, nil
+		return edited(&dataflow.Op{Name: "keep_entities_of_type:" + t.String(), Pkg: dataflow.IE,
+			Reads: []string{"entities"}, Writes: []string{"entities"}, Selectivity: 1},
+			keepEntities(func(e EntityAnn) bool { return e.Type == t })), nil
 	})
 }
 
@@ -786,8 +816,8 @@ func isTLA(s string) bool {
 }
 
 // keepEntities is the operator that narrows the entity list to pred.
-func keepEntities(pred func(EntityAnn) bool) dataflow.UDF {
-	return dataflow.Edit(func(rec dataflow.Record) {
+func keepEntities(pred func(EntityAnn) bool) annotator {
+	return fill(func(rec dataflow.Record) {
 		ents := get[[]EntityAnn](rec, "entities")
 		out := make([]EntityAnn, 0, len(ents))
 		for _, e := range ents {
@@ -825,8 +855,8 @@ func (r *Registry) tagSentences(rec dataflow.Record) (pos [][]string, failed int
 
 // annotateKind is the operator that appends the document's linguistic
 // annotations of one kind to anns.
-func annotateKind(kind ling.Kind) dataflow.UDF {
-	return dataflow.Edit(func(rec dataflow.Record) {
+func annotateKind(kind ling.Kind) annotator {
+	return fill(func(rec dataflow.Record) {
 		all := ling.Analyze(get[string](rec, "id"), get[string](rec, "text"), get[[]nlp.Span](rec, "sentences"))
 		rec["anns"] = append(append([]ling.Annotation{}, get[[]ling.Annotation](rec, "anns")...), filterKind(all, kind)...)
 	})

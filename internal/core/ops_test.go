@@ -597,6 +597,47 @@ func TestOperatorContract(t *testing.T) {
 	}
 }
 
+// TestInPlaceMatchesFn: every operator that fills named fields has an
+// in-place form, and it does on the record itself exactly what Fn emits
+// from a clone; filters and the operators that emit 1:N or build a new
+// record (Writes "*") have none.
+func TestInPlaceMatchesFn(t *testing.T) {
+	s, _ := testSystem(t)
+	reg := s.Registry()
+	params := meteor.Params{"type": {Str: "gene"}, "keep": {Str: "id text"}, "from": {Str: "a"}, "to": {Str: "b"},
+		"field": {Str: "n"}, "value": {Str: "v"}, "rate": {Num: 1, IsNum: true}}
+	inPlace := 0
+	for _, name := range opNames(reg) {
+		op, err := reg.Resolve(name, params)
+		if err != nil {
+			t.Fatalf("resolve %q: %v", name, err)
+		}
+		if op.InPlace == nil {
+			if len(op.Writes) > 0 && !slices.Contains(op.Writes, "*") {
+				t.Errorf("%s fills fields %v but has no in-place form", op.Name, op.Writes)
+			}
+			continue
+		}
+		inPlace++
+		if op.Filter {
+			t.Errorf("filter %s has an in-place form", op.Name)
+		}
+		var outs []dataflow.Record
+		if err := op.Fn(richRecord(), func(r dataflow.Record) { outs = append(outs, r) }); err != nil || len(outs) != 1 {
+			t.Errorf("%s: Fn returned %v with %d emissions, want one", op.Name, err, len(outs))
+			continue
+		}
+		rec := richRecord().Clone()
+		if err := op.InPlace(rec); err != nil {
+			t.Errorf("%s: in place: %v", op.Name, err)
+		}
+		if !reflect.DeepEqual(rec, outs[0]) {
+			t.Errorf("%s: the in-place form differs from Fn's emission", op.Name)
+		}
+	}
+	t.Logf("%d operators run in place", inPlace)
+}
+
 // TestFanOutAfterMergeEntities: clones made at a fan-out share their field
 // values, so both readers of merge_entities see the same entities slice —
 // under -race this catches an operator that sorts or edits it in place.

@@ -16,6 +16,7 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -24,7 +25,10 @@ import (
 type Record map[string]any
 
 // Clone returns a shallow copy (fields are shared; operators must replace,
-// not mutate, field values).
+// not mutate, field values). Execute owns every record in flight: it clones
+// each input record once at a source and once per extra reader of a
+// fan-out, and nowhere else, so two records in flight may share values but
+// never a map.
 func (r Record) Clone() Record {
 	out := make(Record, len(r))
 	for k, v := range r {
@@ -65,12 +69,16 @@ func Keep(pred func(Record) bool) UDF {
 }
 
 // Edit is the UDF shape of an annotator: f reads and fills fields on a
-// private clone of the input, which is then emitted. The clone is shallow,
-// so f must replace field values, never mutate them (see Record.Clone).
-func Edit(f func(Record)) UDF {
+// private clone of the input, which is then emitted unless f fails. The
+// clone is shallow, so f must replace field values, never mutate them (see
+// Record.Clone). An operator that also sets Op.InPlace to f lets Execute
+// skip the clone: it runs f on the record it owns.
+func Edit(f func(Record) error) UDF {
 	return func(rec Record, emit Emit) error {
 		out := rec.Clone()
-		f(out)
+		if err := f(out); err != nil {
+			return err
+		}
 		emit(out)
 		return nil
 	}
@@ -92,8 +100,19 @@ type Op struct {
 	Name string
 	// Pkg is the operator package.
 	Pkg Pkg
-	// Fn is the implementation.
+	// Fn is the implementation. It never writes the record it is handed,
+	// so any caller may run it on a record it shares. What it emits passes
+	// to the caller, which may write it (Execute does): Fn emits a map at
+	// most once and keeps none.
 	Fn UDF
+	// InPlace, when set, is an annotator's work on rec itself: it fills the
+	// fields named in Writes, and Fn is its cloning form, Edit(InPlace).
+	// Execute prefers it on the record it owns. Before each call the worker
+	// saves every Writes field (its value, or its absence) in an undo log,
+	// and an error, a panic or ErrStopFlow restores them, so a retry, the
+	// dead letter and FailFast see the record as it entered the node.
+	// Writes must therefore be explicit: not nil and without "*".
+	InPlace func(rec Record) error
 	// Init runs once per Execute, before any record flows: it pays startup
 	// cost for real execution (the virtual StartupMs models it for
 	// simulation) and creates the operator's per-run state, so a plan runs
@@ -146,13 +165,17 @@ func (p *Plan) Nodes() []*Node { return p.nodes }
 // consists of 38 elementary operators", §3.2).
 func (p *Plan) Size() int { return len(p.nodes) }
 
-// Validate checks the DAG for dangling inputs and cycles.
+// Validate checks the DAG for dangling inputs and cycles, and every
+// in-place operator for the explicit Writes its undo log needs.
 func (p *Plan) Validate() error {
 	index := map[*Node]bool{}
 	for _, n := range p.nodes {
 		index[n] = true
 	}
 	for _, n := range p.nodes {
+		if n.Op.InPlace != nil && (n.Op.Writes == nil || slices.Contains(n.Op.Writes, "*")) {
+			return fmt.Errorf("dataflow: in-place node %q must declare the fields it writes", n.Op.Name)
+		}
 		for _, in := range n.Inputs {
 			if !index[in] {
 				return fmt.Errorf("dataflow: node %q reads from a node outside the plan", n.Op.Name)

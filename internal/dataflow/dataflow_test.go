@@ -24,7 +24,16 @@ func filterOp(name string, keep func(Record) bool, sel float64) *Op {
 func setOp(name, field string, v any) *Op {
 	return &Op{Name: name, Pkg: BASE, Reads: []string{}, Writes: []string{field},
 		Selectivity: 1, Cost: Cost{PerKBms: 5},
-		Fn: Edit(func(r Record) { r[field] = v })}
+		Fn: Edit(func(r Record) error { r[field] = v; return nil })}
+}
+
+// inPlaceOp is setOp with both forms of one closure: Fn clones, InPlace
+// edits the record the executor owns.
+func inPlaceOp(name, field string, v any) *Op {
+	set := func(r Record) error { r[field] = v; return nil }
+	op := setOp(name, field, v)
+	op.Fn, op.InPlace = Edit(set), set
+	return op
 }
 
 func input(n int) []Record {
@@ -200,6 +209,25 @@ func TestValidateForeignNode(t *testing.T) {
 	}
 }
 
+// TestValidateInPlaceNeedsExplicitWrites: the undo log saves the fields
+// an in-place operator declares, so it must declare them all.
+func TestValidateInPlaceNeedsExplicitWrites(t *testing.T) {
+	for _, writes := range [][]string{nil, {"*"}, {"y", "*"}} {
+		op := inPlaceOp("set", "y", 1)
+		op.Writes = writes
+		p := &Plan{}
+		p.Add(op)
+		if err := p.Validate(); err == nil {
+			t.Errorf("in-place op with Writes %q validated", writes)
+		}
+	}
+	p := &Plan{}
+	p.Add(inPlaceOp("set", "y", 1))
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDoPParallelism(t *testing.T) {
 	// All DoP workers must actually process records.
 	var mu atomic.Int64
@@ -219,13 +247,26 @@ func TestDoPParallelism(t *testing.T) {
 
 // TestLongerChainAddsNoAllocsPerRecord: a worker builds its emitter for
 // each node once, so a hop through a Keep operator allocates nothing per
-// record, and a chain four times as long costs the same per record.
+// record; nor does a hop through an in-place annotator, which edits the
+// record the executor cloned once at the source. Either chain four times
+// as long costs the same per record.
 func TestLongerChainAddsNoAllocsPerRecord(t *testing.T) {
+	for name, op := range map[string]func() *Op{
+		"keep":     func() *Op { return passOp("keep") },
+		"in-place": func() *Op { return inPlaceOp("mark", "y", true) },
+	} {
+		t.Run(name, func(t *testing.T) { chainAllocs(t, op) })
+	}
+}
+
+// chainAllocs fails if a chain of 12 op()s allocates more per record than
+// a chain of 3.
+func chainAllocs(t *testing.T, op func() *Op) {
 	perRecord := func(length int) float64 {
 		p := &Plan{}
-		n := p.Add(passOp("keep"))
+		n := p.Add(op())
 		for i := 1; i < length; i++ {
-			n = p.Add(passOp("keep"), n)
+			n = p.Add(op(), n)
 		}
 		allocs := func(records int) float64 {
 			in := input(records)

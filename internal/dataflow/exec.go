@@ -35,6 +35,13 @@ const (
 const quarantineLimit = 1024
 
 // ExecConfig controls plan execution.
+//
+// Execute owns every record in flight: a source hop clones its input record
+// once, so the caller's input is never written, and a fan-out clones once
+// per extra reader. An operator with Op.InPlace edits the owned record
+// itself, under an undo log of its Writes that restores them when an
+// attempt fails; any other operator runs Fn, which writes nothing it is
+// handed.
 type ExecConfig struct {
 	// DoP is the number of chain instances: worker goroutines that each
 	// carry whole records through the plan, so at most DoP operator calls
@@ -107,7 +114,7 @@ type QuarantinedRecord struct {
 	Op     string
 	// Err is the terminal error's message.
 	Err string
-	// Rec is the offending input record.
+	// Rec is the offending input record, as it entered the operator.
 	Rec Record
 	// Trace is the hex trace ID of the record's lineage (empty when the
 	// execution ran without tracing) — the handle for reconstructing every
@@ -129,27 +136,23 @@ type ExecStats struct {
 
 // TotalErrors sums terminal UDF failures across nodes.
 func (s *ExecStats) TotalErrors() int64 {
-	var t int64
-	for _, ns := range s.PerNode {
-		t += ns.Errors
-	}
-	return t
+	return s.total(func(ns *NodeStats) int64 { return ns.Errors })
 }
 
 // TotalRetries sums record re-presentations across nodes.
 func (s *ExecStats) TotalRetries() int64 {
-	var t int64
-	for _, ns := range s.PerNode {
-		t += ns.Retries
-	}
-	return t
+	return s.total(func(ns *NodeStats) int64 { return ns.Retries })
 }
 
 // TotalQuarantined sums dead-lettered records across nodes (uncapped).
 func (s *ExecStats) TotalQuarantined() int64 {
-	var t int64
+	return s.total(func(ns *NodeStats) int64 { return ns.Quarantined })
+}
+
+// total sums one counter across nodes.
+func (s *ExecStats) total(counter func(*NodeStats) int64) (t int64) {
 	for _, ns := range s.PerNode {
-		t += ns.Quarantined
+		t += counter(ns)
 	}
 	return t
 }
@@ -200,15 +203,60 @@ func safeUDF(fn UDF, rec Record, emit Emit) (err error) {
 }
 
 // execNode is one plan node's state for one execution: its instruments,
-// the nodes reading its output (none for a sink), its hop span name and
-// its profiler scope.
+// the nodes reading its output (none for a sink), its hop span name, its
+// profiler scope, and the UDF it runs: Op.Fn, or for an in-place operator
+// Op.InPlace emitting the record it edited.
 type execNode struct {
 	*Node
 	m       *nodeMetrics
 	readers []*execNode
 	span    string
 	scope   prof.Scope
+	fn      UDF
 }
+
+// worker is one chain instance's scratch, built once per worker: its
+// emission buffer and emitter per node (a node is on an acyclic path once,
+// so no buffer is in use twice) and the undo log of the in-place call in
+// progress (one at a time: a call returns before its emissions move on).
+type worker struct {
+	bufs  [][]Record
+	emits []Emit
+	undo  []savedField
+}
+
+// savedField is one undo-log entry: a field of the owned record as it was
+// before an in-place call, present or not.
+type savedField struct {
+	name    string
+	val     any
+	present bool
+}
+
+// save logs rec's fields into the worker's undo log.
+func (w *worker) save(rec Record, fields []string) {
+	w.undo = w.undo[:0]
+	for _, f := range fields {
+		v, ok := rec[f]
+		w.undo = append(w.undo, savedField{f, v, ok})
+	}
+}
+
+// restore puts rec's logged fields back, deleting those that were absent.
+func (w *worker) restore(rec Record) {
+	for _, s := range w.undo {
+		if s.present {
+			rec[s.name] = s.val
+		} else {
+			delete(rec, s.name)
+		}
+	}
+}
+
+// hopSlot keys a child span by (downstream node, emit index): the emit
+// index is the emission's position in one process() call's output, so span
+// IDs are deterministic per record path regardless of worker interleaving.
+func hopSlot(nodeID, emitIdx int) uint64 { return uint64(nodeID)<<32 | uint64(emitIdx) }
 
 // quarantineLog collects dead-letter records across worker goroutines.
 type quarantineLog struct {
@@ -227,7 +275,7 @@ func (q *quarantineLog) add(n *Node, rec Record, err error, tc trace.Context) {
 		id = tc.Trace.String()
 	}
 	q.recs = append(q.recs, QuarantinedRecord{
-		NodeID: n.id, Op: n.Op.Name, Err: err.Error(), Rec: rec.Clone(), Trace: id,
+		NodeID: n.id, Op: n.Op.Name, Err: err.Error(), Rec: rec, Trace: id,
 	})
 }
 
@@ -261,29 +309,37 @@ func (q *quarantineLog) sorted() []QuarantinedRecord {
 	return q.recs
 }
 
-// process runs one record through one operator under the error policy:
-// panic recovery, up to cfg.OpRetries re-presentations, then quarantine or
-// abort. Each attempt hands its emissions to collect, which appends them to
-// *out, the worker's reusable buffer; the caller routes them once process
-// returns, and an attempt that fails or stops the flow leaves none. A
-// non-nil return is a FailFast abort.
-func process(n *Node, nm *nodeMetrics, cfg ExecConfig, rec Record, tc trace.Context, out *[]Record, collect Emit, q *quarantineLog, lg evlog.Logger) error {
+// process runs one owned record through one operator under the error
+// policy: panic recovery, up to cfg.OpRetries re-presentations, then
+// quarantine or abort. Each attempt hands its emissions to the worker's
+// emitter, which appends them to the node's reusable buffer; the caller
+// routes them once process returns, and an attempt that fails or stops the
+// flow leaves none — and, in place, leaves rec as it was, so a retry is
+// handed the record as it entered the node (Fn never writes it). A non-nil
+// return is a FailFast abort.
+func process(x *execNode, cfg ExecConfig, rec Record, tc trace.Context, w *worker, q *quarantineLog, lg evlog.Logger) error {
+	n, nm := x.Node, x.m
+	inPlace := n.Op.InPlace != nil
 	ts := int64(n.id) // plan-position logical clock
 	var lastErr error
 	for attempt := 0; attempt <= cfg.OpRetries; attempt++ {
-		in := rec
 		if attempt > 0 {
-			in = rec.Clone() // a retry starts from a pristine record
 			nm.retries.Inc()
 			tc.Event("op.retry", ts, trace.Int("attempt", int64(attempt)))
 			lg.For(tc.Trace).Debug("op.retry", ts,
 				trace.String("op", n.Op.Name), trace.Int("attempt", int64(attempt)))
 		}
-		err := safeUDF(n.Op.Fn, in, collect)
+		if inPlace {
+			w.save(rec, n.Op.Writes)
+		}
+		err := safeUDF(x.fn, rec, w.emits[n.id])
 		if err == nil {
 			return nil
 		}
-		*out = (*out)[:0]
+		w.bufs[n.id] = w.bufs[n.id][:0]
+		if inPlace {
+			w.restore(rec)
+		}
 		if errors.Is(err, ErrStopFlow) {
 			tc.Event("op.filtered", ts)
 			return nil // filtered, not a failure
@@ -365,7 +421,15 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	for _, n := range p.nodes {
 		stats.PerNode[n.id] = &NodeStats{}
 		x := &nodes[n.id]
-		x.Node, x.m = n, newNodeMetrics(reg, n)
+		x.Node, x.m, x.fn = n, newNodeMetrics(reg, n), n.Op.Fn
+		if f := n.Op.InPlace; f != nil {
+			x.fn = func(rec Record, emit Emit) (err error) {
+				if err = f(rec); err == nil {
+					emit(rec)
+				}
+				return err
+			}
+		}
 		x.span = trace.TraceName("dataflow.op", n.Op.Name)
 		if cfg.Prof != nil {
 			x.scope = cfg.Prof.Scope(prof.ScopeName("dataflow.op", n.Op.Name))
@@ -393,36 +457,26 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	results := map[int][]Record{}
 	var resultsMu sync.Mutex
 
-	// hopSlot keys a child span by (downstream node, emit index): the emit
-	// index is the emission's position in one process() call's output, so
-	// span IDs are deterministic per record path regardless of worker
-	// interleaving.
-	hopSlot := func(nodeID int, emitIdx int) uint64 {
-		return uint64(nodeID)<<32 | uint64(emitIdx)
-	}
-
-	// walk runs one record through x, then carries each emission into every
-	// reader, minting the reader's hop span as a child of the record's. A
-	// fan-out clones the emission for every reader but the last. bufs is
-	// the worker's emission buffer per node and emits its emitter into it,
-	// built once per worker: a node is on an acyclic path once, so no
-	// buffer is in use twice.
-	var walk func(x *execNode, rec Record, tc trace.Context, bufs [][]Record, emits []Emit)
-	walk = func(x *execNode, rec Record, tc trace.Context, bufs [][]Record, emits []Emit) {
+	// walk runs one owned record through x, then carries each emission into
+	// every reader, minting the reader's hop span as a child of the
+	// record's. A fan-out clones the emission for every reader but the
+	// last, so each reader owns what it is handed.
+	var walk func(x *execNode, rec Record, tc trace.Context, w *worker)
+	walk = func(x *execNode, rec Record, tc trace.Context, w *worker) {
 		x.m.in.Inc()
 		if abortErr.Load() != nil {
 			return // fail-fast: drain without processing
 		}
-		bufs[x.id] = bufs[x.id][:0]
+		w.bufs[x.id] = w.bufs[x.id][:0]
 		ph := x.scope.Enter()
-		err := process(x.Node, x.m, cfg, rec, tc, &bufs[x.id], emits[x.id], quar, lgOp)
+		err := process(x, cfg, rec, tc, w, quar, lgOp)
 		ph.Exit()
 		tc.End(int64(x.id) + 1)
 		if err != nil {
 			abort := err // escapes to the heap only on the failing path
 			abortErr.CompareAndSwap(nil, &abort)
 		}
-		for i, rec := range bufs[x.id] {
+		for i, rec := range w.bufs[x.id] {
 			x.m.out.Inc()
 			if len(x.readers) == 0 {
 				resultsMu.Lock()
@@ -435,7 +489,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 					own = rec.Clone()
 				}
 				//lintx:ignore tracename span names are precomputed through TraceName above
-				walk(r, own, tc.StartSpanKeyed(r.span, hopSlot(r.id, i), int64(r.id)), bufs, emits)
+				walk(r, own, tc.StartSpanKeyed(r.span, hopSlot(r.id, i), int64(r.id)), w)
 			}
 		}
 	}
@@ -458,9 +512,9 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	}
 
 	// DoP workers take input records in turn and walk each from every
-	// source node. With several sources, each gets its own copy of the
-	// record so no two walks share a mutable map, and its own source-hop
-	// span under the record's root.
+	// source node. Each source hop gets its own copy of the record, the
+	// one the walk owns, and its own source-hop span under the record's
+	// root.
 	var sources []*execNode
 	for i := range nodes {
 		if len(nodes[i].Inputs) == 0 {
@@ -473,23 +527,18 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			bufs := make([][]Record, len(nodes))
-			emits := make([]Emit, len(nodes))
-			for id := range emits {
-				emits[id] = func(r Record) { bufs[id] = append(bufs[id], r) }
+			w := &worker{bufs: make([][]Record, len(nodes)), emits: make([]Emit, len(nodes))}
+			for id := range w.emits {
+				w.emits[id] = func(r Record) { w.bufs[id] = append(w.bufs[id], r) }
 			}
 			for i := int(next.Add(1) - 1); i < len(input); i = int(next.Add(1) - 1) {
-				for si, s := range sources {
-					rec := input[i]
-					if si < len(sources)-1 {
-						rec = rec.Clone()
-					}
+				for _, s := range sources {
 					var tc trace.Context
 					if roots != nil {
 						//lintx:ignore tracename span names are precomputed through TraceName above
 						tc = roots[i].StartSpanKeyed(s.span, hopSlot(s.id, 0), int64(s.id))
 					}
-					walk(s, rec, tc, bufs, emits)
+					walk(s, input[i].Clone(), tc, w)
 				}
 			}
 		}()

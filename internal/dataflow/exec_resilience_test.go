@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,6 +167,85 @@ func TestQuarantineLimitCapsRetention(t *testing.T) {
 	}
 	if st.TotalQuarantined() != fed || st.TotalErrors() != fed {
 		t.Fatalf("quarantined/errors = %d/%d, want %d/%d", st.TotalQuarantined(), st.TotalErrors(), fed, fed)
+	}
+}
+
+// TestInPlaceUndoLog: an in-place operator that writes its fields and then
+// fails leaves the record as it entered the node. The dead letter is the
+// pristine input; a record that recovers on its retry reaches the sink
+// exactly once, its fields written once; a failed attempt's fields and a
+// stopped record's leak nowhere, nor into the caller's input.
+func TestInPlaceUndoLog(t *testing.T) {
+	in := func() []Record {
+		recs := input(60)
+		for _, r := range recs {
+			r["y"] = 100 * r["x"].(int)
+		}
+		return recs
+	}
+	// bump adds one to y and sets z, then panics on multiples of 5, panics
+	// on the first attempt at other multiples of 3, and stops x%7 == 1.
+	plan := func() *Plan {
+		tracker := newAttemptTracker()
+		bump := func(r Record) error {
+			x := r["x"].(int)
+			r["y"], r["z"] = r["y"].(int)+1, "dirty"
+			switch {
+			case x%5 == 0:
+				panic("nil dereference in tagger")
+			case x%3 == 0 && tracker.next(r) == 1:
+				panic("transient")
+			case x%7 == 1:
+				return fmt.Errorf("late filter: %w", ErrStopFlow)
+			}
+			return nil
+		}
+		p := &Plan{}
+		src := p.Add(passOp("src"))
+		p.Add(&Op{Name: "bump", Pkg: IE, Reads: []string{"y"}, Writes: []string{"y", "z"}, Selectivity: 1,
+			Fn: Edit(bump), InPlace: bump}, src)
+		return p
+	}
+	for _, dop := range []int{1, 4} {
+		recs := in()
+		out, st := runSingleSink(t, plan(), recs, ExecConfig{DoP: dop, OpRetries: 1})
+		if !slices.Equal(canonical(recs), canonical(in())) {
+			t.Fatalf("DoP %d: Execute wrote its input", dop)
+		}
+		var wantOut, wantRetries int
+		for x := range 60 {
+			if x%5 == 0 || x%3 == 0 {
+				wantRetries++
+			}
+			if x%5 != 0 && x%7 != 1 {
+				wantOut++
+			}
+		}
+		seen := map[int]int{}
+		for _, r := range out {
+			x := r["x"].(int)
+			if seen[x]++; r["y"] != 100*x+1 || r["z"] != "dirty" || len(r) != 3 {
+				t.Fatalf("DoP %d: sink record %v, want y=%d written once", dop, r, 100*x+1)
+			}
+		}
+		if len(out) != wantOut || len(seen) != wantOut {
+			t.Fatalf("DoP %d: %d sink records for %d inputs, want %d, once each", dop, len(out), len(seen), wantOut)
+		}
+		if len(st.Quarantined) != 12 || st.TotalRetries() != int64(wantRetries) {
+			t.Fatalf("DoP %d: %d dead letters, %d retries, want 12 and %d", dop, len(st.Quarantined), st.TotalRetries(), wantRetries)
+		}
+		for _, q := range st.Quarantined {
+			if x := q.Rec["x"].(int); q.Rec["y"] != 100*x || len(q.Rec) != 2 {
+				t.Fatalf("DoP %d: dead letter %v is not the pristine input", dop, q.Rec)
+			}
+		}
+	}
+	recs := in()
+	if _, _, err := Execute(plan(), recs, ExecConfig{DoP: 4, Policy: FailFast}); !errors.Is(err, errPanic) {
+		t.Fatalf("FailFast returned %v, want the panic", err)
+	}
+	if !slices.Equal(canonical(recs), canonical(in())) {
+		t.Fatal("FailFast: Execute wrote its input")
 	}
 }
 

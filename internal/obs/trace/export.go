@@ -39,7 +39,7 @@ func (s *Snapshot) Text() string {
 			b.WriteString(" active")
 		}
 		b.WriteByte('\n')
-		writeSpanTree(&b, t, 0, "  ")
+		writeSpanTree(&b, t, 0, "  ", make([]bool, len(t.Spans)))
 	}
 	for _, m := range s.Marks {
 		fmt.Fprintf(&b, "mark %s @%dms", m.Name, m.AtMs)
@@ -53,13 +53,17 @@ func (s *Snapshot) Text() string {
 	return b.String()
 }
 
-// writeSpanTree prints the spans whose parent is parentID, recursively.
+// writeSpanTree prints the spans whose parent is parent, recursively.
 // Spans already sit in canonical order, so children print in that order.
-func writeSpanTree(b *strings.Builder, t *Trace, parent SpanID, indent string) {
-	for _, sp := range t.Spans {
-		if sp.Parent != parent {
+// Each span of t.Spans prints once, marked in printed by index: where
+// spans share an ID, their children nest under the first of them, so a
+// duplicated ID cannot print a subtree twice per level.
+func writeSpanTree(b *strings.Builder, t *Trace, parent SpanID, indent string, printed []bool) {
+	for i, sp := range t.Spans {
+		if sp.Parent != parent || printed[i] {
 			continue
 		}
+		printed[i] = true
 		fmt.Fprintf(b, "%sspan %s [%d-%dms]", indent, sp.Name, sp.StartMs, sp.EndMs)
 		fmtAttrs(b, sp.Attrs)
 		b.WriteByte('\n')
@@ -68,7 +72,7 @@ func writeSpanTree(b *strings.Builder, t *Trace, parent SpanID, indent string) {
 			fmtAttrs(b, ev.Attrs)
 			b.WriteByte('\n')
 		}
-		writeSpanTree(b, t, sp.ID, indent+"  ")
+		writeSpanTree(b, t, sp.ID, indent+"  ", printed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -392,6 +393,27 @@ func TestTextExportGolden(t *testing.T) {
 		"mark checkpoint @600ms cycle=1\n"
 	if got != want {
 		t.Fatalf("text export mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestTextPrintsEachSpanOnce: a 40-deep chain whose every span ID is
+// held by two spans prints one line per span plus one per event — not a
+// subtree per duplicate per level, which grew as 2^depth.
+func TestTextPrintsEachSpanOnce(t *testing.T) {
+	const depth = 40
+	tr := &Trace{Key: "dup", Done: true}
+	for level := range depth {
+		for range 2 {
+			tr.Spans = append(tr.Spans, &SpanData{ID: SpanID(level + 1), Parent: SpanID(level),
+				Name: "hop", Events: []Event{{Name: "op.retry"}}})
+		}
+	}
+	text := (&Snapshot{Traces: []*Trace{tr}}).Text()
+	if lines := strings.Count(text, "\n"); lines != 1+2*len(tr.Spans) {
+		t.Fatalf("%d lines for %d spans with one event each, want %d", lines, len(tr.Spans), 1+2*len(tr.Spans))
+	}
+	if spans := strings.Count(text, "span hop"); spans != len(tr.Spans) {
+		t.Fatalf("%d span lines for %d spans", spans, len(tr.Spans))
 	}
 }
 

@@ -296,12 +296,13 @@ var extraRows = []gateRow{
 			tc.Finish(3)
 		}
 	}},
-	// A sampled-out Debug, as the crawler's frontier.inject sheds seven
-	// in eight: the logger returns before it copies the attrs, so they
-	// stay on the caller's stack and a shed record costs nothing.
+	// A sampled-out Debug, as the crawler's frontier.trap, which keeps 1
+	// in 4 by host, sheds the rest: the logger returns before it copies
+	// the attrs, so they stay on the caller's stack and a shed record
+	// costs nothing.
 	{"evlog_sampled_out", 0, 0, "", func(string) func() {
 		return func() {
-			gateLog.Sample("http://h0/p1", 1<<20).Debug("frontier.inject", 9000, trace.String("url", "http://h0/p1"), trace.Int("depth", 3))
+			gateLog.Sample("h0", 1<<20).Debug("frontier.trap", 9000, trace.String("host", "h0"))
 		}
 	}},
 	// Tracing on, as the crawler's inject runs it for each URL: Start makes

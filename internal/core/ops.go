@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -20,6 +19,7 @@ import (
 	"webtextie/internal/meteor"
 	"webtextie/internal/mimetype"
 	"webtextie/internal/nlp"
+	"webtextie/internal/obs"
 	"webtextie/internal/relex"
 	"webtextie/internal/synthweb"
 	"webtextie/internal/textgen"
@@ -214,9 +214,7 @@ var pass = dataflow.Keep(func(dataflow.Record) bool { return true })
 
 // hashField is the FNV-1a hash of a string field.
 func hashField(rec dataflow.Record, field string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(get[string](rec, field)))
-	return h.Sum64()
+	return obs.FNVString(get[string](rec, field))
 }
 
 // table is the operator inventory: one row per operator, in the four

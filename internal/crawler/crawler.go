@@ -384,27 +384,24 @@ func (c *Crawler) WithTrace(rec *trace.Recorder) *Crawler {
 // crawlLogs bundles the crawler's component loggers. The zero value is
 // all no-op loggers — logging-off call sites cost one nil comparison.
 type crawlLogs struct {
-	frontier, fetch, filter, classify Logger
-	breaker, cycle, checkpoint        Logger
+	frontier, breaker, cycle, checkpoint Logger
 }
 
 // Logger aliases evlog.Logger so crawlLogs stays readable.
 type Logger = evlog.Logger
 
-// WithLog points the crawler at an event-log sink: frontier, fetch,
-// filter, classify, breaker, and checkpoint decisions are logged in
-// virtual-clock time, hot paths hash-sampled, every record carrying its
-// URL's trace ID when tracing is on. On a resumed crawler the
-// checkpoint's log snapshot is loaded first, so the sink continues the
-// original stream and totals. Returns the crawler for chaining.
+// WithLog points the crawler at an event-log sink: what happens to the
+// run or to a host — trapped hosts (hash-sampled), breaker transitions,
+// cycle ends, checkpoints, frontier exhaustion and the crawl's end — is
+// logged in virtual-clock time. What happens to one URL is its trace's
+// alone. On a resumed crawler the checkpoint's log snapshot is loaded
+// first, so the sink continues the original stream and totals. Returns
+// the crawler for chaining.
 func (c *Crawler) WithLog(sink *evlog.Sink) *Crawler {
 	c.p.Log = sink
 	sink.Load(c.resume.Logs)
 	c.lg = crawlLogs{
 		frontier:   sink.Logger("crawler.frontier"),
-		fetch:      sink.Logger("crawler.fetch"),
-		filter:     sink.Logger("crawler.filter"),
-		classify:   sink.Logger("crawler.classify"),
 		breaker:    sink.Logger("crawler.breaker"),
 		cycle:      sink.Logger("crawler.cycle"),
 		checkpoint: sink.Logger("crawler.checkpoint"),
@@ -579,10 +576,6 @@ func (c *Crawler) inject(url string, depth int) {
 		if tc.Active() {
 			tc.Event("frontier.inject", c.nowMs(), trace.Int("depth", int64(depth)))
 			c.db.SetTrace(url, uint64(tc.Trace))
-		}
-		if c.lg.frontier.Enabled() {
-			c.lg.frontier.For(tc.Trace).Sample(url, 8).Debug("frontier.inject", c.nowMs(),
-				trace.String("url", url), trace.Int("depth", int64(depth)))
 		}
 	} else if d, ok := c.tunnelDepth[url]; ok && depth < d {
 		// A better (shallower) path to a known URL keeps the smaller depth.
@@ -779,11 +772,11 @@ func (c *Crawler) finishTrace(tc trace.Context, status string, atMs int64) {
 // writes — to the crawl state and to every pillar — so the writing itself
 // happens once, in outcome.
 type pageOutcome struct {
-	// event is the trace event and log message announcing the exit;
-	// verdict is its verdict attr on classified pages ("" on rejections).
+	// event is the trace event announcing the exit; verdict is its verdict
+	// attr on classified pages ("" on rejections).
 	event, verdict string
-	// classified logs the exit under the classify component; false means
-	// the filter component.
+	// classified marks the classifier's two exits; false means a
+	// pre-filter rejected the page.
 	classified bool
 	stat       func(*Stats) *int
 	counter    func(*metrics) *obs.Counter
@@ -816,39 +809,25 @@ var (
 )
 
 // outcome is fetchOne's single exit: it fans one pageOutcome out to the
-// stats, the metrics, the CrawlDB, the URL's trace and the event log.
-// With tracing and logging both off it builds no attrs and allocates
-// nothing.
+// stats, the metrics, the CrawlDB and the URL's trace. With tracing off
+// it builds no attrs and allocates nothing.
 func (c *Crawler) outcome(o *pageOutcome, url string, tc trace.Context, netTextLen int, prob float64) {
-	lg := c.lg.filter
-	if o.classified {
-		lg = c.lg.classify
-	}
 	*o.stat(&c.stats)++
 	o.counter(c.m).Inc()
 	c.db.SetStatus(url, o.dbStatus)
 	now := c.nowMs()
-	if tc.Active() || lg.Enabled() {
-		// One attr list serves both pillars. The log record leads with the
-		// URL, which a trace is keyed by already; only the trace carries
-		// the classifier's probability. The names are the table's
-		// constants; TraceName is how the name lints admit a non-literal.
-		attrs := make([]trace.Attr, 1, 3)
-		attrs[0] = trace.String("url", url)
+	if tc.Active() {
+		// The names are the table's constants; TraceName is how the name
+		// lints admit a non-literal.
 		switch {
 		case o.classified:
-			attrs = append(attrs, trace.String("verdict", o.verdict))
+			tc.Event(trace.TraceName(o.event), now,
+				trace.String("verdict", o.verdict), trace.Float("prob", prob))
 		case o == &outLength:
-			attrs = append(attrs, trace.Int("net_text_len", int64(netTextLen)))
+			tc.Event(trace.TraceName(o.event), now, trace.Int("net_text_len", int64(netTextLen)))
+		default:
+			tc.Event(trace.TraceName(o.event), now)
 		}
-		if lg.Enabled() {
-			lg.For(tc.Trace).Sample(url, 4).Debug(trace.TraceName(o.event), now, attrs...)
-		}
-		attrs = attrs[1:]
-		if o.classified {
-			attrs = append(attrs, trace.Float("prob", prob))
-		}
-		tc.Event(trace.TraceName(o.event), now, attrs...)
 	}
 	c.finishTrace(tc, o.traceStatus, now)
 }
@@ -897,10 +876,6 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 		at.Event("fetch.ok", c.nowMs(), trace.Int("bytes", int64(len(page.Body))))
 		at.End(c.nowMs())
 	}
-	if c.lg.fetch.Enabled() {
-		c.lg.fetch.For(tc.Trace).Sample(item.URL, 8).Debug("fetch.ok", c.nowMs(),
-			trace.String("url", item.URL), trace.Int("bytes", int64(len(page.Body))))
-	}
 	c.breakerAlive(item.Host, tc)
 	c.stats.Fetched++
 	c.m.fetchOK.Inc()
@@ -919,7 +894,7 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 		ph = c.pf.classify.Enter()
 		prob = c.clf.ProbRelevant(netText)
 		o = &outIrrelevant
-		if prob >= c.clf.Threshold || c.entityBoosts(item.URL, netText, tc) {
+		if prob >= c.clf.Threshold || c.entityBoosts(netText, tc) {
 			o = &outRelevant
 		}
 		c.selfTrain(netText, prob)
@@ -958,17 +933,13 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 // entityBoosts is the §5 consolidated-process extension: the IE
 // pipeline's dictionaries rescue a page the bag-of-words classifier
 // rejected when its entity density is high enough.
-func (c *Crawler) entityBoosts(url, netText string, tc trace.Context) bool {
+func (c *Crawler) entityBoosts(netText string, tc trace.Context) bool {
 	if !c.cfg.EntityBoost || c.matchers == nil || c.entityDensity(netText) < c.cfg.EntityBoostDensity {
 		return false
 	}
 	c.stats.EntityBoosted++
 	c.m.entityBoosted.Inc()
 	tc.Event("classify.entity.boost", c.nowMs())
-	if c.lg.classify.Enabled() {
-		c.lg.classify.For(tc.Trace).Sample(url, 4).Debug("classify.entity.boost",
-			c.nowMs(), trace.String("url", url))
-	}
 	return true
 }
 

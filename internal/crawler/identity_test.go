@@ -132,6 +132,7 @@ const (
 	allPillars pillarSet = iota // trace, log, series and profile
 	noPillars
 	noProfiler // trace, log and series
+	noTracer   // log, series and profile
 )
 
 // fixture is one memoized run: its pillars, its rerun index, and whether
@@ -158,12 +159,13 @@ type fixtureRun struct {
 var fixtureRuns = map[fixture]fixtureRun{}
 
 func (f fixture) attach(c *Crawler, ring series.Config) *Crawler {
-	if f.pillars != noPillars {
-		c.WithTrace(trace.NewRecorder(trace.DefaultConfig(9))).
-			WithLog(evlog.NewSink(evlog.DefaultConfig(9))).
-			WithSeries(series.New(ring))
+	if f.pillars == allPillars || f.pillars == noProfiler {
+		c.WithTrace(trace.NewRecorder(trace.DefaultConfig(9)))
 	}
-	if f.pillars == allPillars {
+	if f.pillars != noPillars {
+		c.WithLog(evlog.NewSink(evlog.DefaultConfig(9))).WithSeries(series.New(ring))
+	}
+	if f.pillars == allPillars || f.pillars == noTracer {
 		c.WithProf(prof.New(prof.Config{}))
 	}
 	return c
@@ -319,13 +321,17 @@ func resumeIdentity(t *testing.T) {
 // invisibility: attaching pillars, and taking silent checkpoints, changes
 // no other export. Against plain runs with every pillar but metrics off,
 // corpus, stats and metrics stand; with every pillar but the profiler,
-// trace, log and series exports stand too.
+// trace, log and series exports stand too; and with every pillar but the
+// tracer, the log, series and profile exports stand — no log record
+// depends on whether tracing is on.
 func invisibility(t *testing.T) {
 	ref := fixture{}.run(t).ex
 	diffExports(t, "pillars off", ref.without("trace", "log", "series", "profile", "checkpoint"),
 		fixture{pillars: noPillars}.run(t).ex)
 	diffExports(t, "profiler off", ref.without("profile", "checkpoint"),
 		fixture{pillars: noProfiler}.run(t).ex)
+	diffExports(t, "tracer off", ref.without("trace", "checkpoint"),
+		fixture{pillars: noTracer}.run(t).ex)
 }
 
 // The per-pillar identity tests TestCrawlIdentity replaced keep their

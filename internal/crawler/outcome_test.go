@@ -12,22 +12,20 @@ import (
 
 // TestFetchOneOutcomes drives fetchOne over one page per exit and pins
 // what each writes to every pillar: the Stats field, the counter, the
-// profiler brackets, the CrawlDB status, the trace's event and terminal
-// status, and the log record — including where the record's attrs differ
-// from the event's (url is log-only, prob is trace-only). The
-// expectations are spelled out here, not read from the production table.
+// profiler brackets, the CrawlDB status, and the trace's event and
+// terminal status — and that the event log holds no record about the
+// page, which is its trace's alone. The expectations are spelled out
+// here, not read from the production table.
 func TestFetchOneOutcomes(t *testing.T) {
-	const logSeed = 5
 	p := newPipeline(t, 40)
 	cfg := DefaultConfig()
 	cfg.MaxPages = 400
 
-	// A reference crawl finds a page for every exit. Its log is sampled by
-	// URL hash, so any URL with a retained record here is kept by every
-	// same-seed sink below too.
-	logCfg := evlog.DefaultConfig(logSeed)
-	logCfg.TailKeep = 1 << 16
-	ref := New(cfg, p.web, p.clf).WithLog(evlog.NewSink(logCfg)).Run(defaultSeeds(t, p))
+	// A reference crawl finds a page for every exit through a trace
+	// recorder that keeps every trace.
+	traceCfg := trace.DefaultConfig(1)
+	traceCfg.HeadKeep = 1 << 16
+	ref := New(cfg, p.web, p.clf).WithTrace(trace.NewRecorder(traceCfg)).Run(defaultSeeds(t, p))
 	attr := func(attrs []trace.Attr, key string) string {
 		for _, a := range attrs {
 			if a.Key == key {
@@ -37,13 +35,15 @@ func TestFetchOneOutcomes(t *testing.T) {
 		return ""
 	}
 	pageFor := map[string]string{} // event (or verdict) -> URL
-	for _, r := range ref.Logs.Records {
-		key := r.Msg
-		if r.Msg == "classify.verdict" {
-			key = attr(r.Attrs, "verdict")
-		}
-		if _, seen := pageFor[key]; !seen {
-			pageFor[key] = attr(r.Attrs, "url")
+	for _, tr := range ref.Traces.Traces {
+		for _, ev := range tr.Spans[0].Events {
+			key := ev.Name
+			if ev.Name == "classify.verdict" {
+				key = attr(ev.Attrs, "verdict")
+			}
+			if _, seen := pageFor[key]; !seen {
+				pageFor[key] = tr.Key
+			}
 		}
 	}
 
@@ -55,40 +55,32 @@ func TestFetchOneOutcomes(t *testing.T) {
 		stat        func(Stats) int
 		counter     string
 		dbStatus    crawldb.Status
-		component   string
 		event       string
 		eventAttrs  []string
-		logAttrs    []string
 		verdict     string
 		traceStatus string
 	}{
 		{name: "mime", page: "filter.mime",
 			stat: func(s Stats) int { return s.FilteredMIME }, counter: "crawler.filter.mime",
-			dbStatus: crawldb.Filtered, component: "crawler.filter",
-			event: "filter.mime", logAttrs: []string{"url"}, traceStatus: "filtered"},
+			dbStatus: crawldb.Filtered, event: "filter.mime", traceStatus: "filtered"},
 		{name: "too-short", page: "filter.length",
 			stat: func(s Stats) int { return s.FilteredLength }, counter: "crawler.filter.length",
-			dbStatus: crawldb.Filtered, component: "crawler.filter",
-			event: "filter.length", eventAttrs: []string{"net_text_len"}, logAttrs: []string{"url", "net_text_len"},
+			dbStatus: crawldb.Filtered, event: "filter.length", eventAttrs: []string{"net_text_len"},
 			traceStatus: "filtered"},
 		{name: "too-long", page: "filter.lang", mutate: func(c *Config) { c.MaxNetTextLen = 10 },
 			stat: func(s Stats) int { return s.FilteredLength }, counter: "crawler.filter.length",
-			dbStatus: crawldb.Filtered, component: "crawler.filter",
-			event: "filter.length", eventAttrs: []string{"net_text_len"}, logAttrs: []string{"url", "net_text_len"},
+			dbStatus: crawldb.Filtered, event: "filter.length", eventAttrs: []string{"net_text_len"},
 			traceStatus: "filtered"},
 		{name: "lang", page: "filter.lang",
 			stat: func(s Stats) int { return s.FilteredLang }, counter: "crawler.filter.lang",
-			dbStatus: crawldb.Filtered, component: "crawler.filter",
-			event: "filter.lang", logAttrs: []string{"url"}, traceStatus: "filtered"},
+			dbStatus: crawldb.Filtered, event: "filter.lang", traceStatus: "filtered"},
 		{name: "relevant", page: "relevant",
 			stat: func(s Stats) int { return s.Relevant }, counter: "crawler.classify.relevant",
-			dbStatus: crawldb.Fetched, component: "crawler.classify",
-			event: "classify.verdict", eventAttrs: []string{"verdict", "prob"}, logAttrs: []string{"url", "verdict"},
+			dbStatus: crawldb.Fetched, event: "classify.verdict", eventAttrs: []string{"verdict", "prob"},
 			verdict: "relevant", traceStatus: "relevant"},
 		{name: "irrelevant", page: "irrelevant",
 			stat: func(s Stats) int { return s.Irrelevant }, counter: "crawler.classify.irrelevant",
-			dbStatus: crawldb.Fetched, component: "crawler.classify",
-			event: "classify.verdict", eventAttrs: []string{"verdict", "prob"}, logAttrs: []string{"url", "verdict"},
+			dbStatus: crawldb.Fetched, event: "classify.verdict", eventAttrs: []string{"verdict", "prob"},
 			verdict: "irrelevant", traceStatus: "irrelevant"},
 	}
 	keys := func(attrs []trace.Attr) []string {
@@ -120,7 +112,7 @@ func TestFetchOneOutcomes(t *testing.T) {
 				tc.mutate(&ccfg)
 			}
 			rec := trace.NewRecorder(trace.DefaultConfig(1))
-			sink := evlog.NewSink(evlog.DefaultConfig(logSeed))
+			sink := evlog.NewSink(evlog.DefaultConfig(5))
 			pr := prof.New(prof.Config{})
 			c := New(ccfg, p.web, p.clf).WithMetrics(obs.New()).WithTrace(rec).WithLog(sink).WithProf(pr)
 			c.inject(url, 0)
@@ -150,7 +142,7 @@ func TestFetchOneOutcomes(t *testing.T) {
 			// Profiler: every fetched page is filtered; only a page past
 			// the filters enters the classify bracket.
 			classified := int64(0)
-			if tc.component == "crawler.classify" {
+			if tc.verdict != "" {
 				classified = 1
 			}
 			if f, cl := res.Profile.Get("crawl.cycle.filter"), res.Profile.Get("crawl.cycle.classify"); f.Calls != 1 || cl.Calls != classified {
@@ -179,20 +171,16 @@ func TestFetchOneOutcomes(t *testing.T) {
 			if done.Name != "crawl.done" || attr(done.Attrs, "status") != tc.traceStatus {
 				t.Errorf("terminal event = %+v, want crawl.done status=%s", done, tc.traceStatus)
 			}
-			// Log: one record under the exit's component, correlated to the trace.
-			var recs []evlog.Record
+			// Log: nothing about the page, though the sink was attached.
+			if len(res.Logs.Records) == 0 {
+				t.Fatal("the attached sink logged nothing, not even crawl.done")
+			}
 			for _, r := range res.Logs.Records {
-				if r.Component == tc.component {
-					recs = append(recs, r)
+				for _, a := range r.Attrs {
+					if a.Key == "url" || a.Value == url {
+						t.Errorf("log record %+v is about the page", r)
+					}
 				}
-			}
-			if len(recs) != 1 {
-				t.Fatalf("%s records = %+v, want exactly one", tc.component, recs)
-			}
-			r := recs[0]
-			if r.Msg != tc.event || r.Level != evlog.Debug || r.Trace != res.Traces.Traces[0].ID ||
-				!same(keys(r.Attrs), tc.logAttrs) || attr(r.Attrs, "url") != url || attr(r.Attrs, "verdict") != tc.verdict {
-				t.Errorf("log record = %+v, want debug %s with attrs %v", r, tc.event, tc.logAttrs)
 			}
 		})
 	}

@@ -12,9 +12,10 @@ package crawler
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"webtextie/internal/crawldb"
+	"webtextie/internal/obs"
 	"webtextie/internal/obs/trace"
 	"webtextie/internal/synthweb"
 )
@@ -93,8 +94,7 @@ func (c *Crawler) breakerRejects(item crawldb.FetchItem, tc trace.Context) bool 
 		c.m.breakerHalfOpen.Inc()
 		c.setOpenHostsGauge()
 		tc.Event("breaker.halfopen", c.nowMs(), trace.String("host", item.Host))
-		c.lg.breaker.For(tc.Trace).Info("breaker.halfopen", c.nowMs(),
-			trace.String("host", item.Host))
+		c.lg.breaker.Info("breaker.halfopen", c.nowMs(), trace.String("host", item.Host))
 		return false
 	}
 	c.db.Defer(item.URL, item.Host, br.openUntil)
@@ -102,10 +102,6 @@ func (c *Crawler) breakerRejects(item crawldb.FetchItem, tc trace.Context) bool 
 	c.m.breakerDeferred.Inc()
 	tc.Event("breaker.defer", c.nowMs(),
 		trace.String("host", item.Host), trace.Int("until_ms", br.openUntil))
-	if c.lg.breaker.Enabled() {
-		c.lg.breaker.For(tc.Trace).Sample(item.URL, 4).Debug("breaker.defer", c.nowMs(),
-			trace.String("host", item.Host), trace.Int("until_ms", br.openUntil))
-	}
 	return true
 }
 
@@ -126,8 +122,7 @@ func (c *Crawler) breakerAlive(host string, tc trace.Context) {
 		c.m.breakerClosed.Inc()
 		c.setOpenHostsGauge()
 		tc.Event("breaker.closed", c.nowMs(), trace.String("host", host))
-		c.lg.breaker.For(tc.Trace).Info("breaker.closed", c.nowMs(),
-			trace.String("host", host))
+		c.lg.breaker.Info("breaker.closed", c.nowMs(), trace.String("host", host))
 	}
 }
 
@@ -161,7 +156,7 @@ func (c *Crawler) breakerCharge(host string, now int64, tc trace.Context) {
 		// its full lineage pinned past ring-buffer eviction.
 		tc.Error("breaker_open", now,
 			trace.String("host", host), trace.Int("until_ms", br.openUntil))
-		c.lg.breaker.For(tc.Trace).Warn("breaker.open", now,
+		c.lg.breaker.Warn("breaker.open", now,
 			trace.String("host", host), trace.Int("until_ms", br.openUntil))
 	}
 }
@@ -183,9 +178,7 @@ func (c *Crawler) backoffDelay(url string, attempt int) int64 {
 	if max := int64(c.cfg.BackoffMaxMs); max > 0 && d > max {
 		d = max
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", url, attempt)
-	return d + int64(h.Sum64()%uint64(base))
+	return d + int64(obs.FNVString(url+"/"+strconv.Itoa(attempt))%uint64(base))
 }
 
 // scheduleRetry requeues a failed URL, eligible again at eligibleMs.
@@ -204,8 +197,6 @@ func (c *Crawler) abandon(url string, tc trace.Context, now int64) {
 		c.stats.RetriesExhausted++
 		c.m.retryExhausted.Inc()
 		tc.Error("retry_exhausted", now, trace.Int("attempts", int64(c.cfg.MaxRetries+1)))
-		c.lg.fetch.For(tc.Trace).Warn("retry.exhausted", now,
-			trace.String("url", url), trace.Int("attempts", int64(c.cfg.MaxRetries+1)))
 	}
 	c.finishTrace(tc, "failed", now)
 }
@@ -225,11 +216,6 @@ func (c *Crawler) onFetchError(item crawldb.FetchItem, attempt int, info synthwe
 	now := c.nowMs()
 	tc.Event("fetch.error", now,
 		trace.Int("attempt", int64(attempt)), trace.String("cause", err.Error()))
-	if c.lg.fetch.Enabled() {
-		c.lg.fetch.For(tc.Trace).Warn("fetch.error", now,
-			trace.String("url", item.URL), trace.Int("attempt", int64(attempt)),
-			trace.String("cause", err.Error()))
-	}
 	switch {
 	case errors.Is(err, synthweb.ErrRateLimited):
 		c.stats.RateLimited++
@@ -256,10 +242,6 @@ func (c *Crawler) onFetchError(item crawldb.FetchItem, attempt int, info synthwe
 			c.m.retryBackoffMs.Observe(float64(d))
 			tc.Event("retry.backoff", now,
 				trace.Int("attempt", int64(attempt)), trace.Int("delay_ms", d))
-			if c.lg.fetch.Enabled() {
-				c.lg.fetch.For(tc.Trace).Sample(item.URL, 4).Debug("retry.backoff", now,
-					trace.String("url", item.URL), trace.Int("delay_ms", d))
-			}
 			c.scheduleRetry(item, now+d)
 		} else {
 			c.abandon(item.URL, tc, now)

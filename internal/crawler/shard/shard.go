@@ -23,7 +23,6 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"webtextie/internal/classify"
@@ -43,9 +42,7 @@ func Of(host string, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(host))
-	return int(h.Sum64() % uint64(shards))
+	return int(obs.FNVString(host) % uint64(shards))
 }
 
 // Config controls a sharded crawl.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"webtextie/internal/obs"
-	"webtextie/internal/obs/evlog"
 	"webtextie/internal/obs/pillars"
 	"webtextie/internal/obs/prof"
 	"webtextie/internal/obs/trace"
@@ -66,11 +65,11 @@ type ExecConfig struct {
 	// after an abort leaves unprocessed spans open — trace determinism is
 	// only guaranteed under the Quarantine policy.
 	//
-	// Log receives the execution's event log: exec lifecycle, per-record
-	// retry/panic/quarantine decisions, and one summary record per
-	// operator. Timestamps are the same logical clock the tracer uses,
-	// and evlog retention is order-independent, so the exported log is
-	// byte-identical across DoP settings per seed.
+	// Log receives the execution's event log: exec lifecycle and one
+	// summary record per operator; what happens to one record (retries,
+	// panics, quarantines) is its trace's alone. Timestamps are the same
+	// logical clock the tracer uses, and every record is emitted serially,
+	// so the exported log is byte-identical across DoP settings per seed.
 	//
 	// Prof attributes execution cost per operator under
 	// dataflow.op.<name> scopes: every processed record is one bracket
@@ -317,7 +316,7 @@ func (q *quarantineLog) sorted() []QuarantinedRecord {
 // flow leaves none — and, in place, leaves rec as it was, so a retry is
 // handed the record as it entered the node (Fn never writes it). A non-nil
 // return is a FailFast abort.
-func process(x *execNode, cfg ExecConfig, rec Record, tc trace.Context, w *worker, q *quarantineLog, lg evlog.Logger) error {
+func process(x *execNode, cfg ExecConfig, rec Record, tc trace.Context, w *worker, q *quarantineLog) error {
 	n, nm := x.Node, x.m
 	inPlace := n.Op.InPlace != nil
 	ts := int64(n.id) // plan-position logical clock
@@ -326,8 +325,6 @@ func process(x *execNode, cfg ExecConfig, rec Record, tc trace.Context, w *worke
 		if attempt > 0 {
 			nm.retries.Inc()
 			tc.Event("op.retry", ts, trace.Int("attempt", int64(attempt)))
-			lg.For(tc.Trace).Debug("op.retry", ts,
-				trace.String("op", n.Op.Name), trace.Int("attempt", int64(attempt)))
 		}
 		if inPlace {
 			w.save(rec, n.Op.Writes)
@@ -348,23 +345,18 @@ func process(x *execNode, cfg ExecConfig, rec Record, tc trace.Context, w *worke
 			nm.panics.Inc()
 			// Panic recovery is a flight-recorder event: pin the lineage.
 			tc.Error("panic", ts, trace.String("op", n.Op.Name))
-			lg.For(tc.Trace).Warn("op.panic", ts, trace.String("op", n.Op.Name))
 		}
 		lastErr = err
 	}
 	nm.errs.Inc()
 	if cfg.Policy == FailFast {
 		tc.Event("op.abort", ts, trace.String("cause", lastErr.Error()))
-		lg.For(tc.Trace).Error("op.abort", ts,
-			trace.String("op", n.Op.Name), trace.String("cause", lastErr.Error()))
 		return fmt.Errorf("dataflow: op %q: %w", n.Op.Name, lastErr)
 	}
 	nm.quarantined.Inc()
 	// Quarantine routing pins the record's full lineage so the dead letter
 	// is reconstructible hop by hop.
 	tc.Error("quarantine", ts,
-		trace.String("op", n.Op.Name), trace.String("cause", lastErr.Error()))
-	lg.For(tc.Trace).Warn("op.quarantine", ts,
 		trace.String("op", n.Op.Name), trace.String("cause", lastErr.Error()))
 	q.add(n, rec, lastErr, tc)
 	return nil
@@ -399,13 +391,10 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	wall := obs.StartSpan()
 	reg.Counter("dataflow.executions").Inc()
 
-	// Event-log loggers (no-ops when cfg.Log is nil). lgOp is shared by
-	// every worker goroutine: Sink.emit serializes, record content derives
-	// only from (plan, seed), and retention is order-independent, so the
-	// export is identical at any DoP. No rate limiting here — token
-	// buckets are order-sensitive and would break that identity.
+	// The event log (a no-op when cfg.Log is nil) is written serially: the
+	// run's lifecycle here and its per-operator summaries after every
+	// worker has joined, so the export is identical at any DoP.
 	lgExec := cfg.Log.Logger("dataflow.exec")
-	lgOp := cfg.Log.Logger("dataflow.op")
 	// exec.start deliberately omits DoP: the log contract is byte-identity
 	// across DoP settings, and worker count is run shape, not plan content.
 	lgExec.Info("exec.start", 0,
@@ -469,7 +458,7 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 		}
 		w.bufs[x.id] = w.bufs[x.id][:0]
 		ph := x.scope.Enter()
-		err := process(x, cfg, rec, tc, w, quar, lgOp)
+		err := process(x, cfg, rec, tc, w, quar)
 		ph.Exit()
 		tc.End(int64(x.id) + 1)
 		if err != nil {
@@ -552,9 +541,9 @@ func Execute(p *Plan, input []Record, cfg ExecConfig) (map[int][]Record, *ExecSt
 	}
 	stats.Wall = wall.End()
 	// Fill the public per-node stats from the registry deltas, and emit
-	// the per-operator summaries serially in plan order (all workers have
-	// joined, so these land after every per-record event).
+	// the per-operator summaries in plan order.
 	endTs := int64(len(p.nodes)) + 1
+	lgOp := cfg.Log.Logger("dataflow.op")
 	for _, n := range p.nodes {
 		ns, nm := stats.PerNode[n.id], nodes[n.id].m
 		ns.In = nm.in.Value() - nm.in0

@@ -57,13 +57,13 @@ func fixture() Options {
 	}
 
 	sink := evlog.NewSink(evlog.DefaultConfig(3))
-	sink.Logger("crawler.classify").Debug("classify.verdict", 10, trace.String("url", "http://h1/ok"))
+	sink.Logger("crawler.cycle").Info("cycle.done", 10, trace.Int("fetched", 1))
 	frontier := sink.Logger("crawler.frontier")
-	frontier.Debug("frontier.inject", 0, trace.String("url", "http://h1/ok"))
+	frontier.Debug("frontier.trap", 0, trace.String("host", "h1"))
 	frontier.Warn("frontier.exhausted", 50, trace.Int("known", 12))
 	sink.Logger("crawler.breaker").Warn("breaker.open", 60, trace.String("host", "h3"))
-	sink.Logger("crawler.fetch").Info("fetch.ok", 70, trace.String("url", "http://h1/ok"))
-	sink.Logger("dataflow.op").Warn("op.quarantine", 80, trace.String("op", "ner.gene"))
+	sink.Logger("crawler.breaker").Info("breaker.closed", 70, trace.String("host", "h3"))
+	sink.Logger("dataflow.op").Info("op.summary", 80, trace.String("op", "ner.gene"), trace.Int("quarantined", 40))
 	sup := sink.Logger("fleet.supervisor")
 	sup.Warn("shard.crash", 90, trace.Int("shard", 1))
 	sup.Error("shard.fenced", 95, trace.Int("shard", 1))

@@ -207,8 +207,7 @@ func TestLogPillarRules(t *testing.T) {
 	sink := evlog.NewSink(evlog.DefaultConfig(7))
 	frontier := sink.Logger("crawler.frontier")
 	frontier.Warn("frontier.exhausted", 10)
-	boiler := sink.Logger("crawler.fetch")
-	boiler.Error("fetch.corrupt", 11)
+	sink.Logger("fleet.supervisor").Error("shard.fenced", 11)
 	logs := sink.Snapshot()
 
 	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Logs: logs}})

@@ -53,7 +53,7 @@ func harvestCollapse(in Input) []Finding {
 	if total < 20 || ratio(rel, total) >= 0.2 {
 		return nil
 	}
-	f := Finding{
+	return []Finding{{
 		Rule:     "harvest-collapse",
 		Severity: Critical,
 		Score:    1 - ratio(rel, total),
@@ -62,12 +62,7 @@ func harvestCollapse(in Input) []Finding {
 		Evidence: []string{
 			fmt.Sprintf("crawler.classify.relevant=%d crawler.classify.irrelevant=%d", rel, irr),
 		},
-	}
-	if n := in.logTotal(evlog.Debug, "crawler.classify"); n > 0 {
-		f.Evidence = append(f.Evidence,
-			fmt.Sprintf("event log holds %d classify verdicts (see /logs?component=crawler.classify)", n))
-	}
-	return []Finding{f}
+	}}
 }
 
 // breakerStorm fires when circuit breakers opened during the run: hosts
@@ -288,10 +283,6 @@ func quarantineHeavyOps(in Input) []Finding {
 		if t := in.traceErrs()["quarantine"]; t > 0 {
 			f.Evidence = append(f.Evidence,
 				fmt.Sprintf("%d pinned traces carry quarantine lineage (see /traces?err=quarantine)", t))
-		}
-		if lw := in.logTotal(evlog.Warn, "dataflow.op"); lw > 0 {
-			f.Evidence = append(f.Evidence,
-				fmt.Sprintf("event log holds %d operator warnings (see /logs?component=dataflow.op&level=warn)", lw))
 		}
 		out = append(out, f)
 	}

@@ -25,9 +25,11 @@
 // Records at Warn and above bypass sampling: the interesting records
 // always land, only chatter is shed.
 //
-// Attrs reuse trace.Attr, so the attribute vocabulary (and the lintx
-// key-hygiene grammar) is shared across pillars, and any record can
-// carry a trace ID for cross-pillar correlation.
+// The log records what happens to the run, a host, a shard or an
+// operator; what happens to one URL or one record is its trace's alone,
+// so no record carries a URL or a trace ID. Attrs reuse trace.Attr, so
+// the attribute vocabulary (and the lintx key-hygiene grammar) is shared
+// across pillars.
 package evlog
 
 import (
@@ -91,12 +93,11 @@ func (l *Level) UnmarshalJSON(data []byte) error {
 // canonical logfmt rendering (see line) doubles as the record identity
 // that retention priorities and the export order derive from.
 type Record struct {
-	AtMs      int64         `json:"at_ms"`
-	Level     Level         `json:"level"`
-	Component string        `json:"component"`
-	Msg       string        `json:"msg"`
-	Trace     trace.TraceID `json:"trace,omitempty"`
-	Attrs     []trace.Attr  `json:"attrs,omitempty"`
+	AtMs      int64        `json:"at_ms"`
+	Level     Level        `json:"level"`
+	Component string       `json:"component"`
+	Msg       string       `json:"msg"`
+	Attrs     []trace.Attr `json:"attrs,omitempty"`
 }
 
 // Logger emits records for one component into a Sink. Loggers are cheap
@@ -105,27 +106,19 @@ type Record struct {
 type Logger struct {
 	s          *Sink
 	component  string
-	trace      trace.TraceID
 	sampledOut bool
 }
 
 // Enabled reports whether the logger records anywhere.
 func (l Logger) Enabled() bool { return l.s != nil }
 
-// For returns a derived logger stamping every record with the trace ID —
-// the cross-pillar correlation hook.
-func (l Logger) For(id trace.TraceID) Logger {
-	l.trace = id
-	return l
-}
-
 // Sample keeps 1-in-n emissions for Debug/Info records, decided by a
 // pure hash of (seed, component, key) — same-seed runs keep the same
 // keys regardless of emission order. Keys are stable per-subject values
-// (a URL, a record key), so one subject's records are kept or shed as a
-// unit. n <= 1 keeps everything; Warn and Error always pass. Each
-// Debug/Info emission through a sampled-out logger counts one sampled
-// drop in the sink stats.
+// (a host, say), so one subject's records are kept or shed as a unit.
+// n <= 1 keeps everything; Warn and Error always pass. Each Debug/Info
+// emission through a sampled-out logger counts one sampled drop in the
+// sink stats.
 func (l Logger) Sample(key string, n int) Logger {
 	if l.s == nil || n <= 1 || l.sampledOut {
 		return l
@@ -172,7 +165,6 @@ func (l Logger) emit(lv Level, msg string, atMs int64, attrs []trace.Attr) {
 		Level:     lv,
 		Component: l.component,
 		Msg:       msg,
-		Trace:     l.trace,
 		Attrs:     slices.Clone(attrs),
 	})
 }

@@ -64,7 +64,7 @@ func TestEmitRetainAndExport(t *testing.T) {
 	s := NewSink(Config{Seed: 1})
 	lg := s.Logger("crawler.fetch")
 	lg.Info("fetch.ok", 10, trace.Int("bytes", 512))
-	lg.For(trace.TraceID(0xabcd)).Warn("fetch.error", 20, trace.String("cause", "host down"))
+	lg.Warn("fetch.error", 20, trace.String("cause", "host down"))
 	lg.Debug("fetch.start", 5)
 
 	snap := s.Snapshot()
@@ -76,7 +76,7 @@ func TestEmitRetainAndExport(t *testing.T) {
 		t.Errorf("canonical order wrong: %q ... %q", snap.Records[0].Msg, snap.Records[2].Msg)
 	}
 	logfmt := snap.Logfmt()
-	wantLine := `at_ms=20 level=warn component=crawler.fetch msg=fetch.error cause="host down" trace=000000000000abcd`
+	wantLine := `at_ms=20 level=warn component=crawler.fetch msg=fetch.error cause="host down"`
 	if !strings.Contains(logfmt, wantLine+"\n") {
 		t.Errorf("logfmt missing %q:\n%s", wantLine, logfmt)
 	}
@@ -263,7 +263,8 @@ func TestSnapshotLoadResumeIdentity(t *testing.T) {
 
 // oldSnapshot is a log snapshot as checkpoints wrote it while the sink
 // still had per-component token buckets: it carries their state under
-// "buckets" and their sheds under stats.dropped_rated.
+// "buckets" and their sheds under stats.dropped_rated; and while records
+// still carried a trace ID, which loading ignores.
 const oldSnapshot = `{"stats":{"emitted":3,"dropped_sampled":1,"dropped_rated":3},` +
 	`"totals":{"info crawler.cycle":2,"warn crawler.fetch":1},` +
 	`"buckets":{"crawler.cycle":{"burst":2,"per_sec":1,"tokens":0.40000000000000013,"last_ms":400}},` +
@@ -271,9 +272,9 @@ const oldSnapshot = `{"stats":{"emitted":3,"dropped_sampled":1,"dropped_rated":3
 	`{"at_ms":100,"level":"info","component":"crawler.cycle","msg":"cycle.done","attrs":[{"k":"fetched","v":"1"}]},` +
 	`{"at_ms":250,"level":"warn","component":"crawler.fetch","msg":"fetch.error","trace":48879,"attrs":[{"k":"cause","v":"host down"}]}]}`
 
-// TestOldSnapshotResumes: a checkpoint written before the buckets went
-// still loads, and resumes exactly as the same snapshot without the
-// bucket keys does.
+// TestOldSnapshotResumes: a checkpoint written before the buckets and
+// the trace IDs went still loads, and resumes exactly as the same
+// snapshot without the bucket keys does.
 func TestOldSnapshotResumes(t *testing.T) {
 	var raw map[string]any
 	if err := json.Unmarshal([]byte(oldSnapshot), &raw); err != nil {
@@ -319,7 +320,7 @@ func TestFilter(t *testing.T) {
 	a := s.Logger("crawler.fetch")
 	b := s.Logger("dataflow.op")
 	a.Info("fetch.ok", 1)
-	a.For(trace.TraceID(5)).Warn("fetch.error", 2)
+	a.Warn("fetch.error", 2)
 	b.Debug("op.emit", 3)
 	b.Error("op.panic", 4)
 	snap := s.Snapshot()

@@ -16,10 +16,10 @@ import (
 
 // line renders the record's canonical logfmt form:
 //
-//	at_ms=2900 level=warn component=crawler.fetch msg=fetch.error cause="host down" trace=00ab...
+//	at_ms=2900 level=warn component=crawler.breaker msg=breaker.open host=h17.example until_ms=7900
 //
 // Keys are constant snake_case; values are quoted only when they contain
-// logfmt metacharacters. The trace field is omitted when zero.
+// logfmt metacharacters.
 func (r Record) line() string {
 	var b strings.Builder
 	b.Grow(64 + len(r.Component) + len(r.Msg) + 32*len(r.Attrs)) // one allocation for most lines
@@ -36,10 +36,6 @@ func (r Record) line() string {
 		b.WriteString(a.Key)
 		b.WriteByte('=')
 		b.WriteString(logfmtValue(a.Value))
-	}
-	if r.Trace != 0 {
-		b.WriteString(" trace=")
-		b.WriteString(r.Trace.String())
 	}
 	return b.String()
 }

@@ -185,9 +185,6 @@ func retentionRecords(r *rng.RNG, nLow, nPin int) []Record {
 		for _, k := range []string{"cause", "rec"}[:r.Intn(3)] {
 			rec.Attrs = append(rec.Attrs, trace.String(k, rng.Pick(r, vals)))
 		}
-		if r.Bool(0.3) {
-			rec.Trace = trace.TraceID(1 + r.Intn(3))
-		}
 		recs = append(recs, rec)
 	}
 	r.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
@@ -232,7 +229,7 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
 			sink = resumed
 		}
 		rec := recs[j]
-		sink.Logger(rec.Component).For(rec.Trace).emit(rec.Level, rec.Msg, rec.AtMs, rec.Attrs)
+		sink.Logger(rec.Component).emit(rec.Level, rec.Msg, rec.AtMs, rec.Attrs)
 	}
 
 	want, got := ref.snapshot(), sink.Snapshot()

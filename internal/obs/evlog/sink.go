@@ -86,7 +86,7 @@ func NewSink(cfg Config) *Sink {
 }
 
 // Logger returns a component-scoped logger. Components are dotted
-// lower-case constants ("crawler.fetch", "dataflow.op"); the lintx
+// lower-case constants ("crawler.breaker", "dataflow.op"); the lintx
 // logcall check enforces the grammar. A nil sink returns the no-op zero
 // Logger.
 func (s *Sink) Logger(component string) Logger {

@@ -38,7 +38,7 @@ func exercise(s Set, shard int) {
 			tc.Error("test_error", int64(i+1))
 		}
 		tc.Finish(int64(i + 1))
-		lg.For(tc.Trace).Warn("page.done", int64(i+1), trace.String("url", key))
+		lg.Warn("page.done", int64(i+1), trace.String("key", key))
 	}
 	s.Trace.Mark("round", 5, trace.Int("shard", int64(shard)))
 	s.Series.Sample(1000, s.Metrics.Snapshot())

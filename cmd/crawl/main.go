@@ -467,13 +467,17 @@ func runSharded(o shardedOpts) {
 	// unsupervised run); the doctor diagnoses crawl and supervision
 	// pillars together. Fleet runs also hand the doctor the per-shard
 	// virtual clocks so shard-cost-skew can see the partition balance the
-	// merged stats reduce to a makespan.
+	// merged stats reduce to a makespan. A fenced shard's clock stopped
+	// at its barrier checkpoint, so it is marked -1 and left out.
 	diag := &doctor.Input{Snapshot: res.Snapshot}
 	if rep != nil {
 		diag.Snapshot = pillars.Merge(res.Snapshot, rep.Snapshot)
 	}
 	for _, pr := range res.PerShard {
 		diag.ShardVirtualMs = append(diag.ShardVirtualMs, pr.Stats.VirtualMs)
+	}
+	for _, d := range res.Degraded {
+		diag.ShardVirtualMs[d.Shard] = -1
 	}
 	summary, err := o.obsSetup.Finish(res.Snapshot, diag)
 	if summary != "" {

@@ -97,3 +97,36 @@ func TestReportWithNothingFetched(t *testing.T) {
 		t.Errorf("filter shares of an empty crawl should read 0.0%%:\n%s", out)
 	}
 }
+
+// TestFencedFleetDoctor: a supervised fleet that fences one shard gets
+// one fleet-fault finding, degraded-completion, carrying the whole
+// supervision story, and shard-cost-skew judges the live shards only —
+// the fenced shard's clock stopped at its barrier checkpoint.
+func TestFencedFleetDoctor(t *testing.T) {
+	bin := buildCrawl(t)
+	out := runCrawl(t, bin, "-hosts", "60", "-pages", "600", "-shards", "4",
+		"-shard-crash-rate", "0.3", "-shard-crash-max-attempts", "5", "-shard-recovery-budget", "1", "-doctor")
+	_, report, ok := strings.Cut(out, "crawl doctor:")
+	if !ok {
+		t.Fatalf("no doctor report:\n%s", out)
+	}
+	if !strings.Contains(out, "DEGRADED: partition") {
+		t.Fatalf("expected a fenced shard:\n%s", out)
+	}
+	for _, want := range []string{
+		"critical degraded-completion",
+		"fleet.shard.restarts=", "fleet.shard.fenced=1 fleet.mail.dropped=",
+		"corpus manifest carries `deg` footer lines",
+		"(see /logs?component=fleet.supervisor)",
+		"warning  shard-cost-skew", ": fenced",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("doctor report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, absent := range []string{"shard-crash-loop", "error-burst"} {
+		if strings.Contains(report, absent) {
+			t.Errorf("doctor report repeats the fencing as %s:\n%s", absent, report)
+		}
+	}
+}

@@ -257,7 +257,8 @@ func TestStallDetectionDeterministic(t *testing.T) {
 // TestSupervisionPillarsAndDoctor: supervision events land in the
 // supervisor's own pillars (fleet.* metrics, fleet.supervisor logs,
 // shard.* marks), the crawl pillars stay clean, and the merged view
-// triggers the shard-crash-loop and degraded-completion doctor rules.
+// raises exactly one fleet-fault doctor finding, degraded-completion:
+// the fenced run's crashes are part of that finding, not a second one.
 func TestSupervisionPillarsAndDoctor(t *testing.T) {
 	e := newEnv(t, 60, nil)
 	crash := &synthweb.CrashPlan{Points: []synthweb.CrashPoint{
@@ -296,14 +297,13 @@ func TestSupervisionPillarsAndDoctor(t *testing.T) {
 		Traces:  trace.Merge(res.Traces, rep.Traces),
 		Logs:    evlog.Merge(res.Logs, rep.Logs),
 	}})
-	rules := map[string]bool{}
+	var fleet []string
 	for _, f := range diag.Findings {
-		rules[f.Rule] = true
+		if f.Rule == "shard-crash-loop" || f.Rule == "degraded-completion" {
+			fleet = append(fleet, f.Rule)
+		}
 	}
-	if !rules["shard-crash-loop"] {
-		t.Error("merged diagnosis lacks shard-crash-loop")
-	}
-	if !rules["degraded-completion"] {
-		t.Error("merged diagnosis lacks degraded-completion")
+	if len(fleet) != 1 || fleet[0] != "degraded-completion" {
+		t.Errorf("merged diagnosis raises fleet findings %v, want exactly [degraded-completion]", fleet)
 	}
 }

@@ -54,8 +54,8 @@ type Input struct {
 	pillars.Snapshot
 	// ShardVirtualMs holds the per-shard virtual clocks of a fleet run
 	// (PerShard[i].Stats.VirtualMs), in shard order; nil for
-	// single-crawler runs. The cross-shard skew rule needs the unmerged
-	// view.
+	// single-crawler runs. A fenced shard's entry is -1. The cross-shard
+	// skew rule needs the unmerged view.
 	ShardVirtualMs []int64
 }
 

@@ -32,26 +32,30 @@ func fmtX(v float64) string {
 // the fleet average — the host-hash partition is unbalanced (one shard
 // owns the slow or link-dense hosts), so the fleet's makespan is pinned
 // to its most loaded member. Stats.VirtualMs already reports the
-// makespan; this rule names the shard responsible for it.
+// makespan; this rule names the shard responsible for it. Fenced shards
+// (negative entries) stopped their clocks at a barrier checkpoint, so
+// they stay out of the mean and the max, as the supervisor's stall
+// detection leaves them out.
 func shardCostSkew(in Input) []Finding {
-	clocks := in.ShardVirtualMs
-	if len(clocks) < 2 {
-		return nil
-	}
 	var total, max int64
-	maxShard := 0
-	perShard := make([]string, len(clocks))
-	for i, ms := range clocks {
+	live, maxShard := 0, 0
+	perShard := make([]string, len(in.ShardVirtualMs))
+	for i, ms := range in.ShardVirtualMs {
+		if ms < 0 {
+			perShard[i] = fmt.Sprintf("shard %d: fenced", i)
+			continue
+		}
+		live++
 		total += ms
 		if ms > max {
 			max, maxShard = ms, i
 		}
 		perShard[i] = fmt.Sprintf("shard %d: %dms", i, ms)
 	}
-	if total < skewMinFleetMs {
+	if live < 2 || total < skewMinFleetMs {
 		return nil
 	}
-	skew := float64(max) / (float64(total) / float64(len(clocks)))
+	skew := float64(max) / (float64(total) / float64(live))
 	if skew < 1.5 {
 		return nil
 	}
@@ -63,8 +67,8 @@ func shardCostSkew(in Input) []Finding {
 		Rule:     "shard-cost-skew",
 		Severity: sev,
 		// How much of a perfectly balanced fleet's headroom the hot shard
-		// consumed, in [0,1] by construction (skew ranges over [1, S]).
-		Score:   (skew - 1) / float64(len(clocks)-1),
+		// consumed, in [0,1] by construction (skew ranges over [1, live]).
+		Score:   (skew - 1) / float64(live-1),
 		Summary: fmt.Sprintf("shard %d's virtual clock is %s the fleet average", maxShard, fmtX(skew)),
 		Evidence: []string{
 			fmt.Sprintf("virtual ms per shard: %v (fleet total %dms)", perShard, total),

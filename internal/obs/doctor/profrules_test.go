@@ -22,43 +22,56 @@ func profWith(scopes map[string]prof.ScopeData) *prof.Snapshot {
 	return s
 }
 
-// TestStageCostSkewFires checks both severity bands of shard-cost-skew
-// over synthetic per-shard virtual clocks.
-func TestStageCostSkewFires(t *testing.T) {
-	cases := []struct {
-		name    string
-		ms      []int64
-		wantSev Severity
-	}{
+// skewed builds an input that holds only per-shard virtual clocks.
+func skewed(ms ...int64) Input {
+	return Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}, ShardVirtualMs: ms}
+}
+
+// checkpointed builds an input whose profile spends cpMs wall ms over
+// calls checkpoints against cycMs ms of crawl cycles.
+func checkpointed(cpMs, cycMs, calls int64) Input {
+	return Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Profile: profWith(map[string]prof.ScopeData{
+		"crawl.checkpoint": {Calls: calls, WallNs: cpMs * 1e6},
+		"crawl.cycle":      {Calls: 100, WallNs: cycMs * 1e6},
+	})}}
+}
+
+// costFirings holds both severity bands of each cost rule.
+func costFirings() []firing {
+	return []firing{
 		// mean 13000, hot shard 40000: 3.1x — critical.
-		{"critical", []int64{40_000, 4_000, 4_000, 4_000}, Critical},
+		{"critical", skewed(40_000, 4_000, 4_000, 4_000), "shard-cost-skew", Critical},
 		// mean 5250, hot shard 9000: 1.7x — warning.
-		{"warning", []int64{9_000, 4_000, 4_000, 4_000}, Warning},
+		{"warning", skewed(9_000, 4_000, 4_000, 4_000), "shard-cost-skew", Warning},
+		// Shard 0 was fenced (-1): the three live shards average 340764,
+		// so the hot one reads 2.2x — warning. Counting the fenced
+		// shard's stopped clock read 2.9x, critical.
+		{"fenced", skewed(-1, 740_217, 165_268, 116_808), "shard-cost-skew", Warning},
+		// 300 / (300+600) = 33% — critical.
+		{"critical", checkpointed(300, 600, 10), "checkpoint-overhead-dominance", Critical},
+		// 150 / (150+850) = 15% — warning.
+		{"warning", checkpointed(150, 850, 10), "checkpoint-overhead-dominance", Warning},
 	}
-	for _, tc := range cases {
+}
+
+// TestStageCostSkewFires checks both severity bands of shard-cost-skew
+// over synthetic per-shard virtual clocks, and that a fenced shard is
+// named by its own index but left out of the mean and the max.
+func TestStageCostSkewFires(t *testing.T) {
+	for _, tc := range costFirings() {
+		if tc.wantRule != "shard-cost-skew" {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{
-				Snapshot:       pillars.Snapshot{Metrics: metricsWith(nil, nil)},
-				ShardVirtualMs: tc.ms,
-			})
-			var found *Finding
-			for i := range rep.Findings {
-				if rep.Findings[i].Rule == "shard-cost-skew" {
-					found = &rep.Findings[i]
-					break
-				}
+			f := mustFire(t, tc)
+			if tc.name != "fenced" {
+				return
 			}
-			if found == nil {
-				t.Fatalf("shard-cost-skew did not fire; findings: %+v", rep.Findings)
+			if want := "shard 1's virtual clock is 2.2x the fleet average"; f.Summary != want {
+				t.Errorf("summary %q, want %q", f.Summary, want)
 			}
-			if found.Severity != tc.wantSev {
-				t.Errorf("severity = %v, want %v", found.Severity, tc.wantSev)
-			}
-			if found.Score <= 0 || found.Score > 1 {
-				t.Errorf("score %v outside (0,1]", found.Score)
-			}
-			if len(found.Evidence) == 0 {
-				t.Errorf("finding has no evidence")
+			if want := "virtual ms per shard: [shard 0: fenced shard 1: 740217ms shard 2: 165268ms shard 3: 116808ms] (fleet total 1022293ms)"; f.Evidence[0] != want {
+				t.Errorf("evidence %q, want %q", f.Evidence[0], want)
 			}
 		})
 	}
@@ -75,11 +88,12 @@ func TestStageCostSkewStaysQuiet(t *testing.T) {
 		{"balanced", []int64{12_000, 11_000, 13_000, 12_000}},
 		{"below-min-ms", []int64{2_000, 100, 100, 100}},
 		{"single-shard", []int64{50_000}},
+		{"one-live-shard", []int64{-1, 50_000}},
 		{"unsharded", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}, ShardVirtualMs: tc.ms})
+			rep := Diagnose(skewed(tc.ms...))
 			for _, f := range rep.Findings {
 				if f.Rule == "shard-cost-skew" {
 					t.Errorf("shard-cost-skew fired: %+v", f)
@@ -90,64 +104,40 @@ func TestStageCostSkewStaysQuiet(t *testing.T) {
 }
 
 // TestCheckpointOverheadDominance exercises the profile rule across its
-// bands: quiet, warning, critical, and the minimum-calls floor.
+// bands: warning and critical (costFirings), quiet, the minimum-calls
+// floor, and no profile pillar.
 func TestCheckpointOverheadDominance(t *testing.T) {
-	mk := func(cpMs, cycMs, calls int64) *prof.Snapshot {
-		return profWith(map[string]prof.ScopeData{
-			"crawl.checkpoint": {Calls: calls, WallNs: cpMs * 1e6},
-			"crawl.cycle":      {Calls: 100, WallNs: cycMs * 1e6},
-		})
-	}
-	cases := []struct {
-		name    string
-		prof    *prof.Snapshot
-		wantSev Severity
-		fire    bool
-	}{
-		// 300 / (300+600) = 33% — critical.
-		{"critical", mk(300, 600, 10), Critical, true},
-		// 150 / (150+850) = 15% — warning.
-		{"warning", mk(150, 850, 10), Warning, true},
-		// 50 / (50+950) = 5% — below the floor.
-		{"quiet", mk(50, 950, 10), Note, false},
-		// Dominant fraction but only 2 checkpoints: too few to judge.
-		{"too-few-brackets", mk(300, 600, 2), Note, false},
-	}
-	for _, tc := range cases {
+	const wantSource = "repeated checkpoints are the supervisor's silent per-round barrier checkpoints " +
+		"(Runner.BarrierCheckpoint, one per shard per round): this is the wall time -supervise pays for crash recovery (see /profile)"
+	for _, tc := range costFirings() {
+		if tc.wantRule != "checkpoint-overhead-dominance" {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Profile: tc.prof}})
-			var found *Finding
-			for i := range rep.Findings {
-				if rep.Findings[i].Rule == "checkpoint-overhead-dominance" {
-					found = &rep.Findings[i]
-					break
-				}
-			}
-			if found == nil {
-				if tc.fire {
-					t.Fatalf("rule did not fire; findings: %+v", rep.Findings)
-				}
-				return
-			}
-			if !tc.fire {
-				t.Fatalf("rule fired on quiet input: %+v", found)
-			}
-			if found.Severity != tc.wantSev {
-				t.Errorf("severity = %v, want %v", found.Severity, tc.wantSev)
-			}
-			const wantSource = "repeated checkpoints are the supervisor's silent per-round barrier checkpoints " +
-				"(Runner.BarrierCheckpoint, one per shard per round): this is the wall time -supervise pays for crash recovery (see /profile)"
-			if got := found.Evidence[len(found.Evidence)-1]; got != wantSource {
+			f := mustFire(t, tc)
+			if got := f.Evidence[len(f.Evidence)-1]; got != wantSource {
 				t.Errorf("evidence names %q, want %q", got, wantSource)
 			}
 		})
 	}
-	// Without the pillar the rule cannot fire.
-	rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil)}})
-	for _, f := range rep.Findings {
-		if f.Rule == "checkpoint-overhead-dominance" {
-			t.Errorf("checkpoint-overhead-dominance fired without the profile pillar")
-		}
+	quiet := []struct {
+		name string
+		in   Input
+	}{
+		// 50 / (50+950) = 5% — below the floor.
+		{"quiet", checkpointed(50, 950, 10)},
+		// Dominant fraction but only 2 checkpoints: too few to judge.
+		{"too-few-brackets", checkpointed(300, 600, 2)},
+		{"no-profile", counts(nil, nil)},
+	}
+	for _, tc := range quiet {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, f := range Diagnose(tc.in).Findings {
+				if f.Rule == "checkpoint-overhead-dominance" {
+					t.Fatalf("rule fired on quiet input: %+v", f)
+				}
+			}
+		})
 	}
 }
 

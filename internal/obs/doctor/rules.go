@@ -2,7 +2,8 @@ package doctor
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"webtextie/internal/obs/evlog"
@@ -28,10 +29,7 @@ var rules = []func(Input) []Finding{
 	filterDominance,
 	quarantineHeavyOps,
 	opPanics,
-	shardCrashLoop,
-	degradedCompletion,
-	errorBurst,
-	logShedding,
+	fleetFaults,
 	// Time-aware rules (timerules.go) — need the series pillar.
 	harvestDecay,
 	breakerOscillation,
@@ -145,19 +143,11 @@ func spiderTrap(in Input) []Finding {
 }
 
 // frontierExhausted notes that the crawl stopped because it ran out of
-// URLs rather than hitting its page budget.
+// URLs rather than hitting its page budget. frontier.exhausted is the
+// crawler.frontier logger's one Warn record, so its exact total answers
+// even when retention shed the record itself.
 func frontierExhausted(in Input) []Finding {
-	if in.Logs == nil || in.logTotal(evlog.Warn, "crawler.frontier") == 0 {
-		return nil
-	}
-	found := false
-	for _, r := range in.Logs.Records {
-		if r.Component == "crawler.frontier" && r.Msg == "frontier.exhausted" {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if in.logTotal(evlog.Warn, "crawler.frontier") == 0 {
 		return nil
 	}
 	return []Finding{{
@@ -251,24 +241,29 @@ func filterDominance(in Input) []Finding {
 	}}
 }
 
-// quarantineHeavyOps scans per-operator dataflow counters for operators
-// whose quarantine rate crosses 25% — one finding per offender, ranked
-// by rate (the paper's tagger-crashing-on-degenerate-pages story).
-func quarantineHeavyOps(in Input) []Finding {
-	names := make([]string, 0, len(in.Metrics.Counters))
-	for n := range in.Metrics.Counters {
-		if strings.HasPrefix(n, "dataflow.op.") && strings.HasSuffix(n, ".quarantined") {
-			names = append(names, n)
+// eachOpCounter calls fn, in counter-name order, for every non-zero
+// dataflow.op.<op>.<suffix> counter.
+func eachOpCounter(in Input, suffix string, fn func(op string, n int64)) {
+	for _, name := range slices.Sorted(maps.Keys(in.Metrics.Counters)) {
+		op, ok := strings.CutPrefix(name, "dataflow.op.")
+		if !ok {
+			continue
+		}
+		if op, ok = strings.CutSuffix(op, "."+suffix); ok && in.Metrics.Counters[name] != 0 {
+			fn(op, in.Metrics.Counters[name])
 		}
 	}
-	sort.Strings(names)
+}
+
+// quarantineHeavyOps flags operators whose quarantine rate crosses 25%
+// — one finding per offender, ranked by rate (the paper's
+// tagger-crashing-on-degenerate-pages story).
+func quarantineHeavyOps(in Input) []Finding {
 	var out []Finding
-	for _, n := range names {
-		q := in.Metrics.Counters[n]
-		op := strings.TrimSuffix(strings.TrimPrefix(n, "dataflow.op."), ".quarantined")
+	eachOpCounter(in, "quarantined", func(op string, q int64) {
 		inCount := in.Metrics.Counters["dataflow.op."+op+".in"]
-		if q == 0 || inCount == 0 || ratio(q, inCount) < 0.25 {
-			continue
+		if inCount == 0 || ratio(q, inCount) < 0.25 {
+			return
 		}
 		f := Finding{
 			Rule:     "quarantine-heavy-op",
@@ -277,7 +272,7 @@ func quarantineHeavyOps(in Input) []Finding {
 			Summary: fmt.Sprintf("operator %s quarantines %s of its records (%d of %d)",
 				op, pct(q, inCount), q, inCount),
 			Evidence: []string{
-				fmt.Sprintf("%s=%d dataflow.op.%s.in=%d", n, q, op, inCount),
+				fmt.Sprintf("dataflow.op.%s.quarantined=%d dataflow.op.%s.in=%d", op, q, op, inCount),
 			},
 		}
 		if t := in.traceErrs()["quarantine"]; t > 0 {
@@ -285,142 +280,66 @@ func quarantineHeavyOps(in Input) []Finding {
 				fmt.Sprintf("%d pinned traces carry quarantine lineage (see /traces?err=quarantine)", t))
 		}
 		out = append(out, f)
-	}
+	})
 	return out
 }
 
 // opPanics fires on any recovered operator panic: quarantined by the
 // executor, but a panic is a bug, not data quality.
 func opPanics(in Input) []Finding {
-	names := make([]string, 0, len(in.Metrics.Counters))
-	for n := range in.Metrics.Counters {
-		if strings.HasPrefix(n, "dataflow.op.") && strings.HasSuffix(n, ".panics") {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
 	var out []Finding
-	for _, n := range names {
-		p := in.Metrics.Counters[n]
-		if p == 0 {
-			continue
-		}
-		op := strings.TrimSuffix(strings.TrimPrefix(n, "dataflow.op."), ".panics")
+	eachOpCounter(in, "panics", func(op string, p int64) {
 		out = append(out, Finding{
 			Rule:     "op-panics",
 			Severity: Critical,
 			Score:    1,
 			Summary:  fmt.Sprintf("operator %s panicked %d times (recovered and quarantined)", op, p),
-			Evidence: []string{fmt.Sprintf("%s=%d", n, p)},
+			Evidence: []string{fmt.Sprintf("dataflow.op.%s.panics=%d", op, p)},
 		})
-	}
+	})
 	return out
 }
 
-// shardCrashLoop fires when the fleet supervisor recovered shard
-// crashes: the run survived, but something is panicking workers — the
-// fleet-level analogue of opPanics. Critical once any shard burned its
-// whole recovery budget (a poisoned partition, not a transient fault).
-func shardCrashLoop(in Input) []Finding {
+// fleetFaults reports the fleet supervisor's interventions as one
+// finding — the fleet-level analogue of opPanics. While every crash was
+// recovered from a checkpoint it is shard-crash-loop, a warning: the run
+// survived, but something is panicking workers. Once a shard burned its
+// recovery budget and was fenced (fencing only ever follows a crash) it
+// is degraded-completion, critical: the corpus has known coverage holes
+// in that shard's host-hash partition — loud, per the paper's
+// silently-shrinking-corpus warning, never silent.
+func fleetFaults(in Input) []Finding {
 	crashes := in.Metrics.Counter("fleet.shard.crashes")
 	if crashes == 0 {
 		return nil
 	}
 	restarts := in.Metrics.Counter("fleet.shard.restarts")
 	fenced := in.Metrics.Counter("fleet.shard.fenced")
-	sev := Warning
-	if fenced > 0 {
-		sev = Critical
-	}
+	dropped := in.Metrics.Counter("fleet.mail.dropped")
+	counters := fmt.Sprintf("fleet.shard.crashes=%d fleet.shard.restarts=%d fleet.shard.fenced=%d fleet.mail.dropped=%d",
+		crashes, restarts, fenced, dropped)
 	f := Finding{
 		Rule:     "shard-crash-loop",
-		Severity: sev,
+		Severity: Warning,
 		Score:    ratio(crashes, crashes+5),
-		Summary: fmt.Sprintf("fleet supervisor caught %d shard crash(es): %d checkpoint restart(s), %d shard(s) fenced",
-			crashes, restarts, fenced),
-		Evidence: []string{
-			fmt.Sprintf("fleet.shard.crashes=%d fleet.shard.restarts=%d fleet.shard.fenced=%d",
-				crashes, restarts, fenced),
-		},
+		Summary: fmt.Sprintf("fleet supervisor caught %d shard crash(es), all recovered by %d checkpoint restart(s)",
+			crashes, restarts),
+		Evidence: []string{counters},
 	}
-	if n := in.logTotal(evlog.Warn, "fleet.supervisor"); n > 0 {
-		f.Evidence = append(f.Evidence,
-			fmt.Sprintf("event log holds %d supervisor warnings (see /logs?component=fleet.supervisor)", n))
-	}
-	return []Finding{f}
-}
-
-// degradedCompletion fires when the run finished without part of its
-// host-hash space: shards fenced after exhausting their recovery budget
-// mean the corpus has known coverage holes — loud, per the paper's
-// silently-shrinking-corpus warning, never silent.
-func degradedCompletion(in Input) []Finding {
-	fenced := in.Metrics.Counter("fleet.shard.fenced")
-	if fenced == 0 {
-		return nil
-	}
-	dropped := in.Metrics.Counter("fleet.mail.dropped")
-	f := Finding{
-		Rule:     "degraded-completion",
-		Severity: Critical,
-		Score:    1,
-		Summary: fmt.Sprintf("run completed DEGRADED: %d host-hash partition(s) fenced, %d cross-shard discoveries dropped",
-			fenced, dropped),
-		Evidence: []string{
-			fmt.Sprintf("fleet.shard.fenced=%d fleet.mail.dropped=%d", fenced, dropped),
-			"corpus manifest carries `deg` footer lines enumerating the missing partitions",
-		},
-	}
-	if n := in.logTotal(evlog.Error, "fleet.supervisor"); n > 0 {
-		f.Evidence = append(f.Evidence,
-			fmt.Sprintf("event log holds %d fencing records (see /logs?component=fleet.supervisor&level=error)", n))
-	}
-	return []Finding{f}
-}
-
-// errorBurst reports components that logged error-level records — the
-// log pillar's own alarm, independent of metrics coverage.
-func errorBurst(in Input) []Finding {
-	if in.Logs == nil {
-		return nil
-	}
-	var parts []string
-	var total uint64
-	keys := make([]string, 0, len(in.Logs.Totals))
-	for k := range in.Logs.Totals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if comp, ok := strings.CutPrefix(k, "error "); ok {
-			parts = append(parts, fmt.Sprintf("%s=%d", comp, in.Logs.Totals[k]))
-			total += in.Logs.Totals[k]
+	if fenced > 0 {
+		f = Finding{
+			Rule:     "degraded-completion",
+			Severity: Critical,
+			Score:    1,
+			Summary: fmt.Sprintf("run completed DEGRADED: %d host-hash partition(s) fenced after %d shard crash(es) and %d checkpoint restart(s), %d cross-shard discoveries dropped",
+				fenced, crashes, restarts, dropped),
+			Evidence: []string{counters,
+				"corpus manifest carries `deg` footer lines enumerating the missing partitions"},
 		}
 	}
-	if total == 0 {
-		return nil
+	if n := in.logTotal(evlog.Warn, "fleet.supervisor") + in.logTotal(evlog.Error, "fleet.supervisor"); n > 0 {
+		f.Evidence = append(f.Evidence,
+			fmt.Sprintf("event log holds %d supervisor warnings and errors (see /logs?component=fleet.supervisor)", n))
 	}
-	return []Finding{{
-		Rule:     "error-burst",
-		Severity: Warning,
-		Score:    ratio(int64(total), int64(total)+10),
-		Summary:  fmt.Sprintf("%d error-level log records emitted", total),
-		Evidence: []string{"per component: " + strings.Join(parts, " ")},
-	}}
-}
-
-// logShedding notes when retention shed Warn/Error records: the
-// diagnosis above may be built on a partial log.
-func logShedding(in Input) []Finding {
-	if in.Logs == nil || in.Logs.Stats.PinDropped == 0 {
-		return nil
-	}
-	return []Finding{{
-		Rule:     "log-shedding",
-		Severity: Note,
-		Score:    1,
-		Summary: fmt.Sprintf("%d warn/error log records were shed by retention; the event-log evidence is partial",
-			in.Logs.Stats.PinDropped),
-		Evidence: []string{fmt.Sprintf("evlog stats: %+v", in.Logs.Stats)},
-	}}
+	return []Finding{f}
 }

@@ -13,97 +13,74 @@ import (
 	"webtextie/internal/textgen"
 )
 
-// seriesWith builds a series snapshot from cumulative sample values, one
-// sample per second of virtual time.
-func seriesWith(t *testing.T, streams map[string][]float64) *series.Snapshot {
-	t.Helper()
+// sampled builds an input holding a series snapshot of cumulative
+// sample values, one sample per second of virtual time.
+func sampled(streams map[string][]float64) Input {
 	rec := series.New(series.DefaultConfig())
 	for name, vals := range streams {
 		for i, v := range vals {
 			rec.Observe(name, int64(i)*1000, v)
 		}
 	}
-	return rec.Snapshot()
+	return Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Series: rec.Snapshot()}}
 }
 
-// TestTimeRulesFire tables one triggering sample stream per time-aware
-// rule and checks it lands at the expected severity.
-func TestTimeRulesFire(t *testing.T) {
-	cases := []struct {
-		name     string
-		streams  map[string][]float64
-		wantRule string
-		wantSev  Severity
-	}{
+// timeFirings holds one triggering sample stream per time-aware rule.
+func timeFirings() []firing {
+	return []firing{
 		{
 			// Early half harvests 45/130 = 35%, late half 5/120 = 4%:
 			// under a quarter of the early rate, so critical.
 			name: "harvest-decay-critical",
-			streams: map[string][]float64{
+			in: sampled(map[string][]float64{
 				"crawler.classify.relevant":   {0, 10, 20, 30, 40, 45, 47, 48, 49, 50},
 				"crawler.classify.irrelevant": {0, 15, 30, 45, 60, 85, 113, 142, 171, 200},
-			},
+			}),
 			wantRule: "harvest-decay", wantSev: Critical,
 		},
 		{
 			// Early 40/100 = 40%, late 15/100 = 15%: decayed past half
 			// but not past a quarter — warning band.
 			name: "harvest-decay-warning",
-			streams: map[string][]float64{
+			in: sampled(map[string][]float64{
 				"crawler.classify.relevant":   {0, 10, 20, 30, 40, 40, 44, 48, 51, 55},
 				"crawler.classify.irrelevant": {0, 15, 30, 45, 60, 60, 81, 102, 123, 145},
-			},
+			}),
 			wantRule: "harvest-decay", wantSev: Warning,
 		},
 		{
 			// Openings land in four distinct sampling windows.
 			name: "breaker-oscillation",
-			streams: map[string][]float64{
+			in: sampled(map[string][]float64{
 				"crawler.breaker.opened": {0, 1, 1, 2, 2, 3, 3, 4},
-			},
+			}),
 			wantRule: "breaker-oscillation", wantSev: Warning,
 		},
 		{
 			// Pending drains 10/s with 30 left: empty in 3s against a 7s
 			// window — well inside the 2x horizon.
 			name: "frontier-starvation-trend",
-			streams: map[string][]float64{
+			in: sampled(map[string][]float64{
 				"crawler.frontier.pending": {100, 90, 80, 70, 60, 50, 40, 30},
-			},
+			}),
 			wantRule: "frontier-starvation-trend", wantSev: Warning,
 		},
 		{
 			// 20 pages/s in the first quarter, 1/s in the last.
 			name: "throughput-cliff",
-			streams: map[string][]float64{
+			in: sampled(map[string][]float64{
 				"crawler.fetch.ok": {0, 20, 40, 60, 80, 85, 90, 95, 100, 102, 104, 106, 108, 109, 110, 111},
-			},
+			}),
 			wantRule: "throughput-cliff", wantSev: Warning,
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Series: seriesWith(t, tc.streams)}})
-			var found *Finding
-			for i := range rep.Findings {
-				if rep.Findings[i].Rule == tc.wantRule {
-					found = &rep.Findings[i]
-					break
-				}
-			}
-			if found == nil {
-				t.Fatalf("rule %s did not fire; findings: %+v", tc.wantRule, rep.Findings)
-			}
-			if found.Severity != tc.wantSev {
-				t.Errorf("severity = %v, want %v", found.Severity, tc.wantSev)
-			}
-			if found.Score <= 0 || found.Score > 1 {
-				t.Errorf("score %v outside (0,1]", found.Score)
-			}
-			if len(found.Evidence) == 0 {
-				t.Errorf("finding has no evidence")
-			}
-		})
+}
+
+// TestTimeRulesFire runs timeFirings: each stream raises its rule at its
+// severity.
+func TestTimeRulesFire(t *testing.T) {
+	for _, tc := range timeFirings() {
+		t.Run(tc.name, func(t *testing.T) { mustFire(t, tc) })
 	}
 }
 
@@ -168,7 +145,7 @@ func TestTimeRulesStayQuiet(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Diagnose(Input{Snapshot: pillars.Snapshot{Metrics: metricsWith(nil, nil), Series: seriesWith(t, tc.streams)}})
+			rep := Diagnose(sampled(tc.streams))
 			for _, f := range rep.Findings {
 				if f.Rule == tc.rule {
 					t.Errorf("rule %s fired on near-miss stream: %+v", tc.rule, f)

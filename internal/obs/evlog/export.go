@@ -108,8 +108,8 @@ func (s *Snapshot) Logfmt() string {
 	return b.String()
 }
 
-// LevelCounts tallies emitted records per level from the totals (the
-// doctor's coarse health signal). Keys are level names.
+// LevelCounts tallies emitted records per level from the totals, for
+// the exit summary's event-log line. Keys are level names.
 func (s *Snapshot) LevelCounts() map[string]uint64 {
 	out := map[string]uint64{}
 	for k, v := range s.Totals {

@@ -129,9 +129,10 @@ bench:
 
 # The repo's one allocation discipline (alloc_gate_test.go): a row per
 # kernel the benchmark traces, held to its mallocs and bytes per call and
-# to linear growth when its input doubles.
+# to linear growth when its input doubles; beside it, internal/core's
+# TestAllocGateOps holds the analysis flow's per-document operator chains.
 alloc-gate:
-	$(GO) test -run 'TestAllocGate' .
+	$(GO) test -run 'TestAllocGate' . ./internal/core/
 
 # Code lines, total and per top-level package (cmd/x, internal/x, examples,
 # and "." for the root package).

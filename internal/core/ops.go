@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +40,7 @@ import (
 //	pos       [][]string          per-sentence POS tags
 //	pos_failed int                sentences the tagger crashed on
 //	anns      []ling.Annotation   linguistic annotations
+//	ling_analysis lingAnalysis    ling.Analyze's output over id, text and sentences
 //	ling      ling.DocStats       per-document linguistic measurements
 //	entities  []EntityAnn         extracted entity mentions
 //	crf_matches [][]crf.Match     every ML class's matches, in System.CRF order
@@ -433,8 +434,8 @@ func (r *Registry) table() []opRow {
 					m          Method
 					start, end int
 				}
-				seen := map[key]bool{}
 				ents := get[[]EntityAnn](rec, "entities")
+				seen := make(map[key]bool, len(ents))
 				out := make([]EntityAnn, 0, len(ents))
 				for _, e := range ents {
 					k := key{e.Type, e.Method, e.Start, e.End}
@@ -443,12 +444,7 @@ func (r *Registry) table() []opRow {
 						out = append(out, e)
 					}
 				}
-				sort.Slice(out, func(i, j int) bool {
-					if out[i].Start != out[j].Start {
-						return out[i].Start < out[j].Start
-					}
-					return out[i].End < out[j].End
-				})
+				slices.SortFunc(out, byStartEnd)
 				rec["entities"] = out
 			})},
 		{name: "filter_tla_entities", pkg: dataflow.DC, reads: []string{"entities"}, writes: []string{"entities", "tla_removed"}, sel: 1,
@@ -473,23 +469,22 @@ func (r *Registry) table() []opRow {
 			edit: fill(func(rec dataflow.Record) {
 				// Sort a copy: the input slice is shared with every clone
 				// of the record (fan-out, the dead letter, the undo log).
-				ents := append([]EntityAnn(nil), get[[]EntityAnn](rec, "entities")...)
-				sort.Slice(ents, func(i, j int) bool {
-					if ents[i].Start != ents[j].Start {
-						return ents[i].Start < ents[j].Start
-					}
-					return ents[i].End-ents[i].Start > ents[j].End-ents[j].Start
-				})
-				var out []EntityAnn
+				// The mentions kept move to the copy's front. No start is
+				// negative, so the first is always kept, and out is nil
+				// only when there are none.
+				out := append([]EntityAnn(nil), get[[]EntityAnn](rec, "entities")...)
+				slices.SortFunc(out, byStartLongestFirst)
+				n := 0
 				lastEnd := map[Method]int{}
-				for _, e := range ents {
+				for _, e := range out {
 					if e.Start < lastEnd[e.Method] {
 						continue
 					}
-					out = append(out, e)
+					out[n] = e
+					n++
 					lastEnd[e.Method] = e.End
 				}
-				rec["entities"] = out
+				rec["entities"] = out[:n]
 			})},
 		{name: "trim_text", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"text"}, sel: 1,
 			edit: fill(func(rec dataflow.Record) { rec["text"] = strings.TrimSpace(get[string](rec, "text")) })},
@@ -521,15 +516,22 @@ func (r *Registry) table() []opRow {
 				rec["pos"] = pos
 				return nil
 			}},
-		{name: "annotate_negation", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+		{name: "annotate_negation", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns", "ling_analysis"}, writes: []string{"anns", "ling_analysis"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
 			edit: annotateKind(ling.KindNegation)},
-		{name: "annotate_pronouns", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+		{name: "annotate_pronouns", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns", "ling_analysis"}, writes: []string{"anns", "ling_analysis"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
 			edit: annotateKind(ling.KindPronoun)},
-		{name: "annotate_parens", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns"}, writes: []string{"anns"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
+		{name: "annotate_parens", pkg: dataflow.IE, reads: []string{"text", "sentences", "id", "anns", "ling_analysis"}, writes: []string{"anns", "ling_analysis"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.05},
 			edit: annotateKind(ling.KindParen)},
-		{name: "ling_stats", pkg: dataflow.IE, reads: []string{"text", "id"}, writes: []string{"ling"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.15},
+		{name: "ling_stats", pkg: dataflow.IE, reads: []string{"text", "id", "ling_analysis"}, writes: []string{"ling"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.15},
 			edit: fill(func(rec dataflow.Record) {
-				rec["ling"] = ling.Measure(get[string](rec, "id"), get[string](rec, "text"))
+				// The counts read no sentence index, so the annotators'
+				// analysis of this text serves, whatever its spans.
+				id, text := get[string](rec, "id"), get[string](rec, "text")
+				if a, ok := rec["ling_analysis"].(lingAnalysis); ok && a.text == text {
+					rec["ling"] = ling.Stats(id, text, nlp.SplitSentences(text), a.anns)
+				} else {
+					rec["ling"] = ling.Measure(id, text)
+				}
 			})},
 		{name: "abbreviations", pkg: dataflow.IE, reads: []string{"text"}, writes: []string{"abbrevs"}, sel: 1,
 			edit: fill(func(rec dataflow.Record) {
@@ -561,14 +563,14 @@ func (r *Registry) table() []opRow {
 					// out of the analysis text entirely, so no downstream tool
 					// — POS tagging or NER — ever sees them.
 					text, spans := get[string](rec, "text"), get[[]nlp.Span](rec, "sentences")
-					var parts []string
+					if !slices.ContainsFunc(spans, func(s nlp.Span) bool { return s.Len() > max }) {
+						return
+					}
+					parts := make([]string, 0, len(spans))
 					for _, s := range spans {
 						if s.Len() <= max {
 							parts = append(parts, text[s.Start:s.End])
 						}
-					}
-					if len(parts) == len(spans) {
-						return
 					}
 					newText := strings.Join(parts, " ")
 					rec["text"] = newText
@@ -607,11 +609,11 @@ func (r *Registry) table() []opRow {
 			}},
 		{name: "count_negations", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_negations"}, sel: 1,
 			edit: fill(func(rec dataflow.Record) {
-				rec["n_negations"] = len(filterKind(get[[]ling.Annotation](rec, "anns"), ling.KindNegation))
+				rec["n_negations"] = countKind(get[[]ling.Annotation](rec, "anns"), ling.KindNegation)
 			})},
 		{name: "count_pronouns", pkg: dataflow.IE, reads: []string{"anns"}, writes: []string{"n_pronouns"}, sel: 1,
 			edit: fill(func(rec dataflow.Record) {
-				rec["n_pronouns"] = len(filterKind(get[[]ling.Annotation](rec, "anns"), ling.KindPronoun))
+				rec["n_pronouns"] = countKind(get[[]ling.Annotation](rec, "anns"), ling.KindPronoun)
 			})},
 		{name: "entity_density", pkg: dataflow.IE, reads: []string{"entities", "sentences"}, writes: []string{"entities_per_ksent"}, sel: 1,
 			edit: fill(func(rec dataflow.Record) {
@@ -654,16 +656,16 @@ func (r *Registry) table() []opRow {
 			edit: fill(func(rec dataflow.Record) { rec["n_relations"] = len(get[[]relex.Relation](rec, "relations")) })},
 		{name: "entity_names", pkg: dataflow.IE, reads: []string{"entities"}, writes: []string{"names"}, sel: 1,
 			edit: fill(func(rec dataflow.Record) {
-				seen := map[string]bool{}
+				// The distinct surfaces, sorted; nil when there are none.
 				var names []string
-				for _, e := range get[[]EntityAnn](rec, "entities") {
-					if !seen[e.Surface] {
-						seen[e.Surface] = true
-						names = append(names, e.Surface)
+				if ents := get[[]EntityAnn](rec, "entities"); len(ents) > 0 {
+					names = make([]string, len(ents))
+					for i, e := range ents {
+						names[i] = e.Surface
 					}
+					slices.Sort(names)
 				}
-				sort.Strings(names)
-				rec["names"] = names
+				rec["names"] = slices.Compact(names)
 			})},
 	}
 }
@@ -829,11 +831,12 @@ func keepEntities(pred func(EntityAnn) bool) annotator {
 
 // tagSentences POS-tags every sentence of the record. A sentence the tagger
 // fails on is left untagged and counted; first is the first such failure.
-// Tag keeps nothing of its argument, so one words buffer serves them all.
+// Tag keeps nothing of its argument, so one words buffer serves them all,
+// on the stack unless a sentence outgrows it.
 func (r *Registry) tagSentences(rec dataflow.Record) (pos [][]string, failed int, first error) {
 	toks := get[[][]nlp.TokenSpan](rec, "tokens")
 	pos = make([][]string, len(toks))
-	var words []string
+	words := make([]string, 0, 128)
 	for i, sent := range toks {
 		words = words[:0]
 		for _, t := range sent {
@@ -851,23 +854,56 @@ func (r *Registry) tagSentences(rec dataflow.Record) (pos [][]string, failed int
 	return pos, failed, first
 }
 
+// byStartEnd orders entity mentions by start, then by end.
+func byStartEnd(a, b EntityAnn) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
+}
+
+// byStartLongestFirst orders entity mentions by start, then the longest
+// first.
+func byStartLongestFirst(a, b EntityAnn) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(b.End-b.Start, a.End-a.Start))
+}
+
+// lingAnalysis is ling.Analyze's output with the id, text and sentence
+// spans it was taken over.
+type lingAnalysis struct {
+	id, text  string
+	sentences []nlp.Span
+	anns      []ling.Annotation
+}
+
 // annotateKind is the operator that appends the document's linguistic
-// annotations of one kind to anns.
+// annotations of one kind to anns. The first of the three annotators
+// analyzes the document and stores the analysis as ling_analysis; the
+// others take theirs from it unless the record's id, text or sentences
+// are no longer the ones it was taken over (an operator rewrote or
+// re-split the text since). On the normal path the strings share one
+// pointer and the spans one array, so the test costs nothing.
 func annotateKind(kind ling.Kind) annotator {
 	return fill(func(rec dataflow.Record) {
-		all := ling.Analyze(get[string](rec, "id"), get[string](rec, "text"), get[[]nlp.Span](rec, "sentences"))
-		rec["anns"] = append(append([]ling.Annotation{}, get[[]ling.Annotation](rec, "anns")...), filterKind(all, kind)...)
+		id, text, sents := get[string](rec, "id"), get[string](rec, "text"), get[[]nlp.Span](rec, "sentences")
+		a, ok := rec["ling_analysis"].(lingAnalysis)
+		if !ok || a.id != id || a.text != text || len(a.sentences) != len(sents) ||
+			len(sents) > 0 && &a.sentences[0] != &sents[0] {
+			a = lingAnalysis{id, text, sents, ling.Analyze(id, text, sents)}
+			rec["ling_analysis"] = a
+		}
+		// Analyze returns each kind as one run.
+		i := max(0, slices.IndexFunc(a.anns, func(x ling.Annotation) bool { return x.Kind == kind }))
+		block, prev := a.anns[i:i+countKind(a.anns, kind)], get[[]ling.Annotation](rec, "anns")
+		rec["anns"] = append(append(make([]ling.Annotation, 0, len(prev)+len(block)), prev...), block...)
 	})
 }
 
-func filterKind(anns []ling.Annotation, kind ling.Kind) []ling.Annotation {
-	var out []ling.Annotation
+// countKind counts the annotations of one kind.
+func countKind(anns []ling.Annotation, kind ling.Kind) (n int) {
 	for _, a := range anns {
 		if a.Kind == kind {
-			out = append(out, a)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // paperScaledDictCost is a dictionary tagger's cost extrapolated to the

@@ -264,7 +264,14 @@ func (d DocStats) NegPerSentence() float64 {
 // Measure computes DocStats for a text using the package's analyzers.
 func Measure(docID, text string) DocStats {
 	sents := nlp.SplitSentences(text)
-	anns := Analyze(docID, text, sents)
+	return Stats(docID, text, sents, Analyze(docID, text, sents))
+}
+
+// Stats computes DocStats from a text's sentence spans and its
+// annotations. Measure passes nlp.SplitSentences(text) and their Analyze
+// output; since no count reads an annotation's sentence index, anns may be
+// Analyze's output over the text with any spans.
+func Stats(docID, text string, sents []nlp.Span, anns []Annotation) DocStats {
 	st := DocStats{DocID: docID, Chars: len(text), Sentences: len(sents)}
 	var total int
 	for _, s := range sents {

@@ -423,13 +423,17 @@ func Run(src string, reg Registry, inputs map[string][]dataflow.Record,
 	if optimize {
 		dataflow.Optimize(compiled.Plan)
 	}
-	// Tag and union the inputs.
+	// Tag and union the inputs. A script with one source passes its
+	// untagged records as they are: its reads keep them, and Execute never
+	// writes its inputs.
 	var union []dataflow.Record
 	for _, name := range compiled.Sources {
 		for _, r := range inputs[name] {
-			tagged := r.Clone()
-			tagged[SourceField] = name
-			union = append(union, tagged)
+			if _, tagged := r[SourceField]; tagged || len(compiled.Sources) > 1 {
+				r = r.Clone()
+				r[SourceField] = name
+			}
+			union = append(union, r)
 		}
 	}
 	results, stats, err := dataflow.Execute(compiled.Plan, union, cfg)

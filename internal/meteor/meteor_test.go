@@ -2,6 +2,7 @@ package meteor
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,6 +126,37 @@ func TestRunWithOptimizer(t *testing.T) {
 	}
 	if len(plain["out"]) != len(opt["out"]) {
 		t.Fatalf("optimizer changed cardinality: %d vs %d", len(plain["out"]), len(opt["out"]))
+	}
+}
+
+// TestRunOneSourceClonesOnce: a one-source script hands its untagged
+// inputs to Execute as they are. The inputs stay as they were, the outputs
+// equal those of inputs that carry a tag (which Run still clones and
+// re-tags, as it tags every input of a many-source script), and the run
+// costs at least one allocation per input less.
+func TestRunOneSourceClonesOnce(t *testing.T) {
+	reg, cfg := toyRegistry(), dataflow.ExecConfig{DoP: 1}
+	plain, tagged := records(40), records(40)
+	for _, r := range tagged {
+		r[SourceField] = "stale"
+	}
+	run := func(in []dataflow.Record) map[string][]dataflow.Record {
+		out, _, err := Run(basicScript, reg, map[string][]dataflow.Record{"src": in}, false, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := run(plain), run(tagged)
+	if !reflect.DeepEqual(plain, records(40)) {
+		t.Error("Run wrote its input records")
+	}
+	if len(got["out"]) != 35 || !reflect.DeepEqual(got, want) {
+		t.Errorf("untagged inputs gave %v, tagged ones %v", got, want)
+	}
+	saved := testing.AllocsPerRun(10, func() { run(tagged) }) - testing.AllocsPerRun(10, func() { run(plain) })
+	if saved < float64(len(plain)) {
+		t.Errorf("untagged inputs save %.1f allocations, want at least one per input (%d)", saved, len(plain))
 	}
 }
 

@@ -114,11 +114,10 @@ func gateSetup() {
 			{{Word: "Alpha", Tag: "NNP"}, {Word: "binds", Tag: "VBZ"}, {Word: "the", Tag: "DT"}, {Word: "receptor", Tag: "NN"}, {Word: ".", Tag: "."}},
 			{{Word: "It", Tag: "PRP"}, {Word: "rose", Tag: "VBD"}, {Word: "in", Tag: "IN"}, {Word: "hours", Tag: "NNS"}, {Word: ".", Tag: "."}},
 		}, postag.DefaultConfig())
-		// A sink with every retention class full: past PinKeep Warns, past
-		// TailKeep+ReservoirKeep Debugs.
-		cfg := evlog.DefaultConfig(1)
-		gateLog = evlog.NewSink(cfg).Logger("crawler.fetch")
-		for i := 0; i < cfg.PinKeep+cfg.TailKeep+cfg.ReservoirKeep+8; i++ {
+		// A sink with every retention class full: past its 256 pinned
+		// Warns, past its 256 tail and 64 reservoir Debugs.
+		gateLog = evlog.NewSink(evlog.DefaultConfig(1)).Logger("crawler.fetch")
+		for i := 0; i < 256+256+64+8; i++ {
 			gateLog.Warn("fetch.error", int64(i), trace.Int("attempt", int64(i)))
 			gateLog.Debug("fetch.start", int64(i), trace.Int("attempt", int64(i)))
 		}
@@ -292,17 +291,16 @@ var extraRows = []gateRow{
 			at := tc.StartSpan("crawler.fetch.attempt", 1, trace.Int("attempt", 0))
 			at.Event("fetch.ok", 2, trace.String("url", "http://h0/p1"))
 			at.End(2)
-			rec.Mark("checkpoint", 3, trace.Int("cycle", 1))
 			tc.Finish(3)
 		}
 	}},
-	// A sampled-out Debug, as the crawler's frontier.trap, which keeps 1
-	// in 4 by host, sheds the rest: the logger returns before it copies
-	// the attrs, so they stay on the caller's stack and a shed record
-	// costs nothing.
+	// Logging off: a logger from a nil sink returns before it copies the
+	// attrs, so they stay on the caller's stack and the call costs nothing.
 	{"evlog_sampled_out", 0, 0, "", func(string) func() {
+		var sink *evlog.Sink
+		lg := sink.Logger("crawler.frontier")
 		return func() {
-			gateLog.Sample("h0", 1<<20).Debug("frontier.trap", 9000, trace.String("host", "h0"))
+			lg.Debug("frontier.trap", 9000, trace.String("host", "h0"))
 		}
 	}},
 	// Tracing on, as the crawler's inject runs it for each URL: Start makes

@@ -18,14 +18,19 @@ var update = flag.Bool("update", false, "rewrite the golden diagnostic files")
 // type-checked once per package run, not once per subtest.
 func loadFixture(t *testing.T, name string) *analysis.Package {
 	t.Helper()
+	return loadShared(t, filepath.Join("testdata", "src", name))
+}
+
+// loadShared loads the package in dir through the shared loader.
+func loadShared(t *testing.T, dir string) *analysis.Package {
+	t.Helper()
 	fixtures.once.Do(func() { fixtures.loader, fixtures.err = analysis.NewLoader(".") })
 	if fixtures.err != nil {
 		t.Fatal(fixtures.err)
 	}
-	dir := filepath.Join("testdata", "src", name)
 	pkg, err := fixtures.loader.LoadDir(dir)
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
+		t.Fatalf("loading %s: %v", dir, err)
 	}
 	return pkg
 }

@@ -25,7 +25,7 @@ import (
 // from data would grow it without limit. Each pillar is one nameSpec below; runNames is the one AST walk.
 
 // dottedNameRE is the grammar above; labelRE also admits a single
-// segment (trace marks, error classes, attribute keys).
+// segment (error classes, attribute keys).
 var (
 	dottedNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
 	labelRE      = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$`)
@@ -67,15 +67,14 @@ var (
 		dynamic: "%s passed to %s must be a compile-time constant (or a MetricName builder call): " +
 			"dynamic names destabilize snapshot diffs and unbound registry cardinality",
 	}
-	// traceNames: span/event names are dotted; mark names and error
-	// classes (the /traces?err= key, flight-recorder pin reasons) and
-	// attribute keys (sorted and rendered by every export) may be a
-	// single segment.
+	// traceNames: span/event names are dotted; error classes (the
+	// /traces?err= key, flight-recorder pin reasons) and attribute keys
+	// (sorted and rendered by every export) may be a single segment.
 	traceNames = nameSpec{
 		pkg: "internal/obs/trace", builder: "TraceName",
 		args: []nameArg{
 			{[]string{"Start", "StartSpan", "StartSpanKeyed", "Event"}, "trace name", dottedNameRE},
-			{[]string{"Mark", "Error"}, "trace label", labelRE},
+			{[]string{"Error"}, "trace label", labelRE},
 			{[]string{"String", "Int", "Float"}, "trace attr key", labelRE},
 		},
 		grammar: lowerGrammar,

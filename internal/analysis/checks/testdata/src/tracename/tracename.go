@@ -13,7 +13,7 @@ func Good(rec *trace.Recorder) {
 	sp.Event("fixture.parse.ok", 2)
 	sp.End(3)
 	tc.Error("parse_failed", 4)
-	rec.Mark("checkpoint", 5)
+	tc.Event("fixture.record.done", 5)
 	tc.Finish(6)
 }
 

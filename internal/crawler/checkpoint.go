@@ -37,9 +37,8 @@ type Checkpoint struct {
 	// Snapshot continues every attached pillar across the restart — its
 	// fields are the checkpoint's last five keys (metrics, traces, logs,
 	// series, profile), so a resumed run's exports match an uninterrupted
-	// run's byte for byte. Trace marks are stripped: they are live-debug
-	// annotations an uninterrupted run would not carry. The log is frozen
-	// before the checkpoint.saved record for the same reason. Checkpoints
+	// run's byte for byte. The log is frozen before the checkpoint.saved
+	// record, which an uninterrupted run would not carry. Checkpoints
 	// land between Step calls — after the cycle's series sample. The
 	// profile's call counts continue exactly; its wall time carries over
 	// as a running total.
@@ -51,10 +50,10 @@ type Checkpoint struct {
 func (c *Crawler) Checkpoint() *Checkpoint { return c.checkpoint(true) }
 
 // CheckpointSilent freezes the crawler's state without announcing the
-// boundary: no trace mark, no checkpoint.saved log record. Supervisors
-// take one of these at every round barrier as the shard's restart point;
-// a snapshot the operator never asked for must not alter the exports,
-// or a recovered run's logs would diverge from a fault-free run's.
+// boundary: no checkpoint.saved log record. Supervisors take one of these
+// at every round barrier as the shard's restart point; a snapshot the
+// operator never asked for must not alter the exports, or a recovered
+// run's logs would diverge from a fault-free run's.
 func (c *Crawler) CheckpointSilent() *Checkpoint { return c.checkpoint(false) }
 
 func (c *Crawler) checkpoint(announce bool) *Checkpoint {
@@ -88,17 +87,10 @@ func (c *Crawler) checkpoint(announce bool) *Checkpoint {
 	for _, p := range c.irrelevant {
 		cp.IrrelevantURLs = append(cp.IrrelevantURLs, p.URL)
 	}
-	// An announced checkpoint marks the boundary in the live recorder and
-	// sink only (visible on /traces, /logs and in end-of-run exports): the
-	// mark is stripped from the frozen trace state and the record is
-	// emitted after the freeze.
-	if announce {
-		c.p.Trace.Mark("checkpoint", c.nowMs(), trace.Int("cycle", int64(c.stats.Cycles)))
-	}
+	// An announced checkpoint logs the boundary in the live sink only
+	// (visible on /logs and in end-of-run exports): the record is emitted
+	// after the freeze.
 	cp.Snapshot = c.p.Snapshot()
-	if cp.Traces != nil {
-		cp.Traces.Marks = nil
-	}
 	if announce {
 		c.lg.checkpoint.Info("checkpoint.saved", c.nowMs(),
 			trace.Int("cycle", int64(c.stats.Cycles)))

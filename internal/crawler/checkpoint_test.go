@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"webtextie/internal/obs/evlog"
+	"webtextie/internal/obs/trace"
 )
 
 // TestResumeRejectsWorkerMismatch: resuming under a different worker count
@@ -100,6 +101,44 @@ func TestCheckpointAfterExhaustionLogExportIdentical(t *testing.T) {
 		t.Fatalf("logfmt exports diverge after post-exhaustion resume:\n--- uninterrupted\n%s\n--- resumed\n%s",
 			refOut, gotOut)
 	}
+}
+
+// TestAnnouncedCheckpointLeavesTraceExport: an announced checkpoint is a
+// run-level event, recorded by the log's checkpoint.saved alone. A crawl
+// with only the trace pillar on that checkpoints mid-run exports the same
+// trace text as the same crawl without the checkpoint.
+func TestAnnouncedCheckpointLeavesTraceExport(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxPages, cfg.FetchListSize = 120, 30
+	crawl := func(checkpointAt int) (string, int) {
+		p := newPipeline(t, 30)
+		rec := trace.NewRecorder(trace.DefaultConfig(5))
+		c := New(cfg, p.web, p.clf).WithTrace(rec)
+		c.Seed(defaultSeeds(t, p))
+		steps := 0
+		for c.Step() {
+			if steps++; steps == checkpointAt {
+				c.Checkpoint()
+			}
+		}
+		c.Finish()
+		return rec.Snapshot().Text(), steps
+	}
+	plain, _ := crawl(0)
+	checkpointed, steps := crawl(2)
+	if plain == "" || steps <= 2 {
+		t.Fatalf("the crawl ran %d steps, traced %d bytes: no mid-run checkpoint", steps, len(plain))
+	}
+	if checkpointed != plain {
+		t.Errorf("an announced checkpoint changed the trace export:\n--- plain\n%s\n--- checkpointed\n%s",
+			tail(plain), tail(checkpointed))
+	}
+}
+
+// tail is the last few lines of a long export.
+func tail(s string) string {
+	lines := strings.Split(s, "\n")
+	return strings.Join(lines[max(0, len(lines)-4):], "\n")
 }
 
 // TestCheckpointFormatPinned pins the on-disk checkpoint format: the

@@ -391,7 +391,7 @@ type crawlLogs struct {
 type Logger = evlog.Logger
 
 // WithLog points the crawler at an event-log sink: what happens to the
-// run or to a host — trapped hosts (hash-sampled), breaker transitions,
+// run or to a host — hosts reaching the trap cap, breaker transitions,
 // cycle ends, checkpoints, frontier exhaustion and the crawl's end — is
 // logged in virtual-clock time. What happens to one URL is its trace's
 // alone. On a resumed crawler the checkpoint's log snapshot is loaded
@@ -554,10 +554,6 @@ func (c *Crawler) inject(url string, depth int) {
 	}
 	if c.perHost[host] >= c.cfg.MaxPagesPerHost {
 		c.m.frontierTrap.Inc()
-		if c.lg.frontier.Enabled() {
-			c.lg.frontier.Sample(host, 4).Debug("frontier.trap", c.nowMs(),
-				trace.String("host", host))
-		}
 		return
 	}
 	rb, ok := c.web.Robots(host)
@@ -880,7 +876,14 @@ func (c *Crawler) fetchOne(item crawldb.FetchItem) {
 	c.stats.Fetched++
 	c.m.fetchOK.Inc()
 	c.m.fetchBytes.Add(int64(len(page.Body)))
-	c.perHost[item.Host]++
+	n := c.perHost[item.Host] + 1
+	c.perHost[item.Host] = n
+	if n == c.cfg.MaxPagesPerHost {
+		// The host reached the spider-trap cap: inject rejects its links
+		// from here on. The count reaches the cap once, so this logs once
+		// per host.
+		c.lg.frontier.Debug("frontier.trap", c.nowMs(), trace.String("host", item.Host))
+	}
 
 	ph = c.pf.filter.Enter()
 	netText, o := c.filterPage(item.URL, page.Body)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"webtextie/internal/obs"
+	"webtextie/internal/obs/evlog"
 	"webtextie/internal/synthweb"
 )
 
@@ -64,7 +65,10 @@ func TestMetricsMatchStatsOnTrapCrawl(t *testing.T) {
 	p := newPipeline(t, 60)
 	cfg := DefaultConfig()
 	cfg.MaxPages = 400
-	res := New(cfg, p.web, p.clf).Run(trapSeeds(t, p))
+	cfg.MaxPagesPerHost = 50 // low enough that the trap hosts reach it
+	sink := evlog.NewSink(evlog.DefaultConfig(1))
+	c := New(cfg, p.web, p.clf).WithLog(sink)
+	res := c.Run(trapSeeds(t, p))
 	st := res.Stats
 	if st.Fetched == 0 {
 		t.Fatal("nothing fetched")
@@ -114,6 +118,31 @@ func TestMetricsMatchStatsOnTrapCrawl(t *testing.T) {
 	// Page cost is observed once per fetch attempt (successful or failed).
 	if h, ok := snap.Hists["crawler.page.cost.ms"]; !ok || h.Count != int64(st.Fetched+st.FetchErrors) {
 		t.Errorf("crawler.page.cost.ms count = %d, want %d", h.Count, st.Fetched+st.FetchErrors)
+	}
+	// The log names each host that reached the page cap exactly once, at
+	// the fetch that reached it, and no other host; the rejections past
+	// the cap are the counter's alone.
+	trapLogs := map[string]int{}
+	for _, r := range sink.Snapshot().Records {
+		if r.Msg == "frontier.trap" {
+			trapLogs[r.Attrs[0].Value]++
+		}
+	}
+	capped := 0
+	for h, n := range c.perHost {
+		want := 0
+		if n >= cfg.MaxPagesPerHost {
+			want = 1
+			capped++
+		}
+		if trapLogs[h] != want {
+			t.Errorf("host %s: %d pages fetched (cap %d), %d frontier.trap records, want %d",
+				h, n, cfg.MaxPagesPerHost, trapLogs[h], want)
+		}
+	}
+	if capped == 0 || snap.Counter("crawler.frontier.trap") == 0 {
+		t.Errorf("%d hosts capped, %d links trapped: the crawl never exercised the cap",
+			capped, snap.Counter("crawler.frontier.trap"))
 	}
 }
 

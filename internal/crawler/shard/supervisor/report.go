@@ -28,9 +28,9 @@ type Report struct {
 	MailDropped int
 
 	// Snapshot is the supervision pillars' export — the fleet.* counters
-	// in Metrics, the shard.restart/stall/fenced marks in Traces, and the
-	// fleet.supervisor records in Logs. Separate from the crawl exports by
-	// design; pillars.Merge the two only when diagnosing.
+	// in Metrics and the fleet.supervisor records in Logs; Traces is nil.
+	// Separate from the crawl exports by design; pillars.Merge the two
+	// only when diagnosing.
 	pillars.Snapshot
 }
 

@@ -18,8 +18,8 @@
 //   - Stall detection. Shards advance private virtual clocks; a shard
 //     whose per-round clock advance exceeds StallFactor times the fleet
 //     median is flagged a straggler. Virtual time cannot hang, so this
-//     is detection-only: a shard.stall event through all three pillars,
-//     feeding the doctor, never a restart.
+//     is detection-only: a shard.stall counter and warning, feeding the
+//     doctor, never a restart.
 //
 //   - Degraded completion. Each shard has a bounded recovery budget.
 //     When a poisoned shard crashes past it, the shard is rolled back to
@@ -29,12 +29,12 @@
 //     partitions are recorded on Result.Degraded, which cmd/crawl
 //     reports — the corpus shrinks loudly, never silently.
 //
-// Supervision has its own three observability pillars (a fleet.* metric
-// registry, a trace recorder for shard.crash/restart/stall/fenced marks,
-// an event-log sink under component fleet.supervisor), kept separate
-// from the crawl pillars: the crawl exports must stay byte-identical to
-// an unsupervised run's, while the supervision exports describe the
-// faults. Callers merge the two views only for diagnosis (crawl-doctor).
+// Supervision has its own two observability pillars (a fleet.* metric
+// registry and an event-log sink under component fleet.supervisor), kept
+// separate from the crawl pillars: the crawl exports must stay
+// byte-identical to an unsupervised run's, while the supervision exports
+// describe the faults. Callers merge the two views only for diagnosis
+// (crawl-doctor).
 //
 // Injected faults come from synthweb.CrashPlan — shard s panics mid-step
 // at round r for its first k attempts, pure in the plan seed — so chaos
@@ -70,7 +70,7 @@ type Config struct {
 	// Crash is the injected shard-crash schedule (nil or empty: no
 	// injection — real panics are still recovered).
 	Crash *synthweb.CrashPlan
-	// Seed seeds the supervision trace and log pillars.
+	// Seed seeds the supervision log.
 	Seed uint64
 }
 
@@ -80,7 +80,7 @@ type Supervisor struct {
 	r   *shard.Runner
 	cfg Config
 
-	// Supervision pillars (metrics, trace, log) — separate from the crawl
+	// Supervision pillars (metrics, log) — separate from the crawl
 	// pillars so crash recovery leaves the crawl exports byte-identical to
 	// a fault-free run while still recording every fault.
 	p  pillars.Set
@@ -120,7 +120,6 @@ func New(r *shard.Runner, cfg Config) *Supervisor {
 		cfg: cfg,
 		p: pillars.Set{
 			Metrics: obs.New(),
-			Trace:   trace.NewRecorder(trace.DefaultConfig(cfg.Seed)),
 			Log:     evlog.NewSink(evlog.DefaultConfig(cfg.Seed)),
 		},
 		restarts: make([]int, n),
@@ -185,10 +184,6 @@ func (s *Supervisor) Round() (bool, error) {
 		if o.restarts > 0 {
 			s.restarts[i] += o.restarts
 			s.restartsC.Add(int64(o.restarts))
-			s.p.Trace.Mark("shard.restart", now,
-				trace.Int("shard", int64(i)),
-				trace.Int("round", int64(round)),
-				trace.Int("restarts", int64(o.restarts)))
 			s.lg.Warn("shard.restart", now,
 				trace.Int("shard", int64(i)),
 				trace.Int("round", int64(round)),
@@ -198,9 +193,6 @@ func (s *Supervisor) Round() (bool, error) {
 		if o.fence != nil {
 			s.r.Fence(i)
 			s.fencedC.Inc()
-			s.p.Trace.Mark("shard.fenced", now,
-				trace.Int("shard", int64(i)),
-				trace.Int("round", int64(round)))
 			s.lg.Error("shard.fenced", now,
 				trace.Int("shard", int64(i)),
 				trace.Int("round", int64(round)),
@@ -306,11 +298,6 @@ func (s *Supervisor) detectStalls(active []int, before []int64, round int, now i
 		if d := after[i] - before[i]; d > deadline {
 			s.stalls[i]++
 			s.stallsC.Inc()
-			s.p.Trace.Mark("shard.stall", now,
-				trace.Int("shard", int64(i)),
-				trace.Int("round", int64(round)),
-				trace.Int("advance_ms", d),
-				trace.Int("median_ms", median))
 			s.lg.Warn("shard.stall", now,
 				trace.Int("shard", int64(i)),
 				trace.Int("round", int64(round)),

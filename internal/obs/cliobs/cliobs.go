@@ -136,8 +136,12 @@ func (s *Setup) Finish(snap pillars.Snapshot, diag *doctor.Input) (string, error
 		}
 	}
 	if logSnap != nil {
-		fmt.Fprintf(&b, "event log: %d records retained (%d emitted", len(logSnap.Records), logSnap.Stats.Emitted)
 		levels := logSnap.LevelCounts()
+		var emitted uint64
+		for _, n := range levels {
+			emitted += n
+		}
+		fmt.Fprintf(&b, "event log: %d records retained (%d emitted", len(logSnap.Records), emitted)
 		for _, lv := range []evlog.Level{evlog.Debug, evlog.Info, evlog.Warn, evlog.Error} {
 			if n := levels[lv.String()]; n > 0 {
 				fmt.Fprintf(&b, ", %s=%d", lv, n)

@@ -2,6 +2,7 @@ package cliobs
 
 import (
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -239,6 +240,36 @@ func TestFinishExportsAndDoctor(t *testing.T) {
 	}
 	if !strings.Contains(summary, "crawl doctor:") {
 		t.Errorf("summary missing doctor report:\n%s", summary)
+	}
+}
+
+// TestEventLogLineCountsEmitted: the exit line's emitted count is the
+// sum of the log's exact totals, so it still counts the records that
+// retention shed.
+func TestEventLogLineCountsEmitted(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs)
+	if err := fs.Parse([]string{"-log"}); err != nil {
+		t.Fatal(err)
+	}
+	s := f.Setup(7)
+	lg := s.Log.Logger("cliobs.test")
+	for i := 0; i < 1000; i++ {
+		lg.Info("test.event", int64(i))
+	}
+	lg.Warn("test.warn", 1000)
+	snap := s.Snapshot()
+	var total uint64
+	for _, n := range snap.Logs.Totals {
+		total += n
+	}
+	summary, err := s.Finish(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("event log: %d records retained (%d emitted, info=1000, warn=1)\n", len(snap.Logs.Records), total)
+	if total != 1001 || len(snap.Logs.Records) >= 1001 || !strings.Contains(summary, want) {
+		t.Errorf("summary lacks %q (totals sum to %d):\n%s", want, total, summary)
 	}
 }
 

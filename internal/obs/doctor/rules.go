@@ -137,7 +137,7 @@ func spiderTrap(in Input) []Finding {
 	}
 	if n := in.logTotal(evlog.Debug, "crawler.frontier"); n > 0 {
 		f.Evidence = append(f.Evidence,
-			fmt.Sprintf("event log holds %d frontier decisions (see /logs?component=crawler.frontier)", n))
+			fmt.Sprintf("event log names %d hosts that reached the page cap (see /logs?component=crawler.frontier)", n))
 	}
 	return []Finding{f}
 }

@@ -12,18 +12,12 @@
 //   - timestamps are virtual-clock milliseconds supplied by the caller
 //     (the crawler's discrete-event clock, the dataflow's plan-position
 //     logical clock);
-//   - sampling is hash-based — keep/drop is a pure function of
-//     (seed, component, sample key), never a racy counter, so serial
-//     and concurrent emitters shed the same records;
 //   - retention is a pure function of the emitted record multiset
 //     (bottom-k by seeded FNV priority, evict-min tails), so two
 //     same-seed runs export byte-identical logs even when records are
 //     emitted concurrently;
 //   - exporters render a canonical record order derived from record
 //     content, never from arrival order.
-//
-// Records at Warn and above bypass sampling: the interesting records
-// always land, only chatter is shed.
 //
 // The log records what happens to the run, a host, a shard or an
 // operator; what happens to one URL or one record is its trace's alone,
@@ -36,7 +30,6 @@ import (
 	"fmt"
 	"slices"
 
-	"webtextie/internal/obs"
 	"webtextie/internal/obs/trace"
 )
 
@@ -104,29 +97,8 @@ type Record struct {
 // values; the zero Logger (and any logger from a nil sink) is a valid
 // no-op, which is the entire logging-off fast path.
 type Logger struct {
-	s          *Sink
-	component  string
-	sampledOut bool
-}
-
-// Enabled reports whether the logger records anywhere.
-func (l Logger) Enabled() bool { return l.s != nil }
-
-// Sample keeps 1-in-n emissions for Debug/Info records, decided by a
-// pure hash of (seed, component, key) — same-seed runs keep the same
-// keys regardless of emission order. Keys are stable per-subject values
-// (a host, say), so one subject's records are kept or shed as a unit.
-// n <= 1 keeps everything; Warn and Error always pass. Each Debug/Info
-// emission through a sampled-out logger counts one sampled drop in the
-// sink stats.
-func (l Logger) Sample(key string, n int) Logger {
-	if l.s == nil || n <= 1 || l.sampledOut {
-		return l
-	}
-	if obs.FNVMix(l.s.cfg.Seed, obs.FNVString(l.component), obs.FNVString(key))%uint64(n) != 0 {
-		l.sampledOut = true
-	}
-	return l
+	s         *Sink
+	component string
 }
 
 // Debug emits a debug-level record.
@@ -139,25 +111,21 @@ func (l Logger) Info(msg string, atMs int64, attrs ...trace.Attr) {
 	l.emit(Info, msg, atMs, attrs)
 }
 
-// Warn emits a warn-level record (never sampled).
+// Warn emits a warn-level record.
 func (l Logger) Warn(msg string, atMs int64, attrs ...trace.Attr) {
 	l.emit(Warn, msg, atMs, attrs)
 }
 
-// Error emits an error-level record (never sampled).
+// Error emits an error-level record.
 func (l Logger) Error(msg string, atMs int64, attrs ...trace.Attr) {
 	l.emit(Error, msg, atMs, attrs)
 }
 
-// emit hands the record to the sink. A shed record returns before its
-// attrs are copied, so a call site's variadic slice stays on its stack;
-// a kept record owns its copy.
+// emit hands the record, with its own copy of the attrs, to the sink. A
+// logger with no sink returns before the copy, so a call site's variadic
+// slice stays on its stack.
 func (l Logger) emit(lv Level, msg string, atMs int64, attrs []trace.Attr) {
 	if l.s == nil {
-		return
-	}
-	if lv < Warn && l.sampledOut {
-		l.s.countSampledDrop()
 		return
 	}
 	l.s.emit(Record{

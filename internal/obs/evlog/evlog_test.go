@@ -11,6 +11,16 @@ import (
 	"webtextie/internal/obs/trace"
 )
 
+// emitted is the number of records a snapshot's sink emitted: the sum of
+// its exact per-(level, component) totals.
+func emitted(s *Snapshot) uint64 {
+	var n uint64
+	for _, v := range s.Totals {
+		n += v
+	}
+	return n
+}
+
 // snapJSON marshals a snapshot whole: every field a rendering could show.
 func snapJSON(t testing.TB, s *Snapshot) string {
 	t.Helper()
@@ -49,14 +59,11 @@ func TestNilAndZeroAreNoOps(t *testing.T) {
 	var s *Sink
 	lg := s.Logger("nil.sink")
 	lg.Info("nothing.happens", 1, trace.String("k", "v"))
-	lg.Sample("x", 10).Error("still.nothing", 2)
-	if got := s.Snapshot(); len(got.Records) != 0 {
-		t.Errorf("nil sink snapshot has %d records", len(got.Records))
+	lg.Error("still.nothing", 2)
+	if got := s.Snapshot(); len(got.Records) != 0 || len(got.Totals) != 0 {
+		t.Errorf("nil sink snapshot has %d records, totals %v", len(got.Records), got.Totals)
 	}
 	var zero Logger
-	if zero.Enabled() {
-		t.Error("zero Logger claims to be enabled")
-	}
 	zero.Warn("noop", 3)
 }
 
@@ -83,8 +90,8 @@ func TestEmitRetainAndExport(t *testing.T) {
 	if !strings.Contains(logfmt, "at_ms=10 level=info component=crawler.fetch msg=fetch.ok bytes=512\n") {
 		t.Errorf("logfmt missing the info record:\n%s", logfmt)
 	}
-	if snap.Totals["info crawler.fetch"] != 1 || snap.Totals["warn crawler.fetch"] != 1 || snap.Stats.Emitted != 3 {
-		t.Errorf("totals %v, stats %+v", snap.Totals, snap.Stats)
+	if snap.Totals["info crawler.fetch"] != 1 || snap.Totals["warn crawler.fetch"] != 1 || emitted(snap) != 3 {
+		t.Errorf("totals %v, want one record per level", snap.Totals)
 	}
 	if got := snap.ComponentTotal(Info, "crawler.fetch"); got != 1 {
 		t.Errorf("ComponentTotal = %d, want 1", got)
@@ -95,49 +102,36 @@ func TestEmitRetainAndExport(t *testing.T) {
 }
 
 func TestSamplingDeterministicAndWarnBypass(t *testing.T) {
-	keep := func(seed uint64) []string {
-		s := NewSink(Config{Seed: seed})
+	// Same-seed emission in any order retains the same set: past its
+	// bounds the sink keeps a seeded sample, never the first or the last
+	// records to arrive.
+	keep := func(seed uint64, order []int) string {
+		s := newSink(seed, 8, 4, 4)
 		lg := s.Logger("crawler.frontier")
-		for i := 0; i < 64; i++ {
-			key := fmt.Sprintf("http://h%d/p", i)
-			lg.Sample(key, 8).Debug("frontier.inject", int64(i), trace.String("url", key))
+		for _, i := range order {
+			if i%5 == 0 {
+				lg.Warn("frontier.exhausted", int64(i%16), trace.Int("n", int64(i)))
+			} else {
+				lg.Debug("frontier.trap", int64(i%16), trace.Int("n", int64(i)))
+			}
 		}
-		var kept []string
-		for _, r := range s.Snapshot().Records {
-			kept = append(kept, r.Attrs[0].Value)
-		}
-		return kept
+		return s.Snapshot().Logfmt()
 	}
-	a, b := keep(7), keep(7)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("same-seed sampling diverged:\n%v\n%v", a, b)
+	fwd, rev := make([]int, 64), make([]int, 64)
+	for i := range fwd {
+		fwd[i], rev[i] = i, 63-i
 	}
-	if len(a) == 0 || len(a) == 64 {
-		t.Errorf("1-in-8 sampling kept %d of 64", len(a))
+	a := keep(7, fwd)
+	if b := keep(7, rev); a != b {
+		t.Fatalf("emission order changed the retained set:\n%s----\n%s", a, b)
 	}
-	if c := keep(8); fmt.Sprint(a) == fmt.Sprint(c) && len(a) == len(c) {
+	if n := strings.Count(a, "\n"); n != 4+8+4 {
+		t.Errorf("retained %d records, want pinned 4 + tail 8 + reservoir 4", n)
+	}
+	if c := keep(8, fwd); a == c {
 		// Different seeds picking the identical subset is astronomically
-		// unlikely; treat it as a seed not reaching the hash.
-		t.Errorf("seed change did not move the sample: %v", a)
-	}
-
-	s := NewSink(Config{Seed: 7})
-	lg := s.Logger("c.x")
-	sampled := lg.Sample("always-out-key-1", 1<<30)
-	sampled.Debug("shed.one", 1)
-	sampled.Warn("kept.warn", 2)
-	snap := s.Snapshot()
-	if snap.Stats.DroppedSampled != 1 {
-		t.Errorf("dropped_sampled = %d, want 1", snap.Stats.DroppedSampled)
-	}
-	found := false
-	for _, r := range snap.Records {
-		if r.Msg == "kept.warn" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Warn did not bypass sampling")
+		// unlikely; treat it as a seed not reaching the priorities.
+		t.Errorf("seed change did not move the retained set:\n%s", a)
 	}
 }
 
@@ -146,7 +140,7 @@ func TestSamplingDeterministicAndWarnBypass(t *testing.T) {
 // a pure function of the stream, not of arrival order.
 func TestRetentionPureFunction(t *testing.T) {
 	emit := func(order []int) *Snapshot {
-		s := NewSink(Config{Seed: 42, TailKeep: 16, ReservoirKeep: 8, PinKeep: 4})
+		s := newSink(42, 16, 8, 4)
 		lg := s.Logger("dataflow.op")
 		for _, i := range order {
 			if i%17 == 0 {
@@ -171,8 +165,8 @@ func TestRetentionPureFunction(t *testing.T) {
 	if len(snap.Records) != 4+16+8 {
 		t.Errorf("retained %d records, want pinned 4 + tail 16 + reservoir 8", len(snap.Records))
 	}
-	if snap.Stats.PinDropped == 0 || snap.Stats.DroppedRetention == 0 {
-		t.Errorf("expected retention losses, got %+v", snap.Stats)
+	if emitted(snap) != uint64(n) {
+		t.Errorf("totals count %d records, want all %d emitted", emitted(snap), n)
 	}
 }
 
@@ -180,15 +174,14 @@ func TestRetentionPureFunction(t *testing.T) {
 // four goroutines hammer the sink, and the export must equal a serial
 // emission of the same multiset.
 func TestConcurrentEmissionDeterministic(t *testing.T) {
-	cfg := Config{Seed: 9, TailKeep: 32, ReservoirKeep: 16, PinKeep: 16}
-	serial := NewSink(cfg)
+	serial := newSink(9, 32, 16, 16)
 	for w := 0; w < 4; w++ {
 		lg := serial.Logger("dataflow.op")
 		for i := 0; i < 200; i++ {
 			emitOne(lg, w, i)
 		}
 	}
-	conc := NewSink(cfg)
+	conc := newSink(9, 32, 16, 16)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -219,7 +212,7 @@ func emitOne(lg Logger, w, i int) {
 	case i%13 == 0:
 		lg.Warn("op.quarantine", at, trace.String("rec", key))
 	default:
-		lg.Sample(key, 4).Debug("op.emit", at, trace.String("rec", key))
+		lg.Debug("op.emit", at, trace.String("rec", key))
 	}
 }
 
@@ -227,7 +220,7 @@ func emitOne(lg Logger, w, i int) {
 // into a fresh sink, finishes the stream on both, and demands identical
 // exports — the sink-level half of the crawler checkpoint guarantee.
 func TestSnapshotLoadResumeIdentity(t *testing.T) {
-	cfg := Config{Seed: 3, TailKeep: 8, ReservoirKeep: 4, PinKeep: 4}
+	fresh := func() *Sink { return newSink(3, 8, 4, 4) }
 	feed := func(s *Sink, from, to int) {
 		lg := s.Logger("crawler.fetch")
 		for i := from; i < to; i++ {
@@ -238,10 +231,10 @@ func TestSnapshotLoadResumeIdentity(t *testing.T) {
 			}
 		}
 	}
-	full := NewSink(cfg)
+	full := fresh()
 	feed(full, 0, 100)
 
-	first := NewSink(cfg)
+	first := fresh()
 	feed(first, 0, 40)
 	blob, err := json.Marshal(first.Snapshot())
 	if err != nil {
@@ -251,7 +244,7 @@ func TestSnapshotLoadResumeIdentity(t *testing.T) {
 	if err := json.Unmarshal(blob, &mid); err != nil {
 		t.Fatal(err)
 	}
-	resumed := NewSink(cfg)
+	resumed := fresh()
 	resumed.Load(&mid)
 	feed(resumed, 40, 100)
 
@@ -291,7 +284,7 @@ func TestOldSnapshotResumes(t *testing.T) {
 		if err := json.Unmarshal(blob, &snap); err != nil {
 			t.Fatal(err)
 		}
-		s := NewSink(Config{Seed: 7, TailKeep: 3, ReservoirKeep: 1, PinKeep: 2})
+		s := newSink(7, 3, 1, 2)
 		s.Load(&snap)
 		return s.Snapshot()
 	}
@@ -301,6 +294,24 @@ func TestOldSnapshotResumes(t *testing.T) {
 	}
 	if !maps.Equal(old.Totals, cur.Totals) || old.ComponentTotal(Info, "crawler.cycle") != 2 {
 		t.Errorf("old snapshot totals %v, want %v", old.Totals, cur.Totals)
+	}
+}
+
+// TestSnapshotJSONHasNoStats: a snapshot carries its totals and records
+// only; the count of emitted records is the totals' sum, not a second
+// counter beside them.
+func TestSnapshotJSONHasNoStats(t *testing.T) {
+	s := NewSink(DefaultConfig(1))
+	s.Logger("crawler.cycle").Info("cycle.done", 1)
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(snapJSON(t, s.Snapshot())), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["stats"]; ok {
+		t.Errorf("snapshot JSON has a stats key: %s", snapJSON(t, s.Snapshot()))
+	}
+	if _, ok := raw["totals"]; !ok {
+		t.Errorf("snapshot JSON lacks its totals: %s", snapJSON(t, s.Snapshot()))
 	}
 }
 

@@ -84,10 +84,10 @@ type Filter struct {
 }
 
 // Filter returns a shallow-copied snapshot holding only matching
-// records. Totals and stats pass through unchanged: they describe the
-// whole run, not the filtered view.
+// records. Totals pass through unchanged: they describe the whole run,
+// not the filtered view.
 func (s *Snapshot) Filter(f Filter) *Snapshot {
-	out := &Snapshot{Stats: s.Stats, Totals: s.Totals, Records: []Record{}}
+	out := &Snapshot{Totals: s.Totals, Records: []Record{}}
 	for _, r := range s.Records {
 		if r.Level >= f.MinLevel && strings.Contains(r.Component, f.Component) {
 			out.Records = append(out.Records, r)

@@ -2,7 +2,7 @@ package evlog
 
 // Merge folds per-shard snapshots into one export-ready snapshot: the
 // record union re-sorted into the canonical (AtMs, line) order, totals
-// and loss counters summed. The result is deterministic in the record
+// summed. The result is deterministic in the record
 // multisets alone — shards emit on independent virtual clocks, so there
 // is no meaningful global emission order to preserve, and the canonical
 // sort gives every fleet exactly one byte rendering. A merged snapshot
@@ -24,10 +24,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 			}
 			out.Totals[k] += v
 		}
-		out.Stats.Emitted += s.Stats.Emitted
-		out.Stats.DroppedSampled += s.Stats.DroppedSampled
-		out.Stats.DroppedRetention += s.Stats.DroppedRetention
-		out.Stats.PinDropped += s.Stats.PinDropped
 	}
 	out.Records = canonical(es)
 	return out

@@ -1,6 +1,7 @@
 package evlog
 
 import (
+	"maps"
 	"testing"
 
 	"webtextie/internal/obs/trace"
@@ -51,14 +52,10 @@ func TestMergeIsOrderIndependent(t *testing.T) {
 func TestMergeSumsTotalsAndStats(t *testing.T) {
 	a := sinkWith("shard0", 10, 20).Snapshot()
 	b := sinkWith("shard0", 30).Snapshot()
-	b.Stats.DroppedRetention = 4
 	m := Merge(a, b)
 
-	if m.Stats.Emitted != a.Stats.Emitted+b.Stats.Emitted {
-		t.Errorf("merged Emitted = %d, want %d", m.Stats.Emitted, a.Stats.Emitted+b.Stats.Emitted)
-	}
-	if m.Stats.DroppedRetention != 4 {
-		t.Errorf("merged DroppedRetention = %d, want 4", m.Stats.DroppedRetention)
+	if emitted(m) != 3 || emitted(m) != emitted(a)+emitted(b) {
+		t.Errorf("merged totals count %d emitted records, want %d + %d = 3", emitted(m), emitted(a), emitted(b))
 	}
 	for k, v := range a.Totals {
 		if m.Totals[k] != v+b.Totals[k] {
@@ -75,8 +72,8 @@ func TestMergeSingleShardIsIdentity(t *testing.T) {
 	if m.Logfmt() != a.Logfmt() {
 		t.Error("single-shard merge changed the logfmt export")
 	}
-	if m.Stats != a.Stats {
-		t.Errorf("single-shard merge stats = %+v, want %+v", m.Stats, a.Stats)
+	if !maps.Equal(m.Totals, a.Totals) {
+		t.Errorf("single-shard merge totals = %v, want %v", m.Totals, a.Totals)
 	}
 }
 
@@ -85,7 +82,7 @@ func TestMergeSingleShardIsIdentity(t *testing.T) {
 // wherever it sits in the shard order.
 func TestMergeEmptyShardPillars(t *testing.T) {
 	empty := NewSink(DefaultConfig(1)).Snapshot()
-	if len(empty.Records) != 0 || empty.Stats.Emitted != 0 {
+	if len(empty.Records) != 0 || len(empty.Totals) != 0 {
 		t.Fatalf("fresh sink snapshot not empty: %+v", empty)
 	}
 	a := sinkWith("shard0", 10, 30).Snapshot()
@@ -115,9 +112,9 @@ func TestMergeFencedShardDegraded(t *testing.T) {
 	if degraded.Logfmt() != Merge(s0, s2).Logfmt() {
 		t.Error("fenced-shard merge differs from the surviving-shards merge")
 	}
-	if degraded.Stats.Emitted != s0.Stats.Emitted+s2.Stats.Emitted {
-		t.Errorf("degraded Emitted = %d, want %d",
-			degraded.Stats.Emitted, s0.Stats.Emitted+s2.Stats.Emitted)
+	if emitted(degraded) != emitted(s0)+emitted(s2) {
+		t.Errorf("degraded merge counts %d emitted records, want %d",
+			emitted(degraded), emitted(s0)+emitted(s2))
 	}
 }
 
@@ -133,7 +130,7 @@ func TestMergeDeepCopiesAttrsAndSkipsNil(t *testing.T) {
 	if a.Records[0].Attrs[0].Value == "mutated" {
 		t.Error("mutating the merged snapshot reached the input snapshot")
 	}
-	if empty := Merge(); len(empty.Records) != 0 || empty.Stats.Emitted != 0 {
+	if empty := Merge(); len(empty.Records) != 0 || len(empty.Totals) != 0 {
 		t.Errorf("empty merge = %+v, want zero snapshot", empty)
 	}
 }

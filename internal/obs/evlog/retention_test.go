@@ -13,25 +13,44 @@ import (
 // refSink is the sink's retention as it stood before the shared keeper —
 // three hand-written append-scan-swap classes that re-render both records'
 // lines inside every comparison, and a Load that re-derives membership
-// with its own sort — moved here verbatim as the oracle the keeper-based
-// Sink is held to (TestRetentionMatchesReference, FuzzRetention).
+// with its own sort — moved here as the oracle the keeper-based Sink is
+// held to (TestRetentionMatchesReference, FuzzRetention). Its loss
+// counters went when the sink's did.
 type refSink struct {
-	cfg Config
+	seed uint64
+	b    bounds
 
-	pinned []Record // Warn/Error, bottom-PinKeep by priority
-	tail   []Record // Debug/Info, most recent TailKeep
-	resv   []Record // bottom-ReservoirKeep sample of tail evictees
+	pinned []Record // Warn/Error, bottom-pin by priority
+	tail   []Record // Debug/Info, most recent tail
+	resv   []Record // bottom-resv sample of tail evictees
 
 	totals map[string]uint64
-	stats  Stats
 }
 
-func newRefSink(cfg Config) *refSink {
-	return &refSink{cfg: NewSink(cfg).cfg, totals: map[string]uint64{}}
+// bounds are a sink's three retention bounds; a zero bound means the
+// package's.
+type bounds struct{ tail, resv, pin int }
+
+func (b bounds) orDefault() bounds {
+	if b.tail <= 0 {
+		b.tail = tailKeep
+	}
+	if b.resv <= 0 {
+		b.resv = reservoirKeep
+	}
+	if b.pin <= 0 {
+		b.pin = pinKeep
+	}
+	return b
+}
+
+func (b bounds) sink(seed uint64) *Sink { return newSink(seed, b.tail, b.resv, b.pin) }
+
+func newRefSink(seed uint64, b bounds) *refSink {
+	return &refSink{seed: seed, b: b, totals: map[string]uint64{}}
 }
 
 func (s *refSink) emit(r Record) {
-	s.stats.Emitted++
 	s.totals[totalKey(r.Level, r.Component)]++
 	if r.Level >= Warn {
 		s.admitPinnedLocked(r)
@@ -41,12 +60,12 @@ func (s *refSink) emit(r Record) {
 }
 
 func (s *refSink) prio(r Record) uint64 {
-	return obs.FNVMix(s.cfg.Seed, obs.FNVString(r.line()))
+	return obs.FNVMix(s.seed, obs.FNVString(r.line()))
 }
 
 func (s *refSink) admitPinnedLocked(r Record) {
 	s.pinned = append(s.pinned, r)
-	if len(s.pinned) <= s.cfg.PinKeep {
+	if len(s.pinned) <= s.b.pin {
 		return
 	}
 	worst := 0
@@ -57,7 +76,6 @@ func (s *refSink) admitPinnedLocked(r Record) {
 	}
 	s.pinned[worst] = s.pinned[len(s.pinned)-1]
 	s.pinned = s.pinned[:len(s.pinned)-1]
-	s.stats.PinDropped++
 }
 
 func (s *refSink) recordLess(a, b Record) bool {
@@ -70,7 +88,7 @@ func (s *refSink) recordLess(a, b Record) bool {
 
 func (s *refSink) admitTailLocked(r Record) {
 	s.tail = append(s.tail, r)
-	if len(s.tail) <= s.cfg.TailKeep {
+	if len(s.tail) <= s.b.tail {
 		return
 	}
 	oldest := 0
@@ -93,7 +111,7 @@ func (s *refSink) tailLess(a, b Record) bool {
 }
 
 func (s *refSink) offerReservoirLocked(r Record) {
-	if len(s.resv) < s.cfg.ReservoirKeep {
+	if len(s.resv) < s.b.resv {
 		s.resv = append(s.resv, r)
 		return
 	}
@@ -106,12 +124,10 @@ func (s *refSink) offerReservoirLocked(r Record) {
 	if s.recordLess(r, s.resv[worst]) {
 		s.resv[worst] = r
 	}
-	s.stats.DroppedRetention++
 }
 
 func (s *refSink) snapshot() *Snapshot {
 	out := &Snapshot{
-		Stats:   s.stats,
 		Records: make([]Record, 0, len(s.pinned)+len(s.tail)+len(s.resv)),
 	}
 	if len(s.totals) > 0 {
@@ -140,7 +156,6 @@ func refSortRecords(rs []Record) {
 }
 
 func (s *refSink) load(snap *Snapshot) {
-	s.stats = snap.Stats
 	for k, v := range snap.Totals {
 		s.totals[k] = v
 	}
@@ -157,7 +172,7 @@ func (s *refSink) load(snap *Snapshot) {
 	// reservoir survivors.
 	sort.Slice(low, func(i, j int) bool { return s.tailLess(low[j], low[i]) })
 	for i, r := range low {
-		if i < s.cfg.TailKeep {
+		if i < s.b.tail {
 			s.tail = append(s.tail, r)
 		} else {
 			s.resv = append(s.resv, r)
@@ -194,8 +209,8 @@ func retentionRecords(r *rng.RNG, nLow, nPin int) []Record {
 // checkRetention feeds one record multiset to the reference and — in a
 // different order, each side checkpointed through JSON and resumed into a
 // fresh sink at its own random point — to the real Sink, and demands the
-// same retained records, counters and export bytes.
-func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
+// same retained records, totals and export bytes.
+func checkRetention(t *testing.T, seed uint64, b bounds, nLow, nPin int) {
 	t.Helper()
 	r := rng.New(seed)
 	recs := retentionRecords(r, nLow, nPin)
@@ -211,20 +226,21 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
 		return &back
 	}
 
-	ref, cut := newRefSink(cfg), r.Intn(len(recs)+1)
+	b = b.orDefault()
+	ref, cut := newRefSink(seed, b), r.Intn(len(recs)+1)
 	for i, rec := range recs {
 		if i == cut {
-			resumed := newRefSink(cfg)
+			resumed := newRefSink(seed, b)
 			resumed.load(roundTrip(ref.snapshot()))
 			ref = resumed
 		}
 		ref.emit(rec)
 	}
 
-	sink, cut := NewSink(cfg), r.Intn(len(recs)+1)
+	sink, cut := b.sink(seed), r.Intn(len(recs)+1)
 	for i, j := range r.Perm(len(recs)) {
 		if i == cut {
-			resumed := NewSink(cfg)
+			resumed := b.sink(seed)
 			resumed.Load(roundTrip(sink.Snapshot()))
 			sink = resumed
 		}
@@ -233,9 +249,6 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
 	}
 
 	want, got := ref.snapshot(), sink.Snapshot()
-	if got.Stats != want.Stats {
-		t.Errorf("stats = %+v, reference %+v", got.Stats, want.Stats)
-	}
 	if n := sink.lenLocked(); n != len(want.Records) {
 		t.Errorf("%d records retained, reference retains %d", n, len(want.Records))
 	}
@@ -248,16 +261,13 @@ func checkRetention(t *testing.T, seed uint64, cfg Config, nLow, nPin int) {
 }
 
 // TestRetentionMatchesReference walks every class across its bound — one
-// below, at, one past and far past TailKeep, TailKeep+ReservoirKeep and
-// PinKeep — under small bounds, and past each bound under the defaults
-// (the zero Config), where one reference case costs a good part of a second.
+// below, at, one past and far past the tail, tail+reservoir and pinned
+// bounds — under small bounds, and past each bound under the package's
+// (the zero bounds), where one reference case costs a good part of a
+// second.
 func TestRetentionMatchesReference(t *testing.T) {
-	for ci, cfg := range []Config{
-		{TailKeep: 5, ReservoirKeep: 3, PinKeep: 4},
-		{TailKeep: 1, ReservoirKeep: 1, PinKeep: 1},
-		{},
-	} {
-		eff, dense := NewSink(cfg).cfg, cfg != Config{}
+	for ci, b := range []bounds{{5, 3, 4}, {1, 1, 1}, {}} {
+		eff, dense := b.orDefault(), b != bounds{}
 		sizes := func(bounds ...int) []int {
 			ns := []int{0, 3 * bounds[len(bounds)-1]}
 			for _, b := range bounds {
@@ -267,24 +277,23 @@ func TestRetentionMatchesReference(t *testing.T) {
 			}
 			return ns
 		}
-		for _, nLow := range sizes(eff.TailKeep, eff.TailKeep+eff.ReservoirKeep) {
-			for _, nPin := range sizes(eff.PinKeep) {
-				cfg.Seed = uint64(ci*10000 + nLow*10 + nPin)
-				checkRetention(t, cfg.Seed+1, cfg, nLow, nPin)
+		for _, nLow := range sizes(eff.tail, eff.tail+eff.resv) {
+			for _, nPin := range sizes(eff.pin) {
+				checkRetention(t, uint64(ci*10000+nLow*10+nPin)+1, b, nLow, nPin)
 			}
 		}
 	}
 }
 
 // FuzzRetention is the same differential over fuzzer-chosen bounds, sizes
-// and seeds (a zero bound means the default).
+// and seeds (a zero bound means the package's).
 func FuzzRetention(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(3), uint8(4), uint16(40), uint16(20))
 	f.Add(uint64(2), uint8(1), uint8(1), uint8(1), uint16(3), uint16(2))
 	f.Add(uint64(3), uint8(0), uint8(0), uint8(0), uint16(330), uint16(260))
 	f.Add(uint64(4), uint8(9), uint8(0), uint8(2), uint16(0), uint16(9))
 	f.Fuzz(func(t *testing.T, seed uint64, tail, resv, pin uint8, nLow, nPin uint16) {
-		cfg := Config{Seed: seed, TailKeep: int(tail % 12), ReservoirKeep: int(resv % 8), PinKeep: int(pin % 10)}
-		checkRetention(t, seed, cfg, int(nLow%400), int(nPin%300))
+		b := bounds{tail: int(tail % 12), resv: int(resv % 8), pin: int(pin % 10)}
+		checkRetention(t, seed, b, int(nLow%400), int(nPin%300))
 	})
 }

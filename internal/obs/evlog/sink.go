@@ -7,80 +7,59 @@ import (
 	"webtextie/internal/obs/trace"
 )
 
-// Config bounds a Sink. The retention model keeps three classes of
-// records, each an obs.Keeper like the trace recorder's:
+// The sink's retention bounds. The retention model keeps three classes
+// of records, each an obs.Keeper like the trace recorder's:
 //
-//	pinned     Warn/Error records, bottom-PinKeep by FNV priority
-//	tail       the TailKeep most recent Debug/Info records
+//	pinned     Warn/Error records, bottom-pinKeep by FNV priority
+//	tail       the tailKeep most recent Debug/Info records
 //	reservoir  a bottom-k hash sample of Debug/Info tail evictees
 //
 // All three are pure functions of the emitted record multiset, so the
 // retained set does not depend on emission interleaving, and two
 // same-seed runs export byte-identical logs. Exact per-(component,
 // level) totals are always kept, even for shed records.
+const (
+	tailKeep      = 256
+	reservoirKeep = 64
+	pinKeep       = 256
+)
+
+// Config configures a Sink.
 type Config struct {
-	// Seed feeds sampling decisions and retention priorities.
+	// Seed feeds retention priorities.
 	Seed uint64
-	// TailKeep is the ring of most recent Debug/Info records.
-	TailKeep int
-	// ReservoirKeep is the bottom-k sample size over tail evictees.
-	ReservoirKeep int
-	// PinKeep caps retained Warn/Error records.
-	PinKeep int
 }
 
-// DefaultConfig returns the calibrated sink bounds for a seed.
+// DefaultConfig returns the sink configuration for a seed.
 func DefaultConfig(seed uint64) Config {
-	return Config{
-		Seed:          seed,
-		TailKeep:      256,
-		ReservoirKeep: 64,
-		PinKeep:       256,
-	}
+	return Config{Seed: seed}
 }
 
 // Sink collects records under a single mutex. All methods are safe for
 // concurrent use; a nil *Sink is a valid always-off sink.
 type Sink struct {
-	mu  sync.Mutex
-	cfg Config
+	mu   sync.Mutex
+	seed uint64
 
-	pinned *obs.Keeper[entry] // Warn/Error, bottom-PinKeep by priority
-	tail   *obs.Keeper[entry] // Debug/Info, most recent TailKeep
-	resv   *obs.Keeper[entry] // bottom-ReservoirKeep sample of tail evictees
+	pinned *obs.Keeper[entry] // Warn/Error, bottom-pinKeep by priority
+	tail   *obs.Keeper[entry] // Debug/Info, most recent tailKeep
+	resv   *obs.Keeper[entry] // bottom-reservoirKeep sample of tail evictees
 
 	totals map[string]uint64 // "<level> <component>" -> emitted count
-	stats  Stats
 }
 
-// Stats are the sink's emission and loss counters. Emitted counts every
-// record not sampled out (including ones later shed by retention);
-// the drop counters partition everything that did not survive.
-type Stats struct {
-	Emitted          uint64 `json:"emitted"`
-	DroppedSampled   uint64 `json:"dropped_sampled,omitempty"`
-	DroppedRetention uint64 `json:"dropped_retention,omitempty"`
-	PinDropped       uint64 `json:"pin_dropped,omitempty"`
-}
-
-// NewSink returns a sink with the given bounds. Non-positive bounds fall
-// back to DefaultConfig values.
+// NewSink returns a sink with the package's retention bounds.
 func NewSink(cfg Config) *Sink {
-	def := DefaultConfig(cfg.Seed)
-	if cfg.TailKeep <= 0 {
-		cfg.TailKeep = def.TailKeep
-	}
-	if cfg.ReservoirKeep <= 0 {
-		cfg.ReservoirKeep = def.ReservoirKeep
-	}
-	if cfg.PinKeep <= 0 {
-		cfg.PinKeep = def.PinKeep
-	}
+	return newSink(cfg.Seed, tailKeep, reservoirKeep, pinKeep)
+}
+
+// newSink returns a sink with the given retention bounds.
+func newSink(seed uint64, tail, resv, pin int) *Sink {
 	return &Sink{
-		cfg:    cfg,
-		pinned: obs.NewKeeper(cfg.PinKeep, byPriority),
-		tail:   obs.NewKeeper(cfg.TailKeep, newestFirst),
-		resv:   obs.NewKeeper(cfg.ReservoirKeep, byPriority),
+		seed:   seed,
+		pinned: obs.NewKeeper(pin, byPriority),
+		tail:   obs.NewKeeper(tail, newestFirst),
+		resv:   obs.NewKeeper(resv, byPriority),
 		totals: map[string]uint64{},
 	}
 }
@@ -102,17 +81,10 @@ func totalKey(lv Level, component string) string {
 	return lv.String() + " " + component
 }
 
-func (s *Sink) countSampledDrop() {
-	s.mu.Lock()
-	s.stats.DroppedSampled++
-	s.mu.Unlock()
-}
-
 // emit counts one record in the totals and admits it to retention.
 func (s *Sink) emit(r Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Emitted++
 	s.totals[totalKey(r.Level, r.Component)]++
 	s.admitLocked(r)
 }
@@ -150,17 +122,13 @@ func newestFirst(a, b *entry) bool {
 // whose evictee is offered to the reservoir.
 func (s *Sink) admitLocked(r Record) {
 	e := entry{rec: r, line: r.line()}
-	e.prio = obs.FNVMix(s.cfg.Seed, obs.FNVString(e.line))
+	e.prio = obs.FNVMix(s.seed, obs.FNVString(e.line))
 	if r.Level >= Warn {
-		if _, full := s.pinned.Offer(e); full {
-			s.stats.PinDropped++
-		}
+		s.pinned.Offer(e)
 		return
 	}
 	if old, full := s.tail.Offer(e); full {
-		if _, full := s.resv.Offer(old); full {
-			s.stats.DroppedRetention++
-		}
+		s.resv.Offer(old)
 	}
 }
 
@@ -169,10 +137,9 @@ func (s *Sink) lenLocked() int {
 }
 
 // Snapshot is a deep, consistent copy of the sink: retained records in
-// canonical order plus the totals and loss counters needed to continue
-// after a resume. It is plain JSON-encodable data.
+// canonical order plus the totals needed to continue after a resume. It
+// is plain JSON-encodable data.
 type Snapshot struct {
-	Stats   Stats             `json:"stats"`
 	Totals  map[string]uint64 `json:"totals,omitempty"`
 	Records []Record          `json:"records"`
 }
@@ -184,7 +151,7 @@ func (s *Sink) Snapshot() *Snapshot {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := &Snapshot{Stats: s.stats}
+	out := &Snapshot{}
 	if len(s.totals) > 0 {
 		out.Totals = make(map[string]uint64, len(s.totals))
 		for k, v := range s.totals {
@@ -202,9 +169,9 @@ func (s *Sink) Snapshot() *Snapshot {
 // Load restores a snapshot into a fresh sink (the resume half of
 // checkpoint/resume). The records re-enter through admitLocked: retention
 // is a pure function of what was admitted and a retained set always fits
-// its bounds, so every record lands back in its class, no loss counter
-// moves, and retention after the resume proceeds exactly as it would have
-// in the uninterrupted run.
+// its bounds, so every record lands back in its class, and retention
+// after the resume proceeds exactly as it would have in the uninterrupted
+// run.
 // Load panics if the sink has already emitted: resuming into a used sink
 // would fold two runs' records together.
 func (s *Sink) Load(snap *Snapshot) {
@@ -213,10 +180,9 @@ func (s *Sink) Load(snap *Snapshot) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stats.Emitted > 0 || s.lenLocked() > 0 {
+	if len(s.totals) > 0 || s.lenLocked() > 0 {
 		panic("evlog: Load into a used sink")
 	}
-	s.stats = snap.Stats
 	for k, v := range snap.Totals {
 		s.totals[k] = v
 	}

@@ -40,7 +40,6 @@ func exercise(s Set, shard int) {
 		tc.Finish(int64(i + 1))
 		lg.Warn("page.done", int64(i+1), trace.String("key", key))
 	}
-	s.Trace.Mark("round", 5, trace.Int("shard", int64(shard)))
 	s.Series.Sample(1000, s.Metrics.Snapshot())
 	for i := 0; i <= shard; i++ {
 		s.Prof.Scope("pillars.test.stage").Enter().Exit()

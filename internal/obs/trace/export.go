@@ -41,11 +41,6 @@ func (s *Snapshot) Text() string {
 		b.WriteByte('\n')
 		writeSpanTree(&b, t, 0, "  ", make([]bool, len(t.Spans)))
 	}
-	for _, m := range s.Marks {
-		fmt.Fprintf(&b, "mark %s @%dms", m.Name, m.AtMs)
-		fmtAttrs(&b, m.Attrs)
-		b.WriteByte('\n')
-	}
 	if s.Stats != (SnapshotStats{}) {
 		fmt.Fprintf(&b, "stats dropped=%d dropped_active=%d pin_dropped=%d\n",
 			s.Stats.Dropped, s.Stats.DroppedActive, s.Stats.PinDropped)

@@ -7,11 +7,11 @@ package trace
 // indices by the cumulative StartSeq of shards 0..i-1, keeping indices
 // unique and order-preserving within each shard, and sums the sequence
 // and loss counters — the merged snapshot Loads into a fresh recorder and
-// exports deterministically. Marks concatenate in shard order.
+// exports deterministically.
 //
 // Each shard's traces are copied once, in blocks, as Snapshot copies
 // them. The inputs are never mutated; like them, the merged snapshot is
-// read-only, sharing their attr and event slices (and their marks').
+// read-only, sharing their attr and event slices.
 //
 // The merge is deterministic in the argument order: callers pass shards
 // in index order so one fleet always renders one byte sequence.
@@ -27,7 +27,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		for _, t := range out.Traces[n:] {
 			t.StartIndex += out.StartSeq
 		}
-		out.Marks = append(out.Marks, s.Marks...)
 		out.StartSeq += s.StartSeq
 		out.Stats.Dropped += s.Stats.Dropped
 		out.Stats.DroppedActive += s.Stats.DroppedActive

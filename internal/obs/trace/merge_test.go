@@ -67,7 +67,6 @@ func TestMergeLeavesInputsUnchanged(t *testing.T) {
 		tc := r.Start("crawler.url", []string{"a/open", "b/open"}[i], 100, String("host", "h0"))
 		tc.Event("frontier.inject", 100, Int("depth", 1))
 		tc.Error("breaker_open", 101)
-		r.Mark("checkpoint", 102, Int("cycle", 1))
 	}
 	a, b := ra.Snapshot(), rb.Snapshot()
 	wantA, wantB := snapJSON(t, a), snapJSON(t, b)
@@ -88,20 +87,13 @@ func TestMergeLeavesInputsUnchanged(t *testing.T) {
 }
 
 func TestMergeSumsStatsAndConcatenatesMarks(t *testing.T) {
-	ra := recorderWith(1, "a/", 2)
-	ra.Mark("phase.one", 100)
-	rb := recorderWith(1, "b/", 2)
-	rb.Mark("phase.two", 200)
-	a, b := ra.Snapshot(), rb.Snapshot()
+	a, b := recorderWith(1, "a/", 2).Snapshot(), recorderWith(1, "b/", 2).Snapshot()
 	a.Stats.Dropped, a.Stats.PinDropped = 3, 1
 	b.Stats.Dropped, b.Stats.DroppedActive = 4, 2
 
 	m := Merge(a, b)
 	if m.Stats.Dropped != 7 || m.Stats.DroppedActive != 2 || m.Stats.PinDropped != 1 {
 		t.Errorf("merged stats = %+v, want sums", m.Stats)
-	}
-	if len(m.Marks) != 2 || m.Marks[0].Name != "phase.one" || m.Marks[1].Name != "phase.two" {
-		t.Errorf("merged marks = %+v, want shard-order concatenation", m.Marks)
 	}
 }
 

@@ -49,17 +49,6 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
-// Mark is a recorder-level annotation outside any trace (checkpoint
-// boundaries, phase transitions), stamped in virtual-clock time. Marks are
-// live-debugging state, not replay state: a checkpoint snapshot destined
-// for resume clears them (see crawler.Checkpoint), keeping a resumed run's
-// export byte-identical to an uninterrupted one.
-type Mark struct {
-	Name  string `json:"name"`
-	AtMs  int64  `json:"at_ms"`
-	Attrs []Attr `json:"attrs,omitempty"`
-}
-
 // Recorder collects traces under a single mutex. All methods are safe for
 // concurrent use; a nil *Recorder is a valid always-off recorder.
 type Recorder struct {
@@ -79,8 +68,6 @@ type Recorder struct {
 	dropped       uint64 // completed traces evicted
 	droppedActive uint64 // Start calls refused by MaxActive
 	pinDropped    uint64 // error traces not pinned (PinLimit)
-
-	marks []Mark
 }
 
 // NewRecorder returns a recorder with the given bounds. Non-positive
@@ -222,16 +209,6 @@ func (r *Recorder) Context(id TraceID) Context {
 		return Context{}
 	}
 	return Context{r: r, Trace: id, Span: t.Spans[0].ID}
-}
-
-// Mark records a recorder-level annotation (checkpoint boundary).
-func (r *Recorder) Mark(name string, atMs int64, attrs ...Attr) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.marks = append(r.marks, Mark{Name: name, AtMs: atMs, Attrs: slices.Clone(attrs)})
 }
 
 // lockedSpan resolves the context's span with the recorder lock held.
@@ -426,12 +403,10 @@ type SnapshotStats struct {
 // canonical deterministic order, plus the sequence counters needed to
 // continue the ID stream after a resume. It is plain JSON-encodable data,
 // and read-only: its traces and spans are its own, but their Attrs and
-// Events slices (and its marks' Attrs) share the recorder's backing
-// arrays.
+// Events slices share the recorder's backing arrays.
 type Snapshot struct {
 	StartSeq uint64        `json:"start_seq"`
 	Stats    SnapshotStats `json:"stats,omitempty"`
-	Marks    []Mark        `json:"marks,omitempty"`
 	Traces   []*Trace      `json:"traces"`
 }
 
@@ -451,7 +426,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 			DroppedActive: r.droppedActive,
 			PinDropped:    r.pinDropped,
 		},
-		Marks:  append([]Mark(nil), r.marks...),
 		Traces: make([]*Trace, 0, len(r.traces)),
 	}
 	for _, t := range r.traces {
@@ -544,7 +518,6 @@ func (r *Recorder) Load(s *Snapshot) {
 	r.dropped = s.Stats.Dropped
 	r.droppedActive = s.Stats.DroppedActive
 	r.pinDropped = s.Stats.PinDropped
-	r.marks = append([]Mark(nil), s.Marks...)
 	ts := slices.Clone(s.Traces)
 	freeze(ts)
 	for _, t := range ts {

@@ -26,8 +26,6 @@ type refRecorder struct {
 	reservoir *obs.Keeper[kept]
 
 	dropped, droppedActive, pinDropped uint64
-
-	marks []Mark
 }
 
 // refTrace is a trace with the span-index map the Recorder dropped.
@@ -89,10 +87,6 @@ func (r *refRecorder) Start(name, key string, atMs int64, attrs ...Attr) refCont
 	r.traces[id] = t
 	r.active++
 	return refContext{r: r, Trace: id, Span: root.ID}
-}
-
-func (r *refRecorder) Mark(name string, atMs int64, attrs ...Attr) {
-	r.marks = append(r.marks, Mark{Name: name, AtMs: atMs, Attrs: slices.Clone(attrs)})
 }
 
 func (c refContext) lockedSpan() (*refTrace, *SpanData) {
@@ -244,7 +238,6 @@ func (r *refRecorder) Snapshot() *Snapshot {
 			DroppedActive: r.droppedActive,
 			PinDropped:    r.pinDropped,
 		},
-		Marks:  append([]Mark(nil), r.marks...),
 		Traces: make([]*Trace, 0, len(r.traces)),
 	}
 	for _, t := range r.traces {
@@ -302,7 +295,6 @@ func (r *refRecorder) Load(s *Snapshot) {
 	r.dropped = s.Stats.Dropped
 	r.droppedActive = s.Stats.DroppedActive
 	r.pinDropped = s.Stats.PinDropped
-	r.marks = append([]Mark(nil), s.Marks...)
 	for _, t := range s.Traces {
 		cp := &refTrace{Trace: *refCopyTrace(t)}
 		r.traces[cp.ID] = cp
@@ -328,13 +320,6 @@ func refMerge(snaps ...*Snapshot) *Snapshot {
 			cp := refCopyTrace(t)
 			cp.StartIndex += base
 			out.Traces = append(out.Traces, cp)
-		}
-		for _, m := range s.Marks {
-			out.Marks = append(out.Marks, Mark{
-				Name:  m.Name,
-				AtMs:  m.AtMs,
-				Attrs: append([]Attr(nil), m.Attrs...),
-			})
 		}
 		base += s.StartSeq
 		out.Stats.Dropped += s.Stats.Dropped
@@ -387,7 +372,7 @@ func checkSameSnapshot(t *testing.T, what string, got, want *Snapshot) string {
 
 // runRecorderOps decodes ops into calls on three recorder pairs with
 // small bounds — Start, StartSpan, StartSpanKeyed, Event, Error, End,
-// Finish, Mark, Snapshot, a Merge of 1–3 pairs' snapshots, and a Load
+// Finish, Snapshot, a Merge of 1–3 pairs' snapshots, and a Load
 // of one pair into fresh recorders — comparing the implementations after
 // every snapshot. Attr lists run 0–6 long, so the inline buffer both
 // fills and overflows, and the caller's slice is rewritten after each
@@ -434,7 +419,7 @@ func runRecorderOps(t *testing.T, ops []byte) {
 	for len(o) > 0 {
 		// Start and Finish come more often than the rest, so that the
 		// small bounds fill and retention evicts.
-		op, k := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 0, 6, 6}[o.next()%16], o.next()%3
+		op, k := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 0, 6, 6}[o.next()%15], o.next()%3
 		p := &pairs[k]
 		at := int64(o.next() % 32)
 		var h handle
@@ -474,19 +459,15 @@ func runRecorderOps(t *testing.T, ops []byte) {
 			c.Finish(at)
 			rc.Finish(at)
 		case 7:
-			name, a := o.pick(names), attrs()
-			p.rec.Mark(name, at, a...)
-			p.ref.Mark(name, at, a...)
-		case 8:
 			snapshotBoth(*p)
-		case 9:
+		case 8:
 			var got, want []*Snapshot
 			for i := range k + 1 {
 				g, w := snapshotBoth(pairs[i])
 				got, want = append(got, g), append(want, w)
 			}
 			checkSameSnapshot(t, "merge", Merge(got...), refMerge(want...))
-		case 10:
+		case 9:
 			got, want := snapshotBoth(*p)
 			*p = recorderPair{NewRecorder(cfgs[k]), newRefRecorder(cfgs[k])}
 			p.rec.Load(got)

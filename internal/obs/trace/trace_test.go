@@ -161,7 +161,6 @@ func TestNoopContexts(t *testing.T) {
 	tc.End(0)
 	tc.Error("c", 0)
 	tc.Finish(0)
-	r.Mark("m", 0)
 	if s := r.Snapshot(); len(s.Traces) != 0 {
 		t.Fatal("nil recorder snapshot has traces")
 	}
@@ -182,7 +181,6 @@ func TestRecorderCopiesAttrs(t *testing.T) {
 	sp := tc.StartSpan("test.span", 1, attrs...)
 	kp := tc.StartSpanKeyed("test.keyed", 7, 2, attrs...)
 	sp.Event("test.event", 3, attrs...)
-	r.Mark("test.mark", 4, attrs...)
 	kp.End(5)
 	sp.End(5)
 	tc.Finish(5)
@@ -208,7 +206,6 @@ func TestDisabledTraceAllocatesNothing(t *testing.T) {
 		zero.StartSpanKeyed("test.keyed", 7, 2, String("host", host), String("op", "parse"))
 		sp.Event("test.event", 3, String("host", host))
 		zero.Event("test.event", 3, String("host", host))
-		r.Mark("test.mark", 4, String("host", host))
 		tc.Finish(5)
 	})
 	if allocs != 0 {
@@ -312,7 +309,6 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 				tc.Finish(int64(i*10 + 9))
 			}
 		}
-		r.Mark("checkpoint", 300, Int("cycle", 3))
 		return r
 	}
 
@@ -381,7 +377,6 @@ func TestTextExportGolden(t *testing.T) {
 	at.Error("breaker_open", 450, String("host", "h1"))
 	at.End(450)
 	tc.Finish(500)
-	r.Mark("checkpoint", 600, Int("cycle", 1))
 
 	got := r.Snapshot().Text()
 	want := "" +
@@ -389,8 +384,7 @@ func TestTextExportGolden(t *testing.T) {
 		"  span crawler.url [0-500ms] host=h1\n" +
 		"    @0ms frontier.inject depth=0\n" +
 		"    span crawler.fetch.attempt [200-450ms] attempt=0\n" +
-		"      @450ms error class=breaker_open host=h1\n" +
-		"mark checkpoint @600ms cycle=1\n"
+		"      @450ms error class=breaker_open host=h1\n"
 	if got != want {
 		t.Fatalf("text export mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}

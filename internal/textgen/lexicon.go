@@ -168,46 +168,61 @@ var (
 // NewLexicon synthesizes a lexicon with the given sizes. dictCoverage is
 // the fraction of entries included in the curated dictionaries (the rest
 // exist "in the wild" only and are reachable solely via ML extraction).
+// It panics if a size is past what its class's name generator can name.
 func NewLexicon(r *rng.RNG, sizes LexiconSizes, dictCoverage float64) *Lexicon {
 	l := &Lexicon{
 		Entries: map[EntityType][]*Entry{},
 		byName:  map[string]*Entry{},
 	}
-	gen := func(t EntityType, n int, mk func(*rng.RNG, int) (string, bool)) {
-		seen := map[string]bool{}
-		for i := 0; len(l.Entries[t]) < n; i++ {
-			name, tla := mk(r, i)
-			if seen[name] || l.byName[name] != nil {
-				continue
+	l.gen(r, Gene, sizes.Genes, dictCoverage, makeGeneName)
+	l.gen(r, Drug, sizes.Drugs, dictCoverage, makeDrugName)
+	l.gen(r, Disease, sizes.Diseases, dictCoverage, makeDiseaseName)
+	return l
+}
+
+// maxRejectedDraws is how many names in a row gen may draw that the
+// lexicon already holds before it decides mk's name space is exhausted.
+const maxRejectedDraws = 1 << 16
+
+// gen draws names from mk until the lexicon holds n distinct entries of
+// class t. A size past what mk can name is a programming error, like an
+// unknown operator name: gen panics after maxRejectedDraws consecutive
+// duplicates instead of looping forever.
+func (l *Lexicon) gen(r *rng.RNG, t EntityType, n int, dictCoverage float64, mk func(*rng.RNG, int) (string, bool)) {
+	seen, rejected := map[string]bool{}, 0
+	for i := 0; len(l.Entries[t]) < n; i++ {
+		name, tla := mk(r, i)
+		if seen[name] || l.byName[name] != nil {
+			if rejected++; rejected == maxRejectedDraws {
+				panic(fmt.Sprintf("textgen: %d %s names asked for, name space exhausted at %d (%d duplicate draws in a row)",
+					n, t, len(l.Entries[t]), rejected))
 			}
-			seen[name] = true
-			e := &Entry{
-				Name:         name,
-				Type:         t,
-				TLA:          tla,
-				InDictionary: r.Bool(dictCoverage),
+			continue
+		}
+		rejected = 0
+		seen[name] = true
+		e := &Entry{
+			Name:         name,
+			Type:         t,
+			TLA:          tla,
+			InDictionary: r.Bool(dictCoverage),
+		}
+		// Roughly 30% of entries carry one synonym, mirroring the
+		// synonym-rich gene databases.
+		if r.Bool(0.3) {
+			syn := synonymOf(r, name, i)
+			if !seen[syn] {
+				seen[syn] = true
+				e.Synonyms = append(e.Synonyms, syn)
 			}
-			// Roughly 30% of entries carry one synonym, mirroring the
-			// synonym-rich gene databases.
-			if r.Bool(0.3) {
-				syn := synonymOf(r, name, i)
-				if !seen[syn] {
-					seen[syn] = true
-					e.Synonyms = append(e.Synonyms, syn)
-				}
-			}
-			l.Entries[t] = append(l.Entries[t], e)
-			for _, s := range e.Surfaces() {
-				if _, dup := l.byName[s]; !dup {
-					l.byName[s] = e
-				}
+		}
+		l.Entries[t] = append(l.Entries[t], e)
+		for _, s := range e.Surfaces() {
+			if _, dup := l.byName[s]; !dup {
+				l.byName[s] = e
 			}
 		}
 	}
-	gen(Gene, sizes.Genes, makeGeneName)
-	gen(Drug, sizes.Drugs, makeDrugName)
-	gen(Disease, sizes.Diseases, makeDiseaseName)
-	return l
 }
 
 func makeGeneName(r *rng.RNG, i int) (string, bool) {

@@ -90,6 +90,25 @@ func TestLexiconDeterminism(t *testing.T) {
 	}
 }
 
+// TestLexiconPanicsPastNameSpace: asking a class for more names than its
+// generator can make is a programming error that panics, quickly, naming
+// the class and both sizes, instead of drawing forever.
+func TestLexiconPanicsPastNameSpace(t *testing.T) {
+	threeNames := func(r *rng.RNG, i int) (string, bool) {
+		return rng.Pick(r, []string{"alpha", "beta", "gamma"}), false
+	}
+	l := &Lexicon{Entries: map[EntityType][]*Entry{}, byName: map[string]*Entry{}}
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"5 drug names", "exhausted at 3"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not say %q", msg, want)
+			}
+		}
+	}()
+	l.gen(rng.New(1), Drug, 5, 0.75, threeNames)
+}
+
 func TestDictionarySurfacesOnlyInDict(t *testing.T) {
 	l := testLexicon(t)
 	surfaces := l.DictionarySurfaces(Gene)

@@ -1,7 +1,8 @@
 # Build / verification entry points. `make verify` is the full gate:
-# build + tests + vet + domain lint (cmd/lintx) + race detector over the
-# concurrency-heavy packages + the chaos (fault-injection) suites + the
-# allocation gate. `make bench` runs the repo's one benchmark (bench/).
+# build + tests + vet + gofmt + domain lint (cmd/lintx) + race detector
+# over the concurrency-heavy packages + the chaos (fault-injection) suites
+# + the allocation gate. `make bench` runs the repo's one benchmark
+# (bench/).
 
 GO ?= go
 
@@ -20,7 +21,7 @@ LOC_FILES = git ls-files --cached --others --exclude-standard -- '*.go' | sort -
 	while read -r f; do [ -f "$$f" ] && echo "$$f"; done | \
 	grep -v _test.go | grep -v /testdata/ | grep -v '^bench/'
 
-.PHONY: build test vet lint race chaos supervisor-chaos fuzz bench alloc-gate loc verify
+.PHONY: build test vet fmt lint race chaos supervisor-chaos fuzz bench alloc-gate loc verify
 
 build:
 	$(GO) build ./...
@@ -34,6 +35,12 @@ test:
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+
+# gofmt over every tracked Go file outside testdata/ (whose fixtures keep
+# layouts of their own); any file it lists fails the target.
+fmt:
+	@out=$$(git ls-files -- '*.go' | grep -v /testdata/ | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Domain static analysis (internal/analysis/checks): determinism (wall
 # clock, blocking sleeps, math/rand), map-iteration order, goroutine
@@ -147,4 +154,4 @@ loc:
 # exports, the doctor, and the one identity test per level: executor,
 # crawler, fleet, supervisor) is a plain package test, so `test` already
 # runs each of them exactly once.
-verify: build test vet lint race chaos supervisor-chaos alloc-gate
+verify: build test vet fmt lint race chaos supervisor-chaos alloc-gate

@@ -611,7 +611,7 @@ func BenchmarkAblationSelfTraining(b *testing.B) {
 func BenchmarkRelationExtraction(b *testing.B) {
 	sys, _ := benchSystem(b)
 	reg := sys.Registry()
-	plan := reg.RelationFlow(false)
+	plan := reg.RelationFlow()
 	c := sys.Set.Corpus(Medline)
 	recs := make([]dataflow.Record, 0, 50)
 	for _, d := range c.Docs[:min(50, len(c.Docs))] {

@@ -35,10 +35,6 @@ var reachAllowlist = map[string]string{
 	"internal/analysis.Pass.Diagnostics": "the raw findings before suppression; TestGoldenSuppression in internal/analysis/checks counts them, across a package boundary no _test.go file can cross",
 
 	"internal/eval": "span-level precision/recall and the 4-set overlap partitions; ROADMAP 10(a) extends its exact-span ScoreSpans",
-
-	"internal/core.MeasuredProfile":         "ROADMAP 12(c) turns it into the measured per-operator cost table or deletes it",
-	"internal/core.Registry.LinguisticFlow": "§4.2's linguistic flow on its own, which MeasuredProfile profiles; decided with ROADMAP 12(c)",
-	"internal/core.Registry.EntityFlow":     "§4.2's entity flow on its own, which MeasuredProfile profiles; decided with ROADMAP 12(c)",
 }
 
 // reachDecl is one top-level declaration: the node whose identifiers it

@@ -65,8 +65,6 @@ type Config struct {
 	// POSTrainDocs is the number of Medline documents the POS tagger is
 	// trained on.
 	POSTrainDocs int
-	// POSMaxTokens is the POS tagger's crash threshold (Fig 3a).
-	POSMaxTokens int
 	// ExecPolicy selects the dataflow executor's response to UDF errors
 	// during analysis (dataflow.Quarantine by default: count, dead-letter,
 	// continue; dataflow.FailFast aborts the run on the first failure).
@@ -88,7 +86,6 @@ func DefaultConfig() Config {
 		Corpora:      corpora.DefaultBuildConfig(),
 		CRFTrainDocs: 300,
 		POSTrainDocs: 300,
-		POSMaxTokens: 400,
 	}
 }
 
@@ -149,11 +146,7 @@ func NewSystem(cfg Config) *System {
 			posData = append(posData, row)
 		}
 	}
-	posCfg := postag.DefaultConfig()
-	if cfg.POSMaxTokens != 0 {
-		posCfg.MaxTokens = cfg.POSMaxTokens
-	}
-	s.POS = postag.Train(posData, posCfg)
+	s.POS = postag.Train(posData, postag.DefaultConfig())
 
 	// Dictionary matchers from the curated (in-dictionary) surfaces.
 	for _, t := range textgen.EntityTypes {

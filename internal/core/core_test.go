@@ -176,8 +176,8 @@ func TestMeteorScriptRunsOnRawPages(t *testing.T) {
 }
 
 // TestFlowsRunTheSameTwice: operators create their state per Execute, so
-// each flow plan — analysis, consolidated, linguistic, entity and relation,
-// web and not, and the compiled Meteor script, each optimized and not —
+// each flow plan — analysis web and not, consolidated, relation and the
+// compiled Meteor script, each optimized and not —
 // executed twice over one input fills its sinks the same both times: no
 // record is dropped at a dedupe that remembers the first run.
 func TestFlowsRunTheSameTwice(t *testing.T) {
@@ -208,11 +208,9 @@ func TestFlowsRunTheSameTwice(t *testing.T) {
 		}},
 	}
 	for _, web := range []bool{false, true} {
-		for i, build := range []func(bool) *dataflow.Plan{reg.AnalysisFlow, reg.LinguisticFlow, reg.EntityFlow, reg.RelationFlow} {
-			name := []string{"analysis", "linguistic", "entity", "relation"}[i]
-			flows = append(flows, flow{fmt.Sprintf("%s/web=%v", name, web), web, func() *dataflow.Plan { return build(web) }})
-		}
+		flows = append(flows, flow{fmt.Sprintf("analysis/web=%v", web), web, func() *dataflow.Plan { return reg.AnalysisFlow(web) }})
 	}
+	flows = append(flows, flow{"relation", false, reg.RelationFlow})
 	// sinks renders every sink record of one execution, sorted: fmt
 	// prints a record's fields in key order.
 	sinks := func(plan *dataflow.Plan, in []dataflow.Record) []string {
@@ -462,16 +460,37 @@ func TestPaperProfilesConsistency(t *testing.T) {
 	}
 }
 
+// TestMeasuredProfile: on the analysis flow, the linguistic branch's
+// summed per-KB cost, which Optimize ranks operators by, lies below the
+// entity branch's (§4.2: entity extraction is the heavy flow).
 func TestMeasuredProfile(t *testing.T) {
 	s, _ := testSystem(t)
-	plan := s.Registry().EntityFlow(false)
-	fp := MeasuredProfile("entity-measured", plan, 0.4, 0.08)
-	if fp.PerKBms <= 0 || fp.StartupMs <= 0 || fp.MemPerWorkerGB <= 0 {
-		t.Errorf("profile = %+v", fp)
+	p := s.Registry().AnalysisFlow(false)
+	union := p.Nodes()[len(p.Nodes())-1]
+	ancestors := func(n *dataflow.Node) map[*dataflow.Node]bool {
+		seen := map[*dataflow.Node]bool{}
+		for stack := []*dataflow.Node{n}; len(stack) > 0; {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !seen[n] {
+				seen[n] = true
+				stack = append(stack, n.Inputs...)
+			}
+		}
+		return seen
 	}
-	lp := MeasuredProfile("ling-measured", s.Registry().LinguisticFlow(false), 1.2, 0.01)
-	if lp.PerKBms >= fp.PerKBms {
-		t.Error("linguistic flow should be cheaper per KB than entity flow")
+	lingNodes, entNodes := ancestors(union.Inputs[0]), ancestors(union.Inputs[1])
+	var lingCost, entCost float64
+	for _, n := range p.Nodes() {
+		switch {
+		case lingNodes[n] && !entNodes[n]:
+			lingCost += n.Op.Cost.PerKBms
+		case entNodes[n] && !lingNodes[n]:
+			entCost += n.Op.Cost.PerKBms
+		}
+	}
+	if lingCost <= 0 || lingCost >= entCost {
+		t.Errorf("per-KB cost: linguistic branch %v, entity branch %v; want 0 < linguistic < entity", lingCost, entCost)
 	}
 }
 

@@ -423,7 +423,7 @@ func (e *Experiments) Fig8() string {
 func (e *Experiments) RelationsReport() string {
 	s := e.System()
 	reg := e.Reg()
-	plan := reg.RelationFlow(false)
+	plan := reg.RelationFlow()
 
 	extract := func(kind textgen.CorpusKind) (rels int, kinds map[string]int, pairs map[string]bool, negated int) {
 		kinds = map[string]int{}

@@ -92,7 +92,7 @@ func TestRelationsReportExtension(t *testing.T) {
 func TestRelationFlowRuns(t *testing.T) {
 	sys, _ := testSystem(t)
 	reg := sys.Registry()
-	plan := reg.RelationFlow(false)
+	plan := reg.RelationFlow()
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}

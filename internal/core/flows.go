@@ -81,44 +81,13 @@ func num(v float64) meteor.Value { return meteor.Value{Num: v, IsNum: true} }
 // source + final union).
 func (r *Registry) ConsolidatedFlow() *dataflow.Plan { return r.AnalysisFlow(true) }
 
-// LinguisticFlow builds the standalone linguistic flow of §4.2 ("both
-// first filter long texts, repair and remove HTML markup, and annotate
-// sentence and token boundaries ... the linguistic data flow detects
-// pronouns, negation, and parenthesis").
-func (r *Registry) LinguisticFlow(web bool) *dataflow.Plan {
+// RelationFlow builds the extension flow (beyond the paper's Fig 2) over
+// clean text: entity extraction followed by trigger-based relation
+// extraction — the direction the paper's conclusion calls "studying these
+// sets in more detail will be the next step in our research".
+func (r *Registry) RelationFlow() *dataflow.Plan {
 	p := &dataflow.Plan{}
-	n := p.Add(r.Op("identity", nil))
-	if web {
-		n = r.webPretreatment(p, n)
-	}
-	n = r.nlpShared(p, n)
-	r.linguisticBranch(p, n)
-	return p
-}
-
-// EntityFlow builds the standalone entity-extraction flow of §4.2.
-func (r *Registry) EntityFlow(web bool) *dataflow.Plan {
-	p := &dataflow.Plan{}
-	n := p.Add(r.Op("identity", nil))
-	if web {
-		n = r.webPretreatment(p, n)
-	}
-	n = r.nlpShared(p, n)
-	r.entityBranch(p, n)
-	return p
-}
-
-// RelationFlow builds the extension flow (beyond the paper's Fig 2):
-// entity extraction followed by trigger-based relation extraction — the
-// direction the paper's conclusion calls "studying these sets in more
-// detail will be the next step in our research".
-func (r *Registry) RelationFlow(web bool) *dataflow.Plan {
-	p := &dataflow.Plan{}
-	n := p.Add(r.Op("identity", nil))
-	if web {
-		n = r.webPretreatment(p, n)
-	}
-	n = r.nlpShared(p, n)
+	n := r.nlpShared(p, p.Add(r.Op("identity", nil)))
 	n = p.Add(r.Op("pos_tag", nil), n)
 	for _, t := range []string{"gene", "drug", "disease"} {
 		n = p.Add(r.Op("annotate_entities_dict", meteor.Params{"type": {Str: t}}), n)
@@ -179,23 +148,6 @@ write $tlaok to 'entities';
 `
 
 // --- Flow profiles for the simulated cluster ---
-
-// MeasuredProfile derives a cluster.FlowProfile from a plan's operator
-// cost annotations (our implementations' costs).
-func MeasuredProfile(name string, p *dataflow.Plan, outputFactor, skew float64) cluster.FlowProfile {
-	var perKB, startup float64
-	var mem int64
-	for _, n := range p.Nodes() {
-		perKB += n.Op.Cost.PerKBms
-		startup += n.Op.Cost.StartupMs
-		mem += n.Op.Cost.MemoryBytes
-	}
-	return cluster.FlowProfile{
-		Name: name, PerKBms: perKB, StartupMs: startup,
-		MemPerWorkerGB: float64(mem) / (1 << 30),
-		OutputFactor:   outputFactor, Skew: skew,
-	}
-}
 
 // PaperProfiles returns the flow profiles calibrated to the paper's
 // reported constants: the 20-minute gene-dictionary load, the 6-20 GB

@@ -394,7 +394,7 @@ func (r *Registry) table() []opRow {
 				}), nil
 			}},
 		{name: "dedupe_near", pkg: dataflow.DC, filter: true, reads: []string{"text", "id"}, sel: 0.95, perRun: true,
-			cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 256 << 20},
+			cost: dataflow.Cost{PerKBms: 0.1},
 			with: func(p meteor.Params) (dataflow.UDF, error) {
 				idx := dedup.NewIndex(paramNum(p, "threshold", 0.8))
 				return dataflow.Keep(func(rec dataflow.Record) bool {
@@ -413,14 +413,14 @@ func (r *Registry) table() []opRow {
 					return c
 				}, get[string](rec, "text"))
 			})},
-		{name: "classify_relevance", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"relevant", "prob"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 64 << 20},
+		{name: "classify_relevance", pkg: dataflow.DC, reads: []string{"text"}, writes: []string{"relevant", "prob"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.1},
 			edit: fill(func(rec dataflow.Record) {
 				clf := r.sys.Set.Classifier
 				prob := clf.ProbRelevant(get[string](rec, "text"))
 				rec["prob"] = prob
 				rec["relevant"] = prob >= clf.Threshold
 			})},
-		{name: "relevance_filter", pkg: dataflow.DC, filter: true, reads: []string{"text"}, sel: 0.4, cost: dataflow.Cost{PerKBms: 0.1, MemoryBytes: 64 << 20},
+		{name: "relevance_filter", pkg: dataflow.DC, filter: true, reads: []string{"text"}, sel: 0.4, cost: dataflow.Cost{PerKBms: 0.1},
 			with: func(p meteor.Params) (dataflow.UDF, error) {
 				thresh := paramNum(p, "threshold", 0.5)
 				return dataflow.Keep(func(rec dataflow.Record) bool {
@@ -501,13 +501,13 @@ func (r *Registry) table() []opRow {
 				}
 				rec["tokens"] = toks
 			})},
-		{name: "pos_tag", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos", "pos_failed"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
+		{name: "pos_tag", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos", "pos_failed"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5},
 			edit: fill(func(rec dataflow.Record) {
 				// MedPost-style crash on a degenerate sentence: skip the
 				// sentence, keep the document (§4.2/§5).
 				rec["pos"], rec["pos_failed"], _ = r.tagSentences(rec)
 			})},
-		{name: "pos_tag_strict", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5, StartupMs: 1500, MemoryBytes: 256 << 20},
+		{name: "pos_tag_strict", pkg: dataflow.IE, reads: []string{"tokens"}, writes: []string{"pos"}, sel: 1, cost: dataflow.Cost{PerKBms: 0.5},
 			edit: func(rec dataflow.Record) error {
 				pos, _, err := r.tagSentences(rec)
 				if err != nil {
@@ -724,7 +724,7 @@ func (r *Registry) registerParametric() {
 		}
 		return edited(&dataflow.Op{Name: "annotate_entities_dict:" + t.String(), Pkg: dataflow.IE,
 			Reads: []string{"text", "entities"}, Writes: []string{"entities"}, Selectivity: 1,
-			Cost: paperScaledDictCost(t)},
+			Cost: dataflow.Cost{PerKBms: 0.05}},
 			fill(func(rec dataflow.Record) {
 				rec["entities"] = withEntities(rec, r.sys.ExtractDict(t, get[string](rec, "text")))
 			})), nil
@@ -737,7 +737,7 @@ func (r *Registry) registerParametric() {
 		k := slices.Index(r.sys.CRF.Entities, t)
 		return edited(&dataflow.Op{Name: "annotate_entities_ml:" + t.String(), Pkg: dataflow.IE,
 			Reads: []string{"text", "tokens", "crf_matches", "entities"}, Writes: []string{"crf_matches", "entities"}, Selectivity: 1,
-			Cost: dataflow.Cost{PerKBms: 30, StartupMs: 10000, MemoryBytes: 2 << 30}},
+			Cost: dataflow.Cost{PerKBms: 30}},
 			func(rec dataflow.Record) error {
 				// The first ML node of a chain decodes every class from the
 				// record's tokens at once; the ones after it take their
@@ -904,21 +904,4 @@ func countKind(anns []ling.Annotation, kind ling.Kind) (n int) {
 		}
 	}
 	return n
-}
-
-// paperScaledDictCost is a dictionary tagger's cost extrapolated to the
-// paper's dictionary sizes (§4.2): the gene dictionary (700,000 entries)
-// took ~20 minutes to load, and the expanded automatons held 6-20 GB per
-// worker.
-func paperScaledDictCost(t textgen.EntityType) dataflow.Cost {
-	c := dataflow.Cost{PerKBms: 0.05}
-	switch t {
-	case textgen.Gene:
-		c.StartupMs, c.MemoryBytes = 20*60*1000, 20<<30
-	case textgen.Disease:
-		c.StartupMs, c.MemoryBytes = 2*60*1000, 8<<30
-	case textgen.Drug:
-		c.StartupMs, c.MemoryBytes = 90*1000, 6<<30
-	}
-	return c
 }

@@ -345,7 +345,7 @@ func TestAllocGateOps(t *testing.T) {
 // and optimized, as TestFlowPlansUnchanged renders them. The annotators'
 // ling_analysis changed only Reads and Writes, not the order Optimize
 // chooses.
-const planDigest = "b3a8a8b2768dafdca3d80609fc11079afb7c41952687e51576048b45e3ad7e47"
+const planDigest = "628a83ae7d2c26664cefd3faeaeb204b5a5a5ea46250ef251bb9c3dfb7d0286f"
 
 // TestFlowPlansUnchanged pins every flow the registry builds, and the
 // compiled ConsolidatedMeteorScript, plain and optimized.
@@ -367,10 +367,9 @@ func TestFlowPlansUnchanged(t *testing.T) {
 		},
 	}
 	for _, web := range []bool{false, true} {
-		for i, build := range []func(bool) *dataflow.Plan{reg.AnalysisFlow, reg.LinguisticFlow, reg.EntityFlow, reg.RelationFlow} {
-			flows[fmt.Sprintf("%s/web=%v", []string{"analysis", "linguistic", "entity", "relation"}[i], web)] = func() *dataflow.Plan { return build(web) }
-		}
+		flows[fmt.Sprintf("analysis/web=%v", web)] = func() *dataflow.Plan { return reg.AnalysisFlow(web) }
 	}
+	flows["relation"] = reg.RelationFlow
 	names := make([]string, 0, len(flows))
 	for name := range flows {
 		names = append(names, name)

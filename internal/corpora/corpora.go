@@ -90,8 +90,6 @@ type BuildConfig struct {
 	SeedTermScale int
 	// Lexicon sizes the entity dictionaries.
 	Lexicon textgen.LexiconSizes
-	// DictCoverage is the in-dictionary fraction of lexicon entries.
-	DictCoverage float64
 	// TrainDocsPerClass sizes the crawler classifier's training set.
 	TrainDocsPerClass int
 	// Log, when set, receives the event log of corpus construction: the
@@ -108,10 +106,12 @@ func DefaultBuildConfig() BuildConfig {
 		Crawl:             crawler.DefaultConfig(),
 		SeedTermScale:     10,
 		Lexicon:           textgen.DefaultLexiconSizes(),
-		DictCoverage:      0.75,
 		TrainDocsPerClass: 400,
 	}
 }
+
+// dictCoverage is the in-dictionary fraction of lexicon entries.
+const dictCoverage = 0.75
 
 // Paper-reported corpus sizes (Table 3).
 var paperDocCounts = map[textgen.CorpusKind]int{
@@ -165,7 +165,7 @@ func Build(cfg BuildConfig) *Set {
 	if cfg.SeedTermScale <= 0 {
 		cfg.SeedTermScale = 10
 	}
-	lex := textgen.NewLexicon(rng.New(cfg.Seed).Split("lexicon"), cfg.Lexicon, cfg.DictCoverage)
+	lex := textgen.NewLexicon(rng.New(cfg.Seed).Split("lexicon"), cfg.Lexicon, dictCoverage)
 	gen := textgen.NewGenerator(cfg.Seed+1, lex, textgen.DefaultProfiles())
 	web := synthweb.New(cfg.Web, gen)
 	clf := TrainClassifier(gen, cfg.Seed+2, cfg.TrainDocsPerClass)

@@ -42,7 +42,10 @@ type Config struct {
 	// MaxPerHostPerCycle caps each host's share of a fetch list
 	// (paper: 500, §4.1).
 	MaxPerHostPerCycle int
-	// MaxPagesPerHost is the spider-trap guard: total fetches per host.
+	// MaxPagesPerHost is the spider-trap guard. Once a host has this many
+	// fetched pages, no new URL of it enters the frontier. It bounds
+	// admissions, not fetches: the host's URLs already pending are still
+	// fetched, so a capped host can end above the cap.
 	MaxPagesPerHost int
 	// MinNetTextLen is the document-length filter threshold (chars).
 	MinNetTextLen int
@@ -54,9 +57,6 @@ type Config struct {
 	Tunnelling int
 	// Workers is the number of simulated fetcher threads.
 	Workers int
-	// FetchCostMs and ProcessCostMs model per-page network and
-	// filter+classify time in the virtual clock.
-	FetchCostMs, ProcessCostMs int
 
 	// EntityBoost enables the §5 "consolidated process" extension: the IE
 	// pipeline's dictionary matchers feed the relevance decision ("the
@@ -70,19 +70,14 @@ type Config struct {
 	// SelfTraining enables the §2.1 incremental-update extension ("its
 	// ability to update its model incrementally, although we currently
 	// don't use this feature"): pages classified with confidence beyond
-	// SelfTrainingMargin (both directions) are fed back into the model.
-	SelfTraining       bool
-	SelfTrainingMargin float64
+	// selfTrainingMargin (both directions) are fed back into the model.
+	SelfTraining bool
 
 	// MaxRetries is the per-URL retry budget for transient fetch failures
 	// (injected errors, truncated bodies, host-down, rate limits). 0
 	// disables retries: every fetch error is terminal, the pre-resilience
 	// behavior.
 	MaxRetries int
-	// BackoffBaseMs and BackoffMaxMs bound the exponential retry backoff
-	// (base<<attempt, capped, plus deterministic jitter) on the virtual
-	// clock.
-	BackoffBaseMs, BackoffMaxMs int
 	// BreakerFailures is the consecutive-failure threshold that opens a
 	// host's circuit breaker. 0 disables breakers.
 	BreakerFailures int
@@ -102,17 +97,26 @@ func DefaultConfig() Config {
 		MaxNetTextLen:      1 << 20,
 		Tunnelling:         1,
 		Workers:            16,
-		FetchCostMs:        200,
-		ProcessCostMs:      2500,
 		EntityBoostDensity: 1.0,
-		SelfTrainingMargin: 0.45,
 		MaxRetries:         3,
-		BackoffBaseMs:      500,
-		BackoffMaxMs:       60_000,
 		BreakerFailures:    5,
 		BreakerOpenMs:      30_000,
 	}
 }
+
+// The crawl's calibrated costs and margins, which no configuration varies.
+const (
+	// fetchCostMs and processCostMs model per-page network and
+	// filter+classify time in the virtual clock.
+	fetchCostMs, processCostMs = 200, 2500
+	// selfTrainingMargin is how far from 0.5 a relevance probability must
+	// lie, either way, for SelfTraining to learn from the page.
+	selfTrainingMargin = 0.45
+	// backoffBaseMs and backoffMaxMs bound the exponential retry backoff
+	// (base<<attempt, capped, plus deterministic jitter) on the virtual
+	// clock.
+	backoffBaseMs, backoffMaxMs = 500, 60_000
+)
 
 // CrawledPage is one stored page of the crawl output.
 type CrawledPage struct {
@@ -730,7 +734,7 @@ func (c *Crawler) advanceClock(host string, delayMs, latencyMs int) {
 		c.m.stallMs.Observe(float64(hf - start))
 		start = hf
 	}
-	end := start + int64(c.cfg.FetchCostMs) + int64(latencyMs) + int64(c.cfg.ProcessCostMs)
+	end := start + fetchCostMs + int64(latencyMs) + processCostMs
 	// Per-page processing cost: worker-available to page done, stalls
 	// included (the §4.1 "3-4 documents per second" accounting).
 	c.m.pageCost.Observe(float64(end - c.workerFree[w]))
@@ -947,14 +951,16 @@ func (c *Crawler) entityBoosts(netText string, tc trace.Context) bool {
 }
 
 // selfTrain is the §2.1 incremental-update extension: confident
-// decisions (beyond SelfTrainingMargin either way) are fed back into the
+// decisions (beyond selfTrainingMargin either way) are fed back into the
 // model.
 func (c *Crawler) selfTrain(netText string, prob float64) {
 	if !c.cfg.SelfTraining {
 		return
 	}
 	var label classify.Class
-	switch margin := c.cfg.SelfTrainingMargin; {
+	// margin is a variable so 0.5-margin rounds as float64 arithmetic
+	// does (0.04999…); the folded constant would be 0.05.
+	switch margin := float64(selfTrainingMargin); {
 	case prob >= 0.5+margin:
 		label = classify.Relevant
 	case prob <= 0.5-margin:

@@ -162,23 +162,16 @@ func (c *Crawler) breakerCharge(host string, now int64, tc trace.Context) {
 }
 
 // backoffDelay is the retry delay after a failed attempt: exponential in
-// the attempt number, capped at BackoffMaxMs, plus a deterministic jitter
-// in [0, BackoffBaseMs) hashed from (URL, attempt) so co-failing URLs
+// the attempt number, capped at backoffMaxMs, plus a deterministic jitter
+// in [0, backoffBaseMs) hashed from (URL, attempt) so co-failing URLs
 // don't retry in lockstep.
-func (c *Crawler) backoffDelay(url string, attempt int) int64 {
-	base := int64(c.cfg.BackoffBaseMs)
-	if base <= 0 {
-		return 0
-	}
+func backoffDelay(url string, attempt int) int64 {
 	shift := uint(attempt)
 	if shift > 20 {
 		shift = 20
 	}
-	d := base << shift
-	if max := int64(c.cfg.BackoffMaxMs); max > 0 && d > max {
-		d = max
-	}
-	return d + int64(obs.FNVString(url+"/"+strconv.Itoa(attempt))%uint64(base))
+	d := min(int64(backoffBaseMs)<<shift, backoffMaxMs)
+	return d + int64(obs.FNVString(url+"/"+strconv.Itoa(attempt))%backoffBaseMs)
 }
 
 // scheduleRetry requeues a failed URL, eligible again at eligibleMs.
@@ -238,7 +231,7 @@ func (c *Crawler) onFetchError(item crawldb.FetchItem, attempt int, info synthwe
 		}
 		c.breakerCharge(item.Host, now, tc)
 		if attempt < c.cfg.MaxRetries {
-			d := c.backoffDelay(item.URL, attempt)
+			d := backoffDelay(item.URL, attempt)
 			c.m.retryBackoffMs.Observe(float64(d))
 			tc.Event("retry.backoff", now,
 				trace.Int("attempt", int64(attempt)), trace.Int("delay_ms", d))

@@ -6,11 +6,11 @@
 // optimized (internal/dataflow's optimizer, after SOFA [23]), and executed
 // by a local parallel executor with a configurable degree of parallelism.
 //
-// Operators carry the metadata the paper's optimizer and war stories rely
-// on: read/write field sets (SOFA's semantic annotations, enabling safe
-// reordering), selectivity estimates, per-record cost, startup cost (the
-// 20-minute dictionary load, §4.2), and memory footprints (the 6-20 GB
-// per-worker appetite that capped the DoP, §4.2).
+// Operators carry the metadata the paper's optimizer relies on: read/write
+// field sets (SOFA's semantic annotations, enabling safe reordering),
+// selectivity estimates and per-KB cost. The war stories' startup and
+// memory figures (§4.2) are flow-level profiles the simulated cluster
+// (internal/cluster) takes, not operator metadata.
 package dataflow
 
 import (
@@ -84,14 +84,11 @@ func Edit(f func(Record) error) UDF {
 	}
 }
 
-// Cost models one operator's resource behaviour for the simulated cluster.
+// Cost is one operator's estimated CPU cost, which Optimize ranks
+// operators by (with Selectivity).
 type Cost struct {
 	// PerKBms is virtual milliseconds of CPU per KB of input text.
 	PerKBms float64
-	// StartupMs is one-time per-worker initialization (dictionary loads).
-	StartupMs float64
-	// MemoryBytes is the per-worker resident footprint.
-	MemoryBytes int64
 }
 
 // Op is one logical operator.
@@ -113,10 +110,9 @@ type Op struct {
 	// dead letter and FailFast see the record as it entered the node.
 	// Writes must therefore be explicit: not nil and without "*".
 	InPlace func(rec Record) error
-	// Init runs once per Execute, before any record flows: it pays startup
-	// cost for real execution (the virtual StartupMs models it for
-	// simulation) and creates the operator's per-run state, so a plan runs
-	// the same every time.
+	// Init runs once per Execute, before any record flows: it pays the
+	// operator's startup cost and creates its per-run state, so a plan
+	// runs the same every time.
 	Init func() error
 
 	// Reads/Writes are the record fields the operator touches — SOFA's
@@ -130,7 +126,7 @@ type Op struct {
 	Filter bool
 	// Selectivity estimates output records per input record.
 	Selectivity float64
-	// Cost feeds the simulated cluster.
+	// Cost is what Optimize ranks the operator by, with Selectivity.
 	Cost Cost
 }
 

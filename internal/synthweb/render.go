@@ -41,7 +41,7 @@ func (w *Web) gold(r *rng.RNG, h *Host, idx int, tokens bool) *Page {
 	// (portals are always real HTML hubs).
 	if !p.Portal {
 		switch {
-		case r.Bool(w.cfg.NonHTMLShare):
+		case r.Bool(nonHTMLShare):
 			k := binaryKinds[r.Intn(len(binaryKinds))]
 			p.MIME = k.mime
 			if k.ext != "" {
@@ -69,7 +69,7 @@ func (w *Web) gold(r *rng.RNG, h *Host, idx int, tokens bool) *Page {
 		}
 		p.Relevant = !r.Bool(off)
 	} else {
-		p.Relevant = r.Bool(w.cfg.BiomedShareOnGeneral)
+		p.Relevant = r.Bool(biomedShareOnGeneral)
 	}
 	// Portal pages are content-poor: even on biomedical hosts they read as
 	// generic link hubs, which is why classifiers reject them (§2.2).
@@ -87,7 +87,7 @@ func (w *Web) gold(r *rng.RNG, h *Host, idx int, tokens bool) *Page {
 	switch {
 	case p.Portal:
 		keep = 3
-	case r.Bool(w.cfg.TooShortShare):
+	case r.Bool(tooShortShare):
 		keep = 1
 	case p.Relevant:
 		kind = textgen.Relevant
@@ -248,7 +248,7 @@ func (w *Web) pageLinks(r *rng.RNG, h *Host, idx int, p *Page) []string {
 	}
 	for i := 0; i < nLinks; i++ {
 		host, ti := h.Name, 0
-		if r.Bool(w.cfg.IntraHostLinkShare) {
+		if r.Bool(intraHostLinkShare) {
 			// Navigational or same-host content link.
 			ti = r.Intn(h.Pages)
 			if w.cfg.DepthDecay > 0 && idx+1 < h.Pages {
@@ -295,7 +295,7 @@ func (w *Web) pageLinks(r *rng.RNG, h *Host, idx int, p *Page) []string {
 // locality and hub preference.
 func (w *Web) chooseTargetHost(r *rng.RNG, from *Host) *Host {
 	wantBiomed := from.Biomed
-	if from.Biomed && !r.Bool(w.cfg.TopicalLocality) {
+	if from.Biomed && !r.Bool(topicalLocality) {
 		wantBiomed = false
 	} else if !from.Biomed {
 		// General hosts rarely link into the biomedical web: the paper's

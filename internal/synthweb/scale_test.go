@@ -197,9 +197,9 @@ func TestNoiseRatesMatchConfiguredShares(t *testing.T) {
 			t.Errorf("%s rate = %.3f over %d pages, want within 30%% of %.3f", name, got, pages, want)
 		}
 	}
-	checkRate("non-HTML", nonHTML, cfg.NonHTMLShare)
+	checkRate("non-HTML", nonHTML, nonHTMLShare)
 	// Non-English noise applies to the HTML population.
-	checkRate("non-English", nonEnglish, cfg.NonEnglishShare*(1-cfg.NonHTMLShare))
+	checkRate("non-English", nonEnglish, cfg.NonEnglishShare*(1-nonHTMLShare))
 
 	traps := 0
 	for _, h := range web.Hosts {
@@ -208,8 +208,8 @@ func TestNoiseRatesMatchConfiguredShares(t *testing.T) {
 		}
 	}
 	trapRate := float64(traps) / float64(len(web.Hosts))
-	if trapRate < cfg.TrapShare*0.4 || trapRate > cfg.TrapShare*2.0 {
-		t.Errorf("trap host rate = %.3f, want near %.3f", trapRate, cfg.TrapShare)
+	if trapRate < trapShare*0.4 || trapRate > trapShare*2.0 {
+		t.Errorf("trap host rate = %.3f, want near %.3f", trapRate, trapShare)
 	}
 }
 

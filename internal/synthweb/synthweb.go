@@ -37,30 +37,14 @@ type Config struct {
 	Seed uint64
 	// NumHosts is the number of registered hosts.
 	NumHosts int
-	// BiomedShare is the fraction of hosts carrying biomedical content.
-	BiomedShare float64
-	// PagesPerHost is the log-normal distribution of host sizes.
-	PagesPerHost textgen.LogNormal
-	// TrapShare is the fraction of hosts containing a spider trap.
-	TrapShare float64
-	// NonHTMLShare, NonEnglishShare, TooShortShare calibrate the noise the
-	// crawler's pre-filters must remove (§4.1: 9.5%, 14%, 17%).
-	NonHTMLShare    float64
+	// NonEnglishShare calibrates the non-English noise the crawler's
+	// language filter must remove (§4.1: 14%).
 	NonEnglishShare float64
-	TooShortShare   float64
 	// CorruptShare is the fraction of pages with malformed markup.
 	CorruptShare float64
-	// IntraHostLinkShare is the fraction of links staying on the same host
-	// (high: biomedical sites are weakly linked externally).
-	IntraHostLinkShare float64
-	// TopicalLocality is the probability that a cross-host link from a
-	// biomedical page targets another biomedical host.
-	TopicalLocality float64
 	// OffTopicShareOnBiomed is the fraction of pages on biomedical hosts
-	// that are nonetheless off-topic (and vice versa on general hosts:
-	// "blogger.com often also contain[s] some biomedical material", §4.1).
+	// that are nonetheless off-topic (biomedShareOnGeneral is the reverse).
 	OffTopicShareOnBiomed float64
-	BiomedShareOnGeneral  float64
 	// DepthDecay models the paper's central temporal pitfall: relevant-page
 	// density on biomedical hosts holds through the front band (the first
 	// 8 pages — the curated hubs a crawl enters through), then decays with
@@ -104,20 +88,38 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:                  1,
 		NumHosts:              700,
-		BiomedShare:           0.28,
-		PagesPerHost:          textgen.LogNormal{Mu: 3.3, Sigma: 0.8},
-		TrapShare:             0.03,
-		NonHTMLShare:          0.095,
 		NonEnglishShare:       0.14,
-		TooShortShare:         0.17,
 		CorruptShare:          0.60,
 		MirrorShare:           0.05,
-		IntraHostLinkShare:    0.90,
-		TopicalLocality:       0.75,
 		OffTopicShareOnBiomed: 0.70,
-		BiomedShareOnGeneral:  0.02,
 	}
 }
+
+// The web's calibrated shape, which no configuration varies.
+const (
+	// biomedShare is the fraction of hosts carrying biomedical content.
+	biomedShare = 0.28
+	// pagesPerHostMu and pagesPerHostSigma are the log-normal distribution
+	// of host sizes.
+	pagesPerHostMu, pagesPerHostSigma = 3.3, 0.8
+	// trapShare is the fraction of hosts containing a spider trap.
+	trapShare = 0.03
+	// nonHTMLShare and tooShortShare calibrate the noise the crawler's
+	// pre-filters must remove (§4.1: 9.5% and 17%; NonEnglishShare is the
+	// 14%).
+	nonHTMLShare  = 0.095
+	tooShortShare = 0.17
+	// intraHostLinkShare is the fraction of links staying on the same host
+	// (high: biomedical sites are weakly linked externally).
+	intraHostLinkShare = 0.90
+	// topicalLocality is the probability that a cross-host link from a
+	// biomedical page targets another biomedical host.
+	topicalLocality = 0.75
+	// biomedShareOnGeneral is the fraction of pages on general hosts that
+	// are nonetheless biomedical ("blogger.com often also contain[s] some
+	// biomedical material", §4.1).
+	biomedShareOnGeneral = 0.02
+)
 
 // hubDomains are the named high-authority hosts; they mirror the domains of
 // the paper's Table 2 so the PageRank experiment produces a recognizable
@@ -210,11 +212,11 @@ func New(cfg Config, gen *textgen.Generator) *Web {
 			h.Biomed = i < numBiomedHubs
 			h.Pages = 80 + r.Intn(200)
 		} else {
-			h.Biomed = r.Bool(cfg.BiomedShare)
+			h.Biomed = r.Bool(biomedShare)
 			h.Name = makeHostName(r, h.Biomed, i)
-			h.Pages = int(r.LogNorm(cfg.PagesPerHost.Mu, cfg.PagesPerHost.Sigma)) + 2
+			h.Pages = int(r.LogNorm(pagesPerHostMu, pagesPerHostSigma)) + 2
 		}
-		h.Trap = r.Bool(cfg.TrapShare)
+		h.Trap = r.Bool(trapShare)
 		h.DisallowTrap = h.Trap && r.Bool(0.5)
 		h.CrawlDelayMs = 100 + r.Intn(400)
 		if _, dup := w.byName[h.Name]; dup {
